@@ -11,18 +11,78 @@ central finite differences through a declared ResponseFunction, and the
 absence of a declared link yields Indeterminate rather than an error or a
 guessed slope. A derivative of a symbol with respect to itself is the
 identity's derivative (1, then 0 for higher orders).
+
+Expressions are compiled once into closures and there is one evaluator. A
+compiled expression combines the values of its leaves (symbols, derivatives
+and horizon integrals) with interval arithmetic; only the resolver that
+supplies leaf values differs: a symbol at base or under a listing-state
+overlay, a symbol with the driver pinned to a stencil point, or a symbol at
+time t along its time path. ``conditions`` compiles each condition once per
+RunConfig; :func:`evaluate_expression`, :func:`finite_difference` and
+:func:`integrate_horizon` compile their argument and call the same closures.
+Everything that depends on the scenario (contexts, max-axis winners, stencil
+base points and steps, response links, time paths) is resolved per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import DivisionByZeroInterval, IndeterminateIntegrand, PathCoverageError
 from .model import Scenario, TimePath, eval_response, split_driver
 
 INF = math.inf
+
+#: An interval inside the evaluator: a checked (lower, upper) pair.
+Interval = tuple
+
+
+def _iv(lo: float, hi: float) -> Interval:
+    """The one interval check: NaN or lower > upper is an error."""
+    if lo != lo or hi != hi or lo > hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    return lo, hi
+
+
+def _mul(a: float, b: float) -> float:
+    # interval convention: 0 * inf = 0
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+def _iadd(a: Interval, b: Interval) -> Interval:
+    return _iv(a[0] + b[0], a[1] + b[1])
+
+
+def _isub(a: Interval, b: Interval) -> Interval:
+    return _iv(a[0] - b[1], a[1] - b[0])
+
+
+def _imul(a: Interval, b: Interval) -> Interval:
+    # the four products in this order; min/max keep the first of equal zeros
+    p1, p2 = _mul(a[0], b[0]), _mul(a[0], b[1])
+    p3, p4 = _mul(a[1], b[0]), _mul(a[1], b[1])
+    return _iv(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+
+
+def _iscale(a: Interval, k: float) -> Interval:
+    lo, hi = _mul(a[0], k), _mul(a[1], k)
+    return _iv(min(lo, hi), max(lo, hi))
+
+
+def _idiv(a: Interval, b: Interval) -> Interval:
+    if b[0] <= 0.0 <= b[1]:
+        raise DivisionByZeroInterval(f"divisor interval [{b[0]}, {b[1]}] contains 0")
+    r1, r2 = 1.0 / b[0], 1.0 / b[1]
+    return _imul(a, _iv(min(r1, r2), max(r1, r2)))
+
+
+def _point(x: float) -> Interval:
+    return _iv(x, x)
 
 
 @dataclass(frozen=True)
@@ -31,8 +91,7 @@ class ExtendedValue:
     upper: float
 
     def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper) or self.lower > self.upper:
-            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
+        _iv(self.lower, self.upper)
 
     @staticmethod
     def point(x: float) -> "ExtendedValue":
@@ -46,31 +105,23 @@ class ExtendedValue:
     def is_indeterminate(self) -> bool:
         return self.lower == -INF and self.upper == INF
 
+    def _pair(self) -> Interval:
+        return self.lower, self.upper
+
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(self.lower + other.lower, self.upper + other.upper)
+        return ExtendedValue(*_iadd(self._pair(), other._pair()))
 
     def __sub__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(self.lower - other.upper, self.upper - other.lower)
+        return ExtendedValue(*_isub(self._pair(), other._pair()))
 
     def __neg__(self) -> "ExtendedValue":
         return ExtendedValue(-self.upper, -self.lower)
 
     def __mul__(self, other: "ExtendedValue") -> "ExtendedValue":
-        prods = [_mul(a, b) for a in (self.lower, self.upper)
-                 for b in (other.lower, other.upper)]
-        return ExtendedValue(min(prods), max(prods))
-
-    def scale(self, k: float) -> "ExtendedValue":
-        a, b = _mul(self.lower, k), _mul(self.upper, k)
-        return ExtendedValue(min(a, b), max(a, b))
+        return ExtendedValue(*_imul(self._pair(), other._pair()))
 
     def divide(self, other: "ExtendedValue") -> "ExtendedValue":
-        if other.lower <= 0.0 <= other.upper:
-            raise DivisionByZeroInterval(
-                f"divisor interval [{other.lower}, {other.upper}] contains 0")
-        recip = ExtendedValue(min(1.0 / other.lower, 1.0 / other.upper),
-                              max(1.0 / other.lower, 1.0 / other.upper))
-        return self * recip
+        return ExtendedValue(*_idiv(self._pair(), other._pair()))
 
     def abs(self) -> "ExtendedValue":
         if self.lower >= 0:
@@ -86,21 +137,7 @@ class ExtendedValue:
 
 
 INDETERMINATE = ExtendedValue(-INF, INF)
-
-
-def _mul(a: float, b: float) -> float:
-    # interval convention: 0 * inf = 0
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
-def ev_max(values: Sequence[ExtendedValue]) -> ExtendedValue:
-    return ExtendedValue(max(v.lower for v in values), max(v.upper for v in values))
-
-
-def ev_min(values: Sequence[ExtendedValue]) -> ExtendedValue:
-    return ExtendedValue(min(v.lower for v in values), min(v.upper for v in values))
+_UNKNOWN: Interval = (-INF, INF)
 
 
 def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
@@ -274,163 +311,152 @@ class EvalSettings:
     horizon_dt: float = 0.125
 
 
-def _resolve_axis(s: Scenario, axis: Axis, state: Optional[str]) -> tuple[str, float]:
-    """Return (axis name for response lookup, base value along the axis)."""
-    if axis.kind == "sym":
-        name = axis.names[0]
-        return name, s.value(name, state)
-    if axis.kind == "bundle":
-        return "+".join(axis.names), s.bundle_value(axis.names, state)
-    # max axis: the component with the largest base value wins; ties go to the
-    # earlier name, except the listing-state triple which follows argmax_state.
-    if set(axis.names) == {"E_s", "E_p", "E_m"}:
-        name = argmax_state(_StateView(s, state))
-        return name, s.value(name, state)
-    best, best_v = None, -INF
-    for name in axis.names:
-        v = s.value(name, state)
-        if v > best_v:
-            best, best_v = name, v
-    return best, best_v
+# ---------------------------------------------------------------------------
+# The compiler
+# ---------------------------------------------------------------------------
+
+Combine = Callable[[Sequence[Interval]], Interval]
+#: A compiled expression under a state context: (scenario, context, notes) -> interval.
+Compiled = Callable[[Scenario, Optional[str], Optional[list]], Interval]
 
 
-class _StateView:
-    """Adapter so argmax_state can read overlay-resolved state values."""
+def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
+    """Closure computing ``expr`` from its leaves' values.
 
-    def __init__(self, s: Scenario, state: Optional[str]):
-        self._s = s
-        self._state = state
-
-    def __getattr__(self, name: str) -> float:
-        return self._s.value(name, self._state)
-
-
-def _value_under_driver(s: Scenario, expr: Expr, axis_name: str, x: float,
-                        state: Optional[str], settings: EvalSettings,
-                        notes: Optional[list]) -> ExtendedValue:
-    """Evaluate ``expr`` with the driver pinned to x.
-
-    Symbols resolve to: the driver value itself (identity), a declared
-    response evaluated at x, or Indeterminate when no link exists.
+    Symbols, derivatives and integrals are leaves: each is registered in
+    ``leaves`` (node -> slot) in first-evaluation order, and the closure reads
+    its value from that slot of the sequence it is given.
     """
-    if isinstance(expr, Sym):
-        if expr.name == axis_name:
-            return ExtendedValue.point(x)
-        r = s.response_for(expr.name, axis_name, state)
-        if r is None:
-            if notes is not None:
-                note = f"missing response ({expr.name}, {axis_name})"
-                if note not in notes:
-                    notes.append(note)
-            return INDETERMINATE
-        return ExtendedValue.point(eval_response(r, x))
-    if isinstance(expr, Add):
-        acc = ExtendedValue.point(0.0)
-        for p in expr.parts:
-            acc = acc + _value_under_driver(s, p, axis_name, x, state, settings, notes)
-        return acc
-    if isinstance(expr, Joint):
-        a = _value_under_driver(s, Sym(expr.a), axis_name, x, state, settings, notes)
-        b = _value_under_driver(s, Sym(expr.b), axis_name, x, state, settings, notes)
-        if a.is_point and b.is_point:
-            return ExtendedValue.point(_joint_raw(a.lower, b.lower, settings.intersection))
-        return INDETERMINATE
+    if isinstance(expr, (Sym, Deriv, IntegralE)):
+        return itemgetter(leaves.setdefault(expr, len(leaves)))
     if isinstance(expr, Const):
-        return ExtendedValue.point(expr.value)
-    raise TypeError(f"unsupported driven expression {type(expr).__name__}")
-
-
-def _central_difference(f: Callable[[float], ExtendedValue], x0: float,
-                        order: int, h: float) -> ExtendedValue:
-    if order == 1:
-        return (f(x0 + h) - f(x0 - h)).scale(1.0 / (2.0 * h))
-    if order == 2:
-        num = f(x0 + h) - f(x0).scale(2.0) + f(x0 - h)
-        return num.scale(1.0 / (h * h))
-    if order == 3:
-        num = (f(x0 + 2 * h) - f(x0 + h).scale(2.0)
-               + f(x0 - h).scale(2.0) - f(x0 - 2 * h))
-        return num.scale(1.0 / (2.0 * h ** 3))
-    raise ValueError("order must be 1, 2 or 3")
-
-
-def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
-                      order: int, h: Optional[float] = None,
-                      context: Optional[str] = None,
-                      settings: EvalSettings = EvalSettings(),
-                      notes: Optional[list] = None) -> ExtendedValue:
-    """Central-difference estimate of ∂^order driven / ∂driver^order.
-
-    ``driven`` may be a symbol name, a "+"-joined sum of symbols, or an
-    expression; ``driver`` a symbol/bundle name or an Axis. Missing links
-    yield Indeterminate, never an error.
-    """
-    if isinstance(driven, str):
-        parts = split_driver(driven)
-        driven_expr: Expr = Sym(parts[0]) if len(parts) == 1 else \
-            Add(tuple(Sym(p) for p in parts))
-    else:
-        driven_expr = driven
-    axis = Axis.sym(driver) if isinstance(driver, str) else driver
-    axis_name, x0 = _resolve_axis(s, axis, context)
-
-    # The identity link costs nothing; everything else must be declared.
-    if isinstance(driven_expr, Sym) and driven_expr.name == axis_name:
-        return ExtendedValue.point(1.0 if order == 1 else 0.0)
-
-    if h is None:
-        h = settings.fd_step_scale * max(1.0, abs(x0))
-
-    def f(x: float) -> ExtendedValue:
-        return _value_under_driver(s, driven_expr, axis_name, x, context, settings, notes)
-
-    return _central_difference(f, x0, order, h)
-
-
-def evaluate_expression(s: Scenario, expr: Expr, context: Optional[str] = None,
-                        settings: EvalSettings = EvalSettings(),
-                        notes: Optional[list] = None) -> ExtendedValue:
-    """Evaluate an expression tree to an ExtendedValue under a state context."""
-    if isinstance(expr, Const):
-        return ExtendedValue.point(expr.value)
-    if isinstance(expr, Sym):
-        return ExtendedValue.point(s.value(expr.name, context))
-    if isinstance(expr, Add):
-        acc = ExtendedValue.point(0.0)
-        for p in expr.parts:
-            acc = acc + evaluate_expression(s, p, context, settings, notes)
-        return acc
-    if isinstance(expr, Sub):
-        return (evaluate_expression(s, expr.a, context, settings, notes)
-                - evaluate_expression(s, expr.b, context, settings, notes))
-    if isinstance(expr, Mul):
-        return (evaluate_expression(s, expr.a, context, settings, notes)
-                * evaluate_expression(s, expr.b, context, settings, notes))
-    if isinstance(expr, Div):
-        return evaluate_expression(s, expr.a, context, settings, notes).divide(
-            evaluate_expression(s, expr.b, context, settings, notes))
-    if isinstance(expr, MaxE):
-        return ev_max([evaluate_expression(s, p, context, settings, notes)
-                       for p in expr.parts])
-    if isinstance(expr, MinE):
-        return ev_min([evaluate_expression(s, p, context, settings, notes)
-                       for p in expr.parts])
+        value = expr.value
+        return lambda vals: _point(value)
     if isinstance(expr, Joint):
-        return ExtendedValue.point(_joint_raw(s.value(expr.a, context),
-                                              s.value(expr.b, context),
-                                              settings.intersection))
-    if isinstance(expr, Deriv):
-        return finite_difference(s, expr.driven, expr.axis, expr.order,
-                                 context=context, settings=settings, notes=notes)
-    if isinstance(expr, IntegralE):
-        return ExtendedValue.point(integrate_horizon(
-            s, expr.integrand, settings.horizon_T, settings.horizon_dt, settings))
+        fa = _combine(Sym(expr.a), leaves, intersection)
+        fb = _combine(Sym(expr.b), leaves, intersection)
+
+        def joint(vals):
+            a, b = fa(vals), fb(vals)
+            if a[0] == a[1] and b[0] == b[1]:
+                return _point(_joint_raw(a[0], b[0], intersection))
+            return _UNKNOWN
+        return joint
+    if isinstance(expr, Add):
+        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
+
+        def add(vals):
+            lo = hi = 0.0
+            for f in fs:
+                a = f(vals)
+                lo, hi = _iv(lo + a[0], hi + a[1])
+            return lo, hi
+        return add
+    if isinstance(expr, (MaxE, MinE)):
+        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
+        pick = max if isinstance(expr, MaxE) else min
+
+        def extremum(vals):
+            vs = [f(vals) for f in fs]
+            return _iv(pick(v[0] for v in vs), pick(v[1] for v in vs))
+        return extremum
+    binary = {Sub: _isub, Mul: _imul, Div: _idiv}.get(type(expr))
+    if binary is not None:
+        fa = _combine(expr.a, leaves, intersection)
+        fb = _combine(expr.b, leaves, intersection)
+        return lambda vals: binary(fa(vals), fb(vals))
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# Horizon integrals
-# ---------------------------------------------------------------------------
+_IDENTITY = object()  # link marker: the driven symbol is the driver itself
+
+
+def _compile_deriv(d: Deriv, settings: EvalSettings):
+    """Compiled derivative: (scenario, context, notes, h=None) -> interval.
+
+    The driven side resolves with the driver pinned to each stencil point:
+    the driver itself (identity), a declared response of it, or unknown.
+    """
+    leaves: dict = {}
+    combine = _combine(d.driven, leaves, settings.intersection)
+    for leaf in leaves:
+        if not isinstance(leaf, Sym):
+            raise TypeError(f"unsupported driven expression {type(leaf).__name__}")
+    driven_names = tuple(leaf.name for leaf in leaves)
+    identity = d.driven.name if isinstance(d.driven, Sym) else None
+    order, step_scale = d.order, settings.fd_step_scale
+    kind, names = d.axis.kind, d.axis.names
+    first, joined = names[0], "+".join(names)
+    # A max axis picks its largest component, ties to the earlier name; the
+    # listing-state triple always breaks ties E_s, E_p, E_m (argmax_state).
+    if kind == "max" and set(names) == {"E_s", "E_p", "E_m"}:
+        names = ("E_s", "E_p", "E_m")
+
+    def deriv(s: Scenario, ctx: Optional[str], notes: Optional[list],
+              h: Optional[float] = None) -> Interval:
+        if kind == "sym":
+            axis, x0 = first, s.value(first, ctx)
+        elif kind == "bundle":
+            axis, x0 = joined, s.bundle_value(names, ctx)
+        else:
+            axis, x0 = None, -INF
+            for name in names:
+                v = s.value(name, ctx)
+                if v > x0:
+                    axis, x0 = name, v
+        if identity is not None and identity == axis:
+            return _point(1.0 if order == 1 else 0.0)
+        if h is None:
+            h = step_scale * max(1.0, abs(x0))
+        if order not in (1, 2, 3):
+            raise ValueError("order must be 1, 2 or 3")
+        links = []
+        for name in driven_names:
+            if name == axis:
+                links.append(_IDENTITY)
+                continue
+            r = s.response_for(name, axis, ctx)
+            if r is None and notes is not None:
+                note = f"missing response ({name}, {axis})"
+                if note not in notes:
+                    notes.append(note)
+            links.append(r)
+
+        def f(x: float) -> Interval:
+            vals = []
+            for r in links:
+                if r is None:
+                    vals.append(_UNKNOWN)
+                else:
+                    y = x if r is _IDENTITY else eval_response(r, x)
+                    vals.append((y, y) if y == y else _iv(y, y))
+            return combine(vals)
+
+        if order == 1:
+            return _iscale(_isub(f(x0 + h), f(x0 - h)), 1.0 / (2.0 * h))
+        if order == 2:
+            num = _iadd(_isub(f(x0 + h), _iscale(f(x0), 2.0)), f(x0 - h))
+            return _iscale(num, 1.0 / (h * h))
+        num = _isub(_iadd(_isub(f(x0 + 2 * h), _iscale(f(x0 + h), 2.0)),
+                          _iscale(f(x0 - h), 2.0)), f(x0 - 2 * h))
+        return _iscale(num, 1.0 / (2.0 * h ** 3))
+
+    return deriv
+
+
+def _horizon_nodes(T: float, dt: float) -> list[float]:
+    if not (T > 0 and 0 < dt <= T):
+        raise ValueError("require T > 0 and 0 < dt <= T")
+    nodes = []
+    k = 0
+    while True:
+        t = k * dt
+        if t >= T - 1e-12 * max(1.0, T):
+            nodes.append(T)
+            return nodes
+        nodes.append(t)
+        k += 1
+
 
 def _path_value(tp: TimePath, t: float, T: float) -> float:
     if tp.kind == "constant":
@@ -457,41 +483,128 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
     return vs[lo] + frac * (vs[hi] - vs[lo])
 
 
-def _eval_at_time(s: Scenario, expr: Expr, t: float, T: float,
-                  settings: EvalSettings) -> float:
-    def sym_at(name: str) -> float:
-        tp = s.time_path_for(name)
-        if tp is not None:
-            return _path_value(tp, t, T)
-        return s.value(name)
+def _compile_integral(integrand: Expr, T: float, dt: float,
+                      settings: EvalSettings) -> Callable[[Scenario], float]:
+    """Compiled trapezoid integral over [0, T]: scenario -> float.
 
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Sym):
-        return sym_at(expr.name)
-    if isinstance(expr, Add):
-        return sum(_eval_at_time(s, p, t, T, settings) for p in expr.parts)
-    if isinstance(expr, Sub):
-        return _eval_at_time(s, expr.a, t, T, settings) - _eval_at_time(s, expr.b, t, T, settings)
-    if isinstance(expr, Mul):
-        return _eval_at_time(s, expr.a, t, T, settings) * _eval_at_time(s, expr.b, t, T, settings)
-    if isinstance(expr, Div):
-        denom = _eval_at_time(s, expr.b, t, T, settings)
-        if denom == 0.0:
-            raise DivisionByZeroInterval("integrand divides by zero")
-        return _eval_at_time(s, expr.a, t, T, settings) / denom
-    if isinstance(expr, MaxE):
-        return max(_eval_at_time(s, p, t, T, settings) for p in expr.parts)
-    if isinstance(expr, MinE):
-        return min(_eval_at_time(s, p, t, T, settings) for p in expr.parts)
-    if isinstance(expr, Joint):
-        return _joint_raw(sym_at(expr.a), sym_at(expr.b), settings.intersection)
-    if isinstance(expr, Deriv):
-        v = finite_difference(s, expr.driven, expr.axis, expr.order, settings=settings)
-        if not v.is_point:
-            raise IndeterminateIntegrand("integrand contains an indeterminate derivative")
-        return v.lower
-    raise TypeError(f"unsupported integrand node {type(expr).__name__}")
+    Symbols follow their time paths and otherwise stay at base values; a
+    derivative is taken at base and must be a point.
+    """
+    nodes = _horizon_nodes(T, dt)
+    leaves: dict = {}
+    combine = _combine(integrand, leaves, settings.intersection)
+    resolvers = tuple(_time_leaf(leaf, settings) for leaf in leaves)
+
+    def integrate(s: Scenario) -> float:
+        slots = [resolve(s) for resolve in resolvers]
+        paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
+        if paths:
+            values = []
+            for t in nodes:
+                for i, tp in paths:
+                    slots[i] = _point(_path_value(tp, t, T))
+                values.append(combine(slots)[0])
+        else:  # nothing moves with t
+            values = [combine(slots)[0]] * len(nodes)
+        total = 0.0
+        for i in range(1, len(nodes)):
+            total += 0.5 * (values[i - 1] + values[i]) * (nodes[i] - nodes[i - 1])
+        return total
+
+    return integrate
+
+
+def _time_leaf(leaf: Expr, settings: EvalSettings) -> Callable[[Scenario], object]:
+    """A leaf over the horizon: its time path, or an interval fixed over it."""
+    if isinstance(leaf, Sym):
+        name = leaf.name
+
+        def symbol(s: Scenario):
+            tp = s.time_path_for(name)
+            return tp if tp is not None else _point(s.value(name))
+        return symbol
+    if isinstance(leaf, Deriv):
+        deriv = _compile_deriv(leaf, settings)
+
+        def derivative(s: Scenario) -> Interval:
+            v = deriv(s, None, None)
+            if v[0] != v[1]:
+                raise IndeterminateIntegrand("integrand contains an indeterminate derivative")
+            return v
+        return derivative
+    raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
+
+
+def _state_leaf(leaf: Expr, settings: EvalSettings) -> Compiled:
+    """A leaf at base or under a listing-state overlay."""
+    if isinstance(leaf, Sym):
+        name = leaf.name
+        return lambda s, ctx, notes: _point(s.value(name, ctx))
+    if isinstance(leaf, Deriv):
+        return _compile_deriv(leaf, settings)
+    integrate = _compile_integral(leaf.integrand, settings.horizon_T,
+                                  settings.horizon_dt, settings)
+    return lambda s, ctx, notes: _point(integrate(s))
+
+
+def compile_expression(expr: Expr, settings: EvalSettings = EvalSettings()) -> Compiled:
+    """Compile ``expr`` for evaluation at base or under a listing-state
+    overlay: the result maps (scenario, context, notes) to an interval."""
+    leaves: dict = {}
+    combine = _combine(expr, leaves, settings.intersection)
+    getters = tuple(_state_leaf(leaf, settings) for leaf in leaves)
+    if expr in leaves:  # a bare leaf needs no combining
+        return getters[0]
+
+    def evaluate(s: Scenario, ctx: Optional[str], notes: Optional[list]) -> Interval:
+        return combine([g(s, ctx, notes) for g in getters])
+    return evaluate
+
+
+def symbols_of(expr: Expr) -> set[str]:
+    """Every symbol ``expr`` reads, derivative axes and integrands included."""
+    leaves: dict = {}
+    _combine(expr, leaves, "product")
+    out: set[str] = set()
+    for leaf in leaves:
+        if isinstance(leaf, Sym):
+            out.add(leaf.name)
+        elif isinstance(leaf, Deriv):
+            out |= symbols_of(leaf.driven)
+            out.update(leaf.axis.names)
+        else:
+            out |= symbols_of(leaf.integrand)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
+
+def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
+                      order: int, h: Optional[float] = None,
+                      context: Optional[str] = None,
+                      settings: EvalSettings = EvalSettings(),
+                      notes: Optional[list] = None) -> ExtendedValue:
+    """Central-difference estimate of ∂^order driven / ∂driver^order.
+
+    ``driven`` may be a symbol name, a "+"-joined sum of symbols, or an
+    expression; ``driver`` a symbol/bundle name or an Axis. Missing links
+    yield Indeterminate, never an error.
+    """
+    if isinstance(driven, str):
+        parts = split_driver(driven)
+        driven = Sym(parts[0]) if len(parts) == 1 else Add(tuple(Sym(p) for p in parts))
+    axis = Axis.sym(driver) if isinstance(driver, str) else driver
+    deriv = _compile_deriv(Deriv(driven, axis, order), settings)
+    return ExtendedValue(*deriv(s, context, notes, h))
+
+
+def evaluate_expression(s: Scenario, expr: Expr, context: Optional[str] = None,
+                        settings: EvalSettings = EvalSettings(),
+                        notes: Optional[list] = None) -> ExtendedValue:
+    """Evaluate an expression tree to an ExtendedValue under a state context."""
+    return ExtendedValue(*compile_expression(expr, settings)(s, context, notes))
 
 
 def integrate_horizon(s: Scenario, integrand: Expr, T: float, dt: float,
@@ -501,19 +614,4 @@ def integrate_horizon(s: Scenario, integrand: Expr, T: float, dt: float,
     Symbols follow their declared time paths and otherwise stay at base
     values; the rule is exact for constant and linear integrands.
     """
-    if not (T > 0 and 0 < dt <= T):
-        raise ValueError("require T > 0 and 0 < dt <= T")
-    nodes = []
-    k = 0
-    while True:
-        t = k * dt
-        if t >= T - 1e-12 * max(1.0, T):
-            nodes.append(T)
-            break
-        nodes.append(t)
-        k += 1
-    values = [_eval_at_time(s, integrand, t, T, settings) for t in nodes]
-    total = 0.0
-    for (t0, v0), (t1, v1) in zip(zip(nodes, values), zip(nodes[1:], values[1:])):
-        total += 0.5 * (v0 + v1) * (t1 - t0)
-    return total
+    return _compile_integral(integrand, T, dt, settings)(s)

@@ -1,10 +1,13 @@
 """Registry and evaluator for the three disintermediation condition sets.
 
-Each condition is compiled to a small form: an optional guard, one or more
-comparison parts (joined conjunctively), and the interpretation notes that the
-verdict must carry. Evaluation is pure: undecidable comparisons produce
-Indeterminate verdicts, never exceptions, and every non-vacuous verdict keeps
-its lhs/rhs trace values.
+Each condition is built as a small form (``build_form``): an optional guard,
+one or more comparison parts (joined conjunctively), and the interpretation
+notes that the verdict must carry. Forms are compiled once per RunConfig into
+closures over the calculus module's one evaluator and cached per config, so
+``decide``, ``eval_condition_set``, ``eval_condition``, sweeps and sensitivity
+build no forms and dispatch on no node types. Evaluation is pure: undecidable
+comparisons produce Indeterminate verdicts, never exceptions, and every
+non-vacuous verdict keeps its lhs/rhs trace values.
 
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .calculus import (
@@ -43,7 +47,10 @@ from .calculus import (
     cmp_abs_le,
     cmp_gt,
     cmp_lt,
-    evaluate_expression,
+    compile_expression,
+    symbols_of,
+    # Not called here: perfbench's --trace 1 wraps this module's binding.
+    evaluate_expression,  # noqa: F401
 )
 from .config import RunConfig
 from .model import Scenario
@@ -94,8 +101,12 @@ class ConditionId:
         return cls(_BY_PREFIX[text[0].upper()], int(text[1:]))
 
 
+_IDS = {cset: tuple(ConditionId(cset, i) for i in range(1, SET_SIZES[cset] + 1))
+        for cset in ConditionSet}
+
+
 def condition_ids(cset: ConditionSet) -> tuple[ConditionId, ...]:
-    return tuple(ConditionId(cset, i) for i in range(1, SET_SIZES[cset] + 1))
+    return _IDS[cset]
 
 
 ALL_CONDITION_IDS: tuple[ConditionId, ...] = (
@@ -107,17 +118,6 @@ ALL_CONDITION_IDS: tuple[ConditionId, ...] = (
 
 # A context spec is None (base), ("state", name) or ("argmax", candidates).
 CtxSpec = Optional[tuple]
-
-
-def _resolve_ctx(s: Scenario, spec: CtxSpec) -> Optional[str]:
-    if spec is None:
-        return None
-    kind, arg = spec
-    if kind == "state":
-        return arg
-    if kind == "argmax":
-        return argmax_state(s.states, candidates=arg)
-    raise ValueError(f"unknown context spec {spec!r}")
 
 
 ARGMAX_ALL: CtxSpec = ("argmax", ("E_s", "E_p", "E_m"))
@@ -658,22 +658,11 @@ def build_form(cid: ConditionId, cfg: RunConfig) -> Form:
     return _BUILDERS[cid.label](cfg)
 
 
-def _walk_symbols(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, Sym):
-        out.add(expr.name)
-    elif isinstance(expr, (Add, MaxE, MinE)):
-        for p in expr.parts:
-            _walk_symbols(p, out)
-    elif isinstance(expr, (Sub, Mul)):
-        _walk_symbols(expr.a, out)
-        _walk_symbols(expr.b, out)
-    elif isinstance(expr, Joint):
-        out.update((expr.a, expr.b))
-    elif isinstance(expr, Deriv):
-        _walk_symbols(expr.driven, out)
-        out.update(expr.axis.names)
-    elif isinstance(expr, IntegralE):
-        _walk_symbols(expr.integrand, out)
+def _ctx_symbols(spec: CtxSpec) -> tuple[str, ...]:
+    if spec is None:
+        return ()
+    kind, arg = spec
+    return arg if kind == "argmax" else (arg,)
 
 
 def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> frozenset[str]:
@@ -681,103 +670,137 @@ def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> fro
     form = build_form(cid, cfg or RunConfig())
     out: set[str] = set()
     if form.guard is not None:
-        out.update((form.guard.a, form.guard.b))
-        if form.guard.ctx is not None and form.guard.ctx[0] == "argmax":
-            out.update(form.guard.ctx[1])
-        elif form.guard.ctx is not None and form.guard.ctx[0] == "state":
-            out.add(form.guard.ctx[1])
+        out.update((form.guard.a, form.guard.b), _ctx_symbols(form.guard.ctx))
     for part in form.parts:
-        _walk_symbols(part.lhs, out)
+        out |= symbols_of(part.lhs)
         if part.rhs is not None:
-            _walk_symbols(part.rhs, out)
-        for ctx in (part.lhs_ctx, part.rhs_ctx):
-            if ctx is not None and ctx[0] == "argmax":
-                out.update(ctx[1])
-            elif ctx is not None and ctx[0] == "state":
-                out.add(ctx[1])
+            out |= symbols_of(part.rhs)
+        out.update(_ctx_symbols(part.lhs_ctx), _ctx_symbols(part.rhs_ctx))
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each condition compiles once per RunConfig
 # ---------------------------------------------------------------------------
 
-def _settings(cfg: RunConfig) -> EvalSettings:
-    return EvalSettings(intersection=cfg.intersection,
-                        fd_step_scale=cfg.fd_step_scale,
-                        horizon_T=cfg.horizon_T,
-                        horizon_dt=cfg.horizon_dt)
+#: Distinct RunConfigs whose compiled condition table is kept.
+_COMPILED_CONFIGS = 16
+
+CompiledCondition = Callable[[Scenario], ConditionVerdict]
 
 
-def _eval_guard(s: Scenario, guard: Guard, cfg: RunConfig) -> Optional[bool]:
-    ctx = _resolve_ctx(s, guard.ctx)
-    a = s.value(guard.a, ctx)
-    b = s.value(guard.b, ctx)
+def _context(spec: CtxSpec) -> Callable[[Scenario], Optional[str]]:
+    if spec is None:
+        return lambda s: None
+    kind, arg = spec
+    if kind == "state":
+        return lambda s: arg
+    if kind == "argmax":
+        return lambda s: argmax_state(s.states, candidates=arg)
+    raise ValueError(f"unknown context spec {spec!r}")
+
+
+def _compile_guard(guard: Guard, cfg: RunConfig) -> Callable[[Scenario], bool]:
+    ctx_of, a, b, rel_tol = _context(guard.ctx), guard.a, guard.b, cfg.rel_tol
     if guard.kind == "gt":
-        return a > b
+        def gt(s: Scenario) -> bool:
+            ctx = ctx_of(s)
+            return s.value(a, ctx) > s.value(b, ctx)
+        return gt
     if guard.kind == "approx":
-        return approx_equal(a, b, cfg.rel_tol)
+        def approx(s: Scenario) -> bool:
+            ctx = ctx_of(s)
+            return approx_equal(s.value(a, ctx), s.value(b, ctx), rel_tol)
+        return approx
     raise ValueError(f"unknown guard kind {guard.kind!r}")
 
 
-def _eval_part(s: Scenario, part: Part, cfg: RunConfig,
-               notes: list) -> PartTrace:
-    settings = _settings(cfg)
-    lhs = evaluate_expression(s, part.lhs, _resolve_ctx(s, part.lhs_ctx),
-                              settings, notes)
-    rhs = None
-    if part.rhs is not None:
-        rhs = evaluate_expression(s, part.rhs, _resolve_ctx(s, part.rhs_ctx),
-                                  settings, notes)
-    if part.op == "gt":
-        holds = cmp_gt(lhs, rhs)
-    elif part.op == "lt":
-        holds = cmp_lt(lhs, rhs)
-    elif part.op == "approx":
-        if lhs.is_point and rhs.is_point:
-            holds = approx_equal(lhs.lower, rhs.lower, cfg.rel_tol)
+def _holds(op: str, cfg: RunConfig) -> Callable[[ExtendedValue, Optional[ExtendedValue]],
+                                                Optional[bool]]:
+    if op == "gt":
+        return cmp_gt
+    if op == "lt":
+        return cmp_lt
+    if op == "approx":
+        rel_tol = cfg.rel_tol
+        return lambda lhs, rhs: (approx_equal(lhs.lower, rhs.lower, rel_tol)
+                                 if lhs.is_point and rhs.is_point else None)
+    if op == "approx_zero":
+        zero_tol = cfg.zero_tol
+        return lambda lhs, rhs: cmp_abs_le(lhs, zero_tol)
+    raise ValueError(f"unknown part op {op!r}")
+
+
+def _compile_part(part: Part, cfg: RunConfig,
+                  settings: EvalSettings) -> Callable[[Scenario, list], PartTrace]:
+    desc, op, holds = part.desc, part.op, _holds(part.op, cfg)
+    lhs, lhs_ctx = compile_expression(part.lhs, settings), _context(part.lhs_ctx)
+    rhs = None if part.rhs is None else compile_expression(part.rhs, settings)
+    rhs_ctx = _context(part.rhs_ctx)
+
+    def trace(s: Scenario, notes: list) -> PartTrace:
+        a = ExtendedValue(*lhs(s, lhs_ctx(s), notes))
+        b = None if rhs is None else ExtendedValue(*rhs(s, rhs_ctx(s), notes))
+        return PartTrace(desc, op, a, b, holds(a, b))
+    return trace
+
+
+def _compile_condition(cid: ConditionId, cfg: RunConfig,
+                       settings: EvalSettings) -> CompiledCondition:
+    form = build_form(cid, cfg)
+    form_notes = form.notes
+    parts = tuple(_compile_part(p, cfg, settings) for p in form.parts)
+    guard = None
+    if form.guard is not None:
+        guard = _compile_guard(form.guard, cfg)
+        if cfg.guard_mode == "violated":
+            failed_status, skipped = Status.VIOLATED, False
+            failed_note = f"guard failed ({form.guard.desc}); guard_mode=violated"
         else:
-            holds = None
-    elif part.op == "approx_zero":
-        holds = cmp_abs_le(lhs, cfg.zero_tol)
-    else:
-        raise ValueError(f"unknown part op {part.op!r}")
-    return PartTrace(part.desc, part.op, lhs, rhs, holds)
+            failed_status, skipped = Status.VACUOUS, cfg.guard_mode == "skip"
+            failed_note = (f"guard failed ({form.guard.desc}); vacuously satisfied"
+                           + ("; excluded from aggregation" if skipped else ""))
+
+    def run(s: Scenario) -> ConditionVerdict:
+        notes = list(form_notes)
+        guard_status: Optional[bool] = None
+        if guard is not None:
+            guard_status = guard(s)
+            if guard_status is False:
+                notes.append(failed_note)
+                return ConditionVerdict(cid, failed_status, None, None, False,
+                                        tuple(notes), (), skipped=skipped)
+        traces = tuple(part(s, notes) for part in parts)
+        deciding = traces[0]
+        status = Status.SATISFIED
+        for t in traces:
+            if t.holds is False:
+                status, deciding = Status.VIOLATED, t
+                break
+        else:
+            for t in traces:
+                if t.holds is None:
+                    status, deciding = Status.INDETERMINATE, t
+                    break
+        return ConditionVerdict(cid, status, deciding.lhs, deciding.rhs,
+                                guard_status, tuple(notes), traces)
+    return run
+
+
+@lru_cache(maxsize=_COMPILED_CONFIGS)
+def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, CompiledCondition]:
+    # The fingerprint is in the key because configs can compare equal yet
+    # print differently (rel_tol 1 and 1.0), and notes quote the config.
+    settings = EvalSettings(intersection=cfg.intersection,
+                            fd_step_scale=cfg.fd_step_scale,
+                            horizon_T=cfg.horizon_T,
+                            horizon_dt=cfg.horizon_dt)
+    return {cid: _compile_condition(cid, cfg, settings) for cid in ALL_CONDITION_IDS}
 
 
 def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    form = build_form(cid, cfg)
-    notes: list[str] = list(form.notes)
-    guard_status: Optional[bool] = None
-    if form.guard is not None:
-        guard_status = _eval_guard(s, form.guard, cfg)
-        if guard_status is False:
-            if cfg.guard_mode == "violated":
-                status = Status.VIOLATED
-                notes.append(f"guard failed ({form.guard.desc}); guard_mode=violated")
-                return ConditionVerdict(cid, status, None, None, False,
-                                        tuple(notes), ())
-            skipped = cfg.guard_mode == "skip"
-            notes.append(f"guard failed ({form.guard.desc}); vacuously satisfied"
-                         + ("; excluded from aggregation" if skipped else ""))
-            return ConditionVerdict(cid, Status.VACUOUS, None, None, False,
-                                    tuple(notes), (), skipped=skipped)
-
-    traces = tuple(_eval_part(s, p, cfg, notes) for p in form.parts)
-    deciding = traces[0]
-    status = Status.SATISFIED
-    for t in traces:
-        if t.holds is False:
-            status, deciding = Status.VIOLATED, t
-            break
-    else:
-        for t in traces:
-            if t.holds is None:
-                status, deciding = Status.INDETERMINATE, t
-                break
-    return ConditionVerdict(cid, status, deciding.lhs, deciding.rhs,
-                            guard_status, tuple(notes), traces)
+    return _compiled_table(cfg, cfg.fingerprint)[cid](s)
 
 
 def _aggregate(verdicts: Sequence[ConditionVerdict], cfg: RunConfig) -> SetDecision:

@@ -7,6 +7,7 @@ from their own payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 from .errors import ParseError
@@ -57,6 +58,13 @@ class RunConfig:
                 raise ParseError(f"{name} = {value!r} not in {allowed}")
         if self.w5_driver not in SYMBOLS:
             raise ParseError(f"w5_driver = {self.w5_driver!r} is not a known symbol")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Exact text of every field, computed once per instance. Configs that
+        compare equal can still differ here (rel_tol 1 and 1.0, zero_tol 0.0
+        and -0.0), and report notes quote the config's values as text."""
+        return repr(self)
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 DECIMALS_SIGNIFICANT = 12
@@ -183,12 +184,21 @@ class Scenario:
     def response_for(self, driven: str, driver: str,
                      state: Optional[str] = None) -> Optional[ResponseFunction]:
         """Look up a link in the state context, falling back to base."""
-        idx = _response_index(self)
+        idx = self.response_index
         if state is not None:
             r = idx.get((driven, driver, state))
             if r is not None:
                 return r
         return idx.get((driven, driver, "base"))
+
+    @cached_property
+    def response_index(self) -> dict[tuple[str, str, str], ResponseFunction]:
+        """Responses keyed by (driven, driver, context), built on first use.
+
+        Every copy (``with_values``, ``dataclasses.replace``) is a new
+        instance and builds its own index from its own ``responses``.
+        """
+        return {(r.driven, r.driver, r.context): r for r in self.responses}
 
     def time_path_for(self, symbol: str) -> Optional[TimePath]:
         for tp in self.time_paths:
@@ -242,21 +252,6 @@ def in_domain(name: str, value: float) -> bool:
     if value > hi or (hi_open and value == hi):
         return False
     return True
-
-
-_RESP_INDEX_CACHE: dict[int, dict] = {}
-
-
-def _response_index(s: Scenario) -> dict[tuple[str, str, str], ResponseFunction]:
-    key = id(s)
-    cached = _RESP_INDEX_CACHE.get(key)
-    if cached is not None and cached[0] is s.responses:
-        return cached[1]
-    idx = {(r.driven, r.driver, r.context): r for r in s.responses}
-    if len(_RESP_INDEX_CACHE) > 4096:
-        _RESP_INDEX_CACHE.clear()
-    _RESP_INDEX_CACHE[key] = (s.responses, idx)
-    return idx
 
 
 def split_driver(driver: str) -> tuple[str, ...]:

@@ -1,0 +1,167 @@
+"""Golden outputs: payload bytes pinned so that engine refactors cannot move them.
+
+The files under ``tests/golden/`` hold:
+
+* ``decide/<fixture>.<config>.json``: the ``render_report(decide(...), "json")``
+  text for the four ``all_*`` fixtures under three configs;
+* ``sweep_acceptance6.json``: the acceptance-6 sweep payload
+  (``json.dumps(run_sweep(...).to_dict())``);
+* ``decide_digests.txt``: one sha256 per ``decide`` payload over 200 seeded
+  ``random_scenario`` / ``drop_responses`` scenarios, plus a few time-path
+  scenarios (an evaluation that raises is pinned by its exception text).
+
+Regenerate them only when a payload change is intended, and say so in
+CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import difflib
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+TESTS_DIR = Path(__file__).parent
+if str(TESTS_DIR) not in sys.path:
+    sys.path.insert(0, str(TESTS_DIR))
+
+from dismed import RunConfig, decide, run_sweep  # noqa: E402
+from dismed.cli import render_report  # noqa: E402
+from dismed.io import load_scenario, scenario_from_dict  # noqa: E402
+from dismed.simulate import DistributionSpec  # noqa: E402
+
+from fixture_defs import fixture_dict  # noqa: E402
+from scen_gen import drop_responses, random_scenario  # noqa: E402
+
+GOLDEN_DIR = TESTS_DIR / "golden"
+FIXTURES_DIR = TESTS_DIR / "fixtures"
+
+FIXTURES = ("all_satisfied_buyer", "all_satisfied_seller",
+            "all_satisfied_broker_web", "all_three_satisfied")
+
+CONFIGS = {
+    "default": {},
+    "min_skip_joint": {"intersection": "min", "guard_mode": "skip",
+                       "b1_guard_joint": True},
+    "usa_wbs": {"seller_uses_U_sa": True, "w5_driver": "B_s"},
+}
+
+# The digest corpus also varies the step scale, the horizon and the guard mode.
+DIGEST_CONFIGS = dict(CONFIGS, steps={"fd_step_scale": 2e-3, "horizon_T": 2.0,
+                                      "horizon_dt": 0.25, "rel_tol": 0.1,
+                                      "guard_mode": "violated"})
+
+DIGEST_SEED = 20261017
+DIGEST_PAIRS = 100
+
+
+def _payload(scenario, cfg: RunConfig) -> str:
+    try:
+        summary = decide(scenario, cfg)
+    except Exception as exc:  # pinned as text: the same input must fail the same way
+        return f"error: {type(exc).__name__}: {exc}\n"
+    return render_report(summary, "json", os.devnull)
+
+
+def decide_goldens() -> dict[str, str]:
+    out = {}
+    for fixture in FIXTURES:
+        scenario = load_scenario(FIXTURES_DIR / f"{fixture}.json")
+        for name, overrides in CONFIGS.items():
+            out[f"{fixture}.{name}.json"] = _payload(scenario, RunConfig(**overrides))
+    return out
+
+
+def sweep_golden() -> str:
+    base = load_scenario(FIXTURES_DIR / "all_satisfied_buyer.json")
+    dist = DistributionSpec.from_dict(
+        {"marginals": {"rho_s": {"kind": "uniform", "lo": 0.35, "hi": 0.85}}})
+    stats = run_sweep(base, dist, n=200, seed=424242, cfg=RunConfig(), workers=1)
+    return json.dumps(stats.to_dict())
+
+
+def _time_path_scenarios():
+    """Fixture variants whose S13 integrals follow declared time paths."""
+    paths = {
+        "paths_const_linear": [
+            {"symbol": "rho_s", "kind": "constant", "value": 0.65},
+            {"symbol": "P_s", "kind": "linear", "v0": 9.0, "slope": 1.5}],
+        "paths_samples": [
+            {"symbol": "P", "kind": "samples", "times": [0.0, 0.3, 0.7, 2.0],
+             "values": [10.0, 11.0, 9.5, 12.0]},
+            {"symbol": "rho_p", "kind": "linear", "v0": 0.6, "slope": -0.1}],
+        "paths_short": [
+            {"symbol": "P", "kind": "samples", "times": [0.0, 0.5, 1.0],
+             "values": [10.0, 10.5, 11.0]}],
+    }
+    for label, tps in paths.items():
+        data = fixture_dict(label)
+        data["time_paths"] = tps
+        yield label, scenario_from_dict(data)
+
+
+def decide_digests() -> list[str]:
+    configs = list(DIGEST_CONFIGS.items())
+    lines = []
+
+    def add(tag: str, scenario, cfg_name: str) -> None:
+        cfg = RunConfig(**DIGEST_CONFIGS[cfg_name])
+        digest = hashlib.sha256(_payload(scenario, cfg).encode("utf-8")).hexdigest()
+        lines.append(f"{tag} {cfg_name} {digest}")
+
+    for i in range(DIGEST_PAIRS):
+        cfg_name = configs[i % len(configs)][0]
+        full = random_scenario([DIGEST_SEED, i])
+        partial = drop_responses(full, [DIGEST_SEED, 1000 + i],
+                                 keep_fraction=0.3 + 0.05 * (i % 10))
+        add(f"random-{i}", full, cfg_name)
+        add(f"dropped-{i}", partial, cfg_name)
+    for label, scenario in _time_path_scenarios():
+        for cfg_name in ("default", "steps"):
+            add(label, scenario, cfg_name)
+    return lines
+
+
+def _first_difference(expected: str, got: str, name: str) -> str:
+    diff = difflib.unified_diff(expected.splitlines(), got.splitlines(),
+                                f"golden/{name}", "now", lineterm="", n=2)
+    return "\n".join(list(diff)[:40])
+
+
+def test_decide_payloads_match_golden():
+    for name, text in decide_goldens().items():
+        expected = (GOLDEN_DIR / "decide" / name).read_text(encoding="utf-8")
+        assert text == expected, _first_difference(expected, text, name)
+
+
+def test_sweep_payload_matches_golden():
+    expected = (GOLDEN_DIR / "sweep_acceptance6.json").read_text(encoding="utf-8")
+    got = sweep_golden()
+    assert got == expected, _first_difference(expected, got, "sweep_acceptance6.json")
+
+
+def test_decide_digests_match_golden():
+    expected = (GOLDEN_DIR / "decide_digests.txt").read_text(encoding="utf-8").splitlines()
+    got = decide_digests()
+    assert len(got) == len(expected)
+    bad = [(e, g) for e, g in zip(expected, got) if e != g]
+    assert not bad, f"{len(bad)} payload digests moved, first: {bad[:3]}"
+
+
+def write_goldens() -> None:
+    (GOLDEN_DIR / "decide").mkdir(parents=True, exist_ok=True)
+    for name, text in decide_goldens().items():
+        (GOLDEN_DIR / "decide" / name).write_text(text, encoding="utf-8")
+    (GOLDEN_DIR / "sweep_acceptance6.json").write_text(sweep_golden(), encoding="utf-8")
+    (GOLDEN_DIR / "decide_digests.txt").write_text(
+        "\n".join(decide_digests()) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_goldens()

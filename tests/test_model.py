@@ -201,3 +201,25 @@ def test_fixture_files_match_builder(fixtures_dir):
     for name, data in expect.items():
         on_disk = scenario_to_json(load_scenario(fixtures_dir / name))
         assert on_disk == scenario_to_json(scenario_from_dict(data)), name
+
+
+def test_response_index_follows_each_copy():
+    s = fixture_scenario("index")
+    first = s.responses[0]
+    key = (first.driven, first.driver)
+    assert s.response_for(*key) is first  # builds and caches s's index
+
+    moved = with_values(s, {"rho_s": 0.25})
+    assert moved.response_for(*key) is first
+    emptied = dataclasses.replace(s, responses=())
+    assert emptied.response_for(*key) is None
+    assert s.response_for(*key) is first
+    swapped = dataclasses.replace(
+        s, responses=(dataclasses.replace(first, coeffs=(1.0, 2.0)),) + s.responses[1:])
+    assert swapped.response_for(*key).coeffs == (1.0, 2.0)
+    assert with_values(emptied, {"psi_b": 5.5}).response_for(*key) is None
+    # many short-lived copies: none may see another copy's index
+    for i in range(50):
+        kept = s.responses[i % 2:]
+        copy = dataclasses.replace(s, responses=kept)
+        assert (copy.response_for(*key) is first) == (i % 2 == 0), i
