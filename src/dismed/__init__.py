@@ -8,7 +8,6 @@ seeded Monte Carlo sweeps and sensitivity analysis.
 """
 
 from .calculus import (
-    EvalSettings,
     ExtendedValue,
     INDETERMINATE,
     approx_equal,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
+from .config import RunConfig
 from .errors import DivisionByZeroInterval, IndeterminateIntegrand, PathCoverageError
 from .model import Scenario, TimePath, eval_response, split_driver
 
@@ -187,24 +188,24 @@ def _joint_raw(a: float, b: float, mode: str) -> float:
     raise ValueError(f"unknown intersection mode {mode!r}")
 
 
-def argmax_state(states, candidates: Sequence[str] = ("E_s", "E_p", "E_m")) -> str:
-    """State with the largest value; ties break by the candidates' order
+def argmax_state(s: Scenario, candidates: Sequence[str] = ("E_s", "E_p", "E_m")) -> str:
+    """State with the largest base value; ties break by the candidates' order
     (E_s over E_p over E_m for the full triple)."""
     best = None
     best_v = -INF
     for name in candidates:
-        v = getattr(states, name)
+        v = s.value(name)
         if v > best_v:
             best, best_v = name, v
     return best
 
 
-def argmin_state(states, candidates: Sequence[str] = ("E_m", "E_p", "E_s")) -> str:
+def argmin_state(s: Scenario, candidates: Sequence[str] = ("E_m", "E_p", "E_s")) -> str:
     """Mirror of argmax_state; ties break E_m over E_p over E_s."""
     best = None
     best_v = INF
     for name in candidates:
-        v = getattr(states, name)
+        v = s.value(name)
         if v < best_v:
             best, best_v = name, v
     return best
@@ -303,14 +304,6 @@ class Deriv(Expr):
     order: int
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    intersection: str = "product"
-    fd_step_scale: float = 1e-3
-    horizon_T: float = 1.0
-    horizon_dt: float = 0.125
-
-
 # ---------------------------------------------------------------------------
 # The compiler
 # ---------------------------------------------------------------------------
@@ -371,20 +364,20 @@ def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
-def _compile_deriv(d: Deriv, settings: EvalSettings):
+def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
     """Compiled derivative: (scenario, context, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
     the driver itself (identity), a declared response of it, or unknown.
     """
     leaves: dict = {}
-    combine = _combine(d.driven, leaves, settings.intersection)
+    combine = _combine(d.driven, leaves, cfg.intersection)
     for leaf in leaves:
         if not isinstance(leaf, Sym):
             raise TypeError(f"unsupported driven expression {type(leaf).__name__}")
     driven_names = tuple(leaf.name for leaf in leaves)
     identity = d.driven.name if isinstance(d.driven, Sym) else None
-    order, step_scale = d.order, settings.fd_step_scale
+    order, step_scale = d.order, cfg.fd_step_scale
     kind, names = d.axis.kind, d.axis.names
     first, joined = names[0], "+".join(names)
     # A max axis picks its largest component, ties to the earlier name; the
@@ -484,7 +477,7 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
-                      settings: EvalSettings) -> Callable[[Scenario], float]:
+                      cfg: RunConfig = RunConfig()) -> Callable[[Scenario], float]:
     """Compiled trapezoid integral over [0, T]: scenario -> float.
 
     Symbols follow their time paths and otherwise stay at base values; a
@@ -492,8 +485,8 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
     """
     nodes = _horizon_nodes(T, dt)
     leaves: dict = {}
-    combine = _combine(integrand, leaves, settings.intersection)
-    resolvers = tuple(_time_leaf(leaf, settings) for leaf in leaves)
+    combine = _combine(integrand, leaves, cfg.intersection)
+    resolvers = tuple(_time_leaf(leaf, cfg) for leaf in leaves)
 
     def integrate(s: Scenario) -> float:
         slots = [resolve(s) for resolve in resolvers]
@@ -514,7 +507,7 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
     return integrate
 
 
-def _time_leaf(leaf: Expr, settings: EvalSettings) -> Callable[[Scenario], object]:
+def _time_leaf(leaf: Expr, cfg: RunConfig = RunConfig()) -> Callable[[Scenario], object]:
     """A leaf over the horizon: its time path, or an interval fixed over it."""
     if isinstance(leaf, Sym):
         name = leaf.name
@@ -524,7 +517,7 @@ def _time_leaf(leaf: Expr, settings: EvalSettings) -> Callable[[Scenario], objec
             return tp if tp is not None else _point(s.value(name))
         return symbol
     if isinstance(leaf, Deriv):
-        deriv = _compile_deriv(leaf, settings)
+        deriv = _compile_deriv(leaf, cfg)
 
         def derivative(s: Scenario) -> Interval:
             v = deriv(s, None, None)
@@ -535,24 +528,23 @@ def _time_leaf(leaf: Expr, settings: EvalSettings) -> Callable[[Scenario], objec
     raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
 
 
-def _state_leaf(leaf: Expr, settings: EvalSettings) -> Compiled:
+def _state_leaf(leaf: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
     """A leaf at base or under a listing-state overlay."""
     if isinstance(leaf, Sym):
         name = leaf.name
         return lambda s, ctx, notes: _point(s.value(name, ctx))
     if isinstance(leaf, Deriv):
-        return _compile_deriv(leaf, settings)
-    integrate = _compile_integral(leaf.integrand, settings.horizon_T,
-                                  settings.horizon_dt, settings)
+        return _compile_deriv(leaf, cfg)
+    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
     return lambda s, ctx, notes: _point(integrate(s))
 
 
-def compile_expression(expr: Expr, settings: EvalSettings = EvalSettings()) -> Compiled:
+def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
     overlay: the result maps (scenario, context, notes) to an interval."""
     leaves: dict = {}
-    combine = _combine(expr, leaves, settings.intersection)
-    getters = tuple(_state_leaf(leaf, settings) for leaf in leaves)
+    combine = _combine(expr, leaves, cfg.intersection)
+    getters = tuple(_state_leaf(leaf, cfg) for leaf in leaves)
     if expr in leaves:  # a bare leaf needs no combining
         return getters[0]
 
@@ -584,7 +576,7 @@ def symbols_of(expr: Expr) -> set[str]:
 def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
                       order: int, h: Optional[float] = None,
                       context: Optional[str] = None,
-                      settings: EvalSettings = EvalSettings(),
+                      cfg: RunConfig = RunConfig(),
                       notes: Optional[list] = None) -> ExtendedValue:
     """Central-difference estimate of ∂^order driven / ∂driver^order.
 
@@ -596,22 +588,22 @@ def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
         parts = split_driver(driven)
         driven = Sym(parts[0]) if len(parts) == 1 else Add(tuple(Sym(p) for p in parts))
     axis = Axis.sym(driver) if isinstance(driver, str) else driver
-    deriv = _compile_deriv(Deriv(driven, axis, order), settings)
+    deriv = _compile_deriv(Deriv(driven, axis, order), cfg)
     return ExtendedValue(*deriv(s, context, notes, h))
 
 
 def evaluate_expression(s: Scenario, expr: Expr, context: Optional[str] = None,
-                        settings: EvalSettings = EvalSettings(),
+                        cfg: RunConfig = RunConfig(),
                         notes: Optional[list] = None) -> ExtendedValue:
     """Evaluate an expression tree to an ExtendedValue under a state context."""
-    return ExtendedValue(*compile_expression(expr, settings)(s, context, notes))
+    return ExtendedValue(*compile_expression(expr, cfg)(s, context, notes))
 
 
 def integrate_horizon(s: Scenario, integrand: Expr, T: float, dt: float,
-                      settings: EvalSettings = EvalSettings()) -> float:
+                      cfg: RunConfig = RunConfig()) -> float:
     """Trapezoid-rule integral of ``integrand`` over [0, T] at spacing dt.
 
     Symbols follow their declared time paths and otherwise stay at base
     values; the rule is exact for constant and linear integrands.
     """
-    return _compile_integral(integrand, T, dt, settings)(s)
+    return _compile_integral(integrand, T, dt, cfg)(s)

@@ -32,7 +32,6 @@ from .calculus import (
     Axis,
     Const,
     Deriv,
-    EvalSettings,
     Expr,
     ExtendedValue,
     IntegralE,
@@ -696,7 +695,7 @@ def _context(spec: CtxSpec) -> Callable[[Scenario], Optional[str]]:
     if kind == "state":
         return lambda s: arg
     if kind == "argmax":
-        return lambda s: argmax_state(s.states, candidates=arg)
+        return lambda s: argmax_state(s, candidates=arg)
     raise ValueError(f"unknown context spec {spec!r}")
 
 
@@ -731,11 +730,10 @@ def _holds(op: str, cfg: RunConfig) -> Callable[[ExtendedValue, Optional[Extende
     raise ValueError(f"unknown part op {op!r}")
 
 
-def _compile_part(part: Part, cfg: RunConfig,
-                  settings: EvalSettings) -> Callable[[Scenario, list], PartTrace]:
+def _compile_part(part: Part, cfg: RunConfig) -> Callable[[Scenario, list], PartTrace]:
     desc, op, holds = part.desc, part.op, _holds(part.op, cfg)
-    lhs, lhs_ctx = compile_expression(part.lhs, settings), _context(part.lhs_ctx)
-    rhs = None if part.rhs is None else compile_expression(part.rhs, settings)
+    lhs, lhs_ctx = compile_expression(part.lhs, cfg), _context(part.lhs_ctx)
+    rhs = None if part.rhs is None else compile_expression(part.rhs, cfg)
     rhs_ctx = _context(part.rhs_ctx)
 
     def trace(s: Scenario, notes: list) -> PartTrace:
@@ -745,11 +743,10 @@ def _compile_part(part: Part, cfg: RunConfig,
     return trace
 
 
-def _compile_condition(cid: ConditionId, cfg: RunConfig,
-                       settings: EvalSettings) -> CompiledCondition:
+def _compile_condition(cid: ConditionId, cfg: RunConfig) -> CompiledCondition:
     form = build_form(cid, cfg)
     form_notes = form.notes
-    parts = tuple(_compile_part(p, cfg, settings) for p in form.parts)
+    parts = tuple(_compile_part(p, cfg) for p in form.parts)
     guard = None
     if form.guard is not None:
         guard = _compile_guard(form.guard, cfg)
@@ -791,11 +788,7 @@ def _compile_condition(cid: ConditionId, cfg: RunConfig,
 def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, CompiledCondition]:
     # The fingerprint is in the key because configs can compare equal yet
     # print differently (rel_tol 1 and 1.0), and notes quote the config.
-    settings = EvalSettings(intersection=cfg.intersection,
-                            fd_step_scale=cfg.fd_step_scale,
-                            horizon_T=cfg.horizon_T,
-                            horizon_dt=cfg.horizon_dt)
-    return {cid: _compile_condition(cid, cfg, settings) for cid in ALL_CONDITION_IDS}
+    return {cid: _compile_condition(cid, cfg) for cid in ALL_CONDITION_IDS}
 
 
 def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:

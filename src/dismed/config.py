@@ -6,6 +6,7 @@ from their own payload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Mapping
@@ -42,6 +43,15 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text (PEP 563)
+            v = getattr(self, f.name)
+            if f.type == "float":
+                # ints stay ints: rel_tol 1 and 1.0 print differently in notes
+                if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                        or not math.isfinite(v):
+                    raise ParseError(f"{f.name} = {v!r} must be a finite number")
+            elif not isinstance(v, {"bool": bool, "str": str}[f.type]):
+                raise ParseError(f"{f.name} = {v!r} must be a {f.type}")
         if not (0.0 < self.quorum <= 1.0):
             raise ParseError(f"quorum = {self.quorum} must lie in (0, 1]")
         if not (self.horizon_T > 0 and 0 < self.horizon_dt <= self.horizon_T):

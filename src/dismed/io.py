@@ -18,19 +18,9 @@ from .errors import ParseError, UnknownField, ValidationError
 from .model import (
     STATE_NAMES,
     SYMBOLS,
-    BrokerCosts,
-    BrokerEffortCapital,
-    ClosingCosts,
-    ClosingProbabilities,
-    InformationBundle,
-    ListingStates,
-    PartySocialCapital,
     ResponseFunction,
     Scenario,
-    SearchCosts,
     TimePath,
-    UtilityProfile,
-    Valuation,
     validate_scenario,
 )
 
@@ -43,13 +33,26 @@ _RESPONSE_KEYS = frozenset(("driven", "driver", "kind", "coeffs", "knots", "cont
 _TIME_PATH_KEYS = frozenset(("symbol", "kind", "value", "v0", "slope", "times", "values"))
 
 
+def _number(v: Any, where: str) -> float:
+    """The one numeric coercion: a JSON number (not a bool) becomes a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{where} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
+
+
+def _numbers(raw: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise ParseError(f"{where} must be a list of numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(raw))
+
+
 def _require_number(obj: Mapping[str, Any], key: str, where: str) -> float:
     if key not in obj:
         raise ParseError(f"{where}: missing required field {key!r}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{where}: field {key!r} must be a number, got {v!r}")
-    return float(v)
+    return _number(obj[key], f"{where}: field {key!r}")
 
 
 def _parse_response(obj: Any, where: str) -> ResponseFunction:
@@ -68,15 +71,14 @@ def _parse_response(obj: Any, where: str) -> ResponseFunction:
         raw = obj.get("coeffs")
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{where}: polynomial response needs a non-empty 'coeffs' list")
-        coeffs = tuple(float(c) for c in raw)
+        coeffs = _numbers(raw, f"{where}.coeffs")
     elif kind == "piecewise_linear":
         raw = obj.get("knots")
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"{where}: piecewise_linear response needs a non-empty 'knots' list")
-        try:
-            knots = tuple((float(x), float(y)) for x, y in raw)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: knots must be [x, y] pairs") from exc
+        if not all(isinstance(k, list) and len(k) == 2 for k in raw):
+            raise ParseError(f"{where}: knots must be [x, y] pairs")
+        knots = tuple(_numbers(k, f"{where}.knots[{i}]") for i, k in enumerate(raw))
     else:
         raise ParseError(f"{where}: unknown response kind {kind!r}")
     context = obj.get("context", "base")
@@ -109,8 +111,8 @@ def _parse_time_path(obj: Any, where: str) -> TimePath:
         if not isinstance(times, list) or not isinstance(values, list):
             raise ParseError(f"{where}: sampled time path needs 'times' and 'values' lists")
         return TimePath(symbol=obj["symbol"], kind=kind,
-                        times=tuple(float(t) for t in times),
-                        values=tuple(float(v) for v in values))
+                        times=_numbers(times, f"{where}.times"),
+                        values=_numbers(values, f"{where}.values"))
     raise ParseError(f"{where}: unknown time-path kind {kind!r}")
 
 
@@ -122,16 +124,14 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
     if unknown:
         raise UnknownField(f"unknown scenario field(s): {sorted(unknown)}")
 
-    vals = {name: _require_number(data, name, "scenario") for name in _SYMBOL_ORDER}
+    values = tuple(_require_number(data, name, "scenario") for name in _SYMBOL_ORDER)
 
     prospect_count = data.get("prospect_count", 1)
     if isinstance(prospect_count, bool) or not isinstance(prospect_count, int):
         raise ParseError("prospect_count must be an integer")
     vts = data.get("valued_time_share")
     if vts is not None:
-        if isinstance(vts, bool) or not isinstance(vts, (int, float)):
-            raise ParseError("valued_time_share must be a number or absent")
-        vts = float(vts)
+        vts = _number(vts, "valued_time_share")
 
     overlays_raw = data.get("overlays", {})
     if not isinstance(overlays_raw, dict):
@@ -142,12 +142,11 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
             raise UnknownField(f"overlays: unknown listing state {state!r}")
         if not isinstance(overrides, dict):
             raise ParseError(f"overlays.{state} must be an object of symbol overrides")
+        ov = overlays[state] = {}
         for name, v in overrides.items():
             if name not in SYMBOLS:
                 raise UnknownField(f"overlays.{state}: unknown symbol {name!r}")
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"overlays.{state}.{name} must be a number")
-        overlays[state] = {k: float(v) for k, v in overrides.items()}
+            ov[name] = _number(v, f"overlays.{state}.{name}")
 
     responses_raw = data.get("responses", [])
     if not isinstance(responses_raw, list):
@@ -165,30 +164,9 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
     if not isinstance(label, str):
         raise ParseError("label must be a string")
 
-    scenario = Scenario(
-        valuation=Valuation(P=vals["P"], P_b=vals["P_b"], P_s=vals["P_s"], c=vals["c"]),
-        broker_costs=BrokerCosts(B_b=vals["B_b"], B_n=vals["B_n"], B_op=vals["B_op"],
-                                 B_s=vals["B_s"], B_i=vals["B_i"], B_it=vals["B_it"],
-                                 prospect_count=prospect_count),
-        info=InformationBundle(I=vals["I"], I_p=vals["I_p"], I_i=vals["I_i"], I_o=vals["I_o"]),
-        search=SearchCosts(psi_b=vals["psi_b"], psi_bi=vals["psi_bi"], psi_s=vals["psi_s"],
-                           psi_si=vals["psi_si"], psi_sb=vals["psi_sb"],
-                           valued_time_share=vts),
-        utility=UtilityProfile(U_ip=vals["U_ip"], U_iw=vals["U_iw"], U_a=vals["U_a"],
-                               U_sp=vals["U_sp"], U_sw=vals["U_sw"], U_sa=vals["U_sa"]),
-        closing=ClosingCosts(pi_b=vals["pi_b"], pi_i=vals["pi_i"],
-                             pi_sb=vals["pi_sb"], pi_s=vals["pi_s"]),
-        states=ListingStates(E_s=vals["E_s"], E_p=vals["E_p"], E_m=vals["E_m"]),
-        probs=ClosingProbabilities(rho_p=vals["rho_p"], rho_i=vals["rho_i"],
-                                   rho_s=vals["rho_s"]),
-        effort=BrokerEffortCapital(u_hat=vals["u_hat"], u_hat_s=vals["u_hat_s"],
-                                   RC_br=vals["RC_br"], SC_br=vals["SC_br"]),
-        social=PartySocialCapital(SC_s=vals["SC_s"], SC_b=vals["SC_b"]),
-        responses=responses,
-        time_paths=time_paths,
-        overlays=overlays,
-        label=label,
-    )
+    scenario = Scenario(values=values, prospect_count=prospect_count,
+                        valued_time_share=vts, responses=responses,
+                        time_paths=time_paths, overlays=overlays, label=label)
     report = validate_scenario(scenario)
     if not report.ok:
         raise ValidationError(report.violations)
@@ -214,10 +192,10 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     out: dict[str, Any] = {"label": s.label}
     for name in _SYMBOL_ORDER:
         out[name] = s.value(name)
-    if s.broker_costs.prospect_count != 1:
-        out["prospect_count"] = s.broker_costs.prospect_count
-    if s.search.valued_time_share is not None:
-        out["valued_time_share"] = s.search.valued_time_share
+    if s.prospect_count != 1:
+        out["prospect_count"] = s.prospect_count
+    if s.valued_time_share is not None:
+        out["valued_time_share"] = s.valued_time_share
     if s.overlays:
         out["overlays"] = {
             state: {k: s.overlays[state][k] for k in sorted(s.overlays[state])}

@@ -1,10 +1,12 @@
 """Scenario data model: every base symbol of the brokerage model, plus
 response functions, listing-state overlays and time paths.
 
-Symbols are grouped into small frozen dataclasses mirroring how they are used
-(valuation, costs, information, search, utility, closing, listing states,
-closing probabilities, effort/capital, party social capital). The module also
-owns scenario validation; violations are data, not exceptions.
+The 41 base symbols are stored flat: ``Scenario.values`` holds one float per
+symbol, and ``SYMBOLS`` maps each name to its slot, in the order scenario
+files and payloads list them. Only this module knows that layout; everything
+else reads ``Scenario.value(name, state)`` and copies with ``with_values``.
+The module also owns scenario validation; violations are data, not
+exceptions.
 
 Naming notes:
   * broker effort is exposed as ``u_hat`` and the buyer's perception of it as
@@ -17,7 +19,7 @@ Naming notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -34,89 +36,6 @@ def canonical_round(x: float) -> float:
     if x == 0.0 or not math.isfinite(x):
         return x
     return float(f"{x:.{DECIMALS_SIGNIFICANT}g}")
-
-
-@dataclass(frozen=True)
-class Valuation:
-    P: float          # appraised value, > 0
-    P_b: float        # value to the buyer, > 0
-    P_s: float        # value to the seller, unrestricted sign
-    c: float          # commission rate, in (0, 1)
-
-
-@dataclass(frozen=True)
-class BrokerCosts:
-    B_b: float            # fixed cost of serving a buyer
-    B_n: float            # new-client search cost
-    B_op: float           # operating expense per transaction (carried only)
-    B_s: float            # listing fixed cost
-    B_i: float            # amortized periodic web cost
-    B_it: float           # present-value total web cost (carried only)
-    prospect_count: int = 1
-
-
-@dataclass(frozen=True)
-class InformationBundle:
-    I: float    # total communicated; must equal I_p + I_i
-    I_p: float  # personal channel
-    I_i: float  # broker website
-    I_o: float  # all websites; includes I_i
-
-
-@dataclass(frozen=True)
-class SearchCosts:
-    psi_b: float    # buyer, no internet
-    psi_bi: float   # buyer, with internet
-    psi_s: float    # seller, broker without internet
-    psi_si: float   # seller, internet without broker
-    psi_sb: float   # seller, broker and internet
-    valued_time_share: Optional[float] = None  # compensated share of search time
-
-
-@dataclass(frozen=True)
-class UtilityProfile:
-    U_ip: float
-    U_iw: float
-    U_a: float
-    U_sp: float
-    U_sw: float
-    U_sa: float
-
-
-@dataclass(frozen=True)
-class ClosingCosts:
-    pi_b: float    # additional, broker used
-    pi_i: float    # additional, broker disintermediated
-    pi_sb: float   # total, broker used
-    pi_s: float    # total, broker not used
-
-
-@dataclass(frozen=True)
-class ListingStates:
-    E_s: float  # super-exclusive
-    E_p: float  # semi-exclusive
-    E_m: float  # multiple listing
-
-
-@dataclass(frozen=True)
-class ClosingProbabilities:
-    rho_p: float  # physical-channel close
-    rho_i: float  # internet-channel close
-    rho_s: float  # seller self-sale close
-
-
-@dataclass(frozen=True)
-class BrokerEffortCapital:
-    u_hat: float    # broker effort cost
-    u_hat_s: float  # buyer's perceived value of that effort
-    RC_br: float    # reputation capital
-    SC_br: float    # social capital
-
-
-@dataclass(frozen=True)
-class PartySocialCapital:
-    SC_s: float
-    SC_b: float
 
 
 @dataclass(frozen=True)
@@ -152,18 +71,41 @@ class TimePath:
     values: tuple[float, ...] = ()
 
 
+#: Symbol name -> slot in ``Scenario.values``, in file and payload order.
+SYMBOLS: dict[str, int] = {name: i for i, name in enumerate((
+    # valuation: appraised value (> 0), value to buyer (> 0) and to seller,
+    # commission rate in (0, 1)
+    "P", "P_b", "P_s", "c",
+    # broker costs: serving a buyer, new-client search, operating expense
+    # (carried only), listing, amortized and present-value (carried only) web
+    "B_b", "B_n", "B_op", "B_s", "B_i", "B_it",
+    # information: total (= I_p + I_i), personal channel, broker website,
+    # all websites (includes I_i)
+    "I", "I_p", "I_i", "I_o",
+    # search costs: buyer without/with internet; seller with broker only,
+    # internet only, broker and internet
+    "psi_b", "psi_bi", "psi_s", "psi_si", "psi_sb",
+    # utilities
+    "U_ip", "U_iw", "U_a", "U_sp", "U_sw", "U_sa",
+    # closing costs: additional with/without broker, total with/without
+    "pi_b", "pi_i", "pi_sb", "pi_s",
+    # listing states: super-exclusive, semi-exclusive, multiple listing
+    "E_s", "E_p", "E_m",
+    # closing probabilities: physical channel, internet channel, self-sale
+    "rho_p", "rho_i", "rho_s",
+    # broker effort cost, buyer's perceived value of it, reputation and
+    # social capital
+    "u_hat", "u_hat_s", "RC_br", "SC_br",
+    # party social capital
+    "SC_s", "SC_b",
+))}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    valuation: Valuation
-    broker_costs: BrokerCosts
-    info: InformationBundle
-    search: SearchCosts
-    utility: UtilityProfile
-    closing: ClosingCosts
-    states: ListingStates
-    probs: ClosingProbabilities
-    effort: BrokerEffortCapital
-    social: PartySocialCapital
+    values: tuple[float, ...]           # one per symbol, indexed by SYMBOLS
+    prospect_count: int = 1
+    valued_time_share: Optional[float] = None  # compensated share of search time
     responses: tuple[ResponseFunction, ...] = ()
     time_paths: tuple[TimePath, ...] = ()
     overlays: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
@@ -175,8 +117,7 @@ class Scenario:
             ov = self.overlays.get(state)
             if ov is not None and name in ov:
                 return float(ov[name])
-        group, attr = SYMBOLS[name]
-        return float(getattr(getattr(self, group), attr))
+        return float(self.values[SYMBOLS[name]])
 
     def bundle_value(self, names: Sequence[str], state: Optional[str] = None) -> float:
         return sum(self.value(n, state) for n in names)
@@ -206,25 +147,6 @@ class Scenario:
                 return tp
         return None
 
-
-# (symbol name) -> (Scenario attribute, group attribute)
-SYMBOLS: dict[str, tuple[str, str]] = {}
-for _group, _cls in (
-    ("valuation", Valuation),
-    ("broker_costs", BrokerCosts),
-    ("info", InformationBundle),
-    ("search", SearchCosts),
-    ("utility", UtilityProfile),
-    ("closing", ClosingCosts),
-    ("states", ListingStates),
-    ("probs", ClosingProbabilities),
-    ("effort", BrokerEffortCapital),
-    ("social", PartySocialCapital),
-):
-    for _f in fields(_cls):
-        if _f.name in ("prospect_count", "valued_time_share"):
-            continue
-        SYMBOLS[_f.name] = (_group, _f.name)
 
 PROBABILITY_SYMBOLS = ("rho_p", "rho_i", "rho_s")
 
@@ -265,12 +187,10 @@ def with_values(s: Scenario, updates: Mapping[str, float]) -> Scenario:
     No re-validation is performed; what-if evaluation is allowed to leave
     response anchors stale.
     """
-    by_group: dict[str, dict[str, float]] = {}
+    values = list(s.values)
     for name, value in updates.items():
-        group, attr = SYMBOLS[name]
-        by_group.setdefault(group, {})[attr] = float(value)
-    changes = {g: replace(getattr(s, g), **kw) for g, kw in by_group.items()}
-    return replace(s, **changes)
+        values[SYMBOLS[name]] = float(value)
+    return replace(s, values=tuple(values))
 
 
 @dataclass(frozen=True)
@@ -309,16 +229,16 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         v = s.value(name)
         if not _finite(v):
             bad("NonFiniteValue", f"{name} = {v!r} is not finite")
-    if _finite(s.valuation.P) and s.valuation.P <= 0:
-        bad("NonPositivePrice", f"P = {s.valuation.P} must be > 0")
-    if _finite(s.valuation.P_b) and s.valuation.P_b <= 0:
-        bad("NonPositivePrice", f"P_b = {s.valuation.P_b} must be > 0")
-    if _finite(s.valuation.c) and not (0.0 < s.valuation.c < 1.0):
-        bad("CommissionOutOfRange", f"c = {s.valuation.c} must lie in (0, 1)")
-    if s.broker_costs.prospect_count < 1:
-        bad("ProspectCountOutOfRange",
-            f"prospect_count = {s.broker_costs.prospect_count} must be >= 1")
-    vts = s.search.valued_time_share
+    P, P_b, c = s.value("P"), s.value("P_b"), s.value("c")
+    if _finite(P) and P <= 0:
+        bad("NonPositivePrice", f"P = {P} must be > 0")
+    if _finite(P_b) and P_b <= 0:
+        bad("NonPositivePrice", f"P_b = {P_b} must be > 0")
+    if _finite(c) and not (0.0 < c < 1.0):
+        bad("CommissionOutOfRange", f"c = {c} must lie in (0, 1)")
+    if s.prospect_count < 1:
+        bad("ProspectCountOutOfRange", f"prospect_count = {s.prospect_count} must be >= 1")
+    vts = s.valued_time_share
     if vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0):
         bad("ValuedTimeShareOutOfRange", f"valued_time_share = {vts!r} must lie in [0, 1]")
     for name in PROBABILITY_SYMBOLS:
@@ -326,13 +246,12 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if _finite(v) and not (0.0 <= v <= 1.0):
             bad("ProbabilityOutOfRange", f"{name} = {v} must lie in [0, 1]")
 
-    info = s.info
-    if all(_finite(x) for x in (info.I, info.I_p, info.I_i)):
-        if canonical_round(info.I) != canonical_round(info.I_p + info.I_i):
-            bad("InformationIdentity",
-                f"I = {info.I} must equal I_p + I_i = {info.I_p + info.I_i}")
-    if all(_finite(x) for x in (info.I_o, info.I_i)) and info.I_o < info.I_i:
-        bad("InformationInclusion", f"I_o = {info.I_o} must be >= I_i = {info.I_i}")
+    I, I_p, I_i, I_o = (s.value(n) for n in ("I", "I_p", "I_i", "I_o"))
+    if all(_finite(x) for x in (I, I_p, I_i)):
+        if canonical_round(I) != canonical_round(I_p + I_i):
+            bad("InformationIdentity", f"I = {I} must equal I_p + I_i = {I_p + I_i}")
+    if all(_finite(x) for x in (I_o, I_i)) and I_o < I_i:
+        bad("InformationInclusion", f"I_o = {I_o} must be >= I_i = {I_i}")
 
     _validate_overlays(s, bad)
     _validate_responses(s, bad)

@@ -178,7 +178,7 @@ def is_feasible(s: Scenario, d: DecisionVector, ctx: Optional[str] = None) -> bo
 def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
                      weights: tuple[float, float] = (1.0, 1.0)) -> float:
     """Capital-versus-cost objective under the argmin listing-state overlay."""
-    ctx = argmin_state(s.states)
+    ctx = argmin_state(s)
     capital = evaluate_capital(s, d, ctx)
     cost = d.cost
     if mode == "combined":
@@ -265,7 +265,7 @@ def _decision(x: Sequence[float], state: str) -> DecisionVector:
 def optimize_broker(s: Scenario, bounds: Bounds,
                     cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     """Feasible local maximizer of the broker objective by pattern search."""
-    ctx = argmin_state(s.states)
+    ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
 
     def feas(x: Sequence[float]) -> bool:
@@ -310,7 +310,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    ctx = argmin_state(s.states)
+    ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
 
     def feas(x: Sequence[float]) -> bool:

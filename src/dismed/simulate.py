@@ -14,7 +14,6 @@ satisfiable under continuous marginals.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -144,21 +143,10 @@ def draw_scenario(base: Scenario, dist: DistributionSpec, seed: int,
                 "(e.g. it perturbs response-anchored symbols)")
 
 
-@dataclass(frozen=True)
-class ScenarioSample(Sequence):
-    scenarios: tuple[Scenario, ...]
-    rejections: int
-
-    def __len__(self) -> int:
-        return len(self.scenarios)
-
-    def __getitem__(self, i):
-        return self.scenarios[i]
-
-
 def sample_scenarios(base: Scenario, dist: DistributionSpec, n: int,
-                     seed: int) -> ScenarioSample:
-    """n validated draws; deterministic for fixed (base, dist, n, seed)."""
+                     seed: int) -> tuple[tuple[Scenario, ...], int]:
+    """n validated draws and the total rejections; deterministic for fixed
+    (base, dist, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     scenarios = []
@@ -167,7 +155,7 @@ def sample_scenarios(base: Scenario, dist: DistributionSpec, n: int,
         sc, rej = draw_scenario(base, dist, seed, i)
         scenarios.append(sc)
         rejections += rej
-    return ScenarioSample(tuple(scenarios), rejections)
+    return tuple(scenarios), rejections
 
 
 @dataclass(frozen=True)

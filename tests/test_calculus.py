@@ -32,7 +32,6 @@ from dismed.calculus import (
     evaluate_expression,
 )
 from dismed.errors import PathCoverageError
-from dismed.model import ListingStates
 from dismed.io import scenario_from_dict
 
 from fixture_defs import fixture_dict
@@ -43,16 +42,20 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False,
 
 # --- argmax / argmin ---------------------------------------------------------
 
-def test_argmax_state_examples():
-    assert argmax_state(ListingStates(E_s=5, E_p=3, E_m=1)) == "E_s"
-    assert argmax_state(ListingStates(E_s=2, E_p=2, E_m=1)) == "E_s"  # tie-break
-    assert argmax_state(ListingStates(E_s=-1, E_p=0, E_m=4)) == "E_m"
+def states(s, E_s, E_p, E_m):
+    return with_values(s, {"E_s": E_s, "E_p": E_p, "E_m": E_m})
 
 
-def test_argmin_state_mirror():
-    assert argmin_state(ListingStates(E_s=5, E_p=3, E_m=1)) == "E_m"
-    assert argmin_state(ListingStates(E_s=1, E_p=1, E_m=1)) == "E_m"
-    assert argmin_state(ListingStates(E_s=0, E_p=2, E_m=3)) == "E_s"
+def test_argmax_state_examples(base_scenario):
+    assert argmax_state(states(base_scenario, 5, 3, 1)) == "E_s"
+    assert argmax_state(states(base_scenario, 2, 2, 1)) == "E_s"  # tie-break
+    assert argmax_state(states(base_scenario, -1, 0, 4)) == "E_m"
+
+
+def test_argmin_state_mirror(base_scenario):
+    assert argmin_state(states(base_scenario, 5, 3, 1)) == "E_m"
+    assert argmin_state(states(base_scenario, 1, 1, 1)) == "E_m"
+    assert argmin_state(states(base_scenario, 0, 2, 3)) == "E_s"
 
 
 # --- approx_equal ------------------------------------------------------------

@@ -164,6 +164,26 @@ def test_bad_config_exits_2(capsys, fixtures_dir, tmp_path):
     assert code == 2 and "aggregation" in err
 
 
+@pytest.mark.parametrize("text", ['{"fd_step_scale": NaN}', '{"rel_tol": NaN}',
+                                  '{"rel_tol": "0.1"}'])
+def test_non_finite_or_mistyped_config_exits_2(capsys, fixtures_dir, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "decide", str(fixtures_dir / "all_three_satisfied.json"),
+                         "--config", str(bad))
+    assert code == 2 and out == ""
+    assert "must be a finite number" in err
+
+
+def test_string_coefficient_exits_2(capsys, tmp_path):
+    data = fixture_dict("x")
+    data["responses"][0]["coeffs"] = [str(c) for c in data["responses"][0]["coeffs"]]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "decide", str(path))
+    assert code == 2 and "coeffs[0] must be a number" in err
+
+
 def test_decide_csv_format(capsys, fixtures_dir):
     code, out, _ = run(capsys, "decide", str(fixtures_dir / "all_three_satisfied.json"),
                        "--format", "csv")

@@ -94,3 +94,36 @@ def test_save_scenario_writes_canonical_form(tmp_path, base_scenario):
     path = save_scenario(base_scenario, tmp_path / "out.json")
     assert path.read_text(encoding="utf-8") == scenario_to_json(base_scenario)
     assert path.read_text(encoding="utf-8").endswith("\n")
+
+
+def _with_time_path(**path):
+    data = fixture_dict("x")
+    data["time_paths"] = [{"symbol": "rho_s", "kind": "samples", **path}]
+    return data
+
+
+def _with_first_response(**fields):
+    data = fixture_dict("x")
+    data["responses"][0].update(fields)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _with_first_response(coeffs=["1.2525", "0.05"]),
+    _with_first_response(coeffs=[1.0, [0.05]]),
+    _with_first_response(coeffs=[1.0, True]),
+    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0, False]]),
+    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0]]),
+    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], "ab"]),
+    _with_time_path(times=[False, True], values=[0.1, 0.2]),
+    _with_time_path(times=["a", "b"], values=[0.1, 0.2]),
+    _with_time_path(times=[0.0, 1.0], values=[0.1, None]),
+    {**fixture_dict("x"), "valued_time_share": "0.5"},
+    {**fixture_dict("x"), "overlays": {"E_s": {"psi_b": "4"}}},
+    {**fixture_dict("x"), "psi_b": 10 ** 400},
+], ids=["coeff-strings", "coeff-nested-list", "coeff-bool", "knot-bool", "knot-short",
+        "knot-string", "times-bools", "times-strings", "values-null", "vts-string",
+        "overlay-string", "symbol-overflow"])
+def test_every_number_is_checked_as_a_number(data):
+    with pytest.raises(ParseError):
+        scenario_from_dict(data)

@@ -3,10 +3,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismed import SYMBOLS, referenced_symbols, validate_scenario, with_values
 from dismed.conditions import ALL_CONDITION_IDS
-from dismed.io import scenario_from_dict
+from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.errors import ValidationError
 
 from fixture_defs import BASE_VALUES, fixture_dict, fixture_scenario
@@ -166,6 +168,22 @@ def test_with_values_replaces_symbols():
     assert s.value("psi_b") == BASE_VALUES["psi_b"]
 
 
+_WITH_VALUES_BASE = dataclasses.replace(
+    fixture_scenario("with-values"), prospect_count=3, valued_time_share=0.5,
+    overlays={"E_p": {"psi_b": 4.0, "U_iw": 2.5}})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(SYMBOLS)),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+def test_with_values_replaces_exactly_the_given_symbols(updates):
+    s = _WITH_VALUES_BASE
+    before = scenario_to_dict(s)
+    moved = with_values(s, updates)
+    assert scenario_to_dict(moved) == {**before, **updates}
+    assert scenario_to_dict(s) == before
+
+
 def test_symbol_table_is_one_to_one():
     assert len(SYMBOLS) == 41
     targets = list(SYMBOLS.values())
@@ -178,10 +196,14 @@ def test_every_condition_symbol_resolves_uniquely():
             assert name in SYMBOLS, (cid.label, name)
 
 
-def test_scenario_groups_are_frozen():
+def test_scenario_is_frozen():
     s = build()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        s.valuation.P = 1.0
+        s.values = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.label = "other"
+    with pytest.raises(TypeError):
+        s.values[SYMBOLS["P"]] = 1.0
 
 
 def test_fixture_files_match_builder(fixtures_dir):
