@@ -14,14 +14,16 @@ identity's derivative (1, then 0 for higher orders).
 
 Expressions are compiled once into closures and there is one evaluator. A
 compiled expression combines the values of its leaves (symbols, derivatives
-and horizon integrals) with interval arithmetic; only the resolver that
-supplies leaf values differs: a symbol at base or under a listing-state
-overlay, a symbol with the driver pinned to a stencil point, or a symbol at
-time t along its time path. ``conditions`` compiles each condition once per
-RunConfig; :func:`evaluate_expression`, :func:`finite_difference` and
-:func:`integrate_horizon` compile their argument and call the same closures.
-Everything that depends on the scenario (contexts, max-axis winners, stencil
-base points and steps, response links, time paths) is resolved per call.
+and horizon integrals) with the operations of an interval :class:`Algebra`;
+only the resolver that supplies leaf values differs: a symbol at base or
+under a listing-state overlay, a symbol with the driver pinned to a stencil
+point, or a symbol at time t along its time path. ``conditions`` compiles
+each condition once per RunConfig; :func:`evaluate_expression`,
+:func:`finite_difference` and :func:`integrate_horizon` compile their
+argument and call the same closures. Everything that depends on the scenario
+(contexts, max-axis winners, stencil base points and steps, response links,
+time paths) is resolved per call. ``dismed.batch`` compiles the same forms
+over the array algebra, whose interval endpoints hold one value per draw.
 """
 
 from __future__ import annotations
@@ -86,6 +88,37 @@ def _point(x: float) -> Interval:
     return _iv(x, x)
 
 
+def _iextremum(vs: Sequence[Interval], larger: bool) -> Interval:
+    pick = max if larger else min
+    return _iv(pick(v[0] for v in vs), pick(v[1] for v in vs))
+
+
+def _ijoint(a: Interval, b: Interval, intersection: str) -> Interval:
+    if a[0] == a[1] and b[0] == b[1]:
+        return _point(_joint_raw(a[0], b[0], intersection))
+    return _UNKNOWN
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """The interval operations compiled expressions are built from.
+
+    :data:`SCALAR` works on (lower, upper) float pairs; ``dismed.batch``
+    supplies the same operations over pairs of per-draw arrays, rounding
+    every endpoint exactly as the scalar operations do.
+    """
+    point: Callable[[float], Interval]
+    add: Callable[[Interval, Interval], Interval]
+    sub: Callable[[Interval, Interval], Interval]
+    mul: Callable[[Interval, Interval], Interval]
+    div: Callable[[Interval, Interval], Interval]
+    scale: Callable[[Interval, float], Interval]
+    extremum: Callable[[Sequence[Interval], bool], Interval]   # larger: Max, else Min
+    joint: Callable[[Interval, Interval, str], Interval]
+    cube: Callable[[float], float]                           # h ** 3 of a stencil step
+    unknown: Interval
+
+
 @dataclass(frozen=True)
 class ExtendedValue:
     lower: float
@@ -139,6 +172,10 @@ class ExtendedValue:
 
 INDETERMINATE = ExtendedValue(-INF, INF)
 _UNKNOWN: Interval = (-INF, INF)
+
+SCALAR = Algebra(point=_point, add=_iadd, sub=_isub, mul=_imul, div=_idiv,
+                 scale=_iscale, extremum=_iextremum, joint=_ijoint,
+                 cube=lambda h: h ** 3, unknown=_UNKNOWN)
 
 
 def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
@@ -296,6 +333,15 @@ class Axis:
     def max_of(*names: str) -> "Axis":
         return Axis("max", tuple(names))
 
+    @property
+    def ordered(self) -> tuple[str, ...]:
+        """The names in tie-break order: a max axis picks its largest
+        component, ties to the earlier name, and the listing-state triple
+        always breaks ties E_s, E_p, E_m (as argmax_state does)."""
+        if self.kind == "max" and set(self.names) == {"E_s", "E_p", "E_m"}:
+            return ("E_s", "E_p", "E_m")
+        return self.names
+
 
 @dataclass(frozen=True)
 class Deriv(Expr):
@@ -313,8 +359,8 @@ Combine = Callable[[Sequence[Interval]], Interval]
 Compiled = Callable[[Scenario, Optional[str], Optional[list]], Interval]
 
 
-def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
-    """Closure computing ``expr`` from its leaves' values.
+def _combine(expr: Expr, leaves: dict, intersection: str, alg: Algebra = SCALAR) -> Combine:
+    """Closure computing ``expr`` from its leaves' values with ``alg``.
 
     Symbols, derivatives and integrals are leaves: each is registered in
     ``leaves`` (node -> slot) in first-evaluation order, and the closure reads
@@ -323,42 +369,49 @@ def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
     if isinstance(expr, (Sym, Deriv, IntegralE)):
         return itemgetter(leaves.setdefault(expr, len(leaves)))
     if isinstance(expr, Const):
-        value = expr.value
-        return lambda vals: _point(value)
+        value = alg.point(expr.value)
+        return lambda vals: value
     if isinstance(expr, Joint):
-        fa = _combine(Sym(expr.a), leaves, intersection)
-        fb = _combine(Sym(expr.b), leaves, intersection)
-
-        def joint(vals):
-            a, b = fa(vals), fb(vals)
-            if a[0] == a[1] and b[0] == b[1]:
-                return _point(_joint_raw(a[0], b[0], intersection))
-            return _UNKNOWN
-        return joint
+        fa = _combine(Sym(expr.a), leaves, intersection, alg)
+        fb = _combine(Sym(expr.b), leaves, intersection, alg)
+        joint = alg.joint
+        return lambda vals: joint(fa(vals), fb(vals), intersection)
     if isinstance(expr, Add):
-        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
+        fs = tuple(_combine(p, leaves, intersection, alg) for p in expr.parts)
+        add, zero = alg.add, alg.point(0.0)
 
-        def add(vals):
-            lo = hi = 0.0
+        def total(vals):
+            acc = zero
             for f in fs:
-                a = f(vals)
-                lo, hi = _iv(lo + a[0], hi + a[1])
-            return lo, hi
-        return add
+                acc = add(acc, f(vals))
+            return acc
+        return total
     if isinstance(expr, (MaxE, MinE)):
-        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
-        pick = max if isinstance(expr, MaxE) else min
-
-        def extremum(vals):
-            vs = [f(vals) for f in fs]
-            return _iv(pick(v[0] for v in vs), pick(v[1] for v in vs))
-        return extremum
-    binary = {Sub: _isub, Mul: _imul, Div: _idiv}.get(type(expr))
+        fs = tuple(_combine(p, leaves, intersection, alg) for p in expr.parts)
+        extremum, larger = alg.extremum, isinstance(expr, MaxE)
+        return lambda vals: extremum([f(vals) for f in fs], larger)
+    binary = {Sub: alg.sub, Mul: alg.mul, Div: alg.div}.get(type(expr))
     if binary is not None:
-        fa = _combine(expr.a, leaves, intersection)
-        fb = _combine(expr.b, leaves, intersection)
+        fa = _combine(expr.a, leaves, intersection, alg)
+        fb = _combine(expr.b, leaves, intersection, alg)
         return lambda vals: binary(fa(vals), fb(vals))
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
+
+
+def _stencil(f: Callable, x0, h, order: int, alg: Algebra = SCALAR) -> Interval:
+    """Central difference of ``f`` at ``x0`` with step ``h``; one operation
+    order for every algebra."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    sub, scale = alg.sub, alg.scale
+    if order == 1:
+        return scale(sub(f(x0 + h), f(x0 - h)), 1.0 / (2.0 * h))
+    if order == 2:
+        num = alg.add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h))
+        return scale(num, 1.0 / (h * h))
+    num = sub(alg.add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
+                      scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
+    return scale(num, 1.0 / (2.0 * alg.cube(h)))
 
 
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
@@ -378,12 +431,8 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
     driven_names = tuple(leaf.name for leaf in leaves)
     identity = d.driven.name if isinstance(d.driven, Sym) else None
     order, step_scale = d.order, cfg.fd_step_scale
-    kind, names = d.axis.kind, d.axis.names
+    kind, names = d.axis.kind, d.axis.ordered
     first, joined = names[0], "+".join(names)
-    # A max axis picks its largest component, ties to the earlier name; the
-    # listing-state triple always breaks ties E_s, E_p, E_m (argmax_state).
-    if kind == "max" and set(names) == {"E_s", "E_p", "E_m"}:
-        names = ("E_s", "E_p", "E_m")
 
     def deriv(s: Scenario, ctx: Optional[str], notes: Optional[list],
               h: Optional[float] = None) -> Interval:
@@ -401,8 +450,6 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
             return _point(1.0 if order == 1 else 0.0)
         if h is None:
             h = step_scale * max(1.0, abs(x0))
-        if order not in (1, 2, 3):
-            raise ValueError("order must be 1, 2 or 3")
         links = []
         for name in driven_names:
             if name == axis:
@@ -425,14 +472,7 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
                     vals.append((y, y) if y == y else _iv(y, y))
             return combine(vals)
 
-        if order == 1:
-            return _iscale(_isub(f(x0 + h), f(x0 - h)), 1.0 / (2.0 * h))
-        if order == 2:
-            num = _iadd(_isub(f(x0 + h), _iscale(f(x0), 2.0)), f(x0 - h))
-            return _iscale(num, 1.0 / (h * h))
-        num = _isub(_iadd(_isub(f(x0 + 2 * h), _iscale(f(x0 + h), 2.0)),
-                          _iscale(f(x0 - h), 2.0)), f(x0 - 2 * h))
-        return _iscale(num, 1.0 / (2.0 * h ** 3))
+        return _stencil(f, x0, h, order)
 
     return deriv
 
@@ -477,31 +517,39 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
-                      cfg: RunConfig = RunConfig()) -> Callable[[Scenario], float]:
+                      cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR,
+                      time_leaf: Optional[Callable] = None) -> Callable[[Scenario], float]:
     """Compiled trapezoid integral over [0, T]: scenario -> float.
 
     Symbols follow their time paths and otherwise stay at base values; a
-    derivative is taken at base and must be a point.
+    derivative is taken at base and must be a point. ``time_leaf`` resolves
+    the leaves for ``alg`` (default: :func:`_time_leaf`). The sum runs node by
+    node, so it holds one integrand value at a time.
     """
     nodes = _horizon_nodes(T, dt)
     leaves: dict = {}
-    combine = _combine(integrand, leaves, cfg.intersection)
-    resolvers = tuple(_time_leaf(leaf, cfg) for leaf in leaves)
+    combine = _combine(integrand, leaves, cfg.intersection, alg)
+    resolvers = tuple((time_leaf or _time_leaf)(leaf, cfg) for leaf in leaves)
+    point = alg.point
 
     def integrate(s: Scenario) -> float:
         slots = [resolve(s) for resolve in resolvers]
         paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
-        if paths:
-            values = []
-            for t in nodes:
-                for i, tp in paths:
-                    slots[i] = _point(_path_value(tp, t, T))
-                values.append(combine(slots)[0])
-        else:  # nothing moves with t
-            values = [combine(slots)[0]] * len(nodes)
+
+        def at(t: float):
+            for i, tp in paths:
+                slots[i] = point(_path_value(tp, t, T))
+            return combine(slots)[0]
+
+        if not paths:  # nothing moves with t
+            fixed = combine(slots)[0]
+            at = lambda t: fixed  # noqa: E731
         total = 0.0
+        prev = at(nodes[0])
         for i in range(1, len(nodes)):
-            total += 0.5 * (values[i - 1] + values[i]) * (nodes[i] - nodes[i - 1])
+            value = at(nodes[i])
+            total += 0.5 * (prev + value) * (nodes[i] - nodes[i - 1])
+            prev = value
         return total
 
     return integrate
@@ -539,12 +587,14 @@ def _state_leaf(leaf: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
     return lambda s, ctx, notes: _point(integrate(s))
 
 
-def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
+def compile_expression(expr: Expr, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR,
+                       state_leaf: Optional[Callable] = None) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
-    overlay: the result maps (scenario, context, notes) to an interval."""
+    overlay: the result maps (scenario, context, notes) to an interval.
+    ``state_leaf`` resolves the leaves for ``alg`` (default: :func:`_state_leaf`)."""
     leaves: dict = {}
-    combine = _combine(expr, leaves, cfg.intersection)
-    getters = tuple(_state_leaf(leaf, cfg) for leaf in leaves)
+    combine = _combine(expr, leaves, cfg.intersection, alg)
+    getters = tuple((state_leaf or _state_leaf)(leaf, cfg) for leaf in leaves)
     if expr in leaves:  # a bare leaf needs no combining
         return getters[0]
 

@@ -32,7 +32,7 @@ from .conditions import (
 )
 from .config import RunConfig
 from .errors import DismedError, ParseError, ValidationError
-from .io import load_scenario
+from .io import load_scenario, read_json
 from .model import ValidationReport, validate_scenario
 from .optimizer import Bounds, OptResult, OptimizerConfig, ParetoPoint, optimize_broker, pareto_sweep
 from .simulate import DistributionSpec, SensitivityResult, SweepStats, run_sweep, sensitivity
@@ -43,21 +43,12 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-def _load_json_file(path: str, what: str) -> Any:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} file {path}: malformed JSON: {exc}") from exc
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get("DISMED_CONFIG")
     if not path:
         cfg = RunConfig()
     else:
-        cfg = RunConfig.from_dict(_load_json_file(path, "config"))
+        cfg = RunConfig.from_dict(read_json(path, "config"))
     if args.format:
         cfg = cfg.with_overrides(output_format=args.format)
     return cfg
@@ -190,7 +181,7 @@ def _cmd_conditions(args, cfg: RunConfig) -> int:
 
 def _cmd_optimize(args, cfg: RunConfig) -> int:
     scenario = load_scenario(args.scenario)
-    bounds = Bounds.from_dict(_load_json_file(args.bounds, "bounds"))
+    bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
     result = optimize_broker(scenario, bounds, OptimizerConfig())
     render_report(result, cfg.output_format, args.out)
     if not result.feasible:
@@ -202,7 +193,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 def _cmd_pareto(args, cfg: RunConfig) -> int:
     scenario = load_scenario(args.scenario)
-    bounds = Bounds.from_dict(_load_json_file(args.bounds, "bounds"))
+    bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
     frontier = pareto_sweep(scenario, bounds, args.points, OptimizerConfig())
     render_report(frontier, cfg.output_format, args.out)
     if not frontier:
@@ -213,7 +204,7 @@ def _cmd_pareto(args, cfg: RunConfig) -> int:
 
 def _cmd_sweep(args, cfg: RunConfig) -> int:
     scenario = load_scenario(args.scenario)
-    dist = DistributionSpec.from_dict(_load_json_file(args.dist, "distribution"))
+    dist = DistributionSpec.from_dict(read_json(args.dist, "distribution"))
     stats = run_sweep(scenario, dist, args.n, args.seed, cfg, workers=args.workers)
     render_report(stats, cfg.output_format, args.out)
     return EXIT_OK

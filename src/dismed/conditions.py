@@ -743,8 +743,7 @@ def _compile_part(part: Part, cfg: RunConfig) -> Callable[[Scenario, list], Part
     return trace
 
 
-def _compile_condition(cid: ConditionId, cfg: RunConfig) -> CompiledCondition:
-    form = build_form(cid, cfg)
+def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> CompiledCondition:
     form_notes = form.notes
     parts = tuple(_compile_part(p, cfg) for p in form.parts)
     guard = None
@@ -785,15 +784,27 @@ def _compile_condition(cid: ConditionId, cfg: RunConfig) -> CompiledCondition:
 
 
 @lru_cache(maxsize=_COMPILED_CONFIGS)
-def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, CompiledCondition]:
+def _compiled_table(cfg: RunConfig,
+                    fingerprint: str) -> dict[ConditionId, tuple[Form, CompiledCondition]]:
     # The fingerprint is in the key because configs can compare equal yet
     # print differently (rel_tol 1 and 1.0), and notes quote the config.
-    return {cid: _compile_condition(cid, cfg) for cid in ALL_CONDITION_IDS}
+    table = {}
+    for cid in ALL_CONDITION_IDS:
+        form = build_form(cid, cfg)
+        table[cid] = form, _compile_condition(cid, form, cfg)
+    return table
+
+
+def config_forms(cfg: RunConfig) -> tuple[Form, ...]:
+    """The forms of all 44 conditions under ``cfg``, in registry order, as
+    built once for the config's compiled table."""
+    table = _compiled_table(cfg, cfg.fingerprint)
+    return tuple(table[cid][0] for cid in ALL_CONDITION_IDS)
 
 
 def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    return _compiled_table(cfg, cfg.fingerprint)[cid](s)
+    return _compiled_table(cfg, cfg.fingerprint)[cid][1](s)
 
 
 def _aggregate(verdicts: Sequence[ConditionVerdict], cfg: RunConfig) -> SetDecision:

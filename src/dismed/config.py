@@ -19,6 +19,9 @@ INTERSECTION_MODES = ("product", "min")
 GUARD_MODES = ("vacuous", "skip", "violated")
 OUTPUT_FORMATS = ("json", "csv")
 
+#: Largest horizon_T / horizon_dt: S13's integrals visit about that many nodes.
+MAX_HORIZON_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,6 +59,9 @@ class RunConfig:
             raise ParseError(f"quorum = {self.quorum} must lie in (0, 1]")
         if not (self.horizon_T > 0 and 0 < self.horizon_dt <= self.horizon_T):
             raise ParseError("require horizon_T > 0 and 0 < horizon_dt <= horizon_T")
+        if self.horizon_T / self.horizon_dt > MAX_HORIZON_NODES:
+            raise ParseError(f"horizon_T / horizon_dt = {self.horizon_T / self.horizon_dt:g} "
+                             f"exceeds {MAX_HORIZON_NODES} horizon nodes")
         if self.rel_tol <= 0 or self.zero_tol < 0 or self.fd_step_scale <= 0:
             raise ParseError("tolerances must be positive (zero_tol may be 0)")
         for name, value, allowed in (

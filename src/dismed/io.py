@@ -173,18 +173,21 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
     return scenario
 
 
+def read_json(path: str | Path, what: str) -> Any:
+    """Parse a UTF-8 JSON file; every way the file can fail is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
+        raise ParseError(f"{what} file {path}: malformed JSON: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load, parse and validate a scenario file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
-    return scenario_from_dict(data, default_label=path.stem)
+    return scenario_from_dict(read_json(path, "scenario"), default_label=Path(path).stem)
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:

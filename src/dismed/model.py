@@ -317,7 +317,9 @@ def eval_response(r: ResponseFunction, x: float) -> float:
     return y0 + t * (y1 - y0)
 
 
-def _validate_responses(s: Scenario, bad) -> None:
+def checked_responses(s: Scenario, bad):
+    """Yield ``(r, driver parts, context)`` for each response whose structure
+    is valid, in order; report every other one through ``bad``."""
     seen: set[tuple[str, str, str]] = set()
     for r in s.responses:
         ident = f"({r.driven}, {r.driver}, {r.context})"
@@ -358,15 +360,16 @@ def _validate_responses(s: Scenario, bad) -> None:
         else:
             bad("ResponseKind", f"response {ident}: unknown kind {r.kind!r}")
             continue
+        yield r, parts, None if r.context == "base" else r.context
 
+
+def _validate_responses(s: Scenario, bad) -> None:
+    for r, parts, ctx in checked_responses(s, bad):
+        ident = f"({r.driven}, {r.driver}, {r.context})"
         # Consistency: the link must pass through the scenario's stored point,
         # evaluated in the link's own context.
-        ctx = None if r.context == "base" else r.context
-        try:
-            x0 = s.bundle_value(parts, ctx)
-            y0 = s.value(r.driven, ctx)
-        except KeyError:
-            continue
+        x0 = s.bundle_value(parts, ctx)
+        y0 = s.value(r.driven, ctx)
         if _finite(x0) and _finite(y0):
             y_hat = eval_response(r, x0)
             if abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * max(1.0, abs(y0)):

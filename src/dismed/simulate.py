@@ -14,6 +14,7 @@ satisfiable under continuous marginals.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -24,7 +25,6 @@ from .conditions import (
     ALL_CONDITION_IDS,
     ConditionId,
     ConditionSet,
-    SetDecision,
     Status,
     condition_margin,
     decide,
@@ -32,12 +32,14 @@ from .conditions import (
 )
 from .config import RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
+from .io import _number
 from .model import SYMBOLS, Scenario, validate_scenario, with_values
 
 STREAM_ALGORITHM = "numpy SeedSequence([seed, draw_index]) -> PCG64"
 MAX_REJECTIONS_PER_DRAW = 1000
 
-_MARGINAL_KINDS = ("point", "uniform", "normal")
+#: Marginal kind -> its parameters.
+_MARGINAL_PARAMS = {"point": ("value",), "uniform": ("lo", "hi"), "normal": ("mean", "sd")}
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,12 @@ class Marginal:
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _MARGINAL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _MARGINAL_PARAMS:
             raise ParseError(f"unknown marginal kind {self.kind!r}")
+        for name in ("value", "lo", "hi", "mean", "sd"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ParseError(f"{self.kind} marginal: {name} = {v!r} must be a finite number")
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise ParseError(f"uniform marginal needs lo <= hi, got [{self.lo}, {self.hi}]")
         if self.kind == "normal" and not self.sd > 0:
@@ -76,21 +82,16 @@ class Marginal:
         if not isinstance(data, dict) or "kind" not in data:
             raise ParseError(f"{where}: marginal must be an object with a 'kind'")
         kind = data["kind"]
-        allowed = {"point": {"kind", "value"}, "uniform": {"kind", "lo", "hi"},
-                   "normal": {"kind", "mean", "sd"}}
-        if kind not in allowed:
+        if not isinstance(kind, str) or kind not in _MARGINAL_PARAMS:
             raise ParseError(f"{where}: unknown marginal kind {kind!r}")
-        unknown = set(data) - allowed[kind]
+        params = _MARGINAL_PARAMS[kind]
+        unknown = set(data) - {"kind", *params}
         if unknown:
             raise ParseError(f"{where}: unknown marginal key(s) {sorted(unknown)}")
-        try:
-            if kind == "point":
-                return cls(kind=kind, value=float(data["value"]))
-            if kind == "uniform":
-                return cls(kind=kind, lo=float(data["lo"]), hi=float(data["hi"]))
-            return cls(kind=kind, mean=float(data["mean"]), sd=float(data["sd"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: bad marginal parameters: {exc}") from exc
+        missing = [p for p in params if p not in data]
+        if missing:
+            raise ParseError(f"{where}: missing marginal parameter(s) {missing}")
+        return cls(kind=kind, **{p: _number(data[p], f"{where}.{p}") for p in params})
 
 
 @dataclass(frozen=True)
@@ -180,29 +181,47 @@ class SweepStats:
         }
 
 
-def _sweep_chunk(args) -> tuple[dict, dict, int]:
-    base, dist, seed, start, stop, cfg = args
-    sat = {cid.label: 0 for cid in ALL_CONDITION_IDS}
-    ind = {cid.label: 0 for cid in ALL_CONDITION_IDS}
-    set_sat = {cset.value: 0 for cset in ConditionSet}
-    set_ind = {cset.value: 0 for cset in ConditionSet}
-    rejections = 0
+def _replay(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop: int,
+            cfg: RunConfig):
+    """Draws start..stop-1 through draw_scenario and decide, as batch codes;
+    raises what the scalar path raises, from the same draw."""
+    from .batch import DECISIONS, STATUSES, Evaluation
+
+    statuses, decisions, rejections = [], [], []
     for i in range(start, stop):
         sc, rej = draw_scenario(base, dist, seed, i)
-        rejections += rej
-        summary = decide(sc, cfg)
-        for cset in ConditionSet:
-            report = summary.reports[cset.value]
-            if report.aggregate == SetDecision.SATISFIED:
-                set_sat[cset.value] += 1
-            elif report.aggregate == SetDecision.INDETERMINATE:
-                set_ind[cset.value] += 1
-            for v in report.verdicts:
-                if v.status in (Status.SATISFIED, Status.VACUOUS):
-                    sat[v.id.label] += 1
-                elif v.status == Status.INDETERMINATE:
-                    ind[v.id.label] += 1
-    return {"sat": sat, "ind": ind}, {"sat": set_sat, "ind": set_ind}, rejections
+        reports = decide(sc, cfg).reports.values()
+        statuses.append([STATUSES.index(v.status) for r in reports for v in r.verdicts])
+        decisions.append([DECISIONS.index(r.aggregate) for r in reports])
+        rejections.append(rej)
+    return Evaluation(np.array(statuses), np.array(decisions), np.array(rejections))
+
+
+def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Counts over draws start..stop-1: per condition satisfied (vacuous
+    included) and indeterminate, per set satisfied and indeterminate, and
+    rejections. Blocks of draws go through the batch path; a block it cannot
+    decide is replayed through the scalar path."""
+    from . import batch  # the array path, imported only by sweeps
+
+    base, dist, seed, start, stop, cfg = args
+    held = np.zeros(len(ALL_CONDITION_IDS), dtype=np.int64)
+    undecided = np.zeros_like(held)
+    set_held = np.zeros(len(ConditionSet), dtype=np.int64)
+    set_undecided = np.zeros_like(set_held)
+    rejections = 0
+    for a in range(start, stop, batch.ROWS):
+        b = min(stop, a + batch.ROWS)
+        ev = batch.evaluate(base, dist, seed, a, b, cfg)
+        if ev is None:
+            ev = _replay(base, dist, seed, a, b, cfg)
+        st = ev.statuses
+        held += ((st == batch.SATISFIED) | (st == batch.VACUOUS)).sum(axis=0)
+        undecided += (st == batch.INDETERMINATE).sum(axis=0)
+        set_held += (ev.decisions == batch.SET_SATISFIED).sum(axis=0)
+        set_undecided += (ev.decisions == batch.SET_INDETERMINATE).sum(axis=0)
+        rejections += int(ev.rejections.sum())
+    return held, undecided, set_held, set_undecided, rejections
 
 
 def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
@@ -220,32 +239,17 @@ def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(_sweep_chunk, chunks))
-
-    sat = {cid.label: 0 for cid in ALL_CONDITION_IDS}
-    ind = {cid.label: 0 for cid in ALL_CONDITION_IDS}
-    set_sat = {cset.value: 0 for cset in ConditionSet}
-    set_ind = {cset.value: 0 for cset in ConditionSet}
-    rejections = 0
-    for cond_counts, set_counts, rej in results:
-        rejections += rej
-        for k, v in cond_counts["sat"].items():
-            sat[k] += v
-        for k, v in cond_counts["ind"].items():
-            ind[k] += v
-        for k, v in set_counts["sat"].items():
-            set_sat[k] += v
-        for k, v in set_counts["ind"].items():
-            set_ind[k] += v
+    held, undecided, set_held, set_undecided, rejections = (sum(c) for c in zip(*results))
 
     per_condition = {
-        cid.label: {"frequency": sat[cid.label] / n,
-                    "indeterminate_rate": ind[cid.label] / n}
-        for cid in ALL_CONDITION_IDS
+        cid.label: {"frequency": int(held[k]) / n,
+                    "indeterminate_rate": int(undecided[k]) / n}
+        for k, cid in enumerate(ALL_CONDITION_IDS)
     }
     per_set = {
-        cset.value: {"satisfied_rate": set_sat[cset.value] / n,
-                     "indeterminate_rate": set_ind[cset.value] / n}
-        for cset in ConditionSet
+        cset.value: {"satisfied_rate": int(set_held[k]) / n,
+                     "indeterminate_rate": int(set_undecided[k]) / n}
+        for k, cset in enumerate(ConditionSet)
     }
     return SweepStats(n=n, seed=seed, stream=STREAM_ALGORITHM,
                       rejections=rejections, per_condition=per_condition,

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, formats, config resolution."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -201,3 +203,50 @@ def test_validate_csv_format(capsys, fixtures_dir):
     lines = out.strip().splitlines()
     assert lines[0] == "code,message"
     assert lines[1].startswith("CommissionOutOfRange")
+
+
+def _long_integer_json(fixtures_dir) -> bytes:
+    text = (fixtures_dir / "all_three_satisfied.json").read_text(encoding="utf-8")
+    return text.replace('"psi_b": 5.0', '"psi_b": ' + "7" * 5000).encode("utf-8")
+
+
+@pytest.mark.parametrize("role", ["scenario", "config"])
+def test_file_that_is_not_utf8_exits_2(capsys, fixtures_dir, tmp_path, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"P": \xff}')
+    scenario = bad if role == "scenario" else fixtures_dir / "all_three_satisfied.json"
+    argv = ["decide", str(scenario)] + (["--config", str(bad)] if role == "config" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("role", ["scenario", "bounds"])
+def test_integer_too_long_to_convert_exits_2(capsys, fixtures_dir, tmp_path, role):
+    bad = tmp_path / "long.json"
+    if role == "scenario":
+        bad.write_bytes(_long_integer_json(fixtures_dir))
+        argv = ["decide", str(bad)]
+    else:
+        bad.write_text('{"B_b": [0, ' + "7" * 5000 + "]}")
+        argv = ["optimize", str(fixtures_dir / "broker_opt.json"), "--bounds", str(bad)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "malformed JSON" in err
+
+
+@pytest.mark.parametrize("marginal", [
+    '{"kind": "uniform", "lo": "0.1", "hi": true}',
+    '{"kind": "normal", "mean": 1.0, "sd": Infinity}',
+])
+def test_sweep_with_non_numeric_or_infinite_marginal_exits_2(capsys, fixtures_dir, tmp_path,
+                                                             marginal):
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text('{"marginals": {"SC_b": ' + marginal + "}}")
+    code, out, err = run(capsys, "sweep", str(fixtures_dir / "all_three_satisfied.json"),
+                         "--dist", str(dist_path), "-n", "5", "--seed", "1")
+    assert code == 2 and out == "" and "marginal" in err
+
+
+def test_commands_that_do_not_sweep_never_import_the_batch_path():
+    probe = ("import sys, dismed.cli; "
+             "sys.exit('dismed.batch' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0

@@ -6,6 +6,9 @@ The files under ``tests/golden/`` hold:
   text for the four ``all_*`` fixtures under three configs;
 * ``sweep_acceptance6.json``: the acceptance-6 sweep payload
   (``json.dumps(run_sweep(...).to_dict())``);
+* ``sweep_wide.json``: sweep payloads over 13 marginals in every symbol group
+  (with rejections, a derived ``I`` and listing-state overlays that the moving
+  ``E_m`` switches between), one per config in ``WIDE_CONFIGS``;
 * ``decide_digests.txt``: one sha256 per ``decide`` payload over 200 seeded
   ``random_scenario`` / ``drop_responses`` scenarios, plus a few time-path
   scenarios (an evaluation that raises is pinned by its exception text).
@@ -32,6 +35,7 @@ if str(TESTS_DIR) not in sys.path:
 from dismed import RunConfig, decide, run_sweep  # noqa: E402
 from dismed.cli import render_report  # noqa: E402
 from dismed.io import load_scenario, scenario_from_dict  # noqa: E402
+from dismed.model import split_driver  # noqa: E402
 from dismed.simulate import DistributionSpec  # noqa: E402
 
 from fixture_defs import fixture_dict  # noqa: E402
@@ -82,6 +86,52 @@ def sweep_golden() -> str:
         {"marginals": {"rho_s": {"kind": "uniform", "lo": 0.35, "hi": 0.85}}})
     stats = run_sweep(base, dist, n=200, seed=424242, cfg=RunConfig(), workers=1)
     return json.dumps(stats.to_dict())
+
+
+WIDE_MARGINALS = {
+    "P_b": {"kind": "normal", "mean": 10.0, "sd": 3.0},
+    "c": {"kind": "uniform", "lo": 0.2, "hi": 1.05},
+    "B_n": {"kind": "uniform", "lo": 0.1, "hi": 0.4},
+    "I_p": {"kind": "uniform", "lo": 1.5, "hi": 2.5},
+    "I_o": {"kind": "uniform", "lo": 4.0, "hi": 9.0},
+    "psi_b": {"kind": "uniform", "lo": 4.7, "hi": 5.2},
+    "psi_s": {"kind": "uniform", "lo": 1.5, "hi": 2.5},
+    "U_sa": {"kind": "normal", "mean": 1.1, "sd": 0.3},
+    "pi_i": {"kind": "uniform", "lo": 0.3, "hi": 0.8},
+    "E_m": {"kind": "uniform", "lo": -0.5, "hi": 2.5},
+    "rho_s": {"kind": "normal", "mean": 0.75, "sd": 0.15},
+    "u_hat": {"kind": "uniform", "lo": 0.3, "hi": 0.9},
+    "SC_s": {"kind": "normal", "mean": 25.0, "sd": 5.0},
+}
+WIDE_OVERLAYS = {
+    "E_s": {"P_s": 10.4, "U_iw": 1.9, "psi_s": 1.85},
+    "E_p": {"P_s": 9.0, "psi_b": 4.8, "rho_p": 0.55, "U_ip": 3.5},
+    "E_m": {"P_s": 9.9, "c": 0.25, "I": 9.0, "I_p": 1.0, "I_i": 8.0, "U_iw": 1.5},
+}
+WIDE_CONFIGS = {
+    "default": {},
+    "min_skip_joint": CONFIGS["min_skip_joint"],
+    "quorum": json.loads((FIXTURES_DIR / "config_quorum.json").read_text(encoding="utf-8")),
+}
+WIDE_N, WIDE_SEED = 250, 20261018
+
+
+def wide_sweep_case():
+    """Base and distribution of the wide sweep: responses that touch a sampled
+    symbol are dropped, so no draw is rejected for moving a response anchor."""
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text(encoding="utf-8"))
+    data["responses"] = [r for r in data["responses"]
+                         if not ({r["driven"], *split_driver(r["driver"])} & WIDE_MARGINALS.keys())]
+    data["overlays"] = WIDE_OVERLAYS
+    data["label"] = "sweep_wide"
+    return scenario_from_dict(data), DistributionSpec.from_dict({"marginals": WIDE_MARGINALS})
+
+
+def wide_sweep_golden(workers: int = 1) -> str:
+    base, dist = wide_sweep_case()
+    return json.dumps({name: run_sweep(base, dist, n=WIDE_N, seed=WIDE_SEED,
+                                       cfg=RunConfig(**overrides), workers=workers).to_dict()
+                       for name, overrides in WIDE_CONFIGS.items()})
 
 
 def _time_path_scenarios():
@@ -144,6 +194,13 @@ def test_sweep_payload_matches_golden():
     assert got == expected, _first_difference(expected, got, "sweep_acceptance6.json")
 
 
+def test_wide_sweep_payload_matches_golden_across_workers():
+    expected = (GOLDEN_DIR / "sweep_wide.json").read_text(encoding="utf-8")
+    for workers in (1, 2, 3):
+        got = wide_sweep_golden(workers)
+        assert got == expected, _first_difference(expected, got, "sweep_wide.json")
+
+
 def test_decide_digests_match_golden():
     expected = (GOLDEN_DIR / "decide_digests.txt").read_text(encoding="utf-8").splitlines()
     got = decide_digests()
@@ -157,6 +214,7 @@ def write_goldens() -> None:
     for name, text in decide_goldens().items():
         (GOLDEN_DIR / "decide" / name).write_text(text, encoding="utf-8")
     (GOLDEN_DIR / "sweep_acceptance6.json").write_text(sweep_golden(), encoding="utf-8")
+    (GOLDEN_DIR / "sweep_wide.json").write_text(wide_sweep_golden(), encoding="utf-8")
     (GOLDEN_DIR / "decide_digests.txt").write_text(
         "\n".join(decide_digests()) + "\n", encoding="utf-8")
 

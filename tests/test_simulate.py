@@ -1,10 +1,14 @@
 """Seeded sampling, sweep statistics, and sensitivity analysis."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import dismed.simulate
 from dismed import (
     ConditionId,
     DistributionSpec,
@@ -13,16 +17,23 @@ from dismed import (
     ParseError,
     RejectionLimit,
     RunConfig,
+    decide,
     run_sweep,
     sample_scenarios,
     sensitivity,
     validate_scenario,
     with_values,
 )
+from dismed import batch, conditions
+from dismed.calculus import Axis, Const, Deriv, Div, MaxE, Sym
+from dismed.conditions import Form, Part
+from dismed.errors import DismedError, DivisionByZeroInterval
 from dismed.io import scenario_from_dict
+from dismed.model import SYMBOLS, ResponseFunction, eval_response, split_driver
 from dismed.simulate import draw_scenario
 
 from fixture_defs import fixture_dict
+from test_golden import DIGEST_CONFIGS, FIXTURES_DIR, WIDE_OVERLAYS, wide_sweep_case
 
 CFG = RunConfig()
 
@@ -93,6 +104,31 @@ def test_marginal_parameter_validation():
         Marginal(kind="normal", mean=0.0, sd=0.0)
     with pytest.raises(ParseError):
         dist(c={"kind": "uniform", "lo": 0.1, "hi": 0.5, "value": 3.0})
+
+
+@pytest.mark.parametrize("marginal", [
+    {"kind": "uniform", "lo": "0.1", "hi": True},
+    {"kind": "uniform", "lo": 0.1, "hi": True},
+    {"kind": "point", "value": "3"},
+    {"kind": "point", "value": [3.0]},
+    {"kind": "normal", "mean": None, "sd": 1.0},
+    {"kind": "normal", "mean": 1.0, "sd": math.inf},
+    {"kind": "normal", "mean": math.nan, "sd": 1.0},
+    {"kind": "uniform", "lo": -math.inf, "hi": 1.0},
+    {"kind": "point", "value": 10 ** 400},
+    {"kind": "uniform", "lo": 0.1},
+    {"kind": ["uniform"], "lo": 0.1, "hi": 0.2},
+])
+def test_marginal_parameters_are_finite_numbers(marginal):
+    with pytest.raises(ParseError):
+        dist(c=marginal)
+
+
+def test_marginal_constructor_rejects_non_finite_parameters():
+    with pytest.raises(ParseError, match="sd"):
+        Marginal(kind="normal", mean=1.0, sd=math.inf)
+    with pytest.raises(ParseError, match="value"):
+        Marginal(kind="point", value=math.nan)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -217,3 +253,181 @@ def test_draw_scenario_deterministic(base_scenario):
     a, ra = draw_scenario(base_scenario, d, seed=5, index=3)
     b, rb = draw_scenario(base_scenario, d, seed=5, index=3)
     assert a == b and ra == rb
+
+
+# --- the batch path -------------------------------------------------------------
+
+# Configs of the golden outputs, plus config_quorum.json's quorum aggregation,
+# alone and with guard failures excluded from it.
+QUORUM = json.loads((FIXTURES_DIR / "config_quorum.json").read_text())
+EQUIVALENCE_CONFIGS = [RunConfig(**overrides) for overrides in DIGEST_CONFIGS.values()] + [
+    RunConfig.from_dict(QUORUM), RunConfig.from_dict(dict(QUORUM, guard_mode="skip"))]
+
+
+def _piecewise(r: dict, values: dict) -> dict:
+    """A three-knot piecewise-linear link through r's base point, on r's curve."""
+    x0 = sum(values[p] for p in split_driver(r["driver"]))
+    poly = ResponseFunction(r["driven"], r["driver"], "polynomial", tuple(r["coeffs"]))
+    knots = [[x, eval_response(poly, x)] for x in (x0 - 0.75, x0 + 0.5)]
+    knots.insert(1, [x0, values[r["driven"]]])
+    return {"driven": r["driven"], "driver": r["driver"], "kind": "piecewise_linear",
+            "knots": knots, "context": "base"}
+
+
+@st.composite
+def wide_distributions(draw):
+    """A base with the listing-state overlays of the wide golden and 10-16
+    marginals around its values. Responses touching a sampled symbol go,
+    except for "tiny" marginals, which move an anchor by about the
+    consistency tolerance, so that some of their draws are rejected; "I" is
+    only ever tiny, next to tiny or unsampled I_p and I_i. Point masses may
+    copy another symbol's value, to make ties. Some kept links become
+    piecewise linear."""
+    data = fixture_dict("batch_equivalence")
+    values = dict(data)
+    if draw(st.booleans()):
+        data["overlays"] = WIDE_OVERLAYS
+    names = draw(st.lists(st.sampled_from(sorted(SYMBOLS)), min_size=10, max_size=16,
+                          unique=True))
+    tiny = set(draw(st.lists(st.sampled_from(names), max_size=3, unique=True)))
+    if "I" in names:
+        names = [n for n in names if n not in ("I_p", "I_i") or n in tiny]
+        tiny.add("I")
+    marginals = {}
+    for name in names:
+        v = values[name]
+        if name in tiny:
+            eps = abs(v) * 10 ** draw(st.floats(-13.0, -10.0))
+            marginals[name] = {"kind": "uniform", "lo": v - eps, "hi": v + eps}
+            continue
+        width = draw(st.floats(0.0, 0.6)) * abs(v) + 0.05
+        kind = draw(st.sampled_from(("uniform", "normal", "point")))
+        if kind == "uniform":
+            marginals[name] = {"kind": kind, "lo": v - width, "hi": v + width}
+        elif kind == "normal":
+            marginals[name] = {"kind": kind, "mean": v, "sd": width}
+        else:
+            value = draw(st.one_of(st.sampled_from(sorted(values[k] for k in SYMBOLS)),
+                                   st.floats(-1.0, 1.0).map(lambda t: v + t * width)))
+            marginals[name] = {"kind": kind, "value": value}
+    moved = marginals.keys() - tiny
+    data["responses"] = [_piecewise(r, values) if draw(st.booleans()) else r
+                         for r in data["responses"]
+                         if not ({r["driven"], *split_driver(r["driver"])} & moved)]
+    return scenario_from_dict(data), DistributionSpec.from_dict({"marginals": marginals})
+
+
+def _scalar_codes(base, d, seed, n, cfg):
+    """The scalar path's statuses, set decisions and rejections per draw."""
+    ev = dismed.simulate._replay(base, d, seed, 0, n, cfg)
+    return ev.statuses.tolist(), ev.decisions.tolist(), ev.rejections.tolist()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_distributions(), st.integers(0, 2 ** 32 - 1), st.sampled_from(EQUIVALENCE_CONFIGS))
+def test_batch_path_equals_scalar_decide_draw_by_draw(case, seed, cfg):
+    base, d = case
+    n = 24
+    try:
+        expected = _scalar_codes(base, d, seed, n, cfg)
+    except DismedError:
+        assume(False)  # the scalar path raises: the replay test covers that
+    ev = batch.evaluate(base, d, seed, 0, n, cfg)
+    assert ev is not None
+    statuses, decisions, rejections = expected
+    for i in range(n):
+        assert ev.statuses[i].tolist() == statuses[i], i
+        assert ev.decisions[i].tolist() == decisions[i], i
+        assert int(ev.rejections[i]) == rejections[i], i
+
+
+@pytest.mark.parametrize("ties", [
+    # three-way listing-state tie, and a max-axis tie whose two sides differ
+    # in their links (SC_b's psi_b link is dropped because psi_b is sampled)
+    {"E_m": {"kind": "point", "value": 2.0}, "E_p": {"kind": "point", "value": 2.0},
+     "psi_b": {"kind": "point", "value": 4.9}},
+    # comparisons at equality: U_ip < U_iw, psi_s > psi_si, rho_s > rho_p
+    {"U_ip": {"kind": "point", "value": 3.0}, "psi_s": {"kind": "point", "value": 1.9},
+     "rho_s": {"kind": "point", "value": 0.6}},
+])
+@pytest.mark.parametrize("cfg", [CFG, RunConfig(aggregation="quorum", quorum=0.5),
+                                 RunConfig(aggregation="quorum", quorum=0.75, guard_mode="skip")])
+def test_batch_path_breaks_ties_as_scalar_decide(ties, cfg):
+    _, wide = wide_sweep_case()
+    marginals = dict({k: m.to_dict() for k, m in wide.marginals.items()}, **ties)
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
+    data["overlays"] = WIDE_OVERLAYS
+    data["responses"] = [r for r in data["responses"]
+                         if not ({r["driven"], *split_driver(r["driver"])} & marginals.keys())]
+    base = scenario_from_dict(data)
+    d = DistributionSpec.from_dict({"marginals": marginals})
+    n, seed = 60, 11
+    statuses, decisions, rejections = _scalar_codes(base, d, seed, n, cfg)
+    ev = batch.evaluate(base, d, seed, 0, n, cfg)
+    assert ev.statuses.tolist() == statuses
+    assert ev.decisions.tolist() == decisions
+    assert ev.rejections.tolist() == rejections
+
+
+@pytest.mark.parametrize("name", ["rho_s", "E_m", "c", "I_p", "psi_b", "I_o", "P"])
+def test_batch_path_equals_scalar_decide_for_one_marginal(name):
+    # every other symbol is the same plain value in every draw
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
+    data["overlays"] = WIDE_OVERLAYS
+    data["responses"] = [r for r in data["responses"]
+                         if name not in {r["driven"], *split_driver(r["driver"])}]
+    base = scenario_from_dict(data)
+    v = data[name]
+    d = dist(**{name: {"kind": "uniform", "lo": v - 0.5 * abs(v) - 0.5, "hi": v + 0.5 * abs(v)}})
+    statuses, decisions, rejections = _scalar_codes(base, d, 4, 50, CFG)
+    ev = batch.evaluate(base, d, 4, 0, 50, CFG)
+    assert ev.statuses.tolist() == statuses
+    assert ev.decisions.tolist() == decisions
+    assert ev.rejections.tolist() == rejections
+
+
+def test_wide_sweep_runs_without_replay(monkeypatch):
+    base, d = wide_sweep_case()
+
+    def replay(*args):
+        raise AssertionError("the batch path handed a block to the scalar path")
+    monkeypatch.setattr(dismed.simulate, "_replay", replay)
+    stats = run_sweep(base, d, n=300, seed=5, cfg=CFG)
+    assert stats.rejections > 0
+
+
+def test_rejection_limit_replays_the_scalar_error():
+    base = bare_scenario()
+    d = dist(c={"kind": "uniform", "lo": 1.5, "hi": 2.0})
+    with pytest.raises(RejectionLimit) as scalar:
+        draw_scenario(base, d, 8, 0)
+    assert batch.evaluate(base, d, 8, 0, 4, CFG) is None
+    with pytest.raises(RejectionLimit) as swept:
+        run_sweep(base, d, n=4, seed=8, cfg=CFG)
+    assert str(swept.value) == str(scalar.value)
+
+
+def test_zero_divisor_replays_the_scalar_error(monkeypatch):
+    # 1 / max(E_m, d SC_b/d max(psi_bi, psi_b)): where psi_b wins the
+    # derivative is unknown, so the divisor is [E_m, inf], which holds 0 when
+    # E_m <= 0. The message quotes E_m and so names the draw.
+    divisor = MaxE((Sym("E_m"), Deriv(Sym("SC_b"), Axis.max_of("psi_bi", "psi_b"), 1)))
+    form = Form(None, (Part("1 / divisor > 0", "gt", Div(Const(1.0), divisor), Const(0.0)),))
+    monkeypatch.setitem(conditions._BUILDERS, "B5", lambda cfg: form)
+    cfg = RunConfig(rel_tol=0.0390625)  # compiled by no other test
+    base, _ = wide_sweep_case()
+    d = dist(psi_b={"kind": "uniform", "lo": 4.7, "hi": 5.2},
+             E_m={"kind": "uniform", "lo": -0.5, "hi": 0.8})
+    seed, n = 3, 40
+    first = None
+    for i in range(n):
+        try:
+            decide(draw_scenario(base, d, seed, i)[0], cfg)
+        except DivisionByZeroInterval as exc:
+            first = i, str(exc)
+            break
+    assert first is not None and first[0] > 0
+    assert batch.evaluate(base, d, seed, 0, n, cfg) is None
+    with pytest.raises(DivisionByZeroInterval) as swept:
+        run_sweep(base, d, n=n, seed=seed, cfg=cfg)
+    assert str(swept.value) == first[1]
