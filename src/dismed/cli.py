@@ -34,8 +34,9 @@ from .config import RunConfig
 from .errors import DismedError, ParseError, ValidationError
 from .io import load_scenario, read_json
 from .model import ValidationReport, validate_scenario
-from .optimizer import Bounds, OptResult, OptimizerConfig, ParetoPoint, optimize_broker, pareto_sweep
-from .simulate import DistributionSpec, SensitivityResult, SweepStats, run_sweep, sensitivity
+
+# The optimizer and sweep engines are imported by the subcommands that run
+# them, so validate, decide, conditions and sensitivity never load numpy.
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -97,18 +98,10 @@ def _to_csv(result: Any) -> str:
             rows.append([name, "aggregate", report.aggregate.value])
             rows.extend([name, v.id.label, v.status.value] for v in report.verdicts)
         return _csv_text(["set", "id", "status"], rows)
-    if isinstance(result, OptResult):
-        d = result.decision
-        return _csv_text(
-            ["feasible", "objective", "iterations", "mode",
-             "B_b", "B_s", "B_i", "B_n", "state"],
-            [[result.feasible, result.objective, result.iterations, result.mode,
-              *((d.B_b, d.B_s, d.B_i, d.B_n, d.state) if d else (None,) * 5)]])
-    if isinstance(result, list) and all(isinstance(p, ParetoPoint) for p in result):
-        return _csv_text(
-            ["cost", "capital", "B_b", "B_s", "B_i", "B_n", "state"],
-            [[p.cost, p.capital, p.decision.B_b, p.decision.B_s,
-              p.decision.B_i, p.decision.B_n, p.decision.state] for p in result])
+    # The remaining results come from simulate or the optimizer. Simulate's
+    # types are checked first, so a sensitivity CSV never loads the optimizer.
+    from .simulate import SensitivityResult, SweepStats
+
     if isinstance(result, SweepStats):
         return _csv_text(
             ["id", "frequency", "indeterminate_rate"],
@@ -121,6 +114,20 @@ def _to_csv(result: Any) -> str:
              "delta_to_flip", "rel_step"],
             [[d["condition"], d["parameter"], d["status"], d["margin"],
               d["elasticity"], d["delta_to_flip"], d["rel_step"]]])
+    from .optimizer import OptResult, ParetoPoint
+
+    if isinstance(result, OptResult):
+        d = result.decision
+        return _csv_text(
+            ["feasible", "objective", "iterations", "mode",
+             "B_b", "B_s", "B_i", "B_n", "state"],
+            [[result.feasible, result.objective, result.iterations, result.mode,
+              *((d.B_b, d.B_s, d.B_i, d.B_n, d.state) if d else (None,) * 5)]])
+    if isinstance(result, list) and all(isinstance(p, ParetoPoint) for p in result):
+        return _csv_text(
+            ["cost", "capital", "B_b", "B_s", "B_i", "B_n", "state"],
+            [[p.cost, p.capital, p.decision.B_b, p.decision.B_s,
+              p.decision.B_i, p.decision.B_n, p.decision.state] for p in result])
     raise TypeError(f"no CSV rendering for {type(result).__name__}")
 
 
@@ -180,6 +187,8 @@ def _cmd_conditions(args, cfg: RunConfig) -> int:
 
 
 def _cmd_optimize(args, cfg: RunConfig) -> int:
+    from .optimizer import Bounds, OptimizerConfig, optimize_broker
+
     scenario = load_scenario(args.scenario)
     bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
     result = optimize_broker(scenario, bounds, OptimizerConfig())
@@ -192,6 +201,8 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 
 def _cmd_pareto(args, cfg: RunConfig) -> int:
+    from .optimizer import Bounds, OptimizerConfig, pareto_sweep
+
     scenario = load_scenario(args.scenario)
     bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
     frontier = pareto_sweep(scenario, bounds, args.points, OptimizerConfig())
@@ -203,6 +214,8 @@ def _cmd_pareto(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: RunConfig) -> int:
+    from .simulate import DistributionSpec, run_sweep
+
     scenario = load_scenario(args.scenario)
     dist = DistributionSpec.from_dict(read_json(args.dist, "distribution"))
     stats = run_sweep(scenario, dist, args.n, args.seed, cfg, workers=args.workers)
@@ -211,11 +224,26 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sensitivity(args, cfg: RunConfig) -> int:
+    from .simulate import sensitivity
+
     scenario = load_scenario(args.scenario)
-    cid = ConditionId.parse(args.condition)
-    result = sensitivity(scenario, cid, args.param, rel_step=args.rel_step, cfg=cfg)
+    result = sensitivity(scenario, args.condition, args.param, rel_step=args.rel_step, cfg=cfg)
     render_report(result, cfg.output_format, args.out)
     return EXIT_OK
+
+
+def _arg(convert, expected: str, ok=lambda value: True):
+    """An argparse ``type=`` that turns a value ``convert`` or ``ok`` refuses
+    into a usage error (exit 2) instead of a ``ValueError`` from the engine."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,20 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="trace the cost/capital frontier")
     common(p)
     p.add_argument("--bounds", required=True, help="bounds JSON file")
-    p.add_argument("--points", type=int, default=11, help="epsilon levels (k >= 2)")
+    p.add_argument("--points", type=_arg(int, "an integer >= 2", lambda k: k >= 2),
+                   default=11, help="epsilon levels (k >= 2)")
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over a distribution")
     common(p)
     p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.add_argument("-n", type=int, required=True, help="number of draws")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
+    p.add_argument("-n", type=_arg(int, "an integer >= 1", lambda n: n >= 1),
+                   required=True, help="number of draws")
+    p.add_argument("--seed", type=_arg(int, "an integer >= 0", lambda seed: seed >= 0),
+                   required=True, help="master seed")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sensitivity", help="margin/elasticity for one condition")
     common(p)
-    p.add_argument("--condition", required=True, help="condition id, e.g. B5")
+    p.add_argument("--condition", type=_arg(ConditionId.parse, "a condition id such as B5"),
+                   required=True, help="condition id, e.g. B5")
     p.add_argument("--param", required=True, help="symbol to perturb, e.g. psi_b")
-    p.add_argument("--rel-step", type=float, default=0.05, dest="rel_step")
+    p.add_argument("--rel-step", type=_arg(float, "a number in (0, 0.5)", lambda r: 0 < r < 0.5),
+                   default=0.05, dest="rel_step")
 
     return parser
 

@@ -15,11 +15,9 @@ satisfiable under continuous marginals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .conditions import (
     ALL_CONDITION_IDS,
@@ -34,6 +32,9 @@ from .config import RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
 from .io import _number
 from .model import SYMBOLS, Scenario, validate_scenario, with_values
+
+if TYPE_CHECKING:  # numpy is imported where draws are made, so sensitivity runs without it
+    import numpy as np
 
 STREAM_ALGORITHM = "numpy SeedSequence([seed, draw_index]) -> PCG64"
 MAX_REJECTIONS_PER_DRAW = 1000
@@ -124,6 +125,8 @@ class DistributionSpec:
 def draw_scenario(base: Scenario, dist: DistributionSpec, seed: int,
                   index: int) -> tuple[Scenario, int]:
     """One validated draw plus its rejection count (deterministic per index)."""
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     derive_I = (("I_p" in dist.marginals or "I_i" in dist.marginals)
                 and "I" not in dist.marginals)
@@ -185,6 +188,8 @@ def _replay(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop:
             cfg: RunConfig):
     """Draws start..stop-1 through draw_scenario and decide, as batch codes;
     raises what the scalar path raises, from the same draw."""
+    import numpy as np
+
     from .batch import DECISIONS, STATUSES, Evaluation
 
     statuses, decisions, rejections = [], [], []
@@ -202,6 +207,8 @@ def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     included) and indeterminate, per set satisfied and indeterminate, and
     rejections. Blocks of draws go through the batch path; a block it cannot
     decide is replayed through the scalar path."""
+    import numpy as np
+
     from . import batch  # the array path, imported only by sweeps
 
     base, dist, seed, start, stop, cfg = args
@@ -228,6 +235,8 @@ def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
               cfg: RunConfig = RunConfig(), workers: int = 1) -> SweepStats:
     """Evaluate decide() over n seeded draws; counts are order-independent,
     so results are identical across worker counts."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     workers = max(1, int(workers))
@@ -237,7 +246,14 @@ def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
     if len(chunks) == 1:
         results = [_sweep_chunk(chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The chunks stay as asked; no more processes start than there are usable
+        # CPUs (sched_getaffinity is Linux-only; elsewhere count every CPU).
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        processes = min(len(chunks), cpus)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_sweep_chunk, chunks))
     held, undecided, set_held, set_undecided, rejections = (sum(c) for c in zip(*results))
 

@@ -250,3 +250,59 @@ def test_commands_that_do_not_sweep_never_import_the_batch_path():
     probe = ("import sys, dismed.cli; "
              "sys.exit('dismed.batch' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
+_SENSITIVITY = ["sensitivity", "{f}/all_three_satisfied.json", "--param", "psi_b"]
+_PARETO = ["pareto", "{f}/broker_opt.json", "--bounds", "{f}/bounds_bi.json"]
+_SWEEP = ["sweep", "{f}/all_three_satisfied.json", "--dist", "{f}/rho_dist.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SENSITIVITY, "--condition", "Z9"],
+    [*_SENSITIVITY, "--condition", "B99"],
+    [*_SENSITIVITY, "--condition", "Bx"],
+    [*_SENSITIVITY, "--condition", "B5", "--rel-step", "0.7"],
+    [*_PARETO, "--points", "1"],
+    [*_SWEEP, "--seed", "1", "-n", "0"],
+    [*_SWEEP, "-n", "5", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_bad_argument_values_are_usage_errors(capsys, fixtures_dir, argv):
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=fixtures_dir) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: {value!r} is not" in captured.err
+
+
+_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from dismed.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+else:
+    import dismed
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],  # a bare ``import dismed``
+    ["validate", "{f}/all_three_satisfied.json"],
+    ["decide", "{f}/all_three_satisfied.json"],
+    ["conditions", "{f}/all_three_satisfied.json", "--set", "seller"],
+    [*_SENSITIVITY, "--condition", "B5"],
+    [*_SENSITIVITY, "--condition", "B5", "--format", "csv"],
+], ids=["import-dismed", "validate", "decide", "conditions", "sensitivity", "sensitivity-csv"])
+def test_scalar_commands_never_import_the_engines_they_do_not_run(fixtures_dir, argv):
+    argv = [a.format(f=fixtures_dir) for a in argv]
+    watched = ["numpy", "concurrent.futures", "dismed.optimizer", "dismed.batch",
+               "dismed.simulate"]
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # sensitivity runs in simulate, on its scalar path
+    assert json.loads(done.stdout) == (["dismed.simulate"] if argv[:1] == ["sensitivity"] else [])

@@ -171,6 +171,44 @@ def test_sweep_is_byte_identical_across_runs_and_workers(base_scenario):
     assert len(set(payloads)) == 1
 
 
+@pytest.mark.parametrize("workers, n, cpus, processes, edges", [
+    (3, 32, {0, 1}, 2, [0, 10, 21, 32]),
+    (10_000, 40, {0, 1, 2}, 3, list(range(41))),
+])
+def test_sweep_starts_no_more_processes_than_usable_cpus(base_scenario, monkeypatch,
+                                                          workers, n, cpus, processes, edges):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Records the pool size asked for; maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, chunks):
+            self.chunks = list(chunks)
+            return map(fn, self.chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dismed.simulate.os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    d = dist(rho_s={"kind": "uniform", "lo": 0.35, "hi": 0.85})
+    stats = run_sweep(base_scenario, d, n=n, seed=9, cfg=CFG, workers=workers)
+    [pool] = pools
+    assert pool.max_workers == processes
+    assert [c[3] for c in pool.chunks] + [pool.chunks[-1][4]] == edges
+    assert stats == run_sweep(base_scenario, d, n=n, seed=9, cfg=CFG, workers=1)
+
+
 def test_sweep_rate_bounds_and_conjunction_inequality():
     # bare scenario: derivative conditions stay indeterminate, rho_s varies
     base = bare_scenario()
