@@ -6,11 +6,17 @@ every Indeterminate derivative term, is fixed for the whole sweep; only the
 arithmetic changes from draw to draw. This module draws a block of indices
 into one ``(n, len(SYMBOLS))`` matrix, each row from its own unchanged
 ``SeedSequence([seed, i]) -> PCG64`` stream. It validates the value-dependent
-invariants of all rows at once, redraws only the rejected rows from their
-own streams, and evaluates the config's compiled condition forms over the
-matrix columns: an interval is a pair of per-draw arrays, and argmax
-contexts and max-axis winners are per-draw selections among the candidates.
-The result is status codes, with no per-draw Scenario, verdict or trace.
+invariants of all rows at once and redraws only the rejected rows from their
+own streams.
+
+It has no compiler of its own. It supplies :data:`ARRAY`, the
+:class:`~dismed.calculus.Algebra` whose interval endpoints hold one value per
+draw, and ``_Draws``, a block of draws that reads like a Scenario; the
+config's condition forms are compiled with them by the same code
+(``conditions.compile_part``/``compile_guard``) that compiles ``decide``.
+Argmax contexts and max-axis winners are per-draw selections among the
+candidates. The result is status codes and set decisions, with no per-draw
+Scenario, verdict or trace.
 
 Every array operation rounds as its scalar counterpart in ``calculus`` and
 ``model`` does: elementwise IEEE arithmetic in the same order, Python's
@@ -32,27 +38,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import (
-    _IDENTITY,
-    INF,
-    Algebra,
-    Deriv,
-    Sym,
-    _combine,
-    _compile_integral,
-    _mul as _scalar_mul,
-    _stencil,
-    compile_expression,
-)
+from .calculus import INF, Algebra, _mul as _scalar_mul
 from .conditions import (
     _COMPILED_CONFIGS,
     ConditionSet,
-    CtxSpec,
     Form,
-    Guard,
-    Part,
     SetDecision,
     Status,
+    compile_guard,
+    compile_part,
     condition_ids,
     config_forms,
 )
@@ -177,6 +171,13 @@ def _extremum(vs, larger):
     return _check(_first([v[0] for v in vs], larger), _first([v[1] for v in vs], larger))
 
 
+def _abs(a):
+    lo, hi = a
+    nonneg, nonpos = lo >= 0, hi <= 0
+    return (np.where(nonneg, lo, np.where(nonpos, -hi, 0.0)),
+            np.where(nonneg, hi, np.where(nonpos, -lo, _first((-lo, hi), True))))
+
+
 def _joint(a, b, intersection):
     if _floats(a[0], a[1], b[0], b[1]):
         if a[0] == a[1] and b[0] == b[1]:
@@ -192,10 +193,6 @@ def _cube(h):
     if type(h) is float:
         return h ** 3
     return np.array([x ** 3 for x in np.ravel(h).tolist()]).reshape(np.shape(h))
-
-
-ARRAY = Algebra(point=_point, add=_add, sub=_sub, mul=_imul, div=_div, scale=_scale,
-                extremum=_extremum, joint=_joint, cube=_cube, unknown=(-INF, INF))
 
 
 def _response(r: ResponseFunction, x):
@@ -256,9 +253,16 @@ class _Draws:
             total = total + self.value(name, ctx)
         return total
 
+    def response_for(self, driven: str, driver: str, ctx: Optional[str] = None):
+        return self.base.response_for(driven, driver, ctx)
+
+    def time_path_for(self, symbol: str):
+        return self.base.time_path_for(symbol)
+
     def per_winner(self, names: tuple, ctx: Optional[str], fn: Callable):
-        """``fn(name)`` for the name with the largest value under ``ctx`` in
-        each draw, ties to the earlier name (``argmax_state`` and max axes)."""
+        """``fn(name, value)`` for the name with the largest value under
+        ``ctx`` in each draw, ties to the earlier name (``argmax_state`` and
+        max axes)."""
         win = self._winners.get((names, ctx))
         if win is None:
             win, best = -1, -INF
@@ -274,163 +278,44 @@ class _Draws:
             rows = win == k
             if not rows.any():
                 continue
+            value = fn(name, self.value(name, ctx))
             if rows.all():
-                return fn(name)
-            value = fn(name)
+                return value
             out = value if out is None else _select(rows, value, out)
         return out
 
 
+ARRAY = Algebra(point=_point, add=_add, sub=_sub, mul=_imul, div=_div, scale=_scale,
+                extremum=_extremum, joint=_joint, abs=_abs, cube=_cube,
+                larger=lambda xs: _first(xs, True),
+                is_point=lambda v: v[0] is v[1] or bool(np.all(v[0] == v[1])),
+                response=lambda r, x: _point(_response(r, x)), per_winner=_Draws.per_winner,
+                unknown=(-INF, INF))
+
+
 # ---------------------------------------------------------------------------
-# Leaves, parts and conditions over a block
+# Conditions over a block
 # ---------------------------------------------------------------------------
-
-def _deriv(d: Deriv, cfg: RunConfig):
-    """Compiled derivative over a block: (draws, context, notes) -> interval.
-
-    As ``calculus._compile_deriv``; a max axis is differentiated along each
-    component that wins in some draw, and each draw keeps its winner's value.
-    """
-    leaves: dict = {}
-    combine = _combine(d.driven, leaves, cfg.intersection, ARRAY)
-    driven_names = tuple(leaf.name for leaf in leaves)
-    identity = d.driven.name if isinstance(d.driven, Sym) else None
-    order, step_scale = d.order, cfg.fd_step_scale
-    kind, names = d.axis.kind, d.axis.ordered
-
-    def along(b: _Draws, ctx: Optional[str], axis: str, x0):
-        if identity == axis:
-            return _point(1.0 if order == 1 else 0.0)
-        h = step_scale * _first((1.0, abs(x0)), True)
-        links = [_IDENTITY if name == axis else b.base.response_for(name, axis, ctx)
-                 for name in driven_names]
-
-        def f(x):
-            return combine([ARRAY.unknown if r is None
-                            else _point(x if r is _IDENTITY else _response(r, x))
-                            for r in links])
-        return _stencil(f, x0, h, order, ARRAY)
-
-    def deriv(b: _Draws, ctx: Optional[str], notes=None):
-        if kind == "sym":
-            return along(b, ctx, names[0], b.value(names[0], ctx))
-        if kind == "bundle":
-            return along(b, ctx, "+".join(names), b.bundle_value(names, ctx))
-        return b.per_winner(names, ctx, lambda axis: along(b, ctx, axis, b.value(axis, ctx)))
-    return deriv
-
-
-def _time_leaf(leaf, cfg: RunConfig):
-    if isinstance(leaf, Sym):
-        name = leaf.name
-
-        def symbol(b: _Draws):
-            tp = b.base.time_path_for(name)
-            return tp if tp is not None else _point(b.value(name))
-        return symbol
-    deriv = _deriv(leaf, cfg)
-
-    def derivative(b: _Draws):
-        v = deriv(b, None)
-        if np.any(v[0] != v[1]):  # IndeterminateIntegrand on the scalar path
-            raise Replay
-        return v
-    return derivative
-
-
-def _state_leaf(leaf, cfg: RunConfig):
-    if isinstance(leaf, Sym):
-        name = leaf.name
-
-        def symbol(b: _Draws, ctx: Optional[str], notes=None):
-            v = b.value(name, ctx)  # validated finite
-            return v, v
-        return symbol
-    if isinstance(leaf, Deriv):
-        return _deriv(leaf, cfg)
-    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg,
-                                  ARRAY, _time_leaf)
-    return lambda b, ctx, notes=None: _point(integrate(b))
-
-
-def _context(spec: CtxSpec) -> Callable[[_Draws, Callable], object]:
-    if spec is None:
-        return lambda b, fn: fn(None)
-    kind, arg = spec
-    if kind == "state":
-        return lambda b, fn: fn(arg)
-    return lambda b, fn: b.per_winner(arg, None, fn)  # argmax over base values
-
-
-def _approx_equal(a, b, rel_tol: float):
-    return abs(a - b) <= rel_tol * _first((abs(a), abs(b), 1e-12), True)
-
-
-def _holds(op: str, cfg: RunConfig):
-    """(lhs, rhs) -> (holds, fails) per draw; neither means undecided."""
-    if op == "gt":
-        return lambda a, b: (np.greater(a[0], b[1]), np.less_equal(a[1], b[0]))
-    if op == "lt":
-        return lambda a, b: (np.greater(b[0], a[1]), np.less_equal(b[1], a[0]))
-    if op == "approx":
-        rel_tol = cfg.rel_tol
-
-        def approx(a, b):
-            points = np.logical_and(a[0] == a[1], b[0] == b[1])
-            close = _approx_equal(a[0], b[0], rel_tol)
-            return points & close, points & np.logical_not(close)
-        return approx
-    zero_tol = cfg.zero_tol  # approx_zero: |lhs| <= zero_tol, |lhs| as ExtendedValue.abs
-
-    def approx_zero(a, b):
-        lo, hi = a
-        nonneg, nonpos = lo >= 0, hi <= 0
-        abs_lo = np.where(nonneg, lo, np.where(nonpos, -hi, 0.0))
-        abs_hi = np.where(nonneg, hi, np.where(nonpos, -lo, _first((-lo, hi), True)))
-        return abs_hi <= zero_tol, abs_lo > zero_tol
-    return approx_zero
-
-
-def _part(part: Part, cfg: RunConfig):
-    holds = _holds(part.op, cfg)
-    lhs, lhs_ctx = compile_expression(part.lhs, cfg, ARRAY, _state_leaf), _context(part.lhs_ctx)
-    rhs = None if part.rhs is None else compile_expression(part.rhs, cfg, ARRAY, _state_leaf)
-    rhs_ctx = _context(part.rhs_ctx)
-
-    def run(b: _Draws):
-        a = lhs_ctx(b, lambda ctx: lhs(b, ctx, None))
-        c = None if rhs is None else rhs_ctx(b, lambda ctx: rhs(b, ctx, None))
-        return holds(a, c)
-    return run
-
-
-def _guard(guard: Guard, cfg: RunConfig):
-    ctx_of, a, b_, rel_tol = _context(guard.ctx), guard.a, guard.b, cfg.rel_tol
-    if guard.kind == "gt":
-        return lambda b: ctx_of(b, lambda ctx: np.greater(b.value(a, ctx), b.value(b_, ctx)))
-    return lambda b: ctx_of(b, lambda ctx: _approx_equal(b.value(a, ctx), b.value(b_, ctx),
-                                                         rel_tol))
-
 
 def _condition(form: Form, cfg: RunConfig):
     """Compiled condition over a block: draws -> (status codes, rows excluded
     from aggregation or None). Parts run in every draw, also where the guard
     fails; a part that cannot be evaluated in such a draw only costs a replay."""
-    parts = tuple(_part(p, cfg) for p in form.parts)
-    guard = None if form.guard is None else _guard(form.guard, cfg)
+    parts = tuple(compile_part(p, cfg, ARRAY) for p in form.parts)
+    guard = None if form.guard is None else compile_guard(form.guard, cfg, ARRAY)
     failed = VIOLATED if cfg.guard_mode == "violated" else VACUOUS
     skip = cfg.guard_mode == "skip"
 
     def run(b: _Draws):
         violated = undecided = False
-        for part in parts:
-            holds, fails = part(b)
+        for lhs, rhs, compare in parts:
+            holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
             violated = np.logical_or(violated, fails)
             undecided = np.logical_or(undecided, np.logical_not(np.logical_or(holds, fails)))
         status = np.where(violated, VIOLATED, np.where(undecided, INDETERMINATE, SATISFIED))
         if guard is None:
             return np.broadcast_to(status, b.n), None
-        passed = np.broadcast_to(guard(b), b.n)
+        passed = np.broadcast_to(guard(b, None), b.n)
         return np.where(passed, status, failed), (~passed if skip else None)
     return run
 

@@ -12,18 +12,19 @@ absence of a declared link yields Indeterminate rather than an error or a
 guessed slope. A derivative of a symbol with respect to itself is the
 identity's derivative (1, then 0 for higher orders).
 
-Expressions are compiled once into closures and there is one evaluator. A
-compiled expression combines the values of its leaves (symbols, derivatives
-and horizon integrals) with the operations of an interval :class:`Algebra`;
-only the resolver that supplies leaf values differs: a symbol at base or
-under a listing-state overlay, a symbol with the driver pinned to a stencil
-point, or a symbol at time t along its time path. ``conditions`` compiles
-each condition once per RunConfig; :func:`evaluate_expression`,
+Expressions are compiled once into closures by one compiler, generic over
+an interval :class:`Algebra`. A compiled expression combines the values of
+its leaves (symbols, derivatives and horizon integrals) with the algebra's
+operations; only the resolver that supplies leaf values differs: a symbol at
+base or under a listing-state overlay, a symbol with the driver pinned to a
+stencil point, or a symbol at time t along its time path. Everything that
+depends on the scenario (contexts, max-axis winners, stencil base points and
+steps, response links, time paths) is resolved per call. :data:`SCALAR`
+works on (lower, upper) float pairs of one Scenario: ``conditions`` compiles
+each condition with it once per RunConfig, and :func:`evaluate_expression`,
 :func:`finite_difference` and :func:`integrate_horizon` compile their
-argument and call the same closures. Everything that depends on the scenario
-(contexts, max-axis winners, stencil base points and steps, response links,
-time paths) is resolved per call. ``dismed.batch`` compiles the same forms
-over the array algebra, whose interval endpoints hold one value per draw.
+argument with it. ``dismed.batch`` supplies the array algebra, whose
+endpoints hold one value per draw of a block, and compiles the same forms.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _idiv(a: Interval, b: Interval) -> Interval:
 
 
 def _point(x: float) -> Interval:
-    return _iv(x, x)
+    return (x, x) if x == x else _iv(x, x)
 
 
 def _iextremum(vs: Sequence[Interval], larger: bool) -> Interval:
@@ -99,13 +100,30 @@ def _ijoint(a: Interval, b: Interval, intersection: str) -> Interval:
     return _UNKNOWN
 
 
+def _iabs(a: Interval) -> Interval:
+    lo, hi = a
+    if lo >= 0:
+        return a
+    if hi <= 0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _response(r, x: float) -> Interval:
+    # eval_response is looked up at call time: perfbench's tracer wraps this
+    # module's binding after the conditions are compiled.
+    y = eval_response(r, x)
+    return (y, y) if y == y else _iv(y, y)
+
+
 @dataclass(frozen=True)
 class Algebra:
-    """The interval operations compiled expressions are built from.
+    """The interval operations and scenario reads compiled code is built from.
 
-    :data:`SCALAR` works on (lower, upper) float pairs; ``dismed.batch``
-    supplies the same operations over pairs of per-draw arrays, rounding
-    every endpoint exactly as the scalar operations do.
+    :data:`SCALAR` works on (lower, upper) float pairs read from one
+    Scenario; ``dismed.batch`` supplies the same operations over pairs of
+    per-draw arrays read from a block of draws, rounding every endpoint
+    exactly as the scalar operations do.
     """
     point: Callable[[float], Interval]
     add: Callable[[Interval, Interval], Interval]
@@ -115,7 +133,14 @@ class Algebra:
     scale: Callable[[Interval, float], Interval]
     extremum: Callable[[Sequence[Interval], bool], Interval]   # larger: Max, else Min
     joint: Callable[[Interval, Interval, str], Interval]
+    abs: Callable[[Interval], Interval]
     cube: Callable[[float], float]                           # h ** 3 of a stencil step
+    larger: Callable[[Sequence[float]], float]               # max, the first of equals
+    is_point: Callable[[Interval], bool]                     # in every draw
+    response: Callable[[object, float], Interval]            # point of eval_response
+    #: ``per_winner(s, names, ctx, fn)``: ``fn(name, value)`` for the name with
+    #: the largest value under ``ctx``, ties to the earlier one, per draw.
+    per_winner: Callable
     unknown: Interval
 
 
@@ -158,11 +183,7 @@ class ExtendedValue:
         return ExtendedValue(*_idiv(self._pair(), other._pair()))
 
     def abs(self) -> "ExtendedValue":
-        if self.lower >= 0:
-            return self
-        if self.upper <= 0:
-            return ExtendedValue(-self.upper, -self.lower)
-        return ExtendedValue(0.0, max(-self.lower, self.upper))
+        return ExtendedValue(*_iabs(self._pair()))
 
     def to_json(self) -> list:
         def enc(x: float):
@@ -173,11 +194,6 @@ class ExtendedValue:
 INDETERMINATE = ExtendedValue(-INF, INF)
 _UNKNOWN: Interval = (-INF, INF)
 
-SCALAR = Algebra(point=_point, add=_iadd, sub=_isub, mul=_imul, div=_idiv,
-                 scale=_iscale, extremum=_iextremum, joint=_ijoint,
-                 cube=lambda h: h ** 3, unknown=_UNKNOWN)
-
-
 def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
     """Three-valued a > b: True/False when forced, None when undecidable."""
     if a.lower > b.upper:
@@ -187,25 +203,16 @@ def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
     return None
 
 
-def cmp_lt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
-    return cmp_gt(b, a)
-
-
-def cmp_abs_le(v: ExtendedValue, tol: float) -> Optional[bool]:
-    """Three-valued |v| <= tol."""
-    a = v.abs()
-    if a.upper <= tol:
-        return True
-    if a.lower > tol:
-        return False
-    return None
+def _close(a, b, rel_tol: float, larger: Callable = max):
+    """|a - b| <= rel_tol * max(|a|, |b|, 1e-12), with ``larger`` as max."""
+    return abs(a - b) <= rel_tol * larger((abs(a), abs(b), 1e-12))
 
 
 def approx_equal(a: float, b: float, rel_tol: float) -> bool:
     """Symmetric closeness test: |a - b| <= rel_tol * max(|a|, |b|, 1e-12)."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
-    return abs(a - b) <= rel_tol * max(abs(a), abs(b), 1e-12)
+    return _close(a, b, rel_tol)
 
 
 def joint_prob(a: float, b: float, mode: str = "product") -> float:
@@ -225,16 +232,29 @@ def _joint_raw(a: float, b: float, mode: str) -> float:
     raise ValueError(f"unknown intersection mode {mode!r}")
 
 
+def _winner(s: Scenario, names: Sequence[str], ctx: Optional[str] = None) -> tuple:
+    """The name with the largest value under ``ctx``, ties to the earlier
+    name, and its value; (None, -inf) when no value exceeds -inf."""
+    best, best_v = None, -INF
+    for name in names:
+        v = s.value(name, ctx)
+        if v > best_v:
+            best, best_v = name, v
+    return best, best_v
+
+
 def argmax_state(s: Scenario, candidates: Sequence[str] = ("E_s", "E_p", "E_m")) -> str:
     """State with the largest base value; ties break by the candidates' order
     (E_s over E_p over E_m for the full triple)."""
-    best = None
-    best_v = -INF
-    for name in candidates:
-        v = s.value(name)
-        if v > best_v:
-            best, best_v = name, v
-    return best
+    return _winner(s, candidates)[0]
+
+
+SCALAR = Algebra(point=_point, add=_iadd, sub=_isub, mul=_imul, div=_idiv,
+                 scale=_iscale, extremum=_iextremum, joint=_ijoint, abs=_iabs,
+                 cube=lambda h: h ** 3, larger=max, is_point=lambda v: v[0] == v[1],
+                 response=_response,
+                 per_winner=lambda s, names, ctx, fn: fn(*_winner(s, names, ctx)),
+                 unknown=_UNKNOWN)
 
 
 def argmin_state(s: Scenario, candidates: Sequence[str] = ("E_m", "E_p", "E_s")) -> str:
@@ -355,8 +375,10 @@ class Deriv(Expr):
 # ---------------------------------------------------------------------------
 
 Combine = Callable[[Sequence[Interval]], Interval]
-#: A compiled expression under a state context: (scenario, context, notes) -> interval.
-Compiled = Callable[[Scenario, Optional[str], Optional[list]], Interval]
+#: A compiled expression under a state context: (scenario, context, notes) ->
+#: interval, where the scenario is a Scenario for the scalar algebra and a
+#: block of draws for the array one.
+Compiled = Callable[[object, Optional[str], Optional[list]], Interval]
 
 
 def _combine(expr: Expr, leaves: dict, intersection: str, alg: Algebra = SCALAR) -> Combine:
@@ -417,14 +439,15 @@ def _stencil(f: Callable, x0, h, order: int, alg: Algebra = SCALAR) -> Interval:
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
-def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
+def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR):
     """Compiled derivative: (scenario, context, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
-    the driver itself (identity), a declared response of it, or unknown.
+    the driver itself (identity), a declared response of it, or unknown. A
+    max axis is differentiated along its winning component.
     """
     leaves: dict = {}
-    combine = _combine(d.driven, leaves, cfg.intersection)
+    combine = _combine(d.driven, leaves, cfg.intersection, alg)
     for leaf in leaves:
         if not isinstance(leaf, Sym):
             raise TypeError(f"unsupported driven expression {type(leaf).__name__}")
@@ -433,23 +456,14 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
     order, step_scale = d.order, cfg.fd_step_scale
     kind, names = d.axis.kind, d.axis.ordered
     first, joined = names[0], "+".join(names)
+    point, unknown, response, larger = alg.point, alg.unknown, alg.response, alg.larger
+    constant = point(1.0 if order == 1 else 0.0)
 
-    def deriv(s: Scenario, ctx: Optional[str], notes: Optional[list],
-              h: Optional[float] = None) -> Interval:
-        if kind == "sym":
-            axis, x0 = first, s.value(first, ctx)
-        elif kind == "bundle":
-            axis, x0 = joined, s.bundle_value(names, ctx)
-        else:
-            axis, x0 = None, -INF
-            for name in names:
-                v = s.value(name, ctx)
-                if v > x0:
-                    axis, x0 = name, v
+    def along(s, ctx: Optional[str], notes: Optional[list], h, axis: Optional[str], x0):
         if identity is not None and identity == axis:
-            return _point(1.0 if order == 1 else 0.0)
+            return constant
         if h is None:
-            h = step_scale * max(1.0, abs(x0))
+            h = step_scale * larger((1.0, abs(x0)))
         links = []
         for name in driven_names:
             if name == axis:
@@ -462,17 +476,26 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
                     notes.append(note)
             links.append(r)
 
-        def f(x: float) -> Interval:
-            vals = []
+        def f(x):
+            vals = []  # a loop, not a comprehension: one call fewer per stencil point
             for r in links:
                 if r is None:
-                    vals.append(_UNKNOWN)
+                    vals.append(unknown)
+                elif r is _IDENTITY:
+                    vals.append(point(x))
                 else:
-                    y = x if r is _IDENTITY else eval_response(r, x)
-                    vals.append((y, y) if y == y else _iv(y, y))
+                    vals.append(response(r, x))
             return combine(vals)
 
-        return _stencil(f, x0, h, order)
+        return _stencil(f, x0, h, order, alg)
+
+    def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:
+        if kind == "sym":
+            return along(s, ctx, notes, h, first, s.value(first, ctx))
+        if kind == "bundle":
+            return along(s, ctx, notes, h, joined, s.bundle_value(names, ctx))
+        return alg.per_winner(s, names, ctx,
+                              lambda axis, x0: along(s, ctx, notes, h, axis, x0))
 
     return deriv
 
@@ -517,22 +540,20 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
-                      cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR,
-                      time_leaf: Optional[Callable] = None) -> Callable[[Scenario], float]:
+                      cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR) -> Callable:
     """Compiled trapezoid integral over [0, T]: scenario -> float.
 
     Symbols follow their time paths and otherwise stay at base values; a
-    derivative is taken at base and must be a point. ``time_leaf`` resolves
-    the leaves for ``alg`` (default: :func:`_time_leaf`). The sum runs node by
+    derivative is taken at base and must be a point. The sum runs node by
     node, so it holds one integrand value at a time.
     """
     nodes = _horizon_nodes(T, dt)
     leaves: dict = {}
     combine = _combine(integrand, leaves, cfg.intersection, alg)
-    resolvers = tuple((time_leaf or _time_leaf)(leaf, cfg) for leaf in leaves)
+    resolvers = tuple(_time_leaf(leaf, cfg, alg) for leaf in leaves)
     point = alg.point
 
-    def integrate(s: Scenario) -> float:
+    def integrate(s):
         slots = [resolve(s) for resolve in resolvers]
         paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
 
@@ -555,50 +576,50 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
     return integrate
 
 
-def _time_leaf(leaf: Expr, cfg: RunConfig = RunConfig()) -> Callable[[Scenario], object]:
+def _time_leaf(leaf: Expr, cfg: RunConfig, alg: Algebra) -> Callable:
     """A leaf over the horizon: its time path, or an interval fixed over it."""
     if isinstance(leaf, Sym):
-        name = leaf.name
+        name, point = leaf.name, alg.point
 
-        def symbol(s: Scenario):
+        def symbol(s):
             tp = s.time_path_for(name)
-            return tp if tp is not None else _point(s.value(name))
+            return tp if tp is not None else point(s.value(name))
         return symbol
     if isinstance(leaf, Deriv):
-        deriv = _compile_deriv(leaf, cfg)
+        deriv, is_point = _compile_deriv(leaf, cfg, alg), alg.is_point
 
-        def derivative(s: Scenario) -> Interval:
+        def derivative(s) -> Interval:
             v = deriv(s, None, None)
-            if v[0] != v[1]:
+            if not is_point(v):
                 raise IndeterminateIntegrand("integrand contains an indeterminate derivative")
             return v
         return derivative
     raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
 
 
-def _state_leaf(leaf: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
+def _state_leaf(leaf: Expr, cfg: RunConfig, alg: Algebra) -> Compiled:
     """A leaf at base or under a listing-state overlay."""
+    point = alg.point
     if isinstance(leaf, Sym):
         name = leaf.name
-        return lambda s, ctx, notes: _point(s.value(name, ctx))
+        return lambda s, ctx, notes: point(s.value(name, ctx))
     if isinstance(leaf, Deriv):
-        return _compile_deriv(leaf, cfg)
-    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
-    return lambda s, ctx, notes: _point(integrate(s))
+        return _compile_deriv(leaf, cfg, alg)
+    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg, alg)
+    return lambda s, ctx, notes: point(integrate(s))
 
 
-def compile_expression(expr: Expr, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR,
-                       state_leaf: Optional[Callable] = None) -> Compiled:
+def compile_expression(expr: Expr, cfg: RunConfig = RunConfig(),
+                       alg: Algebra = SCALAR) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
-    overlay: the result maps (scenario, context, notes) to an interval.
-    ``state_leaf`` resolves the leaves for ``alg`` (default: :func:`_state_leaf`)."""
+    overlay: the result maps (scenario, context, notes) to an interval."""
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection, alg)
-    getters = tuple((state_leaf or _state_leaf)(leaf, cfg) for leaf in leaves)
+    getters = tuple(_state_leaf(leaf, cfg, alg) for leaf in leaves)
     if expr in leaves:  # a bare leaf needs no combining
         return getters[0]
 
-    def evaluate(s: Scenario, ctx: Optional[str], notes: Optional[list]) -> Interval:
+    def evaluate(s, ctx: Optional[str], notes: Optional[list]) -> Interval:
         return combine([g(s, ctx, notes) for g in getters])
     return evaluate
 

@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, help="number of draws")
     p.add_argument("--seed", type=_arg(int, "an integer >= 0", lambda seed: seed >= 0),
                    required=True, help="master seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_arg(int, "an integer >= 1", lambda w: w >= 1),
+                   default=1)
 
     p = sub.add_parser("sensitivity", help="margin/elasticity for one condition")
     common(p)

@@ -3,11 +3,15 @@
 Each condition is built as a small form (``build_form``): an optional guard,
 one or more comparison parts (joined conjunctively), and the interpretation
 notes that the verdict must carry. Forms are compiled once per RunConfig into
-closures over the calculus module's one evaluator and cached per config, so
-``decide``, ``eval_condition_set``, ``eval_condition``, sweeps and sensitivity
-build no forms and dispatch on no node types. Evaluation is pure: undecidable
-comparisons produce Indeterminate verdicts, never exceptions, and every
-non-vacuous verdict keeps its lhs/rhs trace values.
+closures and cached per config, so ``decide``, ``eval_condition_set``,
+``eval_condition``, sweeps and sensitivity build no forms and dispatch on no
+node types. Contexts, guards and parts compile for either interval algebra
+of ``calculus`` (:func:`compile_guard`, :func:`compile_part`): the scalar
+one, whose results are wrapped here into traced verdicts with notes, and
+``dismed.batch``'s array one, whose results become per-draw status codes.
+Evaluation is pure: undecidable comparisons produce Indeterminate verdicts,
+never exceptions, and every non-vacuous verdict keeps its lhs/rhs trace
+values.
 
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
@@ -28,7 +32,9 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .calculus import (
+    SCALAR,
     Add,
+    Algebra,
     Axis,
     Const,
     Deriv,
@@ -41,11 +47,7 @@ from .calculus import (
     Mul,
     Sub,
     Sym,
-    approx_equal,
-    argmax_state,
-    cmp_abs_le,
-    cmp_gt,
-    cmp_lt,
+    _close,
     compile_expression,
     symbols_of,
     # Not called here: perfbench's --trace 1 wraps this module's binding.
@@ -688,67 +690,77 @@ _COMPILED_CONFIGS = 16
 CompiledCondition = Callable[[Scenario], ConditionVerdict]
 
 
-def _context(spec: CtxSpec) -> Callable[[Scenario], Optional[str]]:
+def _in_context(spec: CtxSpec, fn: Callable, alg: Algebra) -> Callable:
+    """``fn(s, ctx, notes)`` under a context spec, as (s, notes) -> value; an
+    argmax context reads each draw's winning listing state."""
     if spec is None:
-        return lambda s: None
+        return lambda s, notes: fn(s, None, notes)
     kind, arg = spec
     if kind == "state":
-        return lambda s: arg
+        return lambda s, notes: fn(s, arg, notes)
     if kind == "argmax":
-        return lambda s: argmax_state(s, candidates=arg)
+        per_winner = alg.per_winner
+        return lambda s, notes: per_winner(s, arg, None,
+                                           lambda state, _: fn(s, state, notes))
     raise ValueError(f"unknown context spec {spec!r}")
 
 
-def _compile_guard(guard: Guard, cfg: RunConfig) -> Callable[[Scenario], bool]:
-    ctx_of, a, b, rel_tol = _context(guard.ctx), guard.a, guard.b, cfg.rel_tol
+def compile_guard(guard: Guard, cfg: RunConfig, alg: Algebra) -> Callable:
+    """(s, notes) -> whether the guard passes (per draw)."""
+    a, b = guard.a, guard.b
     if guard.kind == "gt":
-        def gt(s: Scenario) -> bool:
-            ctx = ctx_of(s)
+        def test(s, ctx, notes):
             return s.value(a, ctx) > s.value(b, ctx)
-        return gt
-    if guard.kind == "approx":
-        def approx(s: Scenario) -> bool:
-            ctx = ctx_of(s)
-            return approx_equal(s.value(a, ctx), s.value(b, ctx), rel_tol)
-        return approx
-    raise ValueError(f"unknown guard kind {guard.kind!r}")
+    elif guard.kind == "approx":
+        rel_tol, larger = cfg.rel_tol, alg.larger
+
+        def test(s, ctx, notes):
+            return _close(s.value(a, ctx), s.value(b, ctx), rel_tol, larger)
+    else:
+        raise ValueError(f"unknown guard kind {guard.kind!r}")
+    return _in_context(guard.ctx, test, alg)
 
 
-def _holds(op: str, cfg: RunConfig) -> Callable[[ExtendedValue, Optional[ExtendedValue]],
-                                                Optional[bool]]:
+def _compare(op: str, cfg: RunConfig, alg: Algebra) -> Callable:
+    """(lhs, rhs) -> (holds, fails) (per draw); neither means undecided."""
     if op == "gt":
-        return cmp_gt
+        return lambda a, b: (a[0] > b[1], a[1] <= b[0])
     if op == "lt":
-        return cmp_lt
+        return lambda a, b: (b[0] > a[1], b[1] <= a[0])
     if op == "approx":
-        rel_tol = cfg.rel_tol
-        return lambda lhs, rhs: (approx_equal(lhs.lower, rhs.lower, rel_tol)
-                                 if lhs.is_point and rhs.is_point else None)
+        rel_tol, larger = cfg.rel_tol, alg.larger
+
+        def approx(a, b):
+            points = (a[0] == a[1]) & (b[0] == b[1])
+            near = _close(a[0], b[0], rel_tol, larger)
+            return points & near, points & (near ^ True)  # ^ True: not, also per draw
+        return approx
     if op == "approx_zero":
-        zero_tol = cfg.zero_tol
-        return lambda lhs, rhs: cmp_abs_le(lhs, zero_tol)
+        zero_tol, iabs = cfg.zero_tol, alg.abs
+
+        def approx_zero(a, b):
+            lo, hi = iabs(a)
+            return hi <= zero_tol, lo > zero_tol
+        return approx_zero
     raise ValueError(f"unknown part op {op!r}")
 
 
-def _compile_part(part: Part, cfg: RunConfig) -> Callable[[Scenario, list], PartTrace]:
-    desc, op, holds = part.desc, part.op, _holds(part.op, cfg)
-    lhs, lhs_ctx = compile_expression(part.lhs, cfg), _context(part.lhs_ctx)
-    rhs = None if part.rhs is None else compile_expression(part.rhs, cfg)
-    rhs_ctx = _context(part.rhs_ctx)
-
-    def trace(s: Scenario, notes: list) -> PartTrace:
-        a = ExtendedValue(*lhs(s, lhs_ctx(s), notes))
-        b = None if rhs is None else ExtendedValue(*rhs(s, rhs_ctx(s), notes))
-        return PartTrace(desc, op, a, b, holds(a, b))
-    return trace
+def compile_part(part: Part, cfg: RunConfig, alg: Algebra) -> tuple:
+    """``(lhs, rhs, compare)``: each side maps (s, notes) to an interval under
+    its context (``rhs`` is None for a one-sided op), and ``compare`` maps
+    the two intervals to (holds, fails)."""
+    lhs = _in_context(part.lhs_ctx, compile_expression(part.lhs, cfg, alg), alg)
+    rhs = (None if part.rhs is None
+           else _in_context(part.rhs_ctx, compile_expression(part.rhs, cfg, alg), alg))
+    return lhs, rhs, _compare(part.op, cfg, alg)
 
 
 def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> CompiledCondition:
     form_notes = form.notes
-    parts = tuple(_compile_part(p, cfg) for p in form.parts)
+    parts = tuple((p.desc, p.op, *compile_part(p, cfg, SCALAR)) for p in form.parts)
     guard = None
     if form.guard is not None:
-        guard = _compile_guard(form.guard, cfg)
+        guard = compile_guard(form.guard, cfg, SCALAR)
         if cfg.guard_mode == "violated":
             failed_status, skipped = Status.VIOLATED, False
             failed_note = f"guard failed ({form.guard.desc}); guard_mode=violated"
@@ -761,12 +773,19 @@ def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> Compiled
         notes = list(form_notes)
         guard_status: Optional[bool] = None
         if guard is not None:
-            guard_status = guard(s)
+            guard_status = guard(s, None)
             if guard_status is False:
                 notes.append(failed_note)
                 return ConditionVerdict(cid, failed_status, None, None, False,
                                         tuple(notes), (), skipped=skipped)
-        traces = tuple(part(s, notes) for part in parts)
+        traces = []
+        for desc, op, lhs, rhs, compare in parts:
+            a = lhs(s, notes)
+            b = None if rhs is None else rhs(s, notes)
+            holds, fails = compare(a, b)
+            traces.append(PartTrace(desc, op, ExtendedValue(*a),
+                                    None if b is None else ExtendedValue(*b),
+                                    True if holds else False if fails else None))
         deciding = traces[0]
         status = Status.SATISFIED
         for t in traces:
@@ -779,7 +798,7 @@ def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> Compiled
                     status, deciding = Status.INDETERMINATE, t
                     break
         return ConditionVerdict(cid, status, deciding.lhs, deciding.rhs,
-                                guard_status, tuple(notes), traces)
+                                guard_status, tuple(notes), tuple(traces))
     return run
 
 

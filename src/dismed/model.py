@@ -150,32 +150,6 @@ class Scenario:
 
 PROBABILITY_SYMBOLS = ("rho_p", "rho_i", "rho_s")
 
-#: Open/closed numeric domain per symbol, used by validation and sampling.
-#: Entries are (low, high, low_open, high_open); absent symbols are unrestricted.
-SYMBOL_DOMAINS: dict[str, tuple[float, float, bool, bool]] = {
-    "P": (0.0, math.inf, True, True),
-    "P_b": (0.0, math.inf, True, True),
-    "c": (0.0, 1.0, True, True),
-    "rho_p": (0.0, 1.0, False, False),
-    "rho_i": (0.0, 1.0, False, False),
-    "rho_s": (0.0, 1.0, False, False),
-}
-
-
-def in_domain(name: str, value: float) -> bool:
-    if not math.isfinite(value):
-        return False
-    dom = SYMBOL_DOMAINS.get(name)
-    if dom is None:
-        return True
-    lo, hi, lo_open, hi_open = dom
-    if value < lo or (lo_open and value == lo):
-        return False
-    if value > hi or (hi_open and value == hi):
-        return False
-    return True
-
-
 def split_driver(driver: str) -> tuple[str, ...]:
     """Components of a (possibly bundled) driver name."""
     return tuple(part.strip() for part in driver.split("+"))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .calculus import argmin_state
 from .errors import MissingCapitalResponse, ParseError
+from .io import _number
 from .model import DECISION_FIELDS, Scenario, eval_response
 
 FEASIBILITY_SLACK = 1e-9
@@ -78,7 +79,7 @@ class Bounds:
             pair = data[name]
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ParseError(f"bounds for {name} must be a [lo, hi] pair")
-            kw[name] = (float(pair[0]), float(pair[1]))
+            kw[name] = tuple(_number(v, f"bounds.{name}[{i}]") for i, v in enumerate(pair))
         return cls(**kw)
 
     @property

@@ -233,6 +233,18 @@ def test_integer_too_long_to_convert_exits_2(capsys, fixtures_dir, tmp_path, rol
     assert code == 2 and "malformed JSON" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "pareto"])
+@pytest.mark.parametrize("pair", ['["0.5", 3]', "[0, true]", "[null, 3]",
+                                  "[0, " + "7" * 400 + "]"],
+                         ids=["string", "bool", "null", "long integer"])
+def test_non_numeric_bound_exits_2(capsys, fixtures_dir, tmp_path, command, pair):
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"B_b": [0, 0], "B_s": [0, 0], "B_i": ' + pair + ', "B_n": [0, 0]}')
+    code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
+                         "--bounds", str(bounds))
+    assert code == 2 and out == "" and "bounds.B_i[" in err
+
+
 @pytest.mark.parametrize("marginal", [
     '{"kind": "uniform", "lo": "0.1", "hi": true}',
     '{"kind": "normal", "mean": 1.0, "sd": Infinity}',
@@ -265,6 +277,7 @@ _SWEEP = ["sweep", "{f}/all_three_satisfied.json", "--dist", "{f}/rho_dist.json"
     [*_PARETO, "--points", "1"],
     [*_SWEEP, "--seed", "1", "-n", "0"],
     [*_SWEEP, "-n", "5", "--seed", "-1"],
+    [*_SWEEP, "-n", "5", "--seed", "1", "--workers", "0"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_argument_values_are_usage_errors(capsys, fixtures_dir, argv):
     flag, value = argv[-2:]

@@ -25,8 +25,21 @@ from dismed import (
     with_values,
 )
 from dismed import batch, conditions
-from dismed.calculus import Axis, Const, Deriv, Div, MaxE, Sym
-from dismed.conditions import Form, Part
+from dismed.calculus import (
+    SCALAR,
+    Add,
+    Axis,
+    Const,
+    Deriv,
+    Div,
+    Joint,
+    MaxE,
+    MinE,
+    Mul,
+    Sub,
+    Sym,
+)
+from dismed.conditions import Form, Part, compile_part
 from dismed.errors import DismedError, DivisionByZeroInterval
 from dismed.io import scenario_from_dict
 from dismed.model import SYMBOLS, ResponseFunction, eval_response, split_driver
@@ -422,6 +435,80 @@ def test_batch_path_equals_scalar_decide_for_one_marginal(name):
     assert ev.statuses.tolist() == statuses
     assert ev.decisions.tolist() == decisions
     assert ev.rejections.tolist() == rejections
+
+
+# Symbols the random expressions read and differentiate. The links of the
+# base are all in the base context, and no overlay of WIDE_OVERLAYS sets a
+# component of a max axis, so a derivative is unknown in the same draws under
+# every context. An argmax context therefore never evaluates, in a draw it
+# does not win, a branch that could refuse where that draw's own branch does
+# not: the two algebras refuse the same blocks.
+_EXPR_SYMBOLS = ("SC_b", "I_o", "P_s", "P", "rho_i", "rho_p", "U_ip", "I_p", "I_i", "pi_sb",
+                 "pi_s", "psi_b", "psi_bi", "psi_sb", "psi_si", "c", "E_s")
+_AXES = st.sampled_from([
+    Axis.sym("psi_b"), Axis.sym("psi_bi"), Axis.sym("P"), Axis.sym("rho_p"), Axis.sym("pi_b"),
+    Axis.sym("E_s"), Axis.sym("c"), Axis.bundle("U_ip", "U_iw"), Axis.bundle("U_sp", "U_sw"),
+    Axis.bundle("I_p", "I_i"), Axis.max_of("E_m", "E_p", "E_s"), Axis.max_of("pi_sb", "pi_s"),
+    Axis.max_of("psi_si", "psi_sb")])
+_CONTEXTS = st.one_of(st.none(),
+                      st.sampled_from(("E_s", "E_p", "E_m")).map(lambda n: ("state", n)),
+                      st.sampled_from((("E_s", "E_p", "E_m"), ("E_s", "E_p")))
+                      .map(lambda names: ("argmax", names)))
+
+
+def _nodes(kids):
+    some = st.lists(kids, min_size=1, max_size=3).map(tuple)
+    return st.one_of(some.map(Add), some.map(MaxE), some.map(MinE),
+                     st.builds(Sub, kids, kids), st.builds(Mul, kids, kids),
+                     st.builds(Div, kids, kids))
+
+
+_NAMES = st.sampled_from(_EXPR_SYMBOLS)
+_PLAIN = st.one_of(_NAMES.map(Sym), st.builds(Joint, _NAMES, _NAMES),
+                   st.sampled_from((0.0, 1.0, -2.0, 0.5)).map(Const))
+_EXPRESSIONS = st.recursive(
+    st.one_of(_PLAIN, st.builds(Deriv, st.recursive(_PLAIN, _nodes, max_leaves=3), _AXES,
+                                st.integers(1, 3))),
+    _nodes, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_EXPRESSIONS, _CONTEXTS, st.sampled_from(("product", "min")),
+       st.lists(st.sampled_from(_EXPR_SYMBOLS + ("E_p", "E_m", "U_iw")), min_size=1,
+                max_size=6, unique=True),
+       st.integers(0, 2 ** 32 - 1))
+def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, intersection,
+                                                              varying, seed):
+    # Each draw of a block equals the scalar value on that draw's scenario, or
+    # both refuse: some draw raises on the scalar path, and the block raises.
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
+    data["overlays"] = WIDE_OVERLAYS
+    base = scenario_from_dict(data)
+    cfg = RunConfig(intersection=intersection)
+    part = Part("expression", "gt", expr, lhs_ctx=ctx)
+    scalar, array = (compile_part(part, cfg, alg)[0] for alg in (SCALAR, batch.ARRAY))
+    n, rng = 5, np.random.default_rng(seed)
+    X = np.tile(np.array(base.values), (n, 1))
+    for name in varying:
+        k = SYMBOLS[name]
+        X[:, k] = (rng.choice((0.0, 1.0, 2.0), n) if name.startswith("E_")  # ties, too
+                   else X[:, k] * rng.uniform(0.5, 1.5, n) + rng.uniform(-0.1, 0.1, n))
+    expected = []
+    for row in X.tolist():
+        s = with_values(base, {name: row[SYMBOLS[name]] for name in varying})
+        try:
+            expected.append(scalar(s, None))
+        except (DismedError, ValueError, ArithmeticError):
+            expected.append(None)
+    try:
+        with np.errstate(all="ignore"):
+            lo, hi = array(batch._Draws(base, X, set(varying)), None)
+    except (batch.Replay, DismedError):
+        assert None in expected
+        return
+    assert None not in expected
+    got = list(zip(np.broadcast_to(lo, n).tolist(), np.broadcast_to(hi, n).tolist()))
+    assert got == expected
 
 
 def test_wide_sweep_runs_without_replay(monkeypatch):
