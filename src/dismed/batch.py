@@ -9,46 +9,39 @@ into one ``(n, len(SYMBOLS))`` matrix, each row from its own unchanged
 invariants of all rows at once and redraws only the rejected rows from their
 own streams.
 
-It has no compiler of its own. It supplies :data:`ARRAY`, the
-:class:`~dismed.calculus.Algebra` whose interval endpoints hold one value per
-draw, and ``_Draws``, a block of draws that reads like a Scenario; the
-config's condition forms are compiled with them by the same code
-(``conditions.compile_part``/``compile_guard``) that compiles ``decide``.
-Argmax contexts and max-axis winners are per-draw selections among the
-candidates. The result is status codes and set decisions, with no per-draw
-Scenario, verdict or trace.
+It has no compiler and no arithmetic of its own. ``_Draws`` is a block of
+draws that reads like a Scenario (``value``, ``bundle_value``,
+``response_for``, ``time_path_for``, ``per_winner``), where a symbol that the
+sweep varies is an array with one value per draw. The compiled parts and
+guards that ``decide`` runs on a Scenario (``conditions.compiled_conditions``)
+run on it through the interval arithmetic of ``calculus``, whose array
+endpoints round as its float ones do. Argmax contexts and max-axis winners
+are per-draw selections among the candidates. The result is status codes and
+set decisions, made by the rule ``decide`` uses, with no per-draw Scenario,
+verdict or trace.
 
-Every array operation rounds as its scalar counterpart in ``calculus`` and
-``model`` does: elementwise IEEE arithmetic in the same order, Python's
-first-extreme-wins ``min``/``max`` as selections, Horner and knot
-interpolation as in ``eval_response`` (``np.interp`` rounds differently),
-``h ** 3`` and ``canonical_round`` element by element in Python, and no
-reduction over floats. Where the scalar path raises or may raise (an invalid
-or zero-containing interval, a rejection limit, a time path that does not
-cover the horizon, an indeterminate integrand), :func:`evaluate` returns
-None and the caller replays the block through the scalar path, which raises
-the same exception from the same draw.
+Where the scalar path raises or may raise (an invalid or zero-containing
+interval, a rejection limit, a time path that does not cover the horizon, an
+indeterminate integrand), :func:`evaluate` returns None and the caller
+replays the block through the scalar path, which raises the same exception
+from the same draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import INF, Algebra, _mul as _scalar_mul
+from .calculus import INF, Replay, _first, _response
 from .conditions import (
-    _COMPILED_CONFIGS,
     ConditionSet,
-    Form,
     SetDecision,
     Status,
-    compile_guard,
-    compile_part,
+    _aggregate,
+    compiled_conditions,
     condition_ids,
-    config_forms,
 )
 from .config import RunConfig
 from .errors import DismedError
@@ -56,11 +49,9 @@ from .model import (
     PROBABILITY_SYMBOLS,
     RESPONSE_CONSISTENCY_RTOL,
     SYMBOLS,
-    ResponseFunction,
     Scenario,
     canonical_round,
     checked_responses,
-    eval_response,
     validate_scenario,
 )
 from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec
@@ -76,143 +67,6 @@ DECISIONS = (SetDecision.SATISFIED, SetDecision.NOT_SATISFIED, SetDecision.INDET
 SET_SATISFIED, SET_NOT_SATISFIED, SET_INDETERMINATE = range(3)
 
 _INFORMATION = ("I", "I_p", "I_i")
-
-
-class Replay(Exception):
-    """The scalar path must decide this block: it raises there, or may."""
-
-
-# ---------------------------------------------------------------------------
-# The array interval algebra
-# ---------------------------------------------------------------------------
-#
-# An endpoint is an array with one value per draw, or a plain float where it
-# is the same in every draw (symbols no draw changes, constants, unknown
-# terms). Where all endpoints are plain floats an operation computes in
-# Python, as the scalar one does. A point interval's endpoints are one
-# object, and an operation on points computes its single endpoint once: the
-# scalar operations give lower == upper there too.
-
-def _floats(*xs) -> bool:
-    return all(type(x) is float for x in xs)
-
-
-def _first(xs, larger: bool):
-    """Python's max/min over ``xs``: a later value replaces the current one
-    only when strictly better, so the first of equal values (or a NaN) stays."""
-    if _floats(*xs):
-        return max(xs) if larger else min(xs)
-    better = np.greater if larger else np.less
-    best = xs[0]
-    for x in xs[1:]:
-        best = np.where(better(x, best), x, best)
-    return best
-
-
-def _check(lo, hi):
-    ok = lo <= hi  # False for a NaN endpoint or lower > upper
-    if not (ok if type(ok) is bool else ok.all()):
-        raise Replay
-    return lo, hi
-
-
-def _mul(a, b):
-    if _floats(a, b):
-        return _scalar_mul(a, b)
-    return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)  # 0 * inf = 0
-
-
-def _point(x):
-    _check(x, x)
-    return x, x
-
-
-def _bounds(xs):
-    return _check(_first(xs, False), _first(xs, True))
-
-
-def _add(a, b):
-    if a[0] is a[1] and b[0] is b[1]:
-        return _point(a[0] + b[0])
-    return _check(a[0] + b[0], a[1] + b[1])
-
-
-def _sub(a, b):
-    if a[0] is a[1] and b[0] is b[1]:
-        return _point(a[0] - b[0])
-    return _check(a[0] - b[1], a[1] - b[0])
-
-
-def _imul(a, b):
-    if a[0] is a[1] and b[0] is b[1]:
-        return _point(_mul(a[0], b[0]))
-    return _bounds((_mul(a[0], b[0]), _mul(a[0], b[1]), _mul(a[1], b[0]), _mul(a[1], b[1])))
-
-
-def _scale(a, k):
-    if a[0] is a[1]:
-        return _point(_mul(a[0], k))
-    return _bounds((_mul(a[0], k), _mul(a[1], k)))
-
-
-def _div(a, b):
-    zero = (b[0] <= 0.0) & (0.0 <= b[1])
-    if zero if type(zero) is bool else zero.any():
-        raise Replay
-    if b[0] is b[1]:
-        r = 1.0 / b[0]
-        return _imul(a, (r, r))
-    return _imul(a, _bounds((1.0 / b[0], 1.0 / b[1])))
-
-
-def _extremum(vs, larger):
-    if all(v[0] is v[1] for v in vs):
-        return _point(_first([v[0] for v in vs], larger))
-    return _check(_first([v[0] for v in vs], larger), _first([v[1] for v in vs], larger))
-
-
-def _abs(a):
-    lo, hi = a
-    nonneg, nonpos = lo >= 0, hi <= 0
-    return (np.where(nonneg, lo, np.where(nonpos, -hi, 0.0)),
-            np.where(nonneg, hi, np.where(nonpos, -lo, _first((-lo, hi), True))))
-
-
-def _joint(a, b, intersection):
-    if _floats(a[0], a[1], b[0], b[1]):
-        if a[0] == a[1] and b[0] == b[1]:
-            return _point(_first((a[0], b[0]), False) if intersection == "min" else a[0] * b[0])
-        return -INF, INF
-    points = (a[0] == a[1]) & (b[0] == b[1])
-    v = a[0] * b[0] if intersection == "product" else _first((a[0], b[0]), False)
-    return _check(np.where(points, v, -INF), np.where(points, v, INF))
-
-
-def _cube(h):
-    # Python's pow, element by element: numpy's power may round differently
-    if type(h) is float:
-        return h ** 3
-    return np.array([x ** 3 for x in np.ravel(h).tolist()]).reshape(np.shape(h))
-
-
-def _response(r: ResponseFunction, x):
-    """``eval_response`` over per-draw driver values, in the same operations."""
-    if type(x) is float:
-        return eval_response(r, x)
-    if r.kind == "polynomial":
-        acc = 0.0
-        for coef in reversed(r.coeffs):
-            acc = acc * x + coef
-        return acc
-    ks = r.knots
-    if len(ks) == 1:
-        return ks[0][1]
-    xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
-    # the segment the scalar bisection finds; the end segments extrapolate
-    lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
-    x0, y0 = xs[lo], ys[lo]
-    t = (x - x0) / (xs[lo + 1] - x0)
-    return y0 + t * (ys[lo + 1] - y0)
 
 
 def _select(rows, a, b):
@@ -285,68 +139,44 @@ class _Draws:
         return out
 
 
-ARRAY = Algebra(point=_point, add=_add, sub=_sub, mul=_imul, div=_div, scale=_scale,
-                extremum=_extremum, joint=_joint, abs=_abs, cube=_cube,
-                larger=lambda xs: _first(xs, True),
-                is_point=lambda v: v[0] is v[1] or bool(np.all(v[0] == v[1])),
-                response=lambda r, x: _point(_response(r, x)), per_winner=_Draws.per_winner,
-                unknown=(-INF, INF))
-
-
 # ---------------------------------------------------------------------------
 # Conditions over a block
 # ---------------------------------------------------------------------------
 
-def _condition(form: Form, cfg: RunConfig):
-    """Compiled condition over a block: draws -> (status codes, rows excluded
-    from aggregation or None). Parts run in every draw, also where the guard
+def _condition(b: _Draws, parts: tuple, guard: Optional[Callable], cfg: RunConfig):
+    """A compiled condition over a block: status codes, and the rows excluded
+    from aggregation or None. Parts run in every draw, also where the guard
     fails; a part that cannot be evaluated in such a draw only costs a replay."""
-    parts = tuple(compile_part(p, cfg, ARRAY) for p in form.parts)
-    guard = None if form.guard is None else compile_guard(form.guard, cfg, ARRAY)
+    violated = undecided = False
+    for lhs, rhs, compare in parts:
+        holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
+        violated = np.logical_or(violated, fails)
+        undecided = np.logical_or(undecided, np.logical_not(np.logical_or(holds, fails)))
+    status = np.where(violated, VIOLATED, np.where(undecided, INDETERMINATE, SATISFIED))
+    if guard is None:
+        return np.broadcast_to(status, b.n), None
+    passed = np.broadcast_to(guard(b, None), b.n)
     failed = VIOLATED if cfg.guard_mode == "violated" else VACUOUS
-    skip = cfg.guard_mode == "skip"
-
-    def run(b: _Draws):
-        violated = undecided = False
-        for lhs, rhs, compare in parts:
-            holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
-            violated = np.logical_or(violated, fails)
-            undecided = np.logical_or(undecided, np.logical_not(np.logical_or(holds, fails)))
-        status = np.where(violated, VIOLATED, np.where(undecided, INDETERMINATE, SATISFIED))
-        if guard is None:
-            return np.broadcast_to(status, b.n), None
-        passed = np.broadcast_to(guard(b, None), b.n)
-        return np.where(passed, status, failed), (~passed if skip else None)
-    return run
-
-
-@lru_cache(maxsize=_COMPILED_CONFIGS)
-def _table(cfg: RunConfig, fingerprint: str) -> tuple:
-    # keyed like conditions._compiled_table, whose forms it compiles
-    return tuple(_condition(form, cfg) for form in config_forms(cfg))
+    return np.where(passed, status, failed), (~passed if cfg.guard_mode == "skip" else None)
 
 
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """Set decisions per draw, as ``conditions._aggregate`` makes them."""
+    """Set decisions per draw: each distinct row of counts goes through
+    ``conditions._aggregate``, the rule ``decide`` applies."""
     out, start = [], 0
     for cset in ConditionSet:
         stop = start + len(condition_ids(cset))
         st, considered = statuses[:, start:stop], ~skipped[:, start:stop]
         start = stop
-        total = considered.sum(axis=1)
-        violated = ((st == VIOLATED) & considered).any(axis=1)
-        undecided = ((st == INDETERMINATE) & considered).sum(axis=1)
-        if cfg.aggregation == "conjunction":
-            d = np.where(violated, SET_NOT_SATISFIED,
-                         np.where(undecided > 0, SET_INDETERMINATE, SET_SATISFIED))
-        else:
-            held = (((st == SATISFIED) | (st == VACUOUS)) & considered).sum(axis=1)
-            d = np.where(held / total >= cfg.quorum, SET_SATISFIED,
-                         np.where((held + undecided) / total >= cfg.quorum,
-                                  SET_INDETERMINATE, SET_NOT_SATISFIED))
-            if cfg.quorum_violations_block:
-                d = np.where(violated, SET_NOT_SATISFIED, d)
-        out.append(np.where(total == 0, SET_SATISFIED, d))
+        counts = np.stack([considered.sum(axis=1),
+                           (((st == SATISFIED) | (st == VACUOUS)) & considered).sum(axis=1),
+                           ((st == VIOLATED) & considered).sum(axis=1),
+                           ((st == INDETERMINATE) & considered).sum(axis=1)], axis=1)
+        # one key per distinct row: a set has at most 19 conditions, so < 32 each
+        _, first, inverse = np.unique(counts @ (1 << 15, 1 << 10, 1 << 5, 1),
+                                      return_index=True, return_inverse=True)
+        codes = [DECISIONS.index(_aggregate(*row, cfg)) for row in counts[first].tolist()]
+        out.append(np.array(codes)[inverse])
     return np.stack(out, axis=1)
 
 
@@ -451,20 +281,22 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
              cfg: RunConfig) -> Optional[Evaluation]:
     """Evaluate draws start..stop-1 as one batch, or return None where the
     scalar path must decide them (it raises for one of them, or may)."""
-    table = _table(cfg, cfg.fingerprint)
-    # Besides Replay, the shared scalar helpers may raise: PathCoverageError
-    # from a time path, OverflowError from h ** 3 or a marginal's range.
+    table = compiled_conditions(cfg)
+    # Besides Replay, an operation whose endpoints are all floats refuses as
+    # the scalar path does (ValueError, DivisionByZeroInterval), also in a part
+    # whose guard fails in every draw; PathCoverageError comes from a time
+    # path, OverflowError from h ** 3 or a marginal's range.
     try:
         with np.errstate(all="ignore"):
             X, rejections, varying = _draw(base, dist, seed, start, stop)
             draws = _Draws(base, X, varying)
-            results = [run(draws) for run in table]
+            results = [_condition(draws, parts, guard, cfg) for parts, guard in table]
             statuses = np.stack([st for st, _ in results], axis=1).astype(np.int8)
             skipped = np.zeros(statuses.shape, dtype=bool)
             for k, (_, excluded) in enumerate(results):
                 if excluded is not None:
                     skipped[:, k] = excluded
             decisions = _decisions(statuses, skipped, cfg)
-    except (Replay, DismedError, ArithmeticError):
+    except (Replay, DismedError, ArithmeticError, ValueError):
         return None
     return Evaluation(statuses, decisions, rejections)

@@ -12,19 +12,21 @@ absence of a declared link yields Indeterminate rather than an error or a
 guessed slope. A derivative of a symbol with respect to itself is the
 identity's derivative (1, then 0 for higher orders).
 
-Expressions are compiled once into closures by one compiler, generic over
-an interval :class:`Algebra`. A compiled expression combines the values of
-its leaves (symbols, derivatives and horizon integrals) with the algebra's
-operations; only the resolver that supplies leaf values differs: a symbol at
-base or under a listing-state overlay, a symbol with the driver pinned to a
-stencil point, or a symbol at time t along its time path. Everything that
-depends on the scenario (contexts, max-axis winners, stencil base points and
-steps, response links, time paths) is resolved per call. :data:`SCALAR`
-works on (lower, upper) float pairs of one Scenario: ``conditions`` compiles
-each condition with it once per RunConfig, and :func:`evaluate_expression`,
-:func:`finite_difference` and :func:`integrate_horizon` compile their
-argument with it. ``dismed.batch`` supplies the array algebra, whose
-endpoints hold one value per draw of a block, and compiles the same forms.
+There is one interval arithmetic. An endpoint is a float, or an array with
+one value per draw of a sweep block where a draw changes it. Float endpoints
+compute in plain Python, and numpy is imported only where an endpoint is an
+array, so the scalar commands never load it; array endpoints round as float
+ones do. A float refusal raises ``ValueError`` or
+:class:`DivisionByZeroInterval`, an array refusal :class:`Replay`.
+
+Expressions are compiled once into closures that combine the values of their
+leaves (symbols, derivatives and horizon integrals) with these operations;
+only the leaf resolver differs: a symbol at base or under a listing-state
+overlay, a symbol with the driver pinned to a stencil point, or a symbol at
+time t along its time path. The closures read the scenario only through a
+reader's ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
+``per_winner``, per call: a Scenario in ``decide``, a block of draws
+(``dismed.batch``) in sweeps.
 """
 
 from __future__ import annotations
@@ -42,106 +44,173 @@ INF = math.inf
 
 #: An interval inside the evaluator: a checked (lower, upper) pair.
 Interval = tuple
+UNKNOWN: Interval = (-INF, INF)
 
 
-def _iv(lo: float, hi: float) -> Interval:
-    """The one interval check: NaN or lower > upper is an error."""
-    if lo != lo or hi != hi or lo > hi:
+class Replay(Exception):
+    """An operation refused in some draw of a block: the scalar path must
+    decide the block, and raises there from the same draw."""
+
+
+# ---------------------------------------------------------------------------
+# Interval arithmetic over float or per-draw endpoints
+# ---------------------------------------------------------------------------
+#
+# A comparison of two floats gives True or False, which the operations test
+# by identity; anything else is per draw. Array endpoints take the float
+# operations in the same order, Python's first-extreme-wins min/max as
+# selections, and ``h ** 3`` and piecewise links element by element, so they
+# round as floats do. A point interval's endpoints are one object, and an
+# operation on points computes its single endpoint once.
+
+def _where(cond, a, b):
+    import numpy as np
+    return np.where(cond, a, b)
+
+
+def _checked(lo, hi) -> Interval:
+    """The one interval check: a NaN endpoint or lower > upper refuses."""
+    ok = lo <= hi
+    if ok is True:
+        return lo, hi
+    if ok is False:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
+    if not ok.all():
+        raise Replay
     return lo, hi
 
 
-def _mul(a: float, b: float) -> float:
+def _first(xs, larger: bool):
+    """Python's max (``larger``) or min over ``xs``, per draw: a later value
+    replaces the current one only when strictly better, so the first of equal
+    values (or a NaN) stays."""
+    best = xs[0]
+    for x in xs[1:]:
+        better = x > best if larger else x < best
+        if better is True:
+            best = x
+        elif better is not False:
+            best = _where(better, x, best)
+    return best
+
+
+def _times(a, b):
     # interval convention: 0 * inf = 0
-    if a == 0.0 or b == 0.0:
+    zero = (a == 0.0) | (b == 0.0)
+    if zero is False:
+        return a * b
+    if zero is True:
         return 0.0
-    return a * b
+    return _where(zero, 0.0, a * b)
 
 
-def _iadd(a: Interval, b: Interval) -> Interval:
-    return _iv(a[0] + b[0], a[1] + b[1])
+def _hull(xs) -> Interval:
+    return _checked(_first(xs, False), _first(xs, True))
 
 
-def _isub(a: Interval, b: Interval) -> Interval:
-    return _iv(a[0] - b[1], a[1] - b[0])
+def point(x) -> Interval:
+    if (x == x) is True:
+        return x, x
+    return _checked(x, x)
 
 
-def _imul(a: Interval, b: Interval) -> Interval:
+def add(a: Interval, b: Interval) -> Interval:
+    if a[0] is a[1] and b[0] is b[1]:
+        return point(a[0] + b[0])
+    return _checked(a[0] + b[0], a[1] + b[1])
+
+
+def sub(a: Interval, b: Interval) -> Interval:
+    if a[0] is a[1] and b[0] is b[1]:
+        return point(a[0] - b[0])
+    return _checked(a[0] - b[1], a[1] - b[0])
+
+
+def mul(a: Interval, b: Interval) -> Interval:
+    if a[0] is a[1] and b[0] is b[1]:
+        return point(_times(a[0], b[0]))
     # the four products in this order; min/max keep the first of equal zeros
-    p1, p2 = _mul(a[0], b[0]), _mul(a[0], b[1])
-    p3, p4 = _mul(a[1], b[0]), _mul(a[1], b[1])
-    return _iv(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+    return _hull((_times(a[0], b[0]), _times(a[0], b[1]),
+                  _times(a[1], b[0]), _times(a[1], b[1])))
 
 
-def _iscale(a: Interval, k: float) -> Interval:
-    lo, hi = _mul(a[0], k), _mul(a[1], k)
-    return _iv(min(lo, hi), max(lo, hi))
+def scale(a: Interval, k) -> Interval:
+    if a[0] is a[1]:
+        return point(_times(a[0], k))
+    return _hull((_times(a[0], k), _times(a[1], k)))
 
 
-def _idiv(a: Interval, b: Interval) -> Interval:
-    if b[0] <= 0.0 <= b[1]:
-        raise DivisionByZeroInterval(f"divisor interval [{b[0]}, {b[1]}] contains 0")
-    r1, r2 = 1.0 / b[0], 1.0 / b[1]
-    return _imul(a, _iv(min(r1, r2), max(r1, r2)))
+def div(a: Interval, b: Interval) -> Interval:
+    lo, hi = b
+    zero = (lo <= 0.0) & (0.0 <= hi)
+    if zero is True:
+        raise DivisionByZeroInterval(f"divisor interval [{lo}, {hi}] contains 0")
+    if zero is not False and zero.any():
+        raise Replay
+    if lo is hi:
+        r = 1.0 / lo
+        return mul(a, (r, r))
+    return mul(a, _hull((1.0 / lo, 1.0 / hi)))
 
 
-def _point(x: float) -> Interval:
-    return (x, x) if x == x else _iv(x, x)
+def extremum(vs: Sequence[Interval], larger: bool) -> Interval:
+    """Max (``larger``) or Min of intervals, endpoint by endpoint."""
+    los = [v[0] for v in vs]
+    if all(v[0] is v[1] for v in vs):
+        return point(_first(los, larger))
+    return _checked(_first(los, larger), _first([v[1] for v in vs], larger))
 
 
-def _iextremum(vs: Sequence[Interval], larger: bool) -> Interval:
-    pick = max if larger else min
-    return _iv(pick(v[0] for v in vs), pick(v[1] for v in vs))
+def joint(a: Interval, b: Interval, intersection: str) -> Interval:
+    """Intersection of two closing probabilities: a point where both are
+    points, unknown elsewhere."""
+    points = (a[0] == a[1]) & (b[0] == b[1])
+    if points is False:
+        return UNKNOWN
+    v = _joint_raw(a[0], b[0], intersection)
+    if points is True:
+        return point(v)
+    return _checked(_where(points, v, -INF), _where(points, v, INF))
 
 
-def _ijoint(a: Interval, b: Interval, intersection: str) -> Interval:
-    if a[0] == a[1] and b[0] == b[1]:
-        return _point(_joint_raw(a[0], b[0], intersection))
-    return _UNKNOWN
-
-
-def _iabs(a: Interval) -> Interval:
+def iabs(a: Interval) -> Interval:
     lo, hi = a
-    if lo >= 0:
+    nonneg, nonpos = lo >= 0, hi <= 0
+    if nonneg is True:
         return a
-    if hi <= 0:
+    if nonneg is False and nonpos is True:
         return -hi, -lo
-    return 0.0, max(-lo, hi)
+    if nonneg is False and nonpos is False:
+        return 0.0, _first((-lo, hi), True)
+    return (_where(nonneg, lo, _where(nonpos, -hi, 0.0)),
+            _where(nonneg, hi, _where(nonpos, -lo, _first((-lo, hi), True))))
 
 
-def _response(r, x: float) -> Interval:
+def _cube(h):
+    # Python's pow, element by element: numpy's power may round differently
+    if isinstance(h, (int, float)):
+        return h ** 3
+    import numpy as np
+    return np.array([x ** 3 for x in np.ravel(h).tolist()]).reshape(np.shape(h))
+
+
+def _response(r, x):
+    """A link's value at a float or per-draw driver, in the operations of
+    ``eval_response``."""
     # eval_response is looked up at call time: perfbench's tracer wraps this
     # module's binding after the conditions are compiled.
-    y = eval_response(r, x)
-    return (y, y) if y == y else _iv(y, y)
-
-
-@dataclass(frozen=True)
-class Algebra:
-    """The interval operations and scenario reads compiled code is built from.
-
-    :data:`SCALAR` works on (lower, upper) float pairs read from one
-    Scenario; ``dismed.batch`` supplies the same operations over pairs of
-    per-draw arrays read from a block of draws, rounding every endpoint
-    exactly as the scalar operations do.
-    """
-    point: Callable[[float], Interval]
-    add: Callable[[Interval, Interval], Interval]
-    sub: Callable[[Interval, Interval], Interval]
-    mul: Callable[[Interval, Interval], Interval]
-    div: Callable[[Interval, Interval], Interval]
-    scale: Callable[[Interval, float], Interval]
-    extremum: Callable[[Sequence[Interval], bool], Interval]   # larger: Max, else Min
-    joint: Callable[[Interval, Interval, str], Interval]
-    abs: Callable[[Interval], Interval]
-    cube: Callable[[float], float]                           # h ** 3 of a stencil step
-    larger: Callable[[Sequence[float]], float]               # max, the first of equals
-    is_point: Callable[[Interval], bool]                     # in every draw
-    response: Callable[[object, float], Interval]            # point of eval_response
-    #: ``per_winner(s, names, ctx, fn)``: ``fn(name, value)`` for the name with
-    #: the largest value under ``ctx``, ties to the earlier one, per draw.
-    per_winner: Callable
-    unknown: Interval
+    if isinstance(x, (int, float)) or r.kind == "polynomial":
+        return eval_response(r, x)
+    import numpy as np
+    ks = r.knots
+    if len(ks) == 1:
+        return ks[0][1]
+    xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
+    # the segment the scalar bisection finds; the end segments extrapolate
+    lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
+    x0, y0 = xs[lo], ys[lo]
+    t = (x - x0) / (xs[lo + 1] - x0)
+    return y0 + t * (ys[lo + 1] - y0)
 
 
 @dataclass(frozen=True)
@@ -150,7 +219,7 @@ class ExtendedValue:
     upper: float
 
     def __post_init__(self):
-        _iv(self.lower, self.upper)
+        _checked(self.lower, self.upper)
 
     @staticmethod
     def point(x: float) -> "ExtendedValue":
@@ -168,22 +237,22 @@ class ExtendedValue:
         return self.lower, self.upper
 
     def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*_iadd(self._pair(), other._pair()))
+        return ExtendedValue(*add(self._pair(), other._pair()))
 
     def __sub__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*_isub(self._pair(), other._pair()))
+        return ExtendedValue(*sub(self._pair(), other._pair()))
 
     def __neg__(self) -> "ExtendedValue":
         return ExtendedValue(-self.upper, -self.lower)
 
     def __mul__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*_imul(self._pair(), other._pair()))
+        return ExtendedValue(*mul(self._pair(), other._pair()))
 
     def divide(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*_idiv(self._pair(), other._pair()))
+        return ExtendedValue(*div(self._pair(), other._pair()))
 
     def abs(self) -> "ExtendedValue":
-        return ExtendedValue(*_iabs(self._pair()))
+        return ExtendedValue(*iabs(self._pair()))
 
     def to_json(self) -> list:
         def enc(x: float):
@@ -192,7 +261,7 @@ class ExtendedValue:
 
 
 INDETERMINATE = ExtendedValue(-INF, INF)
-_UNKNOWN: Interval = (-INF, INF)
+
 
 def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
     """Three-valued a > b: True/False when forced, None when undecidable."""
@@ -203,9 +272,9 @@ def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
     return None
 
 
-def _close(a, b, rel_tol: float, larger: Callable = max):
-    """|a - b| <= rel_tol * max(|a|, |b|, 1e-12), with ``larger`` as max."""
-    return abs(a - b) <= rel_tol * larger((abs(a), abs(b), 1e-12))
+def _close(a, b, rel_tol: float):
+    """|a - b| <= rel_tol * max(|a|, |b|, 1e-12), per draw."""
+    return abs(a - b) <= rel_tol * _first((abs(a), abs(b), 1e-12), True)
 
 
 def approx_equal(a: float, b: float, rel_tol: float) -> bool:
@@ -222,39 +291,20 @@ def joint_prob(a: float, b: float, mode: str = "product") -> float:
     return _joint_raw(a, b, mode)
 
 
-def _joint_raw(a: float, b: float, mode: str) -> float:
+def _joint_raw(a, b, mode: str):
     # Arithmetic core without domain checks; derivative stencils may probe
     # response values slightly outside [0, 1].
     if mode == "product":
         return a * b
     if mode == "min":
-        return min(a, b)
+        return _first((a, b), False)
     raise ValueError(f"unknown intersection mode {mode!r}")
-
-
-def _winner(s: Scenario, names: Sequence[str], ctx: Optional[str] = None) -> tuple:
-    """The name with the largest value under ``ctx``, ties to the earlier
-    name, and its value; (None, -inf) when no value exceeds -inf."""
-    best, best_v = None, -INF
-    for name in names:
-        v = s.value(name, ctx)
-        if v > best_v:
-            best, best_v = name, v
-    return best, best_v
 
 
 def argmax_state(s: Scenario, candidates: Sequence[str] = ("E_s", "E_p", "E_m")) -> str:
     """State with the largest base value; ties break by the candidates' order
     (E_s over E_p over E_m for the full triple)."""
-    return _winner(s, candidates)[0]
-
-
-SCALAR = Algebra(point=_point, add=_iadd, sub=_isub, mul=_imul, div=_idiv,
-                 scale=_iscale, extremum=_iextremum, joint=_ijoint, abs=_iabs,
-                 cube=lambda h: h ** 3, larger=max, is_point=lambda v: v[0] == v[1],
-                 response=_response,
-                 per_winner=lambda s, names, ctx, fn: fn(*_winner(s, names, ctx)),
-                 unknown=_UNKNOWN)
+    return s.per_winner(candidates, None, lambda name, value: name)
 
 
 def argmin_state(s: Scenario, candidates: Sequence[str] = ("E_m", "E_p", "E_s")) -> str:
@@ -375,14 +425,15 @@ class Deriv(Expr):
 # ---------------------------------------------------------------------------
 
 Combine = Callable[[Sequence[Interval]], Interval]
-#: A compiled expression under a state context: (scenario, context, notes) ->
-#: interval, where the scenario is a Scenario for the scalar algebra and a
-#: block of draws for the array one.
+#: A compiled expression under a state context: (reader, context, notes) ->
+#: interval, where the reader is a Scenario or a block of draws.
 Compiled = Callable[[object, Optional[str], Optional[list]], Interval]
 
+_BINARY = {Sub: sub, Mul: mul, Div: div}
 
-def _combine(expr: Expr, leaves: dict, intersection: str, alg: Algebra = SCALAR) -> Combine:
-    """Closure computing ``expr`` from its leaves' values with ``alg``.
+
+def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
+    """Closure computing ``expr`` from its leaves' values.
 
     Symbols, derivatives and integrals are leaves: each is registered in
     ``leaves`` (node -> slot) in first-evaluation order, and the closure reads
@@ -391,16 +442,15 @@ def _combine(expr: Expr, leaves: dict, intersection: str, alg: Algebra = SCALAR)
     if isinstance(expr, (Sym, Deriv, IntegralE)):
         return itemgetter(leaves.setdefault(expr, len(leaves)))
     if isinstance(expr, Const):
-        value = alg.point(expr.value)
+        value = point(expr.value)
         return lambda vals: value
     if isinstance(expr, Joint):
-        fa = _combine(Sym(expr.a), leaves, intersection, alg)
-        fb = _combine(Sym(expr.b), leaves, intersection, alg)
-        joint = alg.joint
+        fa = _combine(Sym(expr.a), leaves, intersection)
+        fb = _combine(Sym(expr.b), leaves, intersection)
         return lambda vals: joint(fa(vals), fb(vals), intersection)
     if isinstance(expr, Add):
-        fs = tuple(_combine(p, leaves, intersection, alg) for p in expr.parts)
-        add, zero = alg.add, alg.point(0.0)
+        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
+        zero = point(0.0)
 
         def total(vals):
             acc = zero
@@ -409,45 +459,43 @@ def _combine(expr: Expr, leaves: dict, intersection: str, alg: Algebra = SCALAR)
             return acc
         return total
     if isinstance(expr, (MaxE, MinE)):
-        fs = tuple(_combine(p, leaves, intersection, alg) for p in expr.parts)
-        extremum, larger = alg.extremum, isinstance(expr, MaxE)
+        fs = tuple(_combine(p, leaves, intersection) for p in expr.parts)
+        larger = isinstance(expr, MaxE)
         return lambda vals: extremum([f(vals) for f in fs], larger)
-    binary = {Sub: alg.sub, Mul: alg.mul, Div: alg.div}.get(type(expr))
+    binary = _BINARY.get(type(expr))
     if binary is not None:
-        fa = _combine(expr.a, leaves, intersection, alg)
-        fb = _combine(expr.b, leaves, intersection, alg)
+        fa = _combine(expr.a, leaves, intersection)
+        fb = _combine(expr.b, leaves, intersection)
         return lambda vals: binary(fa(vals), fb(vals))
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
 
 
-def _stencil(f: Callable, x0, h, order: int, alg: Algebra = SCALAR) -> Interval:
-    """Central difference of ``f`` at ``x0`` with step ``h``; one operation
-    order for every algebra."""
+def _stencil(f: Callable, x0, h, order: int) -> Interval:
+    """Central difference of ``f`` at ``x0`` with step ``h``."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    sub, scale = alg.sub, alg.scale
     if order == 1:
         return scale(sub(f(x0 + h), f(x0 - h)), 1.0 / (2.0 * h))
     if order == 2:
-        num = alg.add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h))
+        num = add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h))
         return scale(num, 1.0 / (h * h))
-    num = sub(alg.add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
-                      scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
-    return scale(num, 1.0 / (2.0 * alg.cube(h)))
+    num = sub(add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
+                  scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
+    return scale(num, 1.0 / (2.0 * _cube(h)))
 
 
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
-def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR):
-    """Compiled derivative: (scenario, context, notes, h=None) -> interval.
+def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
+    """Compiled derivative: (reader, context, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
     the driver itself (identity), a declared response of it, or unknown. A
     max axis is differentiated along its winning component.
     """
     leaves: dict = {}
-    combine = _combine(d.driven, leaves, cfg.intersection, alg)
+    combine = _combine(d.driven, leaves, cfg.intersection)
     for leaf in leaves:
         if not isinstance(leaf, Sym):
             raise TypeError(f"unsupported driven expression {type(leaf).__name__}")
@@ -456,14 +504,13 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR
     order, step_scale = d.order, cfg.fd_step_scale
     kind, names = d.axis.kind, d.axis.ordered
     first, joined = names[0], "+".join(names)
-    point, unknown, response, larger = alg.point, alg.unknown, alg.response, alg.larger
     constant = point(1.0 if order == 1 else 0.0)
 
     def along(s, ctx: Optional[str], notes: Optional[list], h, axis: Optional[str], x0):
         if identity is not None and identity == axis:
             return constant
         if h is None:
-            h = step_scale * larger((1.0, abs(x0)))
+            h = step_scale * _first((1.0, abs(x0)), True)
         links = []
         for name in driven_names:
             if name == axis:
@@ -480,22 +527,21 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR
             vals = []  # a loop, not a comprehension: one call fewer per stencil point
             for r in links:
                 if r is None:
-                    vals.append(unknown)
+                    vals.append(UNKNOWN)
                 elif r is _IDENTITY:
                     vals.append(point(x))
                 else:
-                    vals.append(response(r, x))
+                    vals.append(point(_response(r, x)))
             return combine(vals)
 
-        return _stencil(f, x0, h, order, alg)
+        return _stencil(f, x0, h, order)
 
     def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:
         if kind == "sym":
             return along(s, ctx, notes, h, first, s.value(first, ctx))
         if kind == "bundle":
             return along(s, ctx, notes, h, joined, s.bundle_value(names, ctx))
-        return alg.per_winner(s, names, ctx,
-                              lambda axis, x0: along(s, ctx, notes, h, axis, x0))
+        return s.per_winner(names, ctx, lambda axis, x0: along(s, ctx, notes, h, axis, x0))
 
     return deriv
 
@@ -540,8 +586,8 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
-                      cfg: RunConfig = RunConfig(), alg: Algebra = SCALAR) -> Callable:
-    """Compiled trapezoid integral over [0, T]: scenario -> float.
+                      cfg: RunConfig = RunConfig()) -> Callable:
+    """Compiled trapezoid integral over [0, T]: reader -> float (per draw).
 
     Symbols follow their time paths and otherwise stay at base values; a
     derivative is taken at base and must be a point. The sum runs node by
@@ -549,9 +595,8 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
     """
     nodes = _horizon_nodes(T, dt)
     leaves: dict = {}
-    combine = _combine(integrand, leaves, cfg.intersection, alg)
-    resolvers = tuple(_time_leaf(leaf, cfg, alg) for leaf in leaves)
-    point = alg.point
+    combine = _combine(integrand, leaves, cfg.intersection)
+    resolvers = tuple(_time_leaf(leaf, cfg) for leaf in leaves)
 
     def integrate(s):
         slots = [resolve(s) for resolve in resolvers]
@@ -576,46 +621,45 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
     return integrate
 
 
-def _time_leaf(leaf: Expr, cfg: RunConfig, alg: Algebra) -> Callable:
+def _time_leaf(leaf: Expr, cfg: RunConfig) -> Callable:
     """A leaf over the horizon: its time path, or an interval fixed over it."""
     if isinstance(leaf, Sym):
-        name, point = leaf.name, alg.point
+        name = leaf.name
 
         def symbol(s):
             tp = s.time_path_for(name)
             return tp if tp is not None else point(s.value(name))
         return symbol
     if isinstance(leaf, Deriv):
-        deriv, is_point = _compile_deriv(leaf, cfg, alg), alg.is_point
+        deriv = _compile_deriv(leaf, cfg)
 
         def derivative(s) -> Interval:
             v = deriv(s, None, None)
-            if not is_point(v):
+            same = v[0] == v[1]
+            if not (same is True or (same is not False and same.all())):
                 raise IndeterminateIntegrand("integrand contains an indeterminate derivative")
             return v
         return derivative
     raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
 
 
-def _state_leaf(leaf: Expr, cfg: RunConfig, alg: Algebra) -> Compiled:
+def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
     """A leaf at base or under a listing-state overlay."""
-    point = alg.point
     if isinstance(leaf, Sym):
         name = leaf.name
         return lambda s, ctx, notes: point(s.value(name, ctx))
     if isinstance(leaf, Deriv):
-        return _compile_deriv(leaf, cfg, alg)
-    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg, alg)
+        return _compile_deriv(leaf, cfg)
+    integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
     return lambda s, ctx, notes: point(integrate(s))
 
 
-def compile_expression(expr: Expr, cfg: RunConfig = RunConfig(),
-                       alg: Algebra = SCALAR) -> Compiled:
+def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
-    overlay: the result maps (scenario, context, notes) to an interval."""
+    overlay: the result maps (reader, context, notes) to an interval."""
     leaves: dict = {}
-    combine = _combine(expr, leaves, cfg.intersection, alg)
-    getters = tuple(_state_leaf(leaf, cfg, alg) for leaf in leaves)
+    combine = _combine(expr, leaves, cfg.intersection)
+    getters = tuple(_state_leaf(leaf, cfg) for leaf in leaves)
     if expr in leaves:  # a bare leaf needs no combining
         return getters[0]
 

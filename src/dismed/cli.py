@@ -6,7 +6,8 @@ environment variable), --format json|csv and --out. Verdicts are payload,
 never exit status:
 
     0  evaluation completed
-    2  validation or parse failure
+    2  unusable inputs: a parse or validation failure, an undecided
+       sensitivity base, a sweep rejection limit, no capital link
     3  infeasible optimization
     4  internal error
 """
@@ -31,7 +32,14 @@ from .conditions import (
     eval_condition_set,
 )
 from .config import RunConfig
-from .errors import DismedError, ParseError, ValidationError
+from .errors import (
+    DismedError,
+    IndeterminateAtBase,
+    MissingCapitalResponse,
+    ParseError,
+    RejectionLimit,
+    ValidationError,
+)
 from .io import load_scenario, read_json
 from .model import ValidationReport, validate_scenario
 
@@ -317,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         codes = ", ".join(v.code for v in exc.violations)
         print(f"error: invalid scenario: {codes}", file=sys.stderr)
         return EXIT_INVALID
-    except ParseError as exc:
+    except (ParseError, IndeterminateAtBase, RejectionLimit, MissingCapitalResponse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DismedError as exc:

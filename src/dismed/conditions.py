@@ -5,10 +5,11 @@ one or more comparison parts (joined conjunctively), and the interpretation
 notes that the verdict must carry. Forms are compiled once per RunConfig into
 closures and cached per config, so ``decide``, ``eval_condition_set``,
 ``eval_condition``, sweeps and sensitivity build no forms and dispatch on no
-node types. Contexts, guards and parts compile for either interval algebra
-of ``calculus`` (:func:`compile_guard`, :func:`compile_part`): the scalar
-one, whose results are wrapped here into traced verdicts with notes, and
-``dismed.batch``'s array one, whose results become per-draw status codes.
+node types. A compiled guard or part (:func:`compile_guard`,
+:func:`compile_part`) runs on any reader of ``calculus``: on a Scenario its
+results are wrapped here into traced verdicts with notes, and on a block of
+draws ``dismed.batch`` turns them into per-draw status codes. Both paths
+decide a set by the one rule over counts of its verdicts, :func:`_aggregate`.
 Evaluation is pure: undecidable comparisons produce Indeterminate verdicts,
 never exceptions, and every non-vacuous verdict keeps its lhs/rhs trace
 values.
@@ -32,9 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .calculus import (
-    SCALAR,
     Add,
-    Algebra,
     Axis,
     Const,
     Deriv,
@@ -49,6 +48,7 @@ from .calculus import (
     Sym,
     _close,
     compile_expression,
+    iabs,
     symbols_of,
     # Not called here: perfbench's --trace 1 wraps this module's binding.
     evaluate_expression,  # noqa: F401
@@ -690,53 +690,51 @@ _COMPILED_CONFIGS = 16
 CompiledCondition = Callable[[Scenario], ConditionVerdict]
 
 
-def _in_context(spec: CtxSpec, fn: Callable, alg: Algebra) -> Callable:
+def _in_context(spec: CtxSpec, fn: Callable) -> Callable:
     """``fn(s, ctx, notes)`` under a context spec, as (s, notes) -> value; an
-    argmax context reads each draw's winning listing state."""
+    argmax context reads the reader's winning listing state (per draw)."""
     if spec is None:
         return lambda s, notes: fn(s, None, notes)
     kind, arg = spec
     if kind == "state":
         return lambda s, notes: fn(s, arg, notes)
     if kind == "argmax":
-        per_winner = alg.per_winner
-        return lambda s, notes: per_winner(s, arg, None,
-                                           lambda state, _: fn(s, state, notes))
+        return lambda s, notes: s.per_winner(arg, None, lambda state, _: fn(s, state, notes))
     raise ValueError(f"unknown context spec {spec!r}")
 
 
-def compile_guard(guard: Guard, cfg: RunConfig, alg: Algebra) -> Callable:
+def compile_guard(guard: Guard, cfg: RunConfig) -> Callable:
     """(s, notes) -> whether the guard passes (per draw)."""
     a, b = guard.a, guard.b
     if guard.kind == "gt":
         def test(s, ctx, notes):
             return s.value(a, ctx) > s.value(b, ctx)
     elif guard.kind == "approx":
-        rel_tol, larger = cfg.rel_tol, alg.larger
+        rel_tol = cfg.rel_tol
 
         def test(s, ctx, notes):
-            return _close(s.value(a, ctx), s.value(b, ctx), rel_tol, larger)
+            return _close(s.value(a, ctx), s.value(b, ctx), rel_tol)
     else:
         raise ValueError(f"unknown guard kind {guard.kind!r}")
-    return _in_context(guard.ctx, test, alg)
+    return _in_context(guard.ctx, test)
 
 
-def _compare(op: str, cfg: RunConfig, alg: Algebra) -> Callable:
+def _compare(op: str, cfg: RunConfig) -> Callable:
     """(lhs, rhs) -> (holds, fails) (per draw); neither means undecided."""
     if op == "gt":
         return lambda a, b: (a[0] > b[1], a[1] <= b[0])
     if op == "lt":
         return lambda a, b: (b[0] > a[1], b[1] <= a[0])
     if op == "approx":
-        rel_tol, larger = cfg.rel_tol, alg.larger
+        rel_tol = cfg.rel_tol
 
         def approx(a, b):
             points = (a[0] == a[1]) & (b[0] == b[1])
-            near = _close(a[0], b[0], rel_tol, larger)
+            near = _close(a[0], b[0], rel_tol)
             return points & near, points & (near ^ True)  # ^ True: not, also per draw
         return approx
     if op == "approx_zero":
-        zero_tol, iabs = cfg.zero_tol, alg.abs
+        zero_tol = cfg.zero_tol
 
         def approx_zero(a, b):
             lo, hi = iabs(a)
@@ -745,22 +743,22 @@ def _compare(op: str, cfg: RunConfig, alg: Algebra) -> Callable:
     raise ValueError(f"unknown part op {op!r}")
 
 
-def compile_part(part: Part, cfg: RunConfig, alg: Algebra) -> tuple:
+def compile_part(part: Part, cfg: RunConfig) -> tuple:
     """``(lhs, rhs, compare)``: each side maps (s, notes) to an interval under
     its context (``rhs`` is None for a one-sided op), and ``compare`` maps
     the two intervals to (holds, fails)."""
-    lhs = _in_context(part.lhs_ctx, compile_expression(part.lhs, cfg, alg), alg)
+    lhs = _in_context(part.lhs_ctx, compile_expression(part.lhs, cfg))
     rhs = (None if part.rhs is None
-           else _in_context(part.rhs_ctx, compile_expression(part.rhs, cfg, alg), alg))
-    return lhs, rhs, _compare(part.op, cfg, alg)
+           else _in_context(part.rhs_ctx, compile_expression(part.rhs, cfg)))
+    return lhs, rhs, _compare(part.op, cfg)
 
 
-def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> CompiledCondition:
+def _compile_condition(cid: ConditionId, form: Form, compiled: tuple,
+                       guard: Optional[Callable], cfg: RunConfig) -> CompiledCondition:
+    """The traced evaluator of a condition from its compiled parts and guard."""
     form_notes = form.notes
-    parts = tuple((p.desc, p.op, *compile_part(p, cfg, SCALAR)) for p in form.parts)
-    guard = None
-    if form.guard is not None:
-        guard = compile_guard(form.guard, cfg, SCALAR)
+    parts = tuple((p.desc, p.op, *c) for p, c in zip(form.parts, compiled))
+    if guard is not None:
         if cfg.guard_mode == "violated":
             failed_status, skipped = Status.VIOLATED, False
             failed_note = f"guard failed ({form.guard.desc}); guard_mode=violated"
@@ -803,49 +801,46 @@ def _compile_condition(cid: ConditionId, form: Form, cfg: RunConfig) -> Compiled
 
 
 @lru_cache(maxsize=_COMPILED_CONFIGS)
-def _compiled_table(cfg: RunConfig,
-                    fingerprint: str) -> dict[ConditionId, tuple[Form, CompiledCondition]]:
+def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, tuple]:
+    """Per condition: its compiled parts, its compiled guard or None, and its
+    traced evaluator."""
     # The fingerprint is in the key because configs can compare equal yet
     # print differently (rel_tol 1 and 1.0), and notes quote the config.
     table = {}
     for cid in ALL_CONDITION_IDS:
         form = build_form(cid, cfg)
-        table[cid] = form, _compile_condition(cid, form, cfg)
+        parts = tuple(compile_part(p, cfg) for p in form.parts)
+        guard = None if form.guard is None else compile_guard(form.guard, cfg)
+        table[cid] = parts, guard, _compile_condition(cid, form, parts, guard, cfg)
     return table
 
 
-def config_forms(cfg: RunConfig) -> tuple[Form, ...]:
-    """The forms of all 44 conditions under ``cfg``, in registry order, as
-    built once for the config's compiled table."""
+def compiled_conditions(cfg: RunConfig) -> tuple:
+    """(compiled parts, compiled guard or None) of all 44 conditions under
+    ``cfg``, in registry order, as compiled once for the config's table."""
     table = _compiled_table(cfg, cfg.fingerprint)
-    return tuple(table[cid][0] for cid in ALL_CONDITION_IDS)
+    return tuple(table[cid][:2] for cid in ALL_CONDITION_IDS)
 
 
 def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    return _compiled_table(cfg, cfg.fingerprint)[cid][1](s)
+    return _compiled_table(cfg, cfg.fingerprint)[cid][2](s)
 
 
-def _aggregate(verdicts: Sequence[ConditionVerdict], cfg: RunConfig) -> SetDecision:
-    considered = [v for v in verdicts if not v.skipped]
+def _aggregate(considered: int, held: int, violated: int, undecided: int,
+               cfg: RunConfig) -> SetDecision:
+    """A set's decision from the counts of its verdicts that are considered
+    (not skipped), and of those, held (satisfied or vacuous), violated and
+    undecided (indeterminate)."""
     if not considered:
         return SetDecision.SATISFIED
-    statuses = [v.status for v in considered]
-    if cfg.aggregation == "conjunction":
-        if any(st == Status.VIOLATED for st in statuses):
-            return SetDecision.NOT_SATISFIED
-        if any(st == Status.INDETERMINATE for st in statuses):
-            return SetDecision.INDETERMINATE
-        return SetDecision.SATISFIED
-    # quorum
-    if cfg.quorum_violations_block and any(st == Status.VIOLATED for st in statuses):
+    if violated and (cfg.aggregation == "conjunction" or cfg.quorum_violations_block):
         return SetDecision.NOT_SATISFIED
-    total = len(considered)
-    sat = sum(st in (Status.SATISFIED, Status.VACUOUS) for st in statuses)
-    ind = sum(st == Status.INDETERMINATE for st in statuses)
-    if sat / total >= cfg.quorum:
+    if cfg.aggregation == "conjunction":
+        return SetDecision.INDETERMINATE if undecided else SetDecision.SATISFIED
+    if held / considered >= cfg.quorum:
         return SetDecision.SATISFIED
-    if (sat + ind) / total >= cfg.quorum:
+    if (held + undecided) / considered >= cfg.quorum:
         return SetDecision.INDETERMINATE
     return SetDecision.NOT_SATISFIED
 
@@ -854,11 +849,15 @@ def eval_condition_set(s: Scenario, cset: ConditionSet,
                        cfg: RunConfig = RunConfig()) -> ConditionReport:
     """Evaluate a whole set in printed order and aggregate it."""
     verdicts = tuple(eval_condition(s, cid, cfg) for cid in condition_ids(cset))
+    statuses = [v.status for v in verdicts if not v.skipped]
     return ConditionReport(
         scenario_label=s.label,
         set=cset,
         verdicts=verdicts,
-        aggregate=_aggregate(verdicts, cfg),
+        aggregate=_aggregate(len(statuses),
+                             statuses.count(Status.SATISFIED) + statuses.count(Status.VACUOUS),
+                             statuses.count(Status.VIOLATED),
+                             statuses.count(Status.INDETERMINATE), cfg),
         config=cfg.to_dict(),
     )
 

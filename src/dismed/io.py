@@ -25,9 +25,9 @@ from .model import (
 )
 
 _SYMBOL_ORDER = tuple(SYMBOLS)
-_OPTIONAL_SCALARS = ("prospect_count", "valued_time_share")
+_OPTIONAL_NUMBERS = ("prospect_count", "valued_time_share")
 _CONTAINER_KEYS = ("overlays", "responses", "time_paths")
-_ALLOWED_TOP = frozenset(("label", *_SYMBOL_ORDER, *_OPTIONAL_SCALARS, *_CONTAINER_KEYS))
+_ALLOWED_TOP = frozenset(("label", *_SYMBOL_ORDER, *_OPTIONAL_NUMBERS, *_CONTAINER_KEYS))
 
 _RESPONSE_KEYS = frozenset(("driven", "driver", "kind", "coeffs", "knots", "context"))
 _TIME_PATH_KEYS = frozenset(("symbol", "kind", "value", "v0", "slope", "times", "values"))

@@ -147,6 +147,17 @@ class Scenario:
                 return tp
         return None
 
+    def per_winner(self, names: Sequence[str], state: Optional[str], fn):
+        """``fn(name, value)`` for the name with the largest value under
+        ``state``, ties to the earlier name; ``fn(None, -inf)`` when no value
+        exceeds -inf."""
+        best, best_v = None, -math.inf
+        for name in names:
+            v = self.value(name, state)
+            if v > best_v:
+                best, best_v = name, v
+        return fn(best, best_v)
+
 
 PROBABILITY_SYMBOLS = ("rho_p", "rho_i", "rho_s")
 

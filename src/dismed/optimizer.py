@@ -191,11 +191,10 @@ def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
                     lows: Sequence[float], highs: Sequence[float],
-                    x0: Sequence[float], cfg: OptimizerConfig,
-                    exchange: bool = False):
+                    x0: Sequence[float], cfg: OptimizerConfig):
     """Compass pattern search over a box; f may return -inf for infeasible.
 
-    With ``exchange`` enabled the pattern also probes pairwise trade moves
+    Besides the compass moves, the pattern probes pairwise trade moves
     (+step on one coordinate, -step on another), which lets the search slide
     along an active budget constraint such as the epsilon cost cap.
     """
@@ -221,21 +220,20 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
             ft = f(trial)
             if ft > best_fx:
                 best_fx, best_x = ft, trial
-        if exchange:
-            for i in dims:
-                for j in dims:
-                    if i == j:
-                        continue
-                    # equal step both ways: tangent to a cost-budget facet
-                    delta = min(steps[i], steps[j])
-                    trial = list(x)
-                    trial[i] = clipped(x, i, delta)
-                    trial[j] = clipped(x, j, -delta)
-                    if trial[i] == x[i] and trial[j] == x[j]:
-                        continue
-                    ft = f(trial)
-                    if ft > best_fx:
-                        best_fx, best_x = ft, trial
+        for i in dims:
+            for j in dims:
+                if i == j:
+                    continue
+                # equal step both ways: tangent to a cost-budget facet
+                delta = min(steps[i], steps[j])
+                trial = list(x)
+                trial[i] = clipped(x, i, delta)
+                trial[j] = clipped(x, j, -delta)
+                if trial[i] == x[i] and trial[j] == x[j]:
+                    continue
+                ft = f(trial)
+                if ft > best_fx:
+                    best_fx, best_x = ft, trial
         if best_x is not None:
             x, fx = best_x, best_fx
             continue
@@ -257,6 +255,28 @@ def _feasible_start(start: Sequence[float], anchor: Sequence[float],
         if ok(candidate):
             return candidate
     return list(anchor)
+
+
+def _best_of_restarts(f: Callable[[Sequence[float]], float],
+                      ok: Callable[[Sequence[float]], bool],
+                      lows: Sequence[float], highs: Sequence[float],
+                      cfg: OptimizerConfig, stream: int):
+    """Pattern search from the low corner and from ``cfg.restarts`` seeded
+    uniform points (substream ``[cfg.seed, stream]``), each shrunk toward the
+    low corner until ``ok``: the best (x, f(x)), the first of equals, and
+    the iterations of all searches."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
+    starts = [list(lows)]
+    for _ in range(max(0, cfg.restarts)):
+        raw = [lo + u * (hi - lo) for u, lo, hi in zip(rng.random(len(lows)), lows, highs)]
+        starts.append(_feasible_start(raw, lows, ok))
+    best_x, best_fx, total_iter = None, -math.inf, 0
+    for start in starts:
+        x, fx, iters = _pattern_search(f, lows, highs, start, cfg)
+        total_iter += iters
+        if fx > best_fx:
+            best_x, best_fx = x, fx
+    return best_x, best_fx, total_iter
 
 
 def _decision(x: Sequence[float], state: str) -> DecisionVector:
@@ -284,18 +304,7 @@ def optimize_broker(s: Scenario, bounds: Bounds,
             return -math.inf
         return broker_objective(s, _decision(x, ctx), cfg.mode, cfg.weights)
 
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    starts = [list(lows)]
-    for _ in range(max(0, cfg.restarts)):
-        raw = [lo + u * (hi - lo) for u, lo, hi in zip(rng.random(len(lows)), lows, highs)]
-        starts.append(_feasible_start(raw, lows, feas))
-
-    best_x, best_fx, total_iter = None, -math.inf, 0
-    for start in starts:
-        x, fx, iters = _pattern_search(f, lows, highs, start, cfg, exchange=True)
-        total_iter += iters
-        if fx > best_fx:
-            best_x, best_fx = x, fx
+    best_x, best_fx, total_iter = _best_of_restarts(f, feas, lows, highs, cfg, 0)
     return OptResult(decision=_decision(best_x, ctx), objective=best_fx,
                      feasible=True, iterations=total_iter, mode=cfg.mode)
 
@@ -339,17 +348,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
                 return -math.inf
             return evaluate_capital(s, _decision(x, ctx), ctx)
 
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, j + 1]))
-        starts = [list(lows)]
-        for _ in range(max(0, cfg.restarts)):
-            raw = [lo + u * (hi - lo)
-                   for u, lo, hi in zip(rng.random(len(lows)), lows, highs)]
-            starts.append(_feasible_start(raw, lows, ok))
-        best_x, best_fx = None, -math.inf
-        for start in starts:
-            x, fx, _ = _pattern_search(f, lows, highs, start, cfg, exchange=True)
-            if fx > best_fx:
-                best_x, best_fx = x, fx
+        best_x, best_fx, _ = _best_of_restarts(f, ok, lows, highs, cfg, j + 1)
         if best_x is not None and math.isfinite(best_fx):
             d = _decision(best_x, ctx)
             raw_points.append(ParetoPoint(cost=d.cost, capital=best_fx, decision=d))

@@ -19,6 +19,7 @@ from dismed import (
     joint_prob,
     with_values,
 )
+from dismed import calculus
 from dismed.calculus import (
     Add,
     Const,
@@ -125,6 +126,133 @@ def test_comparison_against_partially_known_max():
     rhs = ExtendedValue(1.0, math.inf)
     assert cmp_gt(ExtendedValue.point(0.5), rhs) is False
     assert cmp_gt(ExtendedValue.point(2.0), rhs) is None
+
+
+# Each operation as the scalar evaluator computed it before float and per-draw
+# endpoints shared one implementation: the reference for values and messages.
+def _ref_iv(lo, hi):
+    if lo != lo or hi != hi or lo > hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    return lo, hi
+
+
+def _ref_times(a, b):
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
+def _ref_mul(a, b):
+    ps = (_ref_times(a[0], b[0]), _ref_times(a[0], b[1]),
+          _ref_times(a[1], b[0]), _ref_times(a[1], b[1]))
+    return _ref_iv(min(ps), max(ps))
+
+
+def _ref_div(a, b):
+    if b[0] <= 0.0 <= b[1]:
+        raise DivisionByZeroInterval(f"divisor interval [{b[0]}, {b[1]}] contains 0")
+    r1, r2 = 1.0 / b[0], 1.0 / b[1]
+    return _ref_mul(a, _ref_iv(min(r1, r2), max(r1, r2)))
+
+
+def _ref_scale(a, k):
+    lo, hi = _ref_times(a[0], k), _ref_times(a[1], k)
+    return _ref_iv(min(lo, hi), max(lo, hi))
+
+
+def _ref_extremum(vs, larger):
+    pick = max if larger else min
+    return _ref_iv(pick(v[0] for v in vs), pick(v[1] for v in vs))
+
+
+def _ref_joint(a, b, mode):
+    if a[0] == a[1] and b[0] == b[1]:
+        x = a[0] * b[0] if mode == "product" else min(a[0], b[0])
+        return (x, x) if x == x else _ref_iv(x, x)
+    return -math.inf, math.inf
+
+
+def _ref_abs(a):
+    lo, hi = a
+    if lo >= 0:
+        return a
+    if hi <= 0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+_REFERENCE = {
+    "point": lambda x: (x, x) if x == x else _ref_iv(x, x),
+    "add": lambda a, b: _ref_iv(a[0] + b[0], a[1] + b[1]),
+    "sub": lambda a, b: _ref_iv(a[0] - b[1], a[1] - b[0]),
+    "mul": _ref_mul, "div": _ref_div, "scale": _ref_scale, "extremum": _ref_extremum,
+    "joint": _ref_joint, "iabs": _ref_abs,
+}
+
+_ENDPOINTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from((0.0, -0.0, math.inf, -math.inf)))
+
+
+@st.composite
+def _intervals(draw):
+    x = draw(_ENDPOINTS)
+    if draw(st.booleans()):
+        return (x, x)  # a point: one object for both endpoints
+    return tuple(sorted((x, draw(_ENDPOINTS))))
+
+
+_OP_ARGS = {
+    "point": st.tuples(_ENDPOINTS),
+    "add": st.tuples(_intervals(), _intervals()),
+    "sub": st.tuples(_intervals(), _intervals()),
+    "mul": st.tuples(_intervals(), _intervals()),
+    "div": st.tuples(_intervals(), _intervals()),
+    "scale": st.tuples(_intervals(), _ENDPOINTS),
+    "extremum": st.tuples(st.lists(_intervals(), min_size=1, max_size=3), st.booleans()),
+    "joint": st.tuples(_intervals(), _intervals(), st.sampled_from(("product", "min"))),
+    "iabs": st.tuples(_intervals()),
+}
+
+
+def _as_arrays(arg, np):
+    """``arg`` with every float endpoint as a 1-element array; a point's two
+    endpoints stay one object."""
+    if isinstance(arg, float):
+        return np.array([arg])
+    if isinstance(arg, tuple) and len(arg) == 2 and arg[0] is arg[1]:
+        x = np.array([arg[0]])
+        return (x, x)
+    if isinstance(arg, (tuple, list)):
+        return type(arg)(_as_arrays(a, np) for a in arg)
+    return arg
+
+
+def _same_float(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_OP_ARGS)).flatmap(
+    lambda name: st.tuples(st.just(name), _OP_ARGS[name])))
+def test_one_arithmetic_for_float_and_per_draw_endpoints(case):
+    np = pytest.importorskip("numpy")
+    name, args = case
+    op = getattr(calculus, name)
+    try:
+        expected = _REFERENCE[name](*args)
+    except (ValueError, DivisionByZeroInterval) as exc:
+        with pytest.raises(type(exc)) as refused:
+            op(*args)
+        assert str(refused.value) == str(exc)
+        with pytest.raises(calculus.Replay), np.errstate(all="ignore"):
+            op(*(_as_arrays(a, np) for a in args))
+        return
+    got = op(*args)
+    assert type(got) is tuple and len(got) == 2
+    assert all(type(x) is float for x in got), got
+    assert all(_same_float(x, y) for x, y in zip(got, expected)), (got, expected)
+    with np.errstate(all="ignore"):
+        per_draw = op(*(_as_arrays(a, np) for a in args))
+    per_draw = [float(np.broadcast_to(x, 1)[0]) for x in per_draw]
+    assert all(_same_float(x, y) for x, y in zip(per_draw, got)), (per_draw, got)
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=5))

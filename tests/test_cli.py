@@ -130,15 +130,31 @@ def test_sensitivity_cli(capsys, fixtures_dir):
     assert payload["margin"] == pytest.approx(0.1)
 
 
-def test_sensitivity_indeterminate_exits_4(capsys, fixtures_dir, tmp_path):
+@pytest.mark.parametrize("command, args, names", [
+    # B8 is Indeterminate at base without links: IndeterminateAtBase
+    ("sensitivity", ["--condition", "B8", "--param", "psi_bi"], "B8"),
+    # every draw of c lies outside (0, 1): RejectionLimit
+    ("sweep", ["--dist", {"marginals": {"c": {"kind": "uniform", "lo": 1.5, "hi": 2.0}}},
+               "-n", "2", "--seed", "8"], "rejections"),
+    # no capital link: MissingCapitalResponse
+    ("optimize", ["--bounds", {f: [0.0, 1.0] for f in ("B_b", "B_s", "B_i", "B_n")}],
+     "SC_br"),
+], ids=["sensitivity", "sweep", "optimize"])
+def test_user_caused_errors_exit_2(capsys, tmp_path, command, args, names):
     data = fixture_dict("bare")
     data["responses"] = []
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(data))
-    code, _, err = run(capsys, "sensitivity", str(path),
-                       "--condition", "B8", "--param", "psi_bi")
-    assert code == 4
-    assert "B8" in err
+    argv = []
+    for k, arg in enumerate(args):
+        if isinstance(arg, dict):  # an input file
+            arg_path = tmp_path / f"arg{k}.json"
+            arg_path.write_text(json.dumps(arg))
+            arg = str(arg_path)
+        argv.append(arg)
+    code, out, err = run(capsys, command, str(path), *argv)
+    assert code == 2 and out == ""
+    assert names in err and "internal error" not in err
 
 
 def test_config_file_and_env(capsys, fixtures_dir, tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ from dismed import (
 )
 from dismed import batch, conditions
 from dismed.calculus import (
-    SCALAR,
     Add,
     Axis,
     Const,
@@ -486,7 +485,7 @@ def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, interse
     base = scenario_from_dict(data)
     cfg = RunConfig(intersection=intersection)
     part = Part("expression", "gt", expr, lhs_ctx=ctx)
-    scalar, array = (compile_part(part, cfg, alg)[0] for alg in (SCALAR, batch.ARRAY))
+    lhs = compile_part(part, cfg)[0]
     n, rng = 5, np.random.default_rng(seed)
     X = np.tile(np.array(base.values), (n, 1))
     for name in varying:
@@ -497,13 +496,13 @@ def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, interse
     for row in X.tolist():
         s = with_values(base, {name: row[SYMBOLS[name]] for name in varying})
         try:
-            expected.append(scalar(s, None))
+            expected.append(lhs(s, None))
         except (DismedError, ValueError, ArithmeticError):
             expected.append(None)
     try:
         with np.errstate(all="ignore"):
-            lo, hi = array(batch._Draws(base, X, set(varying)), None)
-    except (batch.Replay, DismedError):
+            lo, hi = lhs(batch._Draws(base, X, set(varying)), None)
+    except (batch.Replay, DismedError, ValueError, ArithmeticError):
         assert None in expected
         return
     assert None not in expected
