@@ -23,10 +23,10 @@ Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
 only the leaf resolver differs: a symbol at base or under a listing-state
 overlay, a symbol with the driver pinned to a stencil point, or a symbol at
-time t along its time path. The closures read the scenario only through a
-reader's ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
-``per_winner``, per call: a Scenario in ``decide``, a block of draws
-(``dismed.batch``) in sweeps.
+time t along its time path. The closures read a Scenario per call, through
+its ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
+``per_winner``: in ``decide`` one scenario, in sweeps a block of draws
+(``dismed.batch.block``) whose swept values are per-draw arrays.
 """
 
 from __future__ import annotations
@@ -37,19 +37,14 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .config import RunConfig
-from .errors import DivisionByZeroInterval, IndeterminateIntegrand, PathCoverageError
-from .model import Scenario, TimePath, eval_response, split_driver
+from .errors import DivisionByZeroInterval, IndeterminateIntegrand, PathCoverageError, Replay
+from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
 
 INF = math.inf
 
 #: An interval inside the evaluator: a checked (lower, upper) pair.
 Interval = tuple
 UNKNOWN: Interval = (-INF, INF)
-
-
-class Replay(Exception):
-    """An operation refused in some draw of a block: the scalar path must
-    decide the block, and raises there from the same draw."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +58,6 @@ class Replay(Exception):
 # round as floats do. A point interval's endpoints are one object, and an
 # operation on points computes its single endpoint once.
 
-def _where(cond, a, b):
-    import numpy as np
-    return np.where(cond, a, b)
-
-
 def _checked(lo, hi) -> Interval:
     """The one interval check: a NaN endpoint or lower > upper refuses."""
     ok = lo <= hi
@@ -78,20 +68,6 @@ def _checked(lo, hi) -> Interval:
     if not ok.all():
         raise Replay
     return lo, hi
-
-
-def _first(xs, larger: bool):
-    """Python's max (``larger``) or min over ``xs``, per draw: a later value
-    replaces the current one only when strictly better, so the first of equal
-    values (or a NaN) stays."""
-    best = xs[0]
-    for x in xs[1:]:
-        better = x > best if larger else x < best
-        if better is True:
-            best = x
-        elif better is not False:
-            best = _where(better, x, best)
-    return best
 
 
 def _times(a, b):
@@ -194,25 +170,6 @@ def _cube(h):
     return np.array([x ** 3 for x in np.ravel(h).tolist()]).reshape(np.shape(h))
 
 
-def _response(r, x):
-    """A link's value at a float or per-draw driver, in the operations of
-    ``eval_response``."""
-    # eval_response is looked up at call time: perfbench's tracer wraps this
-    # module's binding after the conditions are compiled.
-    if isinstance(x, (int, float)) or r.kind == "polynomial":
-        return eval_response(r, x)
-    import numpy as np
-    ks = r.knots
-    if len(ks) == 1:
-        return ks[0][1]
-    xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
-    # the segment the scalar bisection finds; the end segments extrapolate
-    lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
-    x0, y0 = xs[lo], ys[lo]
-    t = (x - x0) / (xs[lo + 1] - x0)
-    return y0 + t * (ys[lo + 1] - y0)
-
-
 @dataclass(frozen=True)
 class ExtendedValue:
     lower: float
@@ -261,15 +218,6 @@ class ExtendedValue:
 
 
 INDETERMINATE = ExtendedValue(-INF, INF)
-
-
-def cmp_gt(a: ExtendedValue, b: ExtendedValue) -> Optional[bool]:
-    """Three-valued a > b: True/False when forced, None when undecidable."""
-    if a.lower > b.upper:
-        return True
-    if a.upper <= b.lower:
-        return False
-    return None
 
 
 def _close(a, b, rel_tol: float):
@@ -425,8 +373,8 @@ class Deriv(Expr):
 # ---------------------------------------------------------------------------
 
 Combine = Callable[[Sequence[Interval]], Interval]
-#: A compiled expression under a state context: (reader, context, notes) ->
-#: interval, where the reader is a Scenario or a block of draws.
+#: A compiled expression under a state context: (scenario, context, notes) ->
+#: interval, per draw where the scenario is a block of draws.
 Compiled = Callable[[object, Optional[str], Optional[list]], Interval]
 
 _BINARY = {Sub: sub, Mul: mul, Div: div}
@@ -488,7 +436,7 @@ _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
 def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
-    """Compiled derivative: (reader, context, notes, h=None) -> interval.
+    """Compiled derivative: (scenario, context, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
     the driver itself (identity), a declared response of it, or unknown. A
@@ -531,7 +479,8 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
                 elif r is _IDENTITY:
                     vals.append(point(x))
                 else:
-                    vals.append(point(_response(r, x)))
+                    # looked up at call time: perfbench's tracer wraps this binding
+                    vals.append(point(eval_response(r, x)))
             return combine(vals)
 
         return _stencil(f, x0, h, order)
@@ -587,7 +536,7 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
                       cfg: RunConfig = RunConfig()) -> Callable:
-    """Compiled trapezoid integral over [0, T]: reader -> float (per draw).
+    """Compiled trapezoid integral over [0, T]: scenario -> float (per draw).
 
     Symbols follow their time paths and otherwise stay at base values; a
     derivative is taken at base and must be a point. The sum runs node by
@@ -656,7 +605,7 @@ def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
 
 def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
-    overlay: the result maps (reader, context, notes) to an interval."""
+    overlay: the result maps (scenario, context, notes) to an interval."""
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection)
     getters = tuple(_state_leaf(leaf, cfg) for leaf in leaves)

@@ -6,13 +6,13 @@ notes that the verdict must carry. Forms are compiled once per RunConfig into
 closures and cached per config, so ``decide``, ``eval_condition_set``,
 ``eval_condition``, sweeps and sensitivity build no forms and dispatch on no
 node types. A compiled guard or part (:func:`compile_guard`,
-:func:`compile_part`) runs on any reader of ``calculus``: on a Scenario its
-results are wrapped here into traced verdicts with notes, and on a block of
-draws ``dismed.batch`` turns them into per-draw status codes. Both paths
-decide a set by the one rule over counts of its verdicts, :func:`_aggregate`.
-Evaluation is pure: undecidable comparisons produce Indeterminate verdicts,
-never exceptions, and every non-vacuous verdict keeps its lhs/rhs trace
-values.
+:func:`compile_part`) runs on any Scenario: on one scenario its results are
+wrapped here into traced verdicts with notes, and on a block of draws (whose
+swept values are per-draw arrays) ``dismed.batch`` turns them into per-draw
+status codes. Both paths decide a set by the one rule over counts of its
+verdicts, :func:`_aggregate`. Evaluation is pure: undecidable comparisons
+produce Indeterminate verdicts, never exceptions, and every non-vacuous
+verdict keeps its lhs/rhs trace values.
 
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
@@ -692,7 +692,7 @@ CompiledCondition = Callable[[Scenario], ConditionVerdict]
 
 def _in_context(spec: CtxSpec, fn: Callable) -> Callable:
     """``fn(s, ctx, notes)`` under a context spec, as (s, notes) -> value; an
-    argmax context reads the reader's winning listing state (per draw)."""
+    argmax context reads the scenario's winning listing state (per draw)."""
     if spec is None:
         return lambda s, notes: fn(s, None, notes)
     kind, arg = spec

@@ -54,3 +54,8 @@ class RejectionLimit(DismedError):
 
 class IndeterminateAtBase(DismedError):
     """Sensitivity analysis requires a determinate, non-vacuous base verdict."""
+
+
+class Replay(Exception):
+    """An operation refused in some draw of a sweep block: the scalar path
+    must decide the block, and raises there from the same draw."""

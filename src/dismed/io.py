@@ -206,14 +206,14 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
         }
     if s.responses:
         ordered = sorted(s.responses, key=lambda r: (r.context, r.driven, r.driver))
-        out["responses"] = [_response_to_dict(r) for r in ordered]
+        out["responses"] = [_link_to_dict(r) for r in ordered]
     if s.time_paths:
         out["time_paths"] = [_time_path_to_dict(tp)
                              for tp in sorted(s.time_paths, key=lambda t: t.symbol)]
     return out
 
 
-def _response_to_dict(r: ResponseFunction) -> dict[str, Any]:
+def _link_to_dict(r: ResponseFunction) -> dict[str, Any]:
     out: dict[str, Any] = {"driven": r.driven, "driver": r.driver, "kind": r.kind}
     if r.kind == "polynomial":
         out["coeffs"] = list(r.coeffs)

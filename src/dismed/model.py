@@ -5,8 +5,14 @@ The 41 base symbols are stored flat: ``Scenario.values`` holds one float per
 symbol, and ``SYMBOLS`` maps each name to its slot, in the order scenario
 files and payloads list them. Only this module knows that layout; everything
 else reads ``Scenario.value(name, state)`` and copies with ``with_values``.
-The module also owns scenario validation; violations are data, not
-exceptions.
+In a sweep, a block of draws is a Scenario whose swept slots hold numpy
+arrays, one value per draw; ``value``, ``per_winner`` and ``eval_response``
+then answer per draw.
+
+The module also owns scenario validation: ``check_scenario`` is the one walk
+over every invariant, and reports each check with where it fails (per draw
+in a block). ``validate_scenario`` collects the failures of one scenario as
+violations, which are data, not exceptions.
 
 Naming notes:
   * broker effort is exposed as ``u_hat`` and the buyer's perception of it as
@@ -23,6 +29,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
+from .errors import Replay
+
 DECIMALS_SIGNIFICANT = 12
 
 STATE_NAMES = ("E_s", "E_p", "E_m")
@@ -36,6 +44,29 @@ def canonical_round(x: float) -> float:
     if x == 0.0 or not math.isfinite(x):
         return x
     return float(f"{x:.{DECIMALS_SIGNIFICANT}g}")
+
+
+# A comparison of two floats gives True or False, which callers test by
+# identity; anything else is one bool per draw of a sweep block. numpy is
+# imported only where a value is per draw, so scalar commands never load it.
+
+def _where(cond, a, b):
+    import numpy as np
+    return np.where(cond, a, b)
+
+
+def _first(xs, larger: bool):
+    """Python's max (``larger``) or min over ``xs``, per draw: a later value
+    replaces the current one only when strictly better, so the first of equal
+    values (or a NaN) stays."""
+    best = xs[0]
+    for x in xs[1:]:
+        better = x > best if larger else x < best
+        if better is True:
+            best = x
+        elif better is not False:
+            best = _where(better, x, best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -117,10 +148,13 @@ class Scenario:
             ov = self.overlays.get(state)
             if ov is not None and name in ov:
                 return float(ov[name])
-        return float(self.values[SYMBOLS[name]])
+        return self.values[SYMBOLS[name]]
 
     def bundle_value(self, names: Sequence[str], state: Optional[str] = None) -> float:
-        return sum(self.value(n, state) for n in names)
+        total = 0.0  # plain float additions, as per draw (sum() compensates from 3.12)
+        for name in names:
+            total = total + self.value(name, state)
+        return total
 
     def response_for(self, driven: str, driver: str,
                      state: Optional[str] = None) -> Optional[ResponseFunction]:
@@ -150,13 +184,35 @@ class Scenario:
     def per_winner(self, names: Sequence[str], state: Optional[str], fn):
         """``fn(name, value)`` for the name with the largest value under
         ``state``, ties to the earlier name; ``fn(None, -inf)`` when no value
-        exceeds -inf."""
-        best, best_v = None, -math.inf
-        for name in names:
+        exceeds -inf. Where values are per draw, each draw takes its own
+        winner's result, and a draw with no winner raises :class:`Replay`."""
+        win, best = -1, -math.inf
+        for k, name in enumerate(names):
             v = self.value(name, state)
-            if v > best_v:
-                best, best_v = name, v
-        return fn(best, best_v)
+            larger = v > best
+            if larger is True:
+                win, best = k, v
+            elif larger is not False:
+                win, best = _where(larger, k, win), _where(larger, v, best)
+        if isinstance(win, int):
+            return fn(names[win] if win >= 0 else None, best)
+        if (win < 0).any():  # no finite candidate: the scalar path decides
+            raise Replay
+        out = None
+        for k, name in enumerate(names):
+            rows = win == k
+            if not rows.any():
+                continue
+            value = fn(name, self.value(name, state))
+            if rows.all():
+                return value
+            if out is None:
+                out = value
+            elif isinstance(value, tuple):  # an interval, endpoint by endpoint
+                out = tuple(_where(rows, a, b) for a, b in zip(value, out))
+            else:
+                out = _where(rows, value, out)
+        return out
 
 
 PROBABILITY_SYMBOLS = ("rho_p", "rho_i", "rho_s")
@@ -199,75 +255,103 @@ class ValidationReport:
         }
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _finite(x):
+    """Whether ``x`` is a finite number, per draw: ``x - x`` is 0 only where
+    ``x`` is finite."""
+    try:
+        return x - x == 0
+    except TypeError:
+        return False
+
+
+def _rounds_apart(a, b):
+    """``canonical_round(a) != canonical_round(b)``, per draw; only draws
+    where a and b differ exactly are rounded."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return canonical_round(a) != canonical_round(b)
+    import numpy as np
+    a, b = np.broadcast_arrays(a, b)
+    apart = a != b
+    for k in np.flatnonzero(apart).tolist():
+        apart[k] = canonical_round(float(a[k])) != canonical_round(float(b[k]))
+    return apart
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Check every model invariant. Deterministic and side-effect free."""
     out: list[Violation] = []
 
-    def bad(code: str, msg: str) -> None:
-        out.append(Violation(code, msg))
+    def bad(code: str, when, message: str, *args) -> None:
+        if when:
+            out.append(Violation(code, message.format(*args)))
 
-    for name in SYMBOLS:
-        v = s.value(name)
-        if not _finite(v):
-            bad("NonFiniteValue", f"{name} = {v!r} is not finite")
-    P, P_b, c = s.value("P"), s.value("P_b"), s.value("c")
-    if _finite(P) and P <= 0:
-        bad("NonPositivePrice", f"P = {P} must be > 0")
-    if _finite(P_b) and P_b <= 0:
-        bad("NonPositivePrice", f"P_b = {P_b} must be > 0")
-    if _finite(c) and not (0.0 < c < 1.0):
-        bad("CommissionOutOfRange", f"c = {c} must lie in (0, 1)")
-    if s.prospect_count < 1:
-        bad("ProspectCountOutOfRange", f"prospect_count = {s.prospect_count} must be >= 1")
-    vts = s.valued_time_share
-    if vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0):
-        bad("ValuedTimeShareOutOfRange", f"valued_time_share = {vts!r} must lie in [0, 1]")
-    for name in PROBABILITY_SYMBOLS:
-        v = s.value(name)
-        if _finite(v) and not (0.0 <= v <= 1.0):
-            bad("ProbabilityOutOfRange", f"{name} = {v} must lie in [0, 1]")
-
-    I, I_p, I_i, I_o = (s.value(n) for n in ("I", "I_p", "I_i", "I_o"))
-    if all(_finite(x) for x in (I, I_p, I_i)):
-        if canonical_round(I) != canonical_round(I_p + I_i):
-            bad("InformationIdentity", f"I = {I} must equal I_p + I_i = {I_p + I_i}")
-    if all(_finite(x) for x in (I_o, I_i)) and I_o < I_i:
-        bad("InformationInclusion", f"I_o = {I_o} must be >= I_i = {I_i}")
-
-    _validate_overlays(s, bad)
-    _validate_responses(s, bad)
-    _validate_time_paths(s, bad)
-
+    check_scenario(s, bad)
     return ValidationReport(ok=not out, violations=tuple(out))
 
 
-def _validate_overlays(s: Scenario, bad) -> None:
+def check_scenario(s: Scenario, bad) -> None:
+    """Run every check of the model's invariants on ``s``, in report order.
+
+    Each check calls ``bad(code, when, message, *args)``: ``when`` is whether
+    it fails, a bool, or one bool per draw where ``s`` holds per-draw arrays
+    (``^ True`` is the per-draw "not"); ``message.format(*args)`` describes
+    the failure. A check that reads no per-draw value passes a plain bool.
+    """
+    for name in SYMBOLS:
+        v = s.value(name)
+        bad("NonFiniteValue", _finite(v) ^ True, "{} = {!r} is not finite", name, v)
+    P, P_b, c = s.value("P"), s.value("P_b"), s.value("c")
+    bad("NonPositivePrice", _finite(P) & (P <= 0), "P = {} must be > 0", P)
+    bad("NonPositivePrice", _finite(P_b) & (P_b <= 0), "P_b = {} must be > 0", P_b)
+    bad("CommissionOutOfRange", _finite(c) & ((c <= 0.0) | (c >= 1.0)),
+        "c = {} must lie in (0, 1)", c)
+    bad("ProspectCountOutOfRange", s.prospect_count < 1,
+        "prospect_count = {} must be >= 1", s.prospect_count)
+    vts = s.valued_time_share
+    bad("ValuedTimeShareOutOfRange",
+        vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0),
+        "valued_time_share = {!r} must lie in [0, 1]", vts)
+    for name in PROBABILITY_SYMBOLS:
+        v = s.value(name)
+        bad("ProbabilityOutOfRange", _finite(v) & ((v < 0.0) | (v > 1.0)),
+            "{} = {} must lie in [0, 1]", name, v)
+
+    _check_identity(s, None, bad)
+    I_o, I_i = s.value("I_o"), s.value("I_i")
+    bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (I_o < I_i),
+        "I_o = {} must be >= I_i = {}", I_o, I_i)
+
+    _check_overlays(s, bad)
+    _check_responses(s, bad)
+    _check_time_paths(s, bad)
+
+
+def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
+    I, I_p, I_i = (s.value(n, state) for n in ("I", "I_p", "I_i"))
+    total = I_p + I_i
+    bad("InformationIdentity",
+        _finite(I) & _finite(I_p) & _finite(I_i) & _rounds_apart(I, total),
+        "{}I = {} must equal I_p + I_i = {}",
+        "" if state is None else f"under overlay {state}: ", I, total)
+
+
+def _check_overlays(s: Scenario, bad) -> None:
     for state, overrides in s.overlays.items():
         if state not in STATE_NAMES:
-            bad("OverlayUnknownState", f"overlay state {state!r} is not one of {STATE_NAMES}")
+            bad("OverlayUnknownState", True, "overlay state {!r} is not one of {}",
+                state, STATE_NAMES)
             continue
         for name, value in overrides.items():
             if name not in SYMBOLS:
-                bad("OverlayUnknownSymbol", f"overlay {state} overrides unknown symbol {name!r}")
+                bad("OverlayUnknownSymbol", True, "overlay {} overrides unknown symbol {!r}",
+                    state, name)
                 continue
-            if name in STATE_NAMES:
-                bad("OverlayListingState",
-                    f"overlay {state} may not override listing-state value {name}")
-            if not _finite(value):
-                bad("NonFiniteValue", f"overlay {state}.{name} = {value!r} is not finite")
-        touched = {"I", "I_p", "I_i"} & set(overrides)
-        if touched:
-            i_v = s.value("I", state)
-            ip_v = s.value("I_p", state)
-            ii_v = s.value("I_i", state)
-            if all(_finite(x) for x in (i_v, ip_v, ii_v)) and \
-                    canonical_round(i_v) != canonical_round(ip_v + ii_v):
-                bad("InformationIdentity",
-                    f"under overlay {state}: I = {i_v} must equal I_p + I_i = {ip_v + ii_v}")
+            bad("OverlayListingState", name in STATE_NAMES,
+                "overlay {} may not override listing-state value {}", state, name)
+            bad("NonFiniteValue", not _finite(value), "overlay {}.{} = {!r} is not finite",
+                state, name, value)
+        if {"I", "I_p", "I_i"} & set(overrides):
+            _check_identity(s, state, bad)
 
 
 MAX_POLY_DEGREE = 6
@@ -275,7 +359,8 @@ RESPONSE_CONSISTENCY_RTOL = 1e-9
 
 
 def eval_response(r: ResponseFunction, x: float) -> float:
-    """Evaluate a response link at a driver value."""
+    """Evaluate a response link at a driver value (a float, or an array with
+    one value per draw, computed in the same operations)."""
     if r.kind == "polynomial":
         acc = 0.0
         for coef in reversed(r.coeffs):
@@ -285,6 +370,14 @@ def eval_response(r: ResponseFunction, x: float) -> float:
     ks = r.knots
     if len(ks) == 1:
         return ks[0][1]
+    if not isinstance(x, (int, float)):
+        import numpy as np
+        xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
+        # the segment the bisection below finds; the end segments extrapolate
+        lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
+        x0, y0 = xs[lo], ys[lo]
+        t = (x - x0) / (xs[lo + 1] - x0)
+        return y0 + t * (ys[lo + 1] - y0)
     if x <= ks[0][0]:
         (x0, y0), (x1, y1) = ks[0], ks[1]
     elif x >= ks[-1][0]:
@@ -302,102 +395,99 @@ def eval_response(r: ResponseFunction, x: float) -> float:
     return y0 + t * (y1 - y0)
 
 
-def checked_responses(s: Scenario, bad):
-    """Yield ``(r, driver parts, context)`` for each response whose structure
-    is valid, in order; report every other one through ``bad``."""
+def _check_responses(s: Scenario, bad) -> None:
     seen: set[tuple[str, str, str]] = set()
     for r in s.responses:
         ident = f"({r.driven}, {r.driver}, {r.context})"
         if r.driven not in SYMBOLS:
-            bad("ResponseUnknownSymbol", f"response {ident}: unknown driven symbol {r.driven!r}")
+            bad("ResponseUnknownSymbol", True, "response {}: unknown driven symbol {!r}",
+                ident, r.driven)
             continue
         parts = split_driver(r.driver)
         if any(p not in SYMBOLS for p in parts):
-            bad("ResponseUnknownSymbol", f"response {ident}: unknown driver symbol in {r.driver!r}")
+            bad("ResponseUnknownSymbol", True, "response {}: unknown driver symbol in {!r}",
+                ident, r.driver)
             continue
         if r.driven in parts:
-            bad("ResponseSelfLink", f"response {ident}: driven may not appear in its own driver")
+            bad("ResponseSelfLink", True, "response {}: driven may not appear in its own driver",
+                ident)
             continue
         if r.context != "base" and r.context not in STATE_NAMES:
-            bad("ResponseUnknownContext", f"response {ident}: context {r.context!r}")
+            bad("ResponseUnknownContext", True, "response {}: context {!r}", ident, r.context)
             continue
         key = (r.driven, r.driver, r.context)
         if key in seen:
-            bad("ResponseDuplicate", f"duplicate response {ident}")
+            bad("ResponseDuplicate", True, "duplicate response {}", ident)
             continue
         seen.add(key)
         if r.kind == "polynomial":
             if not r.coeffs or len(r.coeffs) - 1 > MAX_POLY_DEGREE:
-                bad("ResponseDegree",
-                    f"response {ident}: polynomial degree must be 0..{MAX_POLY_DEGREE}")
+                bad("ResponseDegree", True, "response {}: polynomial degree must be 0..{}",
+                    ident, MAX_POLY_DEGREE)
                 continue
-            if not all(_finite(c) for c in r.coeffs):
-                bad("NonFiniteValue", f"response {ident}: non-finite coefficient")
+            if not all(map(_finite, r.coeffs)):
+                bad("NonFiniteValue", True, "response {}: non-finite coefficient", ident)
                 continue
         elif r.kind == "piecewise_linear":
             xs = [k[0] for k in r.knots]
             if len(r.knots) < 1 or any(b <= a for a, b in zip(xs, xs[1:])):
-                bad("ResponseKnots", f"response {ident}: knots must be strictly increasing")
+                bad("ResponseKnots", True, "response {}: knots must be strictly increasing",
+                    ident)
                 continue
             if not all(_finite(k[0]) and _finite(k[1]) for k in r.knots):
-                bad("NonFiniteValue", f"response {ident}: non-finite knot")
+                bad("NonFiniteValue", True, "response {}: non-finite knot", ident)
                 continue
         else:
-            bad("ResponseKind", f"response {ident}: unknown kind {r.kind!r}")
+            bad("ResponseKind", True, "response {}: unknown kind {!r}", ident, r.kind)
             continue
-        yield r, parts, None if r.context == "base" else r.context
 
-
-def _validate_responses(s: Scenario, bad) -> None:
-    for r, parts, ctx in checked_responses(s, bad):
-        ident = f"({r.driven}, {r.driver}, {r.context})"
         # Consistency: the link must pass through the scenario's stored point,
         # evaluated in the link's own context.
-        x0 = s.bundle_value(parts, ctx)
-        y0 = s.value(r.driven, ctx)
-        if _finite(x0) and _finite(y0):
-            y_hat = eval_response(r, x0)
-            if abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * max(1.0, abs(y0)):
-                bad("ResponseConsistency",
-                    f"response {ident}: f({x0}) = {y_hat} but stored {r.driven} = {y0}")
+        ctx = None if r.context == "base" else r.context
+        x0, y0 = s.bundle_value(parts, ctx), s.value(r.driven, ctx)
+        y_hat = eval_response(r, x0)
+        bad("ResponseConsistency", _finite(x0) & _finite(y0) & (
+                abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * _first((1.0, abs(y0)), True)),
+            "response {}: f({}) = {} but stored {} = {}", ident, x0, y_hat, r.driven, y0)
 
         # Communicated information must rise, at an increasing rate, with the
         # broker's cost of providing it.
-        if r.driven == "I" and r.driver == "B_b" and _finite(x0):
-            h = 1e-3 * max(1.0, abs(x0))
-            d1 = (eval_response(r, x0 + h) - eval_response(r, x0 - h)) / (2 * h)
-            d2 = (eval_response(r, x0 + h) - 2 * eval_response(r, x0)
-                  + eval_response(r, x0 - h)) / (h * h)
-            if not (d1 > 0 and d2 > 0):
-                bad("InformationMonotonicity",
-                    f"response {ident}: I(B_b) must have positive first and second "
-                    f"central differences at B_b = {x0} (got {d1:.6g}, {d2:.6g})")
+        if r.driven == "I" and r.driver == "B_b":
+            h = 1e-3 * _first((1.0, abs(x0)), True)
+            up, down = eval_response(r, x0 + h), eval_response(r, x0 - h)
+            d1 = (up - down) / (2 * h)
+            d2 = (up - 2 * y_hat + down) / (h * h)
+            bad("InformationMonotonicity", _finite(x0) & (((d1 > 0) & (d2 > 0)) ^ True),
+                "response {}: I(B_b) must have positive first and second central "
+                "differences at B_b = {} (got {:.6g}, {:.6g})", ident, x0, d1, d2)
 
 
-def _validate_time_paths(s: Scenario, bad) -> None:
+def _check_time_paths(s: Scenario, bad) -> None:
     seen: set[str] = set()
     for tp in s.time_paths:
         if tp.symbol not in SYMBOLS:
-            bad("TimePathUnknownSymbol", f"time path for unknown symbol {tp.symbol!r}")
+            bad("TimePathUnknownSymbol", True, "time path for unknown symbol {!r}", tp.symbol)
             continue
         if tp.symbol in seen:
-            bad("TimePathDuplicate", f"duplicate time path for {tp.symbol}")
+            bad("TimePathDuplicate", True, "duplicate time path for {}", tp.symbol)
             continue
         seen.add(tp.symbol)
         if tp.kind == "constant":
-            if not _finite(tp.value):
-                bad("NonFiniteValue", f"time path {tp.symbol}: non-finite value")
+            bad("NonFiniteValue", not _finite(tp.value),
+                "time path {}: non-finite value", tp.symbol)
         elif tp.kind == "linear":
-            if not (_finite(tp.v0) and _finite(tp.slope)):
-                bad("NonFiniteValue", f"time path {tp.symbol}: non-finite parameters")
+            bad("NonFiniteValue", not (_finite(tp.v0) and _finite(tp.slope)),
+                "time path {}: non-finite parameters", tp.symbol)
         elif tp.kind == "samples":
             ts = tp.times
             if len(ts) < 2 or len(ts) != len(tp.values):
-                bad("TimePathInvalid",
-                    f"time path {tp.symbol}: needs matching times/values, length >= 2")
+                bad("TimePathInvalid", True,
+                    "time path {}: needs matching times/values, length >= 2", tp.symbol)
             elif any(b <= a for a, b in zip(ts, ts[1:])):
-                bad("TimePathInvalid", f"time path {tp.symbol}: times must increase strictly")
-            elif not all(_finite(x) for x in (*ts, *tp.values)):
-                bad("NonFiniteValue", f"time path {tp.symbol}: non-finite sample")
+                bad("TimePathInvalid", True, "time path {}: times must increase strictly",
+                    tp.symbol)
+            else:
+                bad("NonFiniteValue", not all(_finite(x) for x in (*ts, *tp.values)),
+                    "time path {}: non-finite sample", tp.symbol)
         else:
-            bad("TimePathInvalid", f"time path {tp.symbol}: unknown kind {tp.kind!r}")
+            bad("TimePathInvalid", True, "time path {}: unknown kind {!r}", tp.symbol, tp.kind)

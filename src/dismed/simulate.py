@@ -61,6 +61,8 @@ class Marginal:
                 raise ParseError(f"{self.kind} marginal: {name} = {v!r} must be a finite number")
         if self.kind == "uniform" and not self.lo <= self.hi:
             raise ParseError(f"uniform marginal needs lo <= hi, got [{self.lo}, {self.hi}]")
+        if self.kind == "uniform" and not math.isfinite(self.hi - self.lo):
+            raise ParseError(f"uniform marginal needs a finite hi - lo, got [{self.lo}, {self.hi}]")
         if self.kind == "normal" and not self.sd > 0:
             raise ParseError(f"normal marginal needs sd > 0, got {self.sd}")
 

@@ -11,6 +11,7 @@ from dismed import (
     ExtendedValue,
     INDETERMINATE,
     IndeterminateIntegrand,
+    RunConfig,
     approx_equal,
     argmax_state,
     argmin_state,
@@ -29,9 +30,9 @@ from dismed.calculus import (
     MaxE,
     Mul,
     Sym,
-    cmp_gt,
     evaluate_expression,
 )
+from dismed.conditions import _compare
 from dismed.errors import PathCoverageError
 from dismed.io import scenario_from_dict
 
@@ -123,9 +124,10 @@ def test_interval_division_by_zero_interval():
 
 def test_comparison_against_partially_known_max():
     # x > Max[unknown, 1] with x = 0.5 is decidably false
-    rhs = ExtendedValue(1.0, math.inf)
-    assert cmp_gt(ExtendedValue.point(0.5), rhs) is False
-    assert cmp_gt(ExtendedValue.point(2.0), rhs) is None
+    gt = _compare("gt", RunConfig())  # (holds, fails); neither is undecided
+    rhs = (1.0, math.inf)
+    assert gt((0.5, 0.5), rhs) == (False, True)
+    assert gt((2.0, 2.0), rhs) == (False, False)
 
 
 # Each operation as the scalar evaluator computed it before float and per-draw

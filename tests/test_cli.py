@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, formats, config resolution."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,23 @@ def test_sweep_with_non_numeric_or_infinite_marginal_exits_2(capsys, fixtures_di
     code, out, err = run(capsys, "sweep", str(fixtures_dir / "all_three_satisfied.json"),
                          "--dist", str(dist_path), "-n", "5", "--seed", "1")
     assert code == 2 and out == "" and "marginal" in err
+
+
+def test_sweep_with_overflowing_uniform_range_exits_2(capsys, fixtures_dir, tmp_path):
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text('{"marginals": {"P": {"kind": "uniform", "lo": -1e308, "hi": 1e308}}}')
+    code, out, err = run(capsys, "sweep", str(fixtures_dir / "all_three_satisfied.json"),
+                         "--dist", str(dist_path), "-n", "5", "--seed", "1")
+    assert code == 2 and out == "" and "uniform marginal needs a finite hi - lo" in err
+
+
+def test_readme_demos_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for demo in ("demo_decide.py", "demo_sweep.py", "demo_frontier.py"):
+        done = subprocess.run([sys.executable, str(root / "scripts" / demo)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (demo, done.stderr)
 
 
 def test_commands_that_do_not_sweep_never_import_the_batch_path():

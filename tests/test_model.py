@@ -1,6 +1,7 @@
 """Data-model invariants and validation behavior."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -245,3 +246,94 @@ def test_response_index_follows_each_copy():
         kept = s.responses[i % 2:]
         copy = dataclasses.replace(s, responses=kept)
         assert (copy.response_for(*key) is first) == (i % 2 == 0), i
+
+
+# Violation messages are part of the CLI payload (``dismed validate``), so each
+# value check's exact wording is pinned here, on mutations of one fixture.
+def _consistency(link, x, y_hat, driven, y):
+    return ("ResponseConsistency", f"response {link}: f({x}) = {y_hat} but stored {driven} = {y}")
+
+
+_INVALID_MUTATIONS = {
+    "P = inf": ({"values": {"P": math.inf}},
+                [("NonFiniteValue", "P = inf is not finite")]),
+    "P = -inf": ({"values": {"P": -math.inf}},
+                 [("NonFiniteValue", "P = -inf is not finite")]),
+    "c = nan": ({"values": {"c": math.nan}},
+                [("NonFiniteValue", "c = nan is not finite")]),
+    "rho_i = inf": ({"values": {"rho_i": math.inf}},
+                    [("NonFiniteValue", "rho_i = inf is not finite")]),
+    "P < 0": ({"values": {"P": -5.0}}, [
+        ("NonPositivePrice", "P = -5.0 must be > 0"),
+        _consistency("(P, c, base)", 0.3, 10.0, "P", -5.0),
+        _consistency("(P, pi_s, base)", 1.5, 10.0, "P", -5.0),
+        _consistency("(P, pi_sb, base)", 2.0, 10.0, "P", -5.0),
+        _consistency("(P_b, P, base)", -5.0, 6715.0, "P_b", 10.0),
+        _consistency("(P_s, P, base)", -5.0, -12.5, "P_s", 10.0)]),
+    "P_b = 0": ({"values": {"P_b": 0.0}}, [
+        ("NonPositivePrice", "P_b = 0.0 must be > 0"),
+        _consistency("(P_b, P, base)", 10.0, 10.0, "P_b", 0.0)]),
+    "c > 1": ({"values": {"c": 1.2}}, [
+        ("CommissionOutOfRange", "c = 1.2 must lie in (0, 1)"),
+        _consistency("(P, c, base)", 1.2, 28.0, "P", 10.0),
+        _consistency("(pi_s, c, base)", 1.2, 1.77, "pi_s", 1.5),
+        _consistency("(pi_sb, c, base)", 1.2, 3.3499999999999996, "pi_sb", 2.0),
+        _consistency("(psi_sb, c, base)", 1.2, 3.6, "psi_sb", 1.8),
+        _consistency("(psi_si, c, base)", 1.2, 2.35, "psi_si", 1.9)]),
+    "c = 0": ({"values": {"c": 0.0}}, [
+        ("CommissionOutOfRange", "c = 0.0 must lie in (0, 1)"),
+        _consistency("(P, c, base)", 0.0, 4.0, "P", 10.0),
+        _consistency("(pi_s, c, base)", 0.0, 1.41, "pi_s", 1.5),
+        _consistency("(pi_sb, c, base)", 0.0, 1.55, "pi_sb", 2.0),
+        _consistency("(psi_sb, c, base)", 0.0, 1.2000000000000002, "psi_sb", 1.8),
+        _consistency("(psi_si, c, base)", 0.0, 1.75, "psi_si", 1.9)]),
+    "rho_s < 0": ({"values": {"rho_s": -0.1}},
+                  [("ProbabilityOutOfRange", "rho_s = -0.1 must lie in [0, 1]")]),
+    "rho_i > 1": ({"values": {"rho_i": 1.4}}, [
+        ("ProbabilityOutOfRange", "rho_i = 1.4 must lie in [0, 1]"),
+        _consistency("(rho_i, B_b, base)", 0.3, 0.4, "rho_i", 1.4),
+        _consistency("(rho_i, U_ip+U_iw, base)", 5.0, 0.4, "rho_i", 1.4),
+        _consistency("(rho_i, U_sp+U_sw, base)", 2.2, 0.4, "rho_i", 1.4),
+        _consistency("(rho_i, rho_p, base)", 0.6, 0.4, "rho_i", 1.4)]),
+    "I != I_p + I_i": ({"values": {"I": 7.5}},
+                       [("InformationIdentity", "I = 7.5 must equal I_p + I_i = 6.95")]),
+    "I != I_p + I_i under E_s": ({"overlays": {"E_s": {"I_p": 1.0}}}, [
+        ("InformationIdentity", "under overlay E_s: I = 6.95 must equal I_p + I_i = 5.95")]),
+    "I_o < I_i": ({"values": {"I_o": 1.0}}, [
+        ("InformationInclusion", "I_o = 1.0 must be >= I_i = 4.95"),
+        _consistency("(I_o, I_p+I_i, base)", 6.95, 8.0, "I_o", 1.0),
+        _consistency("(I_o, U_a, base)", 4.0, 8.0, "I_o", 1.0),
+        _consistency("(I_o, psi_bi, base)", 4.9, 8.0, "I_o", 1.0),
+        _consistency("(I_o, psi_sb, base)", 1.8, 8.0, "I_o", 1.0),
+        _consistency("(I_o, psi_si, base)", 1.9, 7.999999999999998, "I_o", 1.0)]),
+    "U_a off its links": ({"values": {"U_a": 5.0}}, [
+        _consistency("(I_o, U_a, base)", 5.0, 8.925, "I_o", 8.0),
+        _consistency("(U_a, psi_si, base)", 1.9, 4.000000000000001, "U_a", 5.0),
+        _consistency("(pi_s, U_a, base)", 5.0, 1.6, "pi_s", 1.5)]),
+    "I(B_b) falling": ({"responses": [("I", "B_b", (7.25, -1.0))]}, [
+        ("InformationMonotonicity",
+         "response (I, B_b, base): I(B_b) must have positive first and second central "
+         "differences at B_b = 0.3 (got -1, -8.88178e-10)")]),
+    "overlay psi_b = inf": ({"overlays": {"E_p": {"psi_b": math.inf}}},
+                            [("NonFiniteValue", "overlay E_p.psi_b = inf is not finite")]),
+    "prospect_count = 0": ({"prospect_count": 0}, [
+        ("ProspectCountOutOfRange", "prospect_count = 0 must be >= 1")]),
+    "valued_time_share > 1": ({"valued_time_share": 1.5}, [
+        ("ValuedTimeShareOutOfRange", "valued_time_share = 1.5 must lie in [0, 1]")]),
+}
+
+
+@pytest.mark.parametrize("mutation, expected", _INVALID_MUTATIONS.values(),
+                         ids=_INVALID_MUTATIONS.keys())
+def test_violation_messages_are_pinned(fixtures_dir, mutation, expected):
+    from dismed.io import load_scenario
+    from dismed.model import ResponseFunction
+
+    s = load_scenario(fixtures_dir / "all_three_satisfied.json")
+    mutation = dict(mutation)
+    s = with_values(s, mutation.pop("values", {}))
+    links = tuple(ResponseFunction(driven, driver, "polynomial", coeffs)
+                  for driven, driver, coeffs in mutation.pop("responses", ()))
+    s = dataclasses.replace(s, responses=s.responses + links, **mutation)
+    got = [(v.code, v.message) for v in validate_scenario(s).violations]
+    assert got == expected

@@ -1,5 +1,6 @@
 """Seeded sampling, sweep statistics, and sensitivity analysis."""
 
+import dataclasses
 import json
 import math
 
@@ -501,7 +502,7 @@ def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, interse
             expected.append(None)
     try:
         with np.errstate(all="ignore"):
-            lo, hi = lhs(batch._Draws(base, X, set(varying)), None)
+            lo, hi = lhs(batch.block(base, X, varying), None)
     except (batch.Replay, DismedError, ValueError, ArithmeticError):
         assert None in expected
         return
@@ -555,3 +556,91 @@ def test_zero_divisor_replays_the_scalar_error(monkeypatch):
     with pytest.raises(DivisionByZeroInterval) as swept:
         run_sweep(base, d, n=n, seed=seed, cfg=cfg)
     assert str(swept.value) == first[1]
+
+
+# The block check: the rows a block keeps are the rows validate_scenario
+# accepts. The bases carry polynomial and piecewise links, an I(B_b) link of
+# each kind and overlays that set information symbols; row values sit at the
+# model's bounds or one ulp past them, on, near or off the information
+# identity, or are not finite.
+def _block_base(keep_fixture_links, information_link):
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
+    data["overlays"] = dict(WIDE_OVERLAYS, E_p={**WIDE_OVERLAYS["E_p"], "I": 7.0, "I_i": 5.0})
+    if not keep_fixture_links:
+        data["responses"] = [r for r in data["responses"]
+                             if (r["driven"], r["driver"]) == ("I_o", "U_a")]
+    data["responses"] += [
+        information_link,
+        {"driven": "RC_br", "driver": "psi_b", "kind": "piecewise_linear",
+         "knots": [[4.0, 0.5], [5.0, 1.0], [7.0, 1.5]], "context": "base"}]
+    return scenario_from_dict(data)
+
+
+_BLOCK_BASES = (
+    _block_base(True, {"driven": "I", "driver": "B_b", "kind": "polynomial",
+                       "coeffs": [6.56, 1.0, 1.0], "context": "base"}),
+    # I(B_b) has a convex kink at the base B_b = 0.3 and is straight elsewhere
+    _block_base(False, {"driven": "I", "driver": "B_b", "kind": "piecewise_linear",
+                        "knots": [[0.2, 6.85], [0.3, 6.95], [0.4, 7.15]], "context": "base"}),
+)
+_BOUNDS = {"P": (0.0, -0.0, 5e-324, -5e-324), "P_b": (0.0, 5e-324, -1.0),
+           "c": (0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)),
+           **{name: (0.0, 1.0, -5e-324, math.nextafter(1.0, 2.0))
+              for name in ("rho_p", "rho_i", "rho_s")}}
+_BLOCK_SYMBOLS = ("P", "P_b", "c", "rho_p", "rho_i", "rho_s", "I", "I_p", "I_i", "I_o",
+                  "B_b", "psi_b", "U_a", "E_s")
+
+
+@st.composite
+def _block_case(draw):
+    base = draw(st.sampled_from(_BLOCK_BASES))
+    varying = draw(st.lists(st.sampled_from(_BLOCK_SYMBOLS), min_size=1, max_size=4,
+                            unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = dict(zip(SYMBOLS, base.values))
+        for name in varying:
+            v = row[name]
+            row[name] = draw(st.one_of(  # the base value in about 2 of 5 rows
+                st.just(v), st.just(v),
+                st.sampled_from((math.inf, -math.inf, math.nan, *_BOUNDS.get(name, ()))),
+                st.floats(0.5 * v - 1.0, 1.5 * v + 1.0), st.floats()))
+        if "I_o" in varying and draw(st.booleans()):
+            row["I_o"] = row["I_i"]
+        if "I" in varying and draw(st.booleans()):
+            row["I"] = (row["I_p"] + row["I_i"]) * draw(
+                st.sampled_from((1.0, 1.0 + 1e-13, 1.0 - 2e-13, 1.0 + 4e-13, 1.0 - 1e-12,
+                                 1.0 + 1e-12)))
+        rows.append(row)
+    X = np.array([[row[name] for name in SYMBOLS] for row in rows])
+    return base, X, varying
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_case())
+def test_block_check_equals_row_check(case):
+    base, X, varying = case
+    expected = [validate_scenario(with_values(base, {name: row[SYMBOLS[name]]
+                                                    for name in varying})).ok
+                for row in X.tolist()]
+    with np.errstate(all="ignore"):
+        got = batch._valid_rows(batch.block(base, X, varying), len(X))
+    assert got.tolist() == expected
+
+
+def test_block_check_rejects_every_row_of_a_structurally_invalid_base():
+    base = _BLOCK_BASES[1]
+    invalid = dataclasses.replace(base, responses=base.responses + base.responses[:1])
+    X = np.tile(np.array(base.values), (3, 1))
+    X[:, SYMBOLS["rho_s"]] = (0.2, 0.5, 0.9)
+    rows = [with_values(invalid, {"rho_s": v}) for v in (0.2, 0.5, 0.9)]
+    assert [validate_scenario(s).codes() for s in rows] == [("ResponseDuplicate",)] * 3
+    with pytest.raises(batch.Replay):
+        batch._valid_rows(batch.block(invalid, X, ["rho_s"]), len(X))
+    d = dist(rho_s={"kind": "uniform", "lo": 0.2, "hi": 0.9})
+    assert batch.evaluate(invalid, d, 2, 0, 3, CFG) is None
+    with pytest.raises(RejectionLimit) as scalar:
+        draw_scenario(invalid, d, 2, 0)
+    with pytest.raises(RejectionLimit) as swept:
+        run_sweep(invalid, d, n=3, seed=2, cfg=CFG)
+    assert str(swept.value) == str(scalar.value)
