@@ -17,17 +17,20 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
-import json
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Any, Optional
 
+from .calculus import ExtendedValue
 from .conditions import (
     ConditionId,
     ConditionReport,
     ConditionSet,
+    ConditionVerdict,
     DecisionSummary,
+    PartTrace,
     decide,
     eval_condition_set,
 )
@@ -40,7 +43,7 @@ from .errors import (
     RejectionLimit,
     ValidationError,
 )
-from .io import load_scenario, read_json
+from .io import json_array, json_atom, json_object, json_text, load_scenario, read_json
 from .model import ValidationReport, validate_scenario
 
 # The optimizer and sweep engines are imported by the subcommands that run
@@ -76,17 +79,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _ev_cells(pair) -> list:
-    return [None, None] if pair is None else pair
+def _ev_cells(ev: Optional[ExtendedValue]) -> list:
+    return [None, None] if ev is None else ev.to_json()
 
 
 def _report_rows(report: ConditionReport) -> list[list]:
-    rows = []
-    for v in report.verdicts:
-        d = v.to_dict()
-        rows.append([d["id"], d["status"], *_ev_cells(d["lhs"]), *_ev_cells(d["rhs"]),
-                     d["guard_status"], "; ".join(d["notes"])])
-    return rows
+    return [[v.id.label, v.status.value, *_ev_cells(v.lhs), *_ev_cells(v.rhs),
+             v.guard_status, "; ".join(v.notes)] for v in report.verdicts]
 
 
 _REPORT_HEADER = ["id", "status", "lhs_lower", "lhs_upper",
@@ -145,10 +144,71 @@ def _to_payload(result: Any) -> Any:
     return result.to_dict()
 
 
+# Condition reports are written straight from their fields, with the text
+# ``json_text(result.to_dict())`` would give; only a report's config dict goes
+# through the generic writer.
+
+def _ev_json(ev: Optional[ExtendedValue], nl: str) -> str:
+    """``ExtendedValue.to_json``'s text: infinite endpoints are null."""
+    if ev is None:
+        return "null"
+    inner = nl + "  "
+    lo = "null" if math.isinf(ev.lower) else json_atom(ev.lower)
+    # Most values are points, whose two endpoints are one float object.
+    hi = lo if ev.upper is ev.lower else "null" if math.isinf(ev.upper) else json_atom(ev.upper)
+    return f"[{inner}{lo},{inner}{hi}{nl}]"
+
+
+# Verdicts and parts are most of a report, so their keys are spelled out.
+
+def _part_json(p: PartTrace, nl: str) -> str:
+    n = nl + "  "
+    return (f'{{{n}"check": {json_atom(p.desc)},{n}"op": {json_atom(p.op)},'
+            f'{n}"lhs": {_ev_json(p.lhs, n)},{n}"rhs": {_ev_json(p.rhs, n)},'
+            f'{n}"holds": {json_atom(p.holds)}{nl}}}')
+
+
+def _verdict_json(v: ConditionVerdict, nl: str) -> str:
+    n = nl + "  "
+    notes = json_array(map(json_atom, v.notes), n)
+    parts = json_array([_part_json(p, n + "  ") for p in v.parts], n)
+    return (f'{{{n}"id": {json_atom(v.id.label)},{n}"status": {json_atom(v.status.value)},'
+            f'{n}"lhs": {_ev_json(v.lhs, n)},{n}"rhs": {_ev_json(v.rhs, n)},'
+            f'{n}"guard_status": {json_atom(v.guard_status)},'
+            f'{n}"skipped": {json_atom(v.skipped)},'
+            f'{n}"notes": {notes},{n}"parts": {parts}{nl}}}')
+
+
+def _condition_report_json(r: ConditionReport, nl: str) -> str:
+    inner = nl + "  "
+    return json_object((
+        ("scenario", json_atom(r.scenario_label)),
+        ("set", json_atom(r.set.value)),
+        ("aggregate", json_atom(r.aggregate.value)),
+        ("verdicts", json_array([_verdict_json(v, inner + "  ") for v in r.verdicts], inner)),
+        ("config", json_text(dict(r.config), inner)),
+    ), nl)
+
+
+def _json(result: Any) -> str:
+    if isinstance(result, ConditionReport):
+        return _condition_report_json(result, "\n")
+    if isinstance(result, DecisionSummary):
+        return json_object((
+            ("scenario", json_atom(result.scenario_label)),
+            ("buyer_disintermediates", json_atom(result.buyer_disintermediates.value)),
+            ("broker_provides_web_info", json_atom(result.broker_provides_web_info.value)),
+            ("seller_disintermediates", json_atom(result.seller_disintermediates.value)),
+            ("reports", json_object([(k, _condition_report_json(r, "\n    "))
+                                     for k, r in result.reports.items()], "\n  ")),
+        ))
+    return json_text(_to_payload(result))
+
+
 def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
     """Serialize a result and write it to ``out`` (or stdout). Returns the text."""
     if fmt == "json":
-        text = json.dumps(_to_payload(result), indent=2, ensure_ascii=False) + "\n"
+        text = _json(result) + "\n"
     elif fmt == "csv":
         text = _to_csv(result)
     else:

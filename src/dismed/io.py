@@ -1,18 +1,27 @@
-"""Scenario file loading and canonical serialization.
+"""Scenario file loading, canonical serialization and the JSON writer.
 
 A scenario file is a single UTF-8 JSON object whose keys are exactly the ASCII
 symbol names (``psi_b``, ``rho_p``, ``U_iw``, ``E_s``, ...) plus optional
 ``label``, ``prospect_count``, ``valued_time_share``, ``overlays``,
 ``responses`` and ``time_paths``. The schema is closed: unknown keys raise
 :class:`~dismed.errors.UnknownField` so misspelled symbols cannot pass silently.
+
+Every report and scenario dump is written by the JSON writer at the end of
+this module, which gives the bytes of ``json.dumps(value, indent=2,
+ensure_ascii=False)``. On Python 3.11 ``json.dumps`` runs its C encoder only
+when ``indent`` is None, so an indented dump walks the value in pure Python.
+:func:`json_text` renders a whole value; ``cli.render_report`` writes
+condition reports straight from their fields with :func:`json_atom`,
+:func:`json_array` and :func:`json_object`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ParseError, UnknownField, ValidationError
 from .model import (
@@ -176,13 +185,23 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
 def read_json(path: str | Path, what: str) -> Any:
     """Parse a UTF-8 JSON file; every way the file can fail is a ParseError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        value = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # malformed JSON, or an integer too long to convert
         raise ParseError(f"{what} file {path}: malformed JSON: {exc}") from exc
+    # A \ud800-\udfff escape outside a surrogate pair decodes to a str that no
+    # report can encode as UTF-8; only a file with such an escape is checked.
+    if "\\ud" in text or "\\uD" in text:
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{what} file {path}: a \\u escape is a lone surrogate, "
+                             f"not text: {exc}") from None
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -240,10 +259,62 @@ def scenario_to_json(s: Scenario) -> str:
     """Canonical textual form; loading and re-saving is byte-stable."""
     if any(not math.isfinite(s.value(n)) for n in _SYMBOL_ORDER):
         raise ParseError("cannot serialize non-finite symbol values")
-    return json.dumps(scenario_to_dict(s), indent=2, ensure_ascii=False) + "\n"
+    return json_text(scenario_to_dict(s)) + "\n"
 
 
 def save_scenario(s: Scenario, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(scenario_to_json(s), encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------------
+# JSON writer: the text of json.dumps(value, indent=2, ensure_ascii=False)
+# ---------------------------------------------------------------------------
+# ``nl`` is a newline followed by the indent of the line a value starts on, so
+# a value nested in a larger document renders as it would there.
+
+def json_atom(x: Any) -> str:
+    """The text of a str, None, bool, int or float, with json's spellings."""
+    # Floats first: they are most of a report, and no float is a str or an int.
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(x, str):
+        return encode_basestring(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def json_array(texts: Iterable[str], nl: str = "\n") -> str:
+    """An array of already rendered items (each rendered at indent ``nl + "  "``)."""
+    inner = nl + "  "
+    body = ("," + inner).join(texts)
+    return f"[{inner}{body}{nl}]" if body else "[]"
+
+
+def json_object(fields: Iterable[tuple[str, str]], nl: str = "\n") -> str:
+    """An object of string keys and already rendered values."""
+    inner = nl + "  "
+    body = ("," + inner).join(f"{encode_basestring(k)}: {text}" for k, text in fields)
+    return f"{{{inner}{body}{nl}}}" if body else "{}"
+
+
+def json_text(value: Any, nl: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``: tuples are arrays,
+    and object keys must be strings."""
+    if isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        return json_array([json_text(v, inner) for v in value], nl)
+    if isinstance(value, dict):
+        inner = nl + "  "
+        return json_object([(k, json_text(v, inner)) for k, v in value.items()], nl)
+    return json_atom(value)

@@ -284,6 +284,21 @@ def test_sweep_with_overflowing_uniform_range_exits_2(capsys, fixtures_dir, tmp_
     assert code == 2 and out == "" and "uniform marginal needs a finite hi - lo" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "decide"])
+@pytest.mark.parametrize("field", ["label", "driven"])
+def test_lone_surrogate_escape_exits_2(capsys, tmp_path, command, field):
+    data = fixture_dict("x")
+    if field == "label":
+        data["label"] = "x\udc80"
+    else:
+        data["responses"][0]["driven"] = "\ud800"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # ASCII, with \udc80 escapes
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "lone surrogate" in err and "internal error" not in err
+
+
 def test_readme_demos_run(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

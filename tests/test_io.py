@@ -1,10 +1,16 @@
 """Scenario file loading, closed schema, and canonical round trips."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismed import ParseError, UnknownField, ValidationError, load_scenario
+from dismed.cli import main
 from dismed.io import scenario_from_dict, scenario_to_json, save_scenario
 
 from fixture_defs import fixture_dict
@@ -127,3 +133,84 @@ def _with_first_response(**fields):
 def test_every_number_is_checked_as_a_number(data):
     with pytest.raises(ParseError):
         scenario_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: a mutated scenario file is a typed error, never a crash
+# ---------------------------------------------------------------------------
+
+def _fuzz_base() -> dict:
+    """A valid scenario that reaches every branch of the loader: overlays, all
+    three time-path kinds and both response kinds."""
+    data = fixture_dict("fuzz")
+    data["overlays"] = {"E_s": {"psi_b": 5.0}, "E_p": {"U_iw": 3.0}}
+    data["time_paths"] = [
+        {"symbol": "rho_s", "kind": "samples", "times": [0.0, 1.0], "values": [0.7, 0.7]},
+        {"symbol": "rho_p", "kind": "linear", "v0": 0.6, "slope": 0.0},
+        {"symbol": "rho_i", "kind": "constant", "value": 0.4},
+    ]
+    data["responses"].append({"driven": "SC_s", "driver": "B_s", "kind": "piecewise_linear",
+                              "knots": [[0.0, 25.0], [1.0, 25.0]]})
+    return data
+
+
+_SCHEMA_WORDS = sorted({
+    *fixture_dict("x"), "overlays", "time_paths", "responses", "label", "prospect_count",
+    "valued_time_share", "driven", "driver", "kind", "coeffs", "knots", "context", "symbol",
+    "value", "v0", "slope", "times", "values", "polynomial", "piecewise_linear", "constant",
+    "linear", "samples", "base", "E_s", "E_p", "E_m", "B_b+B_s", "I_p+I_i"})
+# Lone surrogates arrive through \ud800 escapes in a UTF-8 file.
+_FUZZ_TEXT = (st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=4)
+              | st.sampled_from(["\ud800", "x\udfff", "", "\x00"]))
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(min_value=10 ** 308)
+    | st.floats() | _FUZZ_TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_FUZZ_TEXT, kids, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(data, doc):
+    """Drop, retype or insert one key or element somewhere in ``doc``."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["drop", "retype", "insert"]))
+    if not path:
+        return data.draw(_FUZZ_VALUES) if op == "retype" else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "retype":
+        parent[path[-1]] = data.draw(_FUZZ_VALUES)
+    elif isinstance(node, dict):
+        node[data.draw(_FUZZ_TEXT)] = data.draw(_FUZZ_VALUES)
+    elif isinstance(node, list):
+        node.insert(data.draw(st.integers(0, len(node))), data.draw(_FUZZ_VALUES))
+    else:
+        parent[path[-1]] = [node, data.draw(_FUZZ_VALUES)]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_scenarios_fail_only_with_typed_errors(tmp_path_factory, data):
+    doc = _fuzz_base()
+    for _ in range(data.draw(st.integers(1, 4))):
+        doc = _mutate(data, doc)
+    try:
+        scenario_from_dict(doc)
+    except (ParseError, ValidationError):
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", str(path), "--out", os.devnull]) in (0, 2)
