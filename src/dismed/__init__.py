@@ -40,7 +40,6 @@ from .conditions import (
 from .config import RunConfig
 from .errors import (
     DismedError,
-    DivisionByZeroInterval,
     IndeterminateAtBase,
     IndeterminateIntegrand,
     MissingCapitalResponse,
@@ -81,9 +80,9 @@ __all__ = [
     "referenced_symbols",
     # config, errors, io, model
     "RunConfig",
-    "DismedError", "DivisionByZeroInterval", "IndeterminateAtBase",
-    "IndeterminateIntegrand", "MissingCapitalResponse", "ParseError", "RejectionLimit",
-    "UnknownField", "ValidationError",
+    "DismedError", "IndeterminateAtBase", "IndeterminateIntegrand",
+    "MissingCapitalResponse", "ParseError", "RejectionLimit", "UnknownField",
+    "ValidationError",
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "scenario_to_json",
     "DECISION_FIELDS", "SYMBOLS", "ResponseFunction", "Scenario", "TimePath",

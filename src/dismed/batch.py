@@ -1,35 +1,26 @@
 """Sweep draws evaluated as one batch.
 
-A sweep changes values only. The responses, overlays, time paths and config
-are the base scenario's for every draw, so every declared link, and with it
-every Indeterminate derivative term, is fixed for the whole sweep; only the
-arithmetic changes from draw to draw. This module draws a block of indices
-into one ``(n, len(SYMBOLS))`` matrix, each row from its own unchanged
-``SeedSequence([seed, i]) -> PCG64`` stream.
+A sweep changes values only: the responses, overlays, time paths and config
+are the base scenario's in every draw, so every declared link is fixed for
+the whole sweep. A block of draws is a plain Scenario (:func:`block`) whose
+swept symbols hold one value per draw, drawn into one ``(n, len(SYMBOLS))``
+matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream.
 
-It has no compiler, arithmetic or checks of its own. A block of draws is a
-plain Scenario (:func:`block`) whose symbols that the sweep varies hold one
-value per draw. The model's one invariant walker (``model.check_scenario``)
-validates all its rows at once, and only the rejected rows are redrawn, from
-their own streams. The compiled parts and guards that ``decide`` runs
-(``conditions.compiled_conditions``) run on it through the interval
-arithmetic of ``calculus``, whose array endpoints round as its float ones do;
-argmax contexts and max-axis winners are per-draw selections
-(``Scenario.per_winner``). The result is status codes and set decisions,
-made by the rule ``decide`` uses, with no per-draw Scenario, verdict or
-trace.
-
-Where the scalar path raises or may raise (an invalid or zero-containing
-interval, a rejection limit, a time path that does not cover the horizon, an
-indeterminate integrand), :func:`evaluate` returns None and the caller
-replays the block through the scalar path, which raises the same exception
-from the same draw.
+The module has no compiler, arithmetic or checks of its own.
+``model.check_scenario`` validates all rows at once, and only rejected rows
+are redrawn; a draw over its redraw budget raises the ``RejectionLimit``
+that ``draw_scenario`` raises for it. The compiled parts and guards of
+``decide`` run on the block through the total interval arithmetic of
+``calculus``, whose array endpoints round as its float ones do, with argmax
+contexts and max-axis winners chosen per draw (``Scenario.per_winner``). The
+result is status codes and set decisions made by ``decide``'s rules, with no
+per-draw Scenario, verdict or trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,13 +29,13 @@ from .conditions import (
     SetDecision,
     Status,
     _aggregate,
+    _guard_failure,
     compiled_conditions,
     condition_ids,
 )
 from .config import RunConfig
-from .errors import DismedError, Replay
 from .model import SYMBOLS, Scenario, check_scenario
-from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec
+from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec, rejection_limit
 
 #: Draws evaluated together: bounds a block's memory whatever the sweep size;
 #: per-draw cost stops falling at about this size.
@@ -72,11 +63,11 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
 # Conditions over a block
 # ---------------------------------------------------------------------------
 
-def _condition(b: Scenario, n: int, parts: tuple, guard: Optional[Callable],
+def _condition(b: Scenario, n: int, parts: tuple, guard: Optional[tuple],
                cfg: RunConfig):
-    """A compiled condition over a block: status codes, and the rows excluded
-    from aggregation or None. Parts run in every draw, also where the guard
-    fails; a part that cannot be evaluated in such a draw only costs a replay."""
+    """A compiled condition over a block: status codes, and which rows are
+    excluded from aggregation. Parts run in every draw, also where the guard
+    fails."""
     violated = undecided = False
     for lhs, rhs, compare in parts:
         holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
@@ -84,10 +75,11 @@ def _condition(b: Scenario, n: int, parts: tuple, guard: Optional[Callable],
         undecided = np.logical_or(undecided, np.logical_not(np.logical_or(holds, fails)))
     status = np.where(violated, VIOLATED, np.where(undecided, INDETERMINATE, SATISFIED))
     if guard is None:
-        return np.broadcast_to(status, n), None
-    passed = np.broadcast_to(guard(b, None), n)
-    failed = VIOLATED if cfg.guard_mode == "violated" else VACUOUS
-    return np.where(passed, status, failed), (~passed if cfg.guard_mode == "skip" else None)
+        return np.broadcast_to(status, n), np.zeros(n, dtype=bool)
+    lhs, rhs, compare = guard
+    passed = np.broadcast_to(compare(lhs(b, None), rhs(b, None))[0], n)
+    failed, skipped, _ = _guard_failure(cfg)
+    return np.where(passed, status, STATUSES.index(failed)), ~passed & skipped
 
 
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -114,30 +106,25 @@ def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.
 # Drawing and validation
 # ---------------------------------------------------------------------------
 
-def _valid_rows(draws: Scenario, n: int) -> np.ndarray:
-    """Which of the ``n`` draws of a block pass ``validate_scenario``.
-
-    A check that fails whatever is drawn (a structural one, or one that reads
-    only symbols no draw changes) raises :class:`Replay`: every candidate of
-    every draw is rejected, so the scalar path raises ``RejectionLimit``.
-    """
+def _valid_rows(draws: Scenario, n: int) -> Optional[np.ndarray]:
+    """Which of the ``n`` draws of a block pass ``validate_scenario``, or None
+    where a check fails whatever is drawn (a structural one, or one that reads
+    only symbols no draw changes)."""
     failed = False
 
     def bad(code, when, message, *args):
         nonlocal failed
-        if when is True:
-            raise Replay
-        if when is not False:
-            failed = failed | when
+        if when is not False and failed is not True:
+            failed = True if when is True else failed | when
 
     check_scenario(draws, bad)
-    return np.broadcast_to(failed ^ True, n)
+    return None if failed is True else np.broadcast_to(failed ^ True, n)
 
 
 def _draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
           stop: int) -> tuple[Scenario, np.ndarray]:
-    """Accepted draws start..stop-1 as a block, and each one's rejections (the
-    values and counts ``draw_scenario`` gives for the same indices)."""
+    """Accepted draws start..stop-1 as a block and their rejection counts, as
+    ``draw_scenario`` gives them for the same indices (a RejectionLimit too)."""
     names = tuple(dist.marginals)
     marginals = tuple(dist.marginals.values())
     cols = [SYMBOLS[name] for name in names]
@@ -155,12 +142,15 @@ def _draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
                                      for i in todo.tolist()]
         if derive_I:
             X[todo, SYMBOLS["I"]] = X[todo, SYMBOLS["I_p"]] + X[todo, SYMBOLS["I_i"]]
-        todo = todo[~_valid_rows(block(base, X[todo], varying), len(todo))]
-        if not len(todo):
-            break
-        rejections[todo] += 1
-        if rejections[todo].max() > MAX_REJECTIONS_PER_DRAW:
-            raise Replay  # RejectionLimit on the scalar path
+        valid = _valid_rows(block(base, X[todo], varying), len(todo))
+        if valid is not None:
+            todo = todo[~valid]
+            if not len(todo):
+                break
+            rejections[todo] += 1
+        # every draw still here has the same count, so the first is over first
+        if valid is None or rejections[todo[0]] > MAX_REJECTIONS_PER_DRAW:
+            raise rejection_limit(start + int(todo[0]))
     return block(base, X, varying), rejections
 
 
@@ -177,25 +167,13 @@ class Evaluation:
 
 
 def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop: int,
-             cfg: RunConfig) -> Optional[Evaluation]:
-    """Evaluate draws start..stop-1 as one batch, or return None where the
-    scalar path must decide them (it raises for one of them, or may)."""
+             cfg: RunConfig) -> Evaluation:
+    """Evaluate draws start..stop-1 as one batch."""
     table = compiled_conditions(cfg)
-    # Besides Replay, an operation whose endpoints are all floats refuses as
-    # the scalar path does (ValueError, DivisionByZeroInterval), also in a part
-    # whose guard fails in every draw; PathCoverageError comes from a time
-    # path, OverflowError from h ** 3.
-    try:
-        with np.errstate(all="ignore"):
-            draws, rejections = _draw(base, dist, seed, start, stop)
-            results = [_condition(draws, len(rejections), parts, guard, cfg)
-                       for parts, guard in table]
-            statuses = np.stack([st for st, _ in results], axis=1).astype(np.int8)
-            skipped = np.zeros(statuses.shape, dtype=bool)
-            for k, (_, excluded) in enumerate(results):
-                if excluded is not None:
-                    skipped[:, k] = excluded
-            decisions = _decisions(statuses, skipped, cfg)
-    except (Replay, DismedError, ArithmeticError, ValueError):
-        return None
-    return Evaluation(statuses, decisions, rejections)
+    with np.errstate(all="ignore"):
+        draws, rejections = _draw(base, dist, seed, start, stop)
+        results = [_condition(draws, len(rejections), parts, guard, cfg)
+                   for parts, guard in table]
+    statuses, skipped = (np.stack(columns, axis=1) for columns in zip(*results))
+    statuses = statuses.astype(np.int8)
+    return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)

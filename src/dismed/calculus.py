@@ -16,8 +16,9 @@ There is one interval arithmetic. An endpoint is a float, or an array with
 one value per draw of a sweep block where a draw changes it. Float endpoints
 compute in plain Python, and numpy is imported only where an endpoint is an
 array, so the scalar commands never load it; array endpoints round as float
-ones do. A float refusal raises ``ValueError`` or
-:class:`DivisionByZeroInterval`, an array refusal :class:`Replay`.
+ones do. Every operation is total (as in IEEE 1788): an undefined result,
+such as inf - inf, a divisor interval that holds 0, an overflowing stencil
+step or a time path that ends early, is the unknown interval, per draw.
 
 Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
@@ -32,12 +33,13 @@ its ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .config import RunConfig
-from .errors import DivisionByZeroInterval, IndeterminateIntegrand, PathCoverageError, Replay
+from .errors import IndeterminateIntegrand, PathCoverageError
 from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
 
 INF = math.inf
@@ -59,15 +61,15 @@ UNKNOWN: Interval = (-INF, INF)
 # operation on points computes its single endpoint once.
 
 def _checked(lo, hi) -> Interval:
-    """The one interval check: a NaN endpoint or lower > upper refuses."""
+    """The one interval rule: a NaN endpoint leaves its side unbounded."""
     ok = lo <= hi
     if ok is True:
         return lo, hi
     if ok is False:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    if not ok.all():
-        raise Replay
-    return lo, hi
+        return (lo if lo == lo else -INF), (hi if hi == hi else INF)
+    if ok.all():
+        return lo, hi
+    return _where(lo == lo, lo, -INF), _where(hi == hi, hi, INF)
 
 
 def _times(a, b):
@@ -117,16 +119,24 @@ def scale(a: Interval, k) -> Interval:
 
 
 def div(a: Interval, b: Interval) -> Interval:
+    """``a / b``; unknown where the divisor interval holds 0."""
     lo, hi = b
     zero = (lo <= 0.0) & (0.0 <= hi)
-    if zero is True:
-        raise DivisionByZeroInterval(f"divisor interval [{lo}, {hi}] contains 0")
-    if zero is not False and zero.any():
-        raise Replay
+    if zero is True:  # 1.0 / 0.0 raises for floats
+        return UNKNOWN
     if lo is hi:
         r = 1.0 / lo
-        return mul(a, (r, r))
-    return mul(a, _hull((1.0 / lo, 1.0 / hi)))
+        return _unknown_where(zero, mul(a, (r, r)))
+    return _unknown_where(zero, mul(a, _hull((1.0 / lo, 1.0 / hi))))
+
+
+def _unknown_where(cond, v: Interval) -> Interval:
+    """``v``, unknown where ``cond`` holds (per draw)."""
+    if cond is True:
+        return UNKNOWN
+    if cond is False or not cond.any():
+        return v
+    return _where(cond, -INF, v[0]), _where(cond, INF, v[1])
 
 
 def extremum(vs: Sequence[Interval], larger: bool) -> Interval:
@@ -143,10 +153,7 @@ def joint(a: Interval, b: Interval, intersection: str) -> Interval:
     points = (a[0] == a[1]) & (b[0] == b[1])
     if points is False:
         return UNKNOWN
-    v = _joint_raw(a[0], b[0], intersection)
-    if points is True:
-        return point(v)
-    return _checked(_where(points, v, -INF), _where(points, v, INF))
+    return _unknown_where(points ^ True, point(_joint_raw(a[0], b[0], intersection)))
 
 
 def iabs(a: Interval) -> Interval:
@@ -163,11 +170,14 @@ def iabs(a: Interval) -> Interval:
 
 
 def _cube(h):
-    # Python's pow, element by element: numpy's power may round differently
+    # Python's pow per element (numpy's may round differently); inf on overflow
     if isinstance(h, (int, float)):
-        return h ** 3
+        try:
+            return h ** 3
+        except OverflowError:
+            return INF
     import numpy as np
-    return np.array([x ** 3 for x in np.ravel(h).tolist()]).reshape(np.shape(h))
+    return np.array([_cube(x) for x in np.ravel(h).tolist()]).reshape(np.shape(h))
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,8 @@ class ExtendedValue:
     upper: float
 
     def __post_init__(self):
-        _checked(self.lower, self.upper)
+        if not self.lower <= self.upper:
+            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
 
     @staticmethod
     def point(x: float) -> "ExtendedValue":
@@ -419,17 +430,24 @@ def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
 
 
 def _stencil(f: Callable, x0, h, order: int) -> Interval:
-    """Central difference of ``f`` at ``x0`` with step ``h``."""
+    """Central difference of ``f`` at ``x0`` with step ``h``; unknown where
+    the step's power overflows (the result is then UNKNOWN itself)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     if order == 1:
-        return scale(sub(f(x0 + h), f(x0 - h)), 1.0 / (2.0 * h))
-    if order == 2:
-        num = add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h))
-        return scale(num, 1.0 / (h * h))
-    num = sub(add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
-                  scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
-    return scale(num, 1.0 / (2.0 * _cube(h)))
+        num, den = sub(f(x0 + h), f(x0 - h)), 2.0 * h
+    elif order == 2:
+        num, den = add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h)), h * h
+    else:
+        num = sub(add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
+                      scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
+        den = 2.0 * _cube(h)
+    return _unknown_where(den == INF, scale(num, 1.0 / den))
+
+
+def _note(notes: Optional[list], note: str) -> None:
+    if notes is not None and note not in notes:
+        notes.append(note)
 
 
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
@@ -465,10 +483,8 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
                 links.append(_IDENTITY)
                 continue
             r = s.response_for(name, axis, ctx)
-            if r is None and notes is not None:
-                note = f"missing response ({name}, {axis})"
-                if note not in notes:
-                    notes.append(note)
+            if r is None:
+                _note(notes, f"missing response ({name}, {axis})")
             links.append(r)
 
         def f(x):
@@ -483,7 +499,10 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
                     vals.append(point(eval_response(r, x)))
             return combine(vals)
 
-        return _stencil(f, x0, h, order)
+        v = _stencil(f, x0, h, order)
+        if v is UNKNOWN:
+            _note(notes, f"difference step along {axis} overflows (h = {h})")
+        return v
 
     def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:
         if kind == "sym":
@@ -523,15 +542,9 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
         return vs[0]
     if t >= ts[-1]:
         return vs[-1]
-    lo, hi = 0, len(ts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ts[mid] <= t:
-            lo = mid
-        else:
-            hi = mid
-    frac = (t - ts[lo]) / (ts[hi] - ts[lo])
-    return vs[lo] + frac * (vs[hi] - vs[lo])
+    lo = bisect_right(ts, t) - 1
+    frac = (t - ts[lo]) / (ts[lo + 1] - ts[lo])
+    return vs[lo] + frac * (vs[lo + 1] - vs[lo])
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
@@ -554,10 +567,10 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
         def at(t: float):
             for i, tp in paths:
                 slots[i] = point(_path_value(tp, t, T))
-            return combine(slots)[0]
+            return _sole(combine(slots))
 
         if not paths:  # nothing moves with t
-            fixed = combine(slots)[0]
+            fixed = _sole(combine(slots))
             at = lambda t: fixed  # noqa: E731
         total = 0.0
         prev = at(nodes[0])
@@ -568,6 +581,14 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
         return total
 
     return integrate
+
+
+def _sole(v: Interval):
+    """A point interval's value: NaN where ``v`` is not a point."""
+    same = v[0] == v[1]
+    if same is True or same is False:
+        return v[0] if same else math.nan
+    return _where(same, v[0], math.nan)
 
 
 def _time_leaf(leaf: Expr, cfg: RunConfig) -> Callable:
@@ -600,7 +621,14 @@ def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
     if isinstance(leaf, Deriv):
         return _compile_deriv(leaf, cfg)
     integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
-    return lambda s, ctx, notes: point(integrate(s))
+
+    def integral(s, ctx, notes) -> Interval:
+        try:
+            return point(integrate(s))
+        except PathCoverageError as exc:  # the same for every draw: paths are the base's
+            _note(notes, str(exc))
+            return UNKNOWN
+    return integral
 
 
 def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:

@@ -1,18 +1,17 @@
 """Registry and evaluator for the three disintermediation condition sets.
 
-Each condition is built as a small form (``build_form``): an optional guard,
-one or more comparison parts (joined conjunctively), and the interpretation
-notes that the verdict must carry. Forms are compiled once per RunConfig into
-closures and cached per config, so ``decide``, ``eval_condition_set``,
-``eval_condition``, sweeps and sensitivity build no forms and dispatch on no
-node types. A compiled guard or part (:func:`compile_guard`,
-:func:`compile_part`) runs on any Scenario: on one scenario its results are
-wrapped here into traced verdicts with notes, and on a block of draws (whose
-swept values are per-draw arrays) ``dismed.batch`` turns them into per-draw
-status codes. Both paths decide a set by the one rule over counts of its
-verdicts, :func:`_aggregate`. Evaluation is pure: undecidable comparisons
-produce Indeterminate verdicts, never exceptions, and every non-vacuous
-verdict keeps its lhs/rhs trace values.
+Each condition is built as a small form (``build_form``): an optional guard
+part, whose ``holds`` decides whether the others count, one or more
+comparison parts (joined conjunctively), and the notes the verdict must
+carry. Forms are compiled once per RunConfig into closures and cached per
+config, so ``decide``, ``eval_condition_set``, ``eval_condition``, sweeps and
+sensitivity build no forms and dispatch on no node types. A compiled part
+(:func:`compile_part`) runs on any Scenario: on one scenario its results are
+wrapped here into traced verdicts with notes, and on a block of draws
+``dismed.batch`` turns them into per-draw status codes. Both paths apply
+:func:`_guard_failure` and :func:`_aggregate`. Evaluation is pure:
+undecidable comparisons produce Indeterminate verdicts, never exceptions,
+and every non-vacuous verdict keeps its lhs/rhs trace values.
 
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
@@ -126,15 +125,6 @@ ARGMAX_EXCLUSIVE: CtxSpec = ("argmax", ("E_s", "E_p"))
 
 
 @dataclass(frozen=True)
-class Guard:
-    desc: str
-    kind: str  # "gt" | "approx"
-    a: str
-    b: str
-    ctx: CtxSpec = None
-
-
-@dataclass(frozen=True)
 class Part:
     desc: str
     op: str  # "gt" | "lt" | "approx" | "approx_zero"
@@ -146,7 +136,7 @@ class Part:
 
 @dataclass(frozen=True)
 class Form:
-    guard: Optional[Guard]
+    guard: Optional[Part]
     parts: tuple[Part, ...]
     notes: tuple[str, ...] = ()
 
@@ -281,7 +271,7 @@ def _b1(cfg: RunConfig) -> Form:
         parts.insert(0, Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip")))
         return Form(None, tuple(parts),
                     ("utility clause (U_iw > U_ip) treated as a joint conjunct",))
-    return Form(Guard("U_iw > U_ip", "gt", "U_iw", "U_ip"), tuple(parts),
+    return Form(Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip")), tuple(parts),
                 ("utility clause (U_iw > U_ip) treated as a guard",))
 
 
@@ -294,7 +284,7 @@ def _b3(cfg: RunConfig) -> Form:
     lhs = Add((_cP(), Sym("psi_b"), Sym("pi_b")))
     rhs = _a("psi_bi", "pi_i", "U_iw")
     return Form(
-        Guard("P_s ~ P_b", "approx", "P_s", "P_b", ctx=ARGMAX_ALL),
+        Part("P_s ~ P_b", "approx", Sym("P_s"), Sym("P_b"), ARGMAX_ALL, ARGMAX_ALL),
         (Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt", lhs, rhs,
               lhs_ctx=ARGMAX_ALL, rhs_ctx=None),),
         ("lhs evaluated under the argmax listing-state overlay; rhs at base",),
@@ -305,7 +295,7 @@ def _b4(cfg: RunConfig) -> Form:
     lhs = Add((_cP(), Sym("psi_b"), Sym("pi_b")))
     rhs = _a("psi_bi", "pi_i", "U_iw")
     return Form(
-        Guard("U_iw > U_ip", "gt", "U_iw", "U_ip", ctx=ARGMAX_ALL),
+        Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip"), ARGMAX_ALL, ARGMAX_ALL),
         (Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt", lhs, rhs,
               lhs_ctx=ARGMAX_ALL, rhs_ctx=None),),
         ("lhs evaluated under the argmax listing-state overlay; rhs at base",),
@@ -438,7 +428,7 @@ def _w1(cfg: RunConfig) -> Form:
     ctx: CtxSpec = ("state", "E_p")
     lhs = Sub(Mul(_cP(), Sym("rho_p")), _a("B_b", "B_s"))
     return Form(
-        Guard("psi_b > psi_bi", "gt", "psi_b", "psi_bi", ctx=ctx),
+        Part("psi_b > psi_bi", "gt", Sym("psi_b"), Sym("psi_bi"), ctx, ctx),
         (Part("cP*rho_p - B_b - B_s < B_i", "lt", lhs, Sym("B_i"),
               lhs_ctx=ctx, rhs_ctx=ctx),),
         ("evaluated under the E_p listing-state overlay",),
@@ -670,9 +660,7 @@ def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> fro
     """Every scenario symbol a condition reads (for the symbol-table audit)."""
     form = build_form(cid, cfg or RunConfig())
     out: set[str] = set()
-    if form.guard is not None:
-        out.update((form.guard.a, form.guard.b), _ctx_symbols(form.guard.ctx))
-    for part in form.parts:
+    for part in form.parts if form.guard is None else (form.guard, *form.parts):
         out |= symbols_of(part.lhs)
         if part.rhs is not None:
             out |= symbols_of(part.rhs)
@@ -701,22 +689,6 @@ def _in_context(spec: CtxSpec, fn: Callable) -> Callable:
     if kind == "argmax":
         return lambda s, notes: s.per_winner(arg, None, lambda state, _: fn(s, state, notes))
     raise ValueError(f"unknown context spec {spec!r}")
-
-
-def compile_guard(guard: Guard, cfg: RunConfig) -> Callable:
-    """(s, notes) -> whether the guard passes (per draw)."""
-    a, b = guard.a, guard.b
-    if guard.kind == "gt":
-        def test(s, ctx, notes):
-            return s.value(a, ctx) > s.value(b, ctx)
-    elif guard.kind == "approx":
-        rel_tol = cfg.rel_tol
-
-        def test(s, ctx, notes):
-            return _close(s.value(a, ctx), s.value(b, ctx), rel_tol)
-    else:
-        raise ValueError(f"unknown guard kind {guard.kind!r}")
-    return _in_context(guard.ctx, test)
 
 
 def _compare(op: str, cfg: RunConfig) -> Callable:
@@ -753,25 +725,31 @@ def compile_part(part: Part, cfg: RunConfig) -> tuple:
     return lhs, rhs, _compare(part.op, cfg)
 
 
+def _guard_failure(cfg: RunConfig) -> tuple[Status, bool, str]:
+    """What a failed guard gives under ``cfg.guard_mode``: the condition's
+    status, whether it is excluded from aggregation, and how its note ends."""
+    if cfg.guard_mode == "violated":
+        return Status.VIOLATED, False, "guard_mode=violated"
+    skipped = cfg.guard_mode == "skip"
+    return (Status.VACUOUS, skipped,
+            "vacuously satisfied" + ("; excluded from aggregation" if skipped else ""))
+
+
 def _compile_condition(cid: ConditionId, form: Form, compiled: tuple,
-                       guard: Optional[Callable], cfg: RunConfig) -> CompiledCondition:
+                       guard: Optional[tuple], cfg: RunConfig) -> CompiledCondition:
     """The traced evaluator of a condition from its compiled parts and guard."""
     form_notes = form.notes
     parts = tuple((p.desc, p.op, *c) for p, c in zip(form.parts, compiled))
     if guard is not None:
-        if cfg.guard_mode == "violated":
-            failed_status, skipped = Status.VIOLATED, False
-            failed_note = f"guard failed ({form.guard.desc}); guard_mode=violated"
-        else:
-            failed_status, skipped = Status.VACUOUS, cfg.guard_mode == "skip"
-            failed_note = (f"guard failed ({form.guard.desc}); vacuously satisfied"
-                           + ("; excluded from aggregation" if skipped else ""))
+        guard_lhs, guard_rhs, guard_compare = guard
+        failed_status, skipped, ending = _guard_failure(cfg)
+        failed_note = f"guard failed ({form.guard.desc}); {ending}"
 
     def run(s: Scenario) -> ConditionVerdict:
         notes = list(form_notes)
         guard_status: Optional[bool] = None
         if guard is not None:
-            guard_status = guard(s, None)
+            guard_status = guard_compare(guard_lhs(s, None), guard_rhs(s, None))[0]
             if guard_status is False:
                 notes.append(failed_note)
                 return ConditionVerdict(cid, failed_status, None, None, False,
@@ -802,15 +780,15 @@ def _compile_condition(cid: ConditionId, form: Form, compiled: tuple,
 
 @lru_cache(maxsize=_COMPILED_CONFIGS)
 def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, tuple]:
-    """Per condition: its compiled parts, its compiled guard or None, and its
-    traced evaluator."""
+    """Per condition: its compiled parts, its compiled guard part or None, and
+    its traced evaluator."""
     # The fingerprint is in the key because configs can compare equal yet
     # print differently (rel_tol 1 and 1.0), and notes quote the config.
     table = {}
     for cid in ALL_CONDITION_IDS:
         form = build_form(cid, cfg)
         parts = tuple(compile_part(p, cfg) for p in form.parts)
-        guard = None if form.guard is None else compile_guard(form.guard, cfg)
+        guard = None if form.guard is None else compile_part(form.guard, cfg)
         table[cid] = parts, guard, _compile_condition(cid, form, parts, guard, cfg)
     return table
 

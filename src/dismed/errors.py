@@ -32,10 +32,6 @@ class ValidationError(DismedError):
         super().__init__(f"scenario validation failed: {codes}")
 
 
-class DivisionByZeroInterval(DismedError):
-    """A divisor interval contains zero."""
-
-
 class IndeterminateIntegrand(DismedError):
     """A horizon integrand could not be pinned to a point value at some node."""
 
@@ -54,8 +50,3 @@ class RejectionLimit(DismedError):
 
 class IndeterminateAtBase(DismedError):
     """Sensitivity analysis requires a determinate, non-vacuous base verdict."""
-
-
-class Replay(Exception):
-    """An operation refused in some draw of a sweep block: the scalar path
-    must decide the block, and raises there from the same draw."""

@@ -25,11 +25,11 @@ Naming notes:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
-
-from .errors import Replay
 
 DECIMALS_SIGNIFICANT = 12
 
@@ -185,7 +185,7 @@ class Scenario:
         """``fn(name, value)`` for the name with the largest value under
         ``state``, ties to the earlier name; ``fn(None, -inf)`` when no value
         exceeds -inf. Where values are per draw, each draw takes its own
-        winner's result, and a draw with no winner raises :class:`Replay`."""
+        winner's result (a block's values are finite, so each draw has one)."""
         win, best = -1, -math.inf
         for k, name in enumerate(names):
             v = self.value(name, state)
@@ -196,8 +196,6 @@ class Scenario:
                 win, best = _where(larger, k, win), _where(larger, v, best)
         if isinstance(win, int):
             return fn(names[win] if win >= 0 else None, best)
-        if (win < 0).any():  # no finite candidate: the scalar path decides
-            raise Replay
         out = None
         for k, name in enumerate(names):
             rows = win == k
@@ -370,27 +368,16 @@ def eval_response(r: ResponseFunction, x: float) -> float:
     ks = r.knots
     if len(ks) == 1:
         return ks[0][1]
+    # the segment from the last knot <= x (the end segments extrapolate)
     if not isinstance(x, (int, float)):
         import numpy as np
         xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
-        # the segment the bisection below finds; the end segments extrapolate
         lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
         x0, y0 = xs[lo], ys[lo]
         t = (x - x0) / (xs[lo + 1] - x0)
         return y0 + t * (ys[lo + 1] - y0)
-    if x <= ks[0][0]:
-        (x0, y0), (x1, y1) = ks[0], ks[1]
-    elif x >= ks[-1][0]:
-        (x0, y0), (x1, y1) = ks[-2], ks[-1]
-    else:
-        lo, hi = 0, len(ks) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ks[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = ks[lo], ks[hi]
+    lo = min(max(bisect_right(ks, x, key=itemgetter(0)) - 1, 0), len(ks) - 2)
+    (x0, y0), (x1, y1) = ks[lo], ks[lo + 1]
     t = (x - x0) / (x1 - x0)
     return y0 + t * (y1 - y0)
 

