@@ -4,17 +4,18 @@ A sweep changes values only: the responses, overlays, time paths and config
 are the base scenario's in every draw, so every declared link is fixed for
 the whole sweep. A block of draws is a plain Scenario (:func:`block`) whose
 swept symbols hold one value per draw, drawn into one ``(n, len(SYMBOLS))``
-matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream.
+matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream
+(``streams.Streams`` draws all rows at once).
 
-The module has no compiler, arithmetic or checks of its own.
-``model.check_scenario`` validates all rows at once, and only rejected rows
-are redrawn; a draw over its redraw budget raises the ``RejectionLimit``
-that ``draw_scenario`` raises for it. The compiled parts and guards of
+The module has no compiler, arithmetic or checks of its own. The checks
+that no draw changes run once per block (``model.check_fixed``), the rest
+on all rows at once; only rejected rows are redrawn, and a draw over its
+redraw budget raises ``RejectionLimit``. The compiled parts and guards of
 ``decide`` run on the block through the total interval arithmetic of
 ``calculus``, whose array endpoints round as its float ones do, with argmax
-contexts and max-axis winners chosen per draw (``Scenario.per_winner``). The
-result is status codes and set decisions made by ``decide``'s rules, with no
-per-draw Scenario, verdict or trace.
+contexts and max-axis winners chosen per draw (``Scenario.per_winner``).
+The result is status codes and set decisions made by ``decide``'s rules,
+with no per-draw Scenario, verdict or trace.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .conditions import (
     condition_ids,
 )
 from .config import RunConfig
-from .model import SYMBOLS, Scenario, check_scenario
+from .model import SYMBOLS, Scenario, check_fixed, check_scenario
 from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec, rejection_limit
+from .streams import Streams
 
 #: Draws evaluated together: bounds a block's memory whatever the sweep size;
 #: per-draw cost stops falling at about this size.
@@ -106,10 +108,10 @@ def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.
 # Drawing and validation
 # ---------------------------------------------------------------------------
 
-def _valid_rows(draws: Scenario, n: int) -> Optional[np.ndarray]:
-    """Which of the ``n`` draws of a block pass ``validate_scenario``, or None
-    where a check fails whatever is drawn (a structural one, or one that reads
-    only symbols no draw changes)."""
+def _valid_rows(draws: Scenario, n: int, check=check_scenario) -> Optional[np.ndarray]:
+    """Which of the ``n`` draws of a block pass ``check`` (by default every
+    check of ``validate_scenario``), or None where a check fails whatever is
+    drawn (a structural one, or one that reads only symbols no draw changes)."""
     failed = False
 
     def bad(code, when, message, *args):
@@ -117,32 +119,36 @@ def _valid_rows(draws: Scenario, n: int) -> Optional[np.ndarray]:
         if when is not False and failed is not True:
             failed = True if when is True else failed | when
 
-    check_scenario(draws, bad)
+    check(draws, bad)
     return None if failed is True else np.broadcast_to(failed ^ True, n)
 
 
-def _draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
-          stop: int) -> tuple[Scenario, np.ndarray]:
-    """Accepted draws start..stop-1 as a block and their rejection counts, as
-    ``draw_scenario`` gives them for the same indices (a RejectionLimit too)."""
-    names = tuple(dist.marginals)
+def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
+         stop: int) -> tuple[np.ndarray, set, np.ndarray]:
+    """Accepted draws start..stop-1 as rows of ``SYMBOLS`` values, the
+    symbols they vary and their rejection counts (a RejectionLimit for the
+    first draw over its budget). A rejected draw redraws from where its
+    stream stands. Where I_p or I_i is sampled but not I, I is I_p + I_i."""
+    cols = [SYMBOLS[name] for name in dist.marginals]
     marginals = tuple(dist.marginals.values())
-    cols = [SYMBOLS[name] for name in names]
-    varying = set(names)
+    varying = set(dist.marginals)
     derive_I = ("I_p" in varying or "I_i" in varying) and "I" not in varying
     if derive_I:
         varying.add("I")
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
-    X = np.tile(np.array(base.values, dtype=float), (len(rngs), 1))
-    rejections = np.zeros(len(rngs), dtype=np.int64)
-    todo = np.arange(len(rngs))
+    streams = Streams(seed, start, stop)
+    fixed = []
+    check = check_fixed(base, varying, lambda code, when, *args: fixed.append(when))
+    if any(fixed):
+        raise rejection_limit(start)
+    X = np.tile(np.array(base.values, dtype=float), (stop - start, 1))
+    rejections = np.zeros(stop - start, dtype=np.int64)
+    todo = np.arange(stop - start)
     while True:
         if cols:
-            X[np.ix_(todo, cols)] = [[m.draw(rngs[i]) for m in marginals]
-                                     for i in todo.tolist()]
+            X[np.ix_(todo, cols)] = streams.draw(marginals, todo)
         if derive_I:
             X[todo, SYMBOLS["I"]] = X[todo, SYMBOLS["I_p"]] + X[todo, SYMBOLS["I_i"]]
-        valid = _valid_rows(block(base, X[todo], varying), len(todo))
+        valid = _valid_rows(block(base, X[todo], varying), len(todo), check)
         if valid is not None:
             todo = todo[~valid]
             if not len(todo):
@@ -151,7 +157,7 @@ def _draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
         # every draw still here has the same count, so the first is over first
         if valid is None or rejections[todo[0]] > MAX_REJECTIONS_PER_DRAW:
             raise rejection_limit(start + int(todo[0]))
-    return block(base, X, varying), rejections
+    return X, varying, rejections
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,8 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
     """Evaluate draws start..stop-1 as one batch."""
     table = compiled_conditions(cfg)
     with np.errstate(all="ignore"):
-        draws, rejections = _draw(base, dist, seed, start, stop)
+        X, varying, rejections = draw(base, dist, seed, start, stop)
+        draws = block(base, X, varying)
         results = [_condition(draws, len(rejections), parts, guard, cfg)
                    for parts, guard in table]
     statuses, skipped = (np.stack(columns, axis=1) for columns in zip(*results))

@@ -11,8 +11,9 @@ then answer per draw.
 
 The module also owns scenario validation: ``check_scenario`` is the one walk
 over every invariant, and reports each check with where it fails (per draw
-in a block). ``validate_scenario`` collects the failures of one scenario as
-violations, which are data, not exceptions.
+in a block); ``check_fixed`` splits it for a sweep into the checks no draw
+changes and the rest. ``validate_scenario`` collects the failures of one
+scenario as violations, which are data, not exceptions.
 
 Naming notes:
   * broker effort is exposed as ``u_hat`` and the buyer's perception of it as
@@ -295,6 +296,28 @@ def check_scenario(s: Scenario, bad) -> None:
     (``^ True`` is the per-draw "not"); ``message.format(*args)`` describes
     the failure. A check that reads no per-draw value passes a plain bool.
     """
+    _check_values(s, bad)
+    _check_responses(s, bad)
+    _check_time_paths(s, bad)
+
+
+def check_fixed(s: Scenario, swept, bad):
+    """Run on the base ``s`` of a sweep, whose draws change the symbols in
+    ``swept`` only, the checks no draw changes: the structure of links and
+    time paths, and the consistency of links that read no swept symbol.
+    Returns ``check(block, bad)``, which runs the rest on a block of draws."""
+    later = _check_responses(s, bad, swept)
+    _check_time_paths(s, bad)
+
+    def check(block: Scenario, bad) -> None:
+        _check_values(block, bad)
+        for link in later:
+            _check_link(block, *link, bad)
+
+    return check
+
+
+def _check_values(s: Scenario, bad) -> None:
     for name in SYMBOLS:
         v = s.value(name)
         bad("NonFiniteValue", _finite(v) ^ True, "{} = {!r} is not finite", name, v)
@@ -320,8 +343,6 @@ def check_scenario(s: Scenario, bad) -> None:
         "I_o = {} must be >= I_i = {}", I_o, I_i)
 
     _check_overlays(s, bad)
-    _check_responses(s, bad)
-    _check_time_paths(s, bad)
 
 
 def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
@@ -382,8 +403,11 @@ def eval_response(r: ResponseFunction, x: float) -> float:
     return y0 + t * (y1 - y0)
 
 
-def _check_responses(s: Scenario, bad) -> None:
+def _check_responses(s: Scenario, bad, swept=frozenset()) -> list:
+    """Check each link's structure, then its values; those of a link that
+    reads a symbol in ``swept`` are left to ``_check_link``: returned."""
     seen: set[tuple[str, str, str]] = set()
+    later = []
     for r in s.responses:
         ident = f"({r.driven}, {r.driver}, {r.context})"
         if r.driven not in SYMBOLS:
@@ -427,26 +451,35 @@ def _check_responses(s: Scenario, bad) -> None:
         else:
             bad("ResponseKind", True, "response {}: unknown kind {!r}", ident, r.kind)
             continue
+        if r.driven in swept or not swept.isdisjoint(parts):
+            later.append((r, parts, ident))
+        else:
+            _check_link(s, r, parts, ident, bad)
+    return later
 
-        # Consistency: the link must pass through the scenario's stored point,
-        # evaluated in the link's own context.
-        ctx = None if r.context == "base" else r.context
-        x0, y0 = s.bundle_value(parts, ctx), s.value(r.driven, ctx)
-        y_hat = eval_response(r, x0)
-        bad("ResponseConsistency", _finite(x0) & _finite(y0) & (
-                abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * _first((1.0, abs(y0)), True)),
-            "response {}: f({}) = {} but stored {} = {}", ident, x0, y_hat, r.driven, y0)
 
-        # Communicated information must rise, at an increasing rate, with the
-        # broker's cost of providing it.
-        if r.driven == "I" and r.driver == "B_b":
-            h = 1e-3 * _first((1.0, abs(x0)), True)
-            up, down = eval_response(r, x0 + h), eval_response(r, x0 - h)
-            d1 = (up - down) / (2 * h)
-            d2 = (up - 2 * y_hat + down) / (h * h)
-            bad("InformationMonotonicity", _finite(x0) & (((d1 > 0) & (d2 > 0)) ^ True),
-                "response {}: I(B_b) must have positive first and second central "
-                "differences at B_b = {} (got {:.6g}, {:.6g})", ident, x0, d1, d2)
+def _check_link(s: Scenario, r: ResponseFunction, parts: tuple[str, ...], ident: str,
+                bad) -> None:
+    """The checks of a well-formed link that read symbol values."""
+    # Consistency: the link must pass through the scenario's stored point,
+    # evaluated in the link's own context.
+    ctx = None if r.context == "base" else r.context
+    x0, y0 = s.bundle_value(parts, ctx), s.value(r.driven, ctx)
+    y_hat = eval_response(r, x0)
+    bad("ResponseConsistency", _finite(x0) & _finite(y0) & (
+            abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * _first((1.0, abs(y0)), True)),
+        "response {}: f({}) = {} but stored {} = {}", ident, x0, y_hat, r.driven, y0)
+
+    # Communicated information must rise, at an increasing rate, with the
+    # broker's cost of providing it.
+    if r.driven == "I" and r.driver == "B_b":
+        h = 1e-3 * _first((1.0, abs(x0)), True)
+        up, down = eval_response(r, x0 + h), eval_response(r, x0 - h)
+        d1 = (up - down) / (2 * h)
+        d2 = (up - 2 * y_hat + down) / (h * h)
+        bad("InformationMonotonicity", _finite(x0) & (((d1 > 0) & (d2 > 0)) ^ True),
+            "response {}: I(B_b) must have positive first and second central "
+            "differences at B_b = {} (got {:.6g}, {:.6g})", ident, x0, d1, d2)
 
 
 def _check_time_paths(s: Scenario, bad) -> None:

@@ -7,6 +7,9 @@ consume only their own substream. Draws that fail scenario validation are
 redrawn, which is also how domain truncation is enforced (a uniform c over
 (0.9, 1.1) simply has its c >= 1 draws rejected).
 
+Every draw is made by ``batch.draw``, a block at a time, from the streams of
+``dismed.streams``; ``draw_scenario`` is a block of one.
+
 One derived update: when a sweep samples I_p or I_i without an explicit I
 marginal, I is recomputed as I_p + I_i per draw, keeping the exact identity
 satisfiable under continuous marginals.
@@ -32,7 +35,8 @@ from .conditions import (
 from .config import RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
 from .io import _number
-from .model import SYMBOLS, Scenario, validate_scenario, with_values
+# validate_scenario is not called here: perfbench's --trace 1 wraps the binding.
+from .model import SYMBOLS, Scenario, validate_scenario, with_values  # noqa: F401
 
 if TYPE_CHECKING:  # numpy is imported where draws are made, so sensitivity runs without it
     import numpy as np
@@ -66,13 +70,6 @@ class Marginal:
             raise ParseError(f"uniform marginal needs a finite hi - lo, got [{self.lo}, {self.hi}]")
         if self.kind == "normal" and not self.sd > 0:
             raise ParseError(f"normal marginal needs sd > 0, got {self.sd}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        if self.kind == "point":
-            return self.value
-        if self.kind == "uniform":
-            return float(rng.uniform(self.lo, self.hi))
-        return float(rng.normal(self.mean, self.sd))
 
     def to_dict(self) -> dict:
         if self.kind == "point":
@@ -128,23 +125,8 @@ class DistributionSpec:
 def draw_scenario(base: Scenario, dist: DistributionSpec, seed: int,
                   index: int) -> tuple[Scenario, int]:
     """One validated draw plus its rejection count (deterministic per index)."""
-    import numpy as np
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    derive_I = (("I_p" in dist.marginals or "I_i" in dist.marginals)
-                and "I" not in dist.marginals)
-    rejections = 0
-    while True:
-        updates = {name: m.draw(rng) for name, m in dist.marginals.items()}
-        candidate = with_values(base, updates)
-        if derive_I:
-            candidate = with_values(
-                candidate, {"I": candidate.value("I_p") + candidate.value("I_i")})
-        if validate_scenario(candidate).ok:
-            return candidate, rejections
-        rejections += 1
-        if rejections > MAX_REJECTIONS_PER_DRAW:
-            raise rejection_limit(index)
+    (scenario,), rejections = _draws(base, dist, seed, index, index + 1)
+    return scenario, rejections
 
 
 def rejection_limit(index: int) -> RejectionLimit:
@@ -161,13 +143,18 @@ def sample_scenarios(base: Scenario, dist: DistributionSpec, n: int,
     (base, dist, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    scenarios = []
-    rejections = 0
-    for i in range(n):
-        sc, rej = draw_scenario(base, dist, seed, i)
-        scenarios.append(sc)
-        rejections += rej
-    return tuple(scenarios), rejections
+    return _draws(base, dist, seed, 0, n)
+
+
+def _draws(base: Scenario, dist: DistributionSpec, seed: int, start: int,
+           stop: int) -> tuple[tuple[Scenario, ...], int]:
+    """Draws start..stop-1, drawn as one block, and their total rejections."""
+    from . import batch  # the array path, imported only by sweeps
+
+    X, varying, rejections = batch.draw(base, dist, seed, start, stop)
+    slots = {name: SYMBOLS[name] for name in varying}
+    return (tuple(with_values(base, {name: row[k] for name, k in slots.items()})
+                  for row in X.tolist()), int(rejections.sum()))
 
 
 @dataclass(frozen=True)

@@ -413,7 +413,7 @@ print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
 def test_scalar_commands_never_import_the_engines_they_do_not_run(fixtures_dir, argv):
     argv = [a.format(f=fixtures_dir) for a in argv]
     watched = ["numpy", "concurrent.futures", "dismed.optimizer", "dismed.batch",
-               "dismed.simulate"]
+               "dismed.simulate", "dismed.streams"]
     done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
