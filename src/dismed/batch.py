@@ -35,7 +35,7 @@ from .conditions import (
     condition_ids,
 )
 from .config import RunConfig
-from .model import SYMBOLS, Scenario, check_fixed, check_scenario
+from .model import SYMBOLS, Scenario, check_fixed
 from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec, rejection_limit
 from .streams import Streams
 
@@ -108,10 +108,11 @@ def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.
 # Drawing and validation
 # ---------------------------------------------------------------------------
 
-def _valid_rows(draws: Scenario, n: int, check=check_scenario) -> Optional[np.ndarray]:
-    """Which of the ``n`` draws of a block pass ``check`` (by default every
-    check of ``validate_scenario``), or None where a check fails whatever is
-    drawn (a structural one, or one that reads only symbols no draw changes)."""
+def _valid_rows(draws: Scenario, n: int, check) -> Optional[np.ndarray]:
+    """Which of the ``n`` draws of a block pass ``check(draws, bad)`` (the
+    per-block half that ``model.check_fixed`` returns, or
+    ``model.check_scenario``), or None where a check fails whatever is drawn
+    (a structural one, or one that reads only symbols no draw changes)."""
     failed = False
 
     def bad(code, when, message, *args):

@@ -13,6 +13,13 @@ wrapped here into traced verdicts with notes, and on a block of draws
 undecidable comparisons produce Indeterminate verdicts, never exceptions,
 and every non-vacuous verdict keeps its lhs/rhs trace values.
 
+Two mirrored families have one builder each, and their descriptions are
+rendered (``_dtext``) from the same arguments that build their derivatives:
+the social-capital conditions B16-B19 / S15-S18 (party, against utility or
+the joint closing probability, order) and the conditions that bound one
+derivative by another at two orders (B6, B7, B8, B10, B12, S2, S3). Every
+other condition has its own builder and literal description.
+
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
   * B1's "(U_iw > U_ip)" clause is a guard by default (``b1_guard_joint``);
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from .calculus import (
@@ -238,24 +245,25 @@ def _cP() -> Expr:
     return Mul(Sym("c"), Sym("P"))
 
 
-def _d(driven: str | Expr, driver: str, order: int = 1) -> Deriv:
-    if isinstance(driven, str):
-        driven = _a(*driven.split("+"))
-    return Deriv(driven, Axis.sym(driver), order)
+def _d(driven: str, driver: str | tuple[str, ...], order: int = 1) -> Deriv:
+    """d^order driven / d driver: ``driven`` is a symbol, a "+"-bundle or a
+    joint "a^b"; ``driver`` a symbol, a "+"-bundle or a tuple read as its max."""
+    expr = Joint(*driven.split("^")) if "^" in driven else _a(*driven.split("+"))
+    axis = Axis.max_of(*driver) if isinstance(driver, tuple) else Axis.sym(driver)
+    return Deriv(expr, axis, order)
 
 
-def _dmax(driven: str | Expr, names: tuple[str, ...], order: int = 1) -> Deriv:
-    if isinstance(driven, str):
-        driven = _a(*driven.split("+"))
-    return Deriv(driven, Axis.max_of(*names), order)
-
-
-def _one() -> Expr:
-    return Const(1.0)
-
-
-def _zero() -> Expr:
-    return Const(0.0)
+def _dtext(driven: str, driver: str | tuple[str, ...], order: int) -> str:
+    """``_d(driven, driver, order)`` as the descriptions write it, e.g.
+    ``d2 (I_p+I_i)/d(U_ip+U_iw)2`` or ``d SC_b/d max(psi_bi,psi_b)``."""
+    n = str(order) if order > 1 else ""
+    if "+" in driven or "^" in driven:
+        driven = f"({driven})"
+    if isinstance(driver, tuple):
+        driver = f" max({','.join(driver)})"
+    elif "+" in driver:
+        driver = f"({driver})"
+    return f"d{n} {driven}/d{driver}{n}"
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +288,21 @@ def _b2(cfg: RunConfig) -> Form:
                 (f"similarity uses rel_tol = {cfg.rel_tol}",))
 
 
+# B3 and B4 are one comparison under two guards.
+_B3_B4_PART = Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt",
+                   Add((_cP(), Sym("psi_b"), Sym("pi_b"))), _a("psi_bi", "pi_i", "U_iw"),
+                   lhs_ctx=ARGMAX_ALL, rhs_ctx=None)
+_B3_B4_NOTES = ("lhs evaluated under the argmax listing-state overlay; rhs at base",)
+
+
 def _b3(cfg: RunConfig) -> Form:
-    lhs = Add((_cP(), Sym("psi_b"), Sym("pi_b")))
-    rhs = _a("psi_bi", "pi_i", "U_iw")
-    return Form(
-        Part("P_s ~ P_b", "approx", Sym("P_s"), Sym("P_b"), ARGMAX_ALL, ARGMAX_ALL),
-        (Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt", lhs, rhs,
-              lhs_ctx=ARGMAX_ALL, rhs_ctx=None),),
-        ("lhs evaluated under the argmax listing-state overlay; rhs at base",),
-    )
+    return Form(Part("P_s ~ P_b", "approx", Sym("P_s"), Sym("P_b"), ARGMAX_ALL, ARGMAX_ALL),
+                (_B3_B4_PART,), _B3_B4_NOTES)
 
 
 def _b4(cfg: RunConfig) -> Form:
-    lhs = Add((_cP(), Sym("psi_b"), Sym("pi_b")))
-    rhs = _a("psi_bi", "pi_i", "U_iw")
-    return Form(
-        Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip"), ARGMAX_ALL, ARGMAX_ALL),
-        (Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt", lhs, rhs,
-              lhs_ctx=ARGMAX_ALL, rhs_ctx=None),),
-        ("lhs evaluated under the argmax listing-state overlay; rhs at base",),
-    )
+    return Form(Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip"), ARGMAX_ALL, ARGMAX_ALL),
+                (_B3_B4_PART,), _B3_B4_NOTES)
 
 
 def _b5(cfg: RunConfig) -> Form:
@@ -309,63 +312,18 @@ def _b5(cfg: RunConfig) -> Form:
     ))
 
 
-def _b6(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 psi_b/dU_ip2 < min(d2 psi_bi/dU_iw2, 1)", "lt",
-             _d("psi_b", "U_ip", 2), MinE((_d("psi_bi", "U_iw", 2), _one()))),
-        Part("d psi_b/dU_ip < min(d psi_bi/dU_iw, 1)", "lt",
-             _d("psi_b", "U_ip", 1), MinE((_d("psi_bi", "U_iw", 1), _one()))),
-    ))
-
-
-def _b7(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d U_iw/dpi_i > min(d U_ip/dpi_b, 0)", "gt",
-             _d("U_iw", "pi_i", 1), MinE((_d("U_ip", "pi_b", 1), _zero()))),
-        Part("d2 U_iw/dpi_i2 > min(d2 U_ip/dpi_b2, 0)", "gt",
-             _d("U_iw", "pi_i", 2), MinE((_d("U_ip", "pi_b", 2), _zero()))),
-    ))
-
-
-def _b8(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 I_o/dpsi_bi2 > max(d2 (I_p+I_i)/dpsi_b2, 1)", "gt",
-             _d("I_o", "psi_bi", 2), MaxE((_d("I_p+I_i", "psi_b", 2), _one()))),
-        Part("d I_o/dpsi_bi > max(d (I_p+I_i)/dpsi_b, 1)", "gt",
-             _d("I_o", "psi_bi", 1), MaxE((_d("I_p+I_i", "psi_b", 1), _one()))),
-    ))
-
-
 def _b9(cfg: RunConfig) -> Form:
     return Form(None, (
         Part("d (I_p+I_i)/d max(E_m,E_p,E_s) < 1", "lt",
-             _dmax("I_p+I_i", ("E_m", "E_p", "E_s"), 1), _one()),
+             _d("I_p+I_i", ("E_m", "E_p", "E_s"), 1), Const(1.0)),
     ), ("derivative taken along the argmax listing-state value",))
-
-
-def _b10(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d (I_p+I_i)/d(U_ip+U_iw) < min(d I_o/dU_a, 1)", "lt",
-             _d("I_p+I_i", "U_ip+U_iw", 1), MinE((_d("I_o", "U_a", 1), _one()))),
-        Part("d2 (I_p+I_i)/d(U_ip+U_iw)2 < min(d2 I_o/dU_a2, 1)", "lt",
-             _d("I_p+I_i", "U_ip+U_iw", 2), MinE((_d("I_o", "U_a", 2), _one()))),
-    ))
 
 
 def _b11(cfg: RunConfig) -> Form:
     return Form(None, (
         Part("d3 (I_p+I_i)/d(U_ip+U_iw)3 < 1", "lt",
-             _d("I_p+I_i", "U_ip+U_iw", 3), _one()),
-        Part("d3 I_o/dU_a3 < 1", "lt", _d("I_o", "U_a", 3), _one()),
-    ))
-
-
-def _b12(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d3 P_b/dP3 > max(d3 I_o/d(I_p+I_i)3, 1)", "gt",
-             _d("P_b", "P", 3), MaxE((_d("I_o", "I_p+I_i", 3), _one()))),
-        Part("d P_b/dP > max(d I_o/d(I_p+I_i), 1)", "gt",
-             _d("P_b", "P", 1), MaxE((_d("I_o", "I_p+I_i", 1), _one()))),
+             _d("I_p+I_i", "U_ip+U_iw", 3), Const(1.0)),
+        Part("d3 I_o/dU_a3 < 1", "lt", _d("I_o", "U_a", 3), Const(1.0)),
     ))
 
 
@@ -377,7 +335,7 @@ def _b13(cfg: RunConfig) -> Form:
 
 def _b14(cfg: RunConfig) -> Form:
     return Form(None, (Part("d u_hat_s/d(pi_sb+I_p+I_i) < 1", "lt",
-                            _d("u_hat_s", "pi_sb+I_p+I_i", 1), _one()),))
+                            _d("u_hat_s", "pi_sb+I_p+I_i", 1), Const(1.0)),))
 
 
 def _b15(cfg: RunConfig) -> Form:
@@ -386,42 +344,6 @@ def _b15(cfg: RunConfig) -> Form:
              _sum_sub(["SC_b"], ["psi_bi", "psi_b"]),
              _a("U_ip", "U_iw", "I_p", "I_i", "pi_b")),
     ))
-
-
-_PSI_B_MAX = ("psi_bi", "psi_b")
-_PSI_S_MAX = ("psi_si", "psi_s")
-
-
-def _b16(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d SC_b/d max(psi_bi,psi_b) > max(1, d (U_ip+U_iw)/d(I_p+I_i+pi_b))", "gt",
-             _dmax("SC_b", _PSI_B_MAX, 1),
-             MaxE((_one(), _d("U_ip+U_iw", "I_p+I_i+pi_b", 1)))),
-    ))
-
-
-def _b17(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 SC_b/d max(psi_bi,psi_b)2 > max(0, d2 (U_ip+U_iw)/d(I_p+I_i+pi_b)2)", "gt",
-             _dmax("SC_b", _PSI_B_MAX, 2),
-             MaxE((_zero(), _d("U_ip+U_iw", "I_p+I_i+pi_b", 2)))),
-    ))
-
-
-def _b18(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d SC_b/d max(psi_bi,psi_b) > max(1, d (rho_i^rho_p)/d(U_ip+U_iw))", "gt",
-             _dmax("SC_b", _PSI_B_MAX, 1),
-             MaxE((_one(), _d(Joint("rho_i", "rho_p"), "U_ip+U_iw", 1)))),
-    ), (f"intersection read as {cfg.intersection}",))
-
-
-def _b19(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 SC_b/d max(psi_bi,psi_b)2 > max(0, d2 (rho_i^rho_p)/d(U_ip+U_iw)2)", "gt",
-             _dmax("SC_b", _PSI_B_MAX, 2),
-             MaxE((_zero(), _d(Joint("rho_i", "rho_p"), "U_ip+U_iw", 2)))),
-    ), (f"intersection read as {cfg.intersection}",))
 
 
 def _w1(cfg: RunConfig) -> Form:
@@ -473,41 +395,27 @@ def _w6(cfg: RunConfig) -> Form:
 
 def _w7(cfg: RunConfig) -> Form:
     return Form(None, (
-        Part("d (RC_br+SC_br)/dB_i > 1", "gt", _d("RC_br+SC_br", "B_i", 1), _one()),
+        Part("d (RC_br+SC_br)/dB_i > 1", "gt", _d("RC_br+SC_br", "B_i", 1), Const(1.0)),
     ))
 
 
+# S12 is S1 without its joint part.
+_S12_PARTS = (Part("rho_s > rho_p", "gt", Sym("rho_s"), Sym("rho_p")),
+              Part("rho_s > rho_i", "gt", Sym("rho_s"), Sym("rho_i")))
+
+
 def _s1(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("rho_s > rho_p^rho_i", "gt", Sym("rho_s"), Joint("rho_p", "rho_i")),
-        Part("rho_s > rho_p", "gt", Sym("rho_s"), Sym("rho_p")),
-        Part("rho_s > rho_i", "gt", Sym("rho_s"), Sym("rho_i")),
-    ), (f"intersection read as {cfg.intersection}",))
-
-
-def _s2(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d I_o/dpsi_si > max(d (I_p+I_o)/dpsi_sb, 1)", "gt",
-             _d("I_o", "psi_si", 1), MaxE((_d("I_p+I_o", "psi_sb", 1), _one()))),
-        Part("d3 I_o/dpsi_si3 > max(d3 (I_p+I_o)/dpsi_sb3, 1)", "gt",
-             _d("I_o", "psi_si", 3), MaxE((_d("I_p+I_o", "psi_sb", 3), _one()))),
-    ), ("I_o kept inside the broker-channel bundle as written",))
+    return Form(None, (Part("rho_s > rho_p^rho_i", "gt", Sym("rho_s"), Joint("rho_p", "rho_i")),
+                       *_S12_PARTS), (f"intersection read as {cfg.intersection}",))
 
 
 def _seller_web_utility(cfg: RunConfig) -> str:
     return "U_sa" if cfg.seller_uses_U_sa else "U_a"
 
 
-def _s3(cfg: RunConfig) -> Form:
-    ua = _seller_web_utility(cfg)
-    note = ("U_sa substituted for the seller's web utility" if cfg.seller_uses_U_sa
+def _seller_web_note(cfg: RunConfig) -> str:
+    return ("U_sa substituted for the seller's web utility" if cfg.seller_uses_U_sa
             else "U_a used literally for the seller's web utility")
-    return Form(None, (
-        Part(f"d {ua}/dpsi_si > max(d (U_sp+U_sw)/dpsi_s, 1)", "gt",
-             _d(ua, "psi_si", 1), MaxE((_d("U_sp+U_sw", "psi_s", 1), _one()))),
-        Part(f"d3 {ua}/dpsi_si3 > max(d3 (U_sp+U_sw)/dpsi_s3, 1)", "gt",
-             _d(ua, "psi_si", 3), MaxE((_d("U_sp+U_sw", "psi_s", 3), _one()))),
-    ), (note, "bare bracket [x, 1] read as Max[x, 1]"))
 
 
 def _s4(cfg: RunConfig) -> Form:
@@ -527,7 +435,7 @@ def _s5(cfg: RunConfig) -> Form:
 
 
 def _s6(cfg: RunConfig) -> Form:
-    return Form(None, (Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), _one()),))
+    return Form(None, (Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), Const(1.0)),))
 
 
 def _s7(cfg: RunConfig) -> Form:
@@ -542,11 +450,11 @@ def _s7(cfg: RunConfig) -> Form:
 def _s8(cfg: RunConfig) -> Form:
     return Form(None, (
         Part("d P/dpi_sb > max(d P/dpi_s, 1)", "gt",
-             _d("P", "pi_sb", 1), MaxE((_d("P", "pi_s", 1), _one()))),
+             _d("P", "pi_sb", 1), MaxE((_d("P", "pi_s", 1), Const(1.0)))),
         Part("d P_s/dpi_sb > max(d P_s/dpi_s, 1)", "gt",
-             _d("P_s", "pi_sb", 1), MaxE((_d("P_s", "pi_s", 1), _one()))),
-        Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), _one()),
-        Part("d P/dc > 1", "gt", _d("P", "c", 1), _one()),
+             _d("P_s", "pi_sb", 1), MaxE((_d("P_s", "pi_s", 1), Const(1.0)))),
+        Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), Const(1.0)),
+        Part("d P/dc > 1", "gt", _d("P", "c", 1), Const(1.0)),
     ), ("fragment 'dP > dpi_s' read as dP/dpi_s",))
 
 
@@ -574,10 +482,7 @@ def _s11(cfg: RunConfig) -> Form:
 
 
 def _s12(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("rho_s > rho_p", "gt", Sym("rho_s"), Sym("rho_p")),
-        Part("rho_s > rho_i", "gt", Sym("rho_s"), Sym("rho_i")),
-    ))
+    return Form(None, _S12_PARTS)
 
 
 def _s13(cfg: RunConfig) -> Form:
@@ -602,46 +507,66 @@ def _s14(cfg: RunConfig) -> Form:
     ), ("pi_sb enters squared, kept literally (suspected transcription artifact)",))
 
 
-def _s15(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d SC_s/d max(psi_si,psi_s) > max(1, d (U_sp+U_sw)/d(I_p+I_i+pi_b))", "gt",
-             _dmax("SC_s", _PSI_S_MAX, 1),
-             MaxE((_one(), _d("U_sp+U_sw", "I_p+I_i+pi_b", 1)))),
-    ))
+# ---------------------------------------------------------------------------
+# The two condition families: one builder each, descriptions from _dtext
+# ---------------------------------------------------------------------------
+
+def _two_order(op: str, extreme: str, bound: int, lhs: tuple, rhs: tuple,
+               orders: tuple[int, int], cfg: RunConfig, notes: tuple = ()) -> Form:
+    """B6-B8, B10, B12, S2 and S3: ``d lhs op extreme(d rhs, bound)`` at each
+    of two orders, ``lhs`` and ``rhs`` being (driven, driver) pairs of
+    :func:`_d`. A driven name or note given as a function reads the config."""
+    if callable(lhs[0]):
+        lhs = (lhs[0](cfg), lhs[1])
+    sign, combine = {"gt": ">", "lt": "<"}[op], {"min": MinE, "max": MaxE}[extreme]
+    return Form(None, tuple(
+        Part(f"{_dtext(*lhs, k)} {sign} {extreme}({_dtext(*rhs, k)}, {bound})", op,
+             _d(*lhs, k), combine((_d(*rhs, k), Const(float(bound)))))
+        for k in orders), tuple(n(cfg) if callable(n) else n for n in notes))
 
 
-def _s16(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 SC_s/d max(psi_si,psi_s)2 > max(0, d2 (U_sp+U_sw)/d(I_p+I_i+pi_b)2)", "gt",
-             _dmax("SC_s", _PSI_S_MAX, 2),
-             MaxE((_zero(), _d("U_sp+U_sw", "I_p+I_i+pi_b", 2)))),
-    ))
-
-
-def _s17(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d SC_s/d max(psi_si,psi_s) > max(1, d (rho_i^rho_p)/d(U_sp+U_sw))", "gt",
-             _dmax("SC_s", _PSI_S_MAX, 1),
-             MaxE((_one(), _d(Joint("rho_i", "rho_p"), "U_sp+U_sw", 1)))),
-    ), (f"intersection read as {cfg.intersection}",))
-
-
-def _s18(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d2 SC_s/d max(psi_si,psi_s)2 > max(0, d2 (rho_i^rho_p)/d(U_sp+U_sw)2)", "gt",
-             _dmax("SC_s", _PSI_S_MAX, 2),
-             MaxE((_zero(), _d(Joint("rho_i", "rho_p"), "U_sp+U_sw", 2)))),
-    ), (f"intersection read as {cfg.intersection}",))
+def _social_capital(party: str, against: str, order: int, cfg: RunConfig) -> Form:
+    """B16-B19 (party "b") and S15-S18 ("s"): the party's d SC/d
+    max(psi_xi,psi_x) > max(bound, d rhs) at ``order`` 1 (bound 1) or 2
+    (bound 0), rhs being its utilities against I_p+I_i+pi_b ("utility") or
+    the joint closing probability rho_i^rho_p against its utilities ("joint")."""
+    utilities = {"b": "U_ip+U_iw", "s": "U_sp+U_sw"}[party]
+    lhs = (f"SC_{party}", (f"psi_{party}i", f"psi_{party}"))
+    rhs = (utilities, "I_p+I_i+pi_b") if against == "utility" else ("rho_i^rho_p", utilities)
+    bound = 1 if order == 1 else 0
+    part = Part(f"{_dtext(*lhs, order)} > max({bound}, {_dtext(*rhs, order)})", "gt",
+                _d(*lhs, order), MaxE((Const(float(bound)), _d(*rhs, order))))
+    return Form(None, (part,), () if against == "utility"
+                else (f"intersection read as {cfg.intersection}",))
 
 
 _BUILDERS: dict[str, Callable[[RunConfig], Form]] = {
-    "B1": _b1, "B2": _b2, "B3": _b3, "B4": _b4, "B5": _b5, "B6": _b6, "B7": _b7,
-    "B8": _b8, "B9": _b9, "B10": _b10, "B11": _b11, "B12": _b12, "B13": _b13,
-    "B14": _b14, "B15": _b15, "B16": _b16, "B17": _b17, "B18": _b18, "B19": _b19,
+    "B1": _b1, "B2": _b2, "B3": _b3, "B4": _b4, "B5": _b5,
+    "B6": partial(_two_order, "lt", "min", 1, ("psi_b", "U_ip"), ("psi_bi", "U_iw"), (2, 1)),
+    "B7": partial(_two_order, "gt", "min", 0, ("U_iw", "pi_i"), ("U_ip", "pi_b"), (1, 2)),
+    "B8": partial(_two_order, "gt", "max", 1, ("I_o", "psi_bi"), ("I_p+I_i", "psi_b"), (2, 1)),
+    "B9": _b9,
+    "B10": partial(_two_order, "lt", "min", 1, ("I_p+I_i", "U_ip+U_iw"), ("I_o", "U_a"), (1, 2)),
+    "B11": _b11,
+    "B12": partial(_two_order, "gt", "max", 1, ("P_b", "P"), ("I_o", "I_p+I_i"), (3, 1)),
+    "B13": _b13, "B14": _b14, "B15": _b15,
+    "B16": partial(_social_capital, "b", "utility", 1),
+    "B17": partial(_social_capital, "b", "utility", 2),
+    "B18": partial(_social_capital, "b", "joint", 1),
+    "B19": partial(_social_capital, "b", "joint", 2),
     "W1": _w1, "W2": _w2, "W3": _w3, "W4": _w4, "W5": _w5, "W6": _w6, "W7": _w7,
-    "S1": _s1, "S2": _s2, "S3": _s3, "S4": _s4, "S5": _s5, "S6": _s6, "S7": _s7,
-    "S8": _s8, "S9": _s9, "S10": _s10, "S11": _s11, "S12": _s12, "S13": _s13,
-    "S14": _s14, "S15": _s15, "S16": _s16, "S17": _s17, "S18": _s18,
+    "S1": _s1,
+    "S2": partial(_two_order, "gt", "max", 1, ("I_o", "psi_si"), ("I_p+I_o", "psi_sb"), (1, 3),
+                  notes=("I_o kept inside the broker-channel bundle as written",)),
+    "S3": partial(_two_order, "gt", "max", 1, (_seller_web_utility, "psi_si"),
+                  ("U_sp+U_sw", "psi_s"), (1, 3),
+                  notes=(_seller_web_note, "bare bracket [x, 1] read as Max[x, 1]")),
+    "S4": _s4, "S5": _s5, "S6": _s6, "S7": _s7, "S8": _s8, "S9": _s9, "S10": _s10,
+    "S11": _s11, "S12": _s12, "S13": _s13, "S14": _s14,
+    "S15": partial(_social_capital, "s", "utility", 1),
+    "S16": partial(_social_capital, "s", "utility", 2),
+    "S17": partial(_social_capital, "s", "joint", 1),
+    "S18": partial(_social_capital, "s", "joint", 2),
 }
 
 

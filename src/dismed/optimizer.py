@@ -31,6 +31,9 @@ from .io import _number
 from .model import DECISION_FIELDS, Scenario, eval_response
 
 FEASIBILITY_SLACK = 1e-9
+INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
+TOL_FRAC = 1e-6          # stop once every step is below this fraction
+MAX_ITER = 100_000       # pattern-search iterations per start
 CAPITAL_SYMBOLS = ("SC_br", "RC_br")
 
 
@@ -97,9 +100,6 @@ class OptimizerConfig:
     weights: tuple[float, float] = (1.0, 1.0)
     restarts: int = 8
     seed: int = 0
-    init_step_frac: float = 0.125
-    tol_frac: float = 1e-6
-    max_iter: int = 100000
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
                     lows: Sequence[float], highs: Sequence[float],
-                    x0: Sequence[float], cfg: OptimizerConfig):
+                    x0: Sequence[float]):
     """Compass pattern search over a box; f may return -inf for infeasible.
 
     Besides the compass moves, the pattern probes pairwise trade moves
@@ -200,7 +200,7 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
     """
     dims = [j for j in range(len(lows)) if highs[j] > lows[j]]
     widths = [highs[j] - lows[j] for j in range(len(lows))]
-    steps = [w * cfg.init_step_frac for w in widths]
+    steps = [w * INIT_STEP_FRAC for w in widths]
     x = [min(max(v, lo), hi) for v, lo, hi in zip(x0, lows, highs)]
     fx = f(x)
     iterations = 0
@@ -208,7 +208,7 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
     def clipped(base, j, delta):
         return min(max(base[j] + delta, lows[j]), highs[j])
 
-    while iterations < cfg.max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
         best_fx, best_x = fx, None
         moves = [(j, sign * steps[j]) for j in dims for sign in (1.0, -1.0)]
@@ -238,7 +238,7 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
             x, fx = best_x, best_fx
             continue
         steps = [st * 0.5 for st in steps]
-        if all(steps[j] < cfg.tol_frac * widths[j] for j in dims):
+        if all(steps[j] < TOL_FRAC * widths[j] for j in dims):
             break
     return x, fx, iterations
 
@@ -272,7 +272,7 @@ def _best_of_restarts(f: Callable[[Sequence[float]], float],
         starts.append(_feasible_start(raw, lows, ok))
     best_x, best_fx, total_iter = None, -math.inf, 0
     for start in starts:
-        x, fx, iters = _pattern_search(f, lows, highs, start, cfg)
+        x, fx, iters = _pattern_search(f, lows, highs, start)
         total_iter += iters
         if fx > best_fx:
             best_x, best_fx = x, fx

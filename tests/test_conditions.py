@@ -1,6 +1,7 @@
 """Condition registry semantics: guards, traces, aggregation, config switches."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from functools import lru_cache
@@ -22,13 +23,14 @@ from dismed import (
     with_values,
 )
 from dismed.cli import render_report
-from dismed.conditions import condition_margin
+from dismed.conditions import ALL_CONDITION_IDS, build_form, condition_margin
 from dismed.io import scenario_from_dict
 from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
 
 from fixture_defs import fixture_dict
 from oracle import oracle_statuses
 from scen_gen import drop_responses, random_determinate_scenario, random_scenario
+from test_golden import DIGEST_CONFIGS
 
 CFG = RunConfig()
 PASS = {Status.SATISFIED, Status.VACUOUS}
@@ -61,6 +63,21 @@ def test_condition_id_parsing():
         ConditionId.parse("B20")
     with pytest.raises(ValueError):
         ConditionId.parse("Q1")
+
+
+# Every form's repr (descriptions, ops, expressions, contexts and notes) under
+# each digest config. Payloads cannot pin this: a failed guard leaves out its
+# parts, and the oracle compares statuses only.
+FORMS_SHA256 = "e1eb93115b0a945b6594109d0869e95b1908342dd81efc9a47a99162cd367ea5"
+
+
+def test_every_condition_form_is_pinned():
+    digest = hashlib.sha256()
+    for name, overrides in DIGEST_CONFIGS.items():
+        cfg = RunConfig(**overrides)
+        for cid in ALL_CONDITION_IDS:
+            digest.update(f"{name} {cid.label} {build_form(cid, cfg)!r}\n".encode())
+    assert digest.hexdigest() == FORMS_SHA256
 
 
 # --- single conditions -------------------------------------------------------

@@ -42,7 +42,8 @@ from dismed.calculus import (
 from dismed.conditions import Form, Part, compile_part
 from dismed.errors import DismedError
 from dismed.io import scenario_from_dict
-from dismed.model import SYMBOLS, ResponseFunction, eval_response, split_driver
+from dismed.model import (SYMBOLS, ResponseFunction, check_scenario, eval_response,
+                          split_driver)
 from dismed.simulate import draw_scenario
 
 from fixture_defs import fixture_dict
@@ -635,7 +636,7 @@ def test_block_check_equals_row_check(case):
                                                     for name in varying})).ok
                 for row in X.tolist()]
     with np.errstate(all="ignore"):
-        got = batch._valid_rows(batch.block(base, X, varying), len(X))
+        got = batch._valid_rows(batch.block(base, X, varying), len(X), check_scenario)
     assert got.tolist() == expected
 
 
@@ -646,7 +647,8 @@ def test_block_check_rejects_every_row_of_a_structurally_invalid_base():
     X[:, SYMBOLS["rho_s"]] = (0.2, 0.5, 0.9)
     rows = [with_values(invalid, {"rho_s": v}) for v in (0.2, 0.5, 0.9)]
     assert [validate_scenario(s).codes() for s in rows] == [("ResponseDuplicate",)] * 3
-    assert batch._valid_rows(batch.block(invalid, X, ["rho_s"]), len(X)) is None
+    assert batch._valid_rows(batch.block(invalid, X, ["rho_s"]), len(X),
+                             check_scenario) is None
     d = dist(rho_s={"kind": "uniform", "lo": 0.2, "hi": 0.9})
     with pytest.raises(RejectionLimit) as batched:
         batch.evaluate(invalid, d, 2, 0, 3, CFG)
