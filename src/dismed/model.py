@@ -304,45 +304,54 @@ def check_scenario(s: Scenario, bad) -> None:
 def check_fixed(s: Scenario, swept, bad):
     """Run on the base ``s`` of a sweep, whose draws change the symbols in
     ``swept`` only, the checks no draw changes: the structure of links and
-    time paths, and the consistency of links that read no swept symbol.
-    Returns ``check(block, bad)``, which runs the rest on a block of draws."""
+    time paths, and the value checks and link consistency that read no swept
+    symbol. Returns ``check(block, bad)``, which runs the rest on a block of
+    draws."""
+    _check_values(s, bad, lambda *names: swept.isdisjoint(names))
     later = _check_responses(s, bad, swept)
     _check_time_paths(s, bad)
 
     def check(block: Scenario, bad) -> None:
-        _check_values(block, bad)
+        _check_values(block, bad, lambda *names: not swept.isdisjoint(names))
         for link in later:
             _check_link(block, *link, bad)
 
     return check
 
 
-def _check_values(s: Scenario, bad) -> None:
-    for name in SYMBOLS:
+def _check_values(s: Scenario, bad, reads=lambda *names: True) -> None:
+    """The value checks, each run where ``reads(*names)`` holds for the
+    base symbols ``names`` it reads."""
+    for name in filter(reads, SYMBOLS):
         v = s.value(name)
         bad("NonFiniteValue", _finite(v) ^ True, "{} = {!r} is not finite", name, v)
-    P, P_b, c = s.value("P"), s.value("P_b"), s.value("c")
-    bad("NonPositivePrice", _finite(P) & (P <= 0), "P = {} must be > 0", P)
-    bad("NonPositivePrice", _finite(P_b) & (P_b <= 0), "P_b = {} must be > 0", P_b)
-    bad("CommissionOutOfRange", _finite(c) & ((c <= 0.0) | (c >= 1.0)),
-        "c = {} must lie in (0, 1)", c)
-    bad("ProspectCountOutOfRange", s.prospect_count < 1,
-        "prospect_count = {} must be >= 1", s.prospect_count)
-    vts = s.valued_time_share
-    bad("ValuedTimeShareOutOfRange",
-        vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0),
-        "valued_time_share = {!r} must lie in [0, 1]", vts)
-    for name in PROBABILITY_SYMBOLS:
+    for name in filter(reads, ("P", "P_b")):
+        v = s.value(name)
+        bad("NonPositivePrice", _finite(v) & (v <= 0), "{} = {} must be > 0", name, v)
+    if reads("c"):
+        c = s.value("c")
+        bad("CommissionOutOfRange", _finite(c) & ((c <= 0.0) | (c >= 1.0)),
+            "c = {} must lie in (0, 1)", c)
+    if reads():
+        bad("ProspectCountOutOfRange", s.prospect_count < 1,
+            "prospect_count = {} must be >= 1", s.prospect_count)
+        vts = s.valued_time_share
+        bad("ValuedTimeShareOutOfRange",
+            vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0),
+            "valued_time_share = {!r} must lie in [0, 1]", vts)
+    for name in filter(reads, PROBABILITY_SYMBOLS):
         v = s.value(name)
         bad("ProbabilityOutOfRange", _finite(v) & ((v < 0.0) | (v > 1.0)),
             "{} = {} must lie in [0, 1]", name, v)
 
-    _check_identity(s, None, bad)
-    I_o, I_i = s.value("I_o"), s.value("I_i")
-    bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (I_o < I_i),
-        "I_o = {} must be >= I_i = {}", I_o, I_i)
+    if reads("I", "I_p", "I_i"):
+        _check_identity(s, None, bad)
+    if reads("I_o", "I_i"):
+        I_o, I_i = s.value("I_o"), s.value("I_i")
+        bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (I_o < I_i),
+            "I_o = {} must be >= I_i = {}", I_o, I_i)
 
-    _check_overlays(s, bad)
+    _check_overlays(s, bad, reads)
 
 
 def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
@@ -354,13 +363,14 @@ def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
         "" if state is None else f"under overlay {state}: ", I, total)
 
 
-def _check_overlays(s: Scenario, bad) -> None:
+def _check_overlays(s: Scenario, bad, reads) -> None:
     for state, overrides in s.overlays.items():
         if state not in STATE_NAMES:
-            bad("OverlayUnknownState", True, "overlay state {!r} is not one of {}",
-                state, STATE_NAMES)
+            if reads():
+                bad("OverlayUnknownState", True, "overlay state {!r} is not one of {}",
+                    state, STATE_NAMES)
             continue
-        for name, value in overrides.items():
+        for name, value in overrides.items() if reads() else ():
             if name not in SYMBOLS:
                 bad("OverlayUnknownSymbol", True, "overlay {} overrides unknown symbol {!r}",
                     state, name)
@@ -369,7 +379,9 @@ def _check_overlays(s: Scenario, bad) -> None:
                 "overlay {} may not override listing-state value {}", state, name)
             bad("NonFiniteValue", not _finite(value), "overlay {}.{} = {!r} is not finite",
                 state, name, value)
-        if {"I", "I_p", "I_i"} & set(overrides):
+        # the identity under the overlay reads the base value of what it keeps
+        kept = [name for name in ("I", "I_p", "I_i") if name not in overrides]
+        if len(kept) < 3 and reads(*kept):
             _check_identity(s, state, bad)
 
 

@@ -35,6 +35,7 @@ INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
 TOL_FRAC = 1e-6          # stop once every step is below this fraction
 MAX_ITER = 100_000       # pattern-search iterations per start
 CAPITAL_SYMBOLS = ("SC_br", "RC_br")
+OBJECTIVE_MODES = ("combined", "weighted")
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,24 @@ class Bounds:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    mode: str = "combined"             # "combined" | "weighted"
+    mode: str = "combined"             # one of OBJECTIVE_MODES
     weights: tuple[float, float] = (1.0, 1.0)
     restarts: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in OBJECTIVE_MODES:
+            raise ParseError(f"mode = {self.mode!r} not in {OBJECTIVE_MODES}")
+        if not (isinstance(self.weights, (tuple, list)) and len(self.weights) == 2):
+            raise ParseError(f"weights = {self.weights!r} must be a pair of numbers")
+        for i, v in enumerate(self.weights):
+            if not math.isfinite(_number(v, f"weights[{i}]")):
+                raise ParseError(f"weights[{i}] = {v!r} must be finite")
+        for name in ("restarts", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ParseError(f"{name} = {getattr(self, name)!r} must be an int")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ParseError(f"seed = {self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,62 +146,74 @@ class ParetoPoint:
                 "decision": self.decision.to_dict()}
 
 
-def _capital_links(s: Scenario, ctx: Optional[str]):
-    """(symbol, driver, response) triples linking capital to decision fields."""
-    links = []
+def _compile(s: Scenario, ctx: Optional[str]):
+    """``(feasible, capital, room)`` for decision points ``x = (B_b, B_s,
+    B_i, B_n)`` under the overlay ``ctx``, reading once what ``x`` does not
+    change. ``feasible(x)``: commission coverage c*P - max(0, B_b+B_s+B_i)
+    holds with the slack ``need``; ``room`` is c*P - need. ``capital(x)``:
+    SC_br + RC_br, each moved from its base value by its links' f(x_j) -
+    f(base_j); with no link at all it raises MissingCapitalResponse.
+    """
+    cp = s.value("c", ctx) * s.value("P", ctx)
+    need = FEASIBILITY_SLACK * max(1.0, abs(cp))
+
+    def feasible(x: Sequence[float]) -> bool:
+        return cp - max(0.0, x[0] + x[1] + x[2]) >= need
+
+    groups = []
     for sym in CAPITAL_SYMBOLS:
-        for drv in DECISION_FIELDS:
+        links = []
+        for j, drv in enumerate(DECISION_FIELDS):
             r = s.response_for(sym, drv, ctx)
             if r is not None:
-                links.append((sym, drv, r))
-    return links
+                links.append((j, r, eval_response(r, s.value(drv, ctx))))
+        groups.append((s.value(sym, ctx), tuple(links)))
+    linked = any(links for _, links in groups)
+
+    def capital(x: Sequence[float]) -> float:
+        if not linked:
+            raise MissingCapitalResponse(
+                "neither SC_br nor RC_br has a declared response on any of "
+                f"{DECISION_FIELDS}")
+        total = 0.0
+        for value, links in groups:
+            for j, r, at_base in links:
+                value += eval_response(r, x[j]) - at_base
+            total += value
+        return total
+
+    return feasible, capital, cp - need
+
+
+def _objective(mode: str, weights: tuple[float, float]):
+    """``(capital, x) -> objective``: weighted capital minus the weighted
+    cost total of ``x``; the combined mode's unit weights change no bit."""
+    if mode not in OBJECTIVE_MODES:
+        raise ValueError(f"unknown objective mode {mode!r}")
+    w_capital, w_cost = (weights[0], weights[1]) if mode == "weighted" else (1.0, 1.0)
+    return lambda capital, x: w_capital * capital - w_cost * (x[0] + x[1] + x[2] + x[3])
+
+
+def _point(d: DecisionVector) -> tuple[float, ...]:
+    return d.B_b, d.B_s, d.B_i, d.B_n
 
 
 def evaluate_capital(s: Scenario, d: DecisionVector, ctx: Optional[str]) -> float:
-    """SC_br + RC_br at the decision point.
-
-    Each capital symbol moves from its base by the sum of its declared
-    per-driver deviations f(d_j) - f(base_j); symbols with no link stay at
-    their base value.
-    """
-    links = _capital_links(s, ctx)
-    if not links:
-        raise MissingCapitalResponse(
-            "neither SC_br nor RC_br has a declared response on any of "
-            f"{DECISION_FIELDS}")
-    total = 0.0
-    for sym in CAPITAL_SYMBOLS:
-        value = s.value(sym, ctx)
-        for lsym, drv, r in links:
-            if lsym != sym:
-                continue
-            value += eval_response(r, getattr(d, drv)) - eval_response(r, s.value(drv, ctx))
-        total += value
-    return total
-
-
-def commission_budget(s: Scenario, ctx: Optional[str]) -> float:
-    return s.value("c", ctx) * s.value("P", ctx)
+    """SC_br + RC_br at the decision point (see ``_compile``)."""
+    return _compile(s, ctx)[1](_point(d))
 
 
 def is_feasible(s: Scenario, d: DecisionVector, ctx: Optional[str] = None) -> bool:
     """Strict commission coverage, checked with numeric slack."""
-    cp = commission_budget(s, ctx)
-    slack = cp - max(0.0, d.B_b + d.B_s + d.B_i)
-    return slack >= FEASIBILITY_SLACK * max(1.0, abs(cp))
+    return _compile(s, ctx)[0](_point(d))
 
 
 def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
                      weights: tuple[float, float] = (1.0, 1.0)) -> float:
     """Capital-versus-cost objective under the argmin listing-state overlay."""
-    ctx = argmin_state(s)
-    capital = evaluate_capital(s, d, ctx)
-    cost = d.cost
-    if mode == "combined":
-        return capital - cost
-    if mode == "weighted":
-        return weights[0] * capital - weights[1] * cost
-    raise ValueError(f"unknown objective mode {mode!r}")
+    x = _point(d)
+    capital = _compile(s, argmin_state(s))[1](x)
+    return _objective(mode, weights)(capital, x)
 
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
@@ -204,22 +231,19 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
     x = [min(max(v, lo), hi) for v, lo, hi in zip(x0, lows, highs)]
     fx = f(x)
     iterations = 0
-
-    def clipped(base, j, delta):
-        return min(max(base[j] + delta, lows[j]), highs[j])
-
     while iterations < MAX_ITER:
         iterations += 1
         best_fx, best_x = fx, None
-        moves = [(j, sign * steps[j]) for j in dims for sign in (1.0, -1.0)]
-        for move in moves:
-            trial = list(x)
-            trial[move[0]] = clipped(x, *move)
-            if trial[move[0]] == x[move[0]]:
-                continue
-            ft = f(trial)
-            if ft > best_fx:
-                best_fx, best_x = ft, trial
+        for j in dims:
+            for v in (x[j] + steps[j], x[j] - steps[j]):
+                v = min(max(v, lows[j]), highs[j])
+                if v == x[j]:
+                    continue
+                trial = list(x)
+                trial[j] = v
+                ft = f(trial)
+                if ft > best_fx:
+                    best_fx, best_x = ft, trial
         for i in dims:
             for j in dims:
                 if i == j:
@@ -227,8 +251,8 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
                 # equal step both ways: tangent to a cost-budget facet
                 delta = min(steps[i], steps[j])
                 trial = list(x)
-                trial[i] = clipped(x, i, delta)
-                trial[j] = clipped(x, j, -delta)
+                trial[i] = min(max(x[i] + delta, lows[i]), highs[i])
+                trial[j] = min(max(x[j] - delta, lows[j]), highs[j])
                 if trial[i] == x[i] and trial[j] == x[j]:
                     continue
                 ft = f(trial)
@@ -279,33 +303,23 @@ def _best_of_restarts(f: Callable[[Sequence[float]], float],
     return best_x, best_fx, total_iter
 
 
-def _decision(x: Sequence[float], state: str) -> DecisionVector:
-    return DecisionVector(B_b=x[0], B_s=x[1], B_i=x[2], B_n=x[3], state=state)
-
-
 def optimize_broker(s: Scenario, bounds: Bounds,
                     cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     """Feasible local maximizer of the broker objective by pattern search."""
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
-
-    def feas(x: Sequence[float]) -> bool:
-        return is_feasible(s, _decision(x, ctx), ctx)
-
-    if not feas(lows):
+    feasible, capital, _ = _compile(s, ctx)
+    if not feasible(lows):
         return OptResult(decision=None, objective=None, feasible=False,
                          iterations=0, mode=cfg.mode)
-
-    # Surfaces MissingCapitalResponse before any search work.
-    broker_objective(s, _decision(lows, ctx), cfg.mode, cfg.weights)
+    capital(lows)  # surfaces MissingCapitalResponse before any search work
+    objective = _objective(cfg.mode, cfg.weights)
 
     def f(x: Sequence[float]) -> float:
-        if not feas(x):
-            return -math.inf
-        return broker_objective(s, _decision(x, ctx), cfg.mode, cfg.weights)
+        return objective(capital(x), x) if feasible(x) else -math.inf
 
-    best_x, best_fx, total_iter = _best_of_restarts(f, feas, lows, highs, cfg, 0)
-    return OptResult(decision=_decision(best_x, ctx), objective=best_fx,
+    best_x, best_fx, total_iter = _best_of_restarts(f, feasible, lows, highs, cfg, 0)
+    return OptResult(decision=DecisionVector(*best_x, state=ctx), objective=best_fx,
                      feasible=True, iterations=total_iter, mode=cfg.mode)
 
 
@@ -322,18 +336,13 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
         raise ValueError("k must be >= 2")
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
-
-    def feas(x: Sequence[float]) -> bool:
-        return is_feasible(s, _decision(x, ctx), ctx)
-
-    if not feas(lows):
+    feasible, capital, room = _compile(s, ctx)
+    if not feasible(lows):
         return []
-    evaluate_capital(s, _decision(lows, ctx), ctx)  # surface missing links early
+    capital(lows)  # surfaces MissingCapitalResponse before any search work
 
-    cp = commission_budget(s, ctx)
-    cap3 = cp - FEASIBILITY_SLACK * max(1.0, abs(cp))
     cost_min = sum(lows)
-    cost_max = highs[3] + min(highs[0] + highs[1] + highs[2], cap3)
+    cost_max = highs[3] + min(highs[0] + highs[1] + highs[2], room)
     eps_levels = np.linspace(cost_min, cost_max, k)
 
     raw_points: list[ParetoPoint] = []
@@ -341,16 +350,14 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
         eps_tol = eps + 1e-12 * max(1.0, abs(eps))
 
         def ok(x: Sequence[float]) -> bool:
-            return feas(x) and sum(x) <= eps_tol
+            return feasible(x) and sum(x) <= eps_tol
 
         def f(x: Sequence[float]) -> float:
-            if not ok(x):
-                return -math.inf
-            return evaluate_capital(s, _decision(x, ctx), ctx)
+            return capital(x) if ok(x) else -math.inf
 
         best_x, best_fx, _ = _best_of_restarts(f, ok, lows, highs, cfg, j + 1)
         if best_x is not None and math.isfinite(best_fx):
-            d = _decision(best_x, ctx)
+            d = DecisionVector(*best_x, state=ctx)
             raw_points.append(ParetoPoint(cost=d.cost, capital=best_fx, decision=d))
 
     return filter_nondominated(raw_points)

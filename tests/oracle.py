@@ -10,13 +10,19 @@ and the RunConfig dataclass are shared with the engine - no evaluation code.
 Each ``oracle_*`` function returns (status_string, margins). Margins are the
 signed decision distances the random-scenario generator uses to keep test
 cases away from knife-edge ties; None margins (undecided parts) are skipped.
+
+The module ends with the broker optimizer's capital, feasibility and
+objective as it computed them on every call, before it compiled them once
+per solve; they read the Scenario through ``value`` and ``response_for``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from dismed.config import RunConfig
+from dismed.errors import MissingCapitalResponse
 from dismed.io import scenario_to_dict
 
 INF = math.inf
@@ -632,3 +638,74 @@ def tie_gaps(view: View):
     if view.cfg.intersection == "min":
         gaps.append(view.v("rho_i") - view.v("rho_p"))
     return gaps
+
+
+# ---------------------------------------------------------------------------
+# Broker objective, one call at a time
+# ---------------------------------------------------------------------------
+# Every lookup and response evaluation is repeated on each call, in the float
+# operations and order of the optimizer's compiled functions, which must give
+# the same bits.
+
+FEASIBILITY_SLACK = 1e-9
+CAPITAL_SYMBOLS = ("SC_br", "RC_br")
+DECISION_FIELDS = ("B_b", "B_s", "B_i", "B_n")
+
+
+def _response_at(r, x):
+    if r.kind == "polynomial":
+        acc = 0.0
+        for coef in reversed(r.coeffs):
+            acc = acc * x + coef
+        return acc
+    ks = r.knots
+    if len(ks) == 1:
+        return ks[0][1]
+    lo = min(max(bisect_right([k[0] for k in ks], x) - 1, 0), len(ks) - 2)
+    (x0, y0), (x1, y1) = ks[lo], ks[lo + 1]
+    t = (x - x0) / (x1 - x0)
+    return y0 + t * (y1 - y0)
+
+
+def oracle_capital(s, d, ctx):
+    links = []
+    for sym in CAPITAL_SYMBOLS:
+        for drv in DECISION_FIELDS:
+            r = s.response_for(sym, drv, ctx)
+            if r is not None:
+                links.append((sym, drv, r))
+    if not links:
+        raise MissingCapitalResponse("no capital link")
+    total = 0.0
+    for sym in CAPITAL_SYMBOLS:
+        value = s.value(sym, ctx)
+        for lsym, drv, r in links:
+            if lsym != sym:
+                continue
+            value += _response_at(r, getattr(d, drv)) - _response_at(r, s.value(drv, ctx))
+        total += value
+    return total
+
+
+def oracle_feasible(s, d, ctx=None):
+    cp = s.value("c", ctx) * s.value("P", ctx)
+    slack = cp - max(0.0, d.B_b + d.B_s + d.B_i)
+    return slack >= FEASIBILITY_SLACK * max(1.0, abs(cp))
+
+
+def oracle_argmin_state(s):
+    best, best_v = None, INF
+    for name in ("E_m", "E_p", "E_s"):
+        if s.value(name) < best_v:
+            best, best_v = name, s.value(name)
+    return best
+
+
+def oracle_objective(s, d, mode="combined", weights=(1.0, 1.0)):
+    capital = oracle_capital(s, d, oracle_argmin_state(s))
+    cost = d.B_b + d.B_s + d.B_i + d.B_n
+    if mode == "combined":
+        return capital - cost
+    if mode == "weighted":
+        return weights[0] * capital - weights[1] * cost
+    raise ValueError(f"unknown objective mode {mode!r}")

@@ -1,7 +1,12 @@
 """Broker objective, pattern search, and the epsilon-constraint frontier."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismed import (
     Bounds,
@@ -12,10 +17,14 @@ from dismed import (
     optimize_broker,
     pareto_sweep,
 )
-from dismed.optimizer import filter_nondominated, is_feasible
+from dismed import optimizer
+from dismed.errors import ParseError
+from dismed.optimizer import evaluate_capital, filter_nondominated, is_feasible
 from dismed.io import scenario_from_dict
+from dismed.model import STATE_NAMES, ResponseFunction, with_values
 
 from fixture_defs import fixture_dict
+from oracle import oracle_capital, oracle_feasible, oracle_objective
 from scen_gen import random_opt_instance
 
 
@@ -249,3 +258,146 @@ def test_degenerate_box_returns_the_single_point(fixtures_dir):
     assert (res.decision.B_b, res.decision.B_i) == (0.1, 1.0)
     frontier = pareto_sweep(s, bounds, k=3)
     assert len(frontier) == 1 and frontier[0].cost == pytest.approx(1.4)
+
+
+# --- every optimize/pareto payload, pinned ------------------------------------
+
+# sha256 over the payloads of test_every_solve_is_pinned, computed before the
+# objective was compiled once per solve; the digest may not move with it.
+SOLVES_SHA256 = "a765480db95f788d8026c77bbc02790819efce5a55dfeed6d3371c13af65c551"
+
+
+def test_every_solve_is_pinned(fixtures_dir):
+    import hashlib
+    import json
+
+    from dismed.io import load_scenario
+
+    digest = hashlib.sha256()
+
+    def pin(label, payload):
+        digest.update(f"{label} {json.dumps(payload)}\n".encode())
+
+    opt = load_scenario(fixtures_dir / "broker_opt.json")
+    for name in ("bounds_bi", "bounds_infeasible"):
+        bounds = Bounds.from_dict(json.loads((fixtures_dir / f"{name}.json").read_text()))
+        pin(name, optimize_broker(opt, bounds).to_dict())
+        pin(name, [p.to_dict() for p in pareto_sweep(opt, bounds, k=5)])
+    for i in range(24):
+        for concave in (False, True):
+            scenario, bounds, _, _, _ = random_opt_instance([4242, i], concave=concave)
+            for cfg in (OptimizerConfig(restarts=2, seed=i),
+                        OptimizerConfig(mode="weighted", weights=(0.5 + i / 8, 1.25),
+                                        restarts=2, seed=i)):
+                pin(f"{i} {concave}", optimize_broker(scenario, bounds, cfg).to_dict())
+            frontier = pareto_sweep(scenario, bounds, k=5,
+                                    cfg=OptimizerConfig(restarts=1, seed=i))
+            pin(f"{i} {concave}", [p.to_dict() for p in frontier])
+    assert digest.hexdigest() == SOLVES_SHA256
+
+
+# --- the compiled objective against its per-call oracle -----------------------
+
+_OPT_BASE = scenario_from_dict(fixture_dict("opt"))
+_CONTEXTS = ("base", *STATE_NAMES)
+_SMALL = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _link(draw, driven, driver, context):
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+        return ResponseFunction(driven, driver, "polynomial", coeffs=tuple(coeffs),
+                                context=context)
+    xs = sorted(draw(st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=4, unique=True)))
+    knots = tuple((x, draw(st.floats(-10.0, 10.0))) for x in xs)
+    return ResponseFunction(driven, driver, "piecewise_linear", knots=knots, context=context)
+
+
+@st.composite
+def _capital_case(draw):
+    """A scenario whose capital symbols link to the decision fields (one
+    symbol, both, or neither) in base and listing-state contexts, with
+    overlays, ties among the listing states and budgets of either sign;
+    and a decision point in a box, its edges included."""
+    values = {name: draw(_SMALL) for name in ("SC_br", "RC_br", *optimizer.DECISION_FIELDS)}
+    values.update({name: draw(st.sampled_from((0.25, 0.5, 0.75))) for name in STATE_NAMES})
+    values["c"] = draw(st.floats(0.01, 0.99))
+    values["P"] = draw(st.floats(-20.0, 20.0))
+    overlays = {state: draw(st.dictionaries(
+        st.sampled_from(("SC_br", "RC_br", "c", "P", *optimizer.DECISION_FIELDS)),
+        st.floats(-20.0, 20.0), max_size=4)) for state in STATE_NAMES}
+    responses = []
+    for sym in draw(st.sampled_from(((), ("SC_br",), ("RC_br",), ("SC_br", "RC_br")))):
+        drivers = draw(st.sets(st.sampled_from(optimizer.DECISION_FIELDS), min_size=1))
+        for drv in sorted(drivers):
+            for ctx in sorted(draw(st.sets(st.sampled_from(_CONTEXTS), min_size=1, max_size=2))):
+                responses.append(draw(_link(sym, drv, ctx)))
+    s = replace(with_values(_OPT_BASE, values), responses=tuple(responses),
+                overlays=overlays)
+    ctx = draw(st.sampled_from((None, *STATE_NAMES)))
+    point = []
+    for _ in optimizer.DECISION_FIELDS:
+        lo = draw(st.floats(-2.0, 6.0))
+        hi = lo + draw(st.floats(0.0, 4.0))
+        point.append(draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))))
+    if draw(st.booleans()):  # B_i a few ulps from the edge of the budget
+        cp = s.value("c", ctx) * s.value("P", ctx)
+        b_i = cp - optimizer.FEASIBILITY_SLACK * max(1.0, abs(cp)) - point[0] - point[1]
+        for _ in range(draw(st.integers(0, 3))):
+            b_i = math.nextafter(b_i, draw(st.sampled_from((-math.inf, math.inf))))
+        point[2] = b_i
+    weights = (draw(_SMALL), draw(_SMALL))
+    return s, DecisionVector(*point, state="E_m"), weights, ctx
+
+
+def _outcome(fn, *args):
+    """The exact bits of ``fn(*args)``, or the missing-link error."""
+    try:
+        return repr(fn(*args))
+    except MissingCapitalResponse:
+        return "MissingCapitalResponse"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_capital_case())
+def test_compiled_objective_equals_the_per_call_oracle(case):
+    s, d, weights, ctx = case
+    x = [d.B_b, d.B_s, d.B_i, d.B_n]
+    feasible, capital, _ = optimizer._compile(s, ctx)
+    want = oracle_feasible(s, d, ctx)
+    assert feasible(x) is want and is_feasible(s, d, ctx) is want
+    want = _outcome(oracle_capital, s, d, ctx)
+    assert _outcome(capital, x) == want
+    assert _outcome(evaluate_capital, s, d, ctx) == want
+    for mode, w in (("combined", (1.0, 1.0)), ("weighted", weights)):
+        assert _outcome(broker_objective, s, d, mode, w) == \
+            _outcome(oracle_objective, s, d, mode, w)
+
+
+# --- OptimizerConfig ------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "maximin"), ("mode", None),
+    ("weights", (1.0,)), ("weights", (1.0, 2.0, 3.0)), ("weights", "ab"),
+    ("weights", (True, 1.0)), ("weights", (1.0, "2")), ("weights", (float("nan"), 1.0)),
+    ("weights", (1.0, float("inf"))), ("weights", (10 ** 400, 1.0)),
+    ("restarts", 2.0), ("restarts", True), ("restarts", "8"),
+    ("seed", 1.5), ("seed", False), ("seed", None), ("seed", -1),
+])
+def test_optimizer_config_rejects_a_bad_field(field, value):
+    with pytest.raises(ParseError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_config_keeps_what_it_accepted():
+    cfg = OptimizerConfig(mode="weighted", weights=[2, 0.5], restarts=-1, seed=3)
+    assert (cfg.weights, cfg.restarts) == ([2, 0.5], -1)  # -1: the low corner only
+
+
+def test_broker_objective_keeps_its_mode_check_for_direct_callers(fixtures_dir):
+    from dismed.io import load_scenario
+
+    s = load_scenario(fixtures_dir / "broker_opt.json")
+    with pytest.raises(ValueError, match="unknown objective mode"):
+        broker_objective(s, decision(B_i=1.0), "maximin")
