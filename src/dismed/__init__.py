@@ -7,7 +7,7 @@ interval semantics, solves the broker's cost/capital trade-off, and runs
 seeded Monte Carlo sweeps and sensitivity analysis.
 
 The optimizer and sweep names load their module on first access (PEP 562),
-so ``import dismed`` and the scalar commands never import numpy.
+so ``import dismed`` never imports numpy; of the commands, only sweep does.
 """
 
 from .calculus import (

@@ -47,7 +47,7 @@ from .io import json_array, json_atom, json_object, json_text, load_scenario, re
 from .model import ValidationReport
 
 # The optimizer and sweep engines are imported by the subcommands that run
-# them, so validate, decide, conditions and sensitivity never load numpy.
+# them. Only sweep loads numpy: the optimizer's restart stream is plain Python.
 
 EXIT_OK = 0
 EXIT_INVALID = 2

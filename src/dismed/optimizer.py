@@ -14,7 +14,8 @@ is enforced with a small numeric slack so strictness stays checkable.
 The search is a derivative-free coordinate pattern search (capital responses
 may be piecewise linear): initial step 1/8 of each box width, halved whenever
 no coordinate move improves, stopping once every step falls below 1e-6 of its
-box width, restarted from seeded uniform points.
+box width, restarted from uniform points whose doubles ``pcg`` draws in plain
+Python from ``SeedSequence([seed, stream]) -> PCG64`` (fixed by NEP 19).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .calculus import argmin_state
 from .errors import MissingCapitalResponse, ParseError
 from .io import _number
 from .model import DECISION_FIELDS, Scenario, eval_response
+from .pcg import doubles
 
 FEASIBILITY_SLACK = 1e-9
 INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
@@ -289,10 +289,10 @@ def _best_of_restarts(f: Callable[[Sequence[float]], float],
     uniform points (substream ``[cfg.seed, stream]``), each shrunk toward the
     low corner until ``ok``: the best (x, f(x)), the first of equals, and
     the iterations of all searches."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
+    u = doubles(cfg.seed, stream)
     starts = [list(lows)]
     for _ in range(max(0, cfg.restarts)):
-        raw = [lo + u * (hi - lo) for u, lo, hi in zip(rng.random(len(lows)), lows, highs)]
+        raw = [lo + next(u) * (hi - lo) for lo, hi in zip(lows, highs)]
         starts.append(_feasible_start(raw, lows, ok))
     best_x, best_fx, total_iter = None, -math.inf, 0
     for start in starts:
@@ -343,10 +343,9 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
 
     cost_min = sum(lows)
     cost_max = highs[3] + min(highs[0] + highs[1] + highs[2], room)
-    eps_levels = np.linspace(cost_min, cost_max, k)
 
     raw_points: list[ParetoPoint] = []
-    for j, eps in enumerate(eps_levels):
+    for j, eps in enumerate(_linspace(cost_min, cost_max, k)):
         eps_tol = eps + 1e-12 * max(1.0, abs(eps))
 
         def ok(x: Sequence[float]) -> bool:
@@ -361,6 +360,14 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
             raw_points.append(ParetoPoint(cost=d.cost, capital=best_fx, decision=d))
 
     return filter_nondominated(raw_points)
+
+
+def _linspace(start: float, stop: float, k: int) -> list[float]:
+    """The float64 ``linspace(start, stop, k)``, k >= 2, as a list, by its formula."""
+    start, stop, div = float(start), float(stop), k - 1
+    step = (stop - start) / div  # 0 on a subnormal span: then i / div * span
+    return [i / div * (stop - start) + start if step == 0 else i * step + start
+            for i in range(div)] + [stop]
 
 
 def filter_nondominated(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:

@@ -25,36 +25,13 @@ import functools
 
 import numpy as np
 
-_MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
+from .pcg import (_INIT_A, _INIT_B, _MASK32, _MASK64, _MASK128, _MULT, _MULT_A, _MULT_B,
+                  _POOL, _double, _mix, _output, _words)
 
-# SeedSequence (numpy.random.bit_generator): a pool of 4 uint32 words, hashed
-# with multipliers that advance at every word.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-# PCG64's 128-bit LCG multiplier, and its 64-bit halves
-_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M_HI, _M_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & _MASK64)
+_M_HI, _M_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & _MASK64)  # MULT's 64-bit halves
 
 _LAYERS = 256        # ziggurat layers, chosen by the low 8 bits of an output
 _RABS = 1 << 52      # the 52-bit magnitude above the layer and sign bits
-
-
-def _words(n: int) -> list[int]:
-    """SeedSequence's coercion of an int >= 0: uint32 words, lowest first
-    (and its errors for anything else)."""
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError("seed must be integer")
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 class _Hash:
@@ -72,11 +49,6 @@ class _Hash:
         consts = np.array(self.consts[t:], dtype=np.uint32)[:, None]
         values = (values ^ consts[:-1]) * consts[1:]
         return values ^ (values >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return out ^ (out >> np.uint32(16))
 
 
 def _mixed_pool(entropy: np.ndarray) -> np.ndarray:
@@ -109,18 +81,6 @@ def _mul(a_hi, a_lo, b_hi, b_lo):
     mid = (p00 >> half) + (p01 & low) + (p10 & low)
     carry = a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
     return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
-
-
-def _output(hi, lo):
-    """XSL-RR: the two halves xor-ed, rotated right by the state's top 6 bits."""
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-def _double(u):
-    """numpy's ``next_double``: the top 53 bits of an output, in [0, 1)."""
-    return (u >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def _halves(values: list[int]):

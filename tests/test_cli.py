@@ -419,3 +419,22 @@ def test_scalar_commands_never_import_the_engines_they_do_not_run(fixtures_dir, 
     assert done.returncode == 0, done.stderr
     # sensitivity runs in simulate, on its scalar path
     assert json.loads(done.stdout) == (["dismed.simulate"] if argv[:1] == ["sensitivity"] else [])
+
+
+_OPTIMIZE = ["optimize", "{f}/broker_opt.json", "--bounds", "{f}/bounds_bi.json"]
+
+
+@pytest.mark.parametrize("argv", [_OPTIMIZE, _PARETO], ids=["optimize", "pareto"])
+def test_optimize_and_pareto_never_import_numpy(fixtures_dir, argv):
+    argv = [a.format(f=fixtures_dir) for a in argv]
+    watched = ["numpy", "dismed.streams", "dismed.batch", "dismed.simulate",
+               "concurrent.futures"]
+    done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+def test_importing_the_optimizer_leaves_numpy_out():
+    probe = "import sys, dismed.optimizer; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0

@@ -296,6 +296,45 @@ def test_every_solve_is_pinned(fixtures_dir):
     assert digest.hexdigest() == SOLVES_SHA256
 
 
+# sha256 over the CSV renderings of the same solves and frontiers, computed
+# while the restart points were numpy float64 scalars; the float restart
+# stream may not move it.
+SOLVES_CSV_SHA256 = "a5fa4459f7b50cd2d9705cc4250d13ba7f9e0c7398c48b81cbfe263c521ddb2d"
+
+
+def _pinned_solves(fixtures_dir):
+    """(label, result) for every solve and frontier of test_every_solve_is_pinned."""
+    import json
+
+    from dismed.io import load_scenario
+
+    opt = load_scenario(fixtures_dir / "broker_opt.json")
+    for name in ("bounds_bi", "bounds_infeasible"):
+        bounds = Bounds.from_dict(json.loads((fixtures_dir / f"{name}.json").read_text()))
+        yield name, optimize_broker(opt, bounds)
+        yield name, pareto_sweep(opt, bounds, k=5)
+    for i in range(24):
+        for concave in (False, True):
+            scenario, bounds, _, _, _ = random_opt_instance([4242, i], concave=concave)
+            for cfg in (OptimizerConfig(restarts=2, seed=i),
+                        OptimizerConfig(mode="weighted", weights=(0.5 + i / 8, 1.25),
+                                        restarts=2, seed=i)):
+                yield f"{i} {concave}", optimize_broker(scenario, bounds, cfg)
+            yield f"{i} {concave}", pareto_sweep(scenario, bounds, k=5,
+                                                 cfg=OptimizerConfig(restarts=1, seed=i))
+
+
+def test_every_solve_renders_pinned_csv(fixtures_dir):
+    import hashlib
+
+    from dismed.cli import _to_csv
+
+    digest = hashlib.sha256()
+    for label, result in _pinned_solves(fixtures_dir):
+        digest.update(f"{label} {_to_csv(result)}\n".encode())
+    assert digest.hexdigest() == SOLVES_CSV_SHA256
+
+
 # --- the compiled objective against its per-call oracle -----------------------
 
 _OPT_BASE = scenario_from_dict(fixture_dict("opt"))
