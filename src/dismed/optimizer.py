@@ -107,6 +107,7 @@ class OptimizerConfig:
             raise ParseError(f"mode = {self.mode!r} not in {OBJECTIVE_MODES}")
         if not (isinstance(self.weights, (tuple, list)) and len(self.weights) == 2):
             raise ParseError(f"weights = {self.weights!r} must be a pair of numbers")
+        object.__setattr__(self, "weights", tuple(self.weights))  # hashable
         for i, v in enumerate(self.weights):
             if not math.isfinite(_number(v, f"weights[{i}]")):
                 raise ParseError(f"weights[{i}] = {v!r} must be finite")
@@ -147,12 +148,20 @@ class ParetoPoint:
 
 
 def _compile(s: Scenario, ctx: Optional[str]):
-    """``(feasible, capital, room)`` for decision points ``x = (B_b, B_s,
-    B_i, B_n)`` under the overlay ``ctx``, reading once what ``x`` does not
-    change. ``feasible(x)``: commission coverage c*P - max(0, B_b+B_s+B_i)
-    holds with the slack ``need``; ``room`` is c*P - need. ``capital(x)``:
-    SC_br + RC_br, each moved from its base value by its links' f(x_j) -
-    f(base_j); with no link at all it raises MissingCapitalResponse.
+    """``(feasible, capital, room)`` of ``_compile_solve``."""
+    return _compile_solve(s, ctx)[:3]
+
+
+def _compile_solve(s: Scenario, ctx: Optional[str]):
+    """``(feasible, capital, room, objective)`` for decision points ``x =
+    (B_b, B_s, B_i, B_n)`` under the overlay ``ctx``, reading once what ``x``
+    does not change. ``feasible(x)``: commission coverage c*P - max(0,
+    B_b+B_s+B_i) holds with the slack ``need``; ``room`` is c*P - need.
+    ``capital(x)``: SC_br + RC_br, each moved from its base value by its
+    links' f(x_j) - f(base_j); with no link at all it raises
+    MissingCapitalResponse. ``objective(w_capital, w_cost)``: ``w_capital *
+    capital(x) - w_cost * (B_b+B_s+B_i+B_n)`` if ``feasible(x)``, else -inf,
+    as one closure with the same float operations.
     """
     cp = s.value("c", ctx) * s.value("P", ctx)
     need = FEASIBILITY_SLACK * max(1.0, abs(cp))
@@ -182,16 +191,32 @@ def _compile(s: Scenario, ctx: Optional[str]):
             total += value
         return total
 
-    return feasible, capital, cp - need
+    def objective(w_capital: float, w_cost: float) -> Callable[[Sequence[float]], float]:
+        if not linked:
+            return lambda x: capital(x) if feasible(x) else -math.inf
+
+        def f(x: Sequence[float]) -> float:
+            spent = x[0] + x[1] + x[2]  # max(0.0, spent) is spent only if spent > 0.0
+            if not (cp - (spent if spent > 0.0 else 0.0) >= need):
+                return -math.inf
+            total = 0.0
+            for value, links in groups:
+                for j, r, at_base in links:
+                    value += eval_response(r, x[j]) - at_base
+                total += value
+            return w_capital * total - w_cost * (spent + x[3])
+
+        return f
+
+    return feasible, capital, cp - need, objective
 
 
-def _objective(mode: str, weights: tuple[float, float]):
-    """``(capital, x) -> objective``: weighted capital minus the weighted
-    cost total of ``x``; the combined mode's unit weights change no bit."""
+def _weights(mode: str, weights: tuple[float, float]) -> tuple[float, float]:
+    """``(w_capital, w_cost)``: the objective is weighted capital minus the
+    weighted cost total; the combined mode's unit weights change no bit."""
     if mode not in OBJECTIVE_MODES:
         raise ValueError(f"unknown objective mode {mode!r}")
-    w_capital, w_cost = (weights[0], weights[1]) if mode == "weighted" else (1.0, 1.0)
-    return lambda capital, x: w_capital * capital - w_cost * (x[0] + x[1] + x[2] + x[3])
+    return (weights[0], weights[1]) if mode == "weighted" else (1.0, 1.0)
 
 
 def _point(d: DecisionVector) -> tuple[float, ...]:
@@ -213,7 +238,8 @@ def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
     """Capital-versus-cost objective under the argmin listing-state overlay."""
     x = _point(d)
     capital = _compile(s, argmin_state(s))[1](x)
-    return _objective(mode, weights)(capital, x)
+    w_capital, w_cost = _weights(mode, weights)
+    return w_capital * capital - w_cost * (x[0] + x[1] + x[2] + x[3])
 
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
@@ -224,40 +250,52 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
     Besides the compass moves, the pattern probes pairwise trade moves
     (+step on one coordinate, -step on another), which lets the search slide
     along an active budget constraint such as the epsilon cost cap.
+
+    The polls clip ``min(max(v, lo), hi)`` by the builtins' own tests (``lo >
+    v``, then ``hi < v``): the same float, NaN and signed zeros included.
     """
     dims = [j for j in range(len(lows)) if highs[j] > lows[j]]
     widths = [highs[j] - lows[j] for j in range(len(lows))]
     steps = [w * INIT_STEP_FRAC for w in widths]
     x = [min(max(v, lo), hi) for v, lo, hi in zip(x0, lows, highs)]
     fx = f(x)
+    boxes = [(j, lows[j], highs[j]) for j in dims]
+    pairs = [(i, lows[i], highs[i], j, lows[j], highs[j])
+             for i in dims for j in dims if i != j]
     iterations = 0
     while iterations < MAX_ITER:
         iterations += 1
         best_fx, best_x = fx, None
-        for j in dims:
-            for v in (x[j] + steps[j], x[j] - steps[j]):
-                v = min(max(v, lows[j]), highs[j])
-                if v == x[j]:
+        for j, lo, hi in boxes:
+            xj, step = x[j], steps[j]
+            for v in (xj + step, xj - step):
+                v = lo if lo > v else v
+                v = hi if hi < v else v
+                if v == xj:
                     continue
-                trial = list(x)
+                trial = x.copy()
                 trial[j] = v
                 ft = f(trial)
                 if ft > best_fx:
                     best_fx, best_x = ft, trial
-        for i in dims:
-            for j in dims:
-                if i == j:
-                    continue
-                # equal step both ways: tangent to a cost-budget facet
-                delta = min(steps[i], steps[j])
-                trial = list(x)
-                trial[i] = min(max(x[i] + delta, lows[i]), highs[i])
-                trial[j] = min(max(x[j] - delta, lows[j]), highs[j])
-                if trial[i] == x[i] and trial[j] == x[j]:
-                    continue
-                ft = f(trial)
-                if ft > best_fx:
-                    best_fx, best_x = ft, trial
+        for i, lo_i, hi_i, j, lo_j, hi_j in pairs:
+            # equal step both ways: tangent to a cost-budget facet
+            si, sj = steps[i], steps[j]
+            delta = sj if sj < si else si
+            xi, xj = x[i], x[j]
+            vi, vj = xi + delta, xj - delta
+            vi = lo_i if lo_i > vi else vi
+            vi = hi_i if hi_i < vi else vi
+            vj = lo_j if lo_j > vj else vj
+            vj = hi_j if hi_j < vj else vj
+            if vi == xi and vj == xj:
+                continue
+            trial = x.copy()
+            trial[i] = vi
+            trial[j] = vj
+            ft = f(trial)
+            if ft > best_fx:
+                best_fx, best_x = ft, trial
         if best_x is not None:
             x, fx = best_x, best_fx
             continue
@@ -308,16 +346,12 @@ def optimize_broker(s: Scenario, bounds: Bounds,
     """Feasible local maximizer of the broker objective by pattern search."""
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
-    feasible, capital, _ = _compile(s, ctx)
+    feasible, capital, _, objective = _compile_solve(s, ctx)
     if not feasible(lows):
         return OptResult(decision=None, objective=None, feasible=False,
                          iterations=0, mode=cfg.mode)
     capital(lows)  # surfaces MissingCapitalResponse before any search work
-    objective = _objective(cfg.mode, cfg.weights)
-
-    def f(x: Sequence[float]) -> float:
-        return objective(capital(x), x) if feasible(x) else -math.inf
-
+    f = objective(*_weights(cfg.mode, cfg.weights))
     best_x, best_fx, total_iter = _best_of_restarts(f, feasible, lows, highs, cfg, 0)
     return OptResult(decision=DecisionVector(*best_x, state=ctx), objective=best_fx,
                      feasible=True, iterations=total_iter, mode=cfg.mode)

@@ -14,6 +14,8 @@ cases away from knife-edge ties; None margins (undecided parts) are skipped.
 The module ends with the broker optimizer's capital, feasibility and
 objective as it computed them on every call, before it compiled them once
 per solve; they read the Scenario through ``value`` and ``response_for``.
+Last comes its pattern search as it was before its polls stopped calling
+``min``/``max``/``list`` per trial.
 """
 
 from __future__ import annotations
@@ -709,3 +711,57 @@ def oracle_objective(s, d, mode="combined", weights=(1.0, 1.0)):
     if mode == "weighted":
         return weights[0] * capital - weights[1] * cost
     raise ValueError(f"unknown objective mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# Broker pattern search, as written with builtin clipping
+# ---------------------------------------------------------------------------
+# The optimizer's search before its polls inlined the box clip and hoisted the
+# per-dimension bounds; every trial, its order and its floats must match.
+
+INIT_STEP_FRAC = 0.125
+TOL_FRAC = 1e-6
+MAX_ITER = 100_000
+
+
+def oracle_pattern_search(f, lows, highs, x0):
+    dims = [j for j in range(len(lows)) if highs[j] > lows[j]]
+    widths = [highs[j] - lows[j] for j in range(len(lows))]
+    steps = [w * INIT_STEP_FRAC for w in widths]
+    x = [min(max(v, lo), hi) for v, lo, hi in zip(x0, lows, highs)]
+    fx = f(x)
+    iterations = 0
+    while iterations < MAX_ITER:
+        iterations += 1
+        best_fx, best_x = fx, None
+        for j in dims:
+            for v in (x[j] + steps[j], x[j] - steps[j]):
+                v = min(max(v, lows[j]), highs[j])
+                if v == x[j]:
+                    continue
+                trial = list(x)
+                trial[j] = v
+                ft = f(trial)
+                if ft > best_fx:
+                    best_fx, best_x = ft, trial
+        for i in dims:
+            for j in dims:
+                if i == j:
+                    continue
+                # equal step both ways: tangent to a cost-budget facet
+                delta = min(steps[i], steps[j])
+                trial = list(x)
+                trial[i] = min(max(x[i] + delta, lows[i]), highs[i])
+                trial[j] = min(max(x[j] - delta, lows[j]), highs[j])
+                if trial[i] == x[i] and trial[j] == x[j]:
+                    continue
+                ft = f(trial)
+                if ft > best_fx:
+                    best_fx, best_x = ft, trial
+        if best_x is not None:
+            x, fx = best_x, best_fx
+            continue
+        steps = [st * 0.5 for st in steps]
+        if all(steps[j] < TOL_FRAC * widths[j] for j in dims):
+            break
+    return x, fx, iterations

@@ -23,8 +23,10 @@ from dismed.optimizer import evaluate_capital, filter_nondominated, is_feasible
 from dismed.io import scenario_from_dict
 from dismed.model import STATE_NAMES, ResponseFunction, with_values
 
+import oracle
 from fixture_defs import fixture_dict
-from oracle import oracle_capital, oracle_feasible, oracle_objective
+from oracle import (oracle_capital, oracle_feasible, oracle_objective,
+                    oracle_pattern_search)
 from scen_gen import random_opt_instance
 
 
@@ -409,9 +411,99 @@ def test_compiled_objective_equals_the_per_call_oracle(case):
     want = _outcome(oracle_capital, s, d, ctx)
     assert _outcome(capital, x) == want
     assert _outcome(evaluate_capital, s, d, ctx) == want
+    _, _, _, objective = optimizer._compile_solve(s, ctx)
     for mode, w in (("combined", (1.0, 1.0)), ("weighted", weights)):
         assert _outcome(broker_objective, s, d, mode, w) == \
             _outcome(oracle_objective, s, d, mode, w)
+        w_capital, w_cost = optimizer._weights(mode, w)
+
+        def per_part(x):
+            if not feasible(x):
+                return -math.inf
+            return w_capital * capital(x) - w_cost * (x[0] + x[1] + x[2] + x[3])
+
+        assert _outcome(objective(w_capital, w_cost), x) == _outcome(per_part, x)
+
+
+def test_missing_capital_response_surfaces_before_any_search(monkeypatch):
+    data = fixture_dict("nocap")
+    data["responses"] = []
+    s = scenario_from_dict(data)
+    bounds = Bounds(B_b=(0, 1), B_s=(0, 1), B_i=(0, 1), B_n=(0, 1))
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(optimizer, "_pattern_search", no_search)
+    for cfg in (OptimizerConfig(), OptimizerConfig(mode="weighted", weights=(2.0, 0.5))):
+        with pytest.raises(MissingCapitalResponse):
+            optimize_broker(s, bounds, cfg)
+
+
+# --- the pattern search against its builtin-clipping oracle -------------------
+
+_EDGE = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0),
+                  st.floats(-5e299, 5e299))
+
+
+@st.composite
+def _search_case(draw):
+    """A box of 1-4 dimensions (degenerate ones, signed-zero edges and
+    widths up to 1e300 among them), a start that may lie outside it, and an
+    objective that is -inf on part of the box."""
+    lows, highs, x0, targets = [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(_EDGE)
+        b = a if draw(st.integers(0, 3)) == 0 else draw(_EDGE)
+        lo, hi = (a, b) if a <= b else (b, a)
+        inside = st.sampled_from((lo, hi)) if lo == hi else st.floats(lo, hi)
+        lows.append(lo)
+        highs.append(hi)
+        x0.append(draw(st.one_of(st.sampled_from((lo, hi, 0.0, -0.0)), inside,
+                                 st.floats(-1e300, 1e300))))
+        targets.append(draw(inside))
+    n = len(lows)
+    kind = draw(st.sampled_from(("linear", "abs", "square", "flat")))
+    coeffs = [draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    cut = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.floats(-1e300, 1e300)))
+
+    def f(x):
+        if cut is not None and x[cut[0]] + x[cut[1]] > cut[2]:
+            return -math.inf
+        if kind == "linear":
+            return sum(c * v for c, v in zip(coeffs, x))
+        if kind == "abs":
+            return -sum(abs(c) * abs(v - t) for c, v, t in zip(coeffs, x, targets))
+        if kind == "square":
+            return -sum(abs(c) * (v - t) * (v - t) for c, v, t in zip(coeffs, x, targets))
+        return 1.0
+
+    return f, lows, highs, x0
+
+
+def _traced(f, log):
+    def traced(x):
+        log.append(tuple(v.hex() for v in x))
+        return f(x)
+    return traced
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case())
+def test_pattern_search_equals_its_builtin_clipping_oracle(case):
+    f, lows, highs, x0 = case
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        # a subnormal width, or widths far apart, can run a search to the
+        # cap; both searches stop at the same smaller one
+        mp.setattr(optimizer, "MAX_ITER", 300)
+        mp.setattr(oracle, "MAX_ITER", 300)
+        for search in (optimizer._pattern_search, oracle_pattern_search):
+            log = []
+            x, fx, iterations = search(_traced(f, log), tuple(lows), tuple(highs), list(x0))
+            runs.append(([v.hex() for v in x], repr(fx), iterations, log))
+    assert runs[0] == runs[1]
 
 
 # --- OptimizerConfig ------------------------------------------------------------
@@ -431,7 +523,13 @@ def test_optimizer_config_rejects_a_bad_field(field, value):
 
 def test_optimizer_config_keeps_what_it_accepted():
     cfg = OptimizerConfig(mode="weighted", weights=[2, 0.5], restarts=-1, seed=3)
-    assert (cfg.weights, cfg.restarts) == ([2, 0.5], -1)  # -1: the low corner only
+    assert (cfg.weights, cfg.restarts) == ((2, 0.5), -1)  # -1: the low corner only
+
+
+def test_optimizer_config_is_hashable_with_list_weights():
+    listed = OptimizerConfig(mode="weighted", weights=[2, 0.5])
+    assert hash(listed) == hash(OptimizerConfig(mode="weighted", weights=(2, 0.5)))
+    assert listed == OptimizerConfig(mode="weighted", weights=(2, 0.5))
 
 
 def test_broker_objective_keeps_its_mode_check_for_direct_callers(fixtures_dir):
