@@ -20,7 +20,7 @@ with no per-draw Scenario, verdict or trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .conditions import (
 )
 from .config import RunConfig
 from .model import SYMBOLS, Scenario, check_fixed
+from .record import Record
 from .simulate import MAX_REJECTIONS_PER_DRAW, DistributionSpec, rejection_limit
 from .streams import Streams
 
@@ -165,8 +166,7 @@ def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
 # Entry point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """Draws start..stop-1 of a sweep, one row per draw."""
     statuses: np.ndarray    # (n, 44) codes into STATUSES, registry order
     decisions: np.ndarray   # (n, 3) codes into DECISIONS, ConditionSet order

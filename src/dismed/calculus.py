@@ -33,16 +33,18 @@ its ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .config import RunConfig
 from .errors import IndeterminateIntegrand, PathCoverageError
 from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
+from .record import Record
 
 INF = math.inf
+_TINY = 1 / sys.float_info.max  # the least divisor with a finite reciprocal
 
 #: An interval inside the evaluator: a checked (lower, upper) pair.
 Interval = tuple
@@ -180,14 +182,14 @@ def _cube(h):
     return np.array([_cube(x) for x in np.ravel(h).tolist()]).reshape(np.shape(h))
 
 
-@dataclass(frozen=True)
-class ExtendedValue:
+class ExtendedValue(Record):
     lower: float
     upper: float
 
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
+    def __init__(self, lower: float, upper: float):
+        if not lower <= upper:
+            raise ValueError(f"invalid interval [{lower}, {upper}]")
+        self.__dict__.update(lower=lower, upper=upper)
 
     @staticmethod
     def point(x: float) -> "ExtendedValue":
@@ -281,68 +283,57 @@ def argmin_state(s: Scenario, candidates: Sequence[str] = ("E_m", "E_p", "E_s"))
 # Expression trees
 # ---------------------------------------------------------------------------
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
 class MaxE(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class MinE(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Joint(Expr):
     """Intersection of two closing probabilities, read per configuration."""
     a: str
     b: str
 
 
-@dataclass(frozen=True)
 class IntegralE(Expr):
     """Trapezoid integral of the integrand over the configured horizon."""
     integrand: Expr
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(Record):
     """Differentiation axis: a symbol, a "+"-bundle, or the max of symbols."""
     kind: str                      # "sym" | "bundle" | "max"
     names: tuple[str, ...]
@@ -372,7 +363,6 @@ class Axis:
         return self.names
 
 
-@dataclass(frozen=True)
 class Deriv(Expr):
     driven: Expr
     axis: Axis
@@ -431,7 +421,8 @@ def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
 
 def _stencil(f: Callable, x0, h, order: int) -> Interval:
     """Central difference of ``f`` at ``x0`` with step ``h``; unknown where
-    the step's power overflows (the result is then UNKNOWN itself)."""
+    the step's power overflows or underflows past a finite reciprocal (the
+    result is then UNKNOWN itself)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     if order == 1:
@@ -442,7 +433,10 @@ def _stencil(f: Callable, x0, h, order: int) -> Interval:
         num = sub(add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
                       scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
         den = 2.0 * _cube(h)
-    return _unknown_where(den == INF, scale(num, 1.0 / den))
+    lost = (den == INF) | (den < _TINY)
+    if lost is True:
+        return UNKNOWN
+    return _unknown_where(lost, scale(num, 1.0 / den))
 
 
 def _note(notes: Optional[list], note: str) -> None:
@@ -501,7 +495,8 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
 
         v = _stencil(f, x0, h, order)
         if v is UNKNOWN:
-            _note(notes, f"difference step along {axis} overflows (h = {h})")
+            flow = "overflows" if h > 1 else "underflows"
+            _note(notes, f"difference step along {axis} {flow} (h = {h})")
         return v
 
     def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:

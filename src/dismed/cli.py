@@ -15,7 +15,6 @@ never exit status:
 from __future__ import annotations
 
 import argparse
-import csv
 import io as _io
 import math
 import os
@@ -71,6 +70,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only CSV output loads it
+
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -33,7 +33,6 @@ dP/dpi_s, and W6/W7 differentials taken with respect to I_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -61,6 +60,7 @@ from .calculus import (
 )
 from .config import RunConfig
 from .model import Scenario
+from .record import Factory, Record
 
 
 class ConditionSet(str, Enum):
@@ -87,8 +87,7 @@ _PREFIX = {ConditionSet.BUYER: "B", ConditionSet.BROKER_WEB: "W", ConditionSet.S
 _BY_PREFIX = {v: k for k, v in _PREFIX.items()}
 
 
-@dataclass(frozen=True)
-class ConditionId:
+class ConditionId(Record):
     set: ConditionSet
     index: int
 
@@ -131,8 +130,7 @@ ARGMAX_ALL: CtxSpec = ("argmax", ("E_s", "E_p", "E_m"))
 ARGMAX_EXCLUSIVE: CtxSpec = ("argmax", ("E_s", "E_p"))
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(Record):
     desc: str
     op: str  # "gt" | "lt" | "approx" | "approx_zero"
     lhs: Expr
@@ -141,20 +139,21 @@ class Part:
     rhs_ctx: CtxSpec = None
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     guard: Optional[Part]
     parts: tuple[Part, ...]
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PartTrace:
+class PartTrace(Record):
     desc: str
     op: str
     lhs: ExtendedValue
     rhs: Optional[ExtendedValue]
     holds: Optional[bool]
+
+    def __init__(self, desc, op, lhs, rhs, holds):  # built per part on every decide
+        self.__dict__.update(desc=desc, op=op, lhs=lhs, rhs=rhs, holds=holds)
 
     def to_dict(self) -> dict:
         return {
@@ -166,8 +165,7 @@ class PartTrace:
         }
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(Record):
     id: ConditionId
     status: Status
     lhs: Optional[ExtendedValue]
@@ -176,6 +174,10 @@ class ConditionVerdict:
     notes: tuple[str, ...]
     parts: tuple[PartTrace, ...]
     skipped: bool = False
+
+    def __init__(self, id, status, lhs, rhs, guard_status, notes, parts, skipped=False):
+        self.__dict__.update(id=id, status=status, lhs=lhs, rhs=rhs, guard_status=guard_status,
+                             notes=notes, parts=parts, skipped=skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -190,13 +192,12 @@ class ConditionVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     scenario_label: str
     set: ConditionSet
     verdicts: tuple[ConditionVerdict, ...]
     aggregate: SetDecision
-    config: dict = field(default_factory=dict)
+    config: dict = Factory(dict)
 
     def to_dict(self) -> dict:
         return {
@@ -211,8 +212,7 @@ class ConditionReport:
         return {v.id.label: v.status for v in self.verdicts}
 
 
-@dataclass(frozen=True)
-class DecisionSummary:
+class DecisionSummary(Record):
     scenario_label: str
     buyer_disintermediates: SetDecision
     broker_provides_web_info: SetDecision

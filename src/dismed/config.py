@@ -7,12 +7,12 @@ from their own payload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Mapping
 
 from .errors import ParseError
 from .model import SYMBOLS
+from .record import Record
 
 AGGREGATION_MODES = ("conjunction", "quorum")
 INTERSECTION_MODES = ("product", "min")
@@ -23,8 +23,7 @@ OUTPUT_FORMATS = ("json", "csv")
 MAX_HORIZON_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     # tolerances
     rel_tol: float = 0.05          # "similar" comparisons (e.g. I_i vs psi_b)
     zero_tol: float = 0.01         # |derivative| treated as zero
@@ -46,15 +45,15 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text (PEP 563)
-            v = getattr(self, f.name)
-            if f.type == "float":
+        # the annotations are their text (PEP 563)
+        for (name, kind), v in zip(RunConfig.__annotations__.items(), self._values()):
+            if kind == "float":
                 # ints stay ints: rel_tol 1 and 1.0 print differently in notes
                 if isinstance(v, bool) or not isinstance(v, (int, float)) \
                         or not math.isfinite(v):
-                    raise ParseError(f"{f.name} = {v!r} must be a finite number")
-            elif not isinstance(v, {"bool": bool, "str": str}[f.type]):
-                raise ParseError(f"{f.name} = {v!r} must be a {f.type}")
+                    raise ParseError(f"{name} = {v!r} must be a finite number")
+            elif not isinstance(v, {"bool": bool, "str": str}[kind]):
+                raise ParseError(f"{name} = {v!r} must be a {kind}")
         if not (0.0 < self.quorum <= 1.0):
             raise ParseError(f"quorum = {self.quorum} must lie in (0, 1]")
         if not (self.horizon_T > 0 and 0 < self.horizon_dt <= self.horizon_T):
@@ -82,18 +81,13 @@ class RunConfig:
         and -0.0), and report notes quote the config's values as text."""
         return repr(self)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
         if not isinstance(data, Mapping):
             raise ParseError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ParseError(f"unknown config field(s): {sorted(unknown)}")
         return cls(**dict(data))
 
-    def with_overrides(self, **kw: Any) -> "RunConfig":
-        return replace(self, **kw)
+    with_overrides = Record.replace

@@ -32,6 +32,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
+from .record import Record
+
 DECIMALS_SIGNIFICANT = 12
 
 STATE_NAMES = ("E_s", "E_p", "E_m")
@@ -233,14 +235,12 @@ def with_values(s: Scenario, updates: Mapping[str, float]) -> Scenario:
     return replace(s, values=tuple(values))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violations: tuple[Violation, ...]
 

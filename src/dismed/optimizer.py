@@ -21,7 +21,6 @@ Python from ``SeedSequence([seed, stream]) -> PCG64`` (fixed by NEP 19).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .calculus import argmin_state
@@ -29,6 +28,7 @@ from .errors import MissingCapitalResponse, ParseError
 from .io import _number
 from .model import DECISION_FIELDS, Scenario, eval_response
 from .pcg import doubles
+from .record import Record
 
 FEASIBILITY_SLACK = 1e-9
 INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
@@ -38,8 +38,7 @@ CAPITAL_SYMBOLS = ("SC_br", "RC_br")
 OBJECTIVE_MODES = ("combined", "weighted")
 
 
-@dataclass(frozen=True)
-class DecisionVector:
+class DecisionVector(Record):
     B_b: float
     B_s: float
     B_i: float
@@ -50,13 +49,8 @@ class DecisionVector:
     def cost(self) -> float:
         return self.B_b + self.B_s + self.B_i + self.B_n
 
-    def to_dict(self) -> dict:
-        return {"B_b": self.B_b, "B_s": self.B_s, "B_i": self.B_i,
-                "B_n": self.B_n, "state": self.state}
 
-
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Box bounds for the four decision fields."""
     B_b: tuple[float, float]
     B_s: tuple[float, float]
@@ -68,6 +62,8 @@ class Bounds:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ParseError(f"bounds for {name} must be finite with lo <= hi")
+            if not math.isfinite(hi - lo):
+                raise ParseError(f"bounds for {name} need a finite hi - lo, got [{lo}, {hi}]")
 
     @classmethod
     def from_dict(cls, data) -> "Bounds":
@@ -95,8 +91,7 @@ class Bounds:
         return tuple(getattr(self, n)[1] for n in DECISION_FIELDS)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Record):
     mode: str = "combined"             # one of OBJECTIVE_MODES
     weights: tuple[float, float] = (1.0, 1.0)
     restarts: int = 8
@@ -118,8 +113,7 @@ class OptimizerConfig:
             raise ParseError(f"seed = {self.seed} must be >= 0")
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(Record):
     decision: Optional[DecisionVector]
     objective: Optional[float]
     feasible: bool
@@ -136,8 +130,7 @@ class OptResult:
         }
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
+class ParetoPoint(Record):
     cost: float
     capital: float
     decision: DecisionVector

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .conditions import (
@@ -37,6 +36,7 @@ from .errors import IndeterminateAtBase, ParseError, RejectionLimit
 from .io import _number
 # validate_scenario is not called here: perfbench's --trace 1 wraps the binding.
 from .model import SYMBOLS, Scenario, validate_scenario, with_values  # noqa: F401
+from .record import Factory, Record
 
 if TYPE_CHECKING:  # numpy is imported where draws are made, so sensitivity runs without it
     import numpy as np
@@ -48,8 +48,7 @@ MAX_REJECTIONS_PER_DRAW = 1000
 _MARGINAL_PARAMS = {"point": ("value",), "uniform": ("lo", "hi"), "normal": ("mean", "sd")}
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(Record):
     kind: str
     value: float = 0.0   # point
     lo: float = 0.0      # uniform
@@ -95,9 +94,8 @@ class Marginal:
         return cls(kind=kind, **{p: _number(data[p], f"{where}.{p}") for p in params})
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    marginals: Mapping[str, Marginal] = field(default_factory=dict)
+class DistributionSpec(Record):
+    marginals: Mapping[str, Marginal] = Factory(dict)
 
     def __post_init__(self):
         for name in self.marginals:
@@ -157,8 +155,7 @@ def _draws(base: Scenario, dist: DistributionSpec, seed: int, start: int,
                   for row in X.tolist()), int(rejections.sum()))
 
 
-@dataclass(frozen=True)
-class SweepStats:
+class SweepStats(Record):
     n: int
     seed: int
     stream: str
@@ -250,8 +247,7 @@ def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
 # Sensitivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SensitivityResult:
+class SensitivityResult(Record):
     condition: str
     parameter: str
     status: str
@@ -259,17 +255,6 @@ class SensitivityResult:
     elasticity: float
     delta_to_flip: Optional[float]
     rel_step: float
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "parameter": self.parameter,
-            "status": self.status,
-            "margin": self.margin,
-            "elasticity": self.elasticity,
-            "delta_to_flip": self.delta_to_flip,
-            "rel_step": self.rel_step,
-        }
 
 
 def _margin_at(s: Scenario, cid: ConditionId, parameter: str, value: float,

@@ -5,7 +5,7 @@ with its own plumbing. Derivatives are computed analytically from declared
 response parameters (polynomial differentiation, piecewise-linear segment
 slopes) instead of finite differences; unknown quantities are (-inf, +inf)
 pairs with hand-rolled three-valued comparisons. Only scenario serialization
-and the RunConfig dataclass are shared with the engine - no evaluation code.
+and the RunConfig record are shared with the engine - no evaluation code.
 
 Each ``oracle_*`` function returns (status_string, margins). Margins are the
 signed decision distances the random-scenario generator uses to keep test

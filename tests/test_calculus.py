@@ -295,6 +295,15 @@ def test_fd_step_whose_power_overflows_is_indeterminate(order, h):
     assert notes == [f"difference step along pi_i overflows (h = {h})"]
 
 
+@pytest.mark.parametrize("order, h", [(1, 1e-320), (2, 1e-170), (3, 1e-110)])
+def test_fd_step_whose_power_underflows_is_indeterminate(order, h):
+    # 2h, h * h or 2 h ** 3 is 0 or has no finite reciprocal
+    s = scenario_with_response("U_iw", "pi_i", [0.0, 1.0], pi_i=2.0, U_iw=2.0)
+    notes = []
+    assert finite_difference(s, "U_iw", "pi_i", order, h=h, notes=notes).is_indeterminate
+    assert notes == [f"difference step along pi_i underflows (h = {h})"]
+
+
 def test_fd_missing_link_is_indeterminate():
     data = fixture_dict("nolink")
     data["responses"] = []

@@ -264,6 +264,15 @@ def test_non_numeric_bound_exits_2(capsys, fixtures_dir, tmp_path, command, pair
     assert code == 2 and out == "" and "bounds.B_i[" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "pareto"])
+def test_bounds_whose_width_overflows_exit_2(capsys, fixtures_dir, tmp_path, command):
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"B_b": [0, 0], "B_s": [0, 0], "B_i": [-1e308, 1e308], "B_n": [0, 0]}')
+    code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
+                         "--bounds", str(bounds))
+    assert code == 2 and out == "" and "bounds for B_i need a finite hi - lo" in err
+
+
 @pytest.mark.parametrize("marginal", [
     '{"kind": "uniform", "lo": "0.1", "hi": true}',
     '{"kind": "normal", "mean": 1.0, "sd": Infinity}',
@@ -323,6 +332,20 @@ def test_overflowing_difference_step_is_indeterminate(capsys, fixtures_dir, tmp_
     assert b12["id"] == "B12" and b12["status"] == "Indeterminate"
     assert b12["parts"][0]["lhs"] == [None, None]
     assert [n for n in b12["notes"] if n.startswith("difference step along P overflows")]
+
+
+def test_underflowing_difference_step_is_indeterminate(capsys, fixtures_dir, tmp_path):
+    # fd_step_scale 1e-110: B11's 2 h ** 3 underflows to 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fd_step_scale": 1e-110}))
+    code, out, err = run(capsys, "decide", str(fixtures_dir / "all_three_satisfied.json"),
+                         "--config", str(config))
+    assert code == 0, err
+    b11 = json.loads(out)["reports"]["buyer"]["verdicts"][10]
+    assert b11["id"] == "B11" and b11["status"] == "Indeterminate"
+    assert [p["lhs"] for p in b11["parts"]] == [[None, None], [None, None]]
+    assert b11["notes"] == ["difference step along U_ip+U_iw underflows (h = 5e-110)",
+                            "difference step along U_a underflows (h = 4e-110)"]
 
 
 def test_sweep_with_overflowing_difference_steps_exits_0(capsys, fixtures_dir, tmp_path):
