@@ -31,7 +31,6 @@ from .conditions import (
     Status,
     _aggregate,
     _guard_failure,
-    compiled_conditions,
     condition_ids,
 )
 from .config import RunConfig
@@ -176,12 +175,11 @@ class Evaluation(Record):
 def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop: int,
              cfg: RunConfig) -> Evaluation:
     """Evaluate draws start..stop-1 as one batch."""
-    table = compiled_conditions(cfg)
     with np.errstate(all="ignore"):
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
         results = [_condition(draws, len(rejections), parts, guard, cfg)
-                   for parts, guard in table]
+                   for parts, guard, _ in cfg.compiled.values()]
     statuses, skipped = (np.stack(columns, axis=1) for columns in zip(*results))
     statuses = statuses.astype(np.int8)
     return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)

@@ -117,25 +117,19 @@ def _to_csv(result: Any) -> str:
              for label, stats in result.per_condition.items()])
     if isinstance(result, SensitivityResult):
         d = result.to_dict()
-        return _csv_text(
-            ["condition", "parameter", "status", "margin", "elasticity",
-             "delta_to_flip", "rel_step"],
-            [[d["condition"], d["parameter"], d["status"], d["margin"],
-              d["elasticity"], d["delta_to_flip"], d["rel_step"]]])
-    from .optimizer import OptResult, ParetoPoint
+        return _csv_text(list(d), [list(d.values())])
+    from .optimizer import DecisionVector, OptResult, ParetoPoint
 
+    decision = DecisionVector._fields
     if isinstance(result, OptResult):
         d = result.decision
         return _csv_text(
-            ["feasible", "objective", "iterations", "mode",
-             "B_b", "B_s", "B_i", "B_n", "state"],
+            ["feasible", "objective", "iterations", "mode", *decision],
             [[result.feasible, result.objective, result.iterations, result.mode,
-              *((d.B_b, d.B_s, d.B_i, d.B_n, d.state) if d else (None,) * 5)]])
+              *(d._values() if d else (None,) * len(decision))]])
     if isinstance(result, list) and all(isinstance(p, ParetoPoint) for p in result):
-        return _csv_text(
-            ["cost", "capital", "B_b", "B_s", "B_i", "B_n", "state"],
-            [[p.cost, p.capital, p.decision.B_b, p.decision.B_s,
-              p.decision.B_i, p.decision.B_n, p.decision.state] for p in result])
+        return _csv_text(["cost", "capital", *decision],
+                         [[p.cost, p.capital, *p.decision._values()] for p in result])
     raise TypeError(f"no CSV rendering for {type(result).__name__}")
 
 

@@ -3,9 +3,10 @@
 Each condition is built as a small form (``build_form``): an optional guard
 part, whose ``holds`` decides whether the others count, one or more
 comparison parts (joined conjunctively), and the notes the verdict must
-carry. Forms are compiled once per RunConfig into closures and cached per
-config, so ``decide``, ``eval_condition_set``, ``eval_condition``, sweeps and
-sensitivity build no forms and dispatch on no node types. A compiled part
+carry. :func:`compile_conditions` compiles the forms into closures; each
+RunConfig instance keeps its table (``RunConfig.compiled``), so ``decide``,
+``eval_condition_set``, ``eval_condition``, sweeps and sensitivity build no
+forms after its first use and dispatch on no node types. A compiled part
 (:func:`compile_part`) runs on any Scenario: on one scenario its results are
 wrapped here into traced verdicts with notes, and on a block of draws
 ``dismed.batch`` turns them into per-draw status codes. Both paths apply
@@ -34,7 +35,7 @@ dP/dpi_s, and W6/W7 differentials taken with respect to I_i.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .calculus import (
@@ -597,9 +598,6 @@ def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> fro
 # Evaluation: each condition compiles once per RunConfig
 # ---------------------------------------------------------------------------
 
-#: Distinct RunConfigs whose compiled condition table is kept.
-_COMPILED_CONFIGS = 16
-
 CompiledCondition = Callable[[Scenario], ConditionVerdict]
 
 
@@ -703,12 +701,10 @@ def _compile_condition(cid: ConditionId, form: Form, compiled: tuple,
     return run
 
 
-@lru_cache(maxsize=_COMPILED_CONFIGS)
-def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, tuple]:
-    """Per condition: its compiled parts, its compiled guard part or None, and
-    its traced evaluator."""
-    # The fingerprint is in the key because configs can compare equal yet
-    # print differently (rel_tol 1 and 1.0), and notes quote the config.
+def compile_conditions(cfg: RunConfig) -> dict[ConditionId, tuple]:
+    """Per condition, in registry order: its compiled parts, its compiled
+    guard part or None, and its traced evaluator. ``RunConfig.compiled``
+    keeps this table for the config instance."""
     table = {}
     for cid in ALL_CONDITION_IDS:
         form = build_form(cid, cfg)
@@ -718,16 +714,9 @@ def _compiled_table(cfg: RunConfig, fingerprint: str) -> dict[ConditionId, tuple
     return table
 
 
-def compiled_conditions(cfg: RunConfig) -> tuple:
-    """(compiled parts, compiled guard or None) of all 44 conditions under
-    ``cfg``, in registry order, as compiled once for the config's table."""
-    table = _compiled_table(cfg, cfg.fingerprint)
-    return tuple(table[cid][:2] for cid in ALL_CONDITION_IDS)
-
-
 def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    return _compiled_table(cfg, cfg.fingerprint)[cid][2](s)
+    return cfg.compiled[cid][2](s)
 
 
 def _aggregate(considered: int, held: int, violated: int, undecided: int,

@@ -1,7 +1,9 @@
 """Run configuration shared by condition evaluation, sweeps and the CLI.
 
 Every report embeds a snapshot of this config so results are reproducible
-from their own payload.
+from their own payload. A config instance also keeps the conditions compiled
+under it (``RunConfig.compiled``); equality, hashing, ``repr``, ``to_dict``
+and pickling read the fields only.
 """
 
 from __future__ import annotations
@@ -75,11 +77,14 @@ class RunConfig(Record):
             raise ParseError(f"w5_driver = {self.w5_driver!r} is not a known symbol")
 
     @cached_property
-    def fingerprint(self) -> str:
-        """Exact text of every field, computed once per instance. Configs that
-        compare equal can still differ here (rel_tol 1 and 1.0, zero_tol 0.0
-        and -0.0), and report notes quote the config's values as text."""
-        return repr(self)
+    def compiled(self) -> dict:
+        """The 44 conditions compiled under this config, built on first use
+        (``conditions.compile_conditions``) and kept by this instance only:
+        equal configs can print differently (rel_tol 1 and 1.0), and notes
+        quote the config's values as text."""
+        from .conditions import compile_conditions  # conditions imports config
+
+        return compile_conditions(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":

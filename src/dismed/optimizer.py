@@ -292,9 +292,12 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
         if best_x is not None:
             x, fx = best_x, best_fx
             continue
-        steps = [st * 0.5 for st in steps]
-        if all(steps[j] < TOL_FRAC * widths[j] for j in dims):
+        halved = [st * 0.5 for st in steps]
+        if all(halved[j] < TOL_FRAC * widths[j] for j in dims):
             break
+        if halved == steps:  # all 0: every later poll is empty, to MAX_ITER
+            return x, fx, MAX_ITER
+        steps = halved
     return x, fx, iterations
 
 

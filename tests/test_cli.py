@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,15 @@ def test_sensitivity_cli(capsys, fixtures_dir):
     payload = json.loads(out)
     assert payload["condition"] == "B5"
     assert payload["margin"] == pytest.approx(0.1)
+
+
+def test_sensitivity_csv_bytes(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "sensitivity", str(fixtures_dir / "all_three_satisfied.json"),
+                       "--condition", "B5", "--param", "psi_b", "--format", "csv")
+    assert code == 0
+    assert out == ("condition,parameter,status,margin,elasticity,delta_to_flip,rel_step\n"
+                   "B5,psi_b,Satisfied,0.09999999999999964,50.00000000000018,"
+                   "-0.0999999999999992,0.05\n")
 
 
 @pytest.mark.parametrize("command, args, names", [
@@ -271,6 +281,36 @@ def test_bounds_whose_width_overflows_exit_2(capsys, fixtures_dir, tmp_path, com
     code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
                          "--bounds", str(bounds))
     assert code == 2 and out == "" and "bounds for B_i need a finite hi - lo" in err
+
+
+_ZERO_DECISION = """{
+    "B_b": 0.0,
+    "B_s": 0.0,
+    "B_i": 0.0,
+    "B_n": 0.0,
+    "state": "E_m"
+  }"""
+
+
+@pytest.mark.parametrize("argv, payload", [
+    # every start counts MAX_ITER iterations, as the search did before it stopped early
+    (["optimize"], '{\n  "feasible": true,\n  "objective": -2.75,\n  "iterations": 900000,\n'
+                   '  "mode": "combined",\n  "decision": ' + _ZERO_DECISION + "\n}\n"),
+    (["pareto", "--points", "3"],
+     '[\n  {\n    "cost": 0.0,\n    "capital": -2.75,\n    "decision": '
+     + _ZERO_DECISION.replace("\n", "\n  ") + "\n  }\n]\n"),
+], ids=["optimize", "pareto"])
+def test_subnormal_width_stops_once_the_steps_are_zero(capsys, fixtures_dir, tmp_path, argv,
+                                                       payload):
+    # B_i's width 5e-324: its first step rounds to 0 and TOL_FRAC * width is 0 too
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"B_b": [0, 0], "B_s": [0, 0], "B_i": [0, 5e-324], "B_n": [0, 0]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(fixtures_dir / "broker_opt.json"),
+                         "--bounds", str(bounds), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert out == payload
 
 
 @pytest.mark.parametrize("marginal", [
