@@ -38,7 +38,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IndeterminateIntegrand, PathCoverageError
 from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
 from .record import Record
@@ -447,7 +447,7 @@ def _note(notes: Optional[list], note: str) -> None:
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
-def _compile_deriv(d: Deriv, cfg: RunConfig = RunConfig()):
+def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
     """Compiled derivative: (scenario, context, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
@@ -543,7 +543,7 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
 
 
 def _compile_integral(integrand: Expr, T: float, dt: float,
-                      cfg: RunConfig = RunConfig()) -> Callable:
+                      cfg: RunConfig = DEFAULT_CONFIG) -> Callable:
     """Compiled trapezoid integral over [0, T]: scenario -> float (per draw).
 
     Symbols follow their time paths and otherwise stay at base values; a
@@ -626,7 +626,7 @@ def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
     return integral
 
 
-def compile_expression(expr: Expr, cfg: RunConfig = RunConfig()) -> Compiled:
+def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG) -> Compiled:
     """Compile ``expr`` for evaluation at base or under a listing-state
     overlay: the result maps (scenario, context, notes) to an interval."""
     leaves: dict = {}
@@ -663,7 +663,7 @@ def symbols_of(expr: Expr) -> set[str]:
 def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
                       order: int, h: Optional[float] = None,
                       context: Optional[str] = None,
-                      cfg: RunConfig = RunConfig(),
+                      cfg: RunConfig = DEFAULT_CONFIG,
                       notes: Optional[list] = None) -> ExtendedValue:
     """Central-difference estimate of ∂^order driven / ∂driver^order.
 
@@ -680,14 +680,14 @@ def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
 
 
 def evaluate_expression(s: Scenario, expr: Expr, context: Optional[str] = None,
-                        cfg: RunConfig = RunConfig(),
+                        cfg: RunConfig = DEFAULT_CONFIG,
                         notes: Optional[list] = None) -> ExtendedValue:
     """Evaluate an expression tree to an ExtendedValue under a state context."""
     return ExtendedValue(*compile_expression(expr, cfg)(s, context, notes))
 
 
 def integrate_horizon(s: Scenario, integrand: Expr, T: float, dt: float,
-                      cfg: RunConfig = RunConfig()) -> float:
+                      cfg: RunConfig = DEFAULT_CONFIG) -> float:
     """Trapezoid-rule integral of ``integrand`` over [0, T] at spacing dt.
 
     Symbols follow their declared time paths and otherwise stay at base

@@ -19,8 +19,8 @@ import io as _io
 import math
 import os
 import sys
-from pathlib import Path
-from typing import Any, Optional
+from json.encoder import encode_basestring
+from typing import Any, Callable, Optional
 
 from .calculus import ExtendedValue
 from .conditions import (
@@ -33,7 +33,7 @@ from .conditions import (
     decide,
     eval_condition_set,
 )
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     DismedError,
     IndeterminateAtBase,
@@ -57,7 +57,7 @@ EXIT_INTERNAL = 4
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get("DISMED_CONFIG")
     if not path:
-        cfg = RunConfig()
+        cfg = DEFAULT_CONFIG
     else:
         cfg = RunConfig.from_dict(read_json(path, "config"))
     if args.format:
@@ -141,60 +141,87 @@ def _to_payload(result: Any) -> Any:
 
 # Condition reports are written straight from their fields, with the text
 # ``json_text(result.to_dict())`` would give; only a report's config dict goes
-# through the generic writer.
+# through the generic writer. Every other field has one type, so it goes
+# through that type's writer: ``encode_basestring`` for text, ``_FLAG`` for
+# Optional[bool], and the interval writer of one ``render_report`` call for
+# intervals.
 
-def _ev_json(ev: Optional[ExtendedValue], nl: str) -> str:
-    """``ExtendedValue.to_json``'s text: infinite endpoints are null."""
-    if ev is None:
-        return "null"
-    inner = nl + "  "
-    lo = "null" if math.isinf(ev.lower) else json_atom(ev.lower)
-    # Most values are points, whose two endpoints are one float object.
-    hi = lo if ev.upper is ev.lower else "null" if math.isinf(ev.upper) else json_atom(ev.upper)
-    return f"[{inner}{lo},{inner}{hi}{nl}]"
+_FLAG = {None: "null", True: "true", False: "false"}
+
+
+def _interval_writer() -> Callable[[Optional[ExtendedValue], str], str]:
+    """``ExtendedValue.to_json``'s text (an infinite endpoint is null), for
+    the intervals of one report: the text of each float endpoint is kept, as a
+    report repeats few distinct floats. Zeros are never kept, so 0.0 and -0.0
+    never share a text, and only floats are looked up, so an int never takes
+    the text of the float it equals."""
+    memo: dict[float, str] = {}
+    known = memo.get
+
+    def endpoint(x) -> str:
+        if x.__class__ is not float:
+            return "null" if math.isinf(x) else json_atom(x)
+        text = float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "null"
+        if x:
+            memo[x] = text
+        return text
+
+    def interval(ev: Optional[ExtendedValue], nl: str) -> str:
+        if ev is None:
+            return "null"
+        inner = nl + "  "
+        x, y = ev.lower, ev.upper
+        lo = x.__class__ is float and known(x) or endpoint(x)
+        # Most values are points, whose two endpoints are one float object.
+        hi = lo if y is x else y.__class__ is float and known(y) or endpoint(y)
+        return f"[{inner}{lo},{inner}{hi}{nl}]"
+    return interval
 
 
 # Verdicts and parts are most of a report, so their keys are spelled out.
 
-def _part_json(p: PartTrace, nl: str) -> str:
+def _part_json(p: PartTrace, nl: str, ev_json) -> str:
     n = nl + "  "
-    return (f'{{{n}"check": {json_atom(p.desc)},{n}"op": {json_atom(p.op)},'
-            f'{n}"lhs": {_ev_json(p.lhs, n)},{n}"rhs": {_ev_json(p.rhs, n)},'
-            f'{n}"holds": {json_atom(p.holds)}{nl}}}')
+    return (f'{{{n}"check": {encode_basestring(p.desc)},{n}"op": {encode_basestring(p.op)},'
+            f'{n}"lhs": {ev_json(p.lhs, n)},{n}"rhs": {ev_json(p.rhs, n)},'
+            f'{n}"holds": {_FLAG[p.holds]}{nl}}}')
 
 
-def _verdict_json(v: ConditionVerdict, nl: str) -> str:
+def _verdict_json(v: ConditionVerdict, nl: str, ev_json) -> str:
     n = nl + "  "
-    notes = json_array(map(json_atom, v.notes), n)
-    parts = json_array([_part_json(p, n + "  ") for p in v.parts], n)
-    return (f'{{{n}"id": {json_atom(v.id.label)},{n}"status": {json_atom(v.status.value)},'
-            f'{n}"lhs": {_ev_json(v.lhs, n)},{n}"rhs": {_ev_json(v.rhs, n)},'
-            f'{n}"guard_status": {json_atom(v.guard_status)},'
-            f'{n}"skipped": {json_atom(v.skipped)},'
+    notes = json_array(map(encode_basestring, v.notes), n)
+    parts = json_array([_part_json(p, n + "  ", ev_json) for p in v.parts], n)
+    return (f'{{{n}"id": {encode_basestring(v.id.label)},'
+            f'{n}"status": {encode_basestring(v.status.value)},'
+            f'{n}"lhs": {ev_json(v.lhs, n)},{n}"rhs": {ev_json(v.rhs, n)},'
+            f'{n}"guard_status": {_FLAG[v.guard_status]},'
+            f'{n}"skipped": {_FLAG[v.skipped]},'
             f'{n}"notes": {notes},{n}"parts": {parts}{nl}}}')
 
 
-def _condition_report_json(r: ConditionReport, nl: str) -> str:
+def _condition_report_json(r: ConditionReport, nl: str, ev_json) -> str:
     inner = nl + "  "
     return json_object((
         ("scenario", json_atom(r.scenario_label)),
         ("set", json_atom(r.set.value)),
         ("aggregate", json_atom(r.aggregate.value)),
-        ("verdicts", json_array([_verdict_json(v, inner + "  ") for v in r.verdicts], inner)),
+        ("verdicts", json_array([_verdict_json(v, inner + "  ", ev_json) for v in r.verdicts],
+                                inner)),
         ("config", json_text(dict(r.config), inner)),
     ), nl)
 
 
 def _json(result: Any) -> str:
     if isinstance(result, ConditionReport):
-        return _condition_report_json(result, "\n")
+        return _condition_report_json(result, "\n", _interval_writer())
     if isinstance(result, DecisionSummary):
+        ev_json = _interval_writer()
         return json_object((
             ("scenario", json_atom(result.scenario_label)),
             ("buyer_disintermediates", json_atom(result.buyer_disintermediates.value)),
             ("broker_provides_web_info", json_atom(result.broker_provides_web_info.value)),
             ("seller_disintermediates", json_atom(result.seller_disintermediates.value)),
-            ("reports", json_object([(k, _condition_report_json(r, "\n    "))
+            ("reports", json_object([(k, _condition_report_json(r, "\n    ", ev_json))
                                      for k, r in result.reports.items()], "\n  ")),
         ))
     return json_text(_to_payload(result))
@@ -209,7 +236,8 @@ def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
     else:
         raise ParseError(f"unknown output format {fmt!r}")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return text

@@ -59,7 +59,7 @@ from .calculus import (
     # Not called here: perfbench's --trace 1 wraps this module's binding.
     evaluate_expression,  # noqa: F401
 )
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .model import Scenario
 from .record import Factory, Record
 
@@ -584,7 +584,7 @@ def _ctx_symbols(spec: CtxSpec) -> tuple[str, ...]:
 
 def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> frozenset[str]:
     """Every scenario symbol a condition reads (for the symbol-table audit)."""
-    form = build_form(cid, cfg or RunConfig())
+    form = build_form(cid, cfg or DEFAULT_CONFIG)
     out: set[str] = set()
     for part in form.parts if form.guard is None else (form.guard, *form.parts):
         out |= symbols_of(part.lhs)
@@ -714,7 +714,8 @@ def compile_conditions(cfg: RunConfig) -> dict[ConditionId, tuple]:
     return table
 
 
-def eval_condition(s: Scenario, cid: ConditionId, cfg: RunConfig = RunConfig()) -> ConditionVerdict:
+def eval_condition(s: Scenario, cid: ConditionId,
+                   cfg: RunConfig = DEFAULT_CONFIG) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
     return cfg.compiled[cid][2](s)
 
@@ -738,7 +739,7 @@ def _aggregate(considered: int, held: int, violated: int, undecided: int,
 
 
 def eval_condition_set(s: Scenario, cset: ConditionSet,
-                       cfg: RunConfig = RunConfig()) -> ConditionReport:
+                       cfg: RunConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Evaluate a whole set in printed order and aggregate it."""
     verdicts = tuple(eval_condition(s, cid, cfg) for cid in condition_ids(cset))
     statuses = [v.status for v in verdicts if not v.skipped]
@@ -754,7 +755,7 @@ def eval_condition_set(s: Scenario, cset: ConditionSet,
     )
 
 
-def decide(s: Scenario, cfg: RunConfig = RunConfig()) -> DecisionSummary:
+def decide(s: Scenario, cfg: RunConfig = DEFAULT_CONFIG) -> DecisionSummary:
     """All three aggregate decisions plus their full reports."""
     reports = {cset.value: eval_condition_set(s, cset, cfg) for cset in ConditionSet}
     return DecisionSummary(

@@ -96,3 +96,8 @@ class RunConfig(Record):
         return cls(**dict(data))
 
     with_overrides = Record.replace
+
+
+#: The config of every call that passes none, so such calls share one
+#: compiled table (``RunConfig.compiled``).
+DEFAULT_CONFIG = RunConfig()

@@ -11,8 +11,8 @@ this module, which gives the bytes of ``json.dumps(value, indent=2,
 ensure_ascii=False)``. On Python 3.11 ``json.dumps`` runs its C encoder only
 when ``indent`` is None, so an indented dump walks the value in pure Python.
 :func:`json_text` renders a whole value; ``cli.render_report`` writes
-condition reports straight from their fields with :func:`json_atom`,
-:func:`json_array` and :func:`json_object`.
+condition reports straight from their fields, each with the writer for its
+type, joined by :func:`json_array` and :func:`json_object`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -34,11 +35,14 @@ from .model import (
 )
 
 _SYMBOL_ORDER = tuple(SYMBOLS)
+_SYMBOL_VALUES = itemgetter(*_SYMBOL_ORDER)
+_FLOAT = frozenset((float,))
 _OPTIONAL_NUMBERS = ("prospect_count", "valued_time_share")
 _CONTAINER_KEYS = ("overlays", "responses", "time_paths")
 _ALLOWED_TOP = frozenset(("label", *_SYMBOL_ORDER, *_OPTIONAL_NUMBERS, *_CONTAINER_KEYS))
 
 _RESPONSE_KEYS = frozenset(("driven", "driver", "kind", "coeffs", "knots", "context"))
+_CONTEXTS = ("base", *STATE_NAMES)
 _TIME_PATH_KEYS = frozenset(("symbol", "kind", "value", "v0", "slope", "times", "values"))
 
 
@@ -53,27 +57,33 @@ def _number(v: Any, where: str) -> float:
 
 
 def _numbers(raw: Any, where: str) -> tuple[float, ...]:
+    """A list of JSON numbers as floats. An all-float list takes one type
+    pass; an item's label is built only when the item is not a float."""
     if not isinstance(raw, list):
         raise ParseError(f"{where} must be a list of numbers")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(raw))
+    if _FLOAT.issuperset(map(type, raw)):
+        return tuple(raw)
+    return tuple(v if type(v) is float else _number(v, f"{where}[{i}]")
+                 for i, v in enumerate(raw))
 
 
 def _require_number(obj: Mapping[str, Any], key: str, where: str) -> float:
     if key not in obj:
         raise ParseError(f"{where}: missing required field {key!r}")
-    return _number(obj[key], f"{where}: field {key!r}")
+    v = obj[key]
+    return v if type(v) is float else _number(v, f"{where}: field {key!r}")
 
 
 def _parse_response(obj: Any, where: str) -> ResponseFunction:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: each response must be an object")
-    unknown = set(obj) - _RESPONSE_KEYS
-    if unknown:
+    if not _RESPONSE_KEYS.issuperset(obj):
+        unknown = set(obj) - _RESPONSE_KEYS
         raise UnknownField(f"{where}: unknown response key(s) {sorted(unknown)}")
-    for key in ("driven", "driver", "kind"):
-        if key not in obj or not isinstance(obj[key], str):
-            raise ParseError(f"{where}: response needs string field {key!r}")
-    kind = obj["kind"]
+    driven, driver, kind = obj.get("driven"), obj.get("driver"), obj.get("kind")
+    if not (isinstance(driven, str) and isinstance(driver, str) and isinstance(kind, str)):
+        key = next(k for k in ("driven", "driver", "kind") if not isinstance(obj.get(k), str))
+        raise ParseError(f"{where}: response needs string field {key!r}")
     coeffs: tuple[float, ...] = ()
     knots: tuple[tuple[float, float], ...] = ()
     if kind == "polynomial":
@@ -91,10 +101,9 @@ def _parse_response(obj: Any, where: str) -> ResponseFunction:
     else:
         raise ParseError(f"{where}: unknown response kind {kind!r}")
     context = obj.get("context", "base")
-    if context not in ("base", *STATE_NAMES):
+    if context not in _CONTEXTS:
         raise ParseError(f"{where}: response context must be 'base' or one of {STATE_NAMES}")
-    return ResponseFunction(driven=obj["driven"], driver=obj["driver"], kind=kind,
-                            coeffs=coeffs, knots=knots, context=context)
+    return ResponseFunction(driven, driver, kind, coeffs, knots, context)
 
 
 def _parse_time_path(obj: Any, where: str) -> TimePath:
@@ -133,7 +142,12 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
     if unknown:
         raise UnknownField(f"unknown scenario field(s): {sorted(unknown)}")
 
-    values = tuple(_require_number(data, name, "scenario") for name in _SYMBOL_ORDER)
+    try:
+        values = _SYMBOL_VALUES(data)
+    except KeyError:
+        values = None
+    if values is None or not _FLOAT.issuperset(map(type, values)):
+        values = tuple(_require_number(data, name, "scenario") for name in _SYMBOL_ORDER)
 
     prospect_count = data.get("prospect_count", 1)
     if isinstance(prospect_count, bool) or not isinstance(prospect_count, int):
@@ -185,7 +199,8 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
 def read_json(path: str | Path, what: str) -> Any:
     """Parse a UTF-8 JSON file; every way the file can fail is a ParseError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         value = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc

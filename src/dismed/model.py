@@ -72,8 +72,7 @@ def _first(xs, larger: bool):
     return best
 
 
-@dataclass(frozen=True)
-class ResponseFunction:
+class ResponseFunction(Record):
     """A declared univariate functional link ``driven = f(driver)``.
 
     ``driver`` may be a single symbol or a bundle like ``"U_ip+U_iw"`` whose
@@ -91,9 +90,18 @@ class ResponseFunction:
     knots: tuple[tuple[float, float], ...] = ()
     context: str = "base"
 
+    def __init__(self, driven, driver, kind, coeffs=(), knots=(), context="base"):
+        # built per link on every load
+        self.__dict__.update(driven=driven, driver=driver, kind=kind, coeffs=coeffs,
+                             knots=knots, context=context)
 
-@dataclass(frozen=True)
-class TimePath:
+    @property
+    def ident(self) -> str:
+        """The link as validation messages name it."""
+        return f"({self.driven}, {self.driver}, {self.context})"
+
+
+class TimePath(Record):
     """Time evolution of one symbol over an integration horizon."""
 
     symbol: str
@@ -103,6 +111,10 @@ class TimePath:
     slope: float = 0.0                 # linear slope
     times: tuple[float, ...] = ()      # samples
     values: tuple[float, ...] = ()
+
+    def __init__(self, symbol, kind, value=0.0, v0=0.0, slope=0.0, times=(), values=()):
+        self.__dict__.update(symbol=symbol, kind=kind, value=value, v0=v0, slope=slope,
+                             times=times, values=values)
 
 
 #: Symbol name -> slot in ``Scenario.values``, in file and payload order.
@@ -220,7 +232,7 @@ PROBABILITY_SYMBOLS = ("rho_p", "rho_i", "rho_s")
 
 def split_driver(driver: str) -> tuple[str, ...]:
     """Components of a (possibly bundled) driver name."""
-    return tuple(part.strip() for part in driver.split("+"))
+    return tuple(map(str.strip, driver.split("+")))
 
 
 def with_values(s: Scenario, updates: Mapping[str, float]) -> Scenario:
@@ -417,61 +429,60 @@ def eval_response(r: ResponseFunction, x: float) -> float:
 
 def _check_responses(s: Scenario, bad, swept=frozenset()) -> list:
     """Check each link's structure, then its values; those of a link that
-    reads a symbol in ``swept`` are left to ``_check_link``: returned."""
+    reads a symbol in ``swept`` are left to ``_check_link``: returned. A
+    message names its link through ``{.ident}``, formatted only on failure."""
     seen: set[tuple[str, str, str]] = set()
     later = []
     for r in s.responses:
-        ident = f"({r.driven}, {r.driver}, {r.context})"
         if r.driven not in SYMBOLS:
-            bad("ResponseUnknownSymbol", True, "response {}: unknown driven symbol {!r}",
-                ident, r.driven)
+            bad("ResponseUnknownSymbol", True, "response {.ident}: unknown driven symbol {!r}",
+                r, r.driven)
             continue
         parts = split_driver(r.driver)
-        if any(p not in SYMBOLS for p in parts):
-            bad("ResponseUnknownSymbol", True, "response {}: unknown driver symbol in {!r}",
-                ident, r.driver)
+        if not all(map(SYMBOLS.__contains__, parts)):
+            bad("ResponseUnknownSymbol", True,
+                "response {.ident}: unknown driver symbol in {!r}", r, r.driver)
             continue
         if r.driven in parts:
-            bad("ResponseSelfLink", True, "response {}: driven may not appear in its own driver",
-                ident)
+            bad("ResponseSelfLink", True,
+                "response {.ident}: driven may not appear in its own driver", r)
             continue
         if r.context != "base" and r.context not in STATE_NAMES:
-            bad("ResponseUnknownContext", True, "response {}: context {!r}", ident, r.context)
+            bad("ResponseUnknownContext", True, "response {.ident}: context {!r}", r, r.context)
             continue
         key = (r.driven, r.driver, r.context)
         if key in seen:
-            bad("ResponseDuplicate", True, "duplicate response {}", ident)
+            bad("ResponseDuplicate", True, "duplicate response {.ident}", r)
             continue
         seen.add(key)
         if r.kind == "polynomial":
             if not r.coeffs or len(r.coeffs) - 1 > MAX_POLY_DEGREE:
-                bad("ResponseDegree", True, "response {}: polynomial degree must be 0..{}",
-                    ident, MAX_POLY_DEGREE)
+                bad("ResponseDegree", True, "response {.ident}: polynomial degree must be 0..{}",
+                    r, MAX_POLY_DEGREE)
                 continue
             if not all(map(_finite, r.coeffs)):
-                bad("NonFiniteValue", True, "response {}: non-finite coefficient", ident)
+                bad("NonFiniteValue", True, "response {.ident}: non-finite coefficient", r)
                 continue
         elif r.kind == "piecewise_linear":
             xs = [k[0] for k in r.knots]
             if len(r.knots) < 1 or any(b <= a for a, b in zip(xs, xs[1:])):
-                bad("ResponseKnots", True, "response {}: knots must be strictly increasing",
-                    ident)
+                bad("ResponseKnots", True,
+                    "response {.ident}: knots must be strictly increasing", r)
                 continue
             if not all(_finite(k[0]) and _finite(k[1]) for k in r.knots):
-                bad("NonFiniteValue", True, "response {}: non-finite knot", ident)
+                bad("NonFiniteValue", True, "response {.ident}: non-finite knot", r)
                 continue
         else:
-            bad("ResponseKind", True, "response {}: unknown kind {!r}", ident, r.kind)
+            bad("ResponseKind", True, "response {.ident}: unknown kind {!r}", r, r.kind)
             continue
         if r.driven in swept or not swept.isdisjoint(parts):
-            later.append((r, parts, ident))
+            later.append((r, parts))
         else:
-            _check_link(s, r, parts, ident, bad)
+            _check_link(s, r, parts, bad)
     return later
 
 
-def _check_link(s: Scenario, r: ResponseFunction, parts: tuple[str, ...], ident: str,
-                bad) -> None:
+def _check_link(s: Scenario, r: ResponseFunction, parts: tuple[str, ...], bad) -> None:
     """The checks of a well-formed link that read symbol values."""
     # Consistency: the link must pass through the scenario's stored point,
     # evaluated in the link's own context.
@@ -480,7 +491,7 @@ def _check_link(s: Scenario, r: ResponseFunction, parts: tuple[str, ...], ident:
     y_hat = eval_response(r, x0)
     bad("ResponseConsistency", _finite(x0) & _finite(y0) & (
             abs(y_hat - y0) > RESPONSE_CONSISTENCY_RTOL * _first((1.0, abs(y0)), True)),
-        "response {}: f({}) = {} but stored {} = {}", ident, x0, y_hat, r.driven, y0)
+        "response {.ident}: f({}) = {} but stored {} = {}", r, x0, y_hat, r.driven, y0)
 
     # Communicated information must rise, at an increasing rate, with the
     # broker's cost of providing it.
@@ -490,8 +501,8 @@ def _check_link(s: Scenario, r: ResponseFunction, parts: tuple[str, ...], ident:
         d1 = (up - down) / (2 * h)
         d2 = (up - 2 * y_hat + down) / (h * h)
         bad("InformationMonotonicity", _finite(x0) & (((d1 > 0) & (d2 > 0)) ^ True),
-            "response {}: I(B_b) must have positive first and second central "
-            "differences at B_b = {} (got {:.6g}, {:.6g})", ident, x0, d1, d2)
+            "response {.ident}: I(B_b) must have positive first and second central "
+            "differences at B_b = {} (got {:.6g}, {:.6g})", r, x0, d1, d2)
 
 
 def _check_time_paths(s: Scenario, bad) -> None:

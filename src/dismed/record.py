@@ -9,9 +9,10 @@ never changes), the dataclass ``repr`` text, assignment that raises
 five or six generated methods per class at import, which every CLI start
 paid. Records built on every ``decide`` spell out their ``__init__``.
 
-``model.Scenario``, ``ResponseFunction`` and ``TimePath`` stay dataclasses:
-``dataclasses.replace`` is their copy API, used by the benchmark's input
-builder and the tests.
+Only ``model.Scenario`` stays a dataclass: ``dataclasses.replace`` is its
+copy API, used by the benchmark's input builder and the tests. Its links
+(``ResponseFunction``) and time paths (``TimePath``) are records, built with
+a spelled-out ``__init__`` on every load, and copied with :meth:`replace`.
 """
 
 from __future__ import annotations

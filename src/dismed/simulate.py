@@ -31,7 +31,7 @@ from .conditions import (
     # Not called here: perfbench's --trace 1 wraps this module's binding.
     decide,  # noqa: F401
 )
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
 from .io import _number
 # validate_scenario is not called here: perfbench's --trace 1 wraps the binding.
@@ -203,7 +203,7 @@ def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
 
 
 def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
-              cfg: RunConfig = RunConfig(), workers: int = 1) -> SweepStats:
+              cfg: RunConfig = DEFAULT_CONFIG, workers: int = 1) -> SweepStats:
     """Evaluate decide() over n seeded draws; counts are order-independent,
     so results are identical across worker counts."""
     import numpy as np
@@ -265,7 +265,7 @@ def _margin_at(s: Scenario, cid: ConditionId, parameter: str, value: float,
 
 def sensitivity(s: Scenario, cid: ConditionId, parameter: str,
                 rel_step: float = 0.05,
-                cfg: RunConfig = RunConfig()) -> SensitivityResult:
+                cfg: RunConfig = DEFAULT_CONFIG) -> SensitivityResult:
     """Margin, elasticity and smallest flip distance for one parameter.
 
     The margin is the minimum sign-consistent part margin (positive iff the

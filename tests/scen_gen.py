@@ -182,8 +182,9 @@ def _full_responses(rng, values) -> list[dict]:
 
 
 def random_scenario(seed_parts, cfg: RunConfig = RunConfig(), label="random",
-                    with_overlays=True, max_tries=400):
-    """One margin-separated random scenario (deterministic per seed_parts)."""
+                    with_overlays=True, max_tries=400, separation=SEPARATION):
+    """One margin-separated random scenario (deterministic per seed_parts);
+    ``separation`` 0 takes the first draw, knife-edge margins included."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
     for _ in range(max_tries):
         values = _draw_values(rng)
@@ -196,7 +197,7 @@ def random_scenario(seed_parts, cfg: RunConfig = RunConfig(), label="random",
                 data["overlays"] = overlays
         scenario = scenario_from_dict(data)
         margins = oracle_margins(scenario, cfg)
-        if min(abs(m) for m in margins) >= SEPARATION:
+        if min(abs(m) for m in margins) >= separation:
             return scenario
     raise RuntimeError("could not separate margins; loosen SEPARATION")
 

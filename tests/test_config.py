@@ -4,7 +4,10 @@ instance compiles its conditions once, for itself only."""
 import ast
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,34 @@ def test_no_module_global_cache_but_the_normal_tables():
                     if name in ("lru_cache", "cache"):
                         found.append((path.stem, node.name))
     assert found == [("streams", "normal_tables")]
+
+
+_NO_CONFIG = """
+import json, sys
+import dismed.conditions as conditions
+from dismed.conditions import ConditionId, ConditionSet, decide, eval_condition, eval_condition_set
+from dismed.config import DEFAULT_CONFIG
+from dismed.io import load_scenario
+from dismed.simulate import sensitivity
+calls = []
+build_form = conditions.build_form
+conditions.build_form = lambda cid, cfg: calls.append(cfg) or build_form(cid, cfg)
+s, b5 = load_scenario(sys.argv[1]), ConditionId.parse("B5")
+decide(s)
+eval_condition(s, b5)
+eval_condition_set(s, ConditionSet.BUYER)
+sensitivity(s, b5, "psi_b")
+print(json.dumps([len(calls), all(c is DEFAULT_CONFIG for c in calls)]))
+"""
+
+
+def test_calls_without_a_config_compile_one_table():
+    # a fresh process, so no other test has compiled the default config yet;
+    # build_form is counted through the module binding
+    src = str(Path(dismed.conditions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", _NO_CONFIG,
+                           str(FIXTURES_DIR / "all_three_satisfied.json")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [44, True]

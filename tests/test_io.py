@@ -114,25 +114,59 @@ def _with_first_response(**fields):
     return data
 
 
-@pytest.mark.parametrize("data", [
-    _with_first_response(coeffs=["1.2525", "0.05"]),
-    _with_first_response(coeffs=[1.0, [0.05]]),
-    _with_first_response(coeffs=[1.0, True]),
-    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0, False]]),
-    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0]]),
-    _with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], "ab"]),
-    _with_time_path(times=[False, True], values=[0.1, 0.2]),
-    _with_time_path(times=["a", "b"], values=[0.1, 0.2]),
-    _with_time_path(times=[0.0, 1.0], values=[0.1, None]),
-    {**fixture_dict("x"), "valued_time_share": "0.5"},
-    {**fixture_dict("x"), "overlays": {"E_s": {"psi_b": "4"}}},
-    {**fixture_dict("x"), "psi_b": 10 ** 400},
+@pytest.mark.parametrize("data, message", [
+    (_with_first_response(coeffs=["1.2525", "0.05"]),
+     "responses[0].coeffs[0] must be a number, got '1.2525'"),
+    (_with_first_response(coeffs=[1.0, [0.05]]),
+     "responses[0].coeffs[1] must be a number, got [0.05]"),
+    (_with_first_response(coeffs=[1.0, True]),
+     "responses[0].coeffs[1] must be a number, got True"),
+    (_with_first_response(kind="piecewise_linear", coeffs=None,
+                          knots=[[0.0, 1.0], [1.0, False]]),
+     "responses[0].knots[1][1] must be a number, got False"),
+    (_with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0]]),
+     "responses[0]: knots must be [x, y] pairs"),
+    (_with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], "ab"]),
+     "responses[0]: knots must be [x, y] pairs"),
+    (_with_time_path(times=[False, True], values=[0.1, 0.2]),
+     "time_paths[0].times[0] must be a number, got False"),
+    (_with_time_path(times=["a", "b"], values=[0.1, 0.2]),
+     "time_paths[0].times[0] must be a number, got 'a'"),
+    (_with_time_path(times=[0.0, 1.0], values=[0.1, None]),
+     "time_paths[0].values[1] must be a number, got None"),
+    ({**fixture_dict("x"), "valued_time_share": "0.5"},
+     "valued_time_share must be a number, got '0.5'"),
+    ({**fixture_dict("x"), "overlays": {"E_s": {"psi_b": "4"}}},
+     "overlays.E_s.psi_b must be a number, got '4'"),
+    ({**fixture_dict("x"), "psi_b": 10 ** 400},
+     "scenario: field 'psi_b': integer too large for a float"),
 ], ids=["coeff-strings", "coeff-nested-list", "coeff-bool", "knot-bool", "knot-short",
         "knot-string", "times-bools", "times-strings", "values-null", "vts-string",
         "overlay-string", "symbol-overflow"])
-def test_every_number_is_checked_as_a_number(data):
-    with pytest.raises(ParseError):
+def test_every_number_is_checked_as_a_number(data, message):
+    with pytest.raises(ParseError) as exc:
         scenario_from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_json_integers_load_as_floats():
+    # every integral number of a valid file, written as a JSON integer
+    text = json.dumps(_fuzz_base())
+    data = json.loads(text, parse_float=lambda s: int(float(s)) if float(s).is_integer()
+                      else float(s))
+    def numbers(links, paths):
+        return ([x for r in links for x in r.get("coeffs", ())],
+                [x for r in links for k in r.get("knots", ()) for x in k],
+                [x for tp in paths for x in tp.get("times", ())])
+
+    for given in numbers(data["responses"], data["time_paths"]):
+        assert int in set(map(type, given))
+    s = scenario_from_dict(data)
+    loaded = (*s.values, *(x for r in s.responses for x in r.coeffs),
+              *(x for r in s.responses for k in r.knots for x in k),
+              *(x for tp in s.time_paths for x in tp.times))
+    assert all(type(x) is float for x in loaded)
+    assert scenario_to_json(s) == scenario_to_json(scenario_from_dict(json.loads(text)))
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def test_response_index_follows_each_copy():
     assert emptied.response_for(*key) is None
     assert s.response_for(*key) is first
     swapped = dataclasses.replace(
-        s, responses=(dataclasses.replace(first, coeffs=(1.0, 2.0)),) + s.responses[1:])
+        s, responses=(first.replace(coeffs=(1.0, 2.0)),) + s.responses[1:])
     assert swapped.response_for(*key).coeffs == (1.0, 2.0)
     assert with_values(emptied, {"psi_b": 5.5}).response_for(*key) is None
     # many short-lived copies: none may see another copy's index

@@ -18,11 +18,12 @@ import pytest
 from dismed import batch, calculus, conditions, config, model, optimizer, simulate
 from dismed.conditions import ALL_CONDITION_IDS, build_form, decide
 from dismed.config import RunConfig
-from dismed.io import load_scenario
+from dismed.io import load_scenario, scenario_from_dict
 from dismed.model import validate_scenario, with_values
 from dismed.record import Record
 
 from conftest import FIXTURES_DIR
+from fixture_defs import fixture_dict
 
 
 def _subclasses(cls):
@@ -53,8 +54,14 @@ def _samples() -> dict:
     dist = simulate.DistributionSpec.from_dict(
         json.loads((FIXTURES_DIR / "rho_dist.json").read_text()))
     summary = decide(base, cfg)
+    paths = scenario_from_dict({**fixture_dict("paths"), "time_paths": [
+        {"symbol": "rho_s", "kind": "samples", "times": [0.0, 1.0], "values": [0.7, 0.7]},
+        {"symbol": "rho_p", "kind": "linear", "v0": 0.6, "slope": 0.0},
+        {"symbol": "rho_i", "kind": "constant", "value": 0.4},
+    ]})
     roots = [
         cfg, summary, *summary.reports.values(), dist, bounds, optimizer.OptimizerConfig(),
+        *base.responses, *paths.time_paths,
         *(build_form(cid, cfg) for cid in ALL_CONDITION_IDS),
         calculus.Div(calculus.Sym("P"), calculus.Const(2.0)),  # no form divides
         validate_scenario(with_values(base, {"c": -1.0})),
@@ -93,7 +100,7 @@ def test_every_engine_module_defines_its_records_here():
     modules = {c.__module__ for c in RECORD_CLASSES}
     assert modules == {m.__name__ for m in (batch, calculus, conditions, config, model,
                                             optimizer, simulate)}
-    assert len(RECORD_CLASSES) == 33
+    assert len(RECORD_CLASSES) == 35
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
@@ -159,10 +166,9 @@ print(json.dumps({
 """
 
 
-def test_a_cold_decide_defines_three_dataclasses_and_loads_no_numpy_or_csv():
+def test_a_cold_decide_defines_one_dataclass_and_loads_no_numpy_or_csv():
     scenario = str(FIXTURES_DIR / "all_three_satisfied.json")
     done = subprocess.run([sys.executable, "-c", _STRUCTURE, scenario],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {
-        "dataclasses": ["ResponseFunction", "Scenario", "TimePath"], "loaded": []}
+    assert json.loads(done.stdout) == {"dataclasses": ["Scenario"], "loaded": []}

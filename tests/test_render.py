@@ -10,17 +10,31 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dismed import RunConfig, ValidationError, decide, eval_condition_set, load_scenario
+from dismed.calculus import ExtendedValue
 from dismed.cli import _to_csv, _to_payload, render_report
-from dismed.conditions import ConditionId, ConditionSet
+from dismed.conditions import (
+    ALL_CONDITION_IDS,
+    ConditionId,
+    ConditionReport,
+    ConditionSet,
+    ConditionVerdict,
+    DecisionSummary,
+    PartTrace,
+    SetDecision,
+    Status,
+)
+from dismed.config import GUARD_MODES
 from dismed.io import json_text, scenario_from_dict, scenario_to_dict, scenario_to_json
 from dismed.model import ValidationReport, validate_scenario
 
 from fixture_defs import broker_retained_dict, fixture_dict
+from scen_gen import drop_responses, random_scenario
 
 FIXTURES = ("all_satisfied_buyer", "all_satisfied_seller",
             "all_satisfied_broker_web", "all_three_satisfied")
@@ -98,10 +112,63 @@ RESULTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def random_scenarios():
+    """100 random scenarios. Knife-edge margins (separation 0) keep the first
+    draw of each seed, and every other scenario loses about half its links."""
+    drawn = (random_scenario([18, i], label=f"random {i}", separation=0.0) for i in range(100))
+    return [drop_responses(s, [18, i]) if i % 2 else s for i, s in enumerate(drawn)]
+
+
 @pytest.mark.parametrize("name", RESULTS)
 def test_every_json_report_is_the_json_dumps_text(fixtures_dir, name):
     result = RESULTS[name](fixtures_dir)
     assert render_report(result, "json", os.devnull) == _reference(_to_payload(result))
+
+
+@pytest.mark.parametrize("guard_mode", GUARD_MODES)
+def test_decide_reports_of_random_scenarios_are_the_json_dumps_text(random_scenarios,
+                                                                    guard_mode):
+    cfg = RunConfig(guard_mode=guard_mode)
+    for s in random_scenarios:
+        summary = decide(s, cfg)
+        assert render_report(summary, "json", os.devnull) == _reference(summary.to_dict()), s.label
+
+
+def _interval(lower, upper) -> ExtendedValue:
+    """An interval built without the ``lower <= upper`` check, which NaN fails."""
+    ev = object.__new__(ExtendedValue)
+    ev.__dict__.update(lower=lower, upper=upper)
+    return ev
+
+
+def test_zero_signs_nan_infinities_and_ints_keep_their_own_text():
+    zero, minus_zero, nan = 0.0, -0.0, math.nan
+    pieces = [
+        ExtendedValue(zero, zero), ExtendedValue(minus_zero, minus_zero),
+        ExtendedValue(minus_zero, zero), ExtendedValue(-math.inf, math.inf),
+        ExtendedValue(-math.inf, 0.5), ExtendedValue(1, 2), ExtendedValue(1.0, 2.0),
+        ExtendedValue(2, 2.0), ExtendedValue(np.float64(0.5), np.float64(1e300)),
+        _interval(nan, nan), _interval(nan, 1.0), _interval(1.0, nan),
+    ]
+    parts = tuple(PartTrace(f"part {k}", "gt", ev, pieces[-1 - k], (True, False, None)[k % 3])
+                  for k, ev in enumerate(pieces))
+    verdicts = tuple(
+        ConditionVerdict(cid, Status.SATISFIED, ev, pieces[k - 1], (None, True, False)[k % 3],
+                         (f"note {k}",) * (k % 3), parts[k:] + parts[:k], skipped=k % 2 == 0)
+        for k, (cid, ev) in enumerate(zip(ALL_CONDITION_IDS, pieces)))
+    reports = {cset.value: ConditionReport("signs", cset, verdicts, SetDecision.INDETERMINATE,
+                                           {"zero_tol": -0.0, "rel_tol": 1, "quorum": 0.0})
+               for cset in ConditionSet}
+    summary = DecisionSummary("signs", SetDecision.SATISFIED, SetDecision.NOT_SATISFIED,
+                              SetDecision.INDETERMINATE, reports)
+    text = render_report(summary, "json", os.devnull)
+    assert text == _reference(summary.to_dict())
+    assert '"rhs": null' not in text  # every rhs was given
+    for spelled in ("0.0", "-0.0", "NaN", "null", "1,", "2\n", "1.0", "2.0", "0.5", "1e+300"):
+        assert spelled in text, spelled
+    report = reports["buyer"]
+    assert render_report(report, "json", os.devnull) == _reference(report.to_dict())
 
 
 def test_the_indeterminate_case_has_infinite_endpoints():
