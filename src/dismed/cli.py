@@ -236,8 +236,11 @@ def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
     else:
         raise ParseError(f"unknown output format {fmt!r}")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output file {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text

@@ -14,12 +14,17 @@ wrapped here into traced verdicts with notes, and on a block of draws
 undecidable comparisons produce Indeterminate verdicts, never exceptions,
 and every non-vacuous verdict keeps its lhs/rhs trace values.
 
-Two mirrored families have one builder each, and their descriptions are
-rendered (``_dtext``) from the same arguments that build their derivatives:
-the social-capital conditions B16-B19 / S15-S18 (party, against utility or
-the joint closing probability, order) and the conditions that bound one
-derivative by another at two orders (B6, B7, B8, B10, B12, S2, S3). Every
-other condition has its own builder and literal description.
+A comparison part is built by :func:`_part` from its two operands, which
+also write its description, so text and expression cannot disagree. A form
+that reads no config is a registry row, built once at import; the others
+(B1, B2, W4, W5, S1, S3, S7, S13 and the joint social-capital conditions)
+are functions of the config. Two mirrored families have one builder each:
+the social-capital conditions B16-B19 / S15-S18 and the conditions that bound
+one derivative by another at two orders (B6, B7, B8, B10, B12, S2, S3).
+Literal descriptions stay only where the payloads spell a part in a way the
+operands cannot: the ``cP`` sums of B3/B4 and B13, the differences of B15
+and W1, the products of W3, the ``d rho_i/d rho_p`` spacing of W4 and W5,
+S13's named integrals and S14's ``pi_sb^2``. Their texts are payload bytes.
 
 Interpretation choices that the configuration can steer:
   * guard failures default to vacuous satisfaction (``guard_mode``);
@@ -35,8 +40,7 @@ dP/dpi_s, and W6/W7 differentials taken with respect to I_i.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .calculus import (
     Add,
@@ -231,27 +235,26 @@ class DecisionSummary(Record):
 
 
 # ---------------------------------------------------------------------------
-# Expression shorthand
+# Expression shorthand and the part builder
 # ---------------------------------------------------------------------------
 
-def _a(*names: str) -> Expr:
-    return Sym(names[0]) if len(names) == 1 else Add(tuple(Sym(n) for n in names))
-
-
-def _sum_sub(plus: Sequence[str], minus: Sequence[str]) -> Expr:
-    return Sub(_a(*plus), _a(*minus))
+def _e(text: str) -> Expr:
+    """A symbol, a "+"-sum ``a+b`` or a joint ``a^b``."""
+    if "^" in text:
+        return Joint(*text.split("^"))
+    names = text.split("+")
+    return Sym(names[0]) if len(names) == 1 else Add(tuple(map(Sym, names)))
 
 
 def _cP() -> Expr:
     return Mul(Sym("c"), Sym("P"))
 
 
-def _d(driven: str, driver: str | tuple[str, ...], order: int = 1) -> Deriv:
-    """d^order driven / d driver: ``driven`` is a symbol, a "+"-bundle or a
-    joint "a^b"; ``driver`` a symbol, a "+"-bundle or a tuple read as its max."""
-    expr = Joint(*driven.split("^")) if "^" in driven else _a(*driven.split("+"))
+def _d(driven: str, driver: str | tuple[str, ...], order: int) -> Deriv:
+    """d^order driven / d driver: ``driven`` as :func:`_e` reads it; ``driver``
+    a symbol, a "+"-bundle or a tuple read as its max."""
     axis = Axis.max_of(*driver) if isinstance(driver, tuple) else Axis.sym(driver)
-    return Deriv(expr, axis, order)
+    return Deriv(_e(driven), axis, order)
 
 
 def _dtext(driven: str, driver: str | tuple[str, ...], order: int) -> str:
@@ -267,232 +270,121 @@ def _dtext(driven: str, driver: str | tuple[str, ...], order: int) -> str:
     return f"d{n} {driven}/d{driver}{n}"
 
 
+_OPS = {">": "gt", "<": "lt", "~": "approx"}
+_EXTREMES = {max: MaxE, min: MinE}
+
+
+def _side(side) -> tuple[Expr, str]:
+    """An operand of :func:`_part` as its expression and its text."""
+    if isinstance(side, str):
+        return _e(side), side.replace("+", " + ")
+    if isinstance(side, int):
+        return Const(float(side)), str(side)
+    if side[0] in _EXTREMES:
+        args = [_side(arg) for arg in side[1:]]
+        return (_EXTREMES[side[0]](tuple(e for e, _ in args)),
+                f"{side[0].__name__}({', '.join(t for _, t in args)})")
+    return _d(*side), _dtext(*side)
+
+
+def _part(lhs, op: str, rhs, ctx: CtxSpec = None) -> Part:
+    """The part ``lhs op rhs`` (op ">", "<" or "~"), both sides under ``ctx``,
+    described from its operands. A side is a symbol, a "+"-sum (written
+    ``a + b``) or a joint ``a^b``; a derivative ``(driven, driver, order)``
+    as :func:`_d` reads it; an int constant; or ``(max, x, y)`` or ``(min,
+    x, y)`` of sides (written ``max(x, y)``)."""
+    (a, a_text), (b, b_text) = _side(lhs), _side(rhs)
+    return Part(f"{a_text} {op} {b_text}", _OPS[op], a, b, ctx, ctx)
+
+
+def _base_and_argmax(lhs, op: str, rhs) -> tuple[Part, Part]:
+    """S4 and S5: a comparison at base, and again under the argmax state."""
+    part = _part(lhs, op, rhs)
+    return part, part.replace(desc=f"{part.desc} under argmax state",
+                              lhs_ctx=ARGMAX_ALL, rhs_ctx=ARGMAX_ALL)
+
+
+def _flat(driven: str, driver: str) -> Part:
+    """W4 and W5: ``d driven/d driver ~ 0``, with a space after the second d."""
+    return Part(f"d {driven}/d {driver} ~ 0", "approx_zero", _d(driven, driver, 1))
+
+
+def _two_order(lhs: tuple, op: str, extreme: Callable, rhs: tuple, bound: int,
+               orders: tuple[int, int], notes: tuple = ()) -> Form:
+    """B6-B8, B10, B12, S2 and S3: ``d lhs op extreme(d rhs, bound)`` at each
+    of two orders, ``lhs`` and ``rhs`` being (driven, driver) pairs of :func:`_d`."""
+    return Form(None, tuple(_part((*lhs, k), op, (extreme, (*rhs, k), bound))
+                            for k in orders), notes)
+
+
+def _social_capital(party: str, against: str, order: int) -> Part:
+    """B16-B19 (party "b") and S15-S18 ("s"): the party's d SC/d
+    max(psi_xi,psi_x) > max(bound, d rhs) at ``order`` 1 (bound 1) or 2
+    (bound 0), rhs being its utilities against I_p+I_i+pi_b ("utility") or
+    the joint closing probability rho_i^rho_p against its utilities ("joint")."""
+    utilities = {"b": "U_ip+U_iw", "s": "U_sp+U_sw"}[party]
+    rhs = (utilities, "I_p+I_i+pi_b") if against == "utility" else ("rho_i^rho_p", utilities)
+    return _part((f"SC_{party}", (f"psi_{party}i", f"psi_{party}"), order), ">",
+                 (max, 1 if order == 1 else 0, (*rhs, order)))
+
+
 # ---------------------------------------------------------------------------
-# The condition registry
+# The condition registry: a form, or the builder of a form that reads the config
 # ---------------------------------------------------------------------------
 
 def _b1(cfg: RunConfig) -> Form:
-    parts = [
-        Part("I_i > I_p", "gt", Sym("I_i"), Sym("I_p")),
-        Part("I_i + I_o > I_p", "gt", _a("I_i", "I_o"), Sym("I_p")),
-    ]
+    utility = _part("U_iw", ">", "U_ip")
+    parts = (_part("I_i", ">", "I_p"), _part("I_i+I_o", ">", "I_p"))
     if cfg.b1_guard_joint:
-        parts.insert(0, Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip")))
-        return Form(None, tuple(parts),
-                    ("utility clause (U_iw > U_ip) treated as a joint conjunct",))
-    return Form(Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip")), tuple(parts),
-                ("utility clause (U_iw > U_ip) treated as a guard",))
+        return Form(None, (utility, *parts),
+                    (f"utility clause ({utility.desc}) treated as a joint conjunct",))
+    return Form(utility, parts, (f"utility clause ({utility.desc}) treated as a guard",))
 
 
 def _b2(cfg: RunConfig) -> Form:
-    return Form(None, (Part("I_i ~ psi_b", "approx", Sym("I_i"), Sym("psi_b")),),
+    return Form(None, (_part("I_i", "~", "psi_b"),),
                 (f"similarity uses rel_tol = {cfg.rel_tol}",))
 
 
-# B3 and B4 are one comparison under two guards.
-_B3_B4_PART = Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt",
-                   Add((_cP(), Sym("psi_b"), Sym("pi_b"))), _a("psi_bi", "pi_i", "U_iw"),
-                   lhs_ctx=ARGMAX_ALL, rhs_ctx=None)
-_B3_B4_NOTES = ("lhs evaluated under the argmax listing-state overlay; rhs at base",)
-
-
-def _b3(cfg: RunConfig) -> Form:
-    return Form(Part("P_s ~ P_b", "approx", Sym("P_s"), Sym("P_b"), ARGMAX_ALL, ARGMAX_ALL),
-                (_B3_B4_PART,), _B3_B4_NOTES)
-
-
-def _b4(cfg: RunConfig) -> Form:
-    return Form(Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip"), ARGMAX_ALL, ARGMAX_ALL),
-                (_B3_B4_PART,), _B3_B4_NOTES)
-
-
-def _b5(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("psi_b > psi_bi", "gt", Sym("psi_b"), Sym("psi_bi")),
-        Part("U_iw > U_ip", "gt", Sym("U_iw"), Sym("U_ip")),
-    ))
-
-
-def _b9(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d (I_p+I_i)/d max(E_m,E_p,E_s) < 1", "lt",
-             _d("I_p+I_i", ("E_m", "E_p", "E_s"), 1), Const(1.0)),
-    ), ("derivative taken along the argmax listing-state value",))
-
-
-def _b11(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d3 (I_p+I_i)/d(U_ip+U_iw)3 < 1", "lt",
-             _d("I_p+I_i", "U_ip+U_iw", 3), Const(1.0)),
-        Part("d3 I_o/dU_a3 < 1", "lt", _d("I_o", "U_a", 3), Const(1.0)),
-    ))
-
-
-def _b13(cfg: RunConfig) -> Form:
-    rhs = Add((_cP(), Sym("pi_sb"), Sym("I_p"), Sym("I_i")))
-    return Form(None, (Part("u_hat_s < cP + pi_sb + I_p + I_i", "lt",
-                            Sym("u_hat_s"), rhs),))
-
-
-def _b14(cfg: RunConfig) -> Form:
-    return Form(None, (Part("d u_hat_s/d(pi_sb+I_p+I_i) < 1", "lt",
-                            _d("u_hat_s", "pi_sb+I_p+I_i", 1), Const(1.0)),))
-
-
-def _b15(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("SC_b - psi_bi - psi_b > U_ip + U_iw + I_p + I_i + pi_b", "gt",
-             _sum_sub(["SC_b"], ["psi_bi", "psi_b"]),
-             _a("U_ip", "U_iw", "I_p", "I_i", "pi_b")),
-    ))
-
-
-def _w1(cfg: RunConfig) -> Form:
-    ctx: CtxSpec = ("state", "E_p")
-    lhs = Sub(Mul(_cP(), Sym("rho_p")), _a("B_b", "B_s"))
-    return Form(
-        Part("psi_b > psi_bi", "gt", Sym("psi_b"), Sym("psi_bi"), ctx, ctx),
-        (Part("cP*rho_p - B_b - B_s < B_i", "lt", lhs, Sym("B_i"),
-              lhs_ctx=ctx, rhs_ctx=ctx),),
-        ("evaluated under the E_p listing-state overlay",),
-    )
-
-
-def _w2(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("U_ip < U_iw", "lt", Sym("U_ip"), Sym("U_iw"),
-             lhs_ctx=ARGMAX_EXCLUSIVE, rhs_ctx=ARGMAX_EXCLUSIVE),
-    ), ("evaluated under the larger of the E_s / E_p overlays",))
-
-
-def _w3(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("psi_bi*rho_i > cP*rho_p", "gt",
-             Mul(Sym("psi_bi"), Sym("rho_i")), Mul(_cP(), Sym("rho_p"))),
-    ))
-
-
 def _w4(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d rho_i/d rho_p ~ 0", "approx_zero", _d("rho_i", "rho_p", 1)),
-    ), (f"zero means |derivative| <= {cfg.zero_tol}",))
+    return Form(None, (_flat("rho_i", "rho_p"),), (f"zero means |derivative| <= {cfg.zero_tol}",))
 
 
 def _w5(cfg: RunConfig) -> Form:
     drv = cfg.w5_driver
-    return Form(None, (
-        Part(f"d rho_i/d {drv} ~ 0", "approx_zero", _d("rho_i", drv, 1)),
-        Part(f"d rho_p/d {drv} ~ 0", "approx_zero", _d("rho_p", drv, 1)),
-    ), (f"unsubscripted cost driver resolved to {drv}",
-        f"zero means |derivative| <= {cfg.zero_tol}"))
+    return Form(None, (_flat("rho_i", drv), _flat("rho_p", drv)),
+                (f"unsubscripted cost driver resolved to {drv}",
+                 f"zero means |derivative| <= {cfg.zero_tol}"))
 
 
-def _w6(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d B_i/dI_i < d (RC_br+SC_br)/dI_i", "lt",
-             _d("B_i", "I_i", 1), _d("RC_br+SC_br", "I_i", 1)),
-    ), ("both differentials taken with respect to I_i",))
-
-
-def _w7(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d (RC_br+SC_br)/dB_i > 1", "gt", _d("RC_br+SC_br", "B_i", 1), Const(1.0)),
-    ))
-
-
-# S12 is S1 without its joint part.
-_S12_PARTS = (Part("rho_s > rho_p", "gt", Sym("rho_s"), Sym("rho_p")),
-              Part("rho_s > rho_i", "gt", Sym("rho_s"), Sym("rho_i")))
-
-
-def _s1(cfg: RunConfig) -> Form:
-    return Form(None, (Part("rho_s > rho_p^rho_i", "gt", Sym("rho_s"), Joint("rho_p", "rho_i")),
-                       *_S12_PARTS), (f"intersection read as {cfg.intersection}",))
+def _noting_intersection(*parts: Part) -> Callable[[RunConfig], Form]:
+    """S1, B18, B19, S17 and S18: parts that read a joint closing probability,
+    noting how the config reads the intersection."""
+    return lambda cfg: Form(None, parts, (f"intersection read as {cfg.intersection}",))
 
 
 def _seller_web_utility(cfg: RunConfig) -> str:
     return "U_sa" if cfg.seller_uses_U_sa else "U_a"
 
 
-def _seller_web_note(cfg: RunConfig) -> str:
-    return ("U_sa substituted for the seller's web utility" if cfg.seller_uses_U_sa
+def _s3(cfg: RunConfig) -> Form:
+    note = ("U_sa substituted for the seller's web utility" if cfg.seller_uses_U_sa
             else "U_a used literally for the seller's web utility")
-
-
-def _s4(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("psi_s > psi_si", "gt", Sym("psi_s"), Sym("psi_si")),
-        Part("psi_s > psi_si under argmax state", "gt", Sym("psi_s"), Sym("psi_si"),
-             lhs_ctx=ARGMAX_ALL, rhs_ctx=ARGMAX_ALL),
-    ))
-
-
-def _s5(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("I_o > I_i + I_p", "gt", Sym("I_o"), _a("I_i", "I_p")),
-        Part("I_o > I_i + I_p under argmax state", "gt", Sym("I_o"), _a("I_i", "I_p"),
-             lhs_ctx=ARGMAX_ALL, rhs_ctx=ARGMAX_ALL),
-    ))
-
-
-def _s6(cfg: RunConfig) -> Form:
-    return Form(None, (Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), Const(1.0)),))
+    return _two_order((_seller_web_utility(cfg), "psi_si"), ">", max, ("U_sp+U_sw", "psi_s"),
+                      1, (1, 3), (note, "bare bracket [x, 1] read as Max[x, 1]"))
 
 
 def _s7(cfg: RunConfig) -> Form:
-    ua = _seller_web_utility(cfg)
     return Form(None, (
-        Part(f"d pi_sb/d(U_sp+U_sw) > d pi_s/d{ua}", "gt",
-             _d("pi_sb", "U_sp+U_sw", 1), _d("pi_s", ua, 1)),
-        Part("pi_sb > pi_s", "gt", Sym("pi_sb"), Sym("pi_s")),
+        _part(("pi_sb", "U_sp+U_sw", 1), ">", ("pi_s", _seller_web_utility(cfg), 1)),
+        _part("pi_sb", ">", "pi_s"),
     ))
-
-
-def _s8(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d P/dpi_sb > max(d P/dpi_s, 1)", "gt",
-             _d("P", "pi_sb", 1), MaxE((_d("P", "pi_s", 1), Const(1.0)))),
-        Part("d P_s/dpi_sb > max(d P_s/dpi_s, 1)", "gt",
-             _d("P_s", "pi_sb", 1), MaxE((_d("P_s", "pi_s", 1), Const(1.0)))),
-        Part("d P_s/dP > 1", "gt", _d("P_s", "P", 1), Const(1.0)),
-        Part("d P/dc > 1", "gt", _d("P", "c", 1), Const(1.0)),
-    ), ("fragment 'dP > dpi_s' read as dP/dpi_s",))
-
-
-def _s9(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("psi_sb + pi_sb > psi_si + pi_s", "gt",
-             _a("psi_sb", "pi_sb"), _a("psi_si", "pi_s")),
-        Part("d (psi_sb+pi_sb)/dP_s > d (psi_si+pi_s)/dP_s", "gt",
-             _d("psi_sb+pi_sb", "P_s", 1), _d("psi_si+pi_s", "P_s", 1)),
-    ))
-
-
-def _s10(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d (psi_sb+pi_sb)/dc > d (psi_si+pi_s)/dc", "gt",
-             _d("psi_sb+pi_sb", "c", 1), _d("psi_si+pi_s", "c", 1)),
-    ))
-
-
-def _s11(cfg: RunConfig) -> Form:
-    return Form(None, (
-        Part("d (psi_sb+pi_sb)/dpi_sb > d (psi_si+pi_s)/dpi_sb", "gt",
-             _d("psi_sb+pi_sb", "pi_sb", 1), _d("psi_si+pi_s", "pi_sb", 1)),
-    ), ("d pi_sb/d pi_sb contributes exactly 1",))
-
-
-def _s12(cfg: RunConfig) -> Form:
-    return Form(None, _S12_PARTS)
 
 
 def _s13(cfg: RunConfig) -> Form:
-    own = Mul(Sym("rho_s"),
-              Sub(Sym("P_s"), _a("pi_b", "pi_s", "psi_si")))
-    broker_physical = Mul(Sym("rho_p"),
-                          Sub(Sym("P"), _a("pi_b", "pi_sb", "psi_s")))
-    broker_web = Mul(Joint("rho_i", "rho_p"),
-                     Sub(Sym("P"), _a("pi_b", "pi_sb", "psi_sb")))
+    own = Mul(Sym("rho_s"), Sub(Sym("P_s"), _e("pi_b+pi_s+psi_si")))
+    broker_physical = Mul(Sym("rho_p"), Sub(Sym("P"), _e("pi_b+pi_sb+psi_s")))
+    broker_web = Mul(Joint("rho_i", "rho_p"), Sub(Sym("P"), _e("pi_b+pi_sb+psi_sb")))
     return Form(None, (
         Part("integral self-sale surplus > max(broker physical, broker web)", "gt",
              IntegralE(own),
@@ -500,79 +392,88 @@ def _s13(cfg: RunConfig) -> Form:
     ), (f"trapezoid over [0, {cfg.horizon_T}] at dt = {cfg.horizon_dt}",))
 
 
-def _s14(cfg: RunConfig) -> Form:
-    lhs = Sub(Sym("SC_s"), Add((Sym("psi_si"), Mul(Sym("pi_sb"), Sym("pi_sb")))))
-    return Form(None, (
-        Part("SC_s - psi_si - pi_sb^2 > U_sw + U_sp + I_p + I_i + pi_sb", "gt",
-             lhs, _a("U_sw", "U_sp", "I_p", "I_i", "pi_sb")),
-    ), ("pi_sb enters squared, kept literally (suspected transcription artifact)",))
+# B3 and B4 are one comparison under two guards.
+_B3_B4_PART = Part("cP + psi_b + pi_b > psi_bi + pi_i + U_iw", "gt",
+                   Add((_cP(), Sym("psi_b"), Sym("pi_b"))), _e("psi_bi+pi_i+U_iw"),
+                   lhs_ctx=ARGMAX_ALL, rhs_ctx=None)
+_B3_B4_NOTES = ("lhs evaluated under the argmax listing-state overlay; rhs at base",)
+_AT_E_P: CtxSpec = ("state", "E_p")
+# S12 is S1 without its joint part.
+_S12_PARTS = (_part("rho_s", ">", "rho_p"), _part("rho_s", ">", "rho_i"))
 
-
-# ---------------------------------------------------------------------------
-# The two condition families: one builder each, descriptions from _dtext
-# ---------------------------------------------------------------------------
-
-def _two_order(op: str, extreme: str, bound: int, lhs: tuple, rhs: tuple,
-               orders: tuple[int, int], cfg: RunConfig, notes: tuple = ()) -> Form:
-    """B6-B8, B10, B12, S2 and S3: ``d lhs op extreme(d rhs, bound)`` at each
-    of two orders, ``lhs`` and ``rhs`` being (driven, driver) pairs of
-    :func:`_d`. A driven name or note given as a function reads the config."""
-    if callable(lhs[0]):
-        lhs = (lhs[0](cfg), lhs[1])
-    sign, combine = {"gt": ">", "lt": "<"}[op], {"min": MinE, "max": MaxE}[extreme]
-    return Form(None, tuple(
-        Part(f"{_dtext(*lhs, k)} {sign} {extreme}({_dtext(*rhs, k)}, {bound})", op,
-             _d(*lhs, k), combine((_d(*rhs, k), Const(float(bound)))))
-        for k in orders), tuple(n(cfg) if callable(n) else n for n in notes))
-
-
-def _social_capital(party: str, against: str, order: int, cfg: RunConfig) -> Form:
-    """B16-B19 (party "b") and S15-S18 ("s"): the party's d SC/d
-    max(psi_xi,psi_x) > max(bound, d rhs) at ``order`` 1 (bound 1) or 2
-    (bound 0), rhs being its utilities against I_p+I_i+pi_b ("utility") or
-    the joint closing probability rho_i^rho_p against its utilities ("joint")."""
-    utilities = {"b": "U_ip+U_iw", "s": "U_sp+U_sw"}[party]
-    lhs = (f"SC_{party}", (f"psi_{party}i", f"psi_{party}"))
-    rhs = (utilities, "I_p+I_i+pi_b") if against == "utility" else ("rho_i^rho_p", utilities)
-    bound = 1 if order == 1 else 0
-    part = Part(f"{_dtext(*lhs, order)} > max({bound}, {_dtext(*rhs, order)})", "gt",
-                _d(*lhs, order), MaxE((Const(float(bound)), _d(*rhs, order))))
-    return Form(None, (part,), () if against == "utility"
-                else (f"intersection read as {cfg.intersection}",))
-
-
-_BUILDERS: dict[str, Callable[[RunConfig], Form]] = {
-    "B1": _b1, "B2": _b2, "B3": _b3, "B4": _b4, "B5": _b5,
-    "B6": partial(_two_order, "lt", "min", 1, ("psi_b", "U_ip"), ("psi_bi", "U_iw"), (2, 1)),
-    "B7": partial(_two_order, "gt", "min", 0, ("U_iw", "pi_i"), ("U_ip", "pi_b"), (1, 2)),
-    "B8": partial(_two_order, "gt", "max", 1, ("I_o", "psi_bi"), ("I_p+I_i", "psi_b"), (2, 1)),
-    "B9": _b9,
-    "B10": partial(_two_order, "lt", "min", 1, ("I_p+I_i", "U_ip+U_iw"), ("I_o", "U_a"), (1, 2)),
-    "B11": _b11,
-    "B12": partial(_two_order, "gt", "max", 1, ("P_b", "P"), ("I_o", "I_p+I_i"), (3, 1)),
-    "B13": _b13, "B14": _b14, "B15": _b15,
-    "B16": partial(_social_capital, "b", "utility", 1),
-    "B17": partial(_social_capital, "b", "utility", 2),
-    "B18": partial(_social_capital, "b", "joint", 1),
-    "B19": partial(_social_capital, "b", "joint", 2),
-    "W1": _w1, "W2": _w2, "W3": _w3, "W4": _w4, "W5": _w5, "W6": _w6, "W7": _w7,
-    "S1": _s1,
-    "S2": partial(_two_order, "gt", "max", 1, ("I_o", "psi_si"), ("I_p+I_o", "psi_sb"), (1, 3),
-                  notes=("I_o kept inside the broker-channel bundle as written",)),
-    "S3": partial(_two_order, "gt", "max", 1, (_seller_web_utility, "psi_si"),
-                  ("U_sp+U_sw", "psi_s"), (1, 3),
-                  notes=(_seller_web_note, "bare bracket [x, 1] read as Max[x, 1]")),
-    "S4": _s4, "S5": _s5, "S6": _s6, "S7": _s7, "S8": _s8, "S9": _s9, "S10": _s10,
-    "S11": _s11, "S12": _s12, "S13": _s13, "S14": _s14,
-    "S15": partial(_social_capital, "s", "utility", 1),
-    "S16": partial(_social_capital, "s", "utility", 2),
-    "S17": partial(_social_capital, "s", "joint", 1),
-    "S18": partial(_social_capital, "s", "joint", 2),
+_FORMS: dict[str, Form | Callable[[RunConfig], Form]] = {
+    "B1": _b1,
+    "B2": _b2,
+    "B3": Form(_part("P_s", "~", "P_b", ARGMAX_ALL), (_B3_B4_PART,), _B3_B4_NOTES),
+    "B4": Form(_part("U_iw", ">", "U_ip", ARGMAX_ALL), (_B3_B4_PART,), _B3_B4_NOTES),
+    "B5": Form(None, (_part("psi_b", ">", "psi_bi"), _part("U_iw", ">", "U_ip"))),
+    "B6": _two_order(("psi_b", "U_ip"), "<", min, ("psi_bi", "U_iw"), 1, (2, 1)),
+    "B7": _two_order(("U_iw", "pi_i"), ">", min, ("U_ip", "pi_b"), 0, (1, 2)),
+    "B8": _two_order(("I_o", "psi_bi"), ">", max, ("I_p+I_i", "psi_b"), 1, (2, 1)),
+    "B9": Form(None, (_part(("I_p+I_i", ("E_m", "E_p", "E_s"), 1), "<", 1),),
+               ("derivative taken along the argmax listing-state value",)),
+    "B10": _two_order(("I_p+I_i", "U_ip+U_iw"), "<", min, ("I_o", "U_a"), 1, (1, 2)),
+    "B11": Form(None, (_part(("I_p+I_i", "U_ip+U_iw", 3), "<", 1),
+                       _part(("I_o", "U_a", 3), "<", 1))),
+    "B12": _two_order(("P_b", "P"), ">", max, ("I_o", "I_p+I_i"), 1, (3, 1)),
+    "B13": Form(None, (Part("u_hat_s < cP + pi_sb + I_p + I_i", "lt", Sym("u_hat_s"),
+                            Add((_cP(), Sym("pi_sb"), Sym("I_p"), Sym("I_i")))),)),
+    "B14": Form(None, (_part(("u_hat_s", "pi_sb+I_p+I_i", 1), "<", 1),)),
+    "B15": Form(None, (Part("SC_b - psi_bi - psi_b > U_ip + U_iw + I_p + I_i + pi_b", "gt",
+                            Sub(Sym("SC_b"), _e("psi_bi+psi_b")),
+                            _e("U_ip+U_iw+I_p+I_i+pi_b")),)),
+    "B16": Form(None, (_social_capital("b", "utility", 1),)),
+    "B17": Form(None, (_social_capital("b", "utility", 2),)),
+    "B18": _noting_intersection(_social_capital("b", "joint", 1)),
+    "B19": _noting_intersection(_social_capital("b", "joint", 2)),
+    "W1": Form(_part("psi_b", ">", "psi_bi", _AT_E_P),
+               (Part("cP*rho_p - B_b - B_s < B_i", "lt",
+                     Sub(Mul(_cP(), Sym("rho_p")), _e("B_b+B_s")), Sym("B_i"), _AT_E_P, _AT_E_P),),
+               ("evaluated under the E_p listing-state overlay",)),
+    "W2": Form(None, (_part("U_ip", "<", "U_iw", ARGMAX_EXCLUSIVE),),
+               ("evaluated under the larger of the E_s / E_p overlays",)),
+    "W3": Form(None, (Part("psi_bi*rho_i > cP*rho_p", "gt", Mul(Sym("psi_bi"), Sym("rho_i")),
+                           Mul(_cP(), Sym("rho_p"))),)),
+    "W4": _w4,
+    "W5": _w5,
+    "W6": Form(None, (_part(("B_i", "I_i", 1), "<", ("RC_br+SC_br", "I_i", 1)),),
+               ("both differentials taken with respect to I_i",)),
+    "W7": Form(None, (_part(("RC_br+SC_br", "B_i", 1), ">", 1),)),
+    "S1": _noting_intersection(_part("rho_s", ">", "rho_p^rho_i"), *_S12_PARTS),
+    "S2": _two_order(("I_o", "psi_si"), ">", max, ("I_p+I_o", "psi_sb"), 1, (1, 3),
+                     ("I_o kept inside the broker-channel bundle as written",)),
+    "S3": _s3,
+    "S4": Form(None, _base_and_argmax("psi_s", ">", "psi_si")),
+    "S5": Form(None, _base_and_argmax("I_o", ">", "I_i+I_p")),
+    "S6": Form(None, (_part(("P_s", "P", 1), ">", 1),)),
+    "S7": _s7,
+    "S8": Form(None, (_part(("P", "pi_sb", 1), ">", (max, ("P", "pi_s", 1), 1)),
+                      _part(("P_s", "pi_sb", 1), ">", (max, ("P_s", "pi_s", 1), 1)),
+                      _part(("P_s", "P", 1), ">", 1),
+                      _part(("P", "c", 1), ">", 1)),
+               ("fragment 'dP > dpi_s' read as dP/dpi_s",)),
+    "S9": Form(None, (_part("psi_sb+pi_sb", ">", "psi_si+pi_s"),
+                      _part(("psi_sb+pi_sb", "P_s", 1), ">", ("psi_si+pi_s", "P_s", 1)))),
+    "S10": Form(None, (_part(("psi_sb+pi_sb", "c", 1), ">", ("psi_si+pi_s", "c", 1)),)),
+    "S11": Form(None, (_part(("psi_sb+pi_sb", "pi_sb", 1), ">", ("psi_si+pi_s", "pi_sb", 1)),),
+                ("d pi_sb/d pi_sb contributes exactly 1",)),
+    "S12": Form(None, _S12_PARTS),
+    "S13": _s13,
+    "S14": Form(None, (Part("SC_s - psi_si - pi_sb^2 > U_sw + U_sp + I_p + I_i + pi_sb", "gt",
+                            Sub(Sym("SC_s"), Add((Sym("psi_si"), Mul(Sym("pi_sb"), Sym("pi_sb"))))),
+                            _e("U_sw+U_sp+I_p+I_i+pi_sb")),),
+                ("pi_sb enters squared, kept literally (suspected transcription artifact)",)),
+    "S15": Form(None, (_social_capital("s", "utility", 1),)),
+    "S16": Form(None, (_social_capital("s", "utility", 2),)),
+    "S17": _noting_intersection(_social_capital("s", "joint", 1)),
+    "S18": _noting_intersection(_social_capital("s", "joint", 2)),
 }
 
 
 def build_form(cid: ConditionId, cfg: RunConfig) -> Form:
-    return _BUILDERS[cid.label](cfg)
+    """The condition's registry row, or its builder's form under ``cfg``."""
+    form = _FORMS[cid.label]
+    return form if isinstance(form, Form) else form(cfg)
 
 
 def _ctx_symbols(spec: CtxSpec) -> tuple[str, ...]:

@@ -34,6 +34,10 @@ FEASIBILITY_SLACK = 1e-9
 INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
 TOL_FRAC = 1e-6          # stop once every step is below this fraction
 MAX_ITER = 100_000       # pattern-search iterations per start
+# A trade move shifts a wide coordinate by a narrow one's step, so a search's
+# iterations grow with the ratio of the free widths (about 500 per start at
+# 1e3 and 4,500 at 1e4 on broker_opt.json); Bounds refuses wider ratios.
+MAX_WIDTH_RATIO = 1e3
 CAPITAL_SYMBOLS = ("SC_br", "RC_br")
 OBJECTIVE_MODES = ("combined", "weighted")
 
@@ -51,19 +55,30 @@ class DecisionVector(Record):
 
 
 class Bounds(Record):
-    """Box bounds for the four decision fields."""
+    """Box bounds for the four decision fields: finite pairs with lo <= hi
+    and a finite width, the free (lo < hi) widths within a factor of
+    ``MAX_WIDTH_RATIO`` of each other."""
     B_b: tuple[float, float]
     B_s: tuple[float, float]
     B_i: tuple[float, float]
     B_n: tuple[float, float]
 
     def __post_init__(self):
+        free = []  # (width, name) of each free field
         for name in DECISION_FIELDS:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ParseError(f"bounds for {name} must be finite with lo <= hi")
             if not math.isfinite(hi - lo):
                 raise ParseError(f"bounds for {name} need a finite hi - lo, got [{lo}, {hi}]")
+            if hi > lo:
+                free.append((hi - lo, name))
+        free.sort()
+        if free and free[-1][0] > MAX_WIDTH_RATIO * free[0][0]:
+            (narrow, n_name), (wide, w_name) = free[0], free[-1]
+            raise ParseError(f"free bounds widths may differ by a factor of at most "
+                             f"{MAX_WIDTH_RATIO:g}: {w_name} is {wide!r} wide and "
+                             f"{n_name} {narrow!r}")
 
     @classmethod
     def from_dict(cls, data) -> "Bounds":

@@ -9,6 +9,21 @@ if str(TESTS_DIR) not in sys.path:
 
 FIXTURES_DIR = TESTS_DIR / "fixtures"
 
+# The slowest tier-1 tests, marked here so that the files that pin the
+# acceptance gate stay as they are: `pytest -m "not slow"` runs the rest.
+SLOW = frozenset((
+    "test_acceptance.py::test_acceptance_1_oracle_equivalence_1000",
+    "test_acceptance.py::test_acceptance_1b_oracle_equivalence_min_intersection",
+    "test_optimizer.py::test_compiled_objective_equals_the_per_call_oracle",
+    "test_streams.py::test_split_block_check_equals_row_check",
+))
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if f"{item.path.name}::{item.originalname}" in SLOW:
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture
 def fixtures_dir() -> Path:

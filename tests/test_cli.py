@@ -49,6 +49,16 @@ def test_decide_bad_scenario_exits_2(capsys, fixtures_dir):
     assert "CommissionOutOfRange" in err
 
 
+@pytest.mark.parametrize("argv", [["decide", "all_three_satisfied.json"],
+                                  ["validate", "bad_c.json"]], ids=["decide", "validate"])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_exits_2(capsys, fixtures_dir, tmp_path, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+    code, stdout, err = run(capsys, argv[0], str(fixtures_dir / argv[1]), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"cannot write output file {out}" in err and "internal error" not in err
+
+
 def test_unknown_field_exits_2(capsys, tmp_path):
     data = fixture_dict("x")
     data["zeta"] = 3
@@ -281,6 +291,20 @@ def test_bounds_whose_width_overflows_exit_2(capsys, fixtures_dir, tmp_path, com
     code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
                          "--bounds", str(bounds))
     assert code == 2 and out == "" and "bounds for B_i need a finite hi - lo" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "pareto"])
+def test_free_widths_far_apart_exit_2_at_once(capsys, fixtures_dir, tmp_path, command):
+    # a trade move shifts B_i by B_b's or B_n's step: searched, this box runs
+    # every start to MAX_ITER (700,062 iterations for optimize)
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text('{"B_b": [0, 1e-12], "B_s": [0, 0], "B_i": [0, 3], "B_n": [0, 1e-251]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
+                         "--bounds", str(bounds))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "free bounds widths may differ by a factor of at most 1000" in err
 
 
 _ZERO_DECISION = """{

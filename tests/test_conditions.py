@@ -24,7 +24,7 @@ from dismed import (
 )
 from dismed.cli import render_report
 from dismed.conditions import ALL_CONDITION_IDS, build_form, condition_margin
-from dismed.io import scenario_from_dict
+from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
 
 from fixture_defs import fixture_dict
@@ -381,3 +381,47 @@ def test_piecewise_linear_link_drives_a_condition():
     v = eval_condition(s, ConditionId.parse("S6"), CFG)
     assert v.status is Status.SATISFIED
     assert v.lhs.lower == pytest.approx(1.5, abs=1e-6)
+
+
+# --- metamorphic relation: the buyer/seller mirror ----------------------------
+
+_MIRROR = {"SC_b": "SC_s", "psi_b": "psi_s", "psi_bi": "psi_si", "U_ip": "U_sp", "U_iw": "U_sw"}
+_MIRROR.update({seller: buyer for buyer, seller in _MIRROR.items()})
+
+
+def _swap(name):
+    """A symbol or "+"-bundle with every buyer/seller symbol swapped."""
+    return "+".join(_MIRROR.get(n, n) for n in name.split("+"))
+
+
+def mirrored(scenario):
+    """The scenario with the buyer's and the seller's symbols swapped in its
+    values, its overlays and the names of its links."""
+    data = {_swap(k): v for k, v in scenario_to_dict(scenario).items()}
+    data["overlays"] = {state: {_swap(k): v for k, v in values.items()}
+                        for state, values in data.get("overlays", {}).items()}
+    data["responses"] = [{**r, "driven": _swap(r["driven"]), "driver": _swap(r["driver"])}
+                         for r in data.get("responses", ())]
+    data["time_paths"] = [{**tp, "symbol": _swap(tp["symbol"])}
+                          for tp in data.get("time_paths", ())]
+    return scenario_from_dict(data)
+
+
+def _trace(scenario, label):
+    v = eval_condition(scenario, ConditionId.parse(label), CFG)
+    return v.status, [(p.op, repr(p.lhs), repr(p.rhs), p.holds) for p in v.parts]
+
+
+def test_buyer_seller_mirror_maps_b16_b19_onto_s15_s18():
+    # the mirror is its own inverse, so each pair is checked both ways
+    pairs = [(f"B{16 + k}", f"S{15 + k}") for k in range(4)]
+    seen = set()
+    for i in range(60):
+        s = random_scenario([7, i])
+        mirror = mirrored(s)
+        for buyer, seller in pairs:
+            for a, b in ((buyer, seller), (seller, buyer)):
+                want = _trace(s, a)
+                assert _trace(mirror, b) == want, (i, a, b)
+                seen.add(want[0])
+    assert {Status.SATISFIED, Status.VIOLATED} <= seen

@@ -250,6 +250,15 @@ def test_weighted_mode_hand_check():
         pytest.approx(2.0 * 3.5 - 3.0 * 1.5)
 
 
+def test_free_widths_may_differ_by_max_width_ratio_only():
+    ratio = optimizer.MAX_WIDTH_RATIO
+    Bounds(B_b=(0, 1), B_s=(5, 5), B_i=(-1, ratio / 2 - 1), B_n=(0, 0.5))  # B_s is pinned
+    with pytest.raises(ParseError, match="B_i is .* wide and B_n 0.5"):
+        Bounds(B_b=(0, 1), B_s=(5, 5), B_i=(-1, ratio / 2), B_n=(0, 0.5))
+    with pytest.raises(ParseError, match="factor of at most 1000"):
+        Bounds(B_b=(0, 1), B_s=(0, 0), B_i=(0, math.nextafter(ratio, math.inf)), B_n=(0, 0))
+
+
 def test_degenerate_box_returns_the_single_point(fixtures_dir):
     from dismed.io import load_scenario
 

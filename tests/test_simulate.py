@@ -548,7 +548,7 @@ def test_zero_divisor_is_unknown_per_draw(monkeypatch):
     # E_m <= 0; the quotient, and with it B5, is unknown in those draws only.
     divisor = MaxE((Sym("E_m"), Deriv(Sym("SC_b"), Axis.max_of("psi_bi", "psi_b"), 1)))
     form = Form(None, (Part("1 / divisor > 0", "gt", Div(Const(1.0), divisor), Const(0.0)),))
-    monkeypatch.setitem(conditions._BUILDERS, "B5", lambda cfg: form)
+    monkeypatch.setitem(conditions._FORMS, "B5", form)
     cfg = RunConfig(rel_tol=0.0390625)  # compiled by no other test
     base, _ = wide_sweep_case()
     d = dist(psi_b={"kind": "uniform", "lo": 4.7, "hi": 5.2},
