@@ -41,7 +41,6 @@ from .config import RunConfig
 from .errors import (
     DismedError,
     IndeterminateAtBase,
-    IndeterminateIntegrand,
     MissingCapitalResponse,
     ParseError,
     RejectionLimit,
@@ -80,9 +79,8 @@ __all__ = [
     "referenced_symbols",
     # config, errors, io, model
     "RunConfig",
-    "DismedError", "IndeterminateAtBase", "IndeterminateIntegrand",
-    "MissingCapitalResponse", "ParseError", "RejectionLimit", "UnknownField",
-    "ValidationError",
+    "DismedError", "IndeterminateAtBase", "MissingCapitalResponse", "ParseError",
+    "RejectionLimit", "UnknownField", "ValidationError",
     "load_scenario", "save_scenario", "scenario_from_dict", "scenario_to_dict",
     "scenario_to_json",
     "DECISION_FIELDS", "SYMBOLS", "ResponseFunction", "Scenario", "TimePath",

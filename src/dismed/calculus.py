@@ -17,8 +17,8 @@ one value per draw of a sweep block where a draw changes it. Float endpoints
 compute in plain Python, and numpy is imported only where an endpoint is an
 array, so the scalar commands never load it; array endpoints round as float
 ones do. Every operation is total (as in IEEE 1788): an undefined result,
-such as inf - inf, a divisor interval that holds 0, an overflowing stencil
-step or a time path that ends early, is the unknown interval, per draw.
+such as inf - inf, an overflowing stencil step or a time path that ends
+early, is the unknown interval, per draw.
 
 Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import IndeterminateIntegrand, PathCoverageError
+from .errors import PathCoverageError
 from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
 from .record import Record
 
@@ -120,18 +120,6 @@ def scale(a: Interval, k) -> Interval:
     return _hull((_times(a[0], k), _times(a[1], k)))
 
 
-def div(a: Interval, b: Interval) -> Interval:
-    """``a / b``; unknown where the divisor interval holds 0."""
-    lo, hi = b
-    zero = (lo <= 0.0) & (0.0 <= hi)
-    if zero is True:  # 1.0 / 0.0 raises for floats
-        return UNKNOWN
-    if lo is hi:
-        r = 1.0 / lo
-        return _unknown_where(zero, mul(a, (r, r)))
-    return _unknown_where(zero, mul(a, _hull((1.0 / lo, 1.0 / hi))))
-
-
 def _unknown_where(cond, v: Interval) -> Interval:
     """``v``, unknown where ``cond`` holds (per draw)."""
     if cond is True:
@@ -191,10 +179,6 @@ class ExtendedValue(Record):
             raise ValueError(f"invalid interval [{lower}, {upper}]")
         self.__dict__.update(lower=lower, upper=upper)
 
-    @staticmethod
-    def point(x: float) -> "ExtendedValue":
-        return ExtendedValue(x, x)
-
     @property
     def is_point(self) -> bool:
         return self.lower == self.upper
@@ -202,27 +186,6 @@ class ExtendedValue(Record):
     @property
     def is_indeterminate(self) -> bool:
         return self.lower == -INF and self.upper == INF
-
-    def _pair(self) -> Interval:
-        return self.lower, self.upper
-
-    def __add__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*add(self._pair(), other._pair()))
-
-    def __sub__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*sub(self._pair(), other._pair()))
-
-    def __neg__(self) -> "ExtendedValue":
-        return ExtendedValue(-self.upper, -self.lower)
-
-    def __mul__(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*mul(self._pair(), other._pair()))
-
-    def divide(self, other: "ExtendedValue") -> "ExtendedValue":
-        return ExtendedValue(*div(self._pair(), other._pair()))
-
-    def abs(self) -> "ExtendedValue":
-        return ExtendedValue(*iabs(self._pair()))
 
     def to_json(self) -> list:
         def enc(x: float):
@@ -309,11 +272,6 @@ class Mul(Expr):
     b: Expr
 
 
-class Div(Expr):
-    a: Expr
-    b: Expr
-
-
 class MaxE(Expr):
     parts: tuple[Expr, ...]
 
@@ -378,7 +336,7 @@ Combine = Callable[[Sequence[Interval]], Interval]
 #: interval, per draw where the scenario is a block of draws.
 Compiled = Callable[[object, Optional[str], Optional[list]], Interval]
 
-_BINARY = {Sub: sub, Mul: mul, Div: div}
+_BINARY = {Sub: sub, Mul: mul}
 
 
 def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
@@ -546,32 +504,35 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
                       cfg: RunConfig = DEFAULT_CONFIG) -> Callable:
     """Compiled trapezoid integral over [0, T]: scenario -> float (per draw).
 
-    Symbols follow their time paths and otherwise stay at base values; a
-    derivative is taken at base and must be a point. The sum runs node by
-    node, so it holds one integrand value at a time.
+    Symbols follow their time paths and otherwise stay at base values. The
+    sum runs node by node, so it holds one integrand value at a time.
     """
     nodes = _horizon_nodes(T, dt)
+    widths = [b - a for a, b in zip(nodes, nodes[1:])]
     leaves: dict = {}
     combine = _combine(integrand, leaves, cfg.intersection)
-    resolvers = tuple(_time_leaf(leaf, cfg) for leaf in leaves)
+    resolvers = tuple(_time_leaf(leaf) for leaf in leaves)
 
     def integrate(s):
         slots = [resolve(s) for resolve in resolvers]
         paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
+        total = 0.0
+        if not paths:  # nothing moves with t: every term is 0.5 * (v + v) * width
+            fixed = _sole(combine(slots))
+            mean = 0.5 * (fixed + fixed)
+            for width in widths:
+                total += mean * width
+            return total
 
         def at(t: float):
             for i, tp in paths:
                 slots[i] = point(_path_value(tp, t, T))
             return _sole(combine(slots))
 
-        if not paths:  # nothing moves with t
-            fixed = _sole(combine(slots))
-            at = lambda t: fixed  # noqa: E731
-        total = 0.0
         prev = at(nodes[0])
-        for i in range(1, len(nodes)):
-            value = at(nodes[i])
-            total += 0.5 * (prev + value) * (nodes[i] - nodes[i - 1])
+        for t, width in zip(nodes[1:], widths):
+            value = at(t)
+            total += 0.5 * (prev + value) * width
             prev = value
         return total
 
@@ -586,26 +547,16 @@ def _sole(v: Interval):
     return _where(same, v[0], math.nan)
 
 
-def _time_leaf(leaf: Expr, cfg: RunConfig) -> Callable:
-    """A leaf over the horizon: its time path, or an interval fixed over it."""
-    if isinstance(leaf, Sym):
-        name = leaf.name
+def _time_leaf(leaf: Expr) -> Callable:
+    """A symbol over the horizon: its time path, or its base value."""
+    if not isinstance(leaf, Sym):
+        raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
+    name = leaf.name
 
-        def symbol(s):
-            tp = s.time_path_for(name)
-            return tp if tp is not None else point(s.value(name))
-        return symbol
-    if isinstance(leaf, Deriv):
-        deriv = _compile_deriv(leaf, cfg)
-
-        def derivative(s) -> Interval:
-            v = deriv(s, None, None)
-            same = v[0] == v[1]
-            if not (same is True or (same is not False and same.all())):
-                raise IndeterminateIntegrand("integrand contains an indeterminate derivative")
-            return v
-        return derivative
-    raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
+    def symbol(s):
+        tp = s.time_path_for(name)
+        return tp if tp is not None else point(s.value(name))
+    return symbol
 
 
 def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:

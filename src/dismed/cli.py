@@ -286,8 +286,9 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
     result = optimize_broker(scenario, bounds, OptimizerConfig())
     render_report(result, cfg.output_format, args.out)
     if not result.feasible:
-        print("optimization infeasible: commission cannot cover the cost box",
-              file=sys.stderr)
+        why = ("no start scores above -inf" if result.iterations
+               else "commission cannot cover the cost box")
+        print(f"optimization infeasible: {why}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 

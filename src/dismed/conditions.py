@@ -689,8 +689,8 @@ def part_margin(trace: PartTrace, cfg: RunConfig) -> Optional[float]:
         a, b = lhs.lower, rhs.lower
         return cfg.rel_tol * max(abs(a), abs(b), 1e-12) - abs(a - b)
     if trace.op == "approx_zero":
-        a = lhs.abs()
-        return cfg.zero_tol - (a.upper if trace.holds else a.lower)
+        lo, hi = iabs((lhs.lower, lhs.upper))
+        return cfg.zero_tol - (hi if trace.holds else lo)
     raise ValueError(f"unknown part op {trace.op!r}")
 
 

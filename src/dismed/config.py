@@ -8,7 +8,7 @@ and pickling read the fields only.
 
 from __future__ import annotations
 
-import math
+import sys
 from functools import cached_property
 from typing import Any, Mapping
 
@@ -50,9 +50,10 @@ class RunConfig(Record):
         # the annotations are their text (PEP 563)
         for (name, kind), v in zip(RunConfig.__annotations__.items(), self._values()):
             if kind == "float":
-                # ints stay ints: rel_tol 1 and 1.0 print differently in notes
+                # ints stay ints: rel_tol 1 and 1.0 print differently in notes;
+                # the comparisons are exact, so an int past every float fails
                 if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                        or not math.isfinite(v):
+                        or not -sys.float_info.max <= v <= sys.float_info.max:
                     raise ParseError(f"{name} = {v!r} must be a finite number")
             elif not isinstance(v, {"bool": bool, "str": str}[kind]):
                 raise ParseError(f"{name} = {v!r} must be a {kind}")

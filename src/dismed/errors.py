@@ -32,10 +32,6 @@ class ValidationError(DismedError):
         super().__init__(f"scenario validation failed: {codes}")
 
 
-class IndeterminateIntegrand(DismedError):
-    """A horizon integrand could not be pinned to a point value at some node."""
-
-
 class PathCoverageError(DismedError):
     """A sampled time path does not cover the requested horizon."""
 

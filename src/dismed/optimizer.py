@@ -354,7 +354,9 @@ def _best_of_restarts(f: Callable[[Sequence[float]], float],
 
 def optimize_broker(s: Scenario, bounds: Bounds,
                     cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
-    """Feasible local maximizer of the broker objective by pattern search."""
+    """Feasible local maximizer of the broker objective by pattern search;
+    infeasible with 0 iterations where commission cannot cover the box's low
+    corner, and after the search where no start scores above -inf."""
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
     feasible, capital, _, objective = _compile_solve(s, ctx)
@@ -364,6 +366,9 @@ def optimize_broker(s: Scenario, bounds: Bounds,
     capital(lows)  # surfaces MissingCapitalResponse before any search work
     f = objective(*_weights(cfg.mode, cfg.weights))
     best_x, best_fx, total_iter = _best_of_restarts(f, feasible, lows, highs, cfg, 0)
+    if best_x is None:  # every start scores -inf: no point to return, as in pareto_sweep
+        return OptResult(decision=None, objective=None, feasible=False,
+                         iterations=total_iter, mode=cfg.mode)
     return OptResult(decision=DecisionVector(*best_x, state=ctx), objective=best_fx,
                      feasible=True, iterations=total_iter, mode=cfg.mode)
 

@@ -1,6 +1,7 @@
 """The stream ``SeedSequence([seed, stream]) -> PCG64`` in Python ints, giving
 ``Generator.random``'s doubles (PCG64: O'Neill 2014; NEP 19 fixes both bit
-streams). ``streams`` draws the same streams as arrays, with these functions.
+streams). ``streams`` draws the same streams as arrays, with these functions,
+seeding them by ``state_words`` on arrays.
 """
 
 import operator
@@ -42,26 +43,34 @@ def _double(u):
     return (u >> 11) * (1.0 / 9007199254740992.0)
 
 
-def doubles(seed: int, stream: int):
-    """An iterator of ``Generator(PCG64(SeedSequence([seed, stream]))).random()``
-    doubles; entropy SeedSequence refuses is refused here, as there."""
+def state_words(entropy: list) -> list:
+    """SeedSequence's ``generate_state(4, uint64)`` as 8 uint32 words, low
+    word of each uint64 first, from ``entropy``: uint32 words, all ints or
+    all uint32 arrays with one value per stream (arrays give arrays)."""
     consts = [_INIT_A, _MULT_A]
 
-    def hashmix(value: int) -> int:
+    def hashmix(value):
         consts[0], value = consts[0] * consts[1] & _MASK32, value ^ consts[0]
         value = value * consts[0] & _MASK32
         return value ^ value >> 16
 
-    entropy = _words(seed) + _words(stream)
-    pool = [hashmix(w) for w in (entropy + [0] * _POOL)[:_POOL]]
+    zero = entropy[0] & 0  # of the words' own kind: an int beside arrays overflows
+    pool = [hashmix(w) for w in (entropy + [zero] * _POOL)[:_POOL]]
     # mix each pool word into the others, then the entropy past the pool into all
     for src in range(max(_POOL, len(entropy))):
         word = pool[src] if src < _POOL else entropy[src]
         for dst in (d for d in range(_POOL) if d != src):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): the pool cycled twice, hashed, as low/high pairs
+    # the pool cycled twice, hashed
     consts[:] = _INIT_B, _MULT_B
-    w = [hashmix(pool[k]) | hashmix(pool[k + 1]) << 32 for k in (0, 2, 0, 2)]
+    return [hashmix(pool[k % _POOL]) for k in range(2 * _POOL)]
+
+
+def doubles(seed: int, stream: int):
+    """An iterator of ``Generator(PCG64(SeedSequence([seed, stream]))).random()``
+    doubles; entropy SeedSequence refuses is refused here, as there."""
+    h = state_words(_words(seed) + _words(stream))
+    w = [h[k] | h[k + 1] << 32 for k in range(0, 2 * _POOL, 2)]
     # pcg64_set_seed: inc = seq << 1 | 1; state = (inc + seed) * MULT + inc
     inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
     state = ((inc + (w[0] << 64 | w[1])) * _MULT + inc) & _MASK128

@@ -4,8 +4,9 @@ Draw ``i`` of a sweep owns the stream ``SeedSequence([seed, i]) -> PCG64``.
 ``Streams`` holds the streams of draws start..stop-1 as arrays with one row
 per draw: each PCG64's 128-bit state and increment as hi/lo ``uint64``
 pairs, seeded by numpy's SeedSequence entropy coercion and mixing, computed
-in ``uint32`` array arithmetic. A row's outputs are those of its own PCG64
-(an LCG step, then the XSL-RR output function; O'Neill 2014), bit for bit.
+in ``uint32`` array arithmetic by ``pcg.state_words``. A row's outputs are
+those of its own PCG64 (an LCG step, then the XSL-RR output function;
+O'Neill 2014), bit for bit.
 
 Marginals are drawn with numpy's ``Generator`` formulas: a uniform is
 ``lo + (hi - lo) * next_double``; a normal is ``mean + sd * z`` with ``z``
@@ -25,45 +26,12 @@ import functools
 
 import numpy as np
 
-from .pcg import (_INIT_A, _INIT_B, _MASK32, _MASK64, _MASK128, _MULT, _MULT_A, _MULT_B,
-                  _POOL, _double, _mix, _output, _words)
+from .pcg import _MASK32, _MASK64, _MASK128, _MULT, _double, _output, _words, state_words
 
 _M_HI, _M_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & _MASK64)  # MULT's 64-bit halves
 
 _LAYERS = 256        # ziggurat layers, chosen by the low 8 bits of an output
 _RABS = 1 << 52      # the 52-bit magnitude above the layer and sign bits
-
-
-class _Hash:
-    """SeedSequence's hashmix with its running multiplier: ``calls``
-    successive calls at once, the ``k``-th on row ``k`` of ``values`` (or on
-    ``values`` itself, one value per stream)."""
-
-    def __init__(self, init: int, mult: int):
-        self.consts, self.mult = [init], mult
-
-    def __call__(self, values: np.ndarray, calls: int) -> np.ndarray:
-        t = len(self.consts) - 1
-        for _ in range(calls):
-            self.consts.append(self.consts[-1] * self.mult & _MASK32)
-        consts = np.array(self.consts[t:], dtype=np.uint32)[:, None]
-        values = (values ^ consts[:-1]) * consts[1:]
-        return values ^ (values >> np.uint32(16))
-
-
-def _mixed_pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool, shape (4, streams), after mixing in ``entropy``,
-    of shape (words, streams)."""
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL]
-    pool = hashmix(pool, _POOL)
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, hashmix(word, _POOL))
-    return pool
 
 
 def _add(a_hi, a_lo, b_hi, b_lo):
@@ -94,14 +62,10 @@ def _seeded(seed: int, start: int, stop: int):
     start..stop-1, where every i has as many uint32 words as ``start``."""
     n = stop - start
     i = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
-    seed_words = _words(seed)
-    entropy = np.empty((len(seed_words) + len(_words(start)), n), dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    for k in range(len(entropy) - len(seed_words)):
-        entropy[len(seed_words) + k] = i >> (32 * k) & _MASK32
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)]
+    entropy += [(i >> (32 * k) & _MASK32).astype(np.uint32) for k in range(len(_words(start)))]
     # generate_state(4, uint64): 8 hashed words, paired little-end first
-    out = _Hash(_INIT_B, _MULT_B)(np.tile(_mixed_pool(entropy), (2, 1)), 2 * _POOL)
-    out = out.astype(np.uint64)
+    out = np.array(state_words(entropy), dtype=np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << np.uint64(32)
     # pcg64_set_seed: inc = seq << 1 | 1; state = (inc + seed) * MULT + inc
     inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)

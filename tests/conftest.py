@@ -16,6 +16,10 @@ SLOW = frozenset((
     "test_acceptance.py::test_acceptance_1b_oracle_equivalence_min_intersection",
     "test_optimizer.py::test_compiled_objective_equals_the_per_call_oracle",
     "test_streams.py::test_split_block_check_equals_row_check",
+    "test_simulate.py::test_batch_path_equals_scalar_decide_draw_by_draw",
+    "test_simulate.py::test_block_check_equals_row_check",
+    "test_io.py::test_mutated_scenarios_fail_only_with_typed_errors",
+    "test_golden.py::test_decide_digests_match_golden",
 ))
 
 

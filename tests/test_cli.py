@@ -94,6 +94,27 @@ def test_optimize_and_exit_codes(capsys, fixtures_dir, tmp_path):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "pareto"])
+def test_box_where_every_start_scores_minus_inf_is_infeasible(capsys, fixtures_dir, tmp_path,
+                                                              command):
+    # commission covers the box, but RC_br(B_i) = -4.25 + 5 B_i - B_i^2
+    # overflows to -inf at B_i = -1e308, so no start scores above -inf
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"B_b": [0, 0], "B_s": [0, 0], "B_i": [-1e308, -1e308],
+                                  "B_n": [0, 0]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(fixtures_dir / "broker_opt.json"),
+                         "--bounds", str(bounds))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "infeasible" in err and "commission" not in err and "internal error" not in err
+    if command == "pareto":
+        assert json.loads(out) == []
+    else:
+        assert json.loads(out) == {"feasible": False, "objective": None, "iterations": 9,
+                                   "mode": "combined", "decision": None}
+
+
 def test_pareto_csv_and_infeasible(capsys, fixtures_dir, tmp_path):
     out_path = tmp_path / "front.csv"
     code, _, _ = run(capsys, "pareto", str(fixtures_dir / "broker_opt.json"),
@@ -206,7 +227,9 @@ def test_bad_config_exits_2(capsys, fixtures_dir, tmp_path):
 
 
 @pytest.mark.parametrize("text", ['{"fd_step_scale": NaN}', '{"rel_tol": NaN}',
-                                  '{"rel_tol": "0.1"}'])
+                                  '{"rel_tol": "0.1"}',
+                                  pytest.param('{"zero_tol": 1%s}' % ("0" * 400),
+                                               id="int too large for a float")])
 def test_non_finite_or_mistyped_config_exits_2(capsys, fixtures_dir, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -22,10 +22,12 @@ from dismed import (
     eval_condition_set,
     with_values,
 )
+from dismed.calculus import Axis, Const, Deriv, Expr, IntegralE, _combine, _stencil
 from dismed.cli import render_report
 from dismed.conditions import ALL_CONDITION_IDS, build_form, condition_margin
 from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
+from dismed.record import Record
 
 from fixture_defs import fixture_dict
 from oracle import oracle_statuses
@@ -78,6 +80,54 @@ def test_every_condition_form_is_pinned():
         for cid in ALL_CONDITION_IDS:
             digest.update(f"{name} {cid.label} {build_form(cid, cfg)!r}\n".encode())
     assert digest.hexdigest() == FORMS_SHA256
+
+
+def _placeholder(cls):
+    """A node of class ``cls`` whose fields hold placeholders of their types."""
+    fill = {"Expr": Const(0.0), "tuple[Expr, ...]": (Const(0.0),), "str": "P",
+            "Axis": Axis.sym("P"), "int": 1, "float": 0.0}
+    return cls(*(fill[kind] for kind in cls.__annotations__.values()))
+
+
+def _accepts(compile_, *args) -> bool:
+    try:
+        compile_(*args)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _nodes(value):
+    """Every record in ``value``, depth first."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+    elif isinstance(value, Record):
+        yield value
+        for field in value._values():
+            yield from _nodes(field)
+
+
+def test_the_forms_build_exactly_what_the_compiler_accepts():
+    # Node kinds, derivative orders and integrands a form builds, against the
+    # node kinds _combine compiles and the orders _stencil differences: a
+    # capability no condition uses cannot stay unnoticed.
+    combined = {cls for cls in Expr.__subclasses__()
+                if _accepts(_combine, _placeholder(cls), {}, "product")}
+    stenciled = {order for order in range(6)
+                 if _accepts(_stencil, lambda x: (x, x), 1.0, 0.5, order)}
+    kinds, orders = set(), set()
+    for overrides in DIGEST_CONFIGS.values():
+        cfg = RunConfig(**overrides)
+        for cid in ALL_CONDITION_IDS:
+            for node in _nodes(build_form(cid, cfg)):
+                kinds.add(type(node))
+                if isinstance(node, Deriv):
+                    orders.add(node.order)
+                if isinstance(node, IntegralE):
+                    assert not any(isinstance(n, Deriv) for n in _nodes(node.integrand)), cid
+    assert kinds & set(Expr.__subclasses__()) == combined
+    assert orders == stenciled == {1, 2, 3}
 
 
 # --- single conditions -------------------------------------------------------

@@ -63,7 +63,6 @@ def _samples() -> dict:
         cfg, summary, *summary.reports.values(), dist, bounds, optimizer.OptimizerConfig(),
         *base.responses, *paths.time_paths,
         *(build_form(cid, cfg) for cid in ALL_CONDITION_IDS),
-        calculus.Div(calculus.Sym("P"), calculus.Const(2.0)),  # no form divides
         validate_scenario(with_values(base, {"c": -1.0})),
         optimizer.optimize_broker(broker, bounds),
         *optimizer.pareto_sweep(broker, bounds, 2),
@@ -100,7 +99,7 @@ def test_every_engine_module_defines_its_records_here():
     modules = {c.__module__ for c in RECORD_CLASSES}
     assert modules == {m.__name__ for m in (batch, calculus, conditions, config, model,
                                             optimizer, simulate)}
-    assert len(RECORD_CLASSES) == 35
+    assert len(RECORD_CLASSES) == 34
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)

@@ -31,7 +31,6 @@ from dismed.calculus import (
     Axis,
     Const,
     Deriv,
-    Div,
     Joint,
     MaxE,
     MinE,
@@ -461,8 +460,7 @@ _CONTEXTS = st.one_of(st.none(),
 def _nodes(kids):
     some = st.lists(kids, min_size=1, max_size=3).map(tuple)
     return st.one_of(some.map(Add), some.map(MaxE), some.map(MinE),
-                     st.builds(Sub, kids, kids), st.builds(Mul, kids, kids),
-                     st.builds(Div, kids, kids))
+                     st.builds(Sub, kids, kids), st.builds(Mul, kids, kids))
 
 
 _NAMES = st.sampled_from(_EXPR_SYMBOLS)
@@ -543,16 +541,15 @@ def test_rejection_limit_names_the_first_draw_over_budget():
 
 
 def test_zero_divisor_is_unknown_per_draw(monkeypatch):
-    # 1 / max(E_m, d SC_b/d max(psi_bi, psi_b)): where psi_b wins the
-    # derivative is unknown, so the divisor is [E_m, inf], which holds 0 when
-    # E_m <= 0; the quotient, and with it B5, is unknown in those draws only.
-    divisor = MaxE((Sym("E_m"), Deriv(Sym("SC_b"), Axis.max_of("psi_bi", "psi_b"), 1)))
-    form = Form(None, (Part("1 / divisor > 0", "gt", Div(Const(1.0), divisor), Const(0.0)),))
+    # d SC_b/d max(psi_bi, psi_b): the base links SC_b to psi_bi only, so
+    # where psi_b wins the derivative is unknown, and with it B5, in those
+    # draws only.
+    slope = Deriv(Sym("SC_b"), Axis.max_of("psi_bi", "psi_b"), 1)
+    form = Form(None, (Part("d SC_b/d max(psi_bi, psi_b) > 0", "gt", slope, Const(0.0)),))
     monkeypatch.setitem(conditions._FORMS, "B5", form)
     cfg = RunConfig(rel_tol=0.0390625)  # compiled by no other test
     base, _ = wide_sweep_case()
-    d = dist(psi_b={"kind": "uniform", "lo": 4.7, "hi": 5.2},
-             E_m={"kind": "uniform", "lo": -0.5, "hi": 0.8})
+    d = dist(psi_b={"kind": "uniform", "lo": 4.7, "hi": 5.2})
     seed, n = 3, 40
     statuses, decisions, _ = _scalar_codes(base, d, seed, n, cfg)
     b5 = [row[4] for row in statuses]
