@@ -20,7 +20,6 @@ with no per-draw Scenario, verdict or trace.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -58,7 +57,7 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
     for name in varying:
         k = SYMBOLS[name]
         values[k] = np.ascontiguousarray(X[:, k])
-    return replace(base, values=tuple(values))
+    return base.replace(values=tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -481,16 +481,20 @@ def _horizon_nodes(T: float, dt: float) -> list[float]:
         k += 1
 
 
-def _path_value(tp: TimePath, t: float, T: float) -> float:
-    if tp.kind == "constant":
-        return tp.value
-    if tp.kind == "linear":
-        return tp.v0 + tp.slope * t
-    # samples: linear interpolation; must cover [0, T]
+def _samples(tp: TimePath, T: float) -> tuple[tuple, tuple]:
+    """A samples path's times and values; they must cover [0, T]."""
     ts, vs = tp.times, tp.values
     if ts[0] > 0.0 or ts[-1] < T:
         raise PathCoverageError(
             f"time path for {tp.symbol} covers [{ts[0]}, {ts[-1]}], needs [0, {T}]")
+    return ts, vs
+
+
+def _path_value(tp: TimePath, t: float, T: float) -> float:
+    if tp.kind == "linear":
+        return tp.v0 + tp.slope * t
+    # samples: linear interpolation; must cover [0, T]
+    ts, vs = _samples(tp, T)
     if t <= ts[0]:
         return vs[0]
     if t >= ts[-1]:
@@ -500,35 +504,80 @@ def _path_value(tp: TimePath, t: float, T: float) -> float:
     return vs[lo] + frac * (vs[lo + 1] - vs[lo])
 
 
+def _path_values(tp: TimePath, t, T: float):
+    """``_path_value`` at every node of the array ``t``, by the same float
+    operations."""
+    if tp.kind == "linear":
+        return tp.v0 + tp.slope * t
+    import numpy as np
+    ts, vs = _samples(tp, T)
+    x, y = np.array(ts, dtype=float), np.array(vs, dtype=float)
+    lo = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    frac = (t - x[lo]) / (x[lo + 1] - x[lo])
+    inside = y[lo] + frac * (y[lo + 1] - y[lo])
+    return np.where(t <= ts[0], vs[0], np.where(t >= ts[-1], vs[-1], inside))
+
+
+#: Above this many horizon nodes, an integrand that a time path moves is
+#: evaluated once on the array of node times, not node by node, unless a
+#: symbol it reads holds per-draw values (a sweep block). Below it no numpy
+#: is imported.
+NODE_AXIS_MIN = 1000
+
+
 def _compile_integral(integrand: Expr, T: float, dt: float,
                       cfg: RunConfig = DEFAULT_CONFIG) -> Callable:
     """Compiled trapezoid integral over [0, T]: scenario -> float (per draw).
 
     Symbols follow their time paths and otherwise stay at base values. The
-    sum runs node by node, so it holds one integrand value at a time.
+    trapezoid terms are added to the total one at a time, in node order,
+    whether the integrand is evaluated node by node or on the node axis.
     """
     nodes = _horizon_nodes(T, dt)
     widths = [b - a for a, b in zip(nodes, nodes[1:])]
+    axis = []  # the node times and widths as arrays, made on first use
     leaves: dict = {}
     combine = _combine(integrand, leaves, cfg.intersection)
     resolvers = tuple(_time_leaf(leaf) for leaf in leaves)
 
+    def fixed(value) -> float:
+        # an integrand that does not move with t: every term is 0.5 * (v + v) * width
+        total = 0.0
+        mean = 0.5 * (value + value)
+        for width in widths:
+            total += mean * width
+        return total
+
+    def on_axis(slots, paths):
+        import numpy as np
+        if not axis:
+            axis.extend((np.array(nodes), np.array(widths)))
+        t, w = axis
+        with np.errstate(all="ignore"):
+            for i, tp in paths:
+                slots[i] = point(_path_values(tp, t, T))
+            v = _sole(combine(slots))
+            terms = 0.5 * (v[:-1] + v[1:]) * w
+        total = 0.0
+        for term in terms.tolist():
+            total += term
+        return total
+
     def integrate(s):
         slots = [resolve(s) for resolve in resolvers]
         paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
-        total = 0.0
-        if not paths:  # nothing moves with t: every term is 0.5 * (v + v) * width
-            fixed = _sole(combine(slots))
-            mean = 0.5 * (fixed + fixed)
-            for width in widths:
-                total += mean * width
-            return total
+        if not paths:
+            return fixed(_sole(combine(slots)))
+        if len(nodes) > NODE_AXIS_MIN and all(
+                isinstance(x, TimePath) or x[0].__class__ is float for x in slots):
+            return on_axis(slots, paths)
 
         def at(t: float):
             for i, tp in paths:
                 slots[i] = point(_path_value(tp, t, T))
             return _sole(combine(slots))
 
+        total = 0.0
         prev = at(nodes[0])
         for t, width in zip(nodes[1:], widths):
             value = at(t)
@@ -548,14 +597,16 @@ def _sole(v: Interval):
 
 
 def _time_leaf(leaf: Expr) -> Callable:
-    """A symbol over the horizon: its time path, or its base value."""
+    """A symbol over the horizon: its moving time path, or the point it stays at."""
     if not isinstance(leaf, Sym):
         raise TypeError(f"unsupported integrand node {type(leaf).__name__}")
     name = leaf.name
 
     def symbol(s):
         tp = s.time_path_for(name)
-        return tp if tp is not None else point(s.value(name))
+        if tp is None:
+            return point(s.value(name))
+        return point(tp.value) if tp.kind == "constant" else tp
     return symbol
 
 

@@ -141,10 +141,10 @@ def _to_payload(result: Any) -> Any:
 
 # Condition reports are written straight from their fields, with the text
 # ``json_text(result.to_dict())`` would give; only a report's config dict goes
-# through the generic writer. Every other field has one type, so it goes
-# through that type's writer: ``encode_basestring`` for text, ``_FLAG`` for
-# Optional[bool], and the interval writer of one ``render_report`` call for
-# intervals.
+# through the generic writer, once per summary. Every other field has one
+# type, so it goes through that type's writer: ``encode_basestring`` for
+# text, ``_FLAG`` for Optional[bool], and the interval writer of one
+# ``render_report`` call for intervals.
 
 _FLAG = {None: "null", True: "true", False: "false"}
 
@@ -178,6 +178,26 @@ def _interval_writer() -> Callable[[Optional[ExtendedValue], str], str]:
     return interval
 
 
+def _config_writer() -> Callable[[dict, str], str]:
+    """``json_text(dict(config), nl)``, for the reports of one summary: a
+    config with the keys of the last one written, in order, each value the
+    same object, at the same indent, takes its text. Equal values are not
+    enough: ``rel_tol`` 1 and 1.0, or ``zero_tol`` 0.0 and -0.0, are equal
+    and print differently."""
+    last = None  # (nl, items, text) of the config written last
+
+    def config(values: dict, nl: str) -> str:
+        nonlocal last
+        items = tuple(values.items())
+        if last is not None and last[0] == nl and len(last[1]) == len(items) and all(
+                k == j and v is w for (k, v), (j, w) in zip(items, last[1])):
+            return last[2]
+        text = json_text(dict(values), nl)
+        last = nl, items, text
+        return text
+    return config
+
+
 # Verdicts and parts are most of a report, so their keys are spelled out.
 
 def _part_json(p: PartTrace, nl: str, ev_json) -> str:
@@ -199,7 +219,7 @@ def _verdict_json(v: ConditionVerdict, nl: str, ev_json) -> str:
             f'{n}"notes": {notes},{n}"parts": {parts}{nl}}}')
 
 
-def _condition_report_json(r: ConditionReport, nl: str, ev_json) -> str:
+def _condition_report_json(r: ConditionReport, nl: str, ev_json, config_json) -> str:
     inner = nl + "  "
     return json_object((
         ("scenario", json_atom(r.scenario_label)),
@@ -207,21 +227,22 @@ def _condition_report_json(r: ConditionReport, nl: str, ev_json) -> str:
         ("aggregate", json_atom(r.aggregate.value)),
         ("verdicts", json_array([_verdict_json(v, inner + "  ", ev_json) for v in r.verdicts],
                                 inner)),
-        ("config", json_text(dict(r.config), inner)),
+        ("config", config_json(r.config, inner)),
     ), nl)
 
 
 def _json(result: Any) -> str:
     if isinstance(result, ConditionReport):
-        return _condition_report_json(result, "\n", _interval_writer())
+        return _condition_report_json(result, "\n", _interval_writer(), _config_writer())
     if isinstance(result, DecisionSummary):
-        ev_json = _interval_writer()
+        ev_json, config_json = _interval_writer(), _config_writer()
         return json_object((
             ("scenario", json_atom(result.scenario_label)),
             ("buyer_disintermediates", json_atom(result.buyer_disintermediates.value)),
             ("broker_provides_web_info", json_atom(result.broker_provides_web_info.value)),
             ("seller_disintermediates", json_atom(result.seller_disintermediates.value)),
-            ("reports", json_object([(k, _condition_report_json(r, "\n    ", ev_json))
+            ("reports", json_object([(k, _condition_report_json(r, "\n    ", ev_json,
+                                                                config_json))
                                      for k, r in result.reports.items()], "\n  ")),
         ))
     return json_text(_to_payload(result))

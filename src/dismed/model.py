@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .record import Record
+from .record import DataclassFields, Factory, Record
 
 DECIMALS_SIGNIFICANT = 12
 
@@ -147,15 +146,32 @@ SYMBOLS: dict[str, int] = {name: i for i, name in enumerate((
 ))}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     values: tuple[float, ...]           # one per symbol, indexed by SYMBOLS
     prospect_count: int = 1
     valued_time_share: Optional[float] = None  # compensated share of search time
     responses: tuple[ResponseFunction, ...] = ()
     time_paths: tuple[TimePath, ...] = ()
-    overlays: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+    overlays: Mapping[str, Mapping[str, float]] = Factory(dict)
     label: str = "scenario"
+
+    # ``dataclasses.replace`` still copies scenarios in perfbench/inputs.py and
+    # in tests; this goes once they copy with ``replace``.
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(self, values, prospect_count=1, valued_time_share=None, responses=(),
+                 time_paths=(), overlays=None, label="scenario"):
+        # built on every load and every with_values copy; no overlays is a new {}
+        self.__dict__.update(values=values, prospect_count=prospect_count,
+                             valued_time_share=valued_time_share, responses=responses,
+                             time_paths=time_paths,
+                             overlays={} if overlays is None else overlays, label=label)
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # only on this error path
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def value(self, name: str, state: Optional[str] = None) -> float:
         """Base value of a symbol, honoring a listing-state overlay."""
@@ -185,8 +201,8 @@ class Scenario:
     def response_index(self) -> dict[tuple[str, str, str], ResponseFunction]:
         """Responses keyed by (driven, driver, context), built on first use.
 
-        Every copy (``with_values``, ``dataclasses.replace``) is a new
-        instance and builds its own index from its own ``responses``.
+        Every copy (``with_values``, ``replace``) is a new instance and
+        builds its own index from its own ``responses``.
         """
         return {(r.driven, r.driver, r.context): r for r in self.responses}
 
@@ -244,7 +260,7 @@ def with_values(s: Scenario, updates: Mapping[str, float]) -> Scenario:
     values = list(s.values)
     for name, value in updates.items():
         values[SYMBOLS[name]] = float(value)
-    return replace(s, values=tuple(values))
+    return s.replace(values=tuple(values))
 
 
 class Violation(Record):

@@ -9,10 +9,13 @@ never changes), the dataclass ``repr`` text, assignment that raises
 five or six generated methods per class at import, which every CLI start
 paid. Records built on every ``decide`` spell out their ``__init__``.
 
-Only ``model.Scenario`` stays a dataclass: ``dataclasses.replace`` is its
-copy API, used by the benchmark's input builder and the tests. Its links
-(``ResponseFunction``) and time paths (``TimePath``) are records, built with
-a spelled-out ``__init__`` on every load, and copied with :meth:`replace`.
+``model.Scenario`` is a record too, copied with :meth:`replace`. The
+benchmark's input builder (``perfbench/inputs.py``) and some tests still copy
+scenarios with ``dataclasses.replace``, so ``Scenario`` carries a
+:class:`DataclassFields` descriptor: ``dataclasses.replace``, ``fields`` and
+``is_dataclass`` accept it, while a CLI call that never asks for the fields
+never imports :mod:`dataclasses` (and with it :mod:`inspect`). The
+descriptor goes once the input builder copies with :meth:`replace`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,30 @@ class Factory:
 
     def __init__(self, make):
         self.make = make
+
+
+class DataclassFields:
+    """A class's ``__dataclass_fields__``, built on first access.
+
+    The fields are those of a frozen ``dataclasses.make_dataclass`` twin of
+    the record class, with its defaults; they replace the descriptor on the
+    class, so :mod:`dataclasses` is imported only by the first caller that
+    asks for them.
+    """
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        def spec(name):
+            default = cls._defaults.get(name, dataclasses.MISSING)
+            field = (dataclasses.field(default_factory=default.make)
+                     if isinstance(default, Factory) else dataclasses.field(default=default))
+            return name, cls.__annotations__[name], field
+
+        twin = dataclasses.make_dataclass(cls.__name__, [spec(n) for n in cls._fields],
+                                          frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        return cls.__dataclass_fields__
 
 
 class Record:
@@ -88,4 +115,4 @@ class Record:
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, built (and checked) anew."""
-        return type(self)(**{**self.to_dict(), **changes})
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))

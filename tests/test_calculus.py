@@ -1,9 +1,15 @@
 """Interval semantics, finite differences, and horizon integrals."""
 
+import json
 import math
+import struct
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dismed import (
@@ -33,6 +39,7 @@ from dismed.calculus import (
 from dismed.conditions import _compare
 from dismed.errors import PathCoverageError
 from dismed.io import scenario_from_dict
+from dismed.model import TimePath
 
 from fixture_defs import fixture_dict
 
@@ -436,6 +443,93 @@ def test_integrate_preconditions():
         integrate_horizon(s, Const(1.0), T=0.0, dt=0.1)
     with pytest.raises(ValueError):
         integrate_horizon(s, Const(1.0), T=1.0, dt=2.0)
+
+
+def _s13_integrands():
+    from dismed.conditions import ConditionId, build_form
+    part = build_form(ConditionId.parse("S13"), RunConfig()).parts[0]
+    return (part.lhs.integrand, *(leaf.integrand for leaf in part.rhs.parts))
+
+
+_S13_INTEGRANDS = _s13_integrands()
+_S13_SYMBOLS = sorted(calculus.symbols_of(MaxE(_S13_INTEGRANDS)))
+# small values, signed zeros, and values whose products overflow, so that
+# some nodes are unknown and their integrals NaN
+_PATH_NUMBERS = st.one_of(st.floats(-10.0, 10.0),
+                          st.sampled_from([0.0, -0.0, 1e-300, 1e308, -1e308]))
+
+
+@st.composite
+def _time_path(draw, symbol: str, T: float, dt: float):
+    kind = draw(st.sampled_from(["constant", "linear", "samples", "samples"]))
+    if kind == "constant":
+        return TimePath(symbol, kind, value=draw(_PATH_NUMBERS))
+    if kind == "linear":
+        return TimePath(symbol, kind, v0=draw(_PATH_NUMBERS),
+                        slope=draw(st.one_of(st.floats(-1.0, 1.0), _PATH_NUMBERS)))
+    # sample times on the nodes (a node time is k * dt) and between them
+    on_node = st.integers(1, round(T / dt) - 1).map(lambda k: k * dt)
+    inner = draw(st.lists(st.one_of(on_node, on_node, st.floats(0.0, T, exclude_min=True,
+                                                                exclude_max=True)),
+                          max_size=12, unique=True))
+    # mostly covering [0, T]; sometimes ending early or starting late
+    first = draw(st.sampled_from([0.0] * 4 + [-1.0, T / 2]))
+    last = draw(st.sampled_from([T] * 4 + [T + 1.0, T / 2 + 1e-9]))
+    times = sorted({first, *(t for t in inner if first < t < last), last})
+    return TimePath(symbol, kind, times=tuple(times),
+                    values=tuple(draw(_PATH_NUMBERS) for _ in times))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _path_sets(draw):
+    T = draw(st.sampled_from([1.0, 10.0]))
+    dt = draw(st.sampled_from([0.125, 0.01, 0.003, 1e-3]))
+    symbols = draw(st.lists(st.sampled_from(_S13_SYMBOLS), min_size=1, max_size=4, unique=True))
+    return T, dt, tuple(draw(_time_path(name, T, dt)) for name in symbols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_path_sets())
+# a sample on the node t = 0.375, whose interpolation from the sample before
+# it (7.3 + 1.0 * (0.1 - 7.3)) would not give 0.1
+@example(case=(1.0, 0.125, (TimePath("rho_s", "samples", times=(0.0, 0.375, 1.0),
+                                     values=(7.3, 0.1, 2.0)),)))
+def test_node_axis_integrals_equal_the_node_walk_bit_for_bit(case):
+    T, dt, paths = case
+    s = path_scenario([]).replace(time_paths=paths)
+
+    def integrals(node_axis_min):
+        out = []
+        with mock.patch.object(calculus, "NODE_AXIS_MIN", node_axis_min):
+            for integrand in _S13_INTEGRANDS:
+                try:
+                    out.append(_bits(integrate_horizon(s, integrand, T, dt)))
+                except PathCoverageError as exc:
+                    out.append(str(exc))
+        return out
+    assert integrals(0) == integrals(10**9)
+
+
+def test_default_horizon_walks_its_nodes_without_numpy(tmp_path):
+    probe = ("import sys\n"
+             "from dismed import calculus, decide, load_scenario\n"
+             "from dismed.calculus import _horizon_nodes\n"
+             "from dismed.config import RunConfig\n"
+             "cfg = RunConfig()\n"
+             "assert len(_horizon_nodes(cfg.horizon_T, cfg.horizon_dt)) <= calculus.NODE_AXIS_MIN\n"
+             "decide(load_scenario(sys.argv[1]), cfg)\n"
+             "sys.exit('numpy' in sys.modules)\n")
+    data = json.loads((Path(__file__).parent / "fixtures" / "all_three_satisfied.json").read_text())
+    data["time_paths"] = [{"symbol": "P", "kind": "linear", "v0": 10.0, "slope": 0.01}]
+    moving = tmp_path / "moving.json"
+    moving.write_text(json.dumps(data))
+    done = subprocess.run([sys.executable, "-c", probe, str(moving)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # --- state-context responses ---------------------------------------------------

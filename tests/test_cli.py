@@ -523,7 +523,7 @@ print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
 def test_scalar_commands_never_import_the_engines_they_do_not_run(fixtures_dir, argv):
     argv = [a.format(f=fixtures_dir) for a in argv]
     watched = ["numpy", "concurrent.futures", "dismed.optimizer", "dismed.batch",
-               "dismed.simulate", "dismed.streams"]
+               "dismed.simulate", "dismed.streams", "dataclasses", "inspect"]
     done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -538,7 +538,7 @@ _OPTIMIZE = ["optimize", "{f}/broker_opt.json", "--bounds", "{f}/bounds_bi.json"
 def test_optimize_and_pareto_never_import_numpy(fixtures_dir, argv):
     argv = [a.format(f=fixtures_dir) for a in argv]
     watched = ["numpy", "dismed.streams", "dismed.batch", "dismed.simulate",
-               "concurrent.futures"]
+               "concurrent.futures", "dataclasses", "inspect"]
     done = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -60,7 +60,8 @@ def _samples() -> dict:
         {"symbol": "rho_i", "kind": "constant", "value": 0.4},
     ]})
     roots = [
-        cfg, summary, *summary.reports.values(), dist, bounds, optimizer.OptimizerConfig(),
+        base, paths, cfg, summary, *summary.reports.values(), dist, bounds,
+        optimizer.OptimizerConfig(),
         *base.responses, *paths.time_paths,
         *(build_form(cid, cfg) for cid in ALL_CONDITION_IDS),
         validate_scenario(with_values(base, {"c": -1.0})),
@@ -99,7 +100,7 @@ def test_every_engine_module_defines_its_records_here():
     modules = {c.__module__ for c in RECORD_CLASSES}
     assert modules == {m.__name__ for m in (batch, calculus, conditions, config, model,
                                             optimizer, simulate)}
-    assert len(RECORD_CLASSES) == 34
+    assert len(RECORD_CLASSES) == 35
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
@@ -147,25 +148,56 @@ def test_defaults_replace_and_constructor_errors():
         calculus.Sym("a", "b")
     with pytest.raises(config.ParseError):  # replace checks the copy anew
         cfg.replace(quorum=2.0)
+    report = SAMPLES[conditions.ConditionReport][0]  # its to_dict is its payload's
+    assert report.replace() == report and report.replace(config={}).config == {}
 
 
+def test_dataclasses_replace_still_copies_a_scenario():
+    """``perfbench/inputs.py`` copies its sweep base with ``dataclasses.replace``."""
+    base = SAMPLES[model.Scenario][0]
+    kept = base.responses[:1]
+    copy = dataclasses.replace(base, label="sweep_base", responses=kept)
+    assert type(copy) is model.Scenario
+    assert copy == base.replace(label="sweep_base", responses=kept)
+    assert (copy.label, copy.responses, copy.values) == ("sweep_base", kept, base.values)
+    assert dataclasses.replace(base) == base
+    assert dataclasses.is_dataclass(base) and dataclasses.is_dataclass(model.Scenario)
+    fields = dataclasses.fields(base)
+    assert tuple(f.name for f in fields) == model.Scenario._fields
+    assert fields == dataclasses.fields(model.Scenario)
+    assert {f.name: f.default_factory() for f in fields
+            if f.default_factory is not dataclasses.MISSING} == {"overlays": {}}
+    assert model.Scenario(base.values).overlays == {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.label = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del base.values
+    with pytest.raises(TypeError):
+        dataclasses.replace(base, no_such_field=1)
+
+
+# ``sys.modules`` is read before the probe imports dataclasses itself.
 _STRUCTURE = """
-import contextlib, dataclasses, io, json, sys
+import contextlib, io, json, sys
 from dismed.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["decide", sys.argv[1]]) == 0
+loaded = [m for m in ("numpy", "csv", "dataclasses", "inspect") if m in sys.modules]
+import dataclasses
 print(json.dumps({
     "dataclasses": sorted(name for module, m in list(sys.modules.items())
                           if module.startswith("dismed")
                           for name, obj in vars(m).items()
                           if dataclasses.is_dataclass(obj) and isinstance(obj, type)
                           and obj.__module__ == module),
-    "loaded": [m for m in ("numpy", "csv") if m in sys.modules],
+    "loaded": loaded,
 }))
 """
 
 
 def test_a_cold_decide_defines_one_dataclass_and_loads_no_numpy_or_csv():
+    """``Scenario`` answers as a dataclass, but nothing a cold ``decide`` runs
+    imports ``dataclasses``, or ``inspect`` through it."""
     scenario = str(FIXTURES_DIR / "all_three_satisfied.json")
     done = subprocess.run([sys.executable, "-c", _STRUCTURE, scenario],
                           capture_output=True, text=True)

@@ -171,6 +171,29 @@ def test_zero_signs_nan_infinities_and_ints_keep_their_own_text():
     assert render_report(report, "json", os.devnull) == _reference(report.to_dict())
 
 
+def test_a_summary_writes_equal_but_not_identical_configs_each_on_its_own(fixtures_dir):
+    """A later report reuses the config text of the one before only when its
+    keys are the same, in order, and each value is the same object."""
+    summary = decide(_fixture(fixtures_dir, "all_three_satisfied"), RunConfig())
+    one, zero = 1.0, 0.0
+    configs = [
+        ({"rel_tol": one, "zero_tol": zero}, {"rel_tol": 1, "zero_tol": zero},
+         {"rel_tol": one, "zero_tol": -0.0}),
+        ({"rel_tol": one, "zero_tol": zero}, {"zero_tol": zero, "rel_tol": one},
+         {"rel_tol": one, "zero_tol": zero, "quorum": one}),
+        ({"rel_tol": one, "zero_tol": zero},) * 3,
+        ({"rel_tol": one, "zero_tol": zero}, {"rel_tol": one, "zero_tol": zero}, {}),
+    ]
+    for triple in configs:
+        changed = summary.replace(reports={
+            k: r.replace(config=c) for (k, r), c in zip(summary.reports.items(), triple)})
+        text = render_report(changed, "json", os.devnull)
+        assert text == _reference(changed.to_dict()), triple
+    assert '"rel_tol": 1,' in render_report(summary.replace(reports={
+        k: r.replace(config=c) for (k, r), c in zip(summary.reports.items(), configs[0])}),
+        "json", os.devnull)
+
+
 def test_the_indeterminate_case_has_infinite_endpoints():
     payload = decide(_bare(), RunConfig()).to_dict()
     verdicts = [v for r in payload["reports"].values() for v in r["verdicts"]]
