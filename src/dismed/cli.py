@@ -360,6 +360,14 @@ def _arg(convert, expected: str, ok=lambda value: True):
     return parse
 
 
+def _points(text: str) -> int:
+    """``--points``: imports the optimizer for its bound, so only ``pareto``
+    loads it while parsing."""
+    from .optimizer import MAX_PARETO_POINTS
+    return _arg(int, f"an integer from 2 to {MAX_PARETO_POINTS}",
+                lambda k: 2 <= k <= MAX_PARETO_POINTS)(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dismed",
@@ -386,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="trace the cost/capital frontier")
     common(p)
     p.add_argument("--bounds", required=True, help="bounds JSON file")
-    p.add_argument("--points", type=_arg(int, "an integer >= 2", lambda k: k >= 2),
-                   default=11, help="epsilon levels (k >= 2)")
+    p.add_argument("--points", type=_points, default=11,
+                   help="epsilon levels (2 <= k <= optimizer.MAX_PARETO_POINTS)")
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over a distribution")
     common(p)

@@ -16,6 +16,9 @@ may be piecewise linear): initial step 1/8 of each box width, halved whenever
 no coordinate move improves, stopping once every step falls below 1e-6 of its
 box width, restarted from uniform points whose doubles ``pcg`` draws in plain
 Python from ``SeedSequence([seed, stream]) -> PCG64`` (fixed by NEP 19).
+Each solve compiles its objective once: every capital link becomes a closure
+(``model.compile_response``) that a trial point calls directly, in the same
+float operations as ``eval_response``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Sequence
 from .calculus import argmin_state
 from .errors import MissingCapitalResponse, ParseError
 from .io import _number
-from .model import DECISION_FIELDS, Scenario, eval_response
+from .model import DECISION_FIELDS, Scenario, compile_response, eval_response
 from .pcg import doubles
 from .record import Record
 
@@ -38,6 +41,10 @@ MAX_ITER = 100_000       # pattern-search iterations per start
 # iterations grow with the ratio of the free widths (about 500 per start at
 # 1e3 and 4,500 at 1e4 on broker_opt.json); Bounds refuses wider ratios.
 MAX_WIDTH_RATIO = 1e3
+# A pareto level is one full solve (about 1 ms on broker_opt.json), so
+# 10,000 levels take about 10 s from the CLI; the bound keeps a sweep's level
+# list and frontier that size instead of whatever --points asks for.
+MAX_PARETO_POINTS = 10_000
 CAPITAL_SYMBOLS = ("SC_br", "RC_br")
 OBJECTIVE_MODES = ("combined", "weighted")
 
@@ -155,12 +162,31 @@ class ParetoPoint(Record):
                 "decision": self.decision.to_dict()}
 
 
-def _compile(s: Scenario, ctx: Optional[str]):
+def _compile(s: Scenario, ctx: Optional[str], bind=compile_response):
     """``(feasible, capital, room)`` of ``_compile_solve``."""
-    return _compile_solve(s, ctx)[:3]
+    return _compile_solve(s, ctx, bind)[:3]
 
 
-def _compile_solve(s: Scenario, ctx: Optional[str]):
+def _budget(s: Scenario, ctx: Optional[str]):
+    """``(feasible, cp, need)``: the commission budget c*P, its slack and the
+    coverage test of ``_compile_solve``, which read no link."""
+    cp = s.value("c", ctx) * s.value("P", ctx)
+    need = FEASIBILITY_SLACK * max(1.0, abs(cp))
+
+    def feasible(x: Sequence[float]) -> bool:
+        return cp - max(0.0, x[0] + x[1] + x[2]) >= need
+
+    return feasible, cp, need
+
+
+def _per_call(r) -> Callable[[float], float]:
+    """A link as one ``eval_response`` call: what ``evaluate_capital`` and
+    ``broker_objective`` keep, since each calls a link once at most and a
+    compile would cost more than it saves."""
+    return lambda x: eval_response(r, x)
+
+
+def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
     """``(feasible, capital, room, objective)`` for decision points ``x =
     (B_b, B_s, B_i, B_n)`` under the overlay ``ctx``, reading once what ``x``
     does not change. ``feasible(x)``: commission coverage c*P - max(0,
@@ -169,21 +195,19 @@ def _compile_solve(s: Scenario, ctx: Optional[str]):
     links' f(x_j) - f(base_j); with no link at all it raises
     MissingCapitalResponse. ``objective(w_capital, w_cost)``: ``w_capital *
     capital(x) - w_cost * (B_b+B_s+B_i+B_n)`` if ``feasible(x)``, else -inf,
-    as one closure with the same float operations.
+    as one closure with the same float operations. Each link is kept as
+    ``(j, f, f(base_j))``: f is ``bind(r)``, by default the closure
+    ``compile_response`` builds once, so a trial point costs one closure call
+    per link; f(base_j) is evaluated once by ``eval_response``.
     """
-    cp = s.value("c", ctx) * s.value("P", ctx)
-    need = FEASIBILITY_SLACK * max(1.0, abs(cp))
-
-    def feasible(x: Sequence[float]) -> bool:
-        return cp - max(0.0, x[0] + x[1] + x[2]) >= need
-
+    feasible, cp, need = _budget(s, ctx)
     groups = []
     for sym in CAPITAL_SYMBOLS:
         links = []
         for j, drv in enumerate(DECISION_FIELDS):
             r = s.response_for(sym, drv, ctx)
             if r is not None:
-                links.append((j, r, eval_response(r, s.value(drv, ctx))))
+                links.append((j, bind(r), eval_response(r, s.value(drv, ctx))))
         groups.append((s.value(sym, ctx), tuple(links)))
     linked = any(links for _, links in groups)
 
@@ -194,8 +218,8 @@ def _compile_solve(s: Scenario, ctx: Optional[str]):
                 f"{DECISION_FIELDS}")
         total = 0.0
         for value, links in groups:
-            for j, r, at_base in links:
-                value += eval_response(r, x[j]) - at_base
+            for j, compiled, at_base in links:
+                value += compiled(x[j]) - at_base
             total += value
         return total
 
@@ -209,8 +233,8 @@ def _compile_solve(s: Scenario, ctx: Optional[str]):
                 return -math.inf
             total = 0.0
             for value, links in groups:
-                for j, r, at_base in links:
-                    value += eval_response(r, x[j]) - at_base
+                for j, compiled, at_base in links:
+                    value += compiled(x[j]) - at_base
                 total += value
             return w_capital * total - w_cost * (spent + x[3])
 
@@ -233,19 +257,19 @@ def _point(d: DecisionVector) -> tuple[float, ...]:
 
 def evaluate_capital(s: Scenario, d: DecisionVector, ctx: Optional[str]) -> float:
     """SC_br + RC_br at the decision point (see ``_compile``)."""
-    return _compile(s, ctx)[1](_point(d))
+    return _compile(s, ctx, _per_call)[1](_point(d))
 
 
 def is_feasible(s: Scenario, d: DecisionVector, ctx: Optional[str] = None) -> bool:
     """Strict commission coverage, checked with numeric slack."""
-    return _compile(s, ctx)[0](_point(d))
+    return _budget(s, ctx)[0](_point(d))
 
 
 def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
                      weights: tuple[float, float] = (1.0, 1.0)) -> float:
     """Capital-versus-cost objective under the argmin listing-state overlay."""
     x = _point(d)
-    capital = _compile(s, argmin_state(s))[1](x)
+    capital = _compile(s, argmin_state(s), _per_call)[1](x)
     w_capital, w_cost = _weights(mode, weights)
     return w_capital * capital - w_cost * (x[0] + x[1] + x[2] + x[3])
 
@@ -380,10 +404,10 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
     Maximizes capital subject to cost <= eps_j for k evenly spaced eps levels
     across the feasible cost range; dominated or duplicate results are
     filtered and the frontier is sorted by cost ascending. Infeasible boxes
-    yield an empty frontier.
+    yield an empty frontier. k runs from 2 to ``MAX_PARETO_POINTS``.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not 2 <= k <= MAX_PARETO_POINTS:
+        raise ValueError(f"k must be in [2, {MAX_PARETO_POINTS}], got {k}")
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
     feasible, capital, room = _compile(s, ctx)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dismed import optimizer
 from dismed.cli import main
 from dismed.model import split_driver
 
@@ -468,6 +469,20 @@ def test_readme_demos_run(tmp_path):
         assert done.returncode == 0, (demo, done.stderr)
 
 
+def test_pareto_takes_max_pareto_points_levels(capsys, fixtures_dir, monkeypatch):
+    searched = []
+
+    def no_search(f, ok, lows, highs, cfg, stream):
+        searched.append(stream)
+        return None, float("-inf"), 0
+
+    monkeypatch.setattr(optimizer, "_best_of_restarts", no_search)
+    code, out, err = run(capsys, *[a.format(f=fixtures_dir) for a in _PARETO],
+                         "--points", str(optimizer.MAX_PARETO_POINTS))
+    assert code == 3 and "empty frontier" in err
+    assert len(searched) == optimizer.MAX_PARETO_POINTS
+
+
 def test_commands_that_do_not_sweep_never_import_the_batch_path():
     probe = ("import sys, dismed.cli; "
              "sys.exit('dismed.batch' in sys.modules)")
@@ -485,6 +500,7 @@ _SWEEP = ["sweep", "{f}/all_three_satisfied.json", "--dist", "{f}/rho_dist.json"
     [*_SENSITIVITY, "--condition", "Bx"],
     [*_SENSITIVITY, "--condition", "B5", "--rel-step", "0.7"],
     [*_PARETO, "--points", "1"],
+    [*_PARETO, "--points", str(optimizer.MAX_PARETO_POINTS + 1)],
     [*_SWEEP, "--seed", "1", "-n", "0"],
     [*_SWEEP, "-n", "5", "--seed", "-1"],
     [*_SWEEP, "-n", "5", "--seed", "1", "--workers", "0"],

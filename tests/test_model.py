@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from dismed import SYMBOLS, referenced_symbols, validate_scenario, with_values
 from dismed.conditions import ALL_CONDITION_IDS
 from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.errors import ValidationError
+from dismed.model import MAX_POLY_DEGREE, ResponseFunction, compile_response, eval_response
 
 from fixture_defs import BASE_VALUES, fixture_dict, fixture_scenario
 
@@ -337,3 +339,39 @@ def test_violation_messages_are_pinned(fixtures_dir, mutation, expected):
     s = dataclasses.replace(s, responses=s.responses + links, **mutation)
     got = [(v.code, v.message) for v in validate_scenario(s).violations]
     assert got == expected
+
+
+# --- compiled links against eval_response, bit for bit -------------------------
+
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308)
+_COEFFS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-10.0, 10.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_DRIVERS = st.lists(st.one_of(
+    st.sampled_from((*_EXTREMES, math.inf, -math.inf, math.nan)), st.floats(-10.0, 10.0),
+    st.floats()), min_size=1, max_size=8)
+
+
+def _packed(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _same_bits(r, xs):
+    compiled = compile_response(r)
+    for x in xs:
+        assert _packed(compiled(x)) == _packed(eval_response(r, x)), (r, x)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_POLY_DEGREE + 2))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compiled_polynomial_equals_eval_response_bit_for_bit(n, data):
+    coeffs = tuple(data.draw(st.lists(_COEFFS, min_size=n, max_size=n)))
+    _same_bits(ResponseFunction("SC_br", "B_i", "polynomial", coeffs=coeffs), data.draw(_DRIVERS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFFS, min_size=1, max_size=6, unique=True), st.data())
+def test_compiled_piecewise_link_equals_eval_response_bit_for_bit(xs, data):
+    knots = tuple((x, data.draw(_COEFFS)) for x in sorted(xs))
+    _same_bits(ResponseFunction("SC_br", "B_i", "piecewise_linear", knots=knots),
+               data.draw(_DRIVERS))

@@ -21,7 +21,7 @@ from dismed import optimizer
 from dismed.errors import ParseError
 from dismed.optimizer import evaluate_capital, filter_nondominated, is_feasible
 from dismed.io import scenario_from_dict
-from dismed.model import STATE_NAMES, ResponseFunction, with_values
+from dismed.model import MAX_POLY_DEGREE, STATE_NAMES, ResponseFunction, with_values
 
 import oracle
 from fixture_defs import fixture_dict
@@ -356,7 +356,8 @@ _SMALL = st.floats(-5.0, 5.0)
 @st.composite
 def _link(draw, driven, driver, context):
     if draw(st.booleans()):
-        coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+        coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                               max_size=MAX_POLY_DEGREE + 1))
         return ResponseFunction(driven, driver, "polynomial", coeffs=tuple(coeffs),
                                 context=context)
     xs = sorted(draw(st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=4, unique=True)))
@@ -432,6 +433,52 @@ def test_compiled_objective_equals_the_per_call_oracle(case):
             return w_capital * capital(x) - w_cost * (x[0] + x[1] + x[2] + x[3])
 
         assert _outcome(objective(w_capital, w_cost), x) == _outcome(per_part, x)
+
+
+def test_a_solve_evaluates_each_link_once_at_its_base_point(fixtures_dir, monkeypatch):
+    import json
+
+    from dismed.io import load_scenario
+
+    s = load_scenario(fixtures_dir / "broker_opt.json")
+    bounds = Bounds.from_dict(json.loads((fixtures_dir / "bounds_bi.json").read_text()))
+    ctx = optimizer.argmin_state(s)
+    links = sum(s.response_for(sym, drv, ctx) is not None
+                for sym in optimizer.CAPITAL_SYMBOLS for drv in optimizer.DECISION_FIELDS)
+    calls = []
+    real = optimizer.eval_response
+
+    def counted(r, x):
+        calls.append(x)
+        return real(r, x)
+
+    monkeypatch.setattr(optimizer, "eval_response", counted)
+    res = optimize_broker(s, bounds)
+    assert links >= 1 and res.iterations > 100
+    assert len(calls) == links  # the trial points run the compiled links
+    calls.clear()
+    assert len(pareto_sweep(s, bounds, k=5)) >= 1
+    assert len(calls) == links
+
+
+def test_pareto_levels_are_bounded_before_any_search(fixtures_dir, monkeypatch):
+    from dismed.io import load_scenario
+
+    s = load_scenario(fixtures_dir / "broker_opt.json")
+    bounds = Bounds(B_b=(0, 1), B_s=(0, 1), B_i=(0, 1), B_n=(0, 1))
+    searched = []
+
+    def no_search(f, ok, lows, highs, cfg, stream):
+        searched.append(stream)
+        return None, -math.inf, 0
+
+    monkeypatch.setattr(optimizer, "_best_of_restarts", no_search)
+    assert pareto_sweep(s, bounds, k=optimizer.MAX_PARETO_POINTS) == []
+    assert searched == list(range(1, optimizer.MAX_PARETO_POINTS + 1))
+    searched.clear()
+    with pytest.raises(ValueError, match="k must be in"):
+        pareto_sweep(s, bounds, k=optimizer.MAX_PARETO_POINTS + 1)
+    assert searched == []
 
 
 def test_missing_capital_response_surfaces_before_any_search(monkeypatch):
