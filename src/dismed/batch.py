@@ -15,7 +15,11 @@ redraw budget raises ``RejectionLimit``. The compiled parts and guards of
 ``calculus``, whose array endpoints round as its float ones do, with argmax
 contexts and max-axis winners chosen per draw (``Scenario.per_winner``).
 The result is status codes and set decisions made by ``decide``'s rules,
-with no per-draw Scenario, verdict or trace.
+with no per-draw Scenario, verdict or trace. A condition's status and
+exclusion are plain Python values wherever every draw of the block agrees on
+them (as where a missing link leaves a derivative unknown in every draw), so
+such a condition is settled once and filled into its column of the block's
+status matrix; numpy selects per draw only where draws differ.
 """
 
 from __future__ import annotations
@@ -64,23 +68,33 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
 # Conditions over a block
 # ---------------------------------------------------------------------------
 
-def _condition(b: Scenario, n: int, parts: tuple, guard: Optional[tuple],
-               cfg: RunConfig):
-    """A compiled condition over a block: status codes, and which rows are
-    excluded from aggregation. Parts run in every draw, also where the guard
-    fails."""
+def _pick(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a plain value where ``cond``
+    is a plain bool, per draw otherwise."""
+    if cond is True:
+        return a
+    if cond is False:
+        return b
+    return np.where(cond, a, b)
+
+
+def _condition(b: Scenario, parts: tuple, guard: Optional[tuple], cfg: RunConfig):
+    """A compiled condition over a block: its status code, and whether it is
+    excluded from aggregation, each a plain value where every draw agrees
+    and one per draw otherwise. Parts run in every draw, also where the
+    guard fails."""
     violated = undecided = False
     for lhs, rhs, compare in parts:
         holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
-        violated = np.logical_or(violated, fails)
-        undecided = np.logical_or(undecided, np.logical_not(np.logical_or(holds, fails)))
-    status = np.where(violated, VIOLATED, np.where(undecided, INDETERMINATE, SATISFIED))
+        violated = violated | fails
+        undecided = undecided | ((holds | fails) ^ True)  # ^ True: not, also per draw
+    status = _pick(violated, VIOLATED, _pick(undecided, INDETERMINATE, SATISFIED))
     if guard is None:
-        return np.broadcast_to(status, n), np.zeros(n, dtype=bool)
+        return status, False
     lhs, rhs, compare = guard
-    passed = np.broadcast_to(compare(lhs(b, None), rhs(b, None))[0], n)
+    passed = compare(lhs(b, None), rhs(b, None))[0]
     failed, skipped, _ = _guard_failure(cfg)
-    return np.where(passed, status, STATUSES.index(failed)), ~passed & skipped
+    return _pick(passed, status, STATUSES.index(failed)), skipped and passed ^ True
 
 
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -177,8 +191,8 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
     with np.errstate(all="ignore"):
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
-        results = [_condition(draws, len(rejections), parts, guard, cfg)
-                   for parts, guard, _ in cfg.compiled.values()]
-    statuses, skipped = (np.stack(columns, axis=1) for columns in zip(*results))
-    statuses = statuses.astype(np.int8)
+        shape = (len(rejections), len(cfg.compiled))
+        statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
+        for j, (parts, guard, _) in enumerate(cfg.compiled.values()):
+            statuses[:, j], skipped[:, j] = _condition(draws, parts, guard, cfg)
     return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)

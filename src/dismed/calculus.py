@@ -18,7 +18,10 @@ compute in plain Python, and numpy is imported only where an endpoint is an
 array, so the scalar commands never load it; array endpoints round as float
 ones do. Every operation is total (as in IEEE 1788): an undefined result,
 such as inf - inf, an overflowing stencil step or a time path that ends
-early, is the unknown interval, per draw.
+early, is the unknown interval, per draw. Unknown absorbs under ``+``, ``-``
+and the joint, so a derivative whose driven side is built from those alone
+and misses a link is the float UNKNOWN without a stencil run: on a sweep
+block it is settled once, not per draw.
 
 Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
@@ -377,29 +380,56 @@ def _combine(expr: Expr, leaves: dict, intersection: str) -> Combine:
     raise TypeError(f"unsupported expression node {type(expr).__name__}")
 
 
+def _divisor(h, order: int):
+    """The stencil's divisor for step ``h``, and where it is lost: where the
+    step's power overflows or underflows past a finite reciprocal."""
+    if order == 1:
+        den = 2.0 * h
+    elif order == 2:
+        den = h * h
+    else:
+        den = 2.0 * _cube(h)
+    return den, (den == INF) | (den < _TINY)
+
+
 def _stencil(f: Callable, x0, h, order: int) -> Interval:
     """Central difference of ``f`` at ``x0`` with step ``h``; unknown where
-    the step's power overflows or underflows past a finite reciprocal (the
-    result is then UNKNOWN itself)."""
+    the divisor is lost (the result is then UNKNOWN itself)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     if order == 1:
-        num, den = sub(f(x0 + h), f(x0 - h)), 2.0 * h
+        num = sub(f(x0 + h), f(x0 - h))
     elif order == 2:
-        num, den = add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h)), h * h
+        num = add(sub(f(x0 + h), scale(f(x0), 2.0)), f(x0 - h))
     else:
         num = sub(add(sub(f(x0 + 2 * h), scale(f(x0 + h), 2.0)),
                       scale(f(x0 - h), 2.0)), f(x0 - 2 * h))
-        den = 2.0 * _cube(h)
-    lost = (den == INF) | (den < _TINY)
+    den, lost = _divisor(h, order)
     if lost is True:
         return UNKNOWN
     return _unknown_where(lost, scale(num, 1.0 / den))
 
 
+def _strict(expr: Expr) -> bool:
+    """Whether ``expr`` is unknown wherever a symbol it reads is: sums,
+    differences and joints of symbols and constants are (unknown absorbs
+    under IEEE 1788's ``+``, ``-`` and the joint); a product is not (0 *
+    unknown = 0), nor is a Max or Min."""
+    if isinstance(expr, Add):
+        return all(map(_strict, expr.parts))
+    if isinstance(expr, Sub):
+        return _strict(expr.a) and _strict(expr.b)
+    return isinstance(expr, (Sym, Const, Joint))
+
+
 def _note(notes: Optional[list], note: str) -> None:
     if notes is not None and note not in notes:
         notes.append(note)
+
+
+def _note_lost(notes: Optional[list], axis: str, h) -> None:
+    flow = "overflows" if h > 1 else "underflows"
+    _note(notes, f"difference step along {axis} {flow} (h = {h})")
 
 
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
@@ -410,7 +440,10 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
 
     The driven side resolves with the driver pinned to each stencil point:
     the driver itself (identity), a declared response of it, or unknown. A
-    max axis is differentiated along its winning component.
+    max axis is differentiated along its winning component. A driven side
+    that is unknown wherever a symbol it reads is (``_strict``, decided here
+    once) is unknown at every stencil point when a link is missing, so the
+    stencil is not run: only a float step's loss is left to find and note.
     """
     leaves: dict = {}
     combine = _combine(d.driven, leaves, cfg.intersection)
@@ -423,21 +456,31 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
     kind, names = d.axis.kind, d.axis.ordered
     first, joined = names[0], "+".join(names)
     constant = point(1.0 if order == 1 else 0.0)
+    # an invalid order still reaches the stencil, which refuses it
+    strict = order in (1, 2, 3) and _strict(d.driven)
 
     def along(s, ctx: Optional[str], notes: Optional[list], h, axis: Optional[str], x0):
         if identity is not None and identity == axis:
             return constant
-        if h is None:
-            h = step_scale * _first((1.0, abs(x0)), True)
-        links = []
+        links, missing = [], False
         for name in driven_names:
             if name == axis:
                 links.append(_IDENTITY)
                 continue
             r = s.response_for(name, axis, ctx)
             if r is None:
+                missing = True
                 _note(notes, f"missing response ({name}, {axis})")
             links.append(r)
+        unknown = missing and strict
+        if h is None:
+            if unknown and not isinstance(x0, (int, float)):
+                return UNKNOWN  # a per-draw step is never noted
+            h = step_scale * _first((1.0, abs(x0)), True)
+        if unknown:
+            if _divisor(h, order)[1] is True:
+                _note_lost(notes, axis, h)
+            return UNKNOWN
 
         def f(x):
             vals = []  # a loop, not a comprehension: one call fewer per stencil point
@@ -453,8 +496,7 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
 
         v = _stencil(f, x0, h, order)
         if v is UNKNOWN:
-            flow = "overflows" if h > 1 else "underflows"
-            _note(notes, f"difference step along {axis} {flow} (h = {h})")
+            _note_lost(notes, axis, h)
         return v
 
     def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:

@@ -238,8 +238,8 @@ class Scenario(Record):
             if out is None:
                 out = value
             elif isinstance(value, tuple):  # an interval, endpoint by endpoint
-                out = tuple(_where(rows, a, b) for a, b in zip(value, out))
-            else:
+                out = tuple(a if a is b else _where(rows, a, b) for a, b in zip(value, out))
+            elif value is not out:
                 out = _where(rows, value, out)
         return out
 
@@ -335,49 +335,67 @@ def check_fixed(s: Scenario, swept, bad):
     time paths, and the value checks and link consistency that read no swept
     symbol. Returns ``check(block, bad)``, which runs the rest on a block of
     draws."""
-    _check_values(s, bad, lambda *names: swept.isdisjoint(names))
+    unswept = {name: k for name, k in SYMBOLS.items() if name not in swept}
+    varying = {name: k for name, k in SYMBOLS.items() if name in swept}
+    _check_values(s, bad, unswept, lambda *names: swept.isdisjoint(names))
     later = _check_responses(s, bad, swept)
     _check_time_paths(s, bad)
 
     def check(block: Scenario, bad) -> None:
-        _check_values(block, bad, lambda *names: not swept.isdisjoint(names))
+        _check_values(block, bad, varying, lambda *names: not swept.isdisjoint(names))
         for link in later:
             _check_link(block, *link, bad)
 
     return check
 
 
-def _check_values(s: Scenario, bad, reads=lambda *names: True) -> None:
+def _check_values(s: Scenario, bad, slots: Mapping[str, int] = SYMBOLS,
+                  reads=lambda *names: True) -> None:
     """The value checks, each run where ``reads(*names)`` holds for the
-    base symbols ``names`` it reads."""
-    for name in filter(reads, SYMBOLS):
-        v = s.value(name)
-        bad("NonFiniteValue", _finite(v) ^ True, "{} = {!r} is not finite", name, v)
-    for name in filter(reads, ("P", "P_b")):
-        v = s.value(name)
-        bad("NonPositivePrice", _finite(v) & (v <= 0), "{} = {} must be > 0", name, v)
-    if reads("c"):
-        c = s.value("c")
-        bad("CommissionOutOfRange", _finite(c) & ((c <= 0.0) | (c >= 1.0)),
-            "c = {} must lie in (0, 1)", c)
+    base symbols ``names`` it reads; ``slots`` maps each symbol for which
+    ``reads(name)`` holds to its slot. ``bad`` is called only where a check
+    can fail: a plain value that passes it is not reported."""
+    values = s.values
+    for name, k in slots.items():
+        v = values[k]
+        finite = _finite(v)
+        if finite is not True:
+            bad("NonFiniteValue", finite ^ True, "{} = {!r} is not finite", name, v)
+    for name in ("P", "P_b"):
+        if name in slots:
+            v = values[slots[name]]
+            ok = v > 0
+            if ok is not True:
+                bad("NonPositivePrice", _finite(v) & (ok ^ True), "{} = {} must be > 0", name, v)
+    if "c" in slots:
+        c = values[slots["c"]]
+        ok = (c > 0.0) & (c < 1.0)
+        if ok is not True:
+            bad("CommissionOutOfRange", _finite(c) & (ok ^ True), "c = {} must lie in (0, 1)", c)
     if reads():
-        bad("ProspectCountOutOfRange", s.prospect_count < 1,
-            "prospect_count = {} must be >= 1", s.prospect_count)
+        if s.prospect_count < 1:
+            bad("ProspectCountOutOfRange", True,
+                "prospect_count = {} must be >= 1", s.prospect_count)
         vts = s.valued_time_share
-        bad("ValuedTimeShareOutOfRange",
-            vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0),
-            "valued_time_share = {!r} must lie in [0, 1]", vts)
-    for name in filter(reads, PROBABILITY_SYMBOLS):
-        v = s.value(name)
-        bad("ProbabilityOutOfRange", _finite(v) & ((v < 0.0) | (v > 1.0)),
-            "{} = {} must lie in [0, 1]", name, v)
+        if vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0):
+            bad("ValuedTimeShareOutOfRange", True,
+                "valued_time_share = {!r} must lie in [0, 1]", vts)
+    for name in PROBABILITY_SYMBOLS:
+        if name in slots:
+            v = values[slots[name]]
+            ok = (v >= 0.0) & (v <= 1.0)
+            if ok is not True:
+                bad("ProbabilityOutOfRange", _finite(v) & (ok ^ True),
+                    "{} = {} must lie in [0, 1]", name, v)
 
     if reads("I", "I_p", "I_i"):
         _check_identity(s, None, bad)
     if reads("I_o", "I_i"):
         I_o, I_i = s.value("I_o"), s.value("I_i")
-        bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (I_o < I_i),
-            "I_o = {} must be >= I_i = {}", I_o, I_i)
+        ok = I_o >= I_i
+        if ok is not True:
+            bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (ok ^ True),
+                "I_o = {} must be >= I_i = {}", I_o, I_i)
 
     _check_overlays(s, bad, reads)
 
@@ -385,10 +403,11 @@ def _check_values(s: Scenario, bad, reads=lambda *names: True) -> None:
 def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
     I, I_p, I_i = (s.value(n, state) for n in ("I", "I_p", "I_i"))
     total = I_p + I_i
-    bad("InformationIdentity",
-        _finite(I) & _finite(I_p) & _finite(I_i) & _rounds_apart(I, total),
-        "{}I = {} must equal I_p + I_i = {}",
-        "" if state is None else f"under overlay {state}: ", I, total)
+    if (I == total) is not True:  # only unequal values can round apart
+        bad("InformationIdentity",
+            _finite(I) & _finite(I_p) & _finite(I_i) & _rounds_apart(I, total),
+            "{}I = {} must equal I_p + I_i = {}",
+            "" if state is None else f"under overlay {state}: ", I, total)
 
 
 def _check_overlays(s: Scenario, bad, reads) -> None:
@@ -403,10 +422,12 @@ def _check_overlays(s: Scenario, bad, reads) -> None:
                 bad("OverlayUnknownSymbol", True, "overlay {} overrides unknown symbol {!r}",
                     state, name)
                 continue
-            bad("OverlayListingState", name in STATE_NAMES,
-                "overlay {} may not override listing-state value {}", state, name)
-            bad("NonFiniteValue", not _finite(value), "overlay {}.{} = {!r} is not finite",
-                state, name, value)
+            if name in STATE_NAMES:
+                bad("OverlayListingState", True,
+                    "overlay {} may not override listing-state value {}", state, name)
+            if not _finite(value):
+                bad("NonFiniteValue", True, "overlay {}.{} = {!r} is not finite",
+                    state, name, value)
         # the identity under the overlay reads the base value of what it keeps
         kept = [name for name in ("I", "I_p", "I_i") if name not in overrides]
         if len(kept) < 3 and reads(*kept):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from dismed import (
     finite_difference,
     integrate_horizon,
     joint_prob,
+    load_scenario,
     with_values,
 )
 from dismed import calculus
@@ -30,7 +32,9 @@ from dismed.calculus import (
     Const,
     Deriv,
     Axis,
+    Joint,
     MaxE,
+    MinE,
     Mul,
     Sub,
     Sym,
@@ -39,7 +43,7 @@ from dismed.calculus import (
 from dismed.conditions import _compare
 from dismed.errors import PathCoverageError
 from dismed.io import scenario_from_dict
-from dismed.model import TimePath
+from dismed.model import SYMBOLS, TimePath, split_driver
 
 from fixture_defs import fixture_dict
 
@@ -301,6 +305,84 @@ def test_fd_missing_link_is_indeterminate():
     out = finite_difference(s, "I_o", "psi_bi", 1, notes=notes)
     assert out.is_indeterminate
     assert "missing response (I_o, psi_bi)" in notes
+
+
+# Axes of the base fixture, each with the symbols linked to it.
+_LINKED = {"c": ("P", "pi_s", "pi_sb", "psi_sb", "psi_si"),
+           "pi_sb": ("P", "P_s", "pi_s", "psi_sb", "psi_si"),
+           "B_b": ("rho_i", "rho_p"),
+           "U_ip+U_iw": ("I_i", "I_p", "rho_i", "rho_p")}
+_STRICT_SIDES = (
+    lambda a, b: Sym(a),
+    lambda a, b: Add((Sym(a), Const(2.0), Sym(b))),
+    lambda a, b: Sub(Sym(b), Sym(a)),
+    lambda a, b: Joint(a, b),
+)
+# Steps whose 2h, h * h or 2 h ** 3 overflows or underflows at some order.
+_STEPS = (None, 1e-3, 1e308, 1e155, 1e103, 1e-320, 1e-170, 1e-110)
+
+
+def _derive(s, driven, axis, order, h, forced):
+    """The compiled derivative's value, its notes and its eval_response
+    calls; ``forced`` runs the stencil whatever the driven side."""
+    notes = []
+    with mock.patch.object(calculus, "eval_response", wraps=calculus.eval_response) as calls:
+        if forced:
+            with mock.patch.object(calculus, "_strict", lambda expr: False):
+                deriv = calculus._compile_deriv(Deriv(driven, axis, order))
+        else:
+            deriv = calculus._compile_deriv(Deriv(driven, axis, order))
+        with np.errstate(all="ignore"):
+            v = deriv(s, None, notes, h)
+    return v, notes, calls.call_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=st.sampled_from(sorted(_LINKED)), side=st.sampled_from(_STRICT_SIDES),
+       picks=st.tuples(st.integers(0, 4), st.integers(0, 4)), order=st.integers(1, 3),
+       h=st.sampled_from(_STEPS), x0=st.sampled_from((None, 1e200, 1e-200)),
+       per_draw=st.booleans())
+def test_unknown_strict_side_skips_the_stencil_bit_for_bit(axis, side, picks, order, h, x0,
+                                                           per_draw):
+    # a sum, difference or joint with a missing link is unknown at every
+    # stencil point: the shortcut gives the stencil's bits and notes, at a
+    # float driver and at one value per draw, and evaluates no link
+    linked = _LINKED[axis]
+    a, b = (linked[k % len(linked)] for k in picks)
+    first = split_driver(axis)[0]
+    base_scenario = load_scenario(Path(__file__).parent / "fixtures" / "all_three_satisfied.json")
+    s = base_scenario.replace(responses=tuple(
+        r for r in base_scenario.responses if (r.driven, r.driver) != (a, axis)))
+    if x0 is not None:
+        s = with_values(s, {first: x0})
+    if per_draw:
+        column = np.array([s.value(first), 1e306, -1e300, 1e-300, 7.0])
+        values = list(s.values)
+        values[SYMBOLS[first]] = column
+        s = s.replace(values=tuple(values))
+    driven = side(a, b)
+    got, got_notes, calls = _derive(s, driven, Axis.sym(axis), order, h, forced=False)
+    want, want_notes, _ = _derive(s, driven, Axis.sym(axis), order, h, forced=True)
+    assert calls == 0
+    assert got_notes == want_notes
+    assert f"missing response ({a}, {axis})" in got_notes
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, 5).tobytes() == np.broadcast_to(w, 5).tobytes()
+
+
+def test_products_and_extrema_still_run_their_stencil(base_scenario):
+    # 0 * unknown = 0, so a product with a zero factor is known where its
+    # other factor's link is missing; a Max or Min keeps the known side's bound
+    s = base_scenario.replace(responses=tuple(
+        r for r in base_scenario.responses if (r.driven, r.driver) != ("P", "c")))
+    zero, _, _ = _derive(s, Mul(Const(0.0), Sym("P")), Axis.sym("c"), 1, None, forced=False)
+    assert zero == (0.0, 0.0)
+    for extreme in (MaxE, MinE):
+        v, notes, calls = _derive(s, extreme((Sym("P"), Sym("pi_s"))), Axis.sym("c"), 2, None,
+                                  forced=False)
+        assert calls > 0 and notes == ["missing response (P, c)"]
+        assert (v, notes) == _derive(s, extreme((Sym("P"), Sym("pi_s"))), Axis.sym("c"), 2,
+                                     None, forced=True)[:2]
 
 
 def test_fd_self_derivative_is_identity():

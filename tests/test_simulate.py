@@ -443,6 +443,39 @@ def test_batch_path_equals_scalar_decide_for_one_marginal(name):
     assert ev.rejections.tolist() == rejections
 
 
+@pytest.mark.parametrize("name, split, cfg", [
+    ("SC_b", "B15", CFG),                          # B15 holds in some draws only
+    ("P_b", "B3", RunConfig(guard_mode="skip")),   # B3's guard fails in some draws
+])
+def test_conditions_that_every_draw_agrees_on_are_plain_values(name, split, cfg):
+    # one swept symbol that a single condition compares: every other
+    # condition's status and exclusion come out of the block as one plain value
+    data = json.loads((FIXTURES_DIR / "all_three_satisfied.json").read_text())
+    data["responses"] = [r for r in data["responses"]
+                         if name not in {r["driven"], *split_driver(r["driver"])}]
+    base = scenario_from_dict(data)
+    v = data[name]
+    d = dist(**{name: {"kind": "uniform", "lo": v - 0.5 * abs(v) - 0.5, "hi": v + 0.5 * abs(v)}})
+    n = 40
+    with np.errstate(all="ignore"):
+        X, varying, _ = batch.draw(base, d, 4, 0, n)
+        draws = batch.block(base, X, varying)
+        for cid, (parts, guard, _) in cfg.compiled.items():
+            status, skipped = batch._condition(draws, parts, guard, cfg)
+            if cid.label != split:
+                assert type(status) is int and type(skipped) is bool, cid.label
+                continue
+            assert isinstance(status, np.ndarray) and len(set(status.tolist())) == 2
+            if cfg.guard_mode == "skip":  # excluded exactly where the guard failed
+                assert isinstance(skipped, np.ndarray)
+                assert skipped.tolist() == (status == batch.VACUOUS).tolist()
+    statuses, decisions, rejections = _scalar_codes(base, d, 4, n, cfg)
+    ev = batch.evaluate(base, d, 4, 0, n, cfg)
+    assert ev.statuses.tolist() == statuses
+    assert ev.decisions.tolist() == decisions
+    assert ev.rejections.tolist() == rejections
+
+
 # Symbols the random expressions read and differentiate.
 _EXPR_SYMBOLS = ("SC_b", "I_o", "P_s", "P", "rho_i", "rho_p", "U_ip", "I_p", "I_i", "pi_sb",
                  "pi_s", "psi_b", "psi_bi", "psi_sb", "psi_si", "c", "E_s")
