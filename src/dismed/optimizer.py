@@ -19,11 +19,20 @@ Python from ``SeedSequence([seed, stream]) -> PCG64`` (fixed by NEP 19).
 Each solve compiles its objective once: every capital link becomes a closure
 (``model.compile_response``) that a trial point calls directly, in the same
 float operations as ``eval_response``.
+
+The searches of one solve share their checkpoints: a poll that finds no
+improvement, keyed by the step level and the bits of x. Those two fix the
+rest of a search, so a later start whose poll fails at a checkpoint an
+earlier search passed returns that search's end at once, counting the
+iterations the earlier search ran from there. Every result keeps its bits
+and its iteration count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from typing import Callable, Optional, Sequence
 
 from .calculus import argmin_state
@@ -41,9 +50,10 @@ MAX_ITER = 100_000       # pattern-search iterations per start
 # iterations grow with the ratio of the free widths (about 500 per start at
 # 1e3 and 4,500 at 1e4 on broker_opt.json); Bounds refuses wider ratios.
 MAX_WIDTH_RATIO = 1e3
-# A pareto level is one full solve (about 1 ms on broker_opt.json), so
-# 10,000 levels take about 10 s from the CLI; the bound keeps a sweep's level
-# list and frontier that size instead of whatever --points asks for.
+# A pareto level is one full solve (about 0.9 ms on broker_opt.json), so
+# 10,000 levels take about 10 s from the CLI (9.0-10.7 s in three runs); the
+# bound keeps a sweep's level list and frontier that size instead of whatever
+# --points asks for.
 MAX_PARETO_POINTS = 10_000
 CAPITAL_SYMBOLS = ("SC_br", "RC_br")
 OBJECTIVE_MODES = ("combined", "weighted")
@@ -129,10 +139,11 @@ class OptimizerConfig(Record):
             if not math.isfinite(_number(v, f"weights[{i}]")):
                 raise ParseError(f"weights[{i}] = {v!r} must be finite")
         for name in ("restarts", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ParseError(f"{name} = {getattr(self, name)!r} must be an int")
-        if self.seed < 0:  # SeedSequence takes no negative entropy
-            raise ParseError(f"seed = {self.seed} must be >= 0")
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ParseError(f"{name} = {value!r} must be an int")
+            if value < 0:  # a count, and SeedSequence takes no negative entropy
+                raise ParseError(f"{name} = {value} must be >= 0")
 
 
 class OptResult(Record):
@@ -209,34 +220,49 @@ def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
             if r is not None:
                 links.append((j, bind(r), eval_response(r, s.value(drv, ctx))))
         groups.append((s.value(sym, ctx), tuple(links)))
-    linked = any(links for _, links in groups)
+    # one accumulator per capital symbol, in CAPITAL_SYMBOLS order: a loop
+    # over the two would cost a trial point more than its links do
+    (sc, sc_links), (rc, rc_links) = groups
+    linked = bool(sc_links or rc_links)
 
     def capital(x: Sequence[float]) -> float:
         if not linked:
             raise MissingCapitalResponse(
                 "neither SC_br nor RC_br has a declared response on any of "
                 f"{DECISION_FIELDS}")
-        total = 0.0
-        for value, links in groups:
-            for j, compiled, at_base in links:
-                value += compiled(x[j]) - at_base
-            total += value
-        return total
+        a, b = sc, rc
+        for j, compiled, at_base in sc_links:
+            a += compiled(x[j]) - at_base
+        for j, compiled, at_base in rc_links:
+            b += compiled(x[j]) - at_base
+        return 0.0 + a + b
 
     def objective(w_capital: float, w_cost: float) -> Callable[[Sequence[float]], float]:
         if not linked:
             return lambda x: capital(x) if feasible(x) else -math.inf
+        if len(sc_links) == len(rc_links) == 1:  # every broker-optimize instance
+            # one link per capital symbol: the same sum as one expression
+            ((i, sc_f, sc_at),), ((j, rc_f, rc_at),) = sc_links, rc_links
+
+            def one_each(x: Sequence[float]) -> float:
+                spent = x[0] + x[1] + x[2]
+                if not (cp - (spent if spent > 0.0 else 0.0) >= need):
+                    return -math.inf
+                total = 0.0 + (sc + (sc_f(x[i]) - sc_at)) + (rc + (rc_f(x[j]) - rc_at))
+                return w_capital * total - w_cost * (spent + x[3])
+
+            return one_each
 
         def f(x: Sequence[float]) -> float:
             spent = x[0] + x[1] + x[2]  # max(0.0, spent) is spent only if spent > 0.0
             if not (cp - (spent if spent > 0.0 else 0.0) >= need):
                 return -math.inf
-            total = 0.0
-            for value, links in groups:
-                for j, compiled, at_base in links:
-                    value += compiled(x[j]) - at_base
-                total += value
-            return w_capital * total - w_cost * (spent + x[3])
+            a, b = sc, rc
+            for j, compiled, at_base in sc_links:
+                a += compiled(x[j]) - at_base
+            for j, compiled, at_base in rc_links:
+                b += compiled(x[j]) - at_base
+            return w_capital * (0.0 + a + b) - w_cost * (spent + x[3])
 
         return f
 
@@ -276,7 +302,7 @@ def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
                     lows: Sequence[float], highs: Sequence[float],
-                    x0: Sequence[float]):
+                    x0: Sequence[float], seen: Optional[dict] = None):
     """Compass pattern search over a box; f may return -inf for infeasible.
 
     Besides the compass moves, the pattern probes pairwise trade moves
@@ -285,15 +311,30 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
 
     The polls clip ``min(max(v, lo), hi)`` by the builtins' own tests (``lo >
     v``, then ``hi < v``): the same float, NaN and signed zeros included.
+
+    ``seen`` holds the checkpoints of earlier searches of the same f over the
+    same box. A checkpoint is a poll that finds no improvement, keyed by the
+    step level and the bits of x, which fix the rest of the search; it maps to
+    that search's end ``(x, f(x), iterations run, stopped at zero steps)`` and
+    the iterations it had run at the checkpoint. A search whose poll fails at
+    a known checkpoint returns that end at once, with its own count plus the
+    rest, if the sum stays within ``MAX_ITER``. A search that ends records its
+    checkpoints; one cut by ``MAX_ITER`` records none.
     """
+    if seen is None:
+        seen = {}
     dims = [j for j in range(len(lows)) if highs[j] > lows[j]]
     widths = [highs[j] - lows[j] for j in range(len(lows))]
     steps = [w * INIT_STEP_FRAC for w in widths]
+    # a fixed coordinate's step is 0: its inf stop lets the others decide
+    stops = [TOL_FRAC * w if hi > lo else math.inf for w, lo, hi in zip(widths, lows, highs)]
     x = [min(max(v, lo), hi) for v, lo, hi in zip(x0, lows, highs)]
     fx = f(x)
     boxes = [(j, lows[j], highs[j]) for j in dims]
     pairs = [(i, lows[i], highs[i], j, lows[j], highs[j])
              for i in dims for j in dims if i != j]
+    bits = struct.Struct(f"{len(x)}d").pack
+    level, passed = 0, []  # passed: (checkpoint, iterations) of this search
     iterations = 0
     while iterations < MAX_ITER:
         iterations += 1
@@ -331,13 +372,29 @@ def _pattern_search(f: Callable[[Sequence[float]], float],
         if best_x is not None:
             x, fx = best_x, best_fx
             continue
+        checkpoint = (level, bits(*x))
+        known = seen.get(checkpoint)
+        if known is not None:
+            (x_end, fx_end, ran, zero), at = known
+            if iterations + ran - at <= MAX_ITER:
+                end = x_end, fx_end, iterations + ran - at, zero
+                break
+        passed.append((checkpoint, iterations))
         halved = [st * 0.5 for st in steps]
-        if all(halved[j] < TOL_FRAC * widths[j] for j in dims):
+        if all(map(operator.lt, halved, stops)):
+            end = x, fx, iterations, False
             break
         if halved == steps:  # all 0: every later poll is empty, to MAX_ITER
-            return x, fx, MAX_ITER
+            end = x, fx, iterations, True
+            break
         steps = halved
-    return x, fx, iterations
+        level += 1
+    else:
+        return x, fx, iterations
+    for checkpoint, at in passed:
+        seen[checkpoint] = end, at
+    x, fx, ran, zero = end
+    return x, fx, MAX_ITER if zero else ran
 
 
 def _feasible_start(start: Sequence[float], anchor: Sequence[float],
@@ -361,15 +418,15 @@ def _best_of_restarts(f: Callable[[Sequence[float]], float],
     """Pattern search from the low corner and from ``cfg.restarts`` seeded
     uniform points (substream ``[cfg.seed, stream]``), each shrunk toward the
     low corner until ``ok``: the best (x, f(x)), the first of equals, and
-    the iterations of all searches."""
+    the iterations of all searches, which share one dict of checkpoints."""
     u = doubles(cfg.seed, stream)
     starts = [list(lows)]
-    for _ in range(max(0, cfg.restarts)):
+    for _ in range(cfg.restarts):
         raw = [lo + next(u) * (hi - lo) for lo, hi in zip(lows, highs)]
         starts.append(_feasible_start(raw, lows, ok))
-    best_x, best_fx, total_iter = None, -math.inf, 0
+    best_x, best_fx, total_iter, seen = None, -math.inf, 0, {}
     for start in starts:
-        x, fx, iters = _pattern_search(f, lows, highs, start)
+        x, fx, iters = _pattern_search(f, lows, highs, start, seen)
         total_iter += iters
         if fx > best_fx:
             best_x, best_fx = x, fx
@@ -415,7 +472,9 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
         return []
     capital(lows)  # surfaces MissingCapitalResponse before any search work
 
-    cost_min = sum(lows)
+    # sum() of floats is compensated from Python 3.12: left to right from 0.0
+    # is what it gives before, on every interpreter
+    cost_min = 0.0 + lows[0] + lows[1] + lows[2] + lows[3]
     cost_max = highs[3] + min(highs[0] + highs[1] + highs[2], room)
 
     raw_points: list[ParetoPoint] = []
@@ -423,7 +482,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
         eps_tol = eps + 1e-12 * max(1.0, abs(eps))
 
         def ok(x: Sequence[float]) -> bool:
-            return feasible(x) and sum(x) <= eps_tol
+            return feasible(x) and 0.0 + x[0] + x[1] + x[2] + x[3] <= eps_tol
 
         def f(x: Sequence[float]) -> float:
             return capital(x) if ok(x) else -math.inf

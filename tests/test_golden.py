@@ -11,7 +11,11 @@ The files under ``tests/golden/`` hold:
   ``E_m`` switches between), one per config in ``WIDE_CONFIGS``;
 * ``decide_digests.txt``: one sha256 per ``decide`` payload over 200 seeded
   ``random_scenario`` / ``drop_responses`` scenarios, plus a few time-path
-  scenarios (an evaluation that raises is pinned by its exception text).
+  scenarios (an evaluation that raises is pinned by its exception text);
+* ``optimize/<case>.optimize.json`` and ``optimize/<case>.pareto.json``: the
+  ``optimize`` and ``pareto --points 5`` JSON payloads, under the CLI's
+  default ``OptimizerConfig``, for ``broker_opt.json`` with ``bounds_bi.json``
+  and for a few ``random_opt_instance`` seeds.
 
 Regenerate them only when a payload change is intended, and say so in
 CHANGES.md:
@@ -39,7 +43,7 @@ from dismed.model import split_driver  # noqa: E402
 from dismed.simulate import DistributionSpec  # noqa: E402
 
 from fixture_defs import fixture_dict  # noqa: E402
-from scen_gen import drop_responses, random_scenario  # noqa: E402
+from scen_gen import drop_responses, random_opt_instance, random_scenario  # noqa: E402
 
 GOLDEN_DIR = TESTS_DIR / "golden"
 FIXTURES_DIR = TESTS_DIR / "fixtures"
@@ -176,6 +180,28 @@ def decide_digests() -> list[str]:
     return lines
 
 
+OPT_SEED, OPT_INSTANCES = 20261019, 5
+
+
+def optimizer_goldens() -> dict[str, str]:
+    """What ``optimize`` and ``pareto --points 5`` render as JSON for each case."""
+    from dismed.optimizer import Bounds, OptimizerConfig, optimize_broker, pareto_sweep
+
+    bounds = json.loads((FIXTURES_DIR / "bounds_bi.json").read_text(encoding="utf-8"))
+    cases = [("broker_opt.bounds_bi", load_scenario(FIXTURES_DIR / "broker_opt.json"),
+              Bounds.from_dict(bounds))]
+    for i in range(OPT_INSTANCES):
+        scenario, box, _, _, _ = random_opt_instance([OPT_SEED, i], concave=i % 2 == 1)
+        cases.append((f"random-{i}", scenario, box))
+    out = {}
+    for name, scenario, box in cases:
+        out[f"{name}.optimize.json"] = render_report(
+            optimize_broker(scenario, box, OptimizerConfig()), "json", os.devnull)
+        out[f"{name}.pareto.json"] = render_report(
+            pareto_sweep(scenario, box, 5, OptimizerConfig()), "json", os.devnull)
+    return out
+
+
 def _first_difference(expected: str, got: str, name: str) -> str:
     diff = difflib.unified_diff(expected.splitlines(), got.splitlines(),
                                 f"golden/{name}", "now", lineterm="", n=2)
@@ -209,6 +235,12 @@ def test_decide_digests_match_golden():
     assert not bad, f"{len(bad)} payload digests moved, first: {bad[:3]}"
 
 
+def test_optimizer_payloads_match_golden():
+    for name, text in optimizer_goldens().items():
+        expected = (GOLDEN_DIR / "optimize" / name).read_text(encoding="utf-8")
+        assert text == expected, _first_difference(expected, text, name)
+
+
 def write_goldens() -> None:
     (GOLDEN_DIR / "decide").mkdir(parents=True, exist_ok=True)
     for name, text in decide_goldens().items():
@@ -217,6 +249,9 @@ def write_goldens() -> None:
     (GOLDEN_DIR / "sweep_wide.json").write_text(wide_sweep_golden(), encoding="utf-8")
     (GOLDEN_DIR / "decide_digests.txt").write_text(
         "\n".join(decide_digests()) + "\n", encoding="utf-8")
+    (GOLDEN_DIR / "optimize").mkdir(exist_ok=True)
+    for name, text in optimizer_goldens().items():
+        (GOLDEN_DIR / "optimize" / name).write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

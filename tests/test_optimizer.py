@@ -562,6 +562,170 @@ def test_pattern_search_equals_its_builtin_clipping_oracle(case):
     assert runs[0] == runs[1]
 
 
+# --- restarts that share their checkpoints, against a plain loop ---------------
+
+_SUBNORMAL_WIDTHS = (5e-324, 1.5e-323, 2.5e-310)
+
+
+@st.composite
+def _restart_case(draw):
+    """An objective, a box and a restart plan for ``_best_of_restarts``.
+
+    Coordinates may be fixed at -0.0 (the low corner holds -0.0 there, and a
+    restart ``lo + u * 0.0`` holds 0.0), fixed elsewhere, free with a
+    subnormal width (steps that round to 0) or free with a normal one. The
+    objective may read the sign of a zero, and a small ``MAX_ITER`` cuts
+    some searches short."""
+    lows, highs, targets = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("free", "free", "fixed", "negzero", "subnormal")))
+        if kind == "negzero":
+            lo = hi = -0.0
+        elif kind == "fixed":
+            lo = hi = draw(st.floats(-2.0, 2.0))
+        elif kind == "subnormal":
+            lo = draw(st.sampled_from((0.0, -0.0, 5e-324)))
+            hi = lo + draw(st.sampled_from(_SUBNORMAL_WIDTHS))
+        else:
+            lo = draw(st.sampled_from((0.0, -1.0))) if draw(st.booleans()) \
+                else draw(st.floats(-4.0, 4.0))
+            hi = lo + draw(st.sampled_from((0.5, 1.0, 3.0)) | st.floats(1e-3, 8.0))
+        lows.append(lo)
+        highs.append(hi)
+        targets.append(draw(st.sampled_from((lo, hi)) | st.floats(lo, hi)))
+    n = len(lows)
+    kind = draw(st.sampled_from(("linear", "abs", "square", "flat")))
+    coeffs = [draw(st.sampled_from((-1.0, 0.0, 1.0)) | st.floats(-3.0, 3.0)) for _ in range(n)]
+    signed = draw(st.booleans())
+    cap = draw(st.none() | st.floats(-2.0, 6.0))
+
+    def f(x):
+        if cap is not None and x[0] + x[-1] > cap:
+            return -math.inf
+        if kind == "linear":
+            v = sum(c * xi for c, xi in zip(coeffs, x))
+        elif kind == "abs":
+            v = -sum(abs(c) * abs(xi - t) for c, xi, t in zip(coeffs, x, targets))
+        elif kind == "square":
+            v = -sum(abs(c) * (xi - t) * (xi - t) for c, xi, t in zip(coeffs, x, targets))
+        else:
+            v = 1.0
+        if signed:  # a zero's sign moves f
+            v += sum(math.copysign(1e-3, xi) for xi in x if xi == 0.0)
+        return v
+
+    def ok(x):
+        return f(x) > -math.inf
+
+    cfg = OptimizerConfig(restarts=draw(st.integers(0, 6)), seed=draw(st.integers(0, 3)))
+    max_iter = draw(st.integers(1, 60))
+    return f, ok, tuple(lows), tuple(highs), cfg, draw(st.integers(0, 2)), max_iter
+
+
+def _bits(result):
+    x, fx, iterations = result
+    return None if x is None else [v.hex() for v in x], repr(fx), iterations
+
+
+def _searches(f, ok, lows, highs, cfg, stream):
+    """``_best_of_restarts``'s result, and the start and result of each of
+    its searches."""
+    searches = []
+    real = optimizer._pattern_search
+
+    def recorded(f, lows, highs, x0, seen):
+        out = real(f, lows, highs, x0, seen)
+        searches.append((list(x0), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_pattern_search", recorded)
+        return optimizer._best_of_restarts(f, ok, lows, highs, cfg, stream), searches
+
+
+def _assert_shared_equals_plain(f, ok, lows, highs, cfg, stream, max_iter):
+    """``_best_of_restarts`` under ``MAX_ITER = max_iter`` equals, bit for
+    bit, a plain loop of ``_pattern_search`` over the same starts: search by
+    search, and the best with the summed iterations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "MAX_ITER", max_iter)
+        shared, searches = _searches(f, ok, lows, highs, cfg, stream)
+        plain = [optimizer._pattern_search(f, lows, highs, x0) for x0, _ in searches]
+    assert len(searches) == cfg.restarts + 1
+    assert [_bits(out) for _, out in searches] == [_bits(out) for out in plain]
+    best_x, best_fx, total = None, -math.inf, 0
+    for x, fx, iterations in plain:
+        total += iterations
+        if fx > best_fx:
+            best_x, best_fx = x, fx
+    assert _bits(shared) == _bits((best_x, best_fx, total))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_restart_case())
+def test_restarts_that_share_checkpoints_equal_a_plain_loop(case):
+    _assert_shared_equals_plain(*case)
+
+
+# Every start walks to one corner of the box. The low corner's search gets
+# there last (high) or first (low), so some budgets cut an earlier search that
+# a later one passes through, and some would end a merge past MAX_ITER. In
+# "signed zero" the low corner holds x0 = -0.0 and each restart 0.0.
+_CORNER_WALKS = {
+    "high": (lambda x: x[0] + x[1], (0.0, -1.0), (1.0, 2.0)),
+    "low": (lambda x: -x[0] - x[1], (0.0, -1.0), (1.0, 2.0)),
+    "signed zero": (lambda x: x[1], (-0.0, 0.0), (-0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("walk", _CORNER_WALKS)
+def test_restarts_share_checkpoints_under_every_budget(walk):
+    f, lows, highs = _CORNER_WALKS[walk]
+    for max_iter in range(1, 45):
+        _assert_shared_equals_plain(f, lambda x: True, lows, highs,
+                                    OptimizerConfig(restarts=6, seed=1), 0, max_iter)
+
+
+def test_restarts_skip_what_an_earlier_start_walked():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    shared = plain = 0
+    for i in range(12):
+        scenario, bounds, _, _, _ = random_opt_instance([31, i])
+        feasible, _, _, objective = optimizer._compile_solve(
+            scenario, optimizer.argmin_state(scenario))
+        f, lows, highs = objective(1.0, 1.0), bounds.lows, bounds.highs
+        _, searches = _searches(counted, feasible, lows, highs,
+                                OptimizerConfig(restarts=6, seed=i), 0)
+        shared += len(calls)
+        calls.clear()
+        for x0, _ in searches:
+            optimizer._pattern_search(counted, lows, highs, x0)
+        plain += len(calls)
+        calls.clear()
+    assert shared < plain
+
+
+# --- pareto's cost sums ---------------------------------------------------------
+
+def test_pareto_sums_cost_left_to_right_on_every_interpreter(monkeypatch):
+    # sum() of floats is compensated from Python 3.12: here it would give a
+    # cost floor of 1.0 where left-to-right addition gives 0.0 (the 1.0 is
+    # lost beside 1e16), and every eps level would move
+    data = fixture_dict("opt", value_overrides={"B_n": 0.0, "RC_br": 0.0, "SC_br": 0.0})
+    data["responses"] = [quad_response("RC_br", "B_n", 0.0, 1.0, 0.0)]
+    s = scenario_from_dict(data)
+    bounds = Bounds(B_b=(1e16, 1e16), B_s=(1.0, 1.0), B_i=(-1e16, -1e16), B_n=(0.0, 2.0))
+    assert math.fsum(bounds.lows) == 1.0
+    want = repr([p.to_dict() for p in pareto_sweep(s, bounds, k=5)])
+    monkeypatch.setattr(optimizer, "sum", math.fsum, raising=False)
+    assert repr([p.to_dict() for p in pareto_sweep(s, bounds, k=5)]) == want
+
+
 # --- OptimizerConfig ------------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [
@@ -569,7 +733,7 @@ def test_pattern_search_equals_its_builtin_clipping_oracle(case):
     ("weights", (1.0,)), ("weights", (1.0, 2.0, 3.0)), ("weights", "ab"),
     ("weights", (True, 1.0)), ("weights", (1.0, "2")), ("weights", (float("nan"), 1.0)),
     ("weights", (1.0, float("inf"))), ("weights", (10 ** 400, 1.0)),
-    ("restarts", 2.0), ("restarts", True), ("restarts", "8"),
+    ("restarts", 2.0), ("restarts", True), ("restarts", "8"), ("restarts", -1),
     ("seed", 1.5), ("seed", False), ("seed", None), ("seed", -1),
 ])
 def test_optimizer_config_rejects_a_bad_field(field, value):
@@ -578,8 +742,8 @@ def test_optimizer_config_rejects_a_bad_field(field, value):
 
 
 def test_optimizer_config_keeps_what_it_accepted():
-    cfg = OptimizerConfig(mode="weighted", weights=[2, 0.5], restarts=-1, seed=3)
-    assert (cfg.weights, cfg.restarts) == ((2, 0.5), -1)  # -1: the low corner only
+    cfg = OptimizerConfig(mode="weighted", weights=[2, 0.5], restarts=0, seed=3)
+    assert (cfg.weights, cfg.restarts) == ((2, 0.5), 0)  # 0: the low corner only
 
 
 def test_optimizer_config_is_hashable_with_list_weights():
