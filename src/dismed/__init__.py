@@ -12,14 +12,10 @@ so ``import dismed`` never imports numpy; of the commands, only sweep does.
 
 from .calculus import (
     ExtendedValue,
-    INDETERMINATE,
-    approx_equal,
-    argmax_state,
     argmin_state,
     evaluate_expression,
     finite_difference,
     integrate_horizon,
-    joint_prob,
 )
 from .conditions import (
     ALL_CONDITION_IDS,
@@ -35,7 +31,6 @@ from .conditions import (
     decide,
     eval_condition,
     eval_condition_set,
-    referenced_symbols,
 )
 from .config import RunConfig
 from .errors import (
@@ -62,21 +57,19 @@ from .model import (
 #: Public name -> the module that defines it, imported when the name is first read.
 _LAZY = {
     **dict.fromkeys(("Bounds", "DecisionVector", "OptResult", "OptimizerConfig",
-                     "ParetoPoint", "broker_objective", "optimize_broker",
-                     "pareto_sweep"), "optimizer"),
+                     "ParetoPoint", "optimize_broker", "pareto_sweep"), "optimizer"),
     **dict.fromkeys(("DistributionSpec", "Marginal", "SensitivityResult", "SweepStats",
-                     "run_sweep", "sample_scenarios", "sensitivity"), "simulate"),
+                     "run_sweep", "sensitivity"), "simulate"),
 }
 
 __all__ = [
     # calculus
-    "ExtendedValue", "INDETERMINATE", "approx_equal", "argmax_state", "argmin_state",
-    "evaluate_expression", "finite_difference", "integrate_horizon", "joint_prob",
+    "ExtendedValue", "argmin_state", "evaluate_expression", "finite_difference",
+    "integrate_horizon",
     # conditions
     "ALL_CONDITION_IDS", "ConditionId", "ConditionReport", "ConditionSet",
     "ConditionVerdict", "DecisionSummary", "SetDecision", "Status", "condition_ids",
     "condition_margin", "decide", "eval_condition", "eval_condition_set",
-    "referenced_symbols",
     # config, errors, io, model
     "RunConfig",
     "DismedError", "IndeterminateAtBase", "MissingCapitalResponse", "ParseError",

@@ -182,21 +182,10 @@ class ExtendedValue(Record):
             raise ValueError(f"invalid interval [{lower}, {upper}]")
         self.__dict__.update(lower=lower, upper=upper)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def is_indeterminate(self) -> bool:
-        return self.lower == -INF and self.upper == INF
-
     def to_json(self) -> list:
         def enc(x: float):
             return None if math.isinf(x) else x
         return [enc(self.lower), enc(self.upper)]
-
-
-INDETERMINATE = ExtendedValue(-INF, INF)
 
 
 def _close(a, b, rel_tol: float):
@@ -204,23 +193,9 @@ def _close(a, b, rel_tol: float):
     return abs(a - b) <= rel_tol * _first((abs(a), abs(b), 1e-12), True)
 
 
-def approx_equal(a: float, b: float, rel_tol: float) -> bool:
-    """Symmetric closeness test: |a - b| <= rel_tol * max(|a|, |b|, 1e-12)."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
-    return _close(a, b, rel_tol)
-
-
-def joint_prob(a: float, b: float, mode: str = "product") -> float:
-    """Joint closing probability under an independence or comonotone reading."""
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError("joint_prob arguments must lie in [0, 1]")
-    return _joint_raw(a, b, mode)
-
-
 def _joint_raw(a, b, mode: str):
-    # Arithmetic core without domain checks; derivative stencils may probe
-    # response values slightly outside [0, 1].
+    # The joint closing probability, per draw and unchecked: derivative
+    # stencils may probe response values slightly outside [0, 1].
     if mode == "product":
         return a * b
     if mode == "min":
@@ -228,14 +203,9 @@ def _joint_raw(a, b, mode: str):
     raise ValueError(f"unknown intersection mode {mode!r}")
 
 
-def argmax_state(s: Scenario, candidates: Sequence[str] = ("E_s", "E_p", "E_m")) -> str:
-    """State with the largest base value; ties break by the candidates' order
-    (E_s over E_p over E_m for the full triple)."""
-    return s.per_winner(candidates, None, lambda name, value: name)
-
-
 def argmin_state(s: Scenario, candidates: Sequence[str] = ("E_m", "E_p", "E_s")) -> str:
-    """Mirror of argmax_state; ties break E_m over E_p over E_s."""
+    """State with the smallest base value; ties break by the candidates'
+    order (E_m over E_p over E_s for the full triple)."""
     best = None
     best_v = INF
     for name in candidates:
@@ -307,10 +277,6 @@ class Axis(Record):
         return Axis("sym", parts)
 
     @staticmethod
-    def bundle(*names: str) -> "Axis":
-        return Axis("bundle", tuple(names))
-
-    @staticmethod
     def max_of(*names: str) -> "Axis":
         return Axis("max", tuple(names))
 
@@ -318,7 +284,7 @@ class Axis(Record):
     def ordered(self) -> tuple[str, ...]:
         """The names in tie-break order: a max axis picks its largest
         component, ties to the earlier name, and the listing-state triple
-        always breaks ties E_s, E_p, E_m (as argmax_state does)."""
+        always breaks ties E_s, E_p, E_m (as a part's argmax context does)."""
         if self.kind == "max" and set(self.names) == {"E_s", "E_p", "E_m"}:
             return ("E_s", "E_p", "E_m")
         return self.names
@@ -682,22 +648,6 @@ def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG) -> Compiled:
     def evaluate(s, ctx: Optional[str], notes: Optional[list]) -> Interval:
         return combine([g(s, ctx, notes) for g in getters])
     return evaluate
-
-
-def symbols_of(expr: Expr) -> set[str]:
-    """Every symbol ``expr`` reads, derivative axes and integrands included."""
-    leaves: dict = {}
-    _combine(expr, leaves, "product")
-    out: set[str] = set()
-    for leaf in leaves:
-        if isinstance(leaf, Sym):
-            out.add(leaf.name)
-        elif isinstance(leaf, Deriv):
-            out |= symbols_of(leaf.driven)
-            out.update(leaf.axis.names)
-        else:
-            out |= symbols_of(leaf.integrand)
-    return out
 
 
 # ---------------------------------------------------------------------------

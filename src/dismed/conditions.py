@@ -59,7 +59,6 @@ from .calculus import (
     _close,
     compile_expression,
     iabs,
-    symbols_of,
     # Not called here: perfbench's --trace 1 wraps this module's binding.
     evaluate_expression,  # noqa: F401
 )
@@ -474,25 +473,6 @@ def build_form(cid: ConditionId, cfg: RunConfig) -> Form:
     """The condition's registry row, or its builder's form under ``cfg``."""
     form = _FORMS[cid.label]
     return form if isinstance(form, Form) else form(cfg)
-
-
-def _ctx_symbols(spec: CtxSpec) -> tuple[str, ...]:
-    if spec is None:
-        return ()
-    kind, arg = spec
-    return arg if kind == "argmax" else (arg,)
-
-
-def referenced_symbols(cid: ConditionId, cfg: Optional[RunConfig] = None) -> frozenset[str]:
-    """Every scenario symbol a condition reads (for the symbol-table audit)."""
-    form = build_form(cid, cfg or DEFAULT_CONFIG)
-    out: set[str] = set()
-    for part in form.parts if form.guard is None else (form.guard, *form.parts):
-        out |= symbols_of(part.lhs)
-        if part.rhs is not None:
-            out |= symbols_of(part.rhs)
-        out.update(_ctx_symbols(part.lhs_ctx), _ctx_symbols(part.rhs_ctx))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

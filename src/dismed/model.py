@@ -516,6 +516,10 @@ def _check_responses(s: Scenario, bad, swept=frozenset()) -> list:
             bad("ResponseUnknownSymbol", True,
                 "response {.ident}: unknown driver symbol in {!r}", r, r.driver)
             continue
+        if r.driver != "+".join(parts):  # the spelling every lookup keys on
+            bad("ResponseDriverSpelling", True,
+                "response {.ident}: driver must be written {!r}", r, "+".join(parts))
+            continue
         if r.driven in parts:
             bad("ResponseSelfLink", True,
                 "response {.ident}: driven may not appear in its own driver", r)

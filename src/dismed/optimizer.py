@@ -173,11 +173,6 @@ class ParetoPoint(Record):
                 "decision": self.decision.to_dict()}
 
 
-def _compile(s: Scenario, ctx: Optional[str], bind=compile_response):
-    """``(feasible, capital, room)`` of ``_compile_solve``."""
-    return _compile_solve(s, ctx, bind)[:3]
-
-
 def _budget(s: Scenario, ctx: Optional[str]):
     """``(feasible, cp, need)``: the commission budget c*P, its slack and the
     coverage test of ``_compile_solve``, which read no link."""
@@ -190,14 +185,7 @@ def _budget(s: Scenario, ctx: Optional[str]):
     return feasible, cp, need
 
 
-def _per_call(r) -> Callable[[float], float]:
-    """A link as one ``eval_response`` call: what ``evaluate_capital`` and
-    ``broker_objective`` keep, since each calls a link once at most and a
-    compile would cost more than it saves."""
-    return lambda x: eval_response(r, x)
-
-
-def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
+def _compile_solve(s: Scenario, ctx: Optional[str]):
     """``(feasible, capital, room, objective)`` for decision points ``x =
     (B_b, B_s, B_i, B_n)`` under the overlay ``ctx``, reading once what ``x``
     does not change. ``feasible(x)``: commission coverage c*P - max(0,
@@ -207,9 +195,9 @@ def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
     MissingCapitalResponse. ``objective(w_capital, w_cost)``: ``w_capital *
     capital(x) - w_cost * (B_b+B_s+B_i+B_n)`` if ``feasible(x)``, else -inf,
     as one closure with the same float operations. Each link is kept as
-    ``(j, f, f(base_j))``: f is ``bind(r)``, by default the closure
-    ``compile_response`` builds once, so a trial point costs one closure call
-    per link; f(base_j) is evaluated once by ``eval_response``.
+    ``(j, f, f(base_j))``: f is the closure ``compile_response`` builds once,
+    so a trial point costs one closure call per link; f(base_j) is evaluated
+    once by ``eval_response``.
     """
     feasible, cp, need = _budget(s, ctx)
     groups = []
@@ -218,7 +206,7 @@ def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
         for j, drv in enumerate(DECISION_FIELDS):
             r = s.response_for(sym, drv, ctx)
             if r is not None:
-                links.append((j, bind(r), eval_response(r, s.value(drv, ctx))))
+                links.append((j, compile_response(r), eval_response(r, s.value(drv, ctx))))
         groups.append((s.value(sym, ctx), tuple(links)))
     # one accumulator per capital symbol, in CAPITAL_SYMBOLS order: a loop
     # over the two would cost a trial point more than its links do
@@ -272,8 +260,6 @@ def _compile_solve(s: Scenario, ctx: Optional[str], bind=compile_response):
 def _weights(mode: str, weights: tuple[float, float]) -> tuple[float, float]:
     """``(w_capital, w_cost)``: the objective is weighted capital minus the
     weighted cost total; the combined mode's unit weights change no bit."""
-    if mode not in OBJECTIVE_MODES:
-        raise ValueError(f"unknown objective mode {mode!r}")
     return (weights[0], weights[1]) if mode == "weighted" else (1.0, 1.0)
 
 
@@ -282,22 +268,13 @@ def _point(d: DecisionVector) -> tuple[float, ...]:
 
 
 def evaluate_capital(s: Scenario, d: DecisionVector, ctx: Optional[str]) -> float:
-    """SC_br + RC_br at the decision point (see ``_compile``)."""
-    return _compile(s, ctx, _per_call)[1](_point(d))
+    """SC_br + RC_br at the decision point (see ``_compile_solve``)."""
+    return _compile_solve(s, ctx)[1](_point(d))
 
 
 def is_feasible(s: Scenario, d: DecisionVector, ctx: Optional[str] = None) -> bool:
     """Strict commission coverage, checked with numeric slack."""
     return _budget(s, ctx)[0](_point(d))
-
-
-def broker_objective(s: Scenario, d: DecisionVector, mode: str = "combined",
-                     weights: tuple[float, float] = (1.0, 1.0)) -> float:
-    """Capital-versus-cost objective under the argmin listing-state overlay."""
-    x = _point(d)
-    capital = _compile(s, argmin_state(s), _per_call)[1](x)
-    w_capital, w_cost = _weights(mode, weights)
-    return w_capital * capital - w_cost * (x[0] + x[1] + x[2] + x[3])
 
 
 def _pattern_search(f: Callable[[Sequence[float]], float],
@@ -467,7 +444,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
         raise ValueError(f"k must be in [2, {MAX_PARETO_POINTS}], got {k}")
     ctx = argmin_state(s)
     lows, highs = bounds.lows, bounds.highs
-    feasible, capital, room = _compile(s, ctx)
+    feasible, capital, room, _ = _compile_solve(s, ctx)
     if not feasible(lows):
         return []
     capital(lows)  # surfaces MissingCapitalResponse before any search work

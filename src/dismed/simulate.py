@@ -135,15 +135,6 @@ def rejection_limit(index: int) -> RejectionLimit:
         "(e.g. it perturbs response-anchored symbols)")
 
 
-def sample_scenarios(base: Scenario, dist: DistributionSpec, n: int,
-                     seed: int) -> tuple[tuple[Scenario, ...], int]:
-    """n validated draws and the total rejections; deterministic for fixed
-    (base, dist, n, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draws(base, dist, seed, 0, n)
-
-
 def _draws(base: Scenario, dist: DistributionSpec, seed: int, start: int,
            stop: int) -> tuple[tuple[Scenario, ...], int]:
     """Draws start..stop-1, drawn as one block, and their total rejections."""

@@ -23,6 +23,25 @@ SLOW = frozenset((
 ))
 
 
+def expr_symbols(node) -> set[str]:
+    """Every symbol an expression tree reads (a tuple of trees, or None),
+    derivative axes and integrands included."""
+    from dismed.calculus import Axis, Joint, Sym
+    from dismed.record import Record
+
+    if isinstance(node, Sym):
+        return {node.name}
+    if isinstance(node, Joint):
+        return {node.a, node.b}
+    if isinstance(node, Axis):
+        return set(node.names)
+    if isinstance(node, tuple):
+        return set().union(*map(expr_symbols, node))
+    if isinstance(node, Record):
+        return expr_symbols(tuple(getattr(node, name) for name in node._fields))
+    return set()  # a constant's value or a derivative's order
+
+
 def pytest_collection_modifyitems(items):
     for item in items:
         if f"{item.path.name}::{item.originalname}" in SLOW:

@@ -15,14 +15,10 @@ from hypothesis import strategies as st
 
 from dismed import (
     ExtendedValue,
-    INDETERMINATE,
     RunConfig,
-    approx_equal,
-    argmax_state,
     argmin_state,
     finite_difference,
     integrate_horizon,
-    joint_prob,
     load_scenario,
     with_values,
 )
@@ -38,17 +34,21 @@ from dismed.calculus import (
     Mul,
     Sub,
     Sym,
+    _close,
+    _joint_raw,
     evaluate_expression,
 )
 from dismed.conditions import _compare
-from dismed.errors import PathCoverageError
+from dismed.errors import ParseError, PathCoverageError
 from dismed.io import scenario_from_dict
 from dismed.model import SYMBOLS, TimePath, split_driver
 
+from conftest import expr_symbols
 from fixture_defs import fixture_dict
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e6, max_value=1e6)
+INDETERMINATE = ExtendedValue(-math.inf, math.inf)
 
 
 # --- argmax / argmin ---------------------------------------------------------
@@ -58,6 +58,10 @@ def states(s, E_s, E_p, E_m):
 
 
 def test_argmax_state_examples(base_scenario):
+    # the argmax listing-state context: the largest value, ties to the earlier
+    def argmax_state(s):
+        return s.per_winner(("E_s", "E_p", "E_m"), None, lambda name, value: name)
+
     assert argmax_state(states(base_scenario, 5, 3, 1)) == "E_s"
     assert argmax_state(states(base_scenario, 2, 2, 1)) == "E_s"  # tie-break
     assert argmax_state(states(base_scenario, -1, 0, 4)) == "E_m"
@@ -69,30 +73,32 @@ def test_argmin_state_mirror(base_scenario):
     assert argmin_state(states(base_scenario, 0, 2, 3)) == "E_s"
 
 
-# --- approx_equal ------------------------------------------------------------
+# --- _close: the closeness test of "~" comparisons ---------------------------
 
 def test_approx_equal_examples():
-    assert approx_equal(10, 10, 0.05)
-    assert approx_equal(10, 10.4, 0.05)       # |d|=0.4 <= 0.52
-    assert not approx_equal(10, 11, 0.05)     # |d|=1 > 0.55
+    assert _close(10, 10, 0.05)
+    assert _close(10, 10.4, 0.05)       # |d|=0.4 <= 0.52
+    assert not _close(10, 11, 0.05)     # |d|=1 > 0.55
 
 
 def test_approx_equal_requires_positive_tol():
-    with pytest.raises(ValueError):
-        approx_equal(1, 1, 0.0)
+    # _close reads its tolerance from the RunConfig, which refuses one <= 0
+    for tol in (0.0, -0.05):
+        with pytest.raises(ParseError, match="tolerances must be positive"):
+            RunConfig(rel_tol=tol)
 
 
 @given(finite_floats, finite_floats, st.floats(min_value=1e-6, max_value=0.5))
 def test_approx_equal_is_symmetric(a, b, tol):
-    assert approx_equal(a, b, tol) == approx_equal(b, a, tol)
+    assert _close(a, b, tol) == _close(b, a, tol)
 
 
-# --- joint_prob --------------------------------------------------------------
+# --- _joint_raw: the joint of two closing probabilities ----------------------
 
 def test_joint_prob_examples():
-    assert joint_prob(0.5, 0.4, "product") == pytest.approx(0.2)
-    assert joint_prob(0.73, 1.0, "product") == pytest.approx(0.73)
-    assert joint_prob(0.5, 0.4, "min") == pytest.approx(0.4)
+    assert _joint_raw(0.5, 0.4, "product") == pytest.approx(0.2)
+    assert _joint_raw(0.73, 1.0, "product") == pytest.approx(0.73)
+    assert _joint_raw(0.5, 0.4, "min") == pytest.approx(0.4)
 
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -101,15 +107,10 @@ probs = st.floats(min_value=0.0, max_value=1.0)
 @given(probs, probs)
 def test_joint_prob_properties(a, b):
     for mode in ("product", "min"):
-        j = joint_prob(a, b, mode)
+        j = _joint_raw(a, b, mode)
         assert 0.0 <= j <= 1.0
-        assert j == joint_prob(b, a, mode)
-    assert joint_prob(a, b, "product") <= joint_prob(a, b, "min")
-
-
-def test_joint_prob_domain_checked():
-    with pytest.raises(ValueError):
-        joint_prob(1.2, 0.5)
+        assert j == _joint_raw(b, a, mode)
+    assert _joint_raw(a, b, "product") <= _joint_raw(a, b, "min")
 
 
 # --- interval arithmetic -----------------------------------------------------
@@ -119,8 +120,7 @@ def test_interval_basics():
     assert calculus.add(a, b) == (0.0, 5.0)
     assert calculus.sub(a, b) == (-2.0, 3.0)
     assert calculus.mul(a, b) == (-2.0, 6.0)
-    assert INDETERMINATE.is_indeterminate
-    assert ExtendedValue(*calculus.add(a, calculus.UNKNOWN)).is_indeterminate
+    assert calculus.add(a, calculus.UNKNOWN) == calculus.UNKNOWN
 
 
 def test_comparison_against_partially_known_max():
@@ -248,7 +248,7 @@ def test_point_inputs_stay_points(values):
     exprs = tuple(Const(v) for v in values)
     scenario = scenario_from_dict(fixture_dict("pts"))
     out = evaluate_expression(scenario, MaxE((Add(exprs), Mul(exprs[0], exprs[-1]))))
-    assert out.is_point
+    assert out.lower == out.upper
 
 
 # --- finite differences ------------------------------------------------------
@@ -266,7 +266,7 @@ def test_fd_matches_square_derivatives():
     s = scenario_with_response("psi_b", "U_ip", [0.0, 0.0, 1.0],
                                U_ip=3.0, psi_b=9.0)
     d1 = finite_difference(s, "psi_b", "U_ip", 1, h=1e-3)
-    assert d1.is_point and d1.lower == pytest.approx(6.0, abs=1e-6)
+    assert d1.lower == d1.upper and d1.lower == pytest.approx(6.0, abs=1e-6)
     d2 = finite_difference(s, "psi_b", "U_ip", 2, h=1e-3)
     assert d2.lower == pytest.approx(2.0, abs=1e-4)
 
@@ -284,7 +284,7 @@ def test_fd_step_whose_power_overflows_is_indeterminate(order, h):
     # U_iw = pi_i: dividing by an overflowed 2h, h * h or 2 h ** 3 would read 0
     s = scenario_with_response("U_iw", "pi_i", [0.0, 1.0], pi_i=2.0, U_iw=2.0)
     notes = []
-    assert finite_difference(s, "U_iw", "pi_i", order, h=h, notes=notes).is_indeterminate
+    assert finite_difference(s, "U_iw", "pi_i", order, h=h, notes=notes) == INDETERMINATE
     assert notes == [f"difference step along pi_i overflows (h = {h})"]
 
 
@@ -293,7 +293,7 @@ def test_fd_step_whose_power_underflows_is_indeterminate(order, h):
     # 2h, h * h or 2 h ** 3 is 0 or has no finite reciprocal
     s = scenario_with_response("U_iw", "pi_i", [0.0, 1.0], pi_i=2.0, U_iw=2.0)
     notes = []
-    assert finite_difference(s, "U_iw", "pi_i", order, h=h, notes=notes).is_indeterminate
+    assert finite_difference(s, "U_iw", "pi_i", order, h=h, notes=notes) == INDETERMINATE
     assert notes == [f"difference step along pi_i underflows (h = {h})"]
 
 
@@ -303,7 +303,7 @@ def test_fd_missing_link_is_indeterminate():
     s = scenario_from_dict(data)
     notes = []
     out = finite_difference(s, "I_o", "psi_bi", 1, notes=notes)
-    assert out.is_indeterminate
+    assert out == INDETERMINATE
     assert "missing response (I_o, psi_bi)" in notes
 
 
@@ -456,7 +456,7 @@ def test_missing_link_expression_is_indeterminate():
     data = fixture_dict("x")
     data["responses"] = []
     s = scenario_from_dict(data)
-    assert evaluate_expression(s, expr).is_indeterminate
+    assert evaluate_expression(s, expr) == INDETERMINATE
 
 
 def test_overlay_application_is_idempotent(base_scenario):
@@ -534,7 +534,7 @@ def _s13_integrands():
 
 
 _S13_INTEGRANDS = _s13_integrands()
-_S13_SYMBOLS = sorted(calculus.symbols_of(MaxE(_S13_INTEGRANDS)))
+_S13_SYMBOLS = sorted(expr_symbols(_S13_INTEGRANDS))
 # small values, signed zeros, and values whose products overflow, so that
 # some nodes are unknown and their integrals NaN
 _PATH_NUMBERS = st.one_of(st.floats(-10.0, 10.0),
@@ -658,5 +658,5 @@ def test_state_context_response_consistency_checked_under_overlay():
 
 
 def test_approx_equal_zero_floor():
-    assert approx_equal(0.0, 0.0, 0.05)
-    assert not approx_equal(0.0, 1e-10, 0.05)  # 1e-10 > 0.05 * 1e-12
+    assert _close(0.0, 0.0, 0.05)
+    assert not _close(0.0, 1e-10, 0.05)  # 1e-10 > 0.05 * 1e-12

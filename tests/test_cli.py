@@ -383,6 +383,24 @@ def test_sweep_with_overflowing_uniform_range_exits_2(capsys, fixtures_dir, tmp_
 
 
 @pytest.mark.parametrize("command", ["validate", "decide"])
+def test_a_driver_spelled_with_spaces_exits_2(capsys, fixtures_dir, tmp_path, command):
+    # the spaces once validated, and decide missed the links: B10, B11, B18 and
+    # B19 were Indeterminate, with "missing response (I_i, U_ip+U_iw)"
+    data = json.loads((fixtures_dir / "all_three_satisfied.json").read_text())
+    spaced = [r for r in data["responses"] if r["driver"] == "U_ip+U_iw"]
+    assert len(spaced) == 4
+    for r in spaced:
+        r["driver"] = "U_ip + U_iw"
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and "internal error" not in err
+    assert err.count("ResponseDriverSpelling") == 4
+    if command == "validate":
+        assert "driver must be written 'U_ip+U_iw'" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "decide"])
 @pytest.mark.parametrize("field", ["label", "driven"])
 def test_lone_surrogate_escape_exits_2(capsys, tmp_path, command, field):
     data = fixture_dict("x")

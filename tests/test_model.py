@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dismed import SYMBOLS, referenced_symbols, validate_scenario, with_values
-from dismed.conditions import ALL_CONDITION_IDS
+from dismed import SYMBOLS, validate_scenario, with_values
+from dismed.conditions import ALL_CONDITION_IDS, build_form
+from dismed.config import DEFAULT_CONFIG
 from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.errors import ValidationError
 from dismed.model import MAX_POLY_DEGREE, ResponseFunction, compile_response, eval_response
 
+from conftest import expr_symbols
 from fixture_defs import BASE_VALUES, fixture_dict, fixture_scenario
 
 
@@ -129,6 +131,19 @@ def test_response_validation_codes():
         [response("I_o", "zeta", [anchored])])
 
 
+@pytest.mark.parametrize("spelling", ["U_ip + U_iw", "U_ip+ U_iw", " U_a", "U_a\t"])
+def test_a_driver_has_one_spelling(spelling):
+    # conditions look links up as "a+b": any other spelling of a driver would
+    # validate and never be read, and beside the plain one it would pass the
+    # one-link-per-key rule
+    anchored = [BASE_VALUES["I_o"]]
+    plain = spelling.replace(" ", "").strip()
+    assert response_codes([response("I_o", plain, anchored)]) == set()
+    assert response_codes([response("I_o", spelling, anchored)]) == {"ResponseDriverSpelling"}
+    assert response_codes([response("I_o", plain, anchored),
+                           response("I_o", spelling, anchored)]) == {"ResponseDriverSpelling"}
+
+
 def test_piecewise_knots_must_increase():
     bad = {"driven": "I_o", "driver": "U_a", "kind": "piecewise_linear",
            "knots": [[0.0, 1.0], [0.0, 2.0]], "context": "base"}
@@ -195,8 +210,14 @@ def test_symbol_table_is_one_to_one():
 
 def test_every_condition_symbol_resolves_uniquely():
     for cid in ALL_CONDITION_IDS:
-        for name in referenced_symbols(cid):
-            assert name in SYMBOLS, (cid.label, name)
+        form = build_form(cid, DEFAULT_CONFIG)
+        for part in filter(None, (form.guard, *form.parts)):
+            names = expr_symbols((part.lhs, part.rhs))
+            for spec in filter(None, (part.lhs_ctx, part.rhs_ctx)):
+                kind, arg = spec  # ("argmax", states) or ("state", state)
+                names.update(arg if kind == "argmax" else (arg,))
+            for name in names:
+                assert name in SYMBOLS, (cid.label, name)
 
 
 def test_scenario_is_frozen():

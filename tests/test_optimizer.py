@@ -13,7 +13,6 @@ from dismed import (
     DecisionVector,
     MissingCapitalResponse,
     OptimizerConfig,
-    broker_objective,
     optimize_broker,
     pareto_sweep,
 )
@@ -50,13 +49,20 @@ def decision(B_b=0.0, B_s=0.0, B_i=0.0, B_n=0.0, state="E_m"):
     return DecisionVector(B_b=B_b, B_s=B_s, B_i=B_i, B_n=B_n, state=state)
 
 
+def solve_objective(s, d, mode="combined", weights=(1.0, 1.0)):
+    """The objective a solve maximizes, at ``d``: under the argmin
+    listing-state overlay, -inf where ``d`` is not feasible."""
+    objective = optimizer._compile_solve(s, optimizer.argmin_state(s))[3]
+    return objective(*optimizer._weights(mode, weights))(optimizer._point(d))
+
+
 def test_objective_with_constant_capital_links():
     s = capital_scenario(
         [const_response("SC_br", "B_i", 3.0), const_response("RC_br", "B_i", 2.0)],
         SC_br=3.0, RC_br=2.0)
     d = decision(B_b=1.0, B_s=1.0, B_i=0.5, B_n=0.5)
     # capital 5 minus cost 3
-    assert broker_objective(s, d, "combined") == pytest.approx(2.0)
+    assert solve_objective(s, d, "combined") == pytest.approx(2.0)
 
 
 def test_weighted_unit_weights_equal_combined():
@@ -64,8 +70,8 @@ def test_weighted_unit_weights_equal_combined():
         [const_response("SC_br", "B_i", 3.0), const_response("RC_br", "B_i", 2.0)],
         SC_br=3.0, RC_br=2.0)
     d = decision(B_b=1.0, B_s=1.0, B_i=0.5, B_n=0.5)
-    assert broker_objective(s, d, "weighted", (1.0, 1.0)) == \
-        pytest.approx(broker_objective(s, d, "combined"))
+    assert solve_objective(s, d, "weighted", (1.0, 1.0)) == \
+        pytest.approx(solve_objective(s, d, "combined"))
 
 
 def test_objective_with_declared_quadratic():
@@ -74,7 +80,7 @@ def test_objective_with_declared_quadratic():
                          B_i=1.0, RC_br=3.0, SC_br=0.0,
                          B_b=0.0, B_s=0.0, B_n=0.0)
     d = decision(B_i=1.0)
-    assert broker_objective(s, d, "combined") == pytest.approx(2.0)  # 3 - 1
+    assert solve_objective(s, d, "combined") == pytest.approx(2.0)  # 3 - 1
 
 
 def test_missing_capital_response():
@@ -82,7 +88,7 @@ def test_missing_capital_response():
     data["responses"] = []
     s = scenario_from_dict(data)
     with pytest.raises(MissingCapitalResponse):
-        broker_objective(s, decision(B_i=1.0))
+        solve_objective(s, decision(B_i=1.0))
     with pytest.raises(MissingCapitalResponse):
         optimize_broker(s, Bounds(B_b=(0, 1), B_s=(0, 1), B_i=(0, 1), B_n=(0, 1)))
 
@@ -138,7 +144,7 @@ def test_argmin_state_overlay_conditions_the_objective():
     s = scenario_from_dict(data)
     d = decision(B_i=1.5)
     # capital = overlay base 5.0 + (f(1.5) - f(1.5)) + SC base 1.5; cost 1.5
-    assert broker_objective(s, d) == pytest.approx(5.0 + 1.5 - 1.5)
+    assert solve_objective(s, d) == pytest.approx(5.0 + 1.5 - 1.5)
 
 
 def test_pattern_search_beats_grid_on_random_instances():
@@ -246,7 +252,7 @@ def test_weighted_mode_hand_check():
                          B_i=1.0, RC_br=3.0, SC_br=0.5)
     d = decision(B_i=1.0, B_n=0.5)
     # capital = (4 - 1) + 0.5 = 3.5; cost = 1.5; weights (2, 3)
-    assert broker_objective(s, d, "weighted", (2.0, 3.0)) == \
+    assert solve_objective(s, d, "weighted", (2.0, 3.0)) == \
         pytest.approx(2.0 * 3.5 - 3.0 * 1.5)
 
 
@@ -415,16 +421,17 @@ def _outcome(fn, *args):
 def test_compiled_objective_equals_the_per_call_oracle(case):
     s, d, weights, ctx = case
     x = [d.B_b, d.B_s, d.B_i, d.B_n]
-    feasible, capital, _ = optimizer._compile(s, ctx)
+    feasible, capital, _, objective = optimizer._compile_solve(s, ctx)
     want = oracle_feasible(s, d, ctx)
     assert feasible(x) is want and is_feasible(s, d, ctx) is want
     want = _outcome(oracle_capital, s, d, ctx)
     assert _outcome(capital, x) == want
     assert _outcome(evaluate_capital, s, d, ctx) == want
-    _, _, _, objective = optimizer._compile_solve(s, ctx)
+    solve_ctx = optimizer.argmin_state(s)
     for mode, w in (("combined", (1.0, 1.0)), ("weighted", weights)):
-        assert _outcome(broker_objective, s, d, mode, w) == \
-            _outcome(oracle_objective, s, d, mode, w)
+        want = (_outcome(oracle_objective, s, d, mode, w)
+                if oracle_feasible(s, d, solve_ctx) else repr(-math.inf))
+        assert _outcome(solve_objective, s, d, mode, w) == want
         w_capital, w_cost = optimizer._weights(mode, w)
 
         def per_part(x):
@@ -750,11 +757,3 @@ def test_optimizer_config_is_hashable_with_list_weights():
     listed = OptimizerConfig(mode="weighted", weights=[2, 0.5])
     assert hash(listed) == hash(OptimizerConfig(mode="weighted", weights=(2, 0.5)))
     assert listed == OptimizerConfig(mode="weighted", weights=(2, 0.5))
-
-
-def test_broker_objective_keeps_its_mode_check_for_direct_callers(fixtures_dir):
-    from dismed.io import load_scenario
-
-    s = load_scenario(fixtures_dir / "broker_opt.json")
-    with pytest.raises(ValueError, match="unknown objective mode"):
-        broker_objective(s, decision(B_i=1.0), "maximin")

@@ -20,7 +20,6 @@ from dismed import (
     RunConfig,
     decide,
     run_sweep,
-    sample_scenarios,
     sensitivity,
     validate_scenario,
     with_values,
@@ -62,6 +61,11 @@ def dist(**marginals) -> DistributionSpec:
 
 
 # --- sampling -----------------------------------------------------------------
+
+def sample_scenarios(base, dist, n, seed):
+    """Draws 0..n-1 and their total rejections, as a sweep draws them."""
+    return dismed.simulate._draws(base, dist, seed, 0, n)
+
 
 def test_point_mass_returns_copies(base_scenario):
     sample, rejections = sample_scenarios(base_scenario, dist(), n=5, seed=7)
@@ -481,8 +485,8 @@ _EXPR_SYMBOLS = ("SC_b", "I_o", "P_s", "P", "rho_i", "rho_p", "U_ip", "I_p", "I_
                  "pi_s", "psi_b", "psi_bi", "psi_sb", "psi_si", "c", "E_s")
 _AXES = st.sampled_from([
     Axis.sym("psi_b"), Axis.sym("psi_bi"), Axis.sym("P"), Axis.sym("rho_p"), Axis.sym("pi_b"),
-    Axis.sym("E_s"), Axis.sym("c"), Axis.bundle("U_ip", "U_iw"), Axis.bundle("U_sp", "U_sw"),
-    Axis.bundle("I_p", "I_i"), Axis.max_of("E_m", "E_p", "E_s"), Axis.max_of("pi_sb", "pi_s"),
+    Axis.sym("E_s"), Axis.sym("c"), Axis.sym("U_ip+U_iw"), Axis.sym("U_sp+U_sw"),
+    Axis.sym("I_p+I_i"), Axis.max_of("E_m", "E_p", "E_s"), Axis.max_of("pi_sb", "pi_s"),
     Axis.max_of("psi_si", "psi_sb")])
 _CONTEXTS = st.one_of(st.none(),
                       st.sampled_from(("E_s", "E_p", "E_m")).map(lambda n: ("state", n)),

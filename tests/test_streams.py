@@ -14,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dismed import (DistributionSpec, RejectionLimit, RunConfig, run_sweep,
-                    sample_scenarios, validate_scenario)
+from dismed import DistributionSpec, RejectionLimit, RunConfig, run_sweep, validate_scenario
 from dismed import batch, model, streams
 from dismed.io import scenario_from_dict
 from dismed.model import SYMBOLS, split_driver, with_values
@@ -23,7 +22,8 @@ from dismed.simulate import MAX_REJECTIONS_PER_DRAW, draw_scenario, rejection_li
 
 from fixture_defs import fixture_dict
 from test_golden import GOLDEN_DIR, wide_sweep_case, wide_sweep_golden
-from test_simulate import _BLOCK_BASES, _block_case, bare_scenario, wide_distributions
+from test_simulate import (_BLOCK_BASES, _block_case, bare_scenario, sample_scenarios,
+                           wide_distributions)
 
 # PCG64's LCG multiplier (O'Neill 2014), for states that output a chosen value.
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
