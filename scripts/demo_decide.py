@@ -21,7 +21,7 @@ def main() -> int:
 
     cfg = RunConfig()
     if args.quorum is not None:
-        cfg = cfg.with_overrides(aggregation="quorum", quorum=args.quorum)
+        cfg = cfg.replace(aggregation="quorum", quorum=args.quorum)
 
     summary = decide(load_scenario(args.scenario), cfg)
     print(f"scenario: {summary.scenario_label}")

@@ -182,11 +182,6 @@ class ExtendedValue(Record):
             raise ValueError(f"invalid interval [{lower}, {upper}]")
         self.__dict__.update(lower=lower, upper=upper)
 
-    def to_json(self) -> list:
-        def enc(x: float):
-            return None if math.isinf(x) else x
-        return [enc(self.lower), enc(self.upper)]
-
 
 def _close(a, b, rel_tol: float):
     """|a - b| <= rel_tol * max(|a|, |b|, 1e-12), per draw."""

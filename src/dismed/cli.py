@@ -15,24 +15,11 @@ never exit status:
 from __future__ import annotations
 
 import argparse
-import io as _io
-import math
 import os
 import sys
-from json.encoder import encode_basestring
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from .calculus import ExtendedValue
-from .conditions import (
-    ConditionId,
-    ConditionReport,
-    ConditionSet,
-    ConditionVerdict,
-    DecisionSummary,
-    PartTrace,
-    decide,
-    eval_condition_set,
-)
+from .conditions import ConditionId, ConditionSet, decide, eval_condition_set
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     DismedError,
@@ -42,7 +29,7 @@ from .errors import (
     RejectionLimit,
     ValidationError,
 )
-from .io import json_array, json_atom, json_object, json_text, load_scenario, read_json
+from .io import load_scenario, read_json, report_csv, report_json
 from .model import ValidationReport
 
 # The optimizer and sweep engines are imported by the subcommands that run
@@ -61,199 +48,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig.from_dict(read_json(path, "config"))
     if args.format:
-        cfg = cfg.with_overrides(output_format=args.format)
+        cfg = cfg.replace(output_format=args.format)
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    import csv  # only CSV output loads it
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buf.getvalue()
-
-
-def _ev_cells(ev: Optional[ExtendedValue]) -> list:
-    return [None, None] if ev is None else ev.to_json()
-
-
-def _report_rows(report: ConditionReport) -> list[list]:
-    return [[v.id.label, v.status.value, *_ev_cells(v.lhs), *_ev_cells(v.rhs),
-             v.guard_status, "; ".join(v.notes)] for v in report.verdicts]
-
-
-_REPORT_HEADER = ["id", "status", "lhs_lower", "lhs_upper",
-                  "rhs_lower", "rhs_upper", "guard", "notes"]
-
-
-def _to_csv(result: Any) -> str:
-    if isinstance(result, ValidationReport):
-        return _csv_text(["code", "message"],
-                         [[v.code, v.message] for v in result.violations])
-    if isinstance(result, ConditionReport):
-        return _csv_text(_REPORT_HEADER, _report_rows(result))
-    if isinstance(result, DecisionSummary):
-        rows = []
-        for name in ("buyer", "broker_web", "seller"):
-            report = result.reports[name]
-            rows.append([name, "aggregate", report.aggregate.value])
-            rows.extend([name, v.id.label, v.status.value] for v in report.verdicts)
-        return _csv_text(["set", "id", "status"], rows)
-    # The remaining results come from simulate or the optimizer. Simulate's
-    # types are checked first, so a sensitivity CSV never loads the optimizer.
-    from .simulate import SensitivityResult, SweepStats
-
-    if isinstance(result, SweepStats):
-        return _csv_text(
-            ["id", "frequency", "indeterminate_rate"],
-            [[label, stats["frequency"], stats["indeterminate_rate"]]
-             for label, stats in result.per_condition.items()])
-    if isinstance(result, SensitivityResult):
-        d = result.to_dict()
-        return _csv_text(list(d), [list(d.values())])
-    from .optimizer import DecisionVector, OptResult, ParetoPoint
-
-    decision = DecisionVector._fields
-    if isinstance(result, OptResult):
-        d = result.decision
-        return _csv_text(
-            ["feasible", "objective", "iterations", "mode", *decision],
-            [[result.feasible, result.objective, result.iterations, result.mode,
-              *(d._values() if d else (None,) * len(decision))]])
-    if isinstance(result, list) and all(isinstance(p, ParetoPoint) for p in result):
-        return _csv_text(["cost", "capital", *decision],
-                         [[p.cost, p.capital, *p.decision._values()] for p in result])
-    raise TypeError(f"no CSV rendering for {type(result).__name__}")
-
-
-def _to_payload(result: Any) -> Any:
-    if isinstance(result, list):
-        return [p.to_dict() for p in result]
-    return result.to_dict()
-
-
-# Condition reports are written straight from their fields, with the text
-# ``json_text(result.to_dict())`` would give; only a report's config dict goes
-# through the generic writer, once per summary. Every other field has one
-# type, so it goes through that type's writer: ``encode_basestring`` for
-# text, ``_FLAG`` for Optional[bool], and the interval writer of one
-# ``render_report`` call for intervals.
-
-_FLAG = {None: "null", True: "true", False: "false"}
-
-
-def _interval_writer() -> Callable[[Optional[ExtendedValue], str], str]:
-    """``ExtendedValue.to_json``'s text (an infinite endpoint is null), for
-    the intervals of one report: the text of each float endpoint is kept, as a
-    report repeats few distinct floats. Zeros are never kept, so 0.0 and -0.0
-    never share a text, and only floats are looked up, so an int never takes
-    the text of the float it equals."""
-    memo: dict[float, str] = {}
-    known = memo.get
-
-    def endpoint(x) -> str:
-        if x.__class__ is not float:
-            return "null" if math.isinf(x) else json_atom(x)
-        text = float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "null"
-        if x:
-            memo[x] = text
-        return text
-
-    def interval(ev: Optional[ExtendedValue], nl: str) -> str:
-        if ev is None:
-            return "null"
-        inner = nl + "  "
-        x, y = ev.lower, ev.upper
-        lo = x.__class__ is float and known(x) or endpoint(x)
-        # Most values are points, whose two endpoints are one float object.
-        hi = lo if y is x else y.__class__ is float and known(y) or endpoint(y)
-        return f"[{inner}{lo},{inner}{hi}{nl}]"
-    return interval
-
-
-def _config_writer() -> Callable[[dict, str], str]:
-    """``json_text(dict(config), nl)``, for the reports of one summary: a
-    config with the keys of the last one written, in order, each value the
-    same object, at the same indent, takes its text. Equal values are not
-    enough: ``rel_tol`` 1 and 1.0, or ``zero_tol`` 0.0 and -0.0, are equal
-    and print differently."""
-    last = None  # (nl, items, text) of the config written last
-
-    def config(values: dict, nl: str) -> str:
-        nonlocal last
-        items = tuple(values.items())
-        if last is not None and last[0] == nl and len(last[1]) == len(items) and all(
-                k == j and v is w for (k, v), (j, w) in zip(items, last[1])):
-            return last[2]
-        text = json_text(dict(values), nl)
-        last = nl, items, text
-        return text
-    return config
-
-
-# Verdicts and parts are most of a report, so their keys are spelled out.
-
-def _part_json(p: PartTrace, nl: str, ev_json) -> str:
-    n = nl + "  "
-    return (f'{{{n}"check": {encode_basestring(p.desc)},{n}"op": {encode_basestring(p.op)},'
-            f'{n}"lhs": {ev_json(p.lhs, n)},{n}"rhs": {ev_json(p.rhs, n)},'
-            f'{n}"holds": {_FLAG[p.holds]}{nl}}}')
-
-
-def _verdict_json(v: ConditionVerdict, nl: str, ev_json) -> str:
-    n = nl + "  "
-    notes = json_array(map(encode_basestring, v.notes), n)
-    parts = json_array([_part_json(p, n + "  ", ev_json) for p in v.parts], n)
-    return (f'{{{n}"id": {encode_basestring(v.id.label)},'
-            f'{n}"status": {encode_basestring(v.status.value)},'
-            f'{n}"lhs": {ev_json(v.lhs, n)},{n}"rhs": {ev_json(v.rhs, n)},'
-            f'{n}"guard_status": {_FLAG[v.guard_status]},'
-            f'{n}"skipped": {_FLAG[v.skipped]},'
-            f'{n}"notes": {notes},{n}"parts": {parts}{nl}}}')
-
-
-def _condition_report_json(r: ConditionReport, nl: str, ev_json, config_json) -> str:
-    inner = nl + "  "
-    return json_object((
-        ("scenario", json_atom(r.scenario_label)),
-        ("set", json_atom(r.set.value)),
-        ("aggregate", json_atom(r.aggregate.value)),
-        ("verdicts", json_array([_verdict_json(v, inner + "  ", ev_json) for v in r.verdicts],
-                                inner)),
-        ("config", config_json(r.config, inner)),
-    ), nl)
-
-
-def _json(result: Any) -> str:
-    if isinstance(result, ConditionReport):
-        return _condition_report_json(result, "\n", _interval_writer(), _config_writer())
-    if isinstance(result, DecisionSummary):
-        ev_json, config_json = _interval_writer(), _config_writer()
-        return json_object((
-            ("scenario", json_atom(result.scenario_label)),
-            ("buyer_disintermediates", json_atom(result.buyer_disintermediates.value)),
-            ("broker_provides_web_info", json_atom(result.broker_provides_web_info.value)),
-            ("seller_disintermediates", json_atom(result.seller_disintermediates.value)),
-            ("reports", json_object([(k, _condition_report_json(r, "\n    ", ev_json,
-                                                                config_json))
-                                     for k, r in result.reports.items()], "\n  ")),
-        ))
-    return json_text(_to_payload(result))
 
 
 def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
     """Serialize a result and write it to ``out`` (or stdout). Returns the text."""
     if fmt == "json":
-        text = _json(result) + "\n"
+        text = report_json(result) + "\n"
     elif fmt == "csv":
-        text = _to_csv(result)
+        text = report_csv(result)
     else:
         raise ParseError(f"unknown output format {fmt!r}")
     if out:

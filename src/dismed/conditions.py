@@ -40,6 +40,7 @@ dP/dpi_s, and W6/W7 differentials taken with respect to I_i.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .calculus import (
@@ -64,7 +65,7 @@ from .calculus import (
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .model import Scenario
-from .record import Factory, Record
+from .record import FLAG, INTERVAL, MANY, MAPPING, TEXT, TREE, Factory, Record, interval_pair
 
 
 class ConditionSet(str, Enum):
@@ -99,7 +100,7 @@ class ConditionId(Record):
         if not 1 <= self.index <= SET_SIZES[self.set]:
             raise ValueError(f"{self.set.value} index {self.index} out of range")
 
-    @property
+    @cached_property  # every report writes the label of each verdict's id
     def label(self) -> str:
         return f"{_PREFIX[self.set]}{self.index}"
 
@@ -156,17 +157,11 @@ class PartTrace(Record):
     rhs: Optional[ExtendedValue]
     holds: Optional[bool]
 
+    _payload = (("check", "desc", TEXT), ("op", "op", TEXT), ("lhs", "lhs", INTERVAL),
+                ("rhs", "rhs", INTERVAL), ("holds", "holds", FLAG))
+
     def __init__(self, desc, op, lhs, rhs, holds):  # built per part on every decide
         self.__dict__.update(desc=desc, op=op, lhs=lhs, rhs=rhs, holds=holds)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.desc,
-            "op": self.op,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json() if self.rhs is not None else None,
-            "holds": self.holds,
-        }
 
 
 class ConditionVerdict(Record):
@@ -179,21 +174,14 @@ class ConditionVerdict(Record):
     parts: tuple[PartTrace, ...]
     skipped: bool = False
 
+    _payload = (("id", "id.label", TEXT), ("status", "status.value", TEXT),
+                ("lhs", "lhs", INTERVAL), ("rhs", "rhs", INTERVAL),
+                ("guard_status", "guard_status", FLAG), ("skipped", "skipped", FLAG),
+                ("notes", "notes", (MANY, TEXT)), ("parts", "parts", (MANY, PartTrace)))
+
     def __init__(self, id, status, lhs, rhs, guard_status, notes, parts, skipped=False):
         self.__dict__.update(id=id, status=status, lhs=lhs, rhs=rhs, guard_status=guard_status,
                              notes=notes, parts=parts, skipped=skipped)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id.label,
-            "status": self.status.value,
-            "lhs": self.lhs.to_json() if self.lhs is not None else None,
-            "rhs": self.rhs.to_json() if self.rhs is not None else None,
-            "guard_status": self.guard_status,
-            "skipped": self.skipped,
-            "notes": list(self.notes),
-            "parts": [p.to_dict() for p in self.parts],
-        }
 
 
 class ConditionReport(Record):
@@ -203,14 +191,13 @@ class ConditionReport(Record):
     aggregate: SetDecision
     config: dict = Factory(dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_label,
-            "set": self.set.value,
-            "aggregate": self.aggregate.value,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "config": dict(self.config),
-        }
+    _payload = (("scenario", "scenario_label", TEXT), ("set", "set.value", TEXT),
+                ("aggregate", "aggregate.value", TEXT),
+                ("verdicts", "verdicts", (MANY, ConditionVerdict)), ("config", "config", TREE))
+    _table = ("id status lhs_lower lhs_upper rhs_lower rhs_upper guard notes".split(),
+              lambda r: [(v.id.label, v.status.value, *(interval_pair(v.lhs) or (None, None)),
+                          *(interval_pair(v.rhs) or (None, None)), v.guard_status,
+                          "; ".join(v.notes)) for v in r.verdicts])
 
     def statuses(self) -> dict[str, Status]:
         return {v.id.label: v.status for v in self.verdicts}
@@ -223,14 +210,15 @@ class DecisionSummary(Record):
     seller_disintermediates: SetDecision
     reports: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_label,
-            "buyer_disintermediates": self.buyer_disintermediates.value,
-            "broker_provides_web_info": self.broker_provides_web_info.value,
-            "seller_disintermediates": self.seller_disintermediates.value,
-            "reports": {k: r.to_dict() for k, r in self.reports.items()},
-        }
+    _payload = (("scenario", "scenario_label", TEXT),
+                ("buyer_disintermediates", "buyer_disintermediates.value", TEXT),
+                ("broker_provides_web_info", "broker_provides_web_info.value", TEXT),
+                ("seller_disintermediates", "seller_disintermediates.value", TEXT),
+                ("reports", "reports", (MAPPING, ConditionReport)))
+    _table = (("set", "id", "status"),
+              lambda s: [row for name, r in s.reports.items()
+                         for row in [(name, "aggregate", r.aggregate.value),
+                                     *((name, v.id.label, v.status.value) for v in r.verdicts)]])
 
 
 # ---------------------------------------------------------------------------

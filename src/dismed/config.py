@@ -96,7 +96,7 @@ class RunConfig(Record):
             raise ParseError(f"unknown config field(s): {sorted(unknown)}")
         return cls(**dict(data))
 
-    with_overrides = Record.replace
+    with_overrides = Record.replace  # the acceptance tests' spelling of replace
 
 
 #: The config of every call that passes none, so such calls share one

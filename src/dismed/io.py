@@ -1,4 +1,4 @@
-"""Scenario file loading, canonical serialization and the JSON writer.
+"""Scenario file loading, canonical serialization and the report writers.
 
 A scenario file is a single UTF-8 JSON object whose keys are exactly the ASCII
 symbol names (``psi_b``, ``rho_p``, ``U_iw``, ``E_s``, ...) plus optional
@@ -10,17 +10,21 @@ Every report and scenario dump is written by the JSON writer at the end of
 this module, which gives the bytes of ``json.dumps(value, indent=2,
 ensure_ascii=False)``. On Python 3.11 ``json.dumps`` runs its C encoder only
 when ``indent`` is None, so an indented dump walks the value in pure Python.
-:func:`json_text` renders a whole value; ``cli.render_report`` writes
-condition reports straight from their fields, each with the writer for its
-type, joined by :func:`json_array` and :func:`json_object`.
+:func:`json_text` renders a whole value. A result's report is built from
+the payload its class declares (``dismed.record``): :func:`report_json`
+writes its fields straight from the records, each with the writer of its
+kind, and :func:`report_csv` writes its table.
 """
 
 from __future__ import annotations
 
+import io as _io
 import json
 import math
+from functools import partial
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -33,6 +37,7 @@ from .model import (
     TimePath,
     validate_scenario,
 )
+from .record import FLAG, INTERVAL, MANY, NUMBER, OPTIONAL, TEXT, TREE, _dict_form, interval_pair
 
 _SYMBOL_ORDER = tuple(SYMBOLS)
 _SYMBOL_VALUES = itemgetter(*_SYMBOL_ORDER)
@@ -284,7 +289,8 @@ def save_scenario(s: Scenario, path: str | Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# JSON writer: the text of json.dumps(value, indent=2, ensure_ascii=False)
+# JSON writer: the text of json.dumps(value, indent=2, ensure_ascii=False); a
+# result's JSON and CSV, from the payload its class declares
 # ---------------------------------------------------------------------------
 # ``nl`` is a newline followed by the indent of the line a value starts on, so
 # a value nested in a larger document renders as it would there.
@@ -309,13 +315,6 @@ def json_atom(x: Any) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def json_array(texts: Iterable[str], nl: str = "\n") -> str:
-    """An array of already rendered items (each rendered at indent ``nl + "  "``)."""
-    inner = nl + "  "
-    body = ("," + inner).join(texts)
-    return f"[{inner}{body}{nl}]" if body else "[]"
-
-
 def json_object(fields: Iterable[tuple[str, str]], nl: str = "\n") -> str:
     """An object of string keys and already rendered values."""
     inner = nl + "  "
@@ -328,8 +327,126 @@ def json_text(value: Any, nl: str = "\n") -> str:
     and object keys must be strings."""
     if isinstance(value, (list, tuple)):
         inner = nl + "  "
-        return json_array([json_text(v, inner) for v in value], nl)
+        body = ("," + inner).join([json_text(v, inner) for v in value])
+        return f"[{inner}{body}{nl}]" if body else "[]"
     if isinstance(value, dict):
         inner = nl + "  "
         return json_object([(k, json_text(v, inner)) for k, v in value.items()], nl)
     return json_atom(value)
+
+
+def report_json(result: Any) -> str:
+    """``json.dumps(payload, indent=2, ensure_ascii=False)`` of a result, by its class's writer."""
+    cls = type(result)
+    if "_json_writer" not in cls.__dict__:
+        cls._json_writer = _json_writer(result._kind if isinstance(result, list) else cls)
+    return cls._json_writer(result)
+
+
+def _json_writer(kind):
+    """A report's writer: each kind at each indent writes a column of values (a container's
+    items as one). Its state lasts a report: float endpoint texts, each indent's last dict."""
+    memo: dict[float, str] = {}
+    known = memo.get
+    last: dict[str, tuple] = {}
+
+    def endpoint(x) -> str:
+        # Zeros are never kept, so 0.0 and -0.0 never share a text, and only
+        # floats are, so an int never takes the text of the float it equals.
+        if x.__class__ is not float:
+            return "null" if math.isinf(x) else json_atom(x)
+        text = float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "null"
+        if x:
+            memo[x] = text
+        return text
+
+    def interval(nl: str, ev) -> str:  # an infinite endpoint is null
+        if ev is None:
+            return "null"
+        x, y = ev.lower, ev.upper
+        lo = x.__class__ is float and known(x) or endpoint(x)
+        # Most values are points, whose two endpoints are one float object.
+        hi = lo if y is x else y.__class__ is float and known(y) or endpoint(y)
+        return f"[{nl}  {lo},{nl}  {hi}{nl}]"
+
+    def tree(nl: str, value) -> str:
+        # A dict with the keys of the last one written at this indent, in order, each
+        # value the same object, takes its text: equal values can print differently.
+        if value.__class__ is not dict:
+            return json_text(value, nl)
+        items, was = tuple(value.items()), last.get(nl)
+        if was is None or len(was[0]) != len(items) or any(
+                k != j or v is not w for (k, v), (j, w) in zip(items, was[0])):
+            was = last[nl] = items, json_text(value, nl)
+        return was[1]
+
+    def column(kind, nl: str):  # a sequence of values of kind -> their texts
+        inner = nl + "  "
+        if kind in (INTERVAL, TREE):
+            return partial(map, partial(interval if kind is INTERVAL else tree, nl))
+        if not isinstance(kind, (type, tuple)):
+            return partial(map, {TEXT: encode_basestring, NUMBER: json_atom, FLAG: {
+                None: "null", True: "true", False: "false"}.__getitem__}[kind])
+        if isinstance(kind, type):  # a record's text: "".join((head, text, head, ..., end))
+            keys, _, kinds = zip(*kind._payload)
+            heads = [f"{',' if i else '{'}{inner}{encode_basestring(k)}: "
+                     for i, k in enumerate(keys)]
+            fields, get, end = [column(k, inner) for k in kinds], kind._payload_values, nl + "}"
+
+            def records(values):
+                texts = [f(c) for f, c in zip(fields, zip(*map(get, values)))]
+                return map("".join, zip(*chain.from_iterable(zip(map(repeat, heads), texts)),
+                                        repeat(end))) if texts else ()
+            return records
+        outer, item = kind
+        items, sep = column(item, nl if outer == OPTIONAL else inner), "," + inner
+
+        def split(values):  # each value's slice of the texts of all their items
+            texts = iter(items([*chain.from_iterable(values)]))
+            return map(islice, repeat(texts), map(len, values))
+        if outer == OPTIONAL:  # no item or one
+            return lambda values: [next(texts, "null") for texts in split(
+                [() if v is None else (v,) for v in values])]
+        if outer == MANY:
+            return lambda values: [f"[{inner}{body}{nl}]" if body else "[]"
+                                   for body in map(sep.join, split(values))]
+        return lambda values: [json_object(zip(m, texts), nl) for m, texts in zip(
+            values, split([*map(methodcaller("values"), values)]))]
+
+    top = column(kind, "\n")
+
+    def write(result) -> str:
+        memo.clear()
+        last.clear()
+        [text] = top([result])
+        return text
+    return write
+
+
+def _cells(cls, record):
+    """The (header, cell) pairs of a record's one-row CSV table: a cell per payload
+    value, but two per interval, and a record's own (blank for None) per record."""
+    for key, path, kind in cls._payload:
+        value = None if record is None else attrgetter(path)(record)
+        if kind is INTERVAL:
+            yield from zip((f"{key}_lower", f"{key}_upper"), interval_pair(value) or (None,) * 2)
+        elif isinstance(kind, type) or isinstance(kind, tuple) and kind[0] == OPTIONAL:
+            yield from _cells(kind if isinstance(kind, type) else kind[1], value)
+        else:
+            yield key, value if value is None else _dict_form(kind)(value)
+
+
+def report_csv(result: Any) -> str:
+    """A result's CSV table: the header and rows its class declares as
+    ``_table``, else one row of its payload; a list is the rows of its items."""
+    import csv  # only CSV output loads it
+
+    cls, records = (result._kind[1], result) if isinstance(result, list) else (type(result),
+                                                                               (result,))
+    header, rows = getattr(cls, "_table", None) or (
+        [h for h, _ in _cells(cls, None)], lambda r: [[c for _, c in _cells(cls, r)]])
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if v is None else v for v in row] for r in records for row in rows(r))
+    return buf.getvalue()

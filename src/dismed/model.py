@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .record import DataclassFields, Factory, Record
+from .record import FLAG, MANY, DataclassFields, Factory, Record
 
 DECIMALS_SIGNIFICANT = 12
 
@@ -272,14 +272,11 @@ class ValidationReport(Record):
     ok: bool
     violations: tuple[Violation, ...]
 
+    _payload = (("ok", "ok", FLAG), ("violations", "violations", (MANY, Violation)))
+    _table = (("code", "message"), lambda r: [(v.code, v.message) for v in r.violations])
+
     def codes(self) -> tuple[str, ...]:
         return tuple(v.code for v in self.violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [{"code": v.code, "message": v.message} for v in self.violations],
-        }
 
 
 def _finite(x):

@@ -40,7 +40,7 @@ from .errors import MissingCapitalResponse, ParseError
 from .io import _number
 from .model import DECISION_FIELDS, Scenario, compile_response, eval_response
 from .pcg import doubles
-from .record import Record
+from .record import FLAG, MANY, NUMBER, OPTIONAL, TEXT, Record
 
 FEASIBILITY_SLACK = 1e-9
 INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
@@ -153,14 +153,9 @@ class OptResult(Record):
     iterations: int
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "mode": self.mode,
-            "decision": self.decision.to_dict() if self.decision else None,
-        }
+    _payload = (("feasible", "feasible", FLAG), ("objective", "objective", NUMBER),
+                ("iterations", "iterations", NUMBER), ("mode", "mode", TEXT),
+                ("decision", "decision", (OPTIONAL, DecisionVector)))
 
 
 class ParetoPoint(Record):
@@ -168,9 +163,13 @@ class ParetoPoint(Record):
     capital: float
     decision: DecisionVector
 
-    def to_dict(self) -> dict:
-        return {"cost": self.cost, "capital": self.capital,
-                "decision": self.decision.to_dict()}
+    _payload = (("cost", "cost", NUMBER), ("capital", "capital", NUMBER),
+                ("decision", "decision", DecisionVector))
+
+
+class Frontier(list):
+    """``pareto_sweep``'s points: they render as ParetoPoints even when none."""
+    _kind = (MANY, ParetoPoint)
 
 
 def _budget(s: Scenario, ctx: Optional[str]):
@@ -432,7 +431,7 @@ def optimize_broker(s: Scenario, bounds: Bounds,
 
 
 def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
-                 cfg: OptimizerConfig = OptimizerConfig()) -> list[ParetoPoint]:
+                 cfg: OptimizerConfig = OptimizerConfig()) -> Frontier:
     """Cost/capital frontier by the epsilon-constraint method.
 
     Maximizes capital subject to cost <= eps_j for k evenly spaced eps levels
@@ -446,7 +445,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
     lows, highs = bounds.lows, bounds.highs
     feasible, capital, room, _ = _compile_solve(s, ctx)
     if not feasible(lows):
-        return []
+        return Frontier()
     capital(lows)  # surfaces MissingCapitalResponse before any search work
 
     # sum() of floats is compensated from Python 3.12: left to right from 0.0
@@ -469,7 +468,7 @@ def pareto_sweep(s: Scenario, bounds: Bounds, k: int,
             d = DecisionVector(*best_x, state=ctx)
             raw_points.append(ParetoPoint(cost=d.cost, capital=best_fx, decision=d))
 
-    return filter_nondominated(raw_points)
+    return Frontier(filter_nondominated(raw_points))
 
 
 def _linspace(start: float, stop: float, k: int) -> list[float]:

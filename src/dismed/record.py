@@ -16,11 +16,56 @@ scenarios with ``dataclasses.replace``, so ``Scenario`` carries a
 ``is_dataclass`` accept it, while a CLI call that never asks for the fields
 never imports :mod:`dataclasses` (and with it :mod:`inspect`). The
 descriptor goes once the input builder copies with :meth:`replace`.
+
+A record's payload is declared once by its class as ``_payload``: ``(key,
+attribute path, kind)`` triples, a path maybe dotted (``status.value``), a
+kind TEXT, FLAG, NUMBER, INTERVAL, TREE (any JSON value), a record class, or
+``(OPTIONAL, cls)`` (a record or None), ``(MANY, kind)`` (an array) or
+``(MAPPING, kind)`` (an object). A class that declares none has its fields
+as TREEs. :meth:`Record.to_dict` and the JSON and CSV of ``dismed.io`` are
+built from it.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
+
+TEXT, FLAG, NUMBER, INTERVAL, TREE = "text", "flag", "number", "interval", "tree"
+OPTIONAL, MANY, MAPPING = "optional", "many", "mapping"  # containers of one kind
+
+
+def interval_pair(ev) -> list | None:
+    """An interval's dict form: its endpoints, an infinite one None."""
+    return None if ev is None else [None if math.isinf(x) else x for x in (ev.lower, ev.upper)]
+
+
+def _same(value):
+    return value
+
+
+def _apply(f, x):
+    return f(x)
+
+
+def _dict_form(kind):
+    """The function from a value of ``kind`` to its dict form."""
+    if kind is INTERVAL:
+        return interval_pair
+    if isinstance(kind, type):
+        return kind.to_dict
+    if not isinstance(kind, tuple):
+        return _same
+    item = _dict_form(kind[1])
+    return {OPTIONAL: lambda v: None if v is None else item(v),
+            MANY: lambda v: [*map(item, v)],
+            MAPPING: lambda v: {k: item(x) for k, x in v.items()}}[kind[0]]
+
+
+def _getter(paths):
+    """A function from a record to the tuple of its values at ``paths``."""
+    get = attrgetter(*paths) if paths else lambda record: ()
+    return (lambda record: (get(record),)) if len(paths) == 1 else get
 
 
 class Factory:
@@ -68,6 +113,11 @@ class Record:
             get = attrgetter(*cls._fields)  # a tuple for two fields or more
             cls._values = (lambda self: (get(self),)) if len(cls._fields) == 1 \
                 else lambda self: get(self)
+        if "_payload" not in cls.__dict__:
+            cls._payload = tuple((n, n, TREE) for n in cls._fields)
+        keys, paths, kinds = zip(*cls._payload) if cls._payload else ((), (), ())
+        cls._payload_values, forms = _getter(paths), tuple(map(_dict_form, kinds))
+        cls._dict_forms = keys, None if all(f is _same for f in forms) else forms
 
     def __init__(self, *args, **kwargs):
         cls, d = type(self), self.__dict__
@@ -110,8 +160,10 @@ class Record:
         return type(self), self._values()
 
     def to_dict(self) -> dict:
-        """The fields by name, in order."""
-        return dict(zip(self._fields, self._values()))
+        """The payload that the class's ``_payload`` declares, as a dict."""
+        keys, forms = type(self)._dict_forms
+        values = type(self)._payload_values(self)
+        return dict(zip(keys, values if forms is None else map(_apply, forms, values)))
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, built (and checked) anew."""

@@ -36,7 +36,7 @@ from .errors import IndeterminateAtBase, ParseError, RejectionLimit
 from .io import _number
 # validate_scenario is not called here: perfbench's --trace 1 wraps the binding.
 from .model import SYMBOLS, Scenario, validate_scenario, with_values  # noqa: F401
-from .record import Factory, Record
+from .record import NUMBER, TEXT, TREE, Factory, Record
 
 if TYPE_CHECKING:  # numpy is imported where draws are made, so sensitivity runs without it
     import numpy as np
@@ -155,16 +155,12 @@ class SweepStats(Record):
     per_set: dict
     config: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "stream": self.stream,
-            "rejections": self.rejections,
-            "per_set": self.per_set,
-            "per_condition": self.per_condition,
-            "config": dict(self.config),
-        }
+    _payload = (("n", "n", NUMBER), ("seed", "seed", NUMBER), ("stream", "stream", TEXT),
+                ("rejections", "rejections", NUMBER), ("per_set", "per_set", TREE),
+                ("per_condition", "per_condition", TREE), ("config", "config", TREE))
+    _table = (("id", "frequency", "indeterminate_rate"),
+              lambda s: [(label, c["frequency"], c["indeterminate_rate"])
+                         for label, c in s.per_condition.items()])
 
 
 def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:

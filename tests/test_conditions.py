@@ -191,14 +191,14 @@ def test_s13_intersection_mode_changes_the_verdict(base_scenario):
     s = with_values(base_scenario, {"psi_s": 8.0, "rho_s": 0.3})
     cid = ConditionId.parse("S13")
     assert eval_condition(s, cid, CFG).status is Status.SATISFIED
-    min_cfg = CFG.with_overrides(intersection="min")
+    min_cfg = CFG.replace(intersection="min")
     assert eval_condition(s, cid, min_cfg).status is Status.VIOLATED
 
 
 def test_w5_driver_is_configurable(base_scenario):
     cid = ConditionId.parse("W5")
     assert eval_condition(base_scenario, cid, CFG).status is Status.SATISFIED
-    other = CFG.with_overrides(w5_driver="B_s")
+    other = CFG.replace(w5_driver="B_s")
     v = eval_condition(base_scenario, cid, other)
     assert v.status is Status.INDETERMINATE
     assert any("B_s" in n for n in v.notes)
@@ -207,7 +207,7 @@ def test_w5_driver_is_configurable(base_scenario):
 def test_s3_seller_utility_switch(base_scenario):
     cid = ConditionId.parse("S3")
     assert eval_condition(base_scenario, cid, CFG).status is Status.SATISFIED
-    swapped = CFG.with_overrides(seller_uses_U_sa=True)
+    swapped = CFG.replace(seller_uses_U_sa=True)
     v = eval_condition(base_scenario, cid, swapped)
     assert v.status is Status.INDETERMINATE  # no (U_sa, psi_si) link declared
 
@@ -220,9 +220,9 @@ def test_guard_modes(base_scenario):
     v = eval_condition(s, cid, CFG)
     assert v.status is Status.VACUOUS and v.guard_status is False
     assert v.lhs is None and v.rhs is None
-    v = eval_condition(s, cid, CFG.with_overrides(guard_mode="violated"))
+    v = eval_condition(s, cid, CFG.replace(guard_mode="violated"))
     assert v.status is Status.VIOLATED
-    v = eval_condition(s, cid, CFG.with_overrides(guard_mode="skip"))
+    v = eval_condition(s, cid, CFG.replace(guard_mode="skip"))
     assert v.status is Status.VACUOUS and v.skipped
 
 
@@ -230,7 +230,7 @@ def test_b1_guard_versus_joint(base_scenario):
     s = with_values(base_scenario, {"U_iw": 1.0, "U_ip": 2.0})
     cid = ConditionId.parse("B1")
     assert eval_condition(s, cid, CFG).status is Status.VACUOUS
-    joint = CFG.with_overrides(b1_guard_joint=True)
+    joint = CFG.replace(b1_guard_joint=True)
     assert eval_condition(s, cid, joint).status is Status.VIOLATED
 
 
@@ -292,11 +292,11 @@ def test_quorum_aggregation(base_scenario):
     indeterminate = [k for k, v in statuses.items() if v is Status.INDETERMINATE]
     assert sorted(indeterminate) == ["B12", "B14", "B6"]
 
-    quorum = CFG.with_overrides(aggregation="quorum", quorum=0.8)
+    quorum = CFG.replace(aggregation="quorum", quorum=0.8)
     report = eval_condition_set(s, ConditionSet.BUYER, quorum)
     assert report.aggregate is SetDecision.SATISFIED  # 16/19 = 0.842
 
-    tight = CFG.with_overrides(aggregation="quorum", quorum=0.9)
+    tight = CFG.replace(aggregation="quorum", quorum=0.9)
     report = eval_condition_set(s, ConditionSet.BUYER, tight)
     # 16/19 < 0.9 but (16+3)/19 = 1.0 >= 0.9: could still reach quorum
     assert report.aggregate is SetDecision.INDETERMINATE
@@ -304,7 +304,7 @@ def test_quorum_aggregation(base_scenario):
 
 def test_quorum_blocking_violations(base_scenario):
     s = with_values(base_scenario, {"u_hat_s": 13.0})  # B13 violated
-    quorum = CFG.with_overrides(aggregation="quorum", quorum=0.5,
+    quorum = CFG.replace(aggregation="quorum", quorum=0.5,
                                 quorum_violations_block=True)
     report = eval_condition_set(s, ConditionSet.BUYER, quorum)
     assert report.aggregate is SetDecision.NOT_SATISFIED

@@ -15,7 +15,10 @@ The files under ``tests/golden/`` hold:
 * ``optimize/<case>.optimize.json`` and ``optimize/<case>.pareto.json``: the
   ``optimize`` and ``pareto --points 5`` JSON payloads, under the CLI's
   default ``OptimizerConfig``, for ``broker_opt.json`` with ``bounds_bi.json``
-  and for a few ``random_opt_instance`` seeds.
+  and for a few ``random_opt_instance`` seeds;
+* ``render/<result>.json`` and ``render/<result>.csv``: what
+  ``render_report`` writes in each format for every result in
+  ``test_render.RESULTS``, one per subcommand and its edge cases.
 
 Regenerate them only when a payload change is intended, and say so in
 CHANGES.md:
@@ -202,6 +205,18 @@ def optimizer_goldens() -> dict[str, str]:
     return out
 
 
+def render_goldens() -> dict[str, str]:
+    """Both formats of every result in ``test_render.RESULTS``."""
+    from test_render import RESULTS
+
+    out = {}
+    for name, make in RESULTS.items():
+        result = make(FIXTURES_DIR)
+        for fmt in ("json", "csv"):
+            out[f"{name}.{fmt}"] = render_report(result, fmt, os.devnull)
+    return out
+
+
 def _first_difference(expected: str, got: str, name: str) -> str:
     diff = difflib.unified_diff(expected.splitlines(), got.splitlines(),
                                 f"golden/{name}", "now", lineterm="", n=2)
@@ -241,6 +256,12 @@ def test_optimizer_payloads_match_golden():
         assert text == expected, _first_difference(expected, text, name)
 
 
+def test_render_payloads_match_golden():
+    for name, text in render_goldens().items():
+        expected = (GOLDEN_DIR / "render" / name).read_bytes().decode("utf-8")
+        assert text == expected, _first_difference(expected, text, f"render/{name}")
+
+
 def write_goldens() -> None:
     (GOLDEN_DIR / "decide").mkdir(parents=True, exist_ok=True)
     for name, text in decide_goldens().items():
@@ -252,6 +273,9 @@ def write_goldens() -> None:
     (GOLDEN_DIR / "optimize").mkdir(exist_ok=True)
     for name, text in optimizer_goldens().items():
         (GOLDEN_DIR / "optimize" / name).write_text(text, encoding="utf-8")
+    (GOLDEN_DIR / "render").mkdir(exist_ok=True)
+    for name, text in render_goldens().items():
+        (GOLDEN_DIR / "render" / name).write_bytes(text.encode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Broker objective, pattern search, and the epsilon-constraint frontier."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -344,11 +345,11 @@ def _pinned_solves(fixtures_dir):
 def test_every_solve_renders_pinned_csv(fixtures_dir):
     import hashlib
 
-    from dismed.cli import _to_csv
+    from dismed.cli import render_report
 
     digest = hashlib.sha256()
     for label, result in _pinned_solves(fixtures_dir):
-        digest.update(f"{label} {_to_csv(result)}\n".encode())
+        digest.update(f"{label} {render_report(result, 'csv', os.devnull)}\n".encode())
     assert digest.hexdigest() == SOLVES_CSV_SHA256
 
 

@@ -1,11 +1,17 @@
 """Report rendering: every payload is the text ``json.dumps(indent=2)`` would give.
 
-The JSON writer in ``dismed.io`` and the report writer in ``dismed.cli`` must
-give exactly the bytes of ``json.dumps(payload, indent=2, ensure_ascii=False)``
-for every subcommand's result, and CSV rows must keep the text they had when
-they were built from ``to_dict``.
+Each result class declares its payload once (``_payload`` in
+``dismed.record``); ``to_dict``, the JSON writer and the CSV table in
+``dismed.io`` are all built from that declaration. Every result goes through
+``cli.render_report``, whose JSON must be exactly the bytes of
+``json.dumps(result.to_dict(), indent=2, ensure_ascii=False)``, and whose
+condition CSV rows must keep the text they had when they were built from
+``to_dict``. A record class that declares only its payload renders in both
+formats. ``tests/golden/render/`` pins the bytes of every result below.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -17,7 +23,7 @@ from hypothesis import strategies as st
 
 from dismed import RunConfig, ValidationError, decide, eval_condition_set, load_scenario
 from dismed.calculus import ExtendedValue
-from dismed.cli import _to_csv, _to_payload, render_report
+from dismed.cli import render_report
 from dismed.conditions import (
     ALL_CONDITION_IDS,
     ConditionId,
@@ -32,6 +38,7 @@ from dismed.conditions import (
 from dismed.config import GUARD_MODES
 from dismed.io import json_text, scenario_from_dict, scenario_to_dict, scenario_to_json
 from dismed.model import ValidationReport, validate_scenario
+from dismed.record import FLAG, INTERVAL, MANY, NUMBER, OPTIONAL, TEXT, Record
 
 from fixture_defs import broker_retained_dict, fixture_dict
 from scen_gen import drop_responses, random_scenario
@@ -46,6 +53,11 @@ ODD_LABEL = 'Zürich "Süd" \\ \t\n\x00\x1f\x7f \u2028 ☃ 𝄞'
 
 def _reference(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def _payload(result):
+    """A result's dict form; a pareto frontier is a list of points."""
+    return [p.to_dict() for p in result] if isinstance(result, list) else result.to_dict()
 
 
 def _fixture(fixtures_dir, name):
@@ -123,7 +135,7 @@ def random_scenarios():
 @pytest.mark.parametrize("name", RESULTS)
 def test_every_json_report_is_the_json_dumps_text(fixtures_dir, name):
     result = RESULTS[name](fixtures_dir)
-    assert render_report(result, "json", os.devnull) == _reference(_to_payload(result))
+    assert render_report(result, "json", os.devnull) == _reference(_payload(result))
 
 
 @pytest.mark.parametrize("guard_mode", GUARD_MODES)
@@ -194,6 +206,12 @@ def test_a_summary_writes_equal_but_not_identical_configs_each_on_its_own(fixtur
         "json", os.devnull)
 
 
+def test_a_report_with_no_verdicts_and_an_empty_config_renders():
+    report = ConditionReport("empty", ConditionSet.BUYER, (), SetDecision.SATISFIED)
+    assert render_report(report, "json", os.devnull) == _reference(report.to_dict())
+    assert render_report(report, "csv", os.devnull) == _csv_text(_REPORT_HEADER, [])
+
+
 def test_the_indeterminate_case_has_infinite_endpoints():
     payload = decide(_bare(), RunConfig()).to_dict()
     verdicts = [v for r in payload["reports"].values() for v in r["verdicts"]]
@@ -212,6 +230,19 @@ def test_scenario_dump_is_the_json_dumps_text(fixtures_dir, scenario):
 # CSV rows
 # ---------------------------------------------------------------------------
 
+_REPORT_HEADER = ["id", "status", "lhs_lower", "lhs_upper",
+                  "rhs_lower", "rhs_upper", "guard", "notes"]
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else v for v in row])
+    return buf.getvalue()
+
+
 def _dict_rows(report) -> list[list]:
     """CSV rows as they were built from ``to_dict``, one verdict at a time."""
     rows = []
@@ -226,12 +257,53 @@ def _dict_rows(report) -> list[list]:
 @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(guard_mode="skip", intersection="min")],
                          ids=["default", "skip-min"])
 def test_condition_csv_keeps_the_to_dict_rows(fixtures_dir, name, cfg):
-    from dismed.cli import _REPORT_HEADER, _csv_text
-
     scenario = _bare() if name == "bare" else _fixture(fixtures_dir, name)
     for cset in ConditionSet:
         report = eval_condition_set(scenario, cset, cfg)
-        assert _to_csv(report) == _csv_text(_REPORT_HEADER, _dict_rows(report))
+        assert render_report(report, "csv", os.devnull) == _csv_text(_REPORT_HEADER,
+                                                                      _dict_rows(report))
+
+
+# ---------------------------------------------------------------------------
+# A declaration is all a result class needs
+# ---------------------------------------------------------------------------
+
+def test_a_record_that_declares_only_its_payload_renders_in_both_formats():
+    class Leg(Record):
+        name: str
+        span: ExtendedValue
+
+        _payload = (("leg", "name", TEXT), ("span", "span", INTERVAL))
+
+    class Trip(Record):
+        label: str
+        stops: int
+        done: bool
+        fare: ExtendedValue
+        legs: tuple
+        first: object
+        notes: tuple
+
+        _payload = (("label", "label", TEXT), ("done", "done", FLAG),
+                    ("stops", "stops", NUMBER), ("fare", "fare", INTERVAL),
+                    ("first", "first", (OPTIONAL, Leg)), ("top", "fare.upper", NUMBER),
+                    ("legs", "legs", (MANY, Leg)), ("notes", "notes", (MANY, TEXT)))
+
+    legs = (Leg("out", ExtendedValue(1.5, math.inf)), Leg(ODD_LABEL, ExtendedValue(-0.0, 2)))
+    trip = Trip(ODD_LABEL, 2, False, ExtendedValue(-math.inf, 0.25), legs, legs[0],
+                ("a", 'b "c"'))
+    assert render_report(trip, "json", os.devnull) == _reference(trip.to_dict())
+    assert trip.to_dict()["legs"][1] == {"leg": ODD_LABEL, "span": [-0.0, 2]}
+    assert trip.to_dict()["fare"] == [None, 0.25]
+    assert render_report(trip.replace(first=None, legs=()), "json", os.devnull) == _reference(
+        trip.replace(first=None, legs=()).to_dict())
+    header, row = csv.reader(io.StringIO(render_report(trip, "csv", os.devnull)))
+    assert header == ["label", "done", "stops", "fare_lower", "fare_upper", "leg", "span_lower",
+                      "span_upper", "top", "legs", "notes"]
+    assert row[:9] == [ODD_LABEL, "False", "2", "", "0.25", "out", "1.5", "", "0.25"]
+    for first in (None, Leg("x", None)):
+        text = render_report(trip.replace(first=first), "csv", os.devnull)
+        assert list(csv.reader(io.StringIO(text)))[1][5:8] == [first and "x" or "", "", ""]
 
 
 # ---------------------------------------------------------------------------
