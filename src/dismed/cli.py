@@ -43,13 +43,8 @@ EXIT_INTERNAL = 4
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get("DISMED_CONFIG")
-    if not path:
-        cfg = DEFAULT_CONFIG
-    else:
-        cfg = RunConfig.from_dict(read_json(path, "config"))
-    if args.format:
-        cfg = cfg.replace(output_format=args.format)
-    return cfg
+    cfg = _read(RunConfig, path, "config") if path else DEFAULT_CONFIG
+    return cfg.replace(output_format=args.format) if args.format else cfg
 
 
 def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
@@ -71,83 +66,64 @@ def render_report(result: Any, fmt: str, out: Optional[str]) -> str:
     return text
 
 
+def _read(cls, path: str, what: str):
+    """The record of class ``cls`` that the JSON file at ``path`` declares."""
+    return cls.from_dict(read_json(path, what), what)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each runs on (args, cfg) and returns its result
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args, cfg: RunConfig) -> int:
+def _validate(args, cfg: RunConfig) -> ValidationReport:
     try:
         load_scenario(args.scenario)  # validates
     except ValidationError as exc:
-        report = ValidationReport(ok=False, violations=tuple(exc.violations))
-        render_report(report, cfg.output_format, args.out)
-        print(f"invalid scenario: {', '.join(report.codes())}", file=sys.stderr)
-        return EXIT_INVALID
-    render_report(ValidationReport(ok=True, violations=()), cfg.output_format, args.out)
-    return EXIT_OK
-
-
-def _cmd_decide(args, cfg: RunConfig) -> int:
-    summary = decide(load_scenario(args.scenario), cfg)
-    render_report(summary, cfg.output_format, args.out)
-    return EXIT_OK
+        return ValidationReport(ok=False, violations=tuple(exc.violations))
+    return ValidationReport(ok=True, violations=())
 
 
 _SET_ALIASES = {"buyer": ConditionSet.BUYER, "broker": ConditionSet.BROKER_WEB,
                 "broker_web": ConditionSet.BROKER_WEB, "seller": ConditionSet.SELLER}
 
 
-def _cmd_conditions(args, cfg: RunConfig) -> int:
-    report = eval_condition_set(load_scenario(args.scenario), _SET_ALIASES[args.set], cfg)
-    render_report(report, cfg.output_format, args.out)
-    return EXIT_OK
-
-
-def _cmd_optimize(args, cfg: RunConfig) -> int:
-    from .optimizer import Bounds, OptimizerConfig, optimize_broker
+def _optimize(args, cfg: RunConfig):
+    """``optimize``, or ``pareto``: the frontier at ``--points`` levels."""
+    from .optimizer import Bounds, OptimizerConfig, optimize_broker, pareto_sweep
 
     scenario = load_scenario(args.scenario)
-    bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
-    result = optimize_broker(scenario, bounds, OptimizerConfig())
-    render_report(result, cfg.output_format, args.out)
-    if not result.feasible:
-        why = ("no start scores above -inf" if result.iterations
-               else "commission cannot cover the cost box")
-        print(f"optimization infeasible: {why}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    bounds = _read(Bounds, args.bounds, "bounds")
+    if args.command == "pareto":
+        return pareto_sweep(scenario, bounds, args.points, OptimizerConfig())
+    return optimize_broker(scenario, bounds, OptimizerConfig())
 
 
-def _cmd_pareto(args, cfg: RunConfig) -> int:
-    from .optimizer import Bounds, OptimizerConfig, pareto_sweep
-
-    scenario = load_scenario(args.scenario)
-    bounds = Bounds.from_dict(read_json(args.bounds, "bounds"))
-    frontier = pareto_sweep(scenario, bounds, args.points, OptimizerConfig())
-    render_report(frontier, cfg.output_format, args.out)
-    if not frontier:
-        print("pareto sweep infeasible: empty frontier", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def _cmd_sweep(args, cfg: RunConfig) -> int:
+def _sweep(args, cfg: RunConfig):
     from .simulate import DistributionSpec, run_sweep
 
     scenario = load_scenario(args.scenario)
-    dist = DistributionSpec.from_dict(read_json(args.dist, "distribution"))
-    stats = run_sweep(scenario, dist, args.n, args.seed, cfg, workers=args.workers)
-    render_report(stats, cfg.output_format, args.out)
-    return EXIT_OK
+    dist = _read(DistributionSpec, args.dist, "distribution")
+    return run_sweep(scenario, dist, args.n, args.seed, cfg, workers=args.workers)
 
 
-def _cmd_sensitivity(args, cfg: RunConfig) -> int:
+def _sensitivity(args, cfg: RunConfig):
     from .simulate import sensitivity
 
-    scenario = load_scenario(args.scenario)
-    result = sensitivity(scenario, args.condition, args.param, rel_step=args.rel_step, cfg=cfg)
-    render_report(result, cfg.output_format, args.out)
-    return EXIT_OK
+    return sensitivity(load_scenario(args.scenario), args.condition, args.param,
+                       rel_step=args.rel_step, cfg=cfg)
+
+
+def _refusal(result) -> tuple[int, Optional[str]]:
+    """A result's exit code, and the stderr line of one that refuses its inputs."""
+    if isinstance(result, ValidationReport) and not result.ok:
+        return EXIT_INVALID, f"invalid scenario: {', '.join(result.codes())}"
+    if isinstance(result, list) and not result:  # a pareto frontier
+        return EXIT_INFEASIBLE, "pareto sweep infeasible: empty frontier"
+    if getattr(result, "feasible", True) is False:  # an optimize result
+        why = ("no start scores above -inf" if result.iterations
+               else "commission cannot cover the cost box")
+        return EXIT_INFEASIBLE, f"optimization infeasible: {why}"
+    return EXIT_OK, None
 
 
 def _arg(convert, expected: str, ok=lambda value: True):
@@ -172,73 +148,68 @@ def _points(text: str) -> int:
                 lambda k: 2 <= k <= MAX_PARETO_POINTS)(text)
 
 
+_BOUNDS = ("--bounds", dict(required=True, help="bounds JSON file"))
+_AT_LEAST_1 = _arg(int, "an integer >= 1", lambda n: n >= 1)
+
+#: Each subcommand: its name, help, the arguments it adds to the common ones
+#: (flags, then ``add_argument`` keywords) and its run from (args, cfg) to a result.
+_SUBCOMMAND_TABLE = (
+    ("validate", "validate a scenario file", (), _validate),
+    ("decide", "evaluate all three condition sets", (),
+     lambda args, cfg: decide(load_scenario(args.scenario), cfg)),
+    ("conditions", "evaluate one condition set",
+     (("--set", dict(required=True, choices=tuple(_SET_ALIASES))),),
+     lambda args, cfg: eval_condition_set(load_scenario(args.scenario),
+                                          _SET_ALIASES[args.set], cfg)),
+    ("optimize", "maximize the broker objective", (_BOUNDS,), _optimize),
+    ("pareto", "trace the cost/capital frontier", (_BOUNDS, (
+        "--points", dict(type=_points, default=11,
+                         help="epsilon levels (2 <= k <= optimizer.MAX_PARETO_POINTS)"))),
+     _optimize),
+    ("sweep", "Monte Carlo sweep over a distribution", (
+        ("--dist", dict(required=True, help="distribution JSON file")),
+        ("-n", dict(type=_AT_LEAST_1, required=True, help="number of draws")),
+        ("--seed", dict(type=_arg(int, "an integer >= 0", lambda seed: seed >= 0),
+                        required=True, help="master seed")),
+        ("--workers", dict(type=_AT_LEAST_1, default=1))),
+     _sweep),
+    ("sensitivity", "margin/elasticity for one condition", (
+        ("--condition", dict(type=_arg(ConditionId.parse, "a condition id such as B5"),
+                             required=True, help="condition id, e.g. B5")),
+        ("--param", dict(required=True, help="symbol to perturb, e.g. psi_b")),
+        ("--rel-step", dict(type=_arg(float, "a number in (0, 0.5)", lambda r: 0 < r < 0.5),
+                            default=0.05, dest="rel_step"))),
+     _sensitivity),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dismed",
         description="Evaluate, optimize and stress-test broker disintermediation scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, text, extra, run in _SUBCOMMAND_TABLE:
+        p = sub.add_parser(name, help=text)
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--config", help="run-config JSON file (default: $DISMED_CONFIG)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", help="write the report here instead of stdout")
-
-    common(sub.add_parser("validate", help="validate a scenario file"))
-    common(sub.add_parser("decide", help="evaluate all three condition sets"))
-
-    p = sub.add_parser("conditions", help="evaluate one condition set")
-    common(p)
-    p.add_argument("--set", required=True, choices=tuple(_SET_ALIASES))
-
-    p = sub.add_parser("optimize", help="maximize the broker objective")
-    common(p)
-    p.add_argument("--bounds", required=True, help="bounds JSON file")
-
-    p = sub.add_parser("pareto", help="trace the cost/capital frontier")
-    common(p)
-    p.add_argument("--bounds", required=True, help="bounds JSON file")
-    p.add_argument("--points", type=_points, default=11,
-                   help="epsilon levels (2 <= k <= optimizer.MAX_PARETO_POINTS)")
-
-    p = sub.add_parser("sweep", help="Monte Carlo sweep over a distribution")
-    common(p)
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.add_argument("-n", type=_arg(int, "an integer >= 1", lambda n: n >= 1),
-                   required=True, help="number of draws")
-    p.add_argument("--seed", type=_arg(int, "an integer >= 0", lambda seed: seed >= 0),
-                   required=True, help="master seed")
-    p.add_argument("--workers", type=_arg(int, "an integer >= 1", lambda w: w >= 1),
-                   default=1)
-
-    p = sub.add_parser("sensitivity", help="margin/elasticity for one condition")
-    common(p)
-    p.add_argument("--condition", type=_arg(ConditionId.parse, "a condition id such as B5"),
-                   required=True, help="condition id, e.g. B5")
-    p.add_argument("--param", required=True, help="symbol to perturb, e.g. psi_b")
-    p.add_argument("--rel-step", type=_arg(float, "a number in (0, 0.5)", lambda r: 0 < r < 0.5),
-                   default=0.05, dest="rel_step")
-
+        for argument in extra:
+            p.add_argument(*argument[:-1], **argument[-1])
+        p.set_defaults(run=run)
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "decide": _cmd_decide,
-    "conditions": _cmd_conditions,
-    "optimize": _cmd_optimize,
-    "pareto": _cmd_pareto,
-    "sweep": _cmd_sweep,
-    "sensitivity": _cmd_sensitivity,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        result = args.run(args, cfg)
+        render_report(result, cfg.output_format, args.out)
+        code, line = _refusal(result)
+        if line:
+            print(line, file=sys.stderr)
+        return code
     except ValidationError as exc:
         codes = ", ".join(v.code for v in exc.violations)
         print(f"error: invalid scenario: {codes}", file=sys.stderr)

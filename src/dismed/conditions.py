@@ -174,7 +174,7 @@ class ConditionVerdict(Record):
     parts: tuple[PartTrace, ...]
     skipped: bool = False
 
-    _payload = (("id", "id.label", TEXT), ("status", "status.value", TEXT),
+    _payload = (("id", "id.label", TEXT), ("status", "status", TEXT),
                 ("lhs", "lhs", INTERVAL), ("rhs", "rhs", INTERVAL),
                 ("guard_status", "guard_status", FLAG), ("skipped", "skipped", FLAG),
                 ("notes", "notes", (MANY, TEXT)), ("parts", "parts", (MANY, PartTrace)))
@@ -191,8 +191,8 @@ class ConditionReport(Record):
     aggregate: SetDecision
     config: dict = Factory(dict)
 
-    _payload = (("scenario", "scenario_label", TEXT), ("set", "set.value", TEXT),
-                ("aggregate", "aggregate.value", TEXT),
+    _payload = (("scenario", "scenario_label", TEXT), ("set", "set", TEXT),
+                ("aggregate", "aggregate", TEXT),
                 ("verdicts", "verdicts", (MANY, ConditionVerdict)), ("config", "config", TREE))
     _table = ("id status lhs_lower lhs_upper rhs_lower rhs_upper guard notes".split(),
               lambda r: [(v.id.label, v.status.value, *(interval_pair(v.lhs) or (None, None)),
@@ -211,9 +211,9 @@ class DecisionSummary(Record):
     reports: dict
 
     _payload = (("scenario", "scenario_label", TEXT),
-                ("buyer_disintermediates", "buyer_disintermediates.value", TEXT),
-                ("broker_provides_web_info", "broker_provides_web_info.value", TEXT),
-                ("seller_disintermediates", "seller_disintermediates.value", TEXT),
+                ("buyer_disintermediates", "buyer_disintermediates", TEXT),
+                ("broker_provides_web_info", "broker_provides_web_info", TEXT),
+                ("seller_disintermediates", "seller_disintermediates", TEXT),
                 ("reports", "reports", (MAPPING, ConditionReport)))
     _table = (("set", "id", "status"),
               lambda s: [row for name, r in s.reports.items()

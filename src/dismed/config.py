@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from typing import Any, Mapping
 
 from .errors import ParseError
 from .model import SYMBOLS
@@ -86,17 +85,6 @@ class RunConfig(Record):
         from .conditions import compile_conditions  # conditions imports config
 
         return compile_conditions(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        if not isinstance(data, Mapping):
-            raise ParseError("config must be a JSON object")
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ParseError(f"unknown config field(s): {sorted(unknown)}")
-        return cls(**dict(data))
-
-    with_overrides = Record.replace  # the acceptance tests' spelling of replace
 
 
 #: The config of every call that passes none, so such calls share one

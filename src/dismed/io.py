@@ -3,8 +3,11 @@
 A scenario file is a single UTF-8 JSON object whose keys are exactly the ASCII
 symbol names (``psi_b``, ``rho_p``, ``U_iw``, ``E_s``, ...) plus optional
 ``label``, ``prospect_count``, ``valued_time_share``, ``overlays``,
-``responses`` and ``time_paths``. The schema is closed: unknown keys raise
-:class:`~dismed.errors.UnknownField` so misspelled symbols cannot pass silently.
+``responses`` and ``time_paths``. The schema is closed, per kind for a link
+or a time path: an unknown key, or another kind's, raises
+:class:`~dismed.errors.UnknownField`, so a misspelled symbol cannot pass
+silently. Links and time paths are read by their classes' ``from_dict``
+(``dismed.record``) and written by their ``to_dict``.
 
 Every report and scenario dump is written by the JSON writer at the end of
 this module, which gives the bytes of ``json.dumps(value, indent=2,
@@ -37,106 +40,16 @@ from .model import (
     TimePath,
     validate_scenario,
 )
-from .record import FLAG, INTERVAL, MANY, NUMBER, OPTIONAL, TEXT, TREE, _dict_form, interval_pair
+from .record import (
+    _FLOAT, FLAG, INTERVAL, MANY, NUMBER, OPTIONAL, TEXT, TREE, _dict_form, _number,
+    interval_pair,
+)
 
 _SYMBOL_ORDER = tuple(SYMBOLS)
 _SYMBOL_VALUES = itemgetter(*_SYMBOL_ORDER)
-_FLOAT = frozenset((float,))
 _OPTIONAL_NUMBERS = ("prospect_count", "valued_time_share")
 _CONTAINER_KEYS = ("overlays", "responses", "time_paths")
 _ALLOWED_TOP = frozenset(("label", *_SYMBOL_ORDER, *_OPTIONAL_NUMBERS, *_CONTAINER_KEYS))
-
-_RESPONSE_KEYS = frozenset(("driven", "driver", "kind", "coeffs", "knots", "context"))
-_CONTEXTS = ("base", *STATE_NAMES)
-_TIME_PATH_KEYS = frozenset(("symbol", "kind", "value", "v0", "slope", "times", "values"))
-
-
-def _number(v: Any, where: str) -> float:
-    """The one numeric coercion: a JSON number (not a bool) becomes a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{where} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ParseError(f"{where}: integer too large for a float") from None
-
-
-def _numbers(raw: Any, where: str) -> tuple[float, ...]:
-    """A list of JSON numbers as floats. An all-float list takes one type
-    pass; an item's label is built only when the item is not a float."""
-    if not isinstance(raw, list):
-        raise ParseError(f"{where} must be a list of numbers")
-    if _FLOAT.issuperset(map(type, raw)):
-        return tuple(raw)
-    return tuple(v if type(v) is float else _number(v, f"{where}[{i}]")
-                 for i, v in enumerate(raw))
-
-
-def _require_number(obj: Mapping[str, Any], key: str, where: str) -> float:
-    if key not in obj:
-        raise ParseError(f"{where}: missing required field {key!r}")
-    v = obj[key]
-    return v if type(v) is float else _number(v, f"{where}: field {key!r}")
-
-
-def _parse_response(obj: Any, where: str) -> ResponseFunction:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: each response must be an object")
-    if not _RESPONSE_KEYS.issuperset(obj):
-        unknown = set(obj) - _RESPONSE_KEYS
-        raise UnknownField(f"{where}: unknown response key(s) {sorted(unknown)}")
-    driven, driver, kind = obj.get("driven"), obj.get("driver"), obj.get("kind")
-    if not (isinstance(driven, str) and isinstance(driver, str) and isinstance(kind, str)):
-        key = next(k for k in ("driven", "driver", "kind") if not isinstance(obj.get(k), str))
-        raise ParseError(f"{where}: response needs string field {key!r}")
-    coeffs: tuple[float, ...] = ()
-    knots: tuple[tuple[float, float], ...] = ()
-    if kind == "polynomial":
-        raw = obj.get("coeffs")
-        if not isinstance(raw, list) or not raw:
-            raise ParseError(f"{where}: polynomial response needs a non-empty 'coeffs' list")
-        coeffs = _numbers(raw, f"{where}.coeffs")
-    elif kind == "piecewise_linear":
-        raw = obj.get("knots")
-        if not isinstance(raw, list) or not raw:
-            raise ParseError(f"{where}: piecewise_linear response needs a non-empty 'knots' list")
-        if not all(isinstance(k, list) and len(k) == 2 for k in raw):
-            raise ParseError(f"{where}: knots must be [x, y] pairs")
-        knots = tuple(_numbers(k, f"{where}.knots[{i}]") for i, k in enumerate(raw))
-    else:
-        raise ParseError(f"{where}: unknown response kind {kind!r}")
-    context = obj.get("context", "base")
-    if context not in _CONTEXTS:
-        raise ParseError(f"{where}: response context must be 'base' or one of {STATE_NAMES}")
-    return ResponseFunction(driven, driver, kind, coeffs, knots, context)
-
-
-def _parse_time_path(obj: Any, where: str) -> TimePath:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: each time path must be an object")
-    unknown = set(obj) - _TIME_PATH_KEYS
-    if unknown:
-        raise UnknownField(f"{where}: unknown time-path key(s) {sorted(unknown)}")
-    for key in ("symbol", "kind"):
-        if key not in obj or not isinstance(obj[key], str):
-            raise ParseError(f"{where}: time path needs string field {key!r}")
-    kind = obj["kind"]
-    if kind == "constant":
-        return TimePath(symbol=obj["symbol"], kind=kind,
-                        value=_require_number(obj, "value", where))
-    if kind == "linear":
-        return TimePath(symbol=obj["symbol"], kind=kind,
-                        v0=_require_number(obj, "v0", where),
-                        slope=_require_number(obj, "slope", where))
-    if kind == "samples":
-        times = obj.get("times")
-        values = obj.get("values")
-        if not isinstance(times, list) or not isinstance(values, list):
-            raise ParseError(f"{where}: sampled time path needs 'times' and 'values' lists")
-        return TimePath(symbol=obj["symbol"], kind=kind,
-                        times=_numbers(times, f"{where}.times"),
-                        values=_numbers(values, f"{where}.values"))
-    raise ParseError(f"{where}: unknown time-path kind {kind!r}")
 
 
 def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario") -> Scenario:
@@ -149,10 +62,11 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
 
     try:
         values = _SYMBOL_VALUES(data)
-    except KeyError:
-        values = None
-    if values is None or not _FLOAT.issuperset(map(type, values)):
-        values = tuple(_require_number(data, name, "scenario") for name in _SYMBOL_ORDER)
+    except KeyError as exc:  # the first symbol missing
+        raise ParseError(f"scenario: missing required field {exc.args[0]!r}") from None
+    if not _FLOAT.issuperset(map(type, values)):
+        values = tuple(v if type(v) is float else _number(v, f"scenario: field {name!r}")
+                       for name, v in zip(_SYMBOL_ORDER, values))
 
     prospect_count = data.get("prospect_count", 1)
     if isinstance(prospect_count, bool) or not isinstance(prospect_count, int):
@@ -179,13 +93,13 @@ def scenario_from_dict(data: Mapping[str, Any], default_label: str = "scenario")
     responses_raw = data.get("responses", [])
     if not isinstance(responses_raw, list):
         raise ParseError("responses must be a list")
-    responses = tuple(_parse_response(r, f"responses[{i}]")
-                      for i, r in enumerate(responses_raw))
+    read_link = ResponseFunction.from_dict
+    responses = tuple(read_link(r, f"responses[{i}]") for i, r in enumerate(responses_raw))
 
     paths_raw = data.get("time_paths", [])
     if not isinstance(paths_raw, list):
         raise ParseError("time_paths must be a list")
-    time_paths = tuple(_parse_time_path(tp, f"time_paths[{i}]")
+    time_paths = tuple(TimePath.from_dict(tp, f"time_paths[{i}]")
                        for i, tp in enumerate(paths_raw))
 
     label = data.get("label", default_label)
@@ -245,33 +159,9 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
         }
     if s.responses:
         ordered = sorted(s.responses, key=lambda r: (r.context, r.driven, r.driver))
-        out["responses"] = [_link_to_dict(r) for r in ordered]
+        out["responses"] = [r.to_dict() for r in ordered]
     if s.time_paths:
-        out["time_paths"] = [_time_path_to_dict(tp)
-                             for tp in sorted(s.time_paths, key=lambda t: t.symbol)]
-    return out
-
-
-def _link_to_dict(r: ResponseFunction) -> dict[str, Any]:
-    out: dict[str, Any] = {"driven": r.driven, "driver": r.driver, "kind": r.kind}
-    if r.kind == "polynomial":
-        out["coeffs"] = list(r.coeffs)
-    else:
-        out["knots"] = [[x, y] for x, y in r.knots]
-    out["context"] = r.context
-    return out
-
-
-def _time_path_to_dict(tp: TimePath) -> dict[str, Any]:
-    out: dict[str, Any] = {"symbol": tp.symbol, "kind": tp.kind}
-    if tp.kind == "constant":
-        out["value"] = tp.value
-    elif tp.kind == "linear":
-        out["v0"] = tp.v0
-        out["slope"] = tp.slope
-    else:
-        out["times"] = list(tp.times)
-        out["values"] = list(tp.values)
+        out["time_paths"] = [tp.to_dict() for tp in sorted(s.time_paths, key=lambda t: t.symbol)]
     return out
 
 

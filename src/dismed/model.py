@@ -31,7 +31,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .record import FLAG, MANY, DataclassFields, Factory, Record
+from .errors import ParseError, UnknownField
+from .record import FLAG, MANY, NUMBER, TEXT, DataclassFields, Factory, Record, _numbers
 
 DECIMALS_SIGNIFICANT = 12
 
@@ -84,15 +85,58 @@ class ResponseFunction(Record):
 
     driven: str
     driver: str
-    kind: str  # "polynomial" | "piecewise_linear"
+    kind: str
     coeffs: tuple[float, ...] = ()
     knots: tuple[tuple[float, float], ...] = ()
     context: str = "base"
+    _payload = (("driven", "driven", TEXT), ("driver", "driver", TEXT), ("kind", "kind", TEXT),
+                ("coeffs", "coeffs", (MANY, NUMBER)),
+                ("knots", "knots", (MANY, (MANY, NUMBER))), ("context", "context", TEXT))
+    _kinds = {"polynomial": ("coeffs",), "piecewise_linear": ("knots",)}
 
     def __init__(self, driven, driver, kind, coeffs=(), knots=(), context="base"):
         # built per link on every load
         self.__dict__.update(driven=driven, driver=driver, kind=kind, coeffs=coeffs,
                              knots=knots, context=context)
+
+    @classmethod
+    def from_dict(cls, obj, where: str = "ResponseFunction") -> "ResponseFunction":
+        """``Record.from_dict`` unrolled, as a scenario reads dozens of links; it also
+        refuses empty ``coeffs`` or ``knots``, knots that are not pairs and an unknown context."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: each response must be an object")
+        driven, driver, kind = obj.get("driven"), obj.get("driver"), obj.get("kind")
+        # one key check for a link with only its own kind's keys, as links mostly are
+        own = isinstance(kind, str) and kind in _LINK_KEYS and _LINK_KEYS[kind].issuperset(obj)
+        if not (own or cls._keys.issuperset(obj)):
+            raise UnknownField(f"{where}: unknown response key(s) {sorted(set(obj) - cls._keys)}")
+        if not (isinstance(driven, str) and isinstance(driver, str) and isinstance(kind, str)):
+            key = next(k for k in ("driven", "driver", "kind") if not isinstance(obj.get(k), str))
+            raise ParseError(f"{where}: response needs string field {key!r}")
+        coeffs: tuple[float, ...] = ()
+        knots: tuple[tuple[float, float], ...] = ()
+        if kind == "polynomial":
+            raw = obj.get("coeffs")
+            if not isinstance(raw, list) or not raw:
+                raise ParseError(f"{where}: polynomial response needs a non-empty 'coeffs' list")
+            coeffs = _numbers(raw, f"{where}.coeffs")
+        elif kind == "piecewise_linear":
+            raw = obj.get("knots")
+            if not isinstance(raw, list) or not raw:
+                raise ParseError(
+                    f"{where}: piecewise_linear response needs a non-empty 'knots' list")
+            if not all(isinstance(k, list) and len(k) == 2 for k in raw):
+                raise ParseError(f"{where}: knots must be [x, y] pairs")
+            knots = tuple(_numbers(k, f"{where}.knots[{i}]") for i, k in enumerate(raw))
+        else:
+            raise ParseError(f"{where}: unknown response kind {kind!r}")
+        context = obj.get("context", "base")
+        if context not in _CONTEXTS:
+            raise ParseError(f"{where}: response context must be 'base' or one of {STATE_NAMES}")
+        if not own:
+            other = sorted(set(obj) - _LINK_KEYS[kind])
+            raise UnknownField(f"{where}: a {kind} response has no field(s) {other}")
+        return cls(driven, driver, kind, coeffs, knots, context)
 
     @property
     def ident(self) -> str:
@@ -100,20 +144,26 @@ class ResponseFunction(Record):
         return f"({self.driven}, {self.driver}, {self.context})"
 
 
+#: Link kind -> the keys of a link of that kind, as ``ResponseFunction`` declares them.
+_LINK_KEYS = {kind: frozenset(key for key, _, _ in payload)
+              for kind, (payload, _, _) in ResponseFunction._schemas.items()}
+_CONTEXTS = ("base", *STATE_NAMES)
+
+
 class TimePath(Record):
     """Time evolution of one symbol over an integration horizon."""
 
     symbol: str
-    kind: str  # "constant" | "linear" | "samples"
+    kind: str
     value: float = 0.0                 # constant
     v0: float = 0.0                    # linear intercept
     slope: float = 0.0                 # linear slope
     times: tuple[float, ...] = ()      # samples
     values: tuple[float, ...] = ()
-
-    def __init__(self, symbol, kind, value=0.0, v0=0.0, slope=0.0, times=(), values=()):
-        self.__dict__.update(symbol=symbol, kind=kind, value=value, v0=v0, slope=slope,
-                             times=times, values=values)
+    _payload = (("symbol", "symbol", TEXT), ("kind", "kind", TEXT),
+                *((name, name, NUMBER) for name in ("value", "v0", "slope")),
+                ("times", "times", (MANY, NUMBER)), ("values", "values", (MANY, NUMBER)))
+    _kinds = {"constant": ("value",), "linear": ("v0", "slope"), "samples": ("times", "values")}
 
 
 #: Symbol name -> slot in ``Scenario.values``, in file and payload order.

@@ -37,10 +37,9 @@ from typing import Callable, Optional, Sequence
 
 from .calculus import argmin_state
 from .errors import MissingCapitalResponse, ParseError
-from .io import _number
 from .model import DECISION_FIELDS, Scenario, compile_response, eval_response
 from .pcg import doubles
-from .record import FLAG, MANY, NUMBER, OPTIONAL, TEXT, Record
+from .record import FLAG, MANY, NUMBER, OPTIONAL, TEXT, Record, _number
 
 FEASIBILITY_SLACK = 1e-9
 INIT_STEP_FRAC = 0.125   # the first step, as a fraction of each box width
@@ -79,10 +78,13 @@ class Bounds(Record):
     B_s: tuple[float, float]
     B_i: tuple[float, float]
     B_n: tuple[float, float]
+    _payload = tuple((name, name, (MANY, NUMBER)) for name in DECISION_FIELDS)
 
     def __post_init__(self):
         free = []  # (width, name) of each free field
         for name in DECISION_FIELDS:
+            if len(getattr(self, name)) != 2:
+                raise ParseError(f"bounds for {name} must be a [lo, hi] pair")
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ParseError(f"bounds for {name} must be finite with lo <= hi")
@@ -96,23 +98,6 @@ class Bounds(Record):
             raise ParseError(f"free bounds widths may differ by a factor of at most "
                              f"{MAX_WIDTH_RATIO:g}: {w_name} is {wide!r} wide and "
                              f"{n_name} {narrow!r}")
-
-    @classmethod
-    def from_dict(cls, data) -> "Bounds":
-        if not isinstance(data, dict):
-            raise ParseError("bounds must be an object of [lo, hi] pairs")
-        unknown = set(data) - set(DECISION_FIELDS)
-        if unknown:
-            raise ParseError(f"unknown bounds field(s): {sorted(unknown)}")
-        kw = {}
-        for name in DECISION_FIELDS:
-            if name not in data:
-                raise ParseError(f"bounds missing field {name!r}")
-            pair = data[name]
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ParseError(f"bounds for {name} must be a [lo, hi] pair")
-            kw[name] = tuple(_number(v, f"bounds.{name}[{i}]") for i, v in enumerate(pair))
-        return cls(**kw)
 
     @property
     def lows(self) -> tuple[float, ...]:

@@ -33,20 +33,15 @@ from .conditions import (
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IndeterminateAtBase, ParseError, RejectionLimit
-from .io import _number
 # validate_scenario is not called here: perfbench's --trace 1 wraps the binding.
 from .model import SYMBOLS, Scenario, validate_scenario, with_values  # noqa: F401
-from .record import NUMBER, TEXT, TREE, Factory, Record
+from .record import MAPPING, NUMBER, TEXT, TREE, Factory, Record
 
 if TYPE_CHECKING:  # numpy is imported where draws are made, so sensitivity runs without it
     import numpy as np
 
 STREAM_ALGORITHM = "numpy SeedSequence([seed, draw_index]) -> PCG64"
 MAX_REJECTIONS_PER_DRAW = 1000
-
-#: Marginal kind -> its parameters.
-_MARGINAL_PARAMS = {"point": ("value",), "uniform": ("lo", "hi"), "normal": ("mean", "sd")}
-
 
 class Marginal(Record):
     kind: str
@@ -55,9 +50,12 @@ class Marginal(Record):
     hi: float = 0.0
     mean: float = 0.0    # normal (truncated to the symbol's domain by rejection)
     sd: float = 1.0
+    _payload = (("kind", "kind", TEXT),
+                *((name, name, NUMBER) for name in ("value", "lo", "hi", "mean", "sd")))
+    _kinds = {"point": ("value",), "uniform": ("lo", "hi"), "normal": ("mean", "sd")}
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _MARGINAL_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in self._kinds:
             raise ParseError(f"unknown marginal kind {self.kind!r}")
         for name in ("value", "lo", "hi", "mean", "sd"):
             v = getattr(self, name)
@@ -70,32 +68,10 @@ class Marginal(Record):
         if self.kind == "normal" and not self.sd > 0:
             raise ParseError(f"normal marginal needs sd > 0, got {self.sd}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "point":
-            return {"kind": "point", "value": self.value}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        return {"kind": "normal", "mean": self.mean, "sd": self.sd}
-
-    @classmethod
-    def from_dict(cls, data, where: str) -> "Marginal":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ParseError(f"{where}: marginal must be an object with a 'kind'")
-        kind = data["kind"]
-        if not isinstance(kind, str) or kind not in _MARGINAL_PARAMS:
-            raise ParseError(f"{where}: unknown marginal kind {kind!r}")
-        params = _MARGINAL_PARAMS[kind]
-        unknown = set(data) - {"kind", *params}
-        if unknown:
-            raise ParseError(f"{where}: unknown marginal key(s) {sorted(unknown)}")
-        missing = [p for p in params if p not in data]
-        if missing:
-            raise ParseError(f"{where}: missing marginal parameter(s) {missing}")
-        return cls(kind=kind, **{p: _number(data[p], f"{where}.{p}") for p in params})
-
 
 class DistributionSpec(Record):
-    marginals: Mapping[str, Marginal] = Factory(dict)
+    marginals: Mapping[str, Marginal] = Factory(dict)  # in file order: the draw columns'
+    _payload = (("marginals", "marginals", (MAPPING, Marginal)),)
 
     def __post_init__(self):
         for name in self.marginals:
@@ -105,19 +81,6 @@ class DistributionSpec(Record):
     def to_dict(self) -> dict:
         return {"marginals": {k: self.marginals[k].to_dict()
                               for k in sorted(self.marginals)}}
-
-    @classmethod
-    def from_dict(cls, data) -> "DistributionSpec":
-        if not isinstance(data, dict):
-            raise ParseError("distribution must be a JSON object")
-        unknown = set(data) - {"marginals"}
-        if unknown:
-            raise ParseError(f"unknown distribution field(s): {sorted(unknown)}")
-        raw = data.get("marginals", {})
-        if not isinstance(raw, dict):
-            raise ParseError("'marginals' must be an object keyed by symbol")
-        return cls(marginals={name: Marginal.from_dict(m, f"marginals.{name}")
-                              for name, m in raw.items()})
 
 
 def draw_scenario(base: Scenario, dist: DistributionSpec, seed: int,

@@ -74,7 +74,7 @@ def test_acceptance_1_oracle_equivalence_1000():
 
 def test_acceptance_1b_oracle_equivalence_min_intersection():
     """Same agreement under the comonotone intersection reading."""
-    cfg = CFG.with_overrides(intersection="min")
+    cfg = CFG.replace(intersection="min")
     for i in range(200):
         scenario = random_scenario([77002, i], cfg=cfg)
         assert _engine_statuses(scenario, cfg) == oracle_statuses(scenario, cfg), i

@@ -23,7 +23,7 @@ from dismed.conditions import ALL_CONDITION_IDS
 from dismed.config import (AGGREGATION_MODES, GUARD_MODES, INTERSECTION_MODES, OUTPUT_FORMATS,
                            RunConfig)
 from dismed.model import DECISION_FIELDS, STATE_NAMES, SYMBOLS
-from dismed.simulate import _MARGINAL_PARAMS
+from dismed.simulate import Marginal
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 _SCENARIOS = ("all_three_satisfied.json", "broker_opt.json", "broker_retained.json",
@@ -121,9 +121,9 @@ def _bounds(draw):
     return out
 
 
-_MARGINALS = st.sampled_from(sorted(_MARGINAL_PARAMS)).flatmap(
+_MARGINALS = st.sampled_from(sorted(Marginal._kinds)).flatmap(
     lambda kind: st.fixed_dictionaries(
-        {"kind": st.just(kind), **{p: _NUMBERS for p in _MARGINAL_PARAMS[kind]}}))
+        {"kind": st.just(kind), **{p: _NUMBERS for p in Marginal._kinds[kind]}}))
 _DISTRIBUTIONS = _optional(marginals=st.dictionaries(_SYMBOL_NAMES, _MARGINALS, max_size=2))
 
 _COMMANDS = st.one_of(

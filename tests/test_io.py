@@ -110,7 +110,10 @@ def _with_time_path(**path):
 
 def _with_first_response(**fields):
     data = fixture_dict("x")
-    data["responses"][0].update(fields)
+    link = data["responses"][0]
+    link.update(fields)
+    if link["kind"] == "piecewise_linear":
+        del link["coeffs"]  # a piecewise link has no coefficients
     return data
 
 
@@ -121,12 +124,11 @@ def _with_first_response(**fields):
      "responses[0].coeffs[1] must be a number, got [0.05]"),
     (_with_first_response(coeffs=[1.0, True]),
      "responses[0].coeffs[1] must be a number, got True"),
-    (_with_first_response(kind="piecewise_linear", coeffs=None,
-                          knots=[[0.0, 1.0], [1.0, False]]),
+    (_with_first_response(kind="piecewise_linear", knots=[[0.0, 1.0], [1.0, False]]),
      "responses[0].knots[1][1] must be a number, got False"),
-    (_with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], [1.0]]),
+    (_with_first_response(kind="piecewise_linear", knots=[[0.0, 1.0], [1.0]]),
      "responses[0]: knots must be [x, y] pairs"),
-    (_with_first_response(kind="piecewise_linear", coeffs=None, knots=[[0.0, 1.0], "ab"]),
+    (_with_first_response(kind="piecewise_linear", knots=[[0.0, 1.0], "ab"]),
      "responses[0]: knots must be [x, y] pairs"),
     (_with_time_path(times=[False, True], values=[0.1, 0.2]),
      "time_paths[0].times[0] must be a number, got False"),

@@ -136,7 +136,7 @@ def test_default_factories_are_not_shared():
 
 def test_defaults_replace_and_constructor_errors():
     cfg = RunConfig(rel_tol=0.1)
-    assert cfg == RunConfig().replace(rel_tol=0.1) == RunConfig().with_overrides(rel_tol=0.1)
+    assert cfg == RunConfig().replace(rel_tol=0.1)
     assert cfg.zero_tol == RunConfig().zero_tol
     with pytest.raises(TypeError):
         RunConfig(no_such_field=1)
