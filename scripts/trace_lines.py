@@ -8,9 +8,14 @@ Load it with ``-p`` and name the output file::
 It traces with ``sys.settrace`` (and ``threading.settrace``) only, so it needs
 no coverage package. The JSON it writes maps each module file of the package,
 relative to the package directory, to its executed lines and to the
-executable lines that no test reached, and the terminal summary gives the
-counts. Code that runs in child processes (the CLI subprocess tests, sweep
-workers) is not seen. The tier-1 command does not load the plugin.
+executable lines that no test reached, and to the node ids of the tests that
+ran each executed line (``"tests"``: line -> node ids, in run order). A test
+is credited with the lines its setup, call and teardown run, so a fixture
+shared by several tests counts for the first that sets it up; lines run
+outside any test (collection, imports) are executed but credited to none.
+The terminal summary gives the counts. Code that runs in child processes
+(the CLI subprocess tests, sweep workers) is not seen. The tier-1 command
+does not load the plugin.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import importlib.util
 import json
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 
 def _executable(path: Path) -> set[int]:
@@ -35,18 +43,20 @@ def _executable(path: Path) -> set[int]:
 class LineTracer:
     def __init__(self, root: Path):
         self.root = str(root) + "/"
+        self.pending: defaultdict[str, set[int]] = defaultdict(set)  # since the last credit
         self.hits: dict[str, set[int]] = {}
+        self.tests: dict[str, dict[int, list[str]]] = {}
 
     def _local(self, frame, event, arg):
         if event == "line":
-            self.hits[frame.f_code.co_filename].add(frame.f_lineno)
+            self.pending[frame.f_code.co_filename].add(frame.f_lineno)
         return self._local
 
     def __call__(self, frame, event, arg):
         name = frame.f_code.co_filename
         if not name.startswith(self.root):
             return None
-        self.hits.setdefault(name, set()).add(frame.f_lineno)
+        self.pending[name].add(frame.f_lineno)
         return self._local
 
     def start(self) -> None:
@@ -57,12 +67,26 @@ class LineTracer:
         sys.settrace(None)
         threading.settrace(None)
 
+    def credit(self, nodeid) -> None:
+        """Record the lines run since the last credit, as run by the test
+        ``nodeid`` (None: by no test)."""
+        pending, self.pending = self.pending, defaultdict(set)
+        for name, lines in pending.items():
+            self.hits.setdefault(name, set()).update(lines)
+            if nodeid is not None:
+                by_line = self.tests.setdefault(name, {})
+                for line in lines:
+                    by_line.setdefault(line, []).append(nodeid)
+
     def report(self) -> dict:
+        self.credit(None)
         out = {}
         for path in sorted(Path(self.root).glob("*.py")):
             hit = self.hits.get(str(path), set())
+            by_line = self.tests.get(str(path), {})
             out[path.name] = {"executed": sorted(hit),
-                              "unreached": sorted(_executable(path) - hit)}
+                              "unreached": sorted(_executable(path) - hit),
+                              "tests": {str(line): by_line[line] for line in sorted(by_line)}}
         return out
 
 
@@ -79,6 +103,16 @@ def pytest_configure(config):
     config._line_tracer = tracer = LineTracer(Path(spec.origin).parent)
     config._line_tracer_out = out
     tracer.start()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    tracer = getattr(item.config, "_line_tracer", None)
+    if tracer is not None:
+        tracer.credit(None)
+    yield
+    if tracer is not None:
+        tracer.credit(item.nodeid)
 
 
 def pytest_unconfigure(config):

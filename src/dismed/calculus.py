@@ -27,23 +27,25 @@ Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
 only the leaf resolver differs: a symbol at base or under a listing-state
 overlay, a symbol with the driver pinned to a stencil point, or a symbol at
-time t along its time path. The closures read a Scenario per call, through
-its ``value``, ``bundle_value``, ``response_for``, ``time_path_for`` and
-``per_winner``: in ``decide`` one scenario, in sweeps a block of draws
-(``dismed.batch.block``) whose swept values are per-draw arrays.
+time t along its time path: its line ``v0 + slope * t``, or the segment rule
+of piecewise links (``model._interpolate``) through its samples, held at the
+end samples where a link extrapolates (no benchmark workload holds either).
+The closures read a Scenario per call, through its ``value``,
+``bundle_value``, ``response_for``, ``time_path_for`` and ``per_winner``: in
+``decide`` one scenario, in sweeps a block of draws (``dismed.batch.block``)
+whose swept values are per-draw arrays.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import PathCoverageError
-from .model import Scenario, TimePath, _first, _where, eval_response, split_driver
+from .model import Scenario, TimePath, _first, _interpolate, _where, eval_response, split_driver
 from .record import Record
 
 INF = math.inf
@@ -484,43 +486,6 @@ def _horizon_nodes(T: float, dt: float) -> list[float]:
         k += 1
 
 
-def _samples(tp: TimePath, T: float) -> tuple[tuple, tuple]:
-    """A samples path's times and values; they must cover [0, T]."""
-    ts, vs = tp.times, tp.values
-    if ts[0] > 0.0 or ts[-1] < T:
-        raise PathCoverageError(
-            f"time path for {tp.symbol} covers [{ts[0]}, {ts[-1]}], needs [0, {T}]")
-    return ts, vs
-
-
-def _path_value(tp: TimePath, t: float, T: float) -> float:
-    if tp.kind == "linear":
-        return tp.v0 + tp.slope * t
-    # samples: linear interpolation; must cover [0, T]
-    ts, vs = _samples(tp, T)
-    if t <= ts[0]:
-        return vs[0]
-    if t >= ts[-1]:
-        return vs[-1]
-    lo = bisect_right(ts, t) - 1
-    frac = (t - ts[lo]) / (ts[lo + 1] - ts[lo])
-    return vs[lo] + frac * (vs[lo + 1] - vs[lo])
-
-
-def _path_values(tp: TimePath, t, T: float):
-    """``_path_value`` at every node of the array ``t``, by the same float
-    operations."""
-    if tp.kind == "linear":
-        return tp.v0 + tp.slope * t
-    import numpy as np
-    ts, vs = _samples(tp, T)
-    x, y = np.array(ts, dtype=float), np.array(vs, dtype=float)
-    lo = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    frac = (t - x[lo]) / (x[lo + 1] - x[lo])
-    inside = y[lo] + frac * (y[lo + 1] - y[lo])
-    return np.where(t <= ts[0], vs[0], np.where(t >= ts[-1], vs[-1], inside))
-
-
 #: Above this many horizon nodes, an integrand that a time path moves is
 #: evaluated once on the array of node times, not node by node, unless a
 #: symbol it reads holds per-draw values (a sweep block). Below it no numpy
@@ -551,15 +516,13 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
             total += mean * width
         return total
 
-    def on_axis(slots, paths):
+    def on_axis(at):
         import numpy as np
         if not axis:
             axis.extend((np.array(nodes), np.array(widths)))
         t, w = axis
         with np.errstate(all="ignore"):
-            for i, tp in paths:
-                slots[i] = point(_path_values(tp, t, T))
-            v = _sole(combine(slots))
+            v = at(t)
             terms = 0.5 * (v[:-1] + v[1:]) * w
         total = 0.0
         for term in terms.tolist():
@@ -571,15 +534,21 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
         paths = [(i, x) for i, x in enumerate(slots) if isinstance(x, TimePath)]
         if not paths:
             return fixed(_sole(combine(slots)))
-        if len(nodes) > NODE_AXIS_MIN and all(
-                isinstance(x, TimePath) or x[0].__class__ is float for x in slots):
-            return on_axis(slots, paths)
+        for _, tp in paths:
+            ts = tp.times
+            if tp.kind == "samples" and (ts[0] > 0.0 or ts[-1] < T):
+                raise PathCoverageError(
+                    f"time path for {tp.symbol} covers [{ts[0]}, {ts[-1]}], needs [0, {T}]")
 
-        def at(t: float):
+        def at(t):  # the integrand at a node time, or on the array of node times
             for i, tp in paths:
-                slots[i] = point(_path_value(tp, t, T))
+                slots[i] = point(tp.v0 + tp.slope * t if tp.kind == "linear"
+                                 else _interpolate(tp.times, tp.values, t, True))
             return _sole(combine(slots))
 
+        if len(nodes) > NODE_AXIS_MIN and all(
+                isinstance(x, TimePath) or x[0].__class__ is float for x in slots):
+            return on_axis(at)
         total = 0.0
         prev = at(nodes[0])
         for t, width in zip(nodes[1:], widths):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ParseError, UnknownField
@@ -485,6 +484,34 @@ MAX_POLY_DEGREE = 6
 RESPONSE_CONSISTENCY_RTOL = 1e-9
 
 
+def _interpolate(xs: Sequence[float], ys: Sequence[float], x, clamp: bool):
+    """The line through the segment from the last knot ``<= x`` (the first
+    before the first), at a float ``x`` or per value of an array in the same
+    float operations: a piecewise link extrapolates its end segments, a
+    sampled time path holds its end values (``clamp``)."""
+    if len(xs) == 1:
+        return ys[0]
+    last = len(xs) - 2
+    if isinstance(x, (int, float)):
+        if clamp and x <= xs[0]:
+            return ys[0]
+        if clamp and x >= xs[-1]:
+            return ys[-1]
+        lo = min(max(bisect_right(xs, x) - 1, 0), last)
+        x0, y0 = xs[lo], ys[lo]
+        t = (x - x0) / (xs[lo + 1] - x0)
+        return y0 + t * (ys[lo + 1] - y0)
+    import numpy as np
+    xa, ya = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    lo = np.clip(np.searchsorted(xa, x, side="right") - 1, 0, last)
+    x0, y0 = xa[lo], ya[lo]
+    t = (x - x0) / (xa[lo + 1] - x0)
+    line = y0 + t * (ya[lo + 1] - y0)
+    if clamp:
+        return np.where(x <= xs[0], ys[0], np.where(x >= xs[-1], ys[-1], line))
+    return line
+
+
 def eval_response(r: ResponseFunction, x: float) -> float:
     """Evaluate a response link at a driver value (a float, or an array with
     one value per draw, computed in the same operations)."""
@@ -493,22 +520,8 @@ def eval_response(r: ResponseFunction, x: float) -> float:
         for coef in reversed(r.coeffs):
             acc = acc * x + coef
         return acc
-    # piecewise linear with linear extrapolation from the end segments
-    ks = r.knots
-    if len(ks) == 1:
-        return ks[0][1]
-    # the segment from the last knot <= x (the end segments extrapolate)
-    if not isinstance(x, (int, float)):
-        import numpy as np
-        xs, ys = np.array([k[0] for k in ks]), np.array([k[1] for k in ks])
-        lo = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(ks) - 2)
-        x0, y0 = xs[lo], ys[lo]
-        t = (x - x0) / (xs[lo + 1] - x0)
-        return y0 + t * (ys[lo + 1] - y0)
-    lo = min(max(bisect_right(ks, x, key=itemgetter(0)) - 1, 0), len(ks) - 2)
-    (x0, y0), (x1, y1) = ks[lo], ks[lo + 1]
-    t = (x - x0) / (x1 - x0)
-    return y0 + t * (y1 - y0)
+    xs, ys = zip(*r.knots)
+    return _interpolate(xs, ys, x, False)
 
 
 def compile_response(r: ResponseFunction) -> Callable[[float], float]:
@@ -517,7 +530,7 @@ def compile_response(r: ResponseFunction) -> Callable[[float], float]:
     link of the broker benchmark) runs Horner's rule unrolled, from ``0.0 * x
     + c_2`` as the loop's ``acc = 0.0`` does, so an infinite driver still
     gives NaN and a zero keeps its sign; other lengths run the loop. A
-    piecewise-linear link splits out its knot xs once."""
+    piecewise-linear link splits its knots once and runs ``_interpolate``."""
     if r.kind == "polynomial":
         cs = r.coeffs
         if len(cs) == 3:
@@ -532,19 +545,8 @@ def compile_response(r: ResponseFunction) -> Callable[[float], float]:
             return acc
 
         return horner
-    ks = r.knots
-    if len(ks) == 1:
-        y = ks[0][1]
-        return lambda x: y
-    xs, last = [k[0] for k in ks], len(ks) - 2
-
-    def linear(x: float) -> float:
-        lo = min(max(bisect_right(xs, x) - 1, 0), last)
-        (x0, y0), (x1, y1) = ks[lo], ks[lo + 1]
-        t = (x - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
-
-    return linear
+    xs, ys = zip(*r.knots)
+    return lambda x: _interpolate(xs, ys, x, False)
 
 
 def _check_responses(s: Scenario, bad, swept=frozenset()) -> list:

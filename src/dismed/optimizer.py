@@ -18,7 +18,9 @@ box width, restarted from uniform points whose doubles ``pcg`` draws in plain
 Python from ``SeedSequence([seed, stream]) -> PCG64`` (fixed by NEP 19).
 Each solve compiles its objective once: every capital link becomes a closure
 (``model.compile_response``) that a trial point calls directly, in the same
-float operations as ``eval_response``.
+float operations as ``eval_response``: unrolled for a three-coefficient
+polynomial, Horner's loop for other lengths, and the one interpolation rule
+for a piecewise-linear link, which no benchmark instance holds.
 
 The searches of one solve share their checkpoints: a poll that finds no
 improvement, keyed by the step level and the bits of x. Those two fix the
@@ -177,11 +179,12 @@ def _compile_solve(s: Scenario, ctx: Optional[str]):
     ``capital(x)``: SC_br + RC_br, each moved from its base value by its
     links' f(x_j) - f(base_j); with no link at all it raises
     MissingCapitalResponse. ``objective(w_capital, w_cost)``: ``w_capital *
-    capital(x) - w_cost * (B_b+B_s+B_i+B_n)`` if ``feasible(x)``, else -inf,
-    as one closure with the same float operations. Each link is kept as
-    ``(j, f, f(base_j))``: f is the closure ``compile_response`` builds once,
-    so a trial point costs one closure call per link; f(base_j) is evaluated
-    once by ``eval_response``.
+    capital(x) - w_cost * (B_b+B_s+B_i+B_n)`` if ``feasible(x)``, else -inf;
+    with one link per capital symbol (every benchmark solve) the same floats
+    come from one closure that calls neither. Each link is kept as ``(j, f,
+    f(base_j))``: f is the closure ``compile_response`` builds once, so a
+    trial point costs one closure call per link; f(base_j) is evaluated once
+    by ``eval_response``.
     """
     feasible, cp, need = _budget(s, ctx)
     groups = []
@@ -210,33 +213,20 @@ def _compile_solve(s: Scenario, ctx: Optional[str]):
         return 0.0 + a + b
 
     def objective(w_capital: float, w_cost: float) -> Callable[[Sequence[float]], float]:
-        if not linked:
-            return lambda x: capital(x) if feasible(x) else -math.inf
         if len(sc_links) == len(rc_links) == 1:  # every broker-optimize instance
             # one link per capital symbol: the same sum as one expression
             ((i, sc_f, sc_at),), ((j, rc_f, rc_at),) = sc_links, rc_links
 
             def one_each(x: Sequence[float]) -> float:
-                spent = x[0] + x[1] + x[2]
+                spent = x[0] + x[1] + x[2]  # max(0.0, spent) is spent only if spent > 0.0
                 if not (cp - (spent if spent > 0.0 else 0.0) >= need):
                     return -math.inf
                 total = 0.0 + (sc + (sc_f(x[i]) - sc_at)) + (rc + (rc_f(x[j]) - rc_at))
                 return w_capital * total - w_cost * (spent + x[3])
 
             return one_each
-
-        def f(x: Sequence[float]) -> float:
-            spent = x[0] + x[1] + x[2]  # max(0.0, spent) is spent only if spent > 0.0
-            if not (cp - (spent if spent > 0.0 else 0.0) >= need):
-                return -math.inf
-            a, b = sc, rc
-            for j, compiled, at_base in sc_links:
-                a += compiled(x[j]) - at_base
-            for j, compiled, at_base in rc_links:
-                b += compiled(x[j]) - at_base
-            return w_capital * (0.0 + a + b) - w_cost * (spent + x[3])
-
-        return f
+        return lambda x: (w_capital * capital(x) - w_cost * (x[0] + x[1] + x[2] + x[3])
+                          if feasible(x) else -math.inf)
 
     return feasible, capital, cp - need, objective
 

@@ -41,7 +41,7 @@ from dismed.calculus import (
 from dismed.conditions import _compare
 from dismed.errors import ParseError, PathCoverageError
 from dismed.io import scenario_from_dict
-from dismed.model import SYMBOLS, TimePath, split_driver
+from dismed.model import SYMBOLS, ResponseFunction, TimePath, eval_response, split_driver
 
 from conftest import expr_symbols
 from fixture_defs import fixture_dict
@@ -507,6 +507,23 @@ def test_sampled_path_must_cover_horizon():
                         "times": [0.0, 5.0], "values": [1.0, 2.0]}])
     with pytest.raises(PathCoverageError):
         integrate_horizon(s, Sym("P_s"), T=10.0, dt=1.0)
+
+
+def test_links_extrapolate_their_end_segments_and_sampled_paths_hold_their_ends():
+    # the same two points as a link and as a sampled path: at x = 1.0 the
+    # link's line gives 7.3 + 1.0 * (0.1 - 7.3), the path its end value 0.1
+    link = ResponseFunction("P_s", "P", "piecewise_linear", knots=((0.0, 7.3), (1.0, 0.1)))
+    line = [7.3 + t * (0.1 - 7.3) for t in (-1.0, 1.0, 2.0)]
+    assert line[1] == 0.09999999999999964
+    assert [eval_response(link, x) for x in (-1.0, 1.0, 2.0)] == line
+    assert eval_response(link, np.array([-1.0, 1.0, 2.0])).tolist() == line
+    # P * P_s with P_s = t is 0 at t = 0, so the trapezoid on [0, 1] is 0.5 * P(1)
+    s = path_scenario([{"symbol": "P", "kind": "samples", "times": [0.0, 1.0],
+                        "values": [7.3, 0.1]},
+                       {"symbol": "P_s", "kind": "linear", "v0": 0.0, "slope": 1.0}])
+    for node_axis_min in (0, 10**9):
+        with mock.patch.object(calculus, "NODE_AXIS_MIN", node_axis_min):
+            assert integrate_horizon(s, Mul(Sym("P"), Sym("P_s")), T=1.0, dt=1.0) == 0.05
 
 
 def test_indeterminate_integrand_raises():

@@ -12,8 +12,10 @@ from dismed import SYMBOLS, validate_scenario, with_values
 from dismed.conditions import ALL_CONDITION_IDS, build_form
 from dismed.config import DEFAULT_CONFIG
 from dismed.io import scenario_from_dict, scenario_to_dict
-from dismed.errors import ValidationError
-from dismed.model import MAX_POLY_DEGREE, ResponseFunction, compile_response, eval_response
+from dismed.errors import ParseError, ValidationError
+from dismed.model import (MAX_POLY_DEGREE, ResponseFunction, TimePath, compile_response,
+                          eval_response)
+from dismed.simulate import Marginal
 
 from conftest import expr_symbols
 from fixture_defs import BASE_VALUES, fixture_dict, fixture_scenario
@@ -171,6 +173,27 @@ def test_time_path_validation():
     with pytest.raises(ValidationError) as exc:
         scenario_from_dict(data)
     assert "TimePathInvalid" in {v.code for v in exc.value.violations}
+
+
+# The readers refuse each of these at parse time; a scenario built in Python
+# reaches the validator with them, and it must still name them.
+_ANCHORED_LINK = ResponseFunction("I_o", "U_a", "polynomial", coeffs=(BASE_VALUES["I_o"],))
+
+
+@pytest.mark.parametrize("change, code", [
+    ({"overlays": {"E_x": {"P": 1.0}}}, "OverlayUnknownState"),
+    ({"overlays": {"E_s": {"zeta": 1.0}}}, "OverlayUnknownSymbol"),
+    ({"responses": (_ANCHORED_LINK.replace(context="E_x"),)}, "ResponseUnknownContext"),
+    ({"responses": (_ANCHORED_LINK.replace(kind="cubic"),)}, "ResponseKind"),
+    ({"time_paths": (TimePath("rho_s", "step", value=0.5),)}, "TimePathInvalid"),
+], ids=["overlay-state", "overlay-symbol", "link-context", "link-kind", "path-kind"])
+def test_validator_names_what_only_a_python_built_scenario_holds(change, code):
+    assert validate_scenario(build().replace(**change)).codes() == (code,)
+
+
+def test_a_marginal_of_an_unknown_kind_is_refused():
+    with pytest.raises(ParseError, match="unknown marginal kind 'beta'"):
+        Marginal(kind="beta")
 
 
 def test_validation_is_deterministic():

@@ -718,6 +718,37 @@ def test_restarts_skip_what_an_earlier_start_walked():
     assert shared < plain
 
 
+@st.composite
+def _restart_relation_case(draw):
+    """A benchmark-style instance (one quadratic link per capital symbol), or
+    the same with more links, polynomial or piecewise, which the general
+    objective sums; either mode, and a seed."""
+    scenario, bounds, _, _, _ = random_opt_instance([31, draw(st.integers(0, 299))])
+    if draw(st.booleans()):
+        linked = {(r.driven, r.driver) for r in scenario.responses}
+        free = [(sym, drv) for sym in optimizer.CAPITAL_SYMBOLS
+                for drv in optimizer.DECISION_FIELDS if (sym, drv) not in linked]
+        extra = sorted(draw(st.sets(st.sampled_from(free), min_size=1, max_size=3)))
+        scenario = scenario.replace(responses=scenario.responses + tuple(
+            draw(_link(sym, drv, "base")) for sym, drv in extra))
+    cfg = OptimizerConfig(mode=draw(st.sampled_from(optimizer.OBJECTIVE_MODES)),
+                          weights=(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))),
+                          seed=draw(st.integers(0, 2**16)))
+    return scenario, bounds, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_restart_relation_case())
+def test_one_more_restart_never_lowers_the_objective(case):
+    # restarts = r + 1 searches the r + 1 starts of restarts = r and one more
+    scenario, bounds, cfg = case
+    found = []
+    for restarts in range(6):
+        out = optimize_broker(scenario, bounds, cfg.replace(restarts=restarts))
+        found.append(-math.inf if out.objective is None else out.objective)
+    assert all(a <= b for a, b in zip(found, found[1:])), found
+
+
 # --- pareto's cost sums ---------------------------------------------------------
 
 def test_pareto_sums_cost_left_to_right_on_every_interpreter(monkeypatch):
