@@ -27,7 +27,6 @@ from .conditions import (
     SetDecision,
     Status,
     condition_ids,
-    condition_margin,
     decide,
     eval_condition,
     eval_condition_set,
@@ -69,7 +68,7 @@ __all__ = [
     # conditions
     "ALL_CONDITION_IDS", "ConditionId", "ConditionReport", "ConditionSet",
     "ConditionVerdict", "DecisionSummary", "SetDecision", "Status", "condition_ids",
-    "condition_margin", "decide", "eval_condition", "eval_condition_set",
+    "decide", "eval_condition", "eval_condition_set",
     # config, errors, io, model
     "RunConfig",
     "DismedError", "IndeterminateAtBase", "MissingCapitalResponse", "ParseError",

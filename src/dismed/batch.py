@@ -10,16 +10,18 @@ matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream
 The module has no compiler, arithmetic or checks of its own. The checks
 that no draw changes run once per block (``model.check_fixed``), the rest
 on all rows at once; only rejected rows are redrawn, and a draw over its
-redraw budget raises ``RejectionLimit``. The compiled parts and guards of
-``decide`` run on the block through the total interval arithmetic of
-``calculus``, whose array endpoints round as its float ones do, with argmax
-contexts and max-axis winners chosen per draw (``Scenario.per_winner``).
-The result is status codes and set decisions made by ``decide``'s rules,
+redraw budget raises ``RejectionLimit``. Each condition's one evaluator,
+the one ``decide`` wraps (``RunConfig.compiled``), runs on the block through
+the total interval arithmetic of ``calculus``, whose array endpoints round
+as its float ones do, with argmax contexts and max-axis winners chosen per
+draw (``Scenario.per_winner``). Its status code and exclusion fill the
+block's columns, and ``decide``'s aggregation rule makes the set decisions,
 with no per-draw Scenario, verdict or trace. A condition's status and
 exclusion are plain Python values wherever every draw of the block agrees on
-them (as where a missing link leaves a derivative unknown in every draw), so
-such a condition is settled once and filled into its column of the block's
-status matrix; numpy selects per draw only where draws differ.
+them (as where a missing link leaves a derivative unknown in every draw, or
+a guard fails in every draw), so such a condition is settled once and filled
+into its column of the block's status matrix; numpy selects per draw only
+where draws differ.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .conditions import (
+    INDETERMINATE,
+    SATISFIED,
+    STATUSES,  # a block's status codes index it
+    VACUOUS,
+    VIOLATED,
     ConditionSet,
     SetDecision,
-    Status,
     _aggregate,
-    _guard_failure,
     condition_ids,
 )
 from .config import RunConfig
@@ -46,9 +51,7 @@ from .streams import Streams
 #: per-draw cost stops falling at about this size.
 ROWS = 1024
 
-#: Status codes index STATUSES; set decision codes index DECISIONS.
-STATUSES = (Status.SATISFIED, Status.VIOLATED, Status.VACUOUS, Status.INDETERMINATE)
-SATISFIED, VIOLATED, VACUOUS, INDETERMINATE = range(4)
+#: Set decision codes index DECISIONS.
 DECISIONS = (SetDecision.SATISFIED, SetDecision.NOT_SATISFIED, SetDecision.INDETERMINATE)
 SET_SATISFIED, SET_NOT_SATISFIED, SET_INDETERMINATE = range(3)
 
@@ -67,35 +70,6 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
 # ---------------------------------------------------------------------------
 # Conditions over a block
 # ---------------------------------------------------------------------------
-
-def _pick(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: a plain value where ``cond``
-    is a plain bool, per draw otherwise."""
-    if cond is True:
-        return a
-    if cond is False:
-        return b
-    return np.where(cond, a, b)
-
-
-def _condition(b: Scenario, parts: tuple, guard: Optional[tuple], cfg: RunConfig):
-    """A compiled condition over a block: its status code, and whether it is
-    excluded from aggregation, each a plain value where every draw agrees
-    and one per draw otherwise. Parts run in every draw, also where the
-    guard fails."""
-    violated = undecided = False
-    for lhs, rhs, compare in parts:
-        holds, fails = compare(lhs(b, None), None if rhs is None else rhs(b, None))
-        violated = violated | fails
-        undecided = undecided | ((holds | fails) ^ True)  # ^ True: not, also per draw
-    status = _pick(violated, VIOLATED, _pick(undecided, INDETERMINATE, SATISFIED))
-    if guard is None:
-        return status, False
-    lhs, rhs, compare = guard
-    passed = compare(lhs(b, None), rhs(b, None))[0]
-    failed, skipped, _ = _guard_failure(cfg)
-    return _pick(passed, status, STATUSES.index(failed)), skipped and passed ^ True
-
 
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """Set decisions per draw: each distinct row of counts goes through
@@ -193,6 +167,6 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
         draws = block(base, X, varying)
         shape = (len(rejections), len(cfg.compiled))
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
-        for j, (parts, guard, _) in enumerate(cfg.compiled.values()):
-            statuses[:, j], skipped[:, j] = _condition(draws, parts, guard, cfg)
+        for j, (_, run, _, _) in enumerate(cfg.compiled.values()):
+            statuses[:, j], skipped[:, j], _, _ = run(draws, None)
     return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)

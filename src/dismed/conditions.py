@@ -3,24 +3,25 @@
 Each condition is built as a small form (``build_form``): an optional guard
 part, whose ``holds`` decides whether the others count, one or more
 comparison parts (joined conjunctively), and the notes the verdict must
-carry. :func:`compile_conditions` compiles the forms into closures; each
-RunConfig instance keeps its table (``RunConfig.compiled``), so ``decide``,
-``eval_condition_set``, ``eval_condition``, sweeps and sensitivity build no
-forms after its first use and dispatch on no node types. A compiled part
-(:func:`compile_part`) runs on any Scenario: on one scenario its results are
-wrapped here into traced verdicts with notes, and on a block of draws
-``dismed.batch`` turns them into per-draw status codes. Both paths apply
-:func:`_guard_failure` and :func:`_aggregate`. Evaluation is pure:
+carry. :func:`compile_conditions` compiles each form, once per RunConfig
+(``RunConfig.compiled``), into one evaluator: the only place the guard and
+the status rule (violated, then undecided, then satisfied) are applied. It
+runs on any Scenario, plain where every draw agrees and per draw otherwise;
+:func:`eval_condition` wraps its results into traced verdicts for ``decide``,
+``dismed.batch`` fills a sweep block's status columns from them, and
+``sensitivity`` reads a status and margin (:func:`_status_and_margin`).
+:func:`_aggregate` decides a set on every path. Evaluation is pure:
 undecidable comparisons produce Indeterminate verdicts, never exceptions,
 and every non-vacuous verdict keeps its lhs/rhs trace values.
 
 A comparison part is built by :func:`_part` from its two operands, which
 also write its description, so text and expression cannot disagree. A form
-that reads no config is a registry row, built once at import; the others
-(B1, B2, W4, W5, S1, S3, S7, S13 and the joint social-capital conditions)
-are functions of the config. Two mirrored families have one builder each:
-the social-capital conditions B16-B19 / S15-S18 and the conditions that bound
-one derivative by another at two orders (B6, B7, B8, B10, B12, S2, S3).
+whose parts read no config is a registry row, built once at import; its
+notes may quote the config as templates (``{cfg.rel_tol}``) that
+``build_form`` fills in. The others (B1, W5, S3 and S7) are functions of the
+config. Two mirrored families have one builder each: the social-capital
+conditions B16-B19 / S15-S18 and the conditions that bound one derivative by
+another at two orders (B6, B7, B8, B10, B12, S2, S3).
 Literal descriptions stay only where the payloads spell a part in a way the
 operands cannot: the ``cP`` sums of B3/B4 and B13, the differences of B15
 and W1, the products of W3, the ``d rho_i/d rho_p`` spacing of W4 and W5,
@@ -64,7 +65,7 @@ from .calculus import (
     evaluate_expression,  # noqa: F401
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .model import Scenario
+from .model import Scenario, _where
 from .record import FLAG, INTERVAL, MANY, MAPPING, TEXT, TREE, Factory, Record, interval_pair
 
 
@@ -328,26 +329,15 @@ def _b1(cfg: RunConfig) -> Form:
     return Form(utility, parts, (f"utility clause ({utility.desc}) treated as a guard",))
 
 
-def _b2(cfg: RunConfig) -> Form:
-    return Form(None, (_part("I_i", "~", "psi_b"),),
-                (f"similarity uses rel_tol = {cfg.rel_tol}",))
-
-
-def _w4(cfg: RunConfig) -> Form:
-    return Form(None, (_flat("rho_i", "rho_p"),), (f"zero means |derivative| <= {cfg.zero_tol}",))
+_ZERO_NOTE = "zero means |derivative| <= {cfg.zero_tol}"
+# S1, B18, B19, S17 and S18 read a joint closing probability.
+_INTERSECTION_NOTES = ("intersection read as {cfg.intersection}",)
 
 
 def _w5(cfg: RunConfig) -> Form:
     drv = cfg.w5_driver
     return Form(None, (_flat("rho_i", drv), _flat("rho_p", drv)),
-                (f"unsubscripted cost driver resolved to {drv}",
-                 f"zero means |derivative| <= {cfg.zero_tol}"))
-
-
-def _noting_intersection(*parts: Part) -> Callable[[RunConfig], Form]:
-    """S1, B18, B19, S17 and S18: parts that read a joint closing probability,
-    noting how the config reads the intersection."""
-    return lambda cfg: Form(None, parts, (f"intersection read as {cfg.intersection}",))
+                ("unsubscripted cost driver resolved to {cfg.w5_driver}", _ZERO_NOTE))
 
 
 def _seller_web_utility(cfg: RunConfig) -> str:
@@ -368,15 +358,9 @@ def _s7(cfg: RunConfig) -> Form:
     ))
 
 
-def _s13(cfg: RunConfig) -> Form:
-    own = Mul(Sym("rho_s"), Sub(Sym("P_s"), _e("pi_b+pi_s+psi_si")))
-    broker_physical = Mul(Sym("rho_p"), Sub(Sym("P"), _e("pi_b+pi_sb+psi_s")))
-    broker_web = Mul(Joint("rho_i", "rho_p"), Sub(Sym("P"), _e("pi_b+pi_sb+psi_sb")))
-    return Form(None, (
-        Part("integral self-sale surplus > max(broker physical, broker web)", "gt",
-             IntegralE(own),
-             MaxE((IntegralE(broker_physical), IntegralE(broker_web)))),
-    ), (f"trapezoid over [0, {cfg.horizon_T}] at dt = {cfg.horizon_dt}",))
+def _surplus(rho: Expr, price: str, costs: str) -> IntegralE:
+    """S13: the integral of a closing probability times a price net of costs."""
+    return IntegralE(Mul(rho, Sub(Sym(price), _e(costs))))
 
 
 # B3 and B4 are one comparison under two guards.
@@ -390,7 +374,7 @@ _S12_PARTS = (_part("rho_s", ">", "rho_p"), _part("rho_s", ">", "rho_i"))
 
 _FORMS: dict[str, Form | Callable[[RunConfig], Form]] = {
     "B1": _b1,
-    "B2": _b2,
+    "B2": Form(None, (_part("I_i", "~", "psi_b"),), ("similarity uses rel_tol = {cfg.rel_tol}",)),
     "B3": Form(_part("P_s", "~", "P_b", ARGMAX_ALL), (_B3_B4_PART,), _B3_B4_NOTES),
     "B4": Form(_part("U_iw", ">", "U_ip", ARGMAX_ALL), (_B3_B4_PART,), _B3_B4_NOTES),
     "B5": Form(None, (_part("psi_b", ">", "psi_bi"), _part("U_iw", ">", "U_ip"))),
@@ -411,8 +395,8 @@ _FORMS: dict[str, Form | Callable[[RunConfig], Form]] = {
                             _e("U_ip+U_iw+I_p+I_i+pi_b")),)),
     "B16": Form(None, (_social_capital("b", "utility", 1),)),
     "B17": Form(None, (_social_capital("b", "utility", 2),)),
-    "B18": _noting_intersection(_social_capital("b", "joint", 1)),
-    "B19": _noting_intersection(_social_capital("b", "joint", 2)),
+    "B18": Form(None, (_social_capital("b", "joint", 1),), _INTERSECTION_NOTES),
+    "B19": Form(None, (_social_capital("b", "joint", 2),), _INTERSECTION_NOTES),
     "W1": Form(_part("psi_b", ">", "psi_bi", _AT_E_P),
                (Part("cP*rho_p - B_b - B_s < B_i", "lt",
                      Sub(Mul(_cP(), Sym("rho_p")), _e("B_b+B_s")), Sym("B_i"), _AT_E_P, _AT_E_P),),
@@ -421,12 +405,12 @@ _FORMS: dict[str, Form | Callable[[RunConfig], Form]] = {
                ("evaluated under the larger of the E_s / E_p overlays",)),
     "W3": Form(None, (Part("psi_bi*rho_i > cP*rho_p", "gt", Mul(Sym("psi_bi"), Sym("rho_i")),
                            Mul(_cP(), Sym("rho_p"))),)),
-    "W4": _w4,
+    "W4": Form(None, (_flat("rho_i", "rho_p"),), (_ZERO_NOTE,)),
     "W5": _w5,
     "W6": Form(None, (_part(("B_i", "I_i", 1), "<", ("RC_br+SC_br", "I_i", 1)),),
                ("both differentials taken with respect to I_i",)),
     "W7": Form(None, (_part(("RC_br+SC_br", "B_i", 1), ">", 1),)),
-    "S1": _noting_intersection(_part("rho_s", ">", "rho_p^rho_i"), *_S12_PARTS),
+    "S1": Form(None, (_part("rho_s", ">", "rho_p^rho_i"), *_S12_PARTS), _INTERSECTION_NOTES),
     "S2": _two_order(("I_o", "psi_si"), ">", max, ("I_p+I_o", "psi_sb"), 1, (1, 3),
                      ("I_o kept inside the broker-channel bundle as written",)),
     "S3": _s3,
@@ -445,29 +429,50 @@ _FORMS: dict[str, Form | Callable[[RunConfig], Form]] = {
     "S11": Form(None, (_part(("psi_sb+pi_sb", "pi_sb", 1), ">", ("psi_si+pi_s", "pi_sb", 1)),),
                 ("d pi_sb/d pi_sb contributes exactly 1",)),
     "S12": Form(None, _S12_PARTS),
-    "S13": _s13,
+    "S13": Form(None, (Part("integral self-sale surplus > max(broker physical, broker web)", "gt",
+                            _surplus(Sym("rho_s"), "P_s", "pi_b+pi_s+psi_si"),
+                            MaxE((_surplus(Sym("rho_p"), "P", "pi_b+pi_sb+psi_s"),
+                                  _surplus(Joint("rho_i", "rho_p"), "P", "pi_b+pi_sb+psi_sb")))),),
+                ("trapezoid over [0, {cfg.horizon_T}] at dt = {cfg.horizon_dt}",)),
     "S14": Form(None, (Part("SC_s - psi_si - pi_sb^2 > U_sw + U_sp + I_p + I_i + pi_sb", "gt",
                             Sub(Sym("SC_s"), Add((Sym("psi_si"), Mul(Sym("pi_sb"), Sym("pi_sb"))))),
                             _e("U_sw+U_sp+I_p+I_i+pi_sb")),),
                 ("pi_sb enters squared, kept literally (suspected transcription artifact)",)),
     "S15": Form(None, (_social_capital("s", "utility", 1),)),
     "S16": Form(None, (_social_capital("s", "utility", 2),)),
-    "S17": _noting_intersection(_social_capital("s", "joint", 1)),
-    "S18": _noting_intersection(_social_capital("s", "joint", 2)),
+    "S17": Form(None, (_social_capital("s", "joint", 1),), _INTERSECTION_NOTES),
+    "S18": Form(None, (_social_capital("s", "joint", 2),), _INTERSECTION_NOTES),
 }
 
 
 def build_form(cid: ConditionId, cfg: RunConfig) -> Form:
-    """The condition's registry row, or its builder's form under ``cfg``."""
+    """The condition's registry row, or its builder's form, under ``cfg``:
+    notes are templates that may quote the config (``{cfg.rel_tol}``)."""
     form = _FORMS[cid.label]
-    return form if isinstance(form, Form) else form(cfg)
+    if not isinstance(form, Form):
+        form = form(cfg)
+    return form.replace(notes=tuple(note.format(cfg=cfg) for note in form.notes))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation: each condition compiles once per RunConfig
 # ---------------------------------------------------------------------------
 
-CompiledCondition = Callable[[Scenario], ConditionVerdict]
+#: A compiled condition's status codes index STATUSES.
+STATUSES = (Status.SATISFIED, Status.VIOLATED, Status.VACUOUS, Status.INDETERMINATE)
+SATISFIED, VIOLATED, VACUOUS, INDETERMINATE = range(4)
+#: Per status code, the ``holds`` of the first part, whose sides the verdict quotes.
+_DECIDING = (True, False, None, None)
+
+
+def _pick(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a plain value where ``cond``
+    is a plain bool, per draw otherwise."""
+    if cond is True:
+        return a
+    if cond is False:
+        return b
+    return _where(cond, a, b)
 
 
 def _in_context(spec: CtxSpec, fn: Callable) -> Callable:
@@ -507,6 +512,19 @@ def _compare(op: str, cfg: RunConfig) -> Callable:
     raise ValueError(f"unknown part op {op!r}")
 
 
+def _margin(op: str, a, b, holds: bool, cfg: RunConfig) -> float:
+    """A decided part's signed margin, positive iff it holds: for interval
+    sides, the conservative one for the decided direction."""
+    if op == "gt":
+        return a[0] - b[1] if holds else a[1] - b[0]
+    if op == "lt":
+        return b[0] - a[1] if holds else b[1] - a[0]
+    if op == "approx":
+        return cfg.rel_tol * max(abs(a[0]), abs(b[0]), 1e-12) - abs(a[0] - b[0])
+    lo, hi = iabs(a)  # approx_zero
+    return cfg.zero_tol - (hi if holds else lo)
+
+
 def compile_part(part: Part, cfg: RunConfig) -> tuple:
     """``(lhs, rhs, compare)``: each side maps (s, notes) to an interval under
     its context (``rhs`` is None for a one-sided op), and ``compare`` maps
@@ -517,76 +535,95 @@ def compile_part(part: Part, cfg: RunConfig) -> tuple:
     return lhs, rhs, _compare(part.op, cfg)
 
 
-def _guard_failure(cfg: RunConfig) -> tuple[Status, bool, str]:
+def _guard_failure(cfg: RunConfig) -> tuple[int, bool, str]:
     """What a failed guard gives under ``cfg.guard_mode``: the condition's
-    status, whether it is excluded from aggregation, and how its note ends."""
+    status code, whether it is excluded from aggregation, and how its note ends."""
     if cfg.guard_mode == "violated":
-        return Status.VIOLATED, False, "guard_mode=violated"
+        return VIOLATED, False, "guard_mode=violated"
     skipped = cfg.guard_mode == "skip"
-    return (Status.VACUOUS, skipped,
+    return (VACUOUS, skipped,
             "vacuously satisfied" + ("; excluded from aggregation" if skipped else ""))
 
 
-def _compile_condition(cid: ConditionId, form: Form, compiled: tuple,
-                       guard: Optional[tuple], cfg: RunConfig) -> CompiledCondition:
-    """The traced evaluator of a condition from its compiled parts and guard."""
-    form_notes = form.notes
-    parts = tuple((p.desc, p.op, *c) for p, c in zip(form.parts, compiled))
-    if guard is not None:
-        guard_lhs, guard_rhs, guard_compare = guard
-        failed_status, skipped, ending = _guard_failure(cfg)
-        failed_note = f"guard failed ({form.guard.desc}); {ending}"
+def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
+    """The one evaluator of a condition: ``run(s, notes)`` gives its status
+    code, whether it is excluded from aggregation, its guard status (None
+    without a guard) and its part results ``(lhs, rhs, holds, fails)``. Each
+    is a plain value where every draw of ``s`` agrees and per draw otherwise.
+    A guard that fails in every draw leaves the parts unevaluated (no
+    results); one that fails in some draws gives those draws its status."""
+    parts = tuple(compile_part(p, cfg) for p in form.parts)
+    guard = None if form.guard is None else compile_part(form.guard, cfg)
+    failed, excluded, _ = _guard_failure(cfg)
 
-    def run(s: Scenario) -> ConditionVerdict:
-        notes = list(form_notes)
-        guard_status: Optional[bool] = None
+    def run(s: Scenario, notes: Optional[list]) -> tuple:
+        passed = None
         if guard is not None:
-            guard_status = guard_compare(guard_lhs(s, None), guard_rhs(s, None))[0]
-            if guard_status is False:
-                notes.append(failed_note)
-                return ConditionVerdict(cid, failed_status, None, None, False,
-                                        tuple(notes), (), skipped=skipped)
-        traces = []
-        for desc, op, lhs, rhs, compare in parts:
+            lhs, rhs, compare = guard
+            passed = compare(lhs(s, None), rhs(s, None))[0]
+            if passed is False:
+                return failed, excluded, False, ()
+        results = []
+        violated, held = False, True
+        for lhs, rhs, compare in parts:
             a = lhs(s, notes)
             b = None if rhs is None else rhs(s, notes)
             holds, fails = compare(a, b)
-            traces.append(PartTrace(desc, op, ExtendedValue(*a),
-                                    None if b is None else ExtendedValue(*b),
-                                    True if holds else False if fails else None))
-        deciding = traces[0]
-        status = Status.SATISFIED
-        for t in traces:
-            if t.holds is False:
-                status, deciding = Status.VIOLATED, t
-                break
-        else:
-            for t in traces:
-                if t.holds is None:
-                    status, deciding = Status.INDETERMINATE, t
-                    break
-        return ConditionVerdict(cid, status, deciding.lhs, deciding.rhs,
-                                guard_status, tuple(notes), tuple(traces))
+            results.append((a, b, holds, fails))
+            violated = violated | fails
+            held = held & holds
+        status = _pick(violated, VIOLATED, _pick(held, SATISFIED, INDETERMINATE))
+        if passed is None or passed is True:
+            return status, False, passed, results
+        return _pick(passed, status, failed), excluded and passed ^ True, passed, results
     return run
 
 
 def compile_conditions(cfg: RunConfig) -> dict[ConditionId, tuple]:
-    """Per condition, in registry order: its compiled parts, its compiled
-    guard part or None, and its traced evaluator. ``RunConfig.compiled``
-    keeps this table for the config instance."""
+    """Per condition, in registry order: its form, its evaluator
+    (:func:`_compile_condition`), each part's (desc, op) and its failed
+    guard's note (None without a guard), which its traced verdict quotes.
+    ``RunConfig.compiled`` keeps this table for the config instance."""
+    ending = _guard_failure(cfg)[2]
     table = {}
     for cid in ALL_CONDITION_IDS:
         form = build_form(cid, cfg)
-        parts = tuple(compile_part(p, cfg) for p in form.parts)
-        guard = None if form.guard is None else compile_part(form.guard, cfg)
-        table[cid] = parts, guard, _compile_condition(cid, form, parts, guard, cfg)
+        table[cid] = (form, _compile_condition(form, cfg),
+                      tuple((p.desc, p.op) for p in form.parts),
+                      form.guard and f"guard failed ({form.guard.desc}); {ending}")
     return table
 
 
 def eval_condition(s: Scenario, cid: ConditionId,
                    cfg: RunConfig = DEFAULT_CONFIG) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    return cfg.compiled[cid][2](s)
+    form, run, labels, failed_note = cfg.compiled[cid]
+    notes = list(form.notes)
+    code, excluded, guard_status, results = run(s, notes)
+    if guard_status is False:
+        notes.append(failed_note)
+        return ConditionVerdict(cid, STATUSES[code], None, None, False, tuple(notes), (), excluded)
+    want, deciding, traces = _DECIDING[code], None, []
+    for (desc, op), (a, b, holds, fails) in zip(labels, results):
+        held = True if holds else False if fails else None
+        trace = PartTrace(desc, op, ExtendedValue(*a), None if b is None else ExtendedValue(*b),
+                          held)
+        traces.append(trace)
+        if held is want and deciding is None:
+            deciding = trace
+    return ConditionVerdict(cid, STATUSES[code], deciding.lhs, deciding.rhs, guard_status,
+                            tuple(notes), tuple(traces))
+
+
+def _status_and_margin(s: Scenario, cid: ConditionId,
+                       cfg: RunConfig) -> tuple[Status, Optional[float]]:
+    """A condition's status on one scenario and its smallest decided-part
+    margin (None where no part is decided), with no trace or notes."""
+    form, run, _, _ = cfg.compiled[cid]
+    code, _, _, results = run(s, None)
+    margins = [_margin(part.op, a, b, holds, cfg)
+               for part, (a, b, holds, fails) in zip(form.parts, results) if holds or fails]
+    return STATUSES[code], min(margins, default=None)
 
 
 def _aggregate(considered: int, held: int, violated: int, undecided: int,
@@ -634,37 +671,3 @@ def decide(s: Scenario, cfg: RunConfig = DEFAULT_CONFIG) -> DecisionSummary:
         seller_disintermediates=reports["seller"].aggregate,
         reports=reports,
     )
-
-
-# ---------------------------------------------------------------------------
-# Margins (used by sensitivity analysis)
-# ---------------------------------------------------------------------------
-
-def part_margin(trace: PartTrace, cfg: RunConfig) -> Optional[float]:
-    """Signed margin for one part: positive iff the part holds.
-
-    For interval operands the margin is the conservative one for the decided
-    direction; undecided parts have no margin.
-    """
-    if trace.holds is None:
-        return None
-    lhs, rhs = trace.lhs, trace.rhs
-    if trace.op == "gt":
-        return lhs.lower - rhs.upper if trace.holds else lhs.upper - rhs.lower
-    if trace.op == "lt":
-        return rhs.lower - lhs.upper if trace.holds else rhs.upper - lhs.lower
-    if trace.op == "approx":
-        a, b = lhs.lower, rhs.lower
-        return cfg.rel_tol * max(abs(a), abs(b), 1e-12) - abs(a - b)
-    if trace.op == "approx_zero":
-        lo, hi = iabs((lhs.lower, lhs.upper))
-        return cfg.zero_tol - (hi if trace.holds else lo)
-    raise ValueError(f"unknown part op {trace.op!r}")
-
-
-def condition_margin(verdict: ConditionVerdict, cfg: RunConfig) -> Optional[float]:
-    """Minimum part margin; sign agrees with the verdict for determinate ones."""
-    margins = [m for m in (part_margin(t, cfg) for t in verdict.parts) if m is not None]
-    if not margins:
-        return None
-    return min(margins)

@@ -79,9 +79,10 @@ class RunConfig(Record):
     @cached_property
     def compiled(self) -> dict:
         """The 44 conditions compiled under this config, built on first use
-        (``conditions.compile_conditions``) and kept by this instance only:
-        equal configs can print differently (rel_tol 1 and 1.0), and notes
-        quote the config's values as text."""
+        (``conditions.compile_conditions``): per condition its form and the
+        one evaluator that ``decide``, sweep blocks and ``sensitivity`` all
+        run. Kept by this instance only: equal configs can print differently
+        (rel_tol 1 and 1.0), and notes quote the config's values as text."""
         from .conditions import compile_conditions  # conditions imports config
 
         return compile_conditions(self)

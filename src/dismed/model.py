@@ -265,7 +265,8 @@ class Scenario(Record):
         """``fn(name, value)`` for the name with the largest value under
         ``state``, ties to the earlier name; ``fn(None, -inf)`` when no value
         exceeds -inf. Where values are per draw, each draw takes its own
-        winner's result (a block's values are finite, so each draw has one)."""
+        winner's result (a block's values are finite, so each draw has one);
+        ``fn`` then returns an interval, as every caller's does."""
         win, best = -1, -math.inf
         for k, name in enumerate(names):
             v = self.value(name, state)
@@ -286,10 +287,8 @@ class Scenario(Record):
                 return value
             if out is None:
                 out = value
-            elif isinstance(value, tuple):  # an interval, endpoint by endpoint
+            else:  # endpoint by endpoint
                 out = tuple(a if a is b else _where(rows, a, b) for a, b in zip(value, out))
-            elif value is not out:
-                out = _where(rows, value, out)
         return out
 
 

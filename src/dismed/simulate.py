@@ -26,8 +26,7 @@ from .conditions import (
     ConditionId,
     ConditionSet,
     Status,
-    condition_margin,
-    eval_condition,
+    _status_and_margin,
     # Not called here: perfbench's --trace 1 wraps this module's binding.
     decide,  # noqa: F401
 )
@@ -207,12 +206,6 @@ class SensitivityResult(Record):
     rel_step: float
 
 
-def _margin_at(s: Scenario, cid: ConditionId, parameter: str, value: float,
-               cfg: RunConfig):
-    verdict = eval_condition(with_values(s, {parameter: value}), cid, cfg)
-    return verdict.status, condition_margin(verdict, cfg)
-
-
 def sensitivity(s: Scenario, cid: ConditionId, parameter: str,
                 rel_step: float = 0.05,
                 cfg: RunConfig = DEFAULT_CONFIG) -> SensitivityResult:
@@ -227,19 +220,22 @@ def sensitivity(s: Scenario, cid: ConditionId, parameter: str,
         raise ParseError(f"unknown parameter {parameter!r}")
     if not 0 < rel_step < 0.5:
         raise ValueError("rel_step must lie in (0, 0.5)")
-    base_verdict = eval_condition(s, cid, cfg)
-    if base_verdict.status in (Status.VACUOUS, Status.INDETERMINATE):
+    base_status, margin0 = _status_and_margin(s, cid, cfg)
+    if margin0 is None or base_status is Status.INDETERMINATE:  # None: the guard failed
+        guard = " by its failed guard" if base_status is Status.VIOLATED else ""
         raise IndeterminateAtBase(
-            f"{cid.label} is {base_verdict.status.value} at base; "
+            f"{cid.label} is {base_status.value}{guard} at base; "
             "sensitivity needs a determinate, non-vacuous verdict")
-    margin0 = condition_margin(base_verdict, cfg)
+
+    def at(value):  # the status and margin with the parameter moved to value
+        return _status_and_margin(with_values(s, {parameter: value}), cid, cfg)
 
     p0 = s.value(parameter)
     scale = abs(p0) if p0 != 0.0 else 1.0
     step = rel_step * scale
 
-    _, m_plus = _margin_at(s, cid, parameter, p0 + step, cfg)
-    _, m_minus = _margin_at(s, cid, parameter, p0 - step, cfg)
+    _, m_plus = at(p0 + step)
+    _, m_minus = at(p0 - step)
     if m_plus is not None and m_minus is not None:
         dmargin = 0.5 * (m_plus - m_minus)
     elif m_plus is not None:
@@ -250,17 +246,16 @@ def sensitivity(s: Scenario, cid: ConditionId, parameter: str,
         dmargin = 0.0
     elasticity = 0.0 if margin0 == 0.0 else (dmargin / margin0) / rel_step
 
-    base_status = base_verdict.status
     flips = []
     for direction in (1.0, -1.0):
         end = p0 + direction * 0.5 * scale
-        status_end, _ = _margin_at(s, cid, parameter, end, cfg)
+        status_end, _ = at(end)
         if status_end == base_status:
             continue
         lo_t, hi_t = 0.0, 0.5
         for _ in range(60):
             mid = 0.5 * (lo_t + hi_t)
-            status_mid, _ = _margin_at(s, cid, parameter, p0 + direction * mid * scale, cfg)
+            status_mid, _ = at(p0 + direction * mid * scale)
             if status_mid == base_status:
                 lo_t = mid
             else:

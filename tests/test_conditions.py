@@ -24,7 +24,7 @@ from dismed import (
 )
 from dismed.calculus import Axis, Const, Deriv, Expr, IntegralE, _combine, _stencil
 from dismed.cli import render_report
-from dismed.conditions import ALL_CONDITION_IDS, build_form, condition_margin
+from dismed.conditions import ALL_CONDITION_IDS, _aggregate, _status_and_margin, build_form
 from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
 from dismed.record import Record
@@ -65,6 +65,13 @@ def test_condition_id_parsing():
         ConditionId.parse("B20")
     with pytest.raises(ValueError):
         ConditionId.parse("Q1")
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG.replace(aggregation="quorum"),
+                                 CFG.replace(aggregation="quorum", quorum_violations_block=True)])
+def test_a_set_with_no_considered_verdict_is_satisfied(cfg):
+    # every verdict of the set excluded (guard_mode "skip")
+    assert _aggregate(0, 0, 0, 0, cfg) is SetDecision.SATISFIED
 
 
 # Every form's repr (descriptions, ops, expressions, contexts and notes) under
@@ -390,7 +397,7 @@ def test_margin_sign_matches_status():
             for v in report.verdicts:
                 if v.status is Status.VACUOUS:
                     continue
-                margin = condition_margin(v, CFG)
+                _, margin = _status_and_margin(s, v.id, CFG)
                 if v.status is Status.SATISFIED:
                     assert margin > 0, v.id.label
                 elif v.status is Status.VIOLATED:

@@ -1,8 +1,10 @@
 """Seeded sampling, sweep statistics, and sensitivity analysis."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from dismed import (
     ParseError,
     RejectionLimit,
     RunConfig,
+    Status,
     decide,
+    eval_condition,
     run_sweep,
     sensitivity,
     validate_scenario,
@@ -38,14 +42,16 @@ from dismed.calculus import (
     Sym,
 )
 from dismed.conditions import Form, Part, compile_part
+from dismed.cli import render_report
 from dismed.errors import DismedError
-from dismed.io import scenario_from_dict
+from dismed.io import load_scenario, scenario_from_dict
 from dismed.model import (SYMBOLS, ResponseFunction, check_scenario, eval_response,
                           split_driver)
 from dismed.simulate import draw_scenario
 
 from fixture_defs import fixture_dict
-from test_golden import DIGEST_CONFIGS, FIXTURES_DIR, WIDE_OVERLAYS, wide_sweep_case
+from scen_gen import drop_responses, random_scenario
+from test_golden import DIGEST_CONFIGS, FIXTURES, FIXTURES_DIR, WIDE_OVERLAYS, wide_sweep_case
 
 CFG = RunConfig()
 
@@ -295,12 +301,111 @@ def test_sensitivity_preconditions(base_scenario):
         sensitivity(base_scenario, ConditionId.parse("B5"), "zeta", cfg=CFG)
 
 
+def test_sensitivity_refuses_a_verdict_that_only_its_failed_guard_violates(base_scenario):
+    # under guard_mode "violated", W1's failed guard leaves no part to take a margin of
+    vac = with_values(base_scenario, {"psi_b": 3.0, "psi_bi": 4.0})
+    with pytest.raises(IndeterminateAtBase, match="W1 is Violated by its failed guard at base"):
+        sensitivity(vac, ConditionId.parse("W1"), "B_i", cfg=RunConfig(guard_mode="violated"))
+
+
 def test_sensitivity_flip_resolves_threshold(base_scenario):
     # S1 flips when rho_s crosses rho_p = 0.6; base rho_s = 0.7
     res = sensitivity(base_scenario, ConditionId.parse("S1"), "rho_s",
                       rel_step=0.05, cfg=CFG)
     assert res.status == "Satisfied"
     assert res.delta_to_flip == pytest.approx(-0.1, abs=1e-6)
+
+
+# sha256 over every sensitivity payload (condition by condition, parameter by
+# parameter) of the four all_* fixtures under the default config
+SENSITIVITY_DIGEST = "00af902d347a6d2dcc92f82357f7b4846f2250e4557c66019f4cc73bea96c6d9"
+
+
+def test_sensitivity_payloads_match_their_digest():
+    digest = hashlib.sha256()
+    for name in FIXTURES:
+        s = load_scenario(FIXTURES_DIR / f"{name}.json")
+        for cid in dismed.ALL_CONDITION_IDS:
+            for parameter in SYMBOLS:
+                try:
+                    text = render_report(sensitivity(s, cid, parameter, cfg=CFG), "json",
+                                         os.devnull)
+                except IndeterminateAtBase as exc:
+                    text = f"error: {exc}\n"
+                digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == SENSITIVITY_DIGEST
+
+
+@pytest.mark.parametrize("label, parameter, lost", [
+    ("B3", "P_b", 1.0),    # B3's guard P_s ~ P_b fails at P_b + step
+    ("B3", "P_s", -1.0),   # and at P_s - step
+    ("B4", "U_iw", -1.0),  # B4's guard U_iw > U_ip fails at U_iw - step
+])
+def test_a_side_without_a_margin_gives_the_one_sided_elasticity(label, parameter, lost):
+    if label == "B3":
+        s = drop_responses(random_scenario([11, 0]), [11, 5000], 0.5)
+    else:
+        s = with_values(load_scenario(FIXTURES_DIR / "all_three_satisfied.json"),
+                        {"U_ip": 2.94})  # U_iw = 3
+    cid = ConditionId.parse(label)
+    p0, rel_step = s.value(parameter), 0.05
+    step = rel_step * abs(p0)
+
+    def margin(value):  # the margin of B3's and B4's one part, from its trace
+        v = eval_condition(with_values(s, {parameter: value}), cid, CFG)
+        if v.guard_status is False:
+            return None
+        assert v.status is Status.SATISFIED
+        return v.lhs.lower - v.rhs.upper
+
+    m0, m_lost, m_kept = margin(p0), margin(p0 + lost * step), margin(p0 - lost * step)
+    assert m_lost is None and m_kept is not None
+    dmargin = m0 - m_kept if lost > 0 else m_kept - m0
+    res = sensitivity(s, cid, parameter, rel_step=rel_step, cfg=CFG)
+    assert res.elasticity == (dmargin / m0) / rel_step
+    assert (res.elasticity == 0.0) is (label == "B3")  # B3's part reads neither price
+
+
+def test_a_margin_lost_on_both_sides_gives_zero_elasticity():
+    # a thinned scenario where B17 is Violated by a hair and undecided a step
+    # to either side of psi_bi: no margin on either side to difference
+    s = drop_responses(random_scenario([315], separation=0.0), [315, 1], 0.5)
+    cid = ConditionId.parse("B17")
+    p0, rel_step = s.value("psi_bi"), 0.05
+    for value in (p0 + rel_step * abs(p0), p0 - rel_step * abs(p0)):
+        moved = eval_condition(with_values(s, {"psi_bi": value}), cid, CFG)
+        assert moved.status is Status.INDETERMINATE
+        assert all(part.holds is None for part in moved.parts)
+    res = sensitivity(s, cid, "psi_bi", rel_step=rel_step, cfg=CFG)
+    assert res.status == "Violated" and res.margin != 0.0
+    assert res.elasticity == 0.0
+
+
+def test_sensitivity_builds_no_traced_verdict(base_scenario, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sensitivity built a trace")
+
+    for name in ("PartTrace", "ConditionVerdict", "ExtendedValue"):
+        monkeypatch.setattr(conditions, name, refuse)
+    res = sensitivity(base_scenario, ConditionId.parse("S1"), "rho_s", rel_step=0.05, cfg=CFG)
+    assert res.delta_to_flip == pytest.approx(-0.1, abs=1e-6)  # a bisected flip
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(dismed.ALL_CONDITION_IDS),
+       st.sampled_from([1.0, 0.5]))
+def test_the_status_at_the_flip_distance_differs_from_the_base_status(seed, cid, keep):
+    # a metamorphic relation: wherever sensitivity reports a flip distance,
+    # moving the parameter by it changes the condition's status
+    s = drop_responses(random_scenario([seed], separation=0.0), [seed, 1], keep)
+    for parameter in SYMBOLS:
+        try:
+            res = sensitivity(s, cid, parameter, cfg=CFG)
+        except IndeterminateAtBase:
+            continue
+        if res.delta_to_flip is not None:
+            moved = with_values(s, {parameter: s.value(parameter) + res.delta_to_flip})
+            assert eval_condition(moved, cid, CFG).status.value != res.status, parameter
 
 
 def test_draw_scenario_deterministic(base_scenario):
@@ -402,6 +507,24 @@ def test_batch_path_equals_scalar_decide_draw_by_draw(case, seed, cfg):
         assert int(ev.rejections[i]) == rejections[i], i
 
 
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_distributions(), st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.data())
+def test_the_first_m_of_n_draws_are_the_draws_of_an_m_draw_call(case, seed, n, data):
+    # a metamorphic relation: a draw's values and rejections do not depend on
+    # how many draws its block holds
+    base, d = case
+    m = data.draw(st.integers(1, n - 1))
+    try:
+        X, _, rejections = batch.draw(base, d, seed, 0, n)
+    except RejectionLimit:
+        assume(False)
+    X_m, _, rejections_m = batch.draw(base, d, seed, 0, m)
+    assert X[:m].tolist() == X_m.tolist()
+    assert rejections[:m].tolist() == rejections_m.tolist()
+    draws, _ = dismed.simulate._draws(base, d, seed, 0, n)
+    assert dismed.simulate._draws(base, d, seed, 0, m) == (draws[:m], int(rejections_m.sum()))
+
+
 @pytest.mark.parametrize("ties", [
     # three-way listing-state tie, and a max-axis tie whose two sides differ
     # in their links (SC_b's psi_b link is dropped because psi_b is sampled)
@@ -464,8 +587,8 @@ def test_conditions_that_every_draw_agrees_on_are_plain_values(name, split, cfg)
     with np.errstate(all="ignore"):
         X, varying, _ = batch.draw(base, d, 4, 0, n)
         draws = batch.block(base, X, varying)
-        for cid, (parts, guard, _) in cfg.compiled.items():
-            status, skipped = batch._condition(draws, parts, guard, cfg)
+        for cid, (_, run, _, _) in cfg.compiled.items():
+            status, skipped, _, _ = run(draws, None)
             if cid.label != split:
                 assert type(status) is int and type(skipped) is bool, cid.label
                 continue
