@@ -15,8 +15,9 @@ the one ``decide`` wraps (``RunConfig.compiled``), runs on the block through
 the total interval arithmetic of ``calculus``, whose array endpoints round
 as its float ones do, with argmax contexts and max-axis winners chosen per
 draw (``Scenario.per_winner``). Its status code and exclusion fill the
-block's columns, and ``decide``'s aggregation rule makes the set decisions,
-with no per-draw Scenario, verdict or trace. A condition's status and
+block's columns, and ``decide``'s aggregation rule (``conditions._aggregate``)
+takes each set's per-draw counts in one call and gives a decision code per
+draw, with no per-draw Scenario, verdict or trace. A condition's status and
 exclusion are plain Python values wherever every draw of the block agrees on
 them (as where a missing link leaves a derivative unknown in every draw, or
 a guard fails in every draw), so such a condition is settled once and filled
@@ -33,11 +34,9 @@ import numpy as np
 from .conditions import (
     INDETERMINATE,
     SATISFIED,
-    STATUSES,  # a block's status codes index it
     VACUOUS,
     VIOLATED,
     ConditionSet,
-    SetDecision,
     _aggregate,
     condition_ids,
 )
@@ -50,10 +49,6 @@ from .streams import Streams
 #: Draws evaluated together: bounds a block's memory whatever the sweep size;
 #: per-draw cost stops falling at about this size.
 ROWS = 1024
-
-#: Set decision codes index DECISIONS.
-DECISIONS = (SetDecision.SATISFIED, SetDecision.NOT_SATISFIED, SetDecision.INDETERMINATE)
-SET_SATISFIED, SET_NOT_SATISFIED, SET_INDETERMINATE = range(3)
 
 
 def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
@@ -72,22 +67,17 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """Set decisions per draw: each distinct row of counts goes through
+    """Set decision codes per draw, from each set's per-draw counts through
     ``conditions._aggregate``, the rule ``decide`` applies."""
     out, start = [], 0
     for cset in ConditionSet:
         stop = start + len(condition_ids(cset))
         st, considered = statuses[:, start:stop], ~skipped[:, start:stop]
         start = stop
-        counts = np.stack([considered.sum(axis=1),
-                           (((st == SATISFIED) | (st == VACUOUS)) & considered).sum(axis=1),
-                           ((st == VIOLATED) & considered).sum(axis=1),
-                           ((st == INDETERMINATE) & considered).sum(axis=1)], axis=1)
-        # one key per distinct row: a set has at most 19 conditions, so < 32 each
-        _, first, inverse = np.unique(counts @ (1 << 15, 1 << 10, 1 << 5, 1),
-                                      return_index=True, return_inverse=True)
-        codes = [DECISIONS.index(_aggregate(*row, cfg)) for row in counts[first].tolist()]
-        out.append(np.array(codes)[inverse])
+        out.append(_aggregate(considered.sum(axis=1),
+                              (((st == SATISFIED) | (st == VACUOUS)) & considered).sum(axis=1),
+                              ((st == VIOLATED) & considered).sum(axis=1),
+                              ((st == INDETERMINATE) & considered).sum(axis=1), cfg))
     return np.stack(out, axis=1)
 
 
@@ -154,8 +144,8 @@ def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
 
 class Evaluation(Record):
     """Draws start..stop-1 of a sweep, one row per draw."""
-    statuses: np.ndarray    # (n, 44) codes into STATUSES, registry order
-    decisions: np.ndarray   # (n, 3) codes into DECISIONS, ConditionSet order
+    statuses: np.ndarray    # (n, 44) codes into conditions.STATUSES, registry order
+    decisions: np.ndarray   # (n, 3) codes into conditions.DECISIONS, ConditionSet order
     rejections: np.ndarray  # (n,) rejected candidates before each draw
 
 
@@ -167,6 +157,6 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
         draws = block(base, X, varying)
         shape = (len(rejections), len(cfg.compiled))
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
-        for j, (_, run, _, _) in enumerate(cfg.compiled.values()):
+        for j, (_, run, _) in enumerate(cfg.compiled.values()):
             statuses[:, j], skipped[:, j], _, _ = run(draws, None)
     return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)

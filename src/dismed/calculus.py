@@ -30,7 +30,8 @@ overlay, a symbol with the driver pinned to a stencil point, or a symbol at
 time t along its time path: its line ``v0 + slope * t``, or the segment rule
 of piecewise links (``model._interpolate``) through its samples, held at the
 end samples where a link extrapolates (no benchmark workload holds either).
-The closures read a Scenario per call, through its ``value``,
+The listing-state context is fixed at compile time, so a closure reads only
+a Scenario (and a notes list) per call, through its ``value``,
 ``bundle_value``, ``response_for``, ``time_path_for`` and ``per_winner``: in
 ``decide`` one scenario, in sweeps a block of draws (``dismed.batch.block``)
 whose swept values are per-draw arrays.
@@ -298,9 +299,9 @@ class Deriv(Expr):
 # ---------------------------------------------------------------------------
 
 Combine = Callable[[Sequence[Interval]], Interval]
-#: A compiled expression under a state context: (scenario, context, notes) ->
-#: interval, per draw where the scenario is a block of draws.
-Compiled = Callable[[object, Optional[str], Optional[list]], Interval]
+#: An expression compiled under its listing-state context: (scenario, notes)
+#: -> interval, per draw where the scenario is a block of draws.
+Compiled = Callable[[object, Optional[list]], Interval]
 
 _BINARY = {Sub: sub, Mul: mul}
 
@@ -398,8 +399,8 @@ def _note_lost(notes: Optional[list], axis: str, h) -> None:
 _IDENTITY = object()  # link marker: the driven symbol is the driver itself
 
 
-def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
-    """Compiled derivative: (scenario, context, notes, h=None) -> interval.
+def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG, ctx: Optional[str] = None):
+    """Compiled derivative under the state ``ctx``: (scenario, notes, h=None) -> interval.
 
     The driven side resolves with the driver pinned to each stencil point:
     the driver itself (identity), a declared response of it, or unknown. A
@@ -422,7 +423,7 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
     # an invalid order still reaches the stencil, which refuses it
     strict = order in (1, 2, 3) and _strict(d.driven)
 
-    def along(s, ctx: Optional[str], notes: Optional[list], h, axis: Optional[str], x0):
+    def along(s, notes: Optional[list], h, axis: Optional[str], x0):
         if identity is not None and identity == axis:
             return constant
         links, missing = [], False
@@ -462,12 +463,12 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG):
             _note_lost(notes, axis, h)
         return v
 
-    def deriv(s, ctx: Optional[str], notes: Optional[list], h=None) -> Interval:
+    def deriv(s, notes: Optional[list], h=None) -> Interval:
         if kind == "sym":
-            return along(s, ctx, notes, h, first, s.value(first, ctx))
+            return along(s, notes, h, first, s.value(first, ctx))
         if kind == "bundle":
-            return along(s, ctx, notes, h, joined, s.bundle_value(names, ctx))
-        return s.per_winner(names, ctx, lambda axis, x0: along(s, ctx, notes, h, axis, x0))
+            return along(s, notes, h, joined, s.bundle_value(names, ctx))
+        return s.per_winner(names, ctx, lambda axis, x0: along(s, notes, h, axis, x0))
 
     return deriv
 
@@ -479,7 +480,7 @@ def _horizon_nodes(T: float, dt: float) -> list[float]:
     k = 0
     while True:
         t = k * dt
-        if t >= T - 1e-12 * max(1.0, T):
+        if t >= T - 1e-12 * T:  # relative: a horizon below 1e-12 keeps its nodes
             nodes.append(T)
             return nodes
         nodes.append(t)
@@ -582,16 +583,16 @@ def _time_leaf(leaf: Expr) -> Callable:
     return symbol
 
 
-def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
-    """A leaf at base or under a listing-state overlay."""
+def _state_leaf(leaf: Expr, cfg: RunConfig, ctx: Optional[str]) -> Compiled:
+    """A leaf at base (``ctx`` None) or under a listing-state overlay."""
     if isinstance(leaf, Sym):
         name = leaf.name
-        return lambda s, ctx, notes: point(s.value(name, ctx))
+        return lambda s, notes: point(s.value(name, ctx))
     if isinstance(leaf, Deriv):
-        return _compile_deriv(leaf, cfg)
+        return _compile_deriv(leaf, cfg, ctx)
     integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
 
-    def integral(s, ctx, notes) -> Interval:
+    def integral(s, notes) -> Interval:
         try:
             return point(integrate(s))
         except PathCoverageError as exc:  # the same for every draw: paths are the base's
@@ -600,17 +601,18 @@ def _state_leaf(leaf: Expr, cfg: RunConfig) -> Compiled:
     return integral
 
 
-def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG) -> Compiled:
-    """Compile ``expr`` for evaluation at base or under a listing-state
-    overlay: the result maps (scenario, context, notes) to an interval."""
+def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
+                       ctx: Optional[str] = None) -> Compiled:
+    """Compile ``expr`` for evaluation at base (``ctx`` None) or under a
+    listing-state overlay: the result maps (scenario, notes) to an interval."""
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection)
-    getters = tuple(_state_leaf(leaf, cfg) for leaf in leaves)
+    getters = tuple(_state_leaf(leaf, cfg, ctx) for leaf in leaves)
     if expr in leaves:  # a bare leaf needs no combining
         return getters[0]
 
-    def evaluate(s, ctx: Optional[str], notes: Optional[list]) -> Interval:
-        return combine([g(s, ctx, notes) for g in getters])
+    def evaluate(s, notes: Optional[list]) -> Interval:
+        return combine([g(s, notes) for g in getters])
     return evaluate
 
 
@@ -633,15 +635,15 @@ def finite_difference(s: Scenario, driven: str | Expr, driver: str | Axis,
         parts = split_driver(driven)
         driven = Sym(parts[0]) if len(parts) == 1 else Add(tuple(Sym(p) for p in parts))
     axis = Axis.sym(driver) if isinstance(driver, str) else driver
-    deriv = _compile_deriv(Deriv(driven, axis, order), cfg)
-    return ExtendedValue(*deriv(s, context, notes, h))
+    deriv = _compile_deriv(Deriv(driven, axis, order), cfg, context)
+    return ExtendedValue(*deriv(s, notes, h))
 
 
 def evaluate_expression(s: Scenario, expr: Expr, context: Optional[str] = None,
                         cfg: RunConfig = DEFAULT_CONFIG,
                         notes: Optional[list] = None) -> ExtendedValue:
     """Evaluate an expression tree to an ExtendedValue under a state context."""
-    return ExtendedValue(*compile_expression(expr, cfg)(s, context, notes))
+    return ExtendedValue(*compile_expression(expr, cfg, context)(s, notes))
 
 
 def integrate_horizon(s: Scenario, integrand: Expr, T: float, dt: float,

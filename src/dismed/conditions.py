@@ -5,14 +5,16 @@ part, whose ``holds`` decides whether the others count, one or more
 comparison parts (joined conjunctively), and the notes the verdict must
 carry. :func:`compile_conditions` compiles each form, once per RunConfig
 (``RunConfig.compiled``), into one evaluator: the only place the guard and
-the status rule (violated, then undecided, then satisfied) are applied. It
-runs on any Scenario, plain where every draw agrees and per draw otherwise;
+the status rule (violated, then undecided, then satisfied) are applied, with
+each part side compiled under its listing-state context. It runs on any
+Scenario, plain where every draw agrees and per draw otherwise;
 :func:`eval_condition` wraps its results into traced verdicts for ``decide``,
 ``dismed.batch`` fills a sweep block's status columns from them, and
 ``sensitivity`` reads a status and margin (:func:`_status_and_margin`).
-:func:`_aggregate` decides a set on every path. Evaluation is pure:
-undecidable comparisons produce Indeterminate verdicts, never exceptions,
-and every non-vacuous verdict keeps its lhs/rhs trace values.
+:func:`_aggregate` decides a set on every path, one code per draw where the
+counts are per draw. Evaluation is pure: undecidable comparisons produce
+Indeterminate verdicts, never exceptions, and every non-vacuous verdict
+keeps its lhs/rhs trace values.
 
 A comparison part is built by :func:`_part` from its two operands, which
 also write its description, so text and expression cannot disagree. A form
@@ -461,6 +463,9 @@ def build_form(cid: ConditionId, cfg: RunConfig) -> Form:
 #: A compiled condition's status codes index STATUSES.
 STATUSES = (Status.SATISFIED, Status.VIOLATED, Status.VACUOUS, Status.INDETERMINATE)
 SATISFIED, VIOLATED, VACUOUS, INDETERMINATE = range(4)
+#: A set's decision codes (:func:`_aggregate`) index DECISIONS.
+DECISIONS = (SetDecision.SATISFIED, SetDecision.NOT_SATISFIED, SetDecision.INDETERMINATE)
+SET_SATISFIED, SET_NOT_SATISFIED, SET_INDETERMINATE = range(3)
 #: Per status code, the ``holds`` of the first part, whose sides the verdict quotes.
 _DECIDING = (True, False, None, None)
 
@@ -475,17 +480,18 @@ def _pick(cond, a, b):
     return _where(cond, a, b)
 
 
-def _in_context(spec: CtxSpec, fn: Callable) -> Callable:
-    """``fn(s, ctx, notes)`` under a context spec, as (s, notes) -> value; an
-    argmax context reads the scenario's winning listing state (per draw)."""
-    if spec is None:
-        return lambda s, notes: fn(s, None, notes)
-    kind, arg = spec
-    if kind == "state":
-        return lambda s, notes: fn(s, arg, notes)
-    if kind == "argmax":
-        return lambda s, notes: s.per_winner(arg, None, lambda state, _: fn(s, state, notes))
-    raise ValueError(f"unknown context spec {spec!r}")
+def _compile_side(expr: Expr, spec: CtxSpec, cfg: RunConfig) -> Callable:
+    """``expr`` compiled under a context spec, as (s, notes) -> interval. An
+    argmax context compiles it under each candidate state and under None
+    (which ``Scenario.per_winner`` passes when no state exceeds -inf) and
+    gives the winning state's value, per draw."""
+    if spec is None or spec[0] == "state":
+        return compile_expression(expr, cfg, spec and spec[1])
+    kind, candidates = spec
+    if kind != "argmax":
+        raise ValueError(f"unknown context spec {spec!r}")
+    under = {state: compile_expression(expr, cfg, state) for state in (*candidates, None)}
+    return lambda s, notes: s.per_winner(candidates, None, lambda state, _: under[state](s, notes))
 
 
 def _compare(op: str, cfg: RunConfig) -> Callable:
@@ -529,10 +535,8 @@ def compile_part(part: Part, cfg: RunConfig) -> tuple:
     """``(lhs, rhs, compare)``: each side maps (s, notes) to an interval under
     its context (``rhs`` is None for a one-sided op), and ``compare`` maps
     the two intervals to (holds, fails)."""
-    lhs = _in_context(part.lhs_ctx, compile_expression(part.lhs, cfg))
-    rhs = (None if part.rhs is None
-           else _in_context(part.rhs_ctx, compile_expression(part.rhs, cfg)))
-    return lhs, rhs, _compare(part.op, cfg)
+    rhs = None if part.rhs is None else _compile_side(part.rhs, part.rhs_ctx, cfg)
+    return _compile_side(part.lhs, part.lhs_ctx, cfg), rhs, _compare(part.op, cfg)
 
 
 def _guard_failure(cfg: RunConfig) -> tuple[int, bool, str]:
@@ -581,15 +585,14 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
 
 def compile_conditions(cfg: RunConfig) -> dict[ConditionId, tuple]:
     """Per condition, in registry order: its form, its evaluator
-    (:func:`_compile_condition`), each part's (desc, op) and its failed
-    guard's note (None without a guard), which its traced verdict quotes.
-    ``RunConfig.compiled`` keeps this table for the config instance."""
+    (:func:`_compile_condition`) and its failed guard's note (None without a
+    guard), which its traced verdict quotes. ``RunConfig.compiled`` keeps
+    this table for the config instance."""
     ending = _guard_failure(cfg)[2]
     table = {}
     for cid in ALL_CONDITION_IDS:
         form = build_form(cid, cfg)
         table[cid] = (form, _compile_condition(form, cfg),
-                      tuple((p.desc, p.op) for p in form.parts),
                       form.guard and f"guard failed ({form.guard.desc}); {ending}")
     return table
 
@@ -597,17 +600,17 @@ def compile_conditions(cfg: RunConfig) -> dict[ConditionId, tuple]:
 def eval_condition(s: Scenario, cid: ConditionId,
                    cfg: RunConfig = DEFAULT_CONFIG) -> ConditionVerdict:
     """Evaluate one condition with a full trace."""
-    form, run, labels, failed_note = cfg.compiled[cid]
+    form, run, failed_note = cfg.compiled[cid]
     notes = list(form.notes)
     code, excluded, guard_status, results = run(s, notes)
     if guard_status is False:
         notes.append(failed_note)
         return ConditionVerdict(cid, STATUSES[code], None, None, False, tuple(notes), (), excluded)
     want, deciding, traces = _DECIDING[code], None, []
-    for (desc, op), (a, b, holds, fails) in zip(labels, results):
+    for part, (a, b, holds, fails) in zip(form.parts, results):
         held = True if holds else False if fails else None
-        trace = PartTrace(desc, op, ExtendedValue(*a), None if b is None else ExtendedValue(*b),
-                          held)
+        trace = PartTrace(part.desc, part.op, ExtendedValue(*a),
+                          None if b is None else ExtendedValue(*b), held)
         traces.append(trace)
         if held is want and deciding is None:
             deciding = trace
@@ -619,44 +622,43 @@ def _status_and_margin(s: Scenario, cid: ConditionId,
                        cfg: RunConfig) -> tuple[Status, Optional[float]]:
     """A condition's status on one scenario and its smallest decided-part
     margin (None where no part is decided), with no trace or notes."""
-    form, run, _, _ = cfg.compiled[cid]
+    form, run, _ = cfg.compiled[cid]
     code, _, _, results = run(s, None)
     margins = [_margin(part.op, a, b, holds, cfg)
                for part, (a, b, holds, fails) in zip(form.parts, results) if holds or fails]
     return STATUSES[code], min(margins, default=None)
 
 
-def _aggregate(considered: int, held: int, violated: int, undecided: int,
-               cfg: RunConfig) -> SetDecision:
-    """A set's decision from the counts of its verdicts that are considered
-    (not skipped), and of those, held (satisfied or vacuous), violated and
-    undecided (indeterminate)."""
-    if not considered:
-        return SetDecision.SATISFIED
-    if violated and (cfg.aggregation == "conjunction" or cfg.quorum_violations_block):
-        return SetDecision.NOT_SATISFIED
-    if cfg.aggregation == "conjunction":
-        return SetDecision.INDETERMINATE if undecided else SetDecision.SATISFIED
-    if held / considered >= cfg.quorum:
-        return SetDecision.SATISFIED
-    if (held + undecided) / considered >= cfg.quorum:
-        return SetDecision.INDETERMINATE
-    return SetDecision.NOT_SATISFIED
+def _aggregate(considered, held, violated, undecided, cfg: RunConfig):
+    """A set's decision code (into DECISIONS) from the counts of its verdicts
+    that are considered (not skipped), and of those, held (satisfied or
+    vacuous), violated and undecided (indeterminate), per draw where they
+    are; with nothing considered, a quorum share counts as 1."""
+    conjunction = cfg.aggregation == "conjunction"
+    if conjunction:
+        code = _pick(undecided > 0, SET_INDETERMINATE, SET_SATISFIED)
+    else:
+        empty, quorum = considered == 0, cfg.quorum
+        code = _pick((held + empty) / (considered + empty) >= quorum, SET_SATISFIED,
+                     _pick((held + undecided + empty) / (considered + empty) >= quorum,
+                           SET_INDETERMINATE, SET_NOT_SATISFIED))
+    if conjunction or cfg.quorum_violations_block:
+        return _pick(violated > 0, SET_NOT_SATISFIED, code)
+    return code
 
 
 def eval_condition_set(s: Scenario, cset: ConditionSet,
                        cfg: RunConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Evaluate a whole set in printed order and aggregate it."""
     verdicts = tuple(eval_condition(s, cid, cfg) for cid in condition_ids(cset))
-    statuses = [v.status for v in verdicts if not v.skipped]
+    st = [v.status for v in verdicts if not v.skipped]
+    code = _aggregate(len(st), st.count(Status.SATISFIED) + st.count(Status.VACUOUS),
+                      st.count(Status.VIOLATED), st.count(Status.INDETERMINATE), cfg)
     return ConditionReport(
         scenario_label=s.label,
         set=cset,
         verdicts=verdicts,
-        aggregate=_aggregate(len(statuses),
-                             statuses.count(Status.SATISFIED) + statuses.count(Status.VACUOUS),
-                             statuses.count(Status.VIOLATED),
-                             statuses.count(Status.INDETERMINATE), cfg),
+        aggregate=DECISIONS[code],
         config=cfg.to_dict(),
     )
 

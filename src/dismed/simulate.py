@@ -23,6 +23,11 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from .conditions import (
     ALL_CONDITION_IDS,
+    INDETERMINATE,
+    SATISFIED,
+    SET_INDETERMINATE,
+    SET_SATISFIED,
+    VACUOUS,
     ConditionId,
     ConditionSet,
     Status,
@@ -143,10 +148,10 @@ def _sweep_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
         b = min(stop, a + batch.ROWS)
         ev = batch.evaluate(base, dist, seed, a, b, cfg)
         st = ev.statuses
-        held += ((st == batch.SATISFIED) | (st == batch.VACUOUS)).sum(axis=0)
-        undecided += (st == batch.INDETERMINATE).sum(axis=0)
-        set_held += (ev.decisions == batch.SET_SATISFIED).sum(axis=0)
-        set_undecided += (ev.decisions == batch.SET_INDETERMINATE).sum(axis=0)
+        held += ((st == SATISFIED) | (st == VACUOUS)).sum(axis=0)
+        undecided += (st == INDETERMINATE).sum(axis=0)
+        set_held += (ev.decisions == SET_SATISFIED).sum(axis=0)
+        set_undecided += (ev.decisions == SET_INDETERMINATE).sum(axis=0)
         rejections += int(ev.rejections.sum())
     return held, undecided, set_held, set_undecided, rejections
 

@@ -333,7 +333,7 @@ def _derive(s, driven, axis, order, h, forced):
         else:
             deriv = calculus._compile_deriv(Deriv(driven, axis, order))
         with np.errstate(all="ignore"):
-            v = deriv(s, None, notes, h)
+            v = deriv(s, notes, h)
     return v, notes, calls.call_count
 
 
@@ -534,6 +534,15 @@ def test_indeterminate_integrand_raises():
     expr = Deriv(Sym("I_o"), Axis.sym("psi_bi"), 1)
     with pytest.raises(TypeError, match="unsupported integrand node Deriv"):
         integrate_horizon(s, expr, T=1.0, dt=0.5)
+
+
+def test_a_horizon_below_one_picosecond_keeps_its_nodes(base_scenario):
+    # The last node closes within 1e-12 of T relative to T: an absolute floor
+    # of 1e-12 took t = 0 as the end of a 1e-12 horizon and integrated to 0.
+    assert calculus._horizon_nodes(1e-12, 1.25e-13) == [k * 1.25e-13 for k in range(8)] + [1e-12]
+    P = base_scenario.value("P")
+    assert integrate_horizon(base_scenario, Sym("P"), 1e-12, 1.25e-13) == pytest.approx(P * 1e-12)
+    assert calculus._horizon_nodes(1.0, 0.125) == [k * 0.125 for k in range(9)]
 
 
 def test_integrate_preconditions():

@@ -6,6 +6,7 @@ import json
 import os
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,8 @@ from dismed import (
 )
 from dismed.calculus import Axis, Const, Deriv, Expr, IntegralE, _combine, _stencil
 from dismed.cli import render_report
-from dismed.conditions import ALL_CONDITION_IDS, _aggregate, _status_and_margin, build_form
+from dismed.conditions import (ALL_CONDITION_IDS, DECISIONS, _aggregate, _status_and_margin,
+                               build_form)
 from dismed.io import scenario_from_dict, scenario_to_dict
 from dismed.model import PROBABILITY_SYMBOLS, SYMBOLS
 from dismed.record import Record
@@ -71,7 +73,40 @@ def test_condition_id_parsing():
                                  CFG.replace(aggregation="quorum", quorum_violations_block=True)])
 def test_a_set_with_no_considered_verdict_is_satisfied(cfg):
     # every verdict of the set excluded (guard_mode "skip")
-    assert _aggregate(0, 0, 0, 0, cfg) is SetDecision.SATISFIED
+    assert DECISIONS[_aggregate(0, 0, 0, 0, cfg)] is SetDecision.SATISFIED
+
+
+def _set_rule(considered, held, violated, undecided, cfg):
+    """The set rule written out one count tuple at a time, with an early
+    return for a set with nothing considered."""
+    if not considered:
+        return SetDecision.SATISFIED
+    if violated and (cfg.aggregation == "conjunction" or cfg.quorum_violations_block):
+        return SetDecision.NOT_SATISFIED
+    if cfg.aggregation == "conjunction":
+        return SetDecision.INDETERMINATE if undecided else SetDecision.SATISFIED
+    if held / considered >= cfg.quorum:
+        return SetDecision.SATISFIED
+    if (held + undecided) / considered >= cfg.quorum:
+        return SetDecision.INDETERMINATE
+    return SetDecision.NOT_SATISFIED
+
+
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("rule", ["conjunction", 0.8, 0.5, 1 / 3, 1.0, 1])
+def test_one_array_call_decides_every_count_tuple_as_the_plain_rule(rule, block):
+    # Every count tuple of a 19-condition set: considered, and of those held,
+    # violated and undecided; quorum shares round as held / considered does.
+    cfg = (CFG.replace(aggregation=rule, quorum_violations_block=block) if isinstance(rule, str)
+           else CFG.replace(aggregation="quorum", quorum=rule, quorum_violations_block=block))
+    rows = [(c, h, v, c - h - v)
+            for c in range(20) for h in range(c + 1) for v in range(c - h + 1)]
+    expected = [_set_rule(*row, cfg) for row in rows]
+    plain = [_aggregate(*row, cfg) for row in rows]
+    assert all(type(code) is int for code in plain)
+    assert [DECISIONS[code] for code in plain] == expected
+    per_draw = _aggregate(*np.array(rows).T, cfg)
+    assert per_draw.tolist() == plain
 
 
 # Every form's repr (descriptions, ops, expressions, contexts and notes) under

@@ -483,8 +483,8 @@ def _scalar_codes(base, d, seed, n, cfg):
     for i in range(n):
         sc, rej = draw_scenario(base, d, seed, i)
         reports = decide(sc, cfg).reports.values()
-        statuses.append([batch.STATUSES.index(v.status) for r in reports for v in r.verdicts])
-        decisions.append([batch.DECISIONS.index(r.aggregate) for r in reports])
+        statuses.append([conditions.STATUSES.index(v.status) for r in reports for v in r.verdicts])
+        decisions.append([conditions.DECISIONS.index(r.aggregate) for r in reports])
         rejections.append(rej)
     return statuses, decisions, rejections
 
@@ -587,7 +587,7 @@ def test_conditions_that_every_draw_agrees_on_are_plain_values(name, split, cfg)
     with np.errstate(all="ignore"):
         X, varying, _ = batch.draw(base, d, 4, 0, n)
         draws = batch.block(base, X, varying)
-        for cid, (_, run, _, _) in cfg.compiled.items():
+        for cid, (_, run, _) in cfg.compiled.items():
             status, skipped, _, _ = run(draws, None)
             if cid.label != split:
                 assert type(status) is int and type(skipped) is bool, cid.label
@@ -595,7 +595,7 @@ def test_conditions_that_every_draw_agrees_on_are_plain_values(name, split, cfg)
             assert isinstance(status, np.ndarray) and len(set(status.tolist())) == 2
             if cfg.guard_mode == "skip":  # excluded exactly where the guard failed
                 assert isinstance(skipped, np.ndarray)
-                assert skipped.tolist() == (status == batch.VACUOUS).tolist()
+                assert skipped.tolist() == (status == conditions.VACUOUS).tolist()
     statuses, decisions, rejections = _scalar_codes(base, d, 4, n, cfg)
     ev = batch.evaluate(base, d, 4, 0, n, cfg)
     assert ev.statuses.tolist() == statuses
@@ -713,18 +713,19 @@ def test_zero_divisor_is_unknown_per_draw(monkeypatch):
     seed, n = 3, 40
     statuses, decisions, _ = _scalar_codes(base, d, seed, n, cfg)
     b5 = [row[4] for row in statuses]
-    assert 0 < b5.count(batch.INDETERMINATE) < n and b5.count(batch.SATISFIED) > 0
+    assert 0 < b5.count(conditions.INDETERMINATE) < n and b5.count(conditions.SATISFIED) > 0
     stats = run_sweep(base, d, n=n, seed=seed, cfg=cfg)
     for k, cid in enumerate(dismed.ALL_CONDITION_IDS):
         column = [row[k] for row in statuses]
         assert stats.per_condition[cid.label] == {
-            "frequency": (column.count(batch.SATISFIED) + column.count(batch.VACUOUS)) / n,
-            "indeterminate_rate": column.count(batch.INDETERMINATE) / n}
+            "frequency": (column.count(conditions.SATISFIED)
+                          + column.count(conditions.VACUOUS)) / n,
+            "indeterminate_rate": column.count(conditions.INDETERMINATE) / n}
     for k, cset in enumerate(("buyer", "broker_web", "seller")):
         column = [row[k] for row in decisions]
         assert stats.per_set[cset] == {
-            "satisfied_rate": column.count(batch.SET_SATISFIED) / n,
-            "indeterminate_rate": column.count(batch.SET_INDETERMINATE) / n}
+            "satisfied_rate": column.count(conditions.SET_SATISFIED) / n,
+            "indeterminate_rate": column.count(conditions.SET_INDETERMINATE) / n}
 
 
 # The block check: the rows a block keeps are the rows validate_scenario
