@@ -7,9 +7,10 @@ swept symbols hold one value per draw, drawn into one ``(n, len(SYMBOLS))``
 matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream
 (``streams.Streams`` draws all rows at once).
 
-The module has no compiler, arithmetic or checks of its own. The checks
-that no draw changes run once per block (``model.check_fixed``), the rest
-on all rows at once; only rejected rows are redrawn, and a draw over its
+The module has no compiler, arithmetic or checks of its own. What a sweep
+fixes is checked once per block on the base (``model.check_fixed``); the
+value checks and the links that read a swept symbol run on every block, on
+all rows at once. Only rejected rows are redrawn, and a draw over its
 redraw budget raises ``RejectionLimit``. Each condition's one evaluator,
 the one ``decide`` wraps (``RunConfig.compiled``), runs on the block through
 the total interval arithmetic of ``calculus``, whose array endpoints round
@@ -87,9 +88,10 @@ def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.
 
 def _valid_rows(draws: Scenario, n: int, check) -> Optional[np.ndarray]:
     """Which of the ``n`` draws of a block pass ``check(draws, bad)`` (the
-    per-block half that ``model.check_fixed`` returns, or
-    ``model.check_scenario``), or None where a check fails whatever is drawn
-    (a structural one, or one that reads only symbols no draw changes)."""
+    per-block half that ``model.check_fixed`` returns: every value check and
+    the links that read a swept symbol; or ``model.check_scenario``), or None
+    where a check fails whatever is drawn: one that reads only symbols no
+    draw changes, which are plain floats in the block, or a structural one."""
     failed = False
 
     def bad(code, when, message, *args):

@@ -11,9 +11,11 @@ then answer per draw.
 
 The module also owns scenario validation: ``check_scenario`` is the one walk
 over every invariant, and reports each check with where it fails (per draw
-in a block); ``check_fixed`` splits it for a sweep into the checks no draw
-changes and the rest. ``validate_scenario`` collects the failures of one
-scenario as violations, which are data, not exceptions.
+in a block). For a sweep, ``check_fixed`` runs once on the base what no draw
+changes, the structure of links and time paths and the consistency of links
+that read no swept symbol; the value checks run on every block, and the
+other links' checks with them. ``validate_scenario`` collects the failures of
+one scenario as violations, which are data, not exceptions.
 
 Naming notes:
   * broker effort is exposed as ``u_hat`` and the buyer's perception of it as
@@ -377,72 +379,62 @@ def check_scenario(s: Scenario, bad) -> None:
 def check_fixed(s: Scenario, swept, bad):
     """Run on the base ``s`` of a sweep, whose draws change the symbols in
     ``swept`` only, the checks no draw changes: the structure of links and
-    time paths, and the value checks and link consistency that read no swept
-    symbol. Returns ``check(block, bad)``, which runs the rest on a block of
-    draws."""
-    unswept = {name: k for name, k in SYMBOLS.items() if name not in swept}
-    varying = {name: k for name, k in SYMBOLS.items() if name in swept}
-    _check_values(s, bad, unswept, lambda *names: swept.isdisjoint(names))
+    time paths, and the consistency of each link that reads no swept symbol.
+    Returns ``check(block, bad)``, which runs the rest on a block of draws:
+    the whole value walk on every block, where a symbol no draw changes is a
+    plain float whose checks settle at once, and the links that read a swept
+    symbol."""
     later = _check_responses(s, bad, swept)
     _check_time_paths(s, bad)
 
     def check(block: Scenario, bad) -> None:
-        _check_values(block, bad, varying, lambda *names: not swept.isdisjoint(names))
+        _check_values(block, bad)
         for link in later:
             _check_link(block, *link, bad)
 
     return check
 
 
-def _check_values(s: Scenario, bad, slots: Mapping[str, int] = SYMBOLS,
-                  reads=lambda *names: True) -> None:
-    """The value checks, each run where ``reads(*names)`` holds for the
-    base symbols ``names`` it reads; ``slots`` maps each symbol for which
-    ``reads(name)`` holds to its slot. ``bad`` is called only where a check
-    can fail: a plain value that passes it is not reported."""
+def _check_values(s: Scenario, bad) -> None:
+    """The value checks. ``bad`` is called only where a check can fail: a
+    plain value that passes it is not reported."""
     values = s.values
-    for name, k in slots.items():
+    for name, k in SYMBOLS.items():
         v = values[k]
         finite = _finite(v)
         if finite is not True:
             bad("NonFiniteValue", finite ^ True, "{} = {!r} is not finite", name, v)
     for name in ("P", "P_b"):
-        if name in slots:
-            v = values[slots[name]]
-            ok = v > 0
-            if ok is not True:
-                bad("NonPositivePrice", _finite(v) & (ok ^ True), "{} = {} must be > 0", name, v)
-    if "c" in slots:
-        c = values[slots["c"]]
-        ok = (c > 0.0) & (c < 1.0)
+        v = s.value(name)
+        ok = v > 0
         if ok is not True:
-            bad("CommissionOutOfRange", _finite(c) & (ok ^ True), "c = {} must lie in (0, 1)", c)
-    if reads():
-        if s.prospect_count < 1:
-            bad("ProspectCountOutOfRange", True,
-                "prospect_count = {} must be >= 1", s.prospect_count)
-        vts = s.valued_time_share
-        if vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0):
-            bad("ValuedTimeShareOutOfRange", True,
-                "valued_time_share = {!r} must lie in [0, 1]", vts)
+            bad("NonPositivePrice", _finite(v) & (ok ^ True), "{} = {} must be > 0", name, v)
+    c = s.value("c")
+    ok = (c > 0.0) & (c < 1.0)
+    if ok is not True:
+        bad("CommissionOutOfRange", _finite(c) & (ok ^ True), "c = {} must lie in (0, 1)", c)
+    if s.prospect_count < 1:
+        bad("ProspectCountOutOfRange", True,
+            "prospect_count = {} must be >= 1", s.prospect_count)
+    vts = s.valued_time_share
+    if vts is not None and not (_finite(vts) and 0.0 <= vts <= 1.0):
+        bad("ValuedTimeShareOutOfRange", True,
+            "valued_time_share = {!r} must lie in [0, 1]", vts)
     for name in PROBABILITY_SYMBOLS:
-        if name in slots:
-            v = values[slots[name]]
-            ok = (v >= 0.0) & (v <= 1.0)
-            if ok is not True:
-                bad("ProbabilityOutOfRange", _finite(v) & (ok ^ True),
-                    "{} = {} must lie in [0, 1]", name, v)
-
-    if reads("I", "I_p", "I_i"):
-        _check_identity(s, None, bad)
-    if reads("I_o", "I_i"):
-        I_o, I_i = s.value("I_o"), s.value("I_i")
-        ok = I_o >= I_i
+        v = s.value(name)
+        ok = (v >= 0.0) & (v <= 1.0)
         if ok is not True:
-            bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (ok ^ True),
-                "I_o = {} must be >= I_i = {}", I_o, I_i)
+            bad("ProbabilityOutOfRange", _finite(v) & (ok ^ True),
+                "{} = {} must lie in [0, 1]", name, v)
 
-    _check_overlays(s, bad, reads)
+    _check_identity(s, None, bad)
+    I_o, I_i = s.value("I_o"), s.value("I_i")
+    ok = I_o >= I_i
+    if ok is not True:
+        bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (ok ^ True),
+            "I_o = {} must be >= I_i = {}", I_o, I_i)
+
+    _check_overlays(s, bad)
 
 
 def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
@@ -455,14 +447,13 @@ def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
             "" if state is None else f"under overlay {state}: ", I, total)
 
 
-def _check_overlays(s: Scenario, bad, reads) -> None:
+def _check_overlays(s: Scenario, bad) -> None:
     for state, overrides in s.overlays.items():
         if state not in STATE_NAMES:
-            if reads():
-                bad("OverlayUnknownState", True, "overlay state {!r} is not one of {}",
-                    state, STATE_NAMES)
+            bad("OverlayUnknownState", True, "overlay state {!r} is not one of {}",
+                state, STATE_NAMES)
             continue
-        for name, value in overrides.items() if reads() else ():
+        for name, value in overrides.items():
             if name not in SYMBOLS:
                 bad("OverlayUnknownSymbol", True, "overlay {} overrides unknown symbol {!r}",
                     state, name)
@@ -474,8 +465,7 @@ def _check_overlays(s: Scenario, bad, reads) -> None:
                 bad("NonFiniteValue", True, "overlay {}.{} = {!r} is not finite",
                     state, name, value)
         # the identity under the overlay reads the base value of what it keeps
-        kept = [name for name in ("I", "I_p", "I_i") if name not in overrides]
-        if len(kept) < 3 and reads(*kept):
+        if any(name in overrides for name in ("I", "I_p", "I_i")):
             _check_identity(s, state, bad)
 
 

@@ -496,6 +496,20 @@ def test_link_and_overlay_order_leaves_the_decide_payload_byte_identical(i, drop
             == render_report(decide(s, CFG), "json", os.devnull))
 
 
+# --- metamorphic relation: step size -----------------------------------------
+
+def test_statuses_do_not_move_with_the_stencil_step():
+    # acceptance 1's scenarios keep every oracle margin at least SEPARATION
+    # from 0, so a step between 3e-4 and 3e-3 decides no verdict
+    cfgs = [CFG.replace(fd_step_scale=h) for h in (3e-3, 1e-3, 3e-4)]
+    for i in range(100):
+        s = random_scenario([20240801, i])
+        statuses = [[v.status for r in decide(s, cfg).reports.values() for v in r.verdicts]
+                    for cfg in cfgs]
+        assert len(statuses[0]) == 44
+        assert statuses[1] == statuses[0] and statuses[2] == statuses[0], i
+
+
 # --- metamorphic relation: the buyer/seller mirror ----------------------------
 
 _MIRROR = {"SC_b": "SC_s", "psi_b": "psi_s", "psi_bi": "psi_si", "U_ip": "U_sp", "U_iw": "U_sw"}

@@ -192,6 +192,10 @@ def _duplicated_link(base):
     # a duplicated link rejects every candidate
     (_duplicated_link(_BLOCK_BASES[1]), {"rho_s": {"kind": "uniform", "lo": 0.2, "hi": 0.9}},
      2, 0, 3),
+    # c is out of its domain in the base and no draw changes it: the first
+    # block's value walk rejects every candidate
+    (with_values(bare_scenario(), {"c": 1.5}),
+     {"rho_s": {"kind": "uniform", "lo": 0.2, "hi": 0.9}}, 2, 5, 9),
 ])
 def test_rejection_limits_are_the_scalar_generator_loops(base, marginals, seed, start, stop):
     dist = DistributionSpec.from_dict({"marginals": marginals})
