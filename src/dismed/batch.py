@@ -17,8 +17,9 @@ the total interval arithmetic of ``calculus``, whose array endpoints round
 as its float ones do, with argmax contexts and max-axis winners chosen per
 draw (``Scenario.per_winner``). Its status code and exclusion fill the
 block's columns, and ``decide``'s aggregation rule (``conditions._aggregate``)
-takes each set's per-draw counts in one call and gives a decision code per
-draw, with no per-draw Scenario, verdict or trace. A condition's status and
+takes the per-draw counts of all three sets (one ``np.add.reduceat``) in
+one call and gives a decision code per draw and set, with no per-draw
+Scenario, verdict or trace. A condition's status and
 exclusion are plain Python values wherever every draw of the block agrees on
 them (as where a missing link leaves a derivative unknown in every draw, or
 a guard fails in every draw), so such a condition is settled once and filled
@@ -35,6 +36,7 @@ import numpy as np
 from .conditions import (
     INDETERMINATE,
     SATISFIED,
+    STATUSES,
     VACUOUS,
     VIOLATED,
     ConditionSet,
@@ -67,19 +69,19 @@ def block(base: Scenario, X: np.ndarray, varying) -> Scenario:
 # Conditions over a block
 # ---------------------------------------------------------------------------
 
+_SET_STARTS = np.cumsum([0] + [len(condition_ids(cset)) for cset in ConditionSet][:-1])
+_CODES = np.arange(len(STATUSES), dtype=np.int8)[:, None, None]
+
+
 def _decisions(statuses: np.ndarray, skipped: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """Set decision codes per draw, from each set's per-draw counts through
-    ``conditions._aggregate``, the rule ``decide`` applies."""
-    out, start = [], 0
-    for cset in ConditionSet:
-        stop = start + len(condition_ids(cset))
-        st, considered = statuses[:, start:stop], ~skipped[:, start:stop]
-        start = stop
-        out.append(_aggregate(considered.sum(axis=1),
-                              (((st == SATISFIED) | (st == VACUOUS)) & considered).sum(axis=1),
-                              ((st == VIOLATED) & considered).sum(axis=1),
-                              ((st == INDETERMINATE) & considered).sum(axis=1), cfg))
-    return np.stack(out, axis=1)
+    """Set decision codes per draw, shape (n, 3) in ConditionSet order. One
+    ``np.add.reduceat`` over the 44 columns counts, per status code, draw and
+    set, the verdicts that are not skipped; ``conditions._aggregate``, the
+    rule ``decide`` applies, takes the (n, 3) counts in one call."""
+    counts = np.add.reduceat(((statuses == _CODES) & ~skipped).view(np.uint8), _SET_STARTS,
+                             axis=2, dtype=np.uint8)  # a set has fewer than 256 conditions
+    return _aggregate(counts.sum(axis=0), counts[SATISFIED] + counts[VACUOUS],
+                      counts[VIOLATED], counts[INDETERMINATE], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
     symbols they vary and their rejection counts (a RejectionLimit for the
     first draw over its budget). A rejected draw redraws from where its
     stream stands. Where I_p or I_i is sampled but not I, I is I_p + I_i."""
-    cols = [SYMBOLS[name] for name in dist.marginals]
+    cols = np.array([SYMBOLS[name] for name in dist.marginals], dtype=np.intp)
     marginals = tuple(dist.marginals.values())
     varying = set(dist.marginals)
     derive_I = ("I_p" in varying or "I_i" in varying) and "I" not in varying
@@ -124,8 +126,8 @@ def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
     rejections = np.zeros(stop - start, dtype=np.int64)
     todo = np.arange(stop - start)
     while True:
-        if cols:
-            X[np.ix_(todo, cols)] = streams.draw(marginals, todo)
+        if len(cols):
+            X[todo[:, None], cols] = streams.draw(marginals, todo)
         if derive_I:
             X[todo, SYMBOLS["I"]] = X[todo, SYMBOLS["I_p"]] + X[todo, SYMBOLS["I_i"]]
         valid = _valid_rows(block(base, X[todo], varying), len(todo), check)
@@ -157,8 +159,8 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
     with np.errstate(all="ignore"):
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
-        shape = (len(rejections), len(cfg.compiled))
+        shape = (len(cfg.compiled), len(rejections))  # a row per condition, filled whole
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
         for j, (_, run, _) in enumerate(cfg.compiled.values()):
-            statuses[:, j], skipped[:, j], _, _ = run(draws, None)
-    return Evaluation(statuses, _decisions(statuses, skipped, cfg), rejections)
+            statuses[j], skipped[j], _, _ = run(draws, None)
+    return Evaluation(statuses.T, _decisions(statuses.T, skipped.T, cfg), rejections)

@@ -12,12 +12,20 @@ Marginals are drawn with numpy's ``Generator`` formulas: a uniform is
 ``lo + (hi - lo) * next_double``; a normal is ``mean + sd * z`` with ``z``
 on the fast path of numpy's ziggurat (Marsaglia & Tsang 2000), read from the
 tables ``wi``/``ki`` of the installed numpy (``normal_tables``). A row whose
-normal leaves the fast path (about 1.5 % of normals) finishes its attempt in
-``Generator.uniform``/``normal`` on a PCG64 loaded with the row's state, and
-the state is read back. NEP 19 pins the SeedSequence and PCG64 bit streams
-across numpy versions, not the algorithm of ``Generator.normal``; the tables
-are probed from the numpy that runs, once per process, and if the probe
-fails its own check every normal takes that Generator path.
+normal leaves the fast path (about 1.5 % of normals) finishes its attempt on
+a ``Generator`` loaded with the row's state, by the same formulas over its
+``random`` and ``standard_normal``, and the state is read back. NEP 19 pins
+the SeedSequence and PCG64 bit streams across numpy versions, not the
+algorithm of ``Generator.normal``; the tables are probed from the numpy that
+runs, once per process, and if the probe fails its own check every normal
+takes that Generator path.
+
+Each ``Streams`` reads its marginals into ``loc`` and ``scale`` columns once
+(``_layout``), again only when a different marginals tuple arrives, so an
+attempt computes every drawn value as ``loc + scale * x`` in one pass; it
+makes the increment part of its k-step jumps once per k, and its slow-path
+Generator once, at the first row that needs it. None of it outlives the
+Streams.
 """
 
 from __future__ import annotations
@@ -42,13 +50,12 @@ def _add(a_hi, a_lo, b_hi, b_lo):
 
 def _mul(a_hi, a_lo, b_hi, b_lo):
     """128-bit products, mod 2**128: the high half of ``a_lo * b_lo`` is
-    built from 32-bit partial products."""
+    built from 32-bit partial products (Warren, Hacker's Delight, 8-2)."""
     low, half = np.uint64(_MASK32), np.uint64(32)
     a0, a1, b0, b1 = a_lo & low, a_lo >> half, b_lo & low, b_lo >> half
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> half) + (p01 & low) + (p10 & low)
-    carry = a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
-    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+    t = a1 * b0 + (a0 * b0 >> half)
+    w = (t & low) + a0 * b1
+    return a1 * b1 + (t >> half) + (w >> half) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
 
 
 def _halves(values: list[int]):
@@ -89,80 +96,85 @@ class Streams:
     def __init__(self, seed: int, start: int, stop: int):
         parts = [_seeded(seed, a, b) for a, b in _spans(start, stop)]
         self.hi, self.lo, self.inc_hi, self.inc_lo = (np.concatenate(p) for p in zip(*parts))
-        self._jumps = {}  # k -> the multipliers of state and inc after 0..k steps
+        self._jumps = {}  # k -> the multiplier of state and every row's inc part after 0..k steps
+        # the last marginals drawn and their _layout; the slow path's Generator
+        self._marginals = self._layout = self._gen = None
 
     def ahead(self, rows: np.ndarray, k: int):
         """The states of the rows in ``rows`` after 0..k more outputs, as hi
         and lo arrays of shape (k + 1, len(rows)); the streams stay put.
 
         After j steps a state is ``state * MULT**j + inc * (MULT**(j-1) +
-        ... + 1)`` mod 2**128, so the j-th states of all rows take one
-        product by each of two constants."""
+        ... + 1)`` mod 2**128: one product by a constant, plus a part that
+        no draw changes, made for every row at the first call with ``k``."""
         if k not in self._jumps:
             powers, sums = [1], [0]
             for _ in range(k):
                 powers.append(powers[-1] * _MULT & _MASK128)
                 sums.append((sums[-1] * _MULT + 1) & _MASK128)
-            self._jumps[k] = _halves(powers) + _halves(sums)
-        p_hi, p_lo, s_hi, s_lo = self._jumps[k]
-        return _add(*_mul(self.hi[rows], self.lo[rows], p_hi, p_lo),
-                    *_mul(self.inc_hi[rows], self.inc_lo[rows], s_hi, s_lo))
+            self._jumps[k] = _halves(powers) + _mul(self.inc_hi, self.inc_lo, *_halves(sums))
+        p_hi, p_lo, i_hi, i_lo = self._jumps[k]
+        return _add(*_mul(self.hi[rows], self.lo[rows], p_hi, p_lo), i_hi[:, rows], i_lo[:, rows])
 
     def draw(self, marginals, rows: np.ndarray) -> np.ndarray:
         """One attempt of each row in ``rows``: a value per marginal, in order,
         as ``Generator.uniform``/``normal`` draw them from the row's stream,
         which advances past them. Uniform and normal marginals use one output
         each on the fast path; a row leaves it at its first normal off it."""
+        if marginals is not self._marginals:
+            self._marginals, self._layout = marginals, _layout(marginals)
+        points, values, drawn, normal, loc, scale, params = self._layout
         out = np.empty((len(rows), len(marginals)))
-        drawn = [j for j, m in enumerate(marginals) if m.kind != "point"]
-        for j, m in enumerate(marginals):
-            if m.kind == "point":
-                out[:, j] = m.value
+        out[:, points] = values
         if not drawn:
             return out
         hi, lo = self.ahead(rows, len(drawn))
         u = _output(hi[1:], lo[1:])
-        off = np.zeros(u.shape, dtype=bool)
-        uniform = [p for p, j in enumerate(drawn) if marginals[j].kind == "uniform"]
-        normal = [p for p, j in enumerate(drawn) if marginals[j].kind == "normal"]
-
-        def column(at: list, name: str) -> np.ndarray:
-            return np.array([[float(getattr(marginals[drawn[p]], name))] for p in at])
-
-        if uniform:
-            a, b = column(uniform, "lo"), column(uniform, "hi")
-            out[:, [drawn[p] for p in uniform]] = (a + (b - a) * _double(u[uniform])).T
+        x, off = _double(u), np.zeros(u.shape, dtype=bool)  # a normal's place takes its z
         if normal:
             tables = normal_tables()  # None: every normal is off the fast path
-            z, fast = _fast_path(u[normal], *tables) if tables else (0.0, False)
-            out[:, [drawn[p] for p in normal]] = (column(normal, "mean")
-                                                  + column(normal, "sd") * z).T
+            x[normal], fast = _fast_path(u[normal], *tables) if tables else (0.0, False)
             off[normal] = np.logical_not(fast)
+        out[:, drawn] = (loc + scale * x).T
         # each row stands after its outputs up to the first normal off the fast path
         stop = np.where(off.any(axis=0), off.argmax(axis=0), len(drawn))
         cols = np.arange(len(rows))
         self.hi[rows], self.lo[rows] = hi[stop, cols], lo[stop, cols]
-        left = np.flatnonzero(stop < len(drawn)).tolist()
-        gen = np.random.Generator(np.random.PCG64(0)) if left else None
-        for k in left:
-            self._finish(gen, marginals, drawn[stop[k]], rows[k], out[k])
+        for k in np.flatnonzero(stop < len(drawn)).tolist():
+            self._finish(params, drawn[stop[k]], rows[k], out[k])
         return out
 
-    def _finish(self, gen: np.random.Generator, marginals, first: int, row: int,
-                out: np.ndarray) -> None:
-        """Draw ``marginals[first:]`` of ``row`` into ``out`` from ``gen``
-        loaded with the row's state, then read the state back."""
+    def _finish(self, params: list, first: int, row: int, out: np.ndarray) -> None:
+        """Draw the marginals from ``first`` on of ``row`` into ``out`` by the
+        formulas of ``Generator.uniform``/``normal``, ``loc + scale *
+        random()`` and ``loc + scale * standard_normal()``, on this Streams'
+        one Generator loaded with the row's state; then read the state back."""
+        gen = self._gen = self._gen or np.random.Generator(np.random.PCG64(0))
         bits = gen.bit_generator
         bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                       "state": {"state": int(self.hi[row]) << 64 | int(self.lo[row]),
                                 "inc": int(self.inc_hi[row]) << 64 | int(self.inc_lo[row])}}
-        for j in range(first, len(marginals)):
-            m = marginals[j]
-            out[j] = (m.value if m.kind == "point" else
-                      gen.uniform(m.lo, m.hi) if m.kind == "uniform" else
-                      gen.normal(m.mean, m.sd))
+        out[first:] = [loc if kind == "point" else
+                       loc + scale * (gen.random() if kind == "uniform" else gen.standard_normal())
+                       for kind, loc, scale in params[first:]]
         state = bits.state["state"]["state"]
         self.hi[row], self.lo[row] = state >> 64, state & _MASK64
+
+
+def _layout(marginals) -> tuple:
+    """What ``Streams.draw`` reads of ``marginals``: the point columns and
+    values; the drawn columns, the places of the normals among them and
+    their ``loc`` and ``scale`` columns; and each marginal's ``(kind, loc,
+    scale)``, as floats: ``lo`` and ``hi - lo`` for a uniform, ``mean`` and
+    ``sd`` for a normal, ``value`` and 0 for a point."""
+    params = [(m.kind, float(m.value), 0.0) if m.kind == "point" else
+              (m.kind, float(m.lo), float(m.hi) - float(m.lo)) if m.kind == "uniform" else
+              (m.kind, float(m.mean), float(m.sd)) for m in marginals]
+    points = [j for j, p in enumerate(params) if p[0] == "point"]
+    drawn = [j for j, p in enumerate(params) if p[0] != "point"]
+    normal = [k for k, j in enumerate(drawn) if params[j][0] == "normal"]
+    loc, scale = (np.array([[params[j][i]] for j in drawn]) for i in (1, 2))
+    return points, np.array([params[j][1] for j in points]), drawn, normal, loc, scale, params
 
 
 def _fast_path(u: np.ndarray, wi: np.ndarray, ki: np.ndarray):

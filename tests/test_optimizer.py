@@ -205,6 +205,31 @@ def test_frontier_is_mutually_nondominated():
                 assert not dominates
 
 
+@pytest.mark.parametrize("i", range(12))
+def test_every_frontier_point_is_boxed_feasible_capped_and_nondominated(i):
+    # The eps levels run from the cheapest corner to the dearest cost the box
+    # and the commission budget c*P (less its slack) allow, so every point
+    # lies in that range, up to the eps test's own tolerance.
+    scenario, bounds, _, _, _ = random_opt_instance([7301, i], concave=i % 3 == 0)
+    frontier = pareto_sweep(scenario, bounds, k=3 + i % 5,
+                            cfg=OptimizerConfig(restarts=2 + i % 3, seed=i))
+    assert frontier
+    lows, highs = bounds.lows, bounds.highs
+    ctx = optimizer.argmin_state(scenario)
+    cp = scenario.value("c", ctx) * scenario.value("P", ctx)
+    room = cp - optimizer.FEASIBILITY_SLACK * max(1.0, abs(cp))
+    cost_min = 0.0 + lows[0] + lows[1] + lows[2] + lows[3]
+    cost_max = highs[3] + min(highs[0] + highs[1] + highs[2], room)
+    for p in frontier:
+        x = optimizer._point(p.decision)
+        assert all(lo <= v <= hi for lo, v, hi in zip(lows, x, highs)), x
+        assert is_feasible(scenario, p.decision, p.decision.state), x
+        assert cost_min <= p.cost <= cost_max + 1e-12 * max(1.0, abs(cost_max)), x
+        for q in frontier:
+            assert not (q.cost <= p.cost and q.capital >= p.capital
+                        and (q.cost < p.cost or q.capital > p.capital)), (x, q)
+
+
 def test_infeasible_box_gives_empty_frontier(fixtures_dir):
     from dismed.io import load_scenario
 

@@ -603,6 +603,37 @@ def test_conditions_that_every_draw_agrees_on_are_plain_values(name, split, cfg)
     assert ev.rejections.tolist() == rejections
 
 
+_SET_RULES = [RunConfig(aggregation="conjunction")] + [
+    RunConfig(aggregation="quorum", quorum=q, quorum_violations_block=block)
+    for q in (0.5, 0.8, 1.0) for block in (False, True)]
+
+
+@pytest.mark.parametrize("cfg", _SET_RULES)
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (7, 2), (300, 3)])
+def test_set_decisions_are_the_plain_rule_draw_by_draw(cfg, n, seed):
+    # Random status codes and skip masks; some draws skip every verdict of a
+    # set. Each draw's decisions are _aggregate on its own plain counts.
+    rng = np.random.default_rng([20261020, n, seed])
+    sizes = [len(conditions.condition_ids(cset)) for cset in conditions.ConditionSet]
+    statuses = rng.integers(0, 4, size=(n, sum(sizes)), dtype=np.int8)
+    skipped = rng.random((n, sum(sizes))) < rng.random((n, 1))
+    spans = np.cumsum([0] + sizes)
+    for row in range(n):
+        for a, b in zip(spans, spans[1:]):
+            if rng.random() < 0.2 or seed == 1:  # seed 1: one draw that skips everything
+                skipped[row, a:b] = True
+    got = batch._decisions(statuses, skipped, cfg)
+    assert got.shape == (n, 3)
+    for row in range(n):
+        expected = []
+        for a, b in zip(spans, spans[1:]):
+            st_ = [int(x) for x, skip in zip(statuses[row, a:b], skipped[row, a:b]) if not skip]
+            expected.append(conditions._aggregate(
+                len(st_), st_.count(conditions.SATISFIED) + st_.count(conditions.VACUOUS),
+                st_.count(conditions.VIOLATED), st_.count(conditions.INDETERMINATE), cfg))
+        assert got[row].tolist() == expected, row
+
+
 # Symbols the random expressions read and differentiate.
 _EXPR_SYMBOLS = ("SC_b", "I_o", "P_s", "P", "rho_i", "rho_p", "U_ip", "I_p", "I_i", "pi_sb",
                  "pi_s", "psi_b", "psi_bi", "psi_sb", "psi_si", "c", "E_s")

@@ -258,6 +258,52 @@ def test_normals_forced_off_the_fast_path_finish_in_the_generator(outputs, point
         assert int(s.hi[r]) << 64 | int(s.lo[r]) == state, r
 
 
+def test_one_streams_follows_each_marginals_tuple_it_is_given():
+    # Two draws on one Streams with different marginals, some rows forced off
+    # the fast path at their first normal: a layout or slow-path Generator
+    # kept from the first call must not shape the second.
+    wi, ki = streams.normal_tables()
+    first = tuple(DistributionSpec.from_dict({"marginals": {
+        "c": {"kind": "uniform", "lo": -1.5, "hi": 2.5},
+        "P": {"kind": "normal", "mean": 10.0, "sd": 3.0},
+        "E_s": {"kind": "point", "value": 3},
+        "rho_s": {"kind": "normal", "mean": -0.25, "sd": 1e-3}}}).marginals.values())
+    second = tuple(DistributionSpec.from_dict({"marginals": {
+        "psi_b": {"kind": "normal", "mean": 0.5, "sd": 2.0},
+        "I_p": {"kind": "uniform", "lo": 4, "hi": 7.25},
+        "pi_s": {"kind": "normal", "mean": 1e6, "sd": 0.125},
+        "U_ip": {"kind": "point", "value": -2.0},
+        "P_s": {"kind": "uniform", "lo": 0.0, "hi": 1e-9}}}).marginals.values())
+    n = 9
+    s = streams.Streams(77, 40, 40 + n)
+    rows = np.array([0, 2, 3, 5, 6, 8])
+    for marginals, normal_at, layers in [(first, 1, (1, 2, 0)), (second, 0, (255, 1, 3))]:
+        expected = []
+        for k, r in enumerate(rows.tolist()):
+            inc = int(s.inc_hi[r]) << 64 | int(s.inc_lo[r])
+            state = int(s.hi[r]) << 64 | int(s.lo[r])
+            if k % 2 == 0:  # the row's first normal sits just off its layer's fast path
+                layer = layers[k // 2]
+                u = int(ki[layer]) << 9 | (k // 2 % 2) << 8 | layer
+                assert not streams._fast_path(np.array([u], dtype=np.uint64), wi, ki)[1][0]
+                state = _state_with_output(u, inc)
+                for _ in range(normal_at):  # the outputs before the first normal
+                    state = (state - inc) * pow(PCG64_MULT, -1, 1 << 128) & MASK128
+                s.hi[r], s.lo[r] = state >> 64, state & MASK64
+            bits = np.random.PCG64(0)
+            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                          "state": {"state": state, "inc": inc}}
+            rng = np.random.Generator(bits)
+            expected.append(([_oracle_value(m, rng) for m in marginals],
+                             bits.state["state"]["state"]))
+        got = s.draw(marginals, rows)
+        assert got.shape == (len(rows), len(marginals))
+        for k, (values, state) in enumerate(expected):
+            r = int(rows[k])
+            assert _bits(got[k]) == _bits(values), (len(marginals), r)
+            assert int(s.hi[r]) << 64 | int(s.lo[r]) == state, (len(marginals), r)
+
+
 def test_probed_tables_give_standard_normal_on_a_million_outputs():
     # One stream's outputs, and the normals a Generator draws from the same
     # stream. A normal whose first output the tables put on the fast path
