@@ -555,12 +555,19 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     without a guard) and its part results ``(lhs, rhs, holds, fails)``. Each
     is a plain value where every draw of ``s`` agrees and per draw otherwise.
     A guard that fails in every draw leaves the parts unevaluated (no
-    results); one that fails in some draws gives those draws its status."""
+    results); one that fails in some draws gives those draws its status.
+
+    ``run.sides`` holds the compiled guard (None without one) and parts
+    (:func:`compile_part`); a third argument, ``settled``, runs in their
+    place (a sweep's, where each side no draw changes is its value,
+    ``batch._settle``). ``decide`` and ``sensitivity`` pass none.
+    """
     parts = tuple(compile_part(p, cfg) for p in form.parts)
-    guard = None if form.guard is None else compile_part(form.guard, cfg)
+    sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)
 
-    def run(s: Scenario, notes: Optional[list]) -> tuple:
+    def run(s: Scenario, notes: Optional[list], settled: Optional[tuple] = None) -> tuple:
+        guard, parts = sides if settled is None else settled
         passed = None
         if guard is not None:
             lhs, rhs, compare = guard
@@ -580,6 +587,8 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
         if passed is None or passed is True:
             return status, False, passed, results
         return _pick(passed, status, failed), excluded and passed ^ True, passed, results
+
+    run.sides = sides
     return run
 
 

@@ -376,7 +376,8 @@ def test_a_sweep_without_normals_never_builds_the_tables(fresh_tables):
 def test_links_are_walked_once_per_block_whatever_the_rounds(monkeypatch):
     # rho_s ~ U(0.5, 1.5) leaves its domain in half the candidates, so a
     # block of 64 takes several rounds of redraws; I_o moves by up to about
-    # the consistency tolerance, so its links stay and are checked every round
+    # the consistency tolerance, so its links stay and are checked every round.
+    # The walk runs once per base instance and swept set, whatever the blocks.
     base = scenario_from_dict(fixture_dict("rounds"))
     dist = DistributionSpec.from_dict({"marginals": {
         "rho_s": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
@@ -395,6 +396,7 @@ def test_links_are_walked_once_per_block_whatever_the_rounds(monkeypatch):
     ev = batch.evaluate(base, dist, 7, 0, 64, RunConfig())
     assert int(ev.rejections.max()) >= 3
     assert visits == [len(base.responses)]
+    base = scenario_from_dict(fixture_dict("rounds"))  # loading walks the links too
     visits.clear()
     X, _, rejections = batch.draw(base, dist, 7, 0, 64)
     assert visits == [len(base.responses)]
@@ -402,9 +404,13 @@ def test_links_are_walked_once_per_block_whatever_the_rounds(monkeypatch):
         scenario, rejected = _oracle_draw(base, dist, 7, r)
         assert _bits(X[r]) == _bits(scenario.values), r
         assert int(rejections[r]) == rejected, r
+    base = scenario_from_dict(fixture_dict("rounds"))
     visits.clear()
     run_sweep(base, dist, n=batch.ROWS + 5, seed=7, cfg=RunConfig())
-    assert visits == [len(base.responses)] * 2
+    assert visits == [len(base.responses)]
+    visits.clear()
+    run_sweep(base, dist, n=batch.ROWS + 5, seed=7, cfg=RunConfig())
+    assert visits == []
 
 
 @settings(max_examples=300, deadline=None)
