@@ -7,28 +7,28 @@ swept symbols hold one value per draw, drawn into one ``(n, len(SYMBOLS))``
 matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream
 (``streams.Streams`` draws all rows at once).
 
-The module has no compiler, arithmetic or checks of its own. What no draw
-changes is settled once per base instance and kept on it (``Scenario.plans``;
-a worker process unpickles a base without plans and makes its own): the
-checks a sweep fixes (``model.check_fixed``), per swept set, and the value
-of every condition side that reads no swept symbol (:func:`_settle`), per
-swept set and config; either is made again where the base's overlays have
-changed in place. The value checks and the links that read a swept symbol
-run on every block, on all rows at once. Only rejected rows are redrawn, and
-a draw over its redraw budget raises ``RejectionLimit``. Each condition's
-one evaluator, the one ``decide`` wraps (``RunConfig.compiled``), runs on
-the block with its settled sides through the total interval arithmetic of
-``calculus``, whose array endpoints round as its float ones do, with argmax
-contexts and max-axis winners chosen per draw (``Scenario.per_winner``). Its
-status code and exclusion fill the block's columns, and ``decide``'s
-aggregation rule (``conditions._aggregate``) takes the per-draw counts of
-all three sets (one ``np.add.reduceat``) in one call and gives a decision
-code per draw and set, with no per-draw Scenario, verdict or trace. A
-condition's status and exclusion are plain Python values wherever every draw
-of the block agrees on them (as where a missing link leaves a derivative
-unknown in every draw, or a guard fails in every draw), so such a condition
-is settled once per block and filled into its column of the block's status
-matrix; numpy selects per draw only where draws differ.
+The module has no compiler, arithmetic or checks of its own. What a sweep
+fixes is checked on the base (``model.check_fixed``); the value checks and
+the links that read a swept symbol run on every block, on all rows at once.
+Only rejected rows are redrawn, and a draw over its redraw budget raises
+``RejectionLimit``. Each condition's one evaluator, the one ``decide``
+wraps (``RunConfig.compiled``), runs on the block through the total interval
+arithmetic of ``calculus``, whose array endpoints round as its float ones
+do, with argmax contexts and max-axis winners chosen per draw
+(``Scenario.per_winner``). Its status code and exclusion fill the block's
+columns, and ``decide``'s aggregation rule (``conditions._aggregate``) takes
+the per-draw counts of all three sets (one ``np.add.reduceat``) in one call
+and gives a decision code per draw and set, with no per-draw Scenario,
+verdict or trace. A condition's status and exclusion are plain Python values
+wherever every draw of the block agrees on them (as where a missing link
+leaves a derivative unknown in every draw, or a guard fails in every draw),
+so such a condition is settled once and filled into its column of the
+block's status matrix; numpy selects per draw only where draws differ.
+
+What no draw changes is kept on the base instance (``Scenario.plans``, which
+a worker process rebuilds): the fixed checks per swept set, and from a
+base's second block under one swept set and config on, the value of every
+condition side that reads no swept symbol (:func:`_settle`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import Add, Const, Deriv, IntegralE, Joint, MaxE, MinE, Mul, Sub, Sym
+from .calculus import Axis, Joint, Sym
 from .conditions import (
     INDETERMINATE,
     SATISFIED,
@@ -110,15 +110,20 @@ def _valid_rows(draws: Scenario, n: int, check) -> Optional[np.ndarray]:
     return None if failed is True else np.broadcast_to(failed ^ True, n)
 
 
-def _plan(base: Scenario, key, build):
-    """``build()``, kept in ``base.plans`` under ``key``; made again where the
-    base's overlays, the one part of a Scenario that can change in place,
-    differ from when it was made (their ``repr`` keeps every value's bits)."""
+def _plan(base: Scenario, key, build, again=False):
+    """``build()``, kept in ``base.plans`` under ``key`` and made again where
+    the base's overlays, the one part of a Scenario that can change in place,
+    differ from when it was kept (their ``repr`` keeps every value's bits).
+    With ``again``, the first ask gives None and the second builds, so a base
+    swept by one block pays for no plan it cannot reuse."""
     overlays = repr(base.overlays)
-    plan = base.plans.get(key)
-    if plan is None or plan[0] != overlays:
-        plan = base.plans[key] = overlays, build()
-    return plan[1]
+    kept, plan = base.plans.get(key, (None, None))
+    if kept != overlays:
+        plan = None if again else build()
+    elif plan is None:
+        plan = build()
+    base.plans[key] = overlays, plan
+    return plan
 
 
 def _fixed(base: Scenario, varying: set) -> tuple:
@@ -129,52 +134,57 @@ def _fixed(base: Scenario, varying: set) -> tuple:
     return any(failed), check
 
 
-def _reads(expr, spec) -> set:
-    """The symbols a condition side reads: every symbol its expression
-    names, a joint's, a derivative's axis and an integrand's included, and an
-    argmax context's candidate states. No other symbol moves its value (a
-    state context reads overlays, not a state's value)."""
-    names = set(spec[1]) if spec is not None and spec[0] == "argmax" else set()
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Sym:
-            names.add(node.name)
-        elif kind is Joint:
-            names.update((node.a, node.b))
-        elif kind is Deriv:
-            names.update(node.axis.names)
-            todo.append(node.driven)
-        elif kind is IntegralE:
-            todo.append(node.integrand)
-        elif kind is Add or kind is MaxE or kind is MinE:
-            todo.extend(node.parts)
-        elif kind is Sub or kind is Mul:
-            todo += node.a, node.b
-        elif kind is not Const:
-            raise TypeError(f"unsupported expression node {kind.__name__}")
+def _reads(node, names: set) -> set:
+    """``names`` and the symbols ``node`` reads: those a ``Sym``, ``Joint``
+    or derivative ``Axis`` names in it, in any field of any node."""
+    if isinstance(node, tuple):
+        for field in node:
+            _reads(field, names)
+    elif isinstance(node, Sym):
+        names.add(node.name)
+    elif isinstance(node, Joint):
+        names.update((node.a, node.b))
+    elif isinstance(node, Axis):
+        names.update(node.names)
+    elif isinstance(node, Record):
+        _reads(node._values(), names)
     return names
 
 
-def _settle(form, sides, base: Scenario, swept) -> tuple:
-    """A condition's compiled ``sides`` (``run.sides``) for the blocks of a
-    sweep of ``base`` whose draws change only ``swept``: each side that reads
-    none of them (``_reads``) replaced by its value on ``base``, which is its
-    value on every such block."""
-    def side(f, expr, spec):
-        if f is None or not _reads(expr, spec).isdisjoint(swept):
-            return f
-        value = f(base, None)
-        return lambda s, notes: value
+def side_reads(form) -> tuple:
+    """Per side of ``form``'s guard (None without one) and parts, a tuple of
+    the symbols it reads: its expression's (:func:`_reads`) and an argmax
+    context's candidate states. No other symbol moves its value."""
+    def part(p):
+        return tuple(tuple(_reads(expr, set(ctx[1] if ctx and ctx[0] == "argmax" else ())))
+                     for expr, ctx in ((p.lhs, p.lhs_ctx), (p.rhs, p.rhs_ctx)))
+    return None if form.guard is None else part(form.guard), tuple(map(part, form.parts))
 
-    def part(compiled, p):
+
+def _settle(sides, reads, swept) -> tuple:
+    """A condition's compiled ``sides`` (``run.sides``) for the blocks of a
+    sweep whose draws change only ``swept``: each side whose ``reads``
+    (:func:`side_reads`) miss them keeps the value it gives the first block
+    that runs it. It reads only base values, so that is its value on every
+    block of the base."""
+    def side(f, names):
+        if f is None or not swept.isdisjoint(names):
+            return f
+        value = []
+
+        def settled(s, notes):
+            if not value:
+                value.append(f(s, notes))
+            return value[0]
+        return settled
+
+    def part(compiled, names):
         lhs, rhs, compare = compiled
-        return side(lhs, p.lhs, p.lhs_ctx), side(rhs, p.rhs, p.rhs_ctx), compare
+        return side(lhs, names[0]), side(rhs, names[1]), compare
 
     guard, parts = sides
-    return (None if guard is None else part(guard, form.guard),
-            tuple(map(part, parts, form.parts)))
+    return (None if guard is None else part(guard, reads[0]),
+            tuple(map(part, parts, reads[1])))
 
 
 def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
@@ -231,9 +241,10 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
         settled = _plan(base, (frozenset(varying), cfg), lambda: tuple(
-            _settle(form, run.sides, base, varying) for form, run, _ in cfg.compiled.values()))
+            _settle(run.sides, reads, varying)
+            for (_, run, _), reads in zip(cfg.compiled.values(), cfg.reads)), again=True)
         shape = (len(cfg.compiled), len(rejections))  # a row per condition, filled whole
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
-        for j, ((_, run, _), sides) in enumerate(zip(cfg.compiled.values(), settled)):
-            statuses[j], skipped[j], _, _ = run(draws, None, sides)
+        for j, (_, run, _) in enumerate(cfg.compiled.values()):
+            statuses[j], skipped[j], _, _ = run(draws, None, settled and settled[j])
     return Evaluation(statuses.T, _decisions(statuses.T, skipped.T, cfg), rejections)

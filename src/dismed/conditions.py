@@ -556,12 +556,9 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     is a plain value where every draw of ``s`` agrees and per draw otherwise.
     A guard that fails in every draw leaves the parts unevaluated (no
     results); one that fails in some draws gives those draws its status.
-
-    ``run.sides`` holds the compiled guard (None without one) and parts
-    (:func:`compile_part`); a third argument, ``settled``, runs in their
-    place (a sweep's, where each side no draw changes is its value,
-    ``batch._settle``). ``decide`` and ``sensitivity`` pass none.
-    """
+    ``settled`` runs in place of ``run.sides``, the compiled guard and parts:
+    a sweep settles each side no draw changes, per base instance, swept set
+    and config (``batch._settle``); ``decide`` and ``sensitivity`` pass none."""
     parts = tuple(compile_part(p, cfg) for p in form.parts)
     sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)

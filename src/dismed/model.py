@@ -13,9 +13,8 @@ The module also owns scenario validation: ``check_scenario`` is the one walk
 over every invariant, and reports each check with where it fails (per draw
 in a block). For a sweep, ``check_fixed`` runs once on the base what no draw
 changes, the structure of links and time paths and the consistency of links
-that read no swept symbol, and the base keeps the result for later sweeps
-(``Scenario.plans``); the value checks run on every block, and the other
-links' checks with them. ``validate_scenario`` collects the failures of
+that read no swept symbol; the value checks run on every block, and the
+other links' checks with them. ``validate_scenario`` collects the failures of
 one scenario as violations, which are data, not exceptions.
 
 Naming notes:
@@ -260,9 +259,8 @@ class Scenario(Record):
 
     @cached_property
     def plans(self) -> dict:
-        """What sweeps of this instance settle once (``dismed.batch``). Like
-        ``response_index``, it is no field, so a copy, or the base a worker
-        process unpickles, starts with none."""
+        """What sweeps of this instance settle once (``batch._plan``); no
+        field, so a copy or an unpickled instance starts with none."""
         return {}
 
     def time_path_for(self, symbol: str) -> Optional[TimePath]:
@@ -391,8 +389,8 @@ def check_fixed(s: Scenario, swept, bad):
     Returns ``check(block, bad)``, which runs the rest on a block of draws:
     the whole value walk on every block, where a symbol no draw changes is a
     plain float whose checks settle at once, and the links that read a swept
-    symbol. A sweep runs it once per base instance, swept set and overlay
-    values, and keeps what it gives in ``s.plans`` (``batch.draw``)."""
+    symbol. A sweep keeps the outcome and ``check`` per base instance, swept
+    set and overlay values (``batch._plan``)."""
     later = _check_responses(s, bad, swept)
     _check_time_paths(s, bad)
 

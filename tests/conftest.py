@@ -20,6 +20,7 @@ SLOW = frozenset((
     "test_simulate.py::test_block_check_equals_row_check",
     "test_io.py::test_mutated_scenarios_fail_only_with_typed_errors",
     "test_golden.py::test_decide_digests_match_golden",
+    "test_sweep_plan.py::test_settled_sides_equal_scalar_decide_draw_by_draw",
 ))
 
 

@@ -1,7 +1,8 @@
 """What a sweep settles once per base instance (``Scenario.plans``).
 
 A sweep keeps on its base the fixed checks (``model.check_fixed``) and the
-value of every condition side that reads no swept symbol (``batch._settle``).
+value of every condition side that reads no swept symbol (``batch._settle``),
+the latter from a base's second block under one swept set and config on.
 Each side's read set must hold every symbol it names; a sweep that reuses a
 plan must give the payload a fresh instance gives; and a plan must not
 outlive an in-place change of the base's overlays.
@@ -12,14 +13,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dismed import DistributionSpec, RunConfig, run_sweep
 from dismed import batch, conditions
+from dismed.errors import DismedError
 from dismed.io import scenario_from_dict
 from dismed.model import split_driver
 
 from conftest import FIXTURES_DIR, expr_symbols
-from test_simulate import _scalar_codes
+from test_simulate import EQUIVALENCE_CONFIGS, _scalar_codes, wide_distributions
 
 FORM_CONFIGS = [RunConfig(), RunConfig(b1_guard_joint=True), RunConfig(seller_uses_U_sa=True),
                 RunConfig(w5_driver="B_s"), RunConfig(intersection="min")]
@@ -48,25 +52,28 @@ def _payload(base, d, cfg=RunConfig(), workers=1, n=60, seed=5) -> str:
 
 @pytest.mark.parametrize("cfg", FORM_CONFIGS)
 def test_every_side_reads_what_it_names(cfg):
-    for form, _, _ in cfg.compiled.values():
-        for part in ((form.guard,) if form.guard else ()) + form.parts:
-            for expr, spec in ((part.lhs, part.lhs_ctx), (part.rhs, part.rhs_ctx)):
-                if expr is None:
-                    continue
-                names = expr_symbols(expr)
+    assert cfg.reads is cfg.reads  # made once per config
+    for (form, _, _), (guard, parts) in zip(cfg.compiled.values(), cfg.reads):
+        assert (guard is None) == (form.guard is None)
+        for part, reads in zip(((form.guard,) if form.guard else ()) + form.parts,
+                               ((guard,) if guard else ()) + parts):
+            sides = ((part.lhs, part.lhs_ctx), (part.rhs, part.rhs_ctx))
+            for (expr, spec), names in zip(sides, reads, strict=True):
+                wanted = expr_symbols(expr)
                 if spec is not None and spec[0] == "argmax":
-                    names |= set(spec[1])
-                assert names <= batch._reads(expr, spec), (part.desc, spec)
+                    wanted |= set(spec[1])
+                assert wanted <= set(names), (part.desc, spec)
 
 
 def _block_sides_match(base, d, cfg, n):
-    """Each condition's results on a block are the same with the plan's
-    settled sides as when every side is evaluated on the block."""
+    """Each condition's results on a block are the same with sides settled on
+    another block of the sweep as when every side is evaluated on it."""
     with np.errstate(all="ignore"):
-        X, varying, _ = batch.draw(base, d, 3, 0, n)
-        draws = batch.block(base, X, varying)
-        for cid, (form, run, _) in cfg.compiled.items():
-            settled = batch._settle(form, run.sides, base, varying)
+        (X9, varying, _), (X, _, _) = (batch.draw(base, d, seed, 0, n) for seed in (9, 3))
+        first, draws = batch.block(base, X9, varying), batch.block(base, X, varying)
+        for (cid, (_, run, _)), reads in zip(cfg.compiled.items(), cfg.reads):
+            settled = batch._settle(run.sides, reads, varying)
+            run(first, None, settled)
             assert _same(run(draws, None, settled), run(draws, None), n), cid.label
 
 
@@ -82,11 +89,27 @@ def _same(x, y, n) -> bool:
 def _equals_scalar_decide(base, d, cfg, n):
     _block_sides_match(base, d, cfg, n)
     statuses, decisions, rejections = _scalar_codes(base, d, 3, n, cfg)
+    for _ in range(2):  # the second settles the sides, on draws seeded 9
+        batch.evaluate(base, d, 9, 0, n, cfg)
     ev = batch.evaluate(base, d, 3, 0, n, cfg)
     assert ev.statuses.tolist() == statuses
     assert ev.decisions.tolist() == decisions
     assert ev.rejections.tolist() == rejections
     return np.array(statuses)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_distributions(), st.integers(0, 2 ** 32 - 1), st.sampled_from(EQUIVALENCE_CONFIGS))
+def test_settled_sides_equal_scalar_decide_draw_by_draw(case, seed, cfg):
+    base, d = case
+    try:
+        expected = _scalar_codes(base, d, seed, 24, cfg)
+        for _ in range(2):  # the second settles the sides, on other draws
+            batch.evaluate(base, d, seed ^ 1, 0, 24, cfg)
+    except DismedError:
+        assume(False)  # the scalar path raises: the replay test covers that
+    ev = batch.evaluate(base, d, seed, 0, 24, cfg)
+    assert (ev.statuses.tolist(), ev.decisions.tolist(), ev.rejections.tolist()) == expected
 
 
 def test_a_sweep_of_a_derivative_axis_alone_equals_scalar_decide():
@@ -135,7 +158,9 @@ def test_one_base_swept_again_gives_a_fresh_base_payload():
             (_dist(**_FIRST), RunConfig(seller_uses_U_sa=True), 1),  # S3 and S7 read U_sa
             (_dist(**_FIRST), RunConfig(), 2)]
     for d, cfg, workers in runs:
-        assert _payload(base, d, cfg, workers) == _payload(scenario_from_dict(data), d, cfg, workers)
+        for seed in (5, 6, 7):  # the second sweep settles sides, the third reads them
+            assert _payload(base, d, cfg, workers, seed=seed) \
+                == _payload(scenario_from_dict(data), d, cfg, workers, seed=seed)
     assert len(base.plans) == 2 + 5  # the checks per swept set, the sides per set and config
     fresh = scenario_from_dict(data)  # the plans are no field
     assert base == fresh and repr(base) == repr(fresh) and base.to_dict() == fresh.to_dict()
@@ -146,9 +171,36 @@ def test_an_overlay_changed_in_place_is_not_read_from_a_stale_plan():
     data = _data(swept=_FIRST, overlays=_OVERLAYS)
     base = scenario_from_dict(data)
     d = _dist(**_FIRST)
-    before = _payload(base, d)
+    before = [_payload(base, d, seed=seed) for seed in (5, 6)]  # the second settles sides
     base.overlays["E_p"]["B_i"] = -100.0  # W1, read under E_p, now fails in every draw
     data["overlays"] = {"E_s": {"psi_s": 1.0}, "E_p": {"psi_b": 5.0, "B_i": -100.0}}
-    after = _payload(base, d)
-    assert after == _payload(scenario_from_dict(data), d)
-    assert after != before
+    after = [_payload(base, d, seed=seed) for seed in (5, 6, 7)]
+    assert after == [_payload(scenario_from_dict(data), d, seed=seed) for seed in (5, 6, 7)]
+    assert after[:2] != before
+
+
+def test_a_base_swept_by_one_block_settles_no_side(monkeypatch):
+    base = scenario_from_dict(_data(swept=_FIRST))
+    d, settles = _dist(**_FIRST), []
+    settle = batch._settle
+    monkeypatch.setattr(batch, "_settle", lambda *args: settles.append(1) or settle(*args))
+    first = _payload(base, d)
+    assert not settles  # the first block runs every side on the block
+    assert _payload(base, d) == first
+    assert len(settles) == len(conditions.ALL_CONDITION_IDS)
+    assert _payload(base, d) == first
+    assert len(settles) == len(conditions.ALL_CONDITION_IDS)
+
+
+def test_a_settled_side_runs_once_and_only_when_asked():
+    calls = []
+
+    def side(s, notes):
+        calls.append(s)
+        return 1.5
+
+    guard, ((lhs, rhs, compare),) = batch._settle(
+        (None, ((side, side, "compare"),)), (None, ((("P",), ("P_b",)),)), {"P_b"})
+    assert guard is None and rhs is side and compare == "compare" and not calls
+    assert lhs("block", None) == lhs("another block", None) == 1.5
+    assert calls == ["block"]
