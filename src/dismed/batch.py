@@ -28,7 +28,8 @@ block's status matrix; numpy selects per draw only where draws differ.
 What no draw changes is kept on the base instance (``Scenario.plans``, which
 a worker process rebuilds): the fixed checks per swept set, and from a
 base's second block under one swept set and config on, the value of every
-condition side that reads no swept symbol (:func:`_settle`).
+condition side that reads no swept symbol (:func:`_settle`): the compiler
+gives each side the symbols it reads, so this module walks no expression.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import Axis, Joint, Sym
 from .conditions import (
     INDETERMINATE,
     SATISFIED,
@@ -134,41 +134,14 @@ def _fixed(base: Scenario, varying: set) -> tuple:
     return any(failed), check
 
 
-def _reads(node, names: set) -> set:
-    """``names`` and the symbols ``node`` reads: those a ``Sym``, ``Joint``
-    or derivative ``Axis`` names in it, in any field of any node."""
-    if isinstance(node, tuple):
-        for field in node:
-            _reads(field, names)
-    elif isinstance(node, Sym):
-        names.add(node.name)
-    elif isinstance(node, Joint):
-        names.update((node.a, node.b))
-    elif isinstance(node, Axis):
-        names.update(node.names)
-    elif isinstance(node, Record):
-        _reads(node._values(), names)
-    return names
-
-
-def side_reads(form) -> tuple:
-    """Per side of ``form``'s guard (None without one) and parts, a tuple of
-    the symbols it reads: its expression's (:func:`_reads`) and an argmax
-    context's candidate states. No other symbol moves its value."""
-    def part(p):
-        return tuple(tuple(_reads(expr, set(ctx[1] if ctx and ctx[0] == "argmax" else ())))
-                     for expr, ctx in ((p.lhs, p.lhs_ctx), (p.rhs, p.rhs_ctx)))
-    return None if form.guard is None else part(form.guard), tuple(map(part, form.parts))
-
-
-def _settle(sides, reads, swept) -> tuple:
+def _settle(sides, swept) -> tuple:
     """A condition's compiled ``sides`` (``run.sides``) for the blocks of a
-    sweep whose draws change only ``swept``: each side whose ``reads``
-    (:func:`side_reads`) miss them keeps the value it gives the first block
-    that runs it. It reads only base values, so that is its value on every
-    block of the base."""
-    def side(f, names):
-        if f is None or not swept.isdisjoint(names):
+    sweep whose draws change only ``swept``: each side whose ``reads``, the
+    symbols the compiler found it to read, miss them keeps the value it gives
+    the first block that runs it. It reads only base values, so that is its
+    value on every block of the base."""
+    def side(f):
+        if f is None or not swept.isdisjoint(f.reads):
             return f
         value = []
 
@@ -178,13 +151,13 @@ def _settle(sides, reads, swept) -> tuple:
             return value[0]
         return settled
 
-    def part(compiled, names):
+    def part(compiled):
         lhs, rhs, compare = compiled
-        return side(lhs, names[0]), side(rhs, names[1]), compare
+        return side(lhs), side(rhs), compare
 
     guard, parts = sides
-    return (None if guard is None else part(guard, reads[0]),
-            tuple(map(part, parts, reads[1])))
+    return (None if guard is None else part(guard),
+            tuple(map(part, parts)))
 
 
 def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
@@ -241,8 +214,7 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
         settled = _plan(base, (frozenset(varying), cfg), lambda: tuple(
-            _settle(run.sides, reads, varying)
-            for (_, run, _), reads in zip(cfg.compiled.values(), cfg.reads)), again=True)
+            _settle(run.sides, varying) for _, run, _ in cfg.compiled.values()), again=True)
         shape = (len(cfg.compiled), len(rejections))  # a row per condition, filled whole
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
         for j, (_, run, _) in enumerate(cfg.compiled.values()):

@@ -470,6 +470,7 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG, ctx: Optional[str]
             return along(s, notes, h, joined, s.bundle_value(names, ctx))
         return s.per_winner(names, ctx, lambda axis, x0: along(s, notes, h, axis, x0))
 
+    deriv.reads = frozenset((*driven_names, *names))
     return deriv
 
 
@@ -558,6 +559,7 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
             prev = value
         return total
 
+    integrate.reads = frozenset(leaf.name for leaf in leaves)
     return integrate
 
 
@@ -587,7 +589,11 @@ def _state_leaf(leaf: Expr, cfg: RunConfig, ctx: Optional[str]) -> Compiled:
     """A leaf at base (``ctx`` None) or under a listing-state overlay."""
     if isinstance(leaf, Sym):
         name = leaf.name
-        return lambda s, notes: point(s.value(name, ctx))
+
+        def symbol(s, notes) -> Interval:
+            return point(s.value(name, ctx))
+        symbol.reads = frozenset((name,))
+        return symbol
     if isinstance(leaf, Deriv):
         return _compile_deriv(leaf, cfg, ctx)
     integrate = _compile_integral(leaf.integrand, cfg.horizon_T, cfg.horizon_dt, cfg)
@@ -598,13 +604,15 @@ def _state_leaf(leaf: Expr, cfg: RunConfig, ctx: Optional[str]) -> Compiled:
         except PathCoverageError as exc:  # the same for every draw: paths are the base's
             _note(notes, str(exc))
             return UNKNOWN
+    integral.reads = integrate.reads
     return integral
 
 
 def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
                        ctx: Optional[str] = None) -> Compiled:
     """Compile ``expr`` for evaluation at base (``ctx`` None) or under a
-    listing-state overlay: the result maps (scenario, notes) to an interval."""
+    listing-state overlay: the result maps (scenario, notes) to an interval,
+    and its ``reads`` are the symbols its leaves read."""
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection)
     getters = tuple(_state_leaf(leaf, cfg, ctx) for leaf in leaves)
@@ -613,6 +621,7 @@ def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
 
     def evaluate(s, notes: Optional[list]) -> Interval:
         return combine([g(s, notes) for g in getters])
+    evaluate.reads = frozenset().union(*(g.reads for g in getters))
     return evaluate
 
 

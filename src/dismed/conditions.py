@@ -481,17 +481,22 @@ def _pick(cond, a, b):
 
 
 def _compile_side(expr: Expr, spec: CtxSpec, cfg: RunConfig) -> Callable:
-    """``expr`` compiled under a context spec, as (s, notes) -> interval. An
-    argmax context compiles it under each candidate state and under None
-    (which ``Scenario.per_winner`` passes when no state exceeds -inf) and
-    gives the winning state's value, per draw."""
+    """``expr`` compiled under a context spec, as (s, notes) -> interval,
+    with the symbols it reads as ``reads``. An argmax context compiles it
+    under each candidate state and under None (which ``Scenario.per_winner``
+    passes when no state exceeds -inf), gives the winning state's value, per
+    draw, and reads the candidates too."""
     if spec is None or spec[0] == "state":
         return compile_expression(expr, cfg, spec and spec[1])
     kind, candidates = spec
     if kind != "argmax":
         raise ValueError(f"unknown context spec {spec!r}")
     under = {state: compile_expression(expr, cfg, state) for state in (*candidates, None)}
-    return lambda s, notes: s.per_winner(candidates, None, lambda state, _: under[state](s, notes))
+
+    def winner(s, notes):
+        return s.per_winner(candidates, None, lambda state, _: under[state](s, notes))
+    winner.reads = under[None].reads | frozenset(candidates)
+    return winner
 
 
 def _compare(op: str, cfg: RunConfig) -> Callable:
@@ -557,8 +562,9 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     A guard that fails in every draw leaves the parts unevaluated (no
     results); one that fails in some draws gives those draws its status.
     ``settled`` runs in place of ``run.sides``, the compiled guard and parts:
-    a sweep settles each side no draw changes, per base instance, swept set
-    and config (``batch._settle``); ``decide`` and ``sensitivity`` pass none."""
+    each side carries the symbols it reads (``reads``), and a sweep settles
+    each side that reads no swept symbol, per base instance, swept set and
+    config (``batch._settle``); ``decide`` and ``sensitivity`` pass none."""
     parts = tuple(compile_part(p, cfg) for p in form.parts)
     sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)

@@ -87,15 +87,6 @@ class RunConfig(Record):
 
         return compile_conditions(self)
 
-    @cached_property
-    def reads(self) -> tuple:
-        """Per compiled condition, the symbols each side of its guard and
-        parts reads (``batch.side_reads``): made by the first sweep that
-        settles sides under this config, not with ``compiled``."""
-        from .batch import side_reads
-
-        return tuple(side_reads(form) for form, _, _ in self.compiled.values())
-
 
 #: The config of every call that passes none, so such calls share one
 #: compiled table (``RunConfig.compiled``).

@@ -21,6 +21,7 @@ SLOW = frozenset((
     "test_io.py::test_mutated_scenarios_fail_only_with_typed_errors",
     "test_golden.py::test_decide_digests_match_golden",
     "test_sweep_plan.py::test_settled_sides_equal_scalar_decide_draw_by_draw",
+    "test_fuzz.py::test_every_call_exits_0_2_or_3_within_2_s",
 ))
 
 

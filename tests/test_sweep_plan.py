@@ -3,9 +3,10 @@
 A sweep keeps on its base the fixed checks (``model.check_fixed``) and the
 value of every condition side that reads no swept symbol (``batch._settle``),
 the latter from a base's second block under one swept set and config on.
-Each side's read set must hold every symbol it names; a sweep that reuses a
-plan must give the payload a fresh instance gives; and a plan must not
-outlive an in-place change of the base's overlays.
+The compiler gives each side the symbols it reads (``reads``), which must be
+exactly those it names; a sweep that reuses a plan must give the payload a
+fresh instance gives, time paths or not; and a plan must not outlive an
+in-place change of the base's overlays.
 """
 
 import json
@@ -25,6 +26,7 @@ from dismed.model import split_driver
 from conftest import FIXTURES_DIR, expr_symbols
 from test_simulate import EQUIVALENCE_CONFIGS, _scalar_codes, wide_distributions
 
+_S13 = [cid.label for cid in conditions.ALL_CONDITION_IDS].index("S13")
 FORM_CONFIGS = [RunConfig(), RunConfig(b1_guard_joint=True), RunConfig(seller_uses_U_sa=True),
                 RunConfig(w5_driver="B_s"), RunConfig(intersection="min")]
 
@@ -52,17 +54,18 @@ def _payload(base, d, cfg=RunConfig(), workers=1, n=60, seed=5) -> str:
 
 @pytest.mark.parametrize("cfg", FORM_CONFIGS)
 def test_every_side_reads_what_it_names(cfg):
-    assert cfg.reads is cfg.reads  # made once per config
-    for (form, _, _), (guard, parts) in zip(cfg.compiled.values(), cfg.reads):
+    for form, run, _ in cfg.compiled.values():
+        guard, parts = run.sides
         assert (guard is None) == (form.guard is None)
-        for part, reads in zip(((form.guard,) if form.guard else ()) + form.parts,
-                               ((guard,) if guard else ()) + parts):
-            sides = ((part.lhs, part.lhs_ctx), (part.rhs, part.rhs_ctx))
-            for (expr, spec), names in zip(sides, reads, strict=True):
+        for part, compiled in zip(((form.guard,) if form.guard else ()) + form.parts,
+                                  ((guard,) if guard else ()) + parts, strict=True):
+            for expr, spec, side in ((part.lhs, part.lhs_ctx, compiled[0]),
+                                     (part.rhs, part.rhs_ctx, compiled[1])):
+                assert (side is None) == (expr is None)
                 wanted = expr_symbols(expr)
                 if spec is not None and spec[0] == "argmax":
                     wanted |= set(spec[1])
-                assert wanted <= set(names), (part.desc, spec)
+                assert side is None or side.reads == wanted, (part.desc, spec)
 
 
 def _block_sides_match(base, d, cfg, n):
@@ -71,8 +74,8 @@ def _block_sides_match(base, d, cfg, n):
     with np.errstate(all="ignore"):
         (X9, varying, _), (X, _, _) = (batch.draw(base, d, seed, 0, n) for seed in (9, 3))
         first, draws = batch.block(base, X9, varying), batch.block(base, X, varying)
-        for (cid, (_, run, _)), reads in zip(cfg.compiled.items(), cfg.reads):
-            settled = batch._settle(run.sides, reads, varying)
+        for cid, (_, run, _) in cfg.compiled.items():
+            settled = batch._settle(run.sides, varying)
             run(first, None, settled)
             assert _same(run(draws, None, settled), run(draws, None), n), cid.label
 
@@ -138,6 +141,34 @@ def test_a_sweep_of_an_argmax_candidate_alone_equals_scalar_decide():
         assert {conditions.SATISFIED, conditions.VIOLATED} <= set(statuses[:, s4].tolist())
 
 
+# S13's integrals follow a linear path on P and a sampled one on rho_s
+_PATHS = [{"symbol": "P", "kind": "linear", "v0": 10.0, "slope": 0.5},
+          {"symbol": "rho_s", "kind": "samples", "times": [0.0, 0.4, 1.0],
+           "values": [0.7, 0.8, 0.65]}]
+
+
+@pytest.mark.parametrize("marginals", [
+    {"rho_p": {"kind": "uniform", "lo": 0.3, "hi": 0.9},  # S13 flips with these two
+     "P_s": {"kind": "uniform", "lo": 8.0, "hi": 12.0}},
+    {"rho_s": {"kind": "uniform", "lo": 0.3, "hi": 0.9},
+     "pi_b": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}])
+# 2,000 horizon nodes are above calculus.NODE_AXIS_MIN
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(horizon_dt=0.0005)])
+def test_a_base_with_time_paths_swept_again_equals_scalar_decide(marginals, cfg):
+    data = _data(swept=marginals)
+    data["time_paths"] = _PATHS
+    base, d, s13 = scenario_from_dict(data), _dist(**marginals), set()
+    for seed in (5, 6, 7):  # the second settles the sides, the third reads them
+        statuses, decisions, rejections = _scalar_codes(base, d, seed, 40, cfg)
+        ev = batch.evaluate(base, d, seed, 0, 40, cfg)
+        assert ev.statuses.tolist() == statuses
+        assert ev.decisions.tolist() == decisions
+        assert ev.rejections.tolist() == rejections
+        s13.update(np.array(statuses)[:, _S13].tolist())
+    if "P_s" in marginals:
+        assert {conditions.SATISFIED, conditions.VIOLATED} <= s13
+
+
 # --- reuse and staleness --------------------------------------------------------------
 
 _FIRST = {"P_b": {"kind": "normal", "mean": 10.0, "sd": 3.0},
@@ -199,8 +230,13 @@ def test_a_settled_side_runs_once_and_only_when_asked():
         calls.append(s)
         return 1.5
 
-    guard, ((lhs, rhs, compare),) = batch._settle(
-        (None, ((side, side, "compare"),)), (None, ((("P",), ("P_b",)),)), {"P_b"})
-    assert guard is None and rhs is side and compare == "compare" and not calls
+    side.reads = frozenset(("P",))
+
+    def swept(s, notes):
+        return 2.5
+    swept.reads = frozenset(("P_b",))
+
+    guard, ((lhs, rhs, compare),) = batch._settle((None, ((side, swept, "compare"),)), {"P_b"})
+    assert guard is None and rhs is swept and compare == "compare" and not calls
     assert lhs("block", None) == lhs("another block", None) == 1.5
     assert calls == ["block"]
