@@ -28,8 +28,13 @@ block's status matrix; numpy selects per draw only where draws differ.
 What no draw changes is kept on the base instance (``Scenario.plans``, which
 a worker process rebuilds): the fixed checks per swept set, and from a
 base's second block under one swept set and config on, the value of every
-condition side that reads no swept symbol (:func:`_settle`): the compiler
-gives each side the symbols it reads, so this module walks no expression.
+condition side that reads no swept symbol on that base (:func:`_settle`).
+The compiler gives each side the symbols it names, and ``calculus.on_base``
+narrows them by what the base's links and overlays fix: a derivative whose
+every axis is its own driven symbol, or misses a link under a strict driven
+side, reads nothing; an argmax side whose candidate states overlay no
+symbol it names and scope no link to one reads no candidate. This module
+walks no expression.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from .calculus import on_base
 from .conditions import (
     INDETERMINATE,
     SATISFIED,
@@ -134,15 +140,21 @@ def _fixed(base: Scenario, varying: set) -> tuple:
     return any(failed), check
 
 
-def _settle(sides, swept) -> tuple:
+def _settle(sides, swept, base: Scenario) -> tuple:
     """A condition's compiled ``sides`` (``run.sides``) for the blocks of a
-    sweep whose draws change only ``swept``: each side whose ``reads``, the
-    symbols the compiler found it to read, miss them keeps the value it gives
-    the first block that runs it. It reads only base values, so that is its
-    value on every block of the base."""
+    sweep of ``base`` whose draws change only ``swept``: each side whose
+    symbols read on the base (``calculus.on_base``: its ``reads``, less what
+    the base's links and overlays fix) miss them keeps the value it gives
+    the first block that runs it, which is then its value on every block of
+    the base; an argmax side that reads no candidate runs as its
+    base-context side."""
     def side(f):
-        if f is None or not swept.isdisjoint(f.reads):
+        if f is None:
             return f
+        if not swept.isdisjoint(f.reads):  # it names a swept symbol: does it read one here?
+            f, reads = on_base(f, base)
+            if not swept.isdisjoint(reads):
+                return f
         value = []
 
         def settled(s, notes):
@@ -214,7 +226,7 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
         settled = _plan(base, (frozenset(varying), cfg), lambda: tuple(
-            _settle(run.sides, varying) for _, run, _ in cfg.compiled.values()), again=True)
+            _settle(run.sides, varying, base) for _, run, _ in cfg.compiled.values()), again=True)
         shape = (len(cfg.compiled), len(rejections))  # a row per condition, filled whole
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
         for j, (_, run, _) in enumerate(cfg.compiled.values()):

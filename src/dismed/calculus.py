@@ -20,8 +20,8 @@ ones do. Every operation is total (as in IEEE 1788): an undefined result,
 such as inf - inf, an overflowing stencil step or a time path that ends
 early, is the unknown interval, per draw. Unknown absorbs under ``+``, ``-``
 and the joint, so a derivative whose driven side is built from those alone
-and misses a link is the float UNKNOWN without a stencil run: on a sweep
-block it is settled once, not per draw.
+and misses a link is the float UNKNOWN without a stencil run: a sweep
+settles it once per base (:func:`on_base`), even along a swept axis.
 
 Expressions are compiled once into closures that combine the values of their
 leaves (symbols, derivatives and horizon integrals) with these operations;
@@ -408,6 +408,10 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG, ctx: Optional[str]
     that is unknown wherever a symbol it reads is (``_strict``, decided here
     once) is unknown at every stencil point when a link is missing, so the
     stencil is not run: only a float step's loss is left to find and note.
+    Its ``reads`` are the driven side's symbols and the axis names; its
+    ``along`` (context, identity, strictness, driven names, axes) lets
+    :func:`on_base` tell from a base's links alone whether every axis gives
+    the one constant or UNKNOWN, so that on that base it reads nothing.
     """
     leaves: dict = {}
     combine = _combine(d.driven, leaves, cfg.intersection)
@@ -471,6 +475,7 @@ def _compile_deriv(d: Deriv, cfg: RunConfig = DEFAULT_CONFIG, ctx: Optional[str]
         return s.per_winner(names, ctx, lambda axis, x0: along(s, notes, h, axis, x0))
 
     deriv.reads = frozenset((*driven_names, *names))
+    deriv.along = ctx, identity, strict, driven_names, (joined,) if kind == "bundle" else names
     return deriv
 
 
@@ -612,7 +617,8 @@ def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
                        ctx: Optional[str] = None) -> Compiled:
     """Compile ``expr`` for evaluation at base (``ctx`` None) or under a
     listing-state overlay: the result maps (scenario, notes) to an interval,
-    and its ``reads`` are the symbols its leaves read."""
+    its ``reads`` are the symbols its leaves read, and on a given base it
+    reads the union of what its ``leaves`` read there (:func:`on_base`)."""
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection)
     getters = tuple(_state_leaf(leaf, cfg, ctx) for leaf in leaves)
@@ -622,7 +628,56 @@ def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
     def evaluate(s, notes: Optional[list]) -> Interval:
         return combine([g(s, notes) for g in getters])
     evaluate.reads = frozenset().union(*(g.reads for g in getters))
+    evaluate.leaves = getters
     return evaluate
+
+
+def _fixed(s: Scenario, ctx, identity, strict, driven, axes) -> bool:
+    """Whether a derivative gives one and the same value along each of its
+    ``axes`` on ``s`` whatever its values: the constant along its own driven
+    symbol (``identity``), or UNKNOWN where its ``strict`` driven side misses
+    a link in ``ctx`` or at base."""
+    outcomes = set()
+    for axis in axes:
+        if axis == identity:
+            outcomes.add("constant")
+        elif strict and any(name != axis and s.response_for(name, axis, ctx) is None
+                            for name in driven):
+            outcomes.add("unknown")
+        else:
+            return False
+    return len(outcomes) == 1
+
+
+def on_base(f: Compiled, s: Scenario) -> tuple[Compiled, frozenset]:
+    """Compiled ``f`` as it runs on every draw of a sweep of the base ``s``,
+    and the symbols it reads there: its ``reads``, less what ``s``'s links
+    and overlays, which no draw changes, keep from its value.
+
+    A derivative reads nothing where each axis it can be taken along (its
+    symbol, its bundle or each component of its max axis) gives the same one
+    of two values: its own driven symbol gives the constant 1 or 0, and an
+    axis along which a strict driven side (``_strict``) misses a link gives
+    UNKNOWN. An expression reads what its leaves read there. A choice among
+    listing states (an argmax side, ``conditions._compile_side``) gives its
+    base-context side where no candidate state's overlay overrides a symbol
+    it names and no link scoped to one has such a symbol as its driven:
+    every candidate then gives that side's value.
+    """
+    along = getattr(f, "along", None)
+    if along is not None:
+        return f, frozenset() if _fixed(s, *along) else f.reads
+    leaves = getattr(f, "leaves", None)
+    if leaves is not None:
+        return f, frozenset().union(*(on_base(g, s)[1] for g in leaves))
+    under = getattr(f, "under", None)
+    if under is not None:
+        named, states = under[None].reads, f.states
+        if all(named.isdisjoint(s.overlays.get(state, ())) for state in states) and not any(
+                r.context in states and r.driven in named for r in s.responses):
+            return on_base(under[None], s)
+        return f, frozenset(states).union(*(on_base(g, s)[1] for g in under.values()))
+    return f, f.reads
 
 
 # ---------------------------------------------------------------------------

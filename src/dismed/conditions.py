@@ -485,7 +485,12 @@ def _compile_side(expr: Expr, spec: CtxSpec, cfg: RunConfig) -> Callable:
     with the symbols it reads as ``reads``. An argmax context compiles it
     under each candidate state and under None (which ``Scenario.per_winner``
     passes when no state exceeds -inf), gives the winning state's value, per
-    draw, and reads the candidates too."""
+    draw, and reads the candidates too. It keeps those compiled sides as
+    ``under`` and the candidates as ``states``: on a base where no candidate
+    state's overlay overrides a symbol the side names and no link scoped to
+    one has such a symbol as its driven, every candidate gives the
+    base-context value, so a sweep runs that side and reads no candidate
+    (``calculus.on_base``)."""
     if spec is None or spec[0] == "state":
         return compile_expression(expr, cfg, spec and spec[1])
     kind, candidates = spec
@@ -496,6 +501,7 @@ def _compile_side(expr: Expr, spec: CtxSpec, cfg: RunConfig) -> Callable:
     def winner(s, notes):
         return s.per_winner(candidates, None, lambda state, _: under[state](s, notes))
     winner.reads = under[None].reads | frozenset(candidates)
+    winner.under, winner.states = under, candidates
     return winner
 
 
@@ -562,9 +568,10 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     A guard that fails in every draw leaves the parts unevaluated (no
     results); one that fails in some draws gives those draws its status.
     ``settled`` runs in place of ``run.sides``, the compiled guard and parts:
-    each side carries the symbols it reads (``reads``), and a sweep settles
-    each side that reads no swept symbol, per base instance, swept set and
-    config (``batch._settle``); ``decide`` and ``sensitivity`` pass none."""
+    each side carries the symbols it names (``reads``), and a sweep settles
+    each side that reads no swept symbol on its base (``calculus.on_base``),
+    per base instance, swept set and config (``batch._settle``); ``decide``
+    and ``sensitivity`` pass none."""
     parts = tuple(compile_part(p, cfg) for p in form.parts)
     sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)

@@ -213,8 +213,7 @@ def drop_responses(scenario, seed_parts, keep_fraction=0.5):
     """Copy of the scenario with a random response subset removed."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
     kept = tuple(r for r in scenario.responses if rng.random() < keep_fraction)
-    from dataclasses import replace
-    return replace(scenario, responses=kept)
+    return scenario.replace(responses=kept)
 
 
 # ---------------------------------------------------------------------------

@@ -460,9 +460,7 @@ def test_missing_link_expression_is_indeterminate():
 
 
 def test_overlay_application_is_idempotent(base_scenario):
-    import dataclasses
-
-    s = dataclasses.replace(base_scenario, overlays={"E_s": {"psi_b": 4.0}})
+    s = base_scenario.replace(overlays={"E_s": {"psi_b": 4.0}})
     once = s.value("psi_b", "E_s")
     again = with_values(s, {"psi_b": once}).value("psi_b", "E_s")
     assert once == again == 4.0

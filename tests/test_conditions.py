@@ -1,6 +1,5 @@
 """Condition registry semantics: guards, traces, aggregation, config switches."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,11 +46,9 @@ def bare_scenario(**value_overrides):
 
 
 def without_pairs(scenario, pairs):
-    import dataclasses
-
     kept = tuple(r for r in scenario.responses
                  if (r.driven, r.driver) not in pairs)
-    return dataclasses.replace(scenario, responses=kept)
+    return scenario.replace(responses=kept)
 
 
 # --- condition ids -----------------------------------------------------------
@@ -219,12 +216,9 @@ def test_b3_lhs_increases_with_commission(base_scenario):
 
 
 def test_w2_reads_the_overlay(base_scenario):
-    import dataclasses
-
     v = eval_condition(base_scenario, ConditionId.parse("W2"), CFG)
     assert v.status is Status.SATISFIED
-    flipped = dataclasses.replace(
-        base_scenario, overlays={"E_s": {"U_ip": 5.0, "U_iw": 1.0}})
+    flipped = base_scenario.replace(overlays={"E_s": {"U_ip": 5.0, "U_iw": 1.0}})
     v = eval_condition(flipped, ConditionId.parse("W2"), CFG)
     assert v.status is Status.VIOLATED
 
@@ -293,7 +287,7 @@ _UNBOUNDED = tuple(name for name in SYMBOLS if name not in ("c", *PROBABILITY_SY
 
 @lru_cache(maxsize=None)
 def _linkless_scenario(i):
-    return dataclasses.replace(random_scenario([31, i]), responses=())
+    return random_scenario([31, i]).replace(responses=())
 
 
 @settings(max_examples=40, deadline=None)

@@ -209,8 +209,8 @@ def test_with_values_replaces_symbols():
     assert s.value("psi_b") == BASE_VALUES["psi_b"]
 
 
-_WITH_VALUES_BASE = dataclasses.replace(
-    fixture_scenario("with-values"), prospect_count=3, valued_time_share=0.5,
+_WITH_VALUES_BASE = fixture_scenario("with-values").replace(
+    prospect_count=3, valued_time_share=0.5,
     overlays={"E_p": {"psi_b": 4.0, "U_iw": 2.5}})
 
 
@@ -280,17 +280,16 @@ def test_response_index_follows_each_copy():
 
     moved = with_values(s, {"rho_s": 0.25})
     assert moved.response_for(*key) is first
-    emptied = dataclasses.replace(s, responses=())
+    emptied = s.replace(responses=())
     assert emptied.response_for(*key) is None
     assert s.response_for(*key) is first
-    swapped = dataclasses.replace(
-        s, responses=(first.replace(coeffs=(1.0, 2.0)),) + s.responses[1:])
+    swapped = s.replace(responses=(first.replace(coeffs=(1.0, 2.0)),) + s.responses[1:])
     assert swapped.response_for(*key).coeffs == (1.0, 2.0)
     assert with_values(emptied, {"psi_b": 5.5}).response_for(*key) is None
     # many short-lived copies: none may see another copy's index
     for i in range(50):
         kept = s.responses[i % 2:]
-        copy = dataclasses.replace(s, responses=kept)
+        copy = s.replace(responses=kept)
         assert (copy.response_for(*key) is first) == (i % 2 == 0), i
 
 
@@ -380,7 +379,7 @@ def test_violation_messages_are_pinned(fixtures_dir, mutation, expected):
     s = with_values(s, mutation.pop("values", {}))
     links = tuple(ResponseFunction(driven, driver, "polynomial", coeffs)
                   for driven, driver, coeffs in mutation.pop("responses", ()))
-    s = dataclasses.replace(s, responses=s.responses + links, **mutation)
+    s = s.replace(responses=s.responses + links, **mutation)
     got = [(v.code, v.message) for v in validate_scenario(s).violations]
     assert got == expected
 

@@ -2,7 +2,6 @@
 
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -416,8 +415,7 @@ def _capital_case(draw):
         for drv in sorted(drivers):
             for ctx in sorted(draw(st.sets(st.sampled_from(_CONTEXTS), min_size=1, max_size=2))):
                 responses.append(draw(_link(sym, drv, ctx)))
-    s = replace(with_values(_OPT_BASE, values), responses=tuple(responses),
-                overlays=overlays)
+    s = with_values(_OPT_BASE, values).replace(responses=tuple(responses), overlays=overlays)
     ctx = draw(st.sampled_from((None, *STATE_NAMES)))
     point = []
     for _ in optimizer.DECISION_FIELDS:

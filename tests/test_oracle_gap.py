@@ -5,30 +5,51 @@ margins are all at least ``SEPARATION``. At separation 0 the engine's central
 difference decides some verdicts by its rounding: a derivative that is
 exactly 0 (of a link whose degree is below the order) comes out as noise of
 either sign, and a strict comparison against 0 takes that sign. The oracle
-takes every derivative analytically. The gap is pinned here, so that a change
-in either direction shows.
+takes every derivative analytically. The gap is pinned here, on full and on
+thinned scenarios, so that a change in either direction shows.
 """
 
 from collections import Counter
 
 from dismed import RunConfig, decide
 
-from oracle import SAT, VIO, oracle_statuses
-from scen_gen import random_scenario
+from oracle import IND, SAT, VIO, oracle_statuses
+from scen_gen import drop_responses, random_scenario
 
 #: Per condition, the verdicts of 300 scenarios that the oracle calls
 #: Violated and the engine Satisfied.
 GAP = {"S16": 30, "S18": 27, "B7": 24, "B17": 21, "B19": 16, "B6": 9, "B10": 1}
 
+#: The same 300 scenarios with about half their links dropped: per condition,
+#: and per (oracle, engine) pair. Against a bound of 0 whose other operand a
+#: missing link leaves unknown on one side, an exact 0 is decided by the
+#: oracle (0 > max(0, unknown) fails) and left undecided by the engine where
+#: its noise is positive, or the other way round (0 > min(0, unknown)).
+THINNED_GAP = {"S16": 20, "S18": 20, "B17": 15, "B7": 12, "B19": 11, "B6": 2}
+THINNED_KINDS = {(VIO, IND): 54, (VIO, SAT): 21, (IND, SAT): 5}
 
-def test_the_engine_and_the_oracle_disagree_only_on_stencil_rounding():
-    cfg, gap = RunConfig(), Counter()
-    for i in range(300):
-        scenario = random_scenario([11, i], separation=0.0)
+
+def _gap(scenarios, cfg=RunConfig()) -> tuple[Counter, Counter]:
+    """Disagreements with the oracle, per condition and per (oracle, engine) pair."""
+    gap, kinds = Counter(), Counter()
+    for scenario in scenarios:
         expected = oracle_statuses(scenario, cfg)
         for report in decide(scenario, cfg).reports.values():
             for label, status in report.statuses().items():
                 if status.value != expected[label]:
-                    assert (expected[label], status.value) == (VIO, SAT), (i, label)
                     gap[label] += 1
-    assert gap == GAP and sum(gap.values()) == 128
+                    kinds[expected[label], status.value] += 1
+    return gap, kinds
+
+
+def test_the_engine_and_the_oracle_disagree_only_on_stencil_rounding():
+    gap, kinds = _gap(random_scenario([11, i], separation=0.0) for i in range(300))
+    assert kinds == {(VIO, SAT): 128}
+    assert gap == GAP
+
+
+def test_on_thinned_scenarios_they_disagree_only_on_stencil_rounding():
+    gap, kinds = _gap(drop_responses(random_scenario([11, i], separation=0.0), [11, 10_000 + i])
+                      for i in range(300))
+    assert kinds == THINNED_KINDS and sum(kinds.values()) == 80
+    assert gap == THINNED_GAP

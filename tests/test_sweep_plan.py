@@ -1,16 +1,23 @@
 """What a sweep settles once per base instance (``Scenario.plans``).
 
 A sweep keeps on its base the fixed checks (``model.check_fixed``) and the
-value of every condition side that reads no swept symbol (``batch._settle``),
-the latter from a base's second block under one swept set and config on.
-The compiler gives each side the symbols it reads (``reads``), which must be
-exactly those it names; a sweep that reuses a plan must give the payload a
+value of every condition side that reads no swept symbol on that base
+(``batch._settle``), the latter from a base's second block under one swept
+set and config on. The compiler gives each side the symbols it reads
+(``reads``), which must be exactly those it names; on a base it reads at most
+those (``calculus.on_base``), fewer only where the base's links and overlays
+fix its value, which a sweep of the base three times checks against scalar
+``decide`` for each rule; a sweep that reuses a plan must give the payload a
 fresh instance gives, time paths or not; and a plan must not outlive an
 in-place change of the base's overlays.
 """
 
 import json
+import os
 import pickle
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from hypothesis import strategies as st
 
 from dismed import DistributionSpec, RunConfig, run_sweep
 from dismed import batch, conditions
+from dismed.calculus import Add, Axis, Const, Deriv, Mul, Sym, on_base
 from dismed.errors import DismedError
 from dismed.io import scenario_from_dict
 from dismed.model import split_driver
@@ -26,7 +34,8 @@ from dismed.model import split_driver
 from conftest import FIXTURES_DIR, expr_symbols
 from test_simulate import EQUIVALENCE_CONFIGS, _scalar_codes, wide_distributions
 
-_S13 = [cid.label for cid in conditions.ALL_CONDITION_IDS].index("S13")
+_LABELS = [cid.label for cid in conditions.ALL_CONDITION_IDS]
+_S4, _S13 = _LABELS.index("S4"), _LABELS.index("S13")
 FORM_CONFIGS = [RunConfig(), RunConfig(b1_guard_joint=True), RunConfig(seller_uses_U_sa=True),
                 RunConfig(w5_driver="B_s"), RunConfig(intersection="min")]
 
@@ -75,7 +84,7 @@ def _block_sides_match(base, d, cfg, n):
         (X9, varying, _), (X, _, _) = (batch.draw(base, d, seed, 0, n) for seed in (9, 3))
         first, draws = batch.block(base, X9, varying), batch.block(base, X, varying)
         for cid, (_, run, _) in cfg.compiled.items():
-            settled = batch._settle(run.sides, varying)
+            settled = batch._settle(run.sides, varying, base)
             run(first, None, settled)
             assert _same(run(draws, None, settled), run(draws, None), n), cid.label
 
@@ -137,8 +146,7 @@ def test_a_sweep_of_an_argmax_candidate_alone_equals_scalar_decide():
     d = _dist(E_m={"kind": "uniform", "lo": 0.0, "hi": 3.0})
     for cfg in (RunConfig(), RunConfig(guard_mode="skip")):
         statuses = _equals_scalar_decide(base, d, cfg, 40)
-        s4 = [cid.label for cid in conditions.ALL_CONDITION_IDS].index("S4")
-        assert {conditions.SATISFIED, conditions.VIOLATED} <= set(statuses[:, s4].tolist())
+        assert {conditions.SATISFIED, conditions.VIOLATED} <= set(statuses[:, _S4].tolist())
 
 
 # S13's integrals follow a linear path on P and a sampled one on rho_s
@@ -157,16 +165,121 @@ _PATHS = [{"symbol": "P", "kind": "linear", "v0": 10.0, "slope": 0.5},
 def test_a_base_with_time_paths_swept_again_equals_scalar_decide(marginals, cfg):
     data = _data(swept=marginals)
     data["time_paths"] = _PATHS
-    base, d, s13 = scenario_from_dict(data), _dist(**marginals), set()
-    for seed in (5, 6, 7):  # the second settles the sides, the third reads them
-        statuses, decisions, rejections = _scalar_codes(base, d, seed, 40, cfg)
-        ev = batch.evaluate(base, d, seed, 0, 40, cfg)
-        assert ev.statuses.tolist() == statuses
-        assert ev.decisions.tolist() == decisions
-        assert ev.rejections.tolist() == rejections
-        s13.update(np.array(statuses)[:, _S13].tolist())
+    s13 = _swept_three_times(scenario_from_dict(data), _dist(**marginals), cfg)[:, _S13]
     if "P_s" in marginals:
-        assert {conditions.SATISFIED, conditions.VIOLATED} <= s13
+        assert {conditions.SATISFIED, conditions.VIOLATED} <= set(s13.tolist())
+
+
+def _swept_three_times(base, d, cfg, n=40) -> np.ndarray:
+    """The statuses of three sweeps of one base instance (seeds 5, 6, 7: the
+    second settles the sides, the third reads them), each equal to per-draw
+    scalar ``decide`` draw by draw."""
+    statuses = []
+    for seed in (5, 6, 7):
+        expected = _scalar_codes(base, d, seed, n, cfg)
+        ev = batch.evaluate(base, d, seed, 0, n, cfg)
+        assert (ev.statuses.tolist(), ev.decisions.tolist(), ev.rejections.tolist()) == expected
+        statuses.extend(expected[0])
+    return np.array(statuses)
+
+
+# --- what a side reads on its base ----------------------------------------------------
+
+_B9 = _LABELS.index("B9")
+
+
+def _each_side(sides) -> list:
+    """A condition's compiled guard and part sides, in order."""
+    guard, parts = sides
+    return [side for part in (guard, *parts) if part for side in part[:2] if side]
+
+
+def _b9_reads(base, cfg=RunConfig()) -> frozenset:
+    """What B9's one side (in the registry d(I_p+I_i)/d max(E_m, E_p, E_s))
+    reads on ``base``."""
+    return on_base(cfg.compiled[conditions.ALL_CONDITION_IDS[_B9]][1].sides[1][0][0], base)[1]
+
+
+@pytest.mark.parametrize("cfg", FORM_CONFIGS)
+def test_a_side_reads_on_its_base_at_most_what_it_names(cfg):
+    bases = (scenario_from_dict(_data()), scenario_from_dict(_data(swept=_FIRST, overlays=_OVERLAYS)),
+             scenario_from_dict(_data(swept=("E_s", "P", "c"))))
+    for base in bases:
+        for _, run, _ in cfg.compiled.values():
+            for side in _each_side(run.sides):
+                assert on_base(side, base)[1] <= side.reads
+
+
+def test_a_max_axis_derivative_settles_only_where_every_component_misses_a_link():
+    # E_m ~ U(0, 4) wins B9's max axis from E_s = 2 in half the draws: along
+    # E_s the fixture links I_p and I_i, along E_m nothing does
+    d = _dist(E_m={"kind": "uniform", "lo": 0.0, "hi": 4.0})
+    base = scenario_from_dict(_data(swept=("E_m",)))
+    assert _b9_reads(base) == {"I_p", "I_i", "E_m", "E_p", "E_s"}
+    b9 = set(_swept_three_times(base, d, RunConfig())[:, _B9].tolist())
+    assert conditions.INDETERMINATE in b9 and len(b9) > 1
+    # without the E_s links every component misses one: unknown in every draw
+    base = scenario_from_dict(_data(swept=("E_m", "E_s")))
+    assert _b9_reads(base) == set()
+    assert set(_swept_three_times(base, d, RunConfig())[:, _B9].tolist()) \
+        == {conditions.INDETERMINATE}
+
+
+def _with_part(monkeypatch, part, **fields) -> RunConfig:
+    """A fresh config under which B9 is the one ``part``."""
+    monkeypatch.setitem(conditions._FORMS, "B9", conditions.Form(None, (part,)))
+    return RunConfig(**fields)
+
+
+@pytest.mark.parametrize("driven", [Add((Sym("B_it"), Sym("B_op"))), Mul(Sym("B_it"), Sym("B_op"))])
+def test_only_a_strict_driven_side_missing_a_link_settles(monkeypatch, driven):
+    # B_it is 0 up to E_m = -1 and E_m + 1 beyond, and B_op has no link. At
+    # a step of a quarter of |E_m|, the stencil of E_m in [-2, -4/3] stays
+    # where B_it is 0, so B_it * B_op is 0 there (0 * unknown = 0) and the
+    # derivative 0; above it, and for B_it + B_op everywhere, it is unknown
+    data = _data(swept=("E_m", "B_it", "B_op"))
+    data.update(B_it=0.0, E_m=-1.5)
+    data["responses"].append({"driven": "B_it", "driver": "E_m", "kind": "piecewise_linear",
+                              "knots": [[-10.0, 0.0], [-1.0, 0.0], [10.0, 11.0]]})
+    base = scenario_from_dict(data)
+    deriv = Deriv(driven, Axis.sym("E_m"), 1)
+    cfg = _with_part(monkeypatch, conditions.Part("d/dE_m > -1", "gt", deriv, Const(-1.0)),
+                     fd_step_scale=0.25)
+    strict = isinstance(driven, Add)
+    assert (_b9_reads(base, cfg) == set()) is strict
+    b9 = set(_swept_three_times(base, _dist(E_m={"kind": "uniform", "lo": -2.0, "hi": -1.0}),
+                                cfg)[:, _B9].tolist())
+    assert b9 == ({conditions.INDETERMINATE} if strict
+                  else {conditions.SATISFIED, conditions.INDETERMINATE})
+
+
+def test_an_argmax_side_reads_its_candidates_where_one_overlays_a_symbol_it_names():
+    # the E_s overlay moves psi_s, which S4's argmax side names, and E_m ~ U(0, 4)
+    # wins from E_s = 2 in half the draws
+    base = scenario_from_dict(_data(swept=("E_m",), overlays={"E_s": {"psi_s": 1.0}}))
+    s4 = RunConfig().compiled[conditions.ALL_CONDITION_IDS[_S4]][1].sides[1][1][0]
+    assert on_base(s4, base)[1] == {"psi_s", "E_s", "E_p", "E_m"}
+    # an overlay of a symbol it does not name leaves the candidates out
+    assert on_base(s4, scenario_from_dict(_data(overlays={"E_s": {"pi_b": 0.9}})))[1] == {"psi_s"}
+    statuses = _swept_three_times(base, _dist(E_m={"kind": "uniform", "lo": 0.0, "hi": 4.0}),
+                                  RunConfig())
+    assert {conditions.SATISFIED, conditions.VIOLATED} <= set(statuses[:, _S4].tolist())
+
+
+def test_an_argmax_side_reads_its_candidates_where_a_link_is_scoped_to_one(monkeypatch):
+    # d psi_s/d P_s has a link under E_s only: under the argmax state it is
+    # 0.1 > 0 where E_s wins and unknown where E_m ~ U(0, 4) does
+    data = _data(swept=("E_m",))
+    data["responses"].append({"driven": "psi_s", "driver": "P_s", "kind": "polynomial",
+                              "coeffs": [1.0, 0.1], "context": "E_s"})
+    base = scenario_from_dict(data)
+    part = conditions.Part("d psi_s/d P_s > 0 under argmax", "gt",
+                           Deriv(Sym("psi_s"), Axis.sym("P_s"), 1), Const(0.0),
+                           lhs_ctx=conditions.ARGMAX_ALL)
+    cfg = _with_part(monkeypatch, part)
+    assert _b9_reads(base, cfg) == {"psi_s", "P_s", "E_s", "E_p", "E_m"}
+    b9 = _swept_three_times(base, _dist(E_m={"kind": "uniform", "lo": 0.0, "hi": 4.0}), cfg)
+    assert set(b9[:, _B9].tolist()) == {conditions.SATISFIED, conditions.INDETERMINATE}
 
 
 # --- reuse and staleness --------------------------------------------------------------
@@ -236,7 +349,33 @@ def test_a_settled_side_runs_once_and_only_when_asked():
         return 2.5
     swept.reads = frozenset(("P_b",))
 
-    guard, ((lhs, rhs, compare),) = batch._settle((None, ((side, swept, "compare"),)), {"P_b"})
+    base = scenario_from_dict(_data())
+    guard, ((lhs, rhs, compare),) = batch._settle((None, ((side, swept, "compare"),)), {"P_b"},
+                                                  base)
     assert guard is None and rhs is swept and compare == "compare" and not calls
     assert lhs("block", None) == lhs("another block", None) == 1.5
     assert calls == ["block"]
+
+
+# --- scripts/sweep_sides.py -------------------------------------------------------
+
+def test_sweep_sides_counts_the_sides_settle_settles(tmp_path):
+    root = FIXTURES_DIR.parents[1]
+    marginals = {"rho_s": {"kind": "uniform", "lo": 0.5, "hi": 0.9},
+                 "E_m": {"kind": "uniform", "lo": 0.0, "hi": 4.0}}
+    (tmp_path / "dist.json").write_text(json.dumps({"marginals": marginals}), encoding="utf-8")
+    fixture = FIXTURES_DIR / "all_three_satisfied.json"
+    done = subprocess.run([sys.executable, str(root / "scripts" / "sweep_sides.py"), str(fixture),
+                           str(tmp_path / "dist.json"), "--n", "50", "--blocks", "2"],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts = dict(re.findall(r"(by name|by base|per block) (\d+)", done.stdout.splitlines()[-2]))
+    base, settled, total = scenario_from_dict(_data()), 0, 0
+    for _, run, _ in RunConfig().compiled.values():
+        for side, kept in zip(_each_side(run.sides), _each_side(
+                batch._settle(run.sides, set(marginals), base))):
+            total += 1
+            settled += kept is not on_base(side, base)[0]
+    assert int(counts["by name"]) + int(counts["by base"]) == settled
+    assert int(counts["by base"]) > 0 and int(counts["per block"]) == total - settled > 0
