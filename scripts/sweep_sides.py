@@ -12,8 +12,11 @@ SCENARIO under DIST treats it, with the default RunConfig:
 
 Each row also gives the side's median microseconds to run once on a block of
 N draws, over K blocks drawn from seeds S, S+1, ...: for a settled side, the
-time settling saves a block. The last two lines sum the counts and times per
-state. It is a measuring tool, not a gate.
+time settling saves a block. Two lines then sum the counts and times per
+state, and the last gives the median microseconds, over K freshly loaded
+bases, to build a base's settled sides (``batch._settle`` for each of the 44
+conditions, the settled sides' evaluation on the base included). It is a
+measuring tool, not a gate.
 
 Usage: python scripts/sweep_sides.py SCENARIO DIST [--n 200] [--seed 31] [--blocks 20]
 """
@@ -91,6 +94,16 @@ def main(argv=None) -> int:
     print("sides: " + ", ".join(f"{state} {counts[state]}" for state in STATES)
           + f" of {len(rows)}")
     print("us/block: " + ", ".join(f"{state} {totals[state]:.1f}" for state in STATES))
+    builds = []
+    with np.errstate(all="ignore"):
+        for _ in range(args.blocks):
+            fresh = load_scenario(args.scenario)
+            start = time.perf_counter()
+            for _, run, _ in cfg.compiled.values():
+                batch._settle(run.sides, swept, fresh)
+            builds.append(time.perf_counter() - start)
+    print(f"plan on a fresh base: {1e6 * statistics.median(builds):.1f} us "
+          f"(median of {args.blocks})")
     return 0
 
 

@@ -28,7 +28,8 @@ block's status matrix; numpy selects per draw only where draws differ.
 What no draw changes is kept on the base instance (``Scenario.plans``, which
 a worker process rebuilds): the fixed checks per swept set, and from a
 base's second block under one swept set and config on, the value of every
-condition side that reads no swept symbol on that base (:func:`_settle`).
+condition side that reads no swept symbol on that base, evaluated on the
+base when that plan is built (:func:`_settle`).
 The compiler gives each side the symbols it names, and ``calculus.on_base``
 narrows them by what the base's links and overlays fix: a derivative whose
 every axis is its own driven symbol, or misses a link under a strict driven
@@ -144,10 +145,9 @@ def _settle(sides, swept, base: Scenario) -> tuple:
     """A condition's compiled ``sides`` (``run.sides``) for the blocks of a
     sweep of ``base`` whose draws change only ``swept``: each side whose
     symbols read on the base (``calculus.on_base``: its ``reads``, less what
-    the base's links and overlays fix) miss them keeps the value it gives
-    the first block that runs it, which is then its value on every block of
-    the base; an argmax side that reads no candidate runs as its
-    base-context side."""
+    the base's links and overlays fix) miss them is evaluated on the base,
+    here, and that value is its value on every block of the base; an argmax
+    side that reads no candidate runs as its base-context side."""
     def side(f):
         if f is None:
             return f
@@ -155,13 +155,8 @@ def _settle(sides, swept, base: Scenario) -> tuple:
             f, reads = on_base(f, base)
             if not swept.isdisjoint(reads):
                 return f
-        value = []
-
-        def settled(s, notes):
-            if not value:
-                value.append(f(s, notes))
-            return value[0]
-        return settled
+        value = f(base, None)
+        return lambda s, notes: value
 
     def part(compiled):
         lhs, rhs, compare = compiled

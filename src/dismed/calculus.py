@@ -30,11 +30,11 @@ overlay, a symbol with the driver pinned to a stencil point, or a symbol at
 time t along its time path: its line ``v0 + slope * t``, or the segment rule
 of piecewise links (``model._interpolate``) through its samples, held at the
 end samples where a link extrapolates (no benchmark workload holds either).
-The listing-state context is fixed at compile time, so a closure reads only
-a Scenario (and a notes list) per call, through its ``value``,
-``bundle_value``, ``response_for``, ``time_path_for`` and ``per_winner``: in
-``decide`` one scenario, in sweeps a block of draws (``dismed.batch.block``)
-whose swept values are per-draw arrays.
+The listing-state context (a state, or an argmax context's candidates) is
+fixed at compile time, so a closure reads only a Scenario (and a notes list)
+per call, through its ``value``, ``bundle_value``, ``response_for``,
+``time_path_for`` and ``per_winner``: in ``decide`` one scenario, in sweeps a
+block of draws (``dismed.batch.block``) whose swept values are per-draw arrays.
 """
 
 from __future__ import annotations
@@ -614,11 +614,23 @@ def _state_leaf(leaf: Expr, cfg: RunConfig, ctx: Optional[str]) -> Compiled:
 
 
 def compile_expression(expr: Expr, cfg: RunConfig = DEFAULT_CONFIG,
-                       ctx: Optional[str] = None) -> Compiled:
-    """Compile ``expr`` for evaluation at base (``ctx`` None) or under a
-    listing-state overlay: the result maps (scenario, notes) to an interval,
-    its ``reads`` are the symbols its leaves read, and on a given base it
-    reads the union of what its ``leaves`` read there (:func:`on_base`)."""
+                       ctx: Optional[str | tuple[str, ...]] = None) -> Compiled:
+    """Compile ``expr`` at base (``ctx`` None), under a listing-state overlay
+    (a state) or under an argmax context (a tuple of candidate states): the
+    result maps (scenario, notes) to an interval, its ``reads`` are the
+    symbols its leaves read, and on a given base it reads the union of what
+    its ``leaves`` read there (:func:`on_base`). An argmax context compiles
+    ``expr`` under each candidate and under None (which ``Scenario.per_winner``
+    passes when no state exceeds -inf), kept as ``under``, gives the winner's
+    value, per draw, and reads the candidates too."""
+    if isinstance(ctx, tuple):
+        under = {state: compile_expression(expr, cfg, state) for state in (*ctx, None)}
+
+        def winner(s, notes: Optional[list]) -> Interval:
+            return s.per_winner(ctx, None, lambda state, _: under[state](s, notes))
+        winner.reads = under[None].reads | frozenset(ctx)
+        winner.under = under
+        return winner
     leaves: dict = {}
     combine = _combine(expr, leaves, cfg.intersection)
     getters = tuple(_state_leaf(leaf, cfg, ctx) for leaf in leaves)
@@ -658,11 +670,11 @@ def on_base(f: Compiled, s: Scenario) -> tuple[Compiled, frozenset]:
     symbol, its bundle or each component of its max axis) gives the same one
     of two values: its own driven symbol gives the constant 1 or 0, and an
     axis along which a strict driven side (``_strict``) misses a link gives
-    UNKNOWN. An expression reads what its leaves read there. A choice among
-    listing states (an argmax side, ``conditions._compile_side``) gives its
-    base-context side where no candidate state's overlay overrides a symbol
-    it names and no link scoped to one has such a symbol as its driven:
-    every candidate then gives that side's value.
+    UNKNOWN. An expression reads what its leaves read there. An argmax
+    context (:func:`compile_expression`) gives its base-context side where
+    no candidate state's overlay overrides a symbol it names and no link
+    scoped to one has such a symbol as its driven: every candidate then
+    gives that side's value.
     """
     along = getattr(f, "along", None)
     if along is not None:
@@ -672,11 +684,11 @@ def on_base(f: Compiled, s: Scenario) -> tuple[Compiled, frozenset]:
         return f, frozenset().union(*(on_base(g, s)[1] for g in leaves))
     under = getattr(f, "under", None)
     if under is not None:
-        named, states = under[None].reads, f.states
+        named, states = under[None].reads, frozenset(under) - {None}
         if all(named.isdisjoint(s.overlays.get(state, ())) for state in states) and not any(
                 r.context in states and r.driven in named for r in s.responses):
             return on_base(under[None], s)
-        return f, frozenset(states).union(*(on_base(g, s)[1] for g in under.values()))
+        return f, states.union(*(on_base(g, s)[1] for g in under.values()))
     return f, f.reads
 
 

@@ -480,31 +480,6 @@ def _pick(cond, a, b):
     return _where(cond, a, b)
 
 
-def _compile_side(expr: Expr, spec: CtxSpec, cfg: RunConfig) -> Callable:
-    """``expr`` compiled under a context spec, as (s, notes) -> interval,
-    with the symbols it reads as ``reads``. An argmax context compiles it
-    under each candidate state and under None (which ``Scenario.per_winner``
-    passes when no state exceeds -inf), gives the winning state's value, per
-    draw, and reads the candidates too. It keeps those compiled sides as
-    ``under`` and the candidates as ``states``: on a base where no candidate
-    state's overlay overrides a symbol the side names and no link scoped to
-    one has such a symbol as its driven, every candidate gives the
-    base-context value, so a sweep runs that side and reads no candidate
-    (``calculus.on_base``)."""
-    if spec is None or spec[0] == "state":
-        return compile_expression(expr, cfg, spec and spec[1])
-    kind, candidates = spec
-    if kind != "argmax":
-        raise ValueError(f"unknown context spec {spec!r}")
-    under = {state: compile_expression(expr, cfg, state) for state in (*candidates, None)}
-
-    def winner(s, notes):
-        return s.per_winner(candidates, None, lambda state, _: under[state](s, notes))
-    winner.reads = under[None].reads | frozenset(candidates)
-    winner.under, winner.states = under, candidates
-    return winner
-
-
 def _compare(op: str, cfg: RunConfig) -> Callable:
     """(lhs, rhs) -> (holds, fails) (per draw); neither means undecided."""
     if op == "gt":
@@ -544,10 +519,12 @@ def _margin(op: str, a, b, holds: bool, cfg: RunConfig) -> float:
 
 def compile_part(part: Part, cfg: RunConfig) -> tuple:
     """``(lhs, rhs, compare)``: each side maps (s, notes) to an interval under
-    its context (``rhs`` is None for a one-sided op), and ``compare`` maps
-    the two intervals to (holds, fails)."""
-    rhs = None if part.rhs is None else _compile_side(part.rhs, part.rhs_ctx, cfg)
-    return _compile_side(part.lhs, part.lhs_ctx, cfg), rhs, _compare(part.op, cfg)
+    its context, a state or an argmax context's candidates (``rhs`` is None
+    for a one-sided op), and ``compare`` maps the two intervals to (holds,
+    fails)."""
+    def side(expr, spec):
+        return None if expr is None else compile_expression(expr, cfg, spec and spec[1])
+    return side(part.lhs, part.lhs_ctx), side(part.rhs, part.rhs_ctx), _compare(part.op, cfg)
 
 
 def _guard_failure(cfg: RunConfig) -> tuple[int, bool, str]:
@@ -568,10 +545,11 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     A guard that fails in every draw leaves the parts unevaluated (no
     results); one that fails in some draws gives those draws its status.
     ``settled`` runs in place of ``run.sides``, the compiled guard and parts:
-    each side carries the symbols it names (``reads``), and a sweep settles
-    each side that reads no swept symbol on its base (``calculus.on_base``),
-    per base instance, swept set and config (``batch._settle``); ``decide``
-    and ``sensitivity`` pass none."""
+    each side carries the symbols it names (``reads``), and a sweep gives
+    each side that reads no swept symbol on its base (``calculus.on_base``)
+    the value it has on that base, evaluated when the plan for the base,
+    swept set and config is built (``batch._settle``), guard failed or not;
+    ``decide`` and ``sensitivity`` pass none."""
     parts = tuple(compile_part(p, cfg) for p in form.parts)
     sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)

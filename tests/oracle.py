@@ -198,6 +198,11 @@ class View:
                 best, best_v = name, self.v(name)
         return best
 
+    def failed_guard(self):
+        """A failed guard's status: Violated under guard_mode "violated",
+        VacuouslySatisfied otherwise ("skip" only leaves it out of the counts)."""
+        return VIO if self.cfg.guard_mode == "violated" else VAC
+
     def approx(self, a, b):
         return abs(a - b) <= self.cfg.rel_tol * max(abs(a), abs(b), 1e-12)
 
@@ -255,7 +260,7 @@ def oracle_B1(view):
                     view.v("I_i") + view.v("I_o") - view.v("I_p")]
         return combine(tris), margins
     if not view.v("U_iw") > view.v("U_ip"):
-        return VAC, margins
+        return view.failed_guard(), margins
     t1 = view.v("I_i") > view.v("I_p")
     t2 = view.v("I_i") + view.v("I_o") > view.v("I_p")
     margins += [view.v("I_i") - view.v("I_p"),
@@ -279,7 +284,7 @@ def oracle_B3(view):
     st = view.argmax_state()
     gm = view.approx_margin(view.v("P_s", st), view.v("P_b", st))
     if gm < 0:
-        return VAC, [gm]
+        return view.failed_guard(), [gm]
     lhs, rhs = _b34_body(view, st)
     return (SAT if lhs > rhs else VIO), [gm, lhs - rhs]
 
@@ -288,7 +293,7 @@ def oracle_B4(view):
     st = view.argmax_state()
     gm = view.v("U_iw", st) - view.v("U_ip", st)
     if gm <= 0:
-        return VAC, [gm]
+        return view.failed_guard(), [gm]
     lhs, rhs = _b34_body(view, st)
     return (SAT if lhs > rhs else VIO), [gm, lhs - rhs]
 
@@ -412,7 +417,7 @@ def oracle_W1(view):
     st = "E_p"
     gm = view.v("psi_b", st) - view.v("psi_bi", st)
     if gm <= 0:
-        return VAC, [gm]
+        return view.failed_guard(), [gm]
     lhs = (view.v("c", st) * view.v("P", st) * view.v("rho_p", st)
            - view.v("B_b", st) - view.v("B_s", st))
     rhs = view.v("B_i", st)

@@ -262,6 +262,15 @@ def test_guard_modes(base_scenario):
     assert v.status is Status.VACUOUS and v.skipped
 
 
+@pytest.mark.parametrize("mode, status", [("violated", Status.VIOLATED),
+                                          ("vacuous", Status.VACUOUS), ("skip", Status.VACUOUS)])
+def test_the_oracle_follows_the_guard_mode(base_scenario, mode, status):
+    s = with_values(base_scenario, {"psi_b": 3.0, "psi_bi": 4.0})  # W1's guard fails
+    cfg = CFG.replace(guard_mode=mode)
+    assert oracle_statuses(s, cfg)["W1"] == status.value
+    assert eval_condition(s, ConditionId.parse("W1"), cfg).status is status
+
+
 def test_b1_guard_versus_joint(base_scenario):
     s = with_values(base_scenario, {"U_iw": 1.0, "U_ip": 2.0})
     cid = ConditionId.parse("B1")

@@ -29,7 +29,7 @@ from dismed import batch, conditions
 from dismed.calculus import Add, Axis, Const, Deriv, Mul, Sym, on_base
 from dismed.errors import DismedError
 from dismed.io import scenario_from_dict
-from dismed.model import split_driver
+from dismed.model import STATE_NAMES, split_driver
 
 from conftest import FIXTURES_DIR, expr_symbols
 from test_simulate import EQUIVALENCE_CONFIGS, _scalar_codes, wide_distributions
@@ -75,6 +75,18 @@ def test_every_side_reads_what_it_names(cfg):
                 if spec is not None and spec[0] == "argmax":
                     wanted |= set(spec[1])
                 assert side is None or side.reads == wanted, (part.desc, spec)
+
+
+@pytest.mark.parametrize("cfg", FORM_CONFIGS)
+def test_every_context_spec_is_base_a_state_or_argmax_candidates(cfg):
+    # compile_part hands compile_expression a spec's second item unchecked
+    for form, _, _ in cfg.compiled.values():
+        for part in ((form.guard,) if form.guard else ()) + form.parts:
+            for spec in (part.lhs_ctx, part.rhs_ctx):
+                assert spec is None or len(spec) == 2 and (
+                    spec[0] == "state" and spec[1] in STATE_NAMES
+                    or spec[0] == "argmax" and isinstance(spec[1], tuple) and spec[1]
+                    and set(spec[1]) <= set(STATE_NAMES)), (part.desc, spec)
 
 
 def _block_sides_match(base, d, cfg, n):
@@ -336,7 +348,7 @@ def test_a_base_swept_by_one_block_settles_no_side(monkeypatch):
     assert len(settles) == len(conditions.ALL_CONDITION_IDS)
 
 
-def test_a_settled_side_runs_once_and_only_when_asked():
+def test_a_settled_side_runs_once_on_the_base_while_settle_builds():
     calls = []
 
     def side(s, notes):
@@ -352,9 +364,10 @@ def test_a_settled_side_runs_once_and_only_when_asked():
     base = scenario_from_dict(_data())
     guard, ((lhs, rhs, compare),) = batch._settle((None, ((side, swept, "compare"),)), {"P_b"},
                                                   base)
-    assert guard is None and rhs is swept and compare == "compare" and not calls
+    assert guard is None and rhs is swept and compare == "compare"
+    assert len(calls) == 1 and calls[0] is base
     assert lhs("block", None) == lhs("another block", None) == 1.5
-    assert calls == ["block"]
+    assert len(calls) == 1  # no block runs it
 
 
 # --- scripts/sweep_sides.py -------------------------------------------------------
@@ -370,7 +383,9 @@ def test_sweep_sides_counts_the_sides_settle_settles(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    counts = dict(re.findall(r"(by name|by base|per block) (\d+)", done.stdout.splitlines()[-2]))
+    *_, sides, _, plan = done.stdout.splitlines()
+    counts = dict(re.findall(r"(by name|by base|per block) (\d+)", sides))
+    assert re.fullmatch(r"plan on a fresh base: \d+\.\d us \(median of 2\)", plan)
     base, settled, total = scenario_from_dict(_data()), 0, 0
     for _, run, _ in RunConfig().compiled.values():
         for side, kept in zip(_each_side(run.sides), _each_side(
