@@ -13,10 +13,14 @@ SCENARIO under DIST treats it, with the default RunConfig:
 Each row also gives the side's median microseconds to run once on a block of
 N draws, over K blocks drawn from seeds S, S+1, ...: for a settled side, the
 time settling saves a block. Two lines then sum the counts and times per
-state, and the last gives the median microseconds, over K freshly loaded
-bases, to build a base's settled sides (``batch._settle`` for each of the 44
-conditions, the settled sides' evaluation on the base included). It is a
-measuring tool, not a gate.
+state, and the next gives the median microseconds, over K freshly loaded
+bases, to build a base's plan (``batch._conditions``: ``batch._settle`` for
+each of the 44 conditions, the settled sides' evaluation on the base
+included, and each condition whose every side is settled evaluated there
+once). The last gives the number of those conditions settled whole and the
+microseconds a block no longer takes for them (the sum of their median
+times to run once on a block with their sides settled). It is a measuring
+tool, not a gate.
 
 Usage: python scripts/sweep_sides.py SCENARIO DIST [--n 200] [--seed 31] [--blocks 20]
 """
@@ -99,11 +103,23 @@ def main(argv=None) -> int:
         for _ in range(args.blocks):
             fresh = load_scenario(args.scenario)
             start = time.perf_counter()
-            for _, run, _ in cfg.compiled.values():
-                batch._settle(run.sides, swept, fresh)
+            batch._conditions(cfg, swept, fresh)
             builds.append(time.perf_counter() - start)
-    print(f"plan on a fresh base: {1e6 * statistics.median(builds):.1f} us "
-          f"(median of {args.blocks})")
+        print(f"plan on a fresh base: {1e6 * statistics.median(builds):.1f} us "
+              f"(median of {args.blocks})")
+        runs = list(cfg.compiled.values())
+        whole = [(runs[j][1], batch._settle(runs[j][1].sides, swept, base))
+                 for j in batch._conditions(cfg, swept, base)[0].tolist()]
+        saved = 0.0
+        for run, settled in whole:
+            once = []
+            for draws in blocks:
+                start = time.perf_counter()
+                run(draws, None, settled)
+                once.append(time.perf_counter() - start)
+            saved += 1e6 * statistics.median(once)
+    print(f"conditions settled whole: {len(whole)} of {len(runs)}, "
+          f"{saved:.1f} us/block no longer run")
     return 0
 
 

@@ -9,10 +9,12 @@ matrix, each row from its own ``SeedSequence([seed, i]) -> PCG64`` stream
 
 The module has no compiler, arithmetic or checks of its own. What a sweep
 fixes is checked on the base (``model.check_fixed``); the value checks and
-the links that read a swept symbol run on every block, on all rows at once.
-Only rejected rows are redrawn, and a draw over its redraw budget raises
-``RejectionLimit``. Each condition's one evaluator, the one ``decide``
-wraps (``RunConfig.compiled``), runs on the block through the total interval
+the links that read a swept symbol run on every block, on all rows at once,
+and a check that every row passes costs one reduction and gives a plain True
+(``model._all`` and ``model._finite``). Only rejected rows are redrawn,
+and a draw over its redraw budget raises ``RejectionLimit``. Each
+condition's one evaluator, the one ``decide`` wraps
+(``RunConfig.compiled``), runs on the block through the total interval
 arithmetic of ``calculus``, whose array endpoints round as its float ones
 do, with argmax contexts and max-axis winners chosen per draw
 (``Scenario.per_winner``). Its status code and exclusion fill the block's
@@ -29,13 +31,16 @@ What no draw changes is kept on the base instance (``Scenario.plans``, which
 a worker process rebuilds): the fixed checks per swept set, and from a
 base's second block under one swept set and config on, the value of every
 condition side that reads no swept symbol on that base, evaluated on the
-base when that plan is built (:func:`_settle`).
-The compiler gives each side the symbols it names, and ``calculus.on_base``
-narrows them by what the base's links and overlays fix: a derivative whose
-every axis is its own driven symbol, or misses a link under a strict driven
-side, reads nothing; an argmax side whose candidate states overlay no
-symbol it names and scope no link to one reads no candidate. This module
-walks no expression.
+base when that plan is built (:func:`_settle`). A condition whose every side
+is settled so is evaluated whole on the base then too (:func:`_conditions`),
+and a block fills its row with its status code and skip flag in one
+assignment for all such conditions, running only the live ones. The compiler
+gives each side the symbols it names, and ``calculus.on_base`` narrows them
+by what the base's links and overlays fix: a derivative whose every axis is
+its own driven symbol, or misses a link under a strict driven side, reads
+nothing; an argmax side whose candidate states overlay no symbol it names
+and scope no link to one reads no candidate. This module walks no
+expression.
 """
 
 from __future__ import annotations
@@ -146,8 +151,9 @@ def _settle(sides, swept, base: Scenario) -> tuple:
     sweep of ``base`` whose draws change only ``swept``: each side whose
     symbols read on the base (``calculus.on_base``: its ``reads``, less what
     the base's links and overlays fix) miss them is evaluated on the base,
-    here, and that value is its value on every block of the base; an argmax
-    side that reads no candidate runs as its base-context side."""
+    here, and becomes a side that reads nothing (empty ``reads``) and gives
+    that value on every block of the base; an argmax side that reads no
+    candidate runs as its base-context side."""
     def side(f):
         if f is None:
             return f
@@ -156,7 +162,11 @@ def _settle(sides, swept, base: Scenario) -> tuple:
             if not swept.isdisjoint(reads):
                 return f
         value = f(base, None)
-        return lambda s, notes: value
+
+        def settled(s, notes):
+            return value
+        settled.reads = frozenset()
+        return settled
 
     def part(compiled):
         lhs, rhs, compare = compiled
@@ -165,6 +175,28 @@ def _settle(sides, swept, base: Scenario) -> tuple:
     guard, parts = sides
     return (None if guard is None else part(guard),
             tuple(map(part, parts)))
+
+
+def _conditions(cfg: RunConfig, swept, base: Scenario) -> tuple:
+    """The plan of the blocks of a sweep of ``base`` whose draws change only
+    ``swept``, under ``cfg``: each condition's sides settled (:func:`_settle`),
+    and each condition whose every side is settled, which no draw changes,
+    evaluated here on the base. Gives the rows of those conditions with
+    their status codes and skip flags as columns, and per live condition its
+    row, evaluator and settled sides."""
+    rows, codes, skips, live = [], [], [], []
+    for j, (_, run, _) in enumerate(cfg.compiled.values()):
+        sides = _settle(run.sides, swept, base)
+        guard, parts = sides
+        if all(not f.reads for part in (guard or (), *parts) for f in part[:2] if f):
+            code, skip, _, _ = run(base, None, sides)
+            rows.append(j)
+            codes.append(code)
+            skips.append(skip)
+        else:
+            live.append((j, run, sides))
+    return (np.array(rows, dtype=np.intp), np.array(codes, dtype=np.int8)[:, None],
+            np.array(skips, dtype=bool)[:, None], tuple(live))
 
 
 def draw(base: Scenario, dist: DistributionSpec, seed: int, start: int,
@@ -220,10 +252,15 @@ def evaluate(base: Scenario, dist: DistributionSpec, seed: int, start: int, stop
     with np.errstate(all="ignore"):
         X, varying, rejections = draw(base, dist, seed, start, stop)
         draws = block(base, X, varying)
-        settled = _plan(base, (frozenset(varying), cfg), lambda: tuple(
-            _settle(run.sides, varying, base) for _, run, _ in cfg.compiled.values()), again=True)
         shape = (len(cfg.compiled), len(rejections))  # a row per condition, filled whole
         statuses, skipped = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
-        for j, (_, run, _) in enumerate(cfg.compiled.values()):
-            statuses[j], skipped[j], _, _ = run(draws, None, settled and settled[j])
+        plan = _plan(base, (frozenset(varying), cfg), lambda: _conditions(cfg, varying, base),
+                     again=True)
+        if plan is None:
+            live = [(j, run, None) for j, (_, run, _) in enumerate(cfg.compiled.values())]
+        else:
+            rows, codes, skips, live = plan
+            statuses[rows], skipped[rows] = codes, skips
+        for j, run, sides in live:
+            statuses[j], skipped[j], _, _ = run(draws, None, sides)
     return Evaluation(statuses.T, _decisions(statuses.T, skipped.T, cfg), rejections)

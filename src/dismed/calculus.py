@@ -66,16 +66,29 @@ UNKNOWN: Interval = (-INF, INF)
 # operations in the same order, Python's first-extreme-wins min/max as
 # selections, and ``h ** 3`` and piecewise links element by element, so they
 # round as floats do. A point interval's endpoints are one object, and an
-# operation on points computes its single endpoint once.
+# operation on points computes its single endpoint once. Endpoints are tested
+# for NaN as floats first; per draw, one sum over them stands for the test of
+# every draw, which runs draw by draw only where the sum is NaN.
 
 def _checked(lo, hi) -> Interval:
-    """The one interval rule: a NaN endpoint leaves its side unbounded."""
-    ok = lo <= hi
-    if ok is True:
-        return lo, hi
-    if ok is False:
+    """The one interval rule: a NaN endpoint leaves its side unbounded.
+    Float endpoints are tested first. Per draw, one sum over both endpoints
+    is a number only where neither holds a NaN, and then they stand; a NaN
+    sum (a NaN, or +inf meeting -inf) takes the rule draw by draw."""
+    if lo.__class__ is float is hi.__class__:
+        if lo <= hi:
+            return lo, hi
         return (lo if lo == lo else -INF), (hi if hi == hi else INF)
-    if ok.all():
+    import numpy as np
+    total = np.add.reduce(lo + hi)
+    if total == total:
+        return lo, hi
+    return _each(lo, hi)
+
+
+def _each(lo, hi) -> Interval:
+    # the rule draw by draw
+    if (lo <= hi).all():
         return lo, hi
     return _where(lo == lo, lo, -INF), _where(hi == hi, hi, INF)
 
@@ -95,9 +108,15 @@ def _hull(xs) -> Interval:
 
 
 def point(x) -> Interval:
-    if (x == x) is True:
+    """``(x, x)``, unbounded where ``x`` is NaN: a float is tested first, and
+    per-draw values by one sum (:func:`_checked`)."""
+    if x.__class__ is float:
+        return (x, x) if x == x else UNKNOWN
+    import numpy as np
+    total = np.add.reduce(x)
+    if total == total:
         return x, x
-    return _checked(x, x)
+    return _each(x, x)
 
 
 def add(a: Interval, b: Interval) -> Interval:
@@ -506,7 +525,11 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
 
     Symbols follow their time paths and otherwise stay at base values. The
     trapezoid terms are added to the total one at a time, in node order,
-    whether the integrand is evaluated node by node or on the node axis.
+    whether the integrand is evaluated node by node or on the node axis. An
+    integrand that no time path moves and that holds two or more draws sums
+    its terms in one ``np.add.reduce`` down the node axis, which adds them a
+    node at a time for every draw at once (numpy would sum one draw's terms
+    pairwise, so a single draw walks the nodes).
     """
     nodes = _horizon_nodes(T, dt)
     widths = [b - a for a, b in zip(nodes, nodes[1:])]
@@ -517,8 +540,11 @@ def _compile_integral(integrand: Expr, T: float, dt: float,
 
     def fixed(value) -> float:
         # an integrand that does not move with t: every term is 0.5 * (v + v) * width
-        total = 0.0
         mean = 0.5 * (value + value)
+        if getattr(mean, "size", 1) > 1:  # per draw: one reduction down the node axis
+            import numpy as np
+            return np.add.reduce(np.multiply.outer(widths, mean), axis=0, initial=0.0)
+        total = 0.0
         for width in widths:
             total += mean * width
         return total

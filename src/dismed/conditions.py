@@ -548,8 +548,9 @@ def _compile_condition(form: Form, cfg: RunConfig) -> Callable:
     each side carries the symbols it names (``reads``), and a sweep gives
     each side that reads no swept symbol on its base (``calculus.on_base``)
     the value it has on that base, evaluated when the plan for the base,
-    swept set and config is built (``batch._settle``), guard failed or not;
-    ``decide`` and ``sensitivity`` pass none."""
+    swept set and config is built (``batch._settle``), guard failed or not,
+    and runs a condition whose every side is settled once, on the base,
+    then (``batch._conditions``); ``decide`` and ``sensitivity`` pass none."""
     parts = tuple(compile_part(p, cfg) for p in form.parts)
     sides = None if form.guard is None else compile_part(form.guard, cfg), parts
     failed, excluded, _ = _guard_failure(cfg)

@@ -337,11 +337,25 @@ class ValidationReport(Record):
 
 def _finite(x):
     """Whether ``x`` is a finite number, per draw: ``x - x`` is 0 only where
-    ``x`` is finite."""
+    ``x`` is finite. A float is tested first; per-draw values whose one sum
+    is finite are every one finite, and give a plain True."""
+    if x.__class__ is float:
+        return x - x == 0
+    if getattr(x, "ndim", 0):
+        import numpy as np
+        total = np.add.reduce(x)
+        if total - total == 0:
+            return True
     try:
         return x - x == 0
     except TypeError:
         return False
+
+
+def _all(ok) -> bool:
+    """Whether a check's ``ok``, False or per draw, holds in every draw: one
+    reduction."""
+    return ok is not False and ok.all()
 
 
 def _rounds_apart(a, b):
@@ -414,11 +428,11 @@ def _check_values(s: Scenario, bad) -> None:
     for name in ("P", "P_b"):
         v = s.value(name)
         ok = v > 0
-        if ok is not True:
+        if ok is not True and not _all(ok):
             bad("NonPositivePrice", _finite(v) & (ok ^ True), "{} = {} must be > 0", name, v)
     c = s.value("c")
     ok = (c > 0.0) & (c < 1.0)
-    if ok is not True:
+    if ok is not True and not _all(ok):
         bad("CommissionOutOfRange", _finite(c) & (ok ^ True), "c = {} must lie in (0, 1)", c)
     if s.prospect_count < 1:
         bad("ProspectCountOutOfRange", True,
@@ -430,14 +444,14 @@ def _check_values(s: Scenario, bad) -> None:
     for name in PROBABILITY_SYMBOLS:
         v = s.value(name)
         ok = (v >= 0.0) & (v <= 1.0)
-        if ok is not True:
+        if ok is not True and not _all(ok):
             bad("ProbabilityOutOfRange", _finite(v) & (ok ^ True),
                 "{} = {} must lie in [0, 1]", name, v)
 
     _check_identity(s, None, bad)
     I_o, I_i = s.value("I_o"), s.value("I_i")
     ok = I_o >= I_i
-    if ok is not True:
+    if ok is not True and not _all(ok):
         bad("InformationInclusion", _finite(I_o) & _finite(I_i) & (ok ^ True),
             "I_o = {} must be >= I_i = {}", I_o, I_i)
 
@@ -447,7 +461,8 @@ def _check_values(s: Scenario, bad) -> None:
 def _check_identity(s: Scenario, state: Optional[str], bad) -> None:
     I, I_p, I_i = (s.value(n, state) for n in ("I", "I_p", "I_i"))
     total = I_p + I_i
-    if (I == total) is not True:  # only unequal values can round apart
+    same = I == total
+    if same is not True and not _all(same):  # only unequal values can round apart
         bad("InformationIdentity",
             _finite(I) & _finite(I_p) & _finite(I_i) & _rounds_apart(I, total),
             "{}I = {} must equal I_p + I_i = {}",

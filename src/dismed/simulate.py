@@ -183,14 +183,12 @@ def run_sweep(base: Scenario, dist: DistributionSpec, n: int, seed: int,
     held, undecided, set_held, set_undecided, rejections = (sum(c) for c in zip(*results))
 
     per_condition = {
-        cid.label: {"frequency": int(held[k]) / n,
-                    "indeterminate_rate": int(undecided[k]) / n}
-        for k, cid in enumerate(ALL_CONDITION_IDS)
+        cid.label: {"frequency": h / n, "indeterminate_rate": u / n}
+        for cid, h, u in zip(ALL_CONDITION_IDS, held.tolist(), undecided.tolist())
     }
     per_set = {
-        cset.value: {"satisfied_rate": int(set_held[k]) / n,
-                     "indeterminate_rate": int(set_undecided[k]) / n}
-        for k, cset in enumerate(ConditionSet)
+        cset.value: {"satisfied_rate": h / n, "indeterminate_rate": u / n}
+        for cset, h, u in zip(ConditionSet, set_held.tolist(), set_undecided.tolist())
     }
     return SweepStats(n=n, seed=seed, stream=STREAM_ALGORITHM,
                       rejections=rejections, per_condition=per_condition,

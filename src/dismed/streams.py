@@ -23,9 +23,10 @@ takes that Generator path.
 Each ``Streams`` reads its marginals into ``loc`` and ``scale`` columns once
 (``_layout``), again only when a different marginals tuple arrives, so an
 attempt computes every drawn value as ``loc + scale * x`` in one pass; it
-makes the increment part of its k-step jumps once per k, and its slow-path
-Generator once, at the first row that needs it. None of it outlives the
-Streams.
+makes its rows' increment part of the k-step jumps once per k, from the
+constants of every jump a block can take, tabled at import, and its
+slow-path Generator once, at the first row that needs it. None of it
+outlives the Streams.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import functools
 
 import numpy as np
 
+from .model import SYMBOLS
 from .pcg import _MASK32, _MASK64, _MASK128, _MULT, _double, _output, _words, state_words
 
 _M_HI, _M_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & _MASK64)  # MULT's 64-bit halves
@@ -62,6 +64,21 @@ def _halves(values: list[int]):
     """128-bit ints as a column of hi and a column of lo ``uint64``s."""
     return (np.array([[v >> 64] for v in values], dtype=np.uint64),
             np.array([[v & _MASK64] for v in values], dtype=np.uint64))
+
+
+def _jump_table(steps: int):
+    """``MULT**j`` and ``MULT**(j-1) + ... + 1`` (mod 2**128) for j in
+    0..steps, each as hi and lo columns."""
+    powers, sums = [1], [0]
+    for _ in range(steps):
+        powers.append(powers[-1] * _MULT & _MASK128)
+        sums.append((sums[-1] * _MULT + 1) & _MASK128)
+    return _halves(powers), _halves(sums)
+
+
+#: The jumps of 0..len(SYMBOLS) steps: an attempt draws at most one output
+#: per marginal, and a distribution samples each symbol at most once.
+_POWERS, _SUMS = _jump_table(len(SYMBOLS))
 
 
 def _seeded(seed: int, start: int, stop: int):
@@ -96,7 +113,7 @@ class Streams:
     def __init__(self, seed: int, start: int, stop: int):
         parts = [_seeded(seed, a, b) for a, b in _spans(start, stop)]
         self.hi, self.lo, self.inc_hi, self.inc_lo = (np.concatenate(p) for p in zip(*parts))
-        self._jumps = {}  # k -> the multiplier of state and every row's inc part after 0..k steps
+        self._jumps = {}  # k -> every row's inc part after 0..k steps
         # the last marginals drawn and their _layout; the slow path's Generator
         self._marginals = self._layout = self._gen = None
 
@@ -105,16 +122,14 @@ class Streams:
         and lo arrays of shape (k + 1, len(rows)); the streams stay put.
 
         After j steps a state is ``state * MULT**j + inc * (MULT**(j-1) +
-        ... + 1)`` mod 2**128: one product by a constant, plus a part that
-        no draw changes, made for every row at the first call with ``k``."""
+        ... + 1)`` mod 2**128: one product by a constant of the table made
+        at import, plus a part that no draw changes, the row's ``inc`` times
+        the table's sum, made for every row at the first call with ``k``."""
         if k not in self._jumps:
-            powers, sums = [1], [0]
-            for _ in range(k):
-                powers.append(powers[-1] * _MULT & _MASK128)
-                sums.append((sums[-1] * _MULT + 1) & _MASK128)
-            self._jumps[k] = _halves(powers) + _mul(self.inc_hi, self.inc_lo, *_halves(sums))
-        p_hi, p_lo, i_hi, i_lo = self._jumps[k]
-        return _add(*_mul(self.hi[rows], self.lo[rows], p_hi, p_lo), i_hi[:, rows], i_lo[:, rows])
+            self._jumps[k] = _mul(self.inc_hi, self.inc_lo, _SUMS[0][:k + 1], _SUMS[1][:k + 1])
+        i_hi, i_lo = self._jumps[k]
+        return _add(*_mul(self.hi[rows], self.lo[rows], _POWERS[0][:k + 1], _POWERS[1][:k + 1]),
+                    i_hi[:, rows], i_lo[:, rows])
 
     def draw(self, marginals, rows: np.ndarray) -> np.ndarray:
         """One attempt of each row in ``rows``: a value per marginal, in order,

@@ -251,6 +251,28 @@ def test_point_inputs_stay_points(values):
     assert out.lower == out.upper
 
 
+def test_point_and_checked_test_per_draw_endpoints_by_one_sum():
+    x, lo, hi = np.array([1.0, -2.0, 3.5]), np.array([1.0, -0.0]), np.array([3.0, 4.0])
+    for got, want in ((calculus.point(x), (x, x)), (calculus._checked(lo, hi), (lo, hi)),
+                      (calculus._checked(-1.0, hi), (-1.0, hi))):
+        assert got[0] is want[0] and got[1] is want[1]  # no NaN: the same objects
+    with np.errstate(all="ignore"):
+        # a NaN leaves its draw unbounded, on either side
+        got = calculus.point(np.array([1.0, math.nan, 3.0]))
+        assert got[0].tolist() == [1.0, -math.inf, 3.0] and got[1].tolist() == [1.0, math.inf, 3.0]
+        got = calculus._checked(np.array([1.0, math.nan]), np.array([math.nan, 4.0]))
+        assert got[0].tolist() == [1.0, -math.inf] and got[1].tolist() == [math.inf, 4.0]
+        # +inf meets -inf, so the sum is NaN: the rule draw by draw, as floats give it
+        ends = [-math.inf, 0.0, math.inf, math.nan]
+        got = calculus.point(np.array(ends))
+        assert [list(e) for e in zip(*got)] == [list(calculus.point(v)) for v in ends[:3]] + [
+            [-math.inf, math.inf]]
+        lo, hi = np.array([-math.inf, 1.0, math.nan]), np.array([2.0, math.inf, 5.0])
+        got = calculus._checked(lo, hi)
+    assert [list(e) for e in zip(*got)] == [
+        list(calculus._checked(a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
 # --- finite differences ------------------------------------------------------
 
 def scenario_with_response(driven, driver, coeffs, **value_overrides):
@@ -618,6 +640,31 @@ def test_node_axis_integrals_equal_the_node_walk_bit_for_bit(case):
                     out.append(str(exc))
         return out
     assert integrals(0) == integrals(10**9)
+
+
+_DRAW_NUMBERS = st.one_of(_PATH_NUMBERS, st.floats(), st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_S13_INTEGRANDS), st.integers(1, 5).flatmap(
+           lambda n: st.lists(st.lists(_DRAW_NUMBERS, min_size=n, max_size=n),
+                              min_size=1, max_size=3)),
+       st.sampled_from([(1.0, 0.125), (1.0, 0.1), (1.0, 0.01), (10.0, 0.7)]))
+def test_a_per_draw_integral_equals_the_node_walk_bit_for_bit(integrand, columns, horizon):
+    # no time path: the integrand is one value per draw, whose terms the
+    # block sums in one reduction down the node axis
+    T, dt = horizon
+    s = path_scenario([])
+    names = sorted(expr_symbols(integrand))[:len(columns)]
+    values = list(s.values)
+    for name, column in zip(names, columns):
+        values[SYMBOLS[name]] = np.array(column)
+    integrate = calculus._compile_integral(integrand, T, dt)
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(integrate(s.replace(values=tuple(values))), len(columns[0]))
+    for k, total in enumerate(got.tolist()):
+        draw = with_values(s, {name: column[k] for name, column in zip(names, columns)})
+        assert _bits(total) == _bits(integrate(draw)), k
 
 
 def test_default_horizon_walks_its_nodes_without_numpy(tmp_path):

@@ -418,3 +418,15 @@ def test_compiled_piecewise_link_equals_eval_response_bit_for_bit(xs, data):
     knots = tuple((x, data.draw(_COEFFS)) for x in sorted(xs))
     _same_bits(ResponseFunction("SC_br", "B_i", "piecewise_linear", knots=knots),
                data.draw(_DRIVERS))
+
+
+def test_finite_gives_a_plain_true_where_one_sum_is_finite():
+    np = pytest.importorskip("numpy")
+    from dismed.model import _finite
+    assert _finite(np.array([1.0, -2.0, 0.0])) is True
+    assert _finite(1.5) is True and _finite(math.inf) is False and _finite("1.5") is False
+    with np.errstate(all="ignore"):
+        # the sum overflows: per draw, every one finite
+        assert _finite(np.array([1e308, 1e308])).tolist() == [True, True]
+        assert _finite(np.array([1e308, 1e308, math.inf])).tolist() == [True, True, False]
+        assert _finite(np.array([math.nan, 1.0])).tolist() == [False, True]

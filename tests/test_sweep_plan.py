@@ -370,6 +370,61 @@ def test_a_settled_side_runs_once_on_the_base_while_settle_builds():
     assert len(calls) == 1  # no block runs it
 
 
+# --- conditions settled whole ---------------------------------------------------
+
+def _counting(cfg: RunConfig) -> dict:
+    """Wraps each evaluator of ``cfg`` to record the scenarios it runs on."""
+    calls = {}
+    for cid, (form, run, note) in list(cfg.compiled.items()):
+        def counted(s, notes, settled=None, run=run, cid=cid):
+            calls.setdefault(cid, []).append(s)
+            return run(s, notes, settled)
+        counted.sides = run.sides
+        cfg.compiled[cid] = form, counted, note
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(guard_mode="skip")])
+def test_a_condition_settled_whole_runs_once_on_the_base_while_the_plan_builds(cfg):
+    base, d = scenario_from_dict(_data(swept=_FIRST)), _dist(**_FIRST)
+    calls, ids = _counting(cfg), list(cfg.compiled)
+    batch.evaluate(base, d, 5, 0, 40, cfg)  # the first block builds no plan
+    assert all(len(calls[cid]) == 1 and calls[cid][0] is not base for cid in ids)
+    calls.clear()
+    batch.evaluate(base, d, 6, 0, 40, cfg)  # the second builds it, then runs the live ones
+    rows, codes, skips, live = base.plans[frozenset(_FIRST), cfg][1]
+    whole = [ids[j] for j in rows.tolist()]
+    assert whole and live and len(whole) + len(live) == len(ids)
+    for cid in whole:
+        assert len(calls[cid]) == 1 and calls[cid][0] is base
+    for j, _, _ in live:
+        assert len(calls[ids[j]]) == 1 and calls[ids[j]][0] is not base
+    calls.clear()
+    ev = batch.evaluate(base, d, 7, 0, 40, cfg)
+    assert set(calls) == {ids[j] for j, _, _ in live}  # no block runs a settled one
+    statuses = np.array(_scalar_codes(base, d, 7, 40, cfg)[0])
+    assert ev.statuses[:, rows].tolist() == statuses[:, rows].tolist()
+    assert (ev.statuses[:, rows] == codes.T).all() and codes.shape == skips.shape == (len(rows), 1)
+
+
+def test_a_condition_with_one_live_side_is_not_settled_whole():
+    # each of these conditions has settled sides and live ones, and its
+    # status changes from draw to draw: settled whole, its column would not
+    base, d, cfg = scenario_from_dict(_data(swept=_FIRST)), _dist(**_FIRST), RunConfig()
+    rows, _, _, live = batch._conditions(cfg, set(_FIRST), base)
+    statuses = np.array(_scalar_codes(base, d, 3, 60, cfg)[0])
+    mixed = []
+    for j, run, sides in live:
+        kept = _each_side(sides)
+        assert any(not f.reads for f in kept) and any(f.reads for f in kept)
+        mixed.append(_LABELS[j])
+        assert len(set(statuses[:, j].tolist())) > 1
+    assert mixed == ["B3", "B9", "S1", "S12", "S13"]
+    for _ in range(2):  # the second builds the plan
+        batch.evaluate(base, d, 9, 0, 60, cfg)
+    assert batch.evaluate(base, d, 3, 0, 60, cfg).statuses.tolist() == statuses.tolist()
+
+
 # --- scripts/sweep_sides.py -------------------------------------------------------
 
 def test_sweep_sides_counts_the_sides_settle_settles(tmp_path):
@@ -383,9 +438,14 @@ def test_sweep_sides_counts_the_sides_settle_settles(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    *_, sides, _, plan = done.stdout.splitlines()
+    *_, sides, _, plan, whole = done.stdout.splitlines()
     counts = dict(re.findall(r"(by name|by base|per block) (\d+)", sides))
     assert re.fullmatch(r"plan on a fresh base: \d+\.\d us \(median of 2\)", plan)
+    settled_whole = re.fullmatch(
+        r"conditions settled whole: (\d+) of 44, \d+\.\d us/block no longer run", whole)
+    assert settled_whole, whole
+    rows = batch._conditions(RunConfig(), set(marginals), scenario_from_dict(_data()))[0]
+    assert int(settled_whole[1]) == len(rows) > 0
     base, settled, total = scenario_from_dict(_data()), 0, 0
     for _, run, _ in RunConfig().compiled.values():
         for side, kept in zip(_each_side(run.sides), _each_side(
